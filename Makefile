@@ -1,7 +1,7 @@
 # CI entry points. `make` runs the full set.
 GO ?= go
 
-.PHONY: all build test race vet fmt api-check bench bench-load bench-load-sharded bench-compare bench-compare-sharded bench-json profile test-faults test-txn test-shard fuzz-short clean
+.PHONY: all build test race vet fmt api-check bench bench-e2e bench-load bench-load-sharded bench-compare bench-compare-sharded bench-json profile test-faults test-txn test-shard fuzz-short clean
 
 all: build fmt vet api-check test race
 
@@ -22,6 +22,11 @@ race:
 # closed-loop load snapshot.
 bench: bench-load
 	$(GO) test -bench . -benchmem -count=3 ./...
+
+# The layered benchmark (benchmark/README.md): every workload of
+# BENCHMARK.json, three runs each, end-to-end metrics on standard output.
+bench-e2e:
+	bash benchmark/run.sh -workload all -runs 3
 
 # Closed-loop load-generator snapshot: writes BENCH_xload.json at the
 # repo root with wall+virtual throughput, tail latencies, the engine's

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"pathdb/internal/ordpath"
 	"pathdb/internal/stats"
 	"pathdb/internal/storage"
@@ -96,14 +94,8 @@ func (s *SortByDocumentOrder) Next() (Instance, bool) {
 			s.buf = append(s.buf, in.dropCur())
 		}
 		// n log n comparisons, each charged as a set operation.
-		n := len(s.buf)
-		if n > 1 {
-			cmp := 0
-			sort.SliceStable(s.buf, func(i, j int) bool {
-				cmp++
-				return ordpath.Compare(s.buf[i].Ord, s.buf[j].Ord) < 0
-			})
-			s.es.chargeSetOp(cmp)
+		if len(s.buf) > 1 {
+			s.es.chargeSetOp(ordpath.SortStable(s.buf, func(in *Instance) ordpath.Key { return in.Ord }))
 		}
 		s.done = true
 	}
@@ -113,4 +105,11 @@ func (s *SortByDocumentOrder) Next() (Instance, bool) {
 	out := s.buf[s.pos]
 	s.pos++
 	return out, true
+}
+
+// SortResults sorts rs into document order by the keys the operators
+// captured and returns the number of comparisons made, for the caller to
+// charge (see ordpath.SortStable).
+func SortResults(rs []Result) int {
+	return ordpath.SortStable(rs, func(r *Result) ordpath.Key { return r.Ord })
 }

@@ -38,13 +38,11 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pathdb/internal/core"
-	"pathdb/internal/ordpath"
 	"pathdb/internal/plan"
 	"pathdb/internal/stats"
 	"pathdb/internal/storage"
@@ -850,11 +848,7 @@ func (e *Engine) deliver(p *Pending, res Result, qled *stats.Ledger, baseV stats
 	if p.q.Sorted {
 		rs := res.Results
 		if len(rs) > 1 {
-			cmp := 0
-			sort.SliceStable(rs, func(i, j int) bool {
-				cmp++
-				return ordpath.Compare(rs[i].Ord, rs[j].Ord) < 0
-			})
+			cmp := core.SortResults(rs)
 			qled.AdvanceCPU(stats.Ticks(cmp) * e.store.Disk().Model().CPUSetOp)
 		}
 		if p.q.Limit > 0 && len(rs) > p.q.Limit {

@@ -12,8 +12,8 @@
 package ordpath
 
 import (
-	"fmt"
-	"strings"
+	"sort"
+	"strconv"
 )
 
 // Key is an encoded document-order label. The root element's key is the
@@ -187,15 +187,54 @@ func After(k Key) Key {
 	return FromComponents(comps...)
 }
 
+// AppendDotted appends the key's dotted rendering, e.g. "2.4.2", to dst and
+// returns the extended slice. It allocates only when dst must grow, so a
+// caller reusing its buffer renders keys allocation-free.
+func (k Key) AppendDotted(dst []byte) []byte {
+	for i := 0; i < len(k); {
+		v, n := uvarint(k[i:])
+		if n <= 0 {
+			panic("ordpath: corrupt key")
+		}
+		if i > 0 {
+			dst = append(dst, '.')
+		}
+		dst = strconv.AppendUint(dst, v, 10)
+		i += n
+	}
+	return dst
+}
+
 // String renders the key as dotted components, e.g. "2.4.2".
 func (k Key) String() string {
-	comps := k.Components()
-	parts := make([]string, len(comps))
-	for i, c := range comps {
-		parts[i] = fmt.Sprintf("%d", c)
-	}
-	return strings.Join(parts, ".")
+	var buf [64]byte
+	return string(k.AppendDotted(buf[:0]))
 }
+
+// SortStable sorts xs into document order by the key of each element and
+// returns the number of key comparisons made, which callers charge to the
+// cost ledger. Elements with equal keys keep their input order. It runs
+// sort.Stable's insertion-sort-plus-SymMerge, the algorithm of
+// sort.SliceStable, so the comparison count is the one that function would
+// report for the same input; unlike it, swaps are typed, not reflected.
+func SortStable[T any](xs []T, key func(*T) Key) int {
+	s := byKey[T]{xs: xs, key: key}
+	sort.Stable(&s)
+	return s.compared
+}
+
+type byKey[T any] struct {
+	xs       []T
+	key      func(*T) Key
+	compared int
+}
+
+func (s *byKey[T]) Len() int { return len(s.xs) }
+func (s *byKey[T]) Less(i, j int) bool {
+	s.compared++
+	return Compare(s.key(&s.xs[i]), s.key(&s.xs[j])) < 0
+}
+func (s *byKey[T]) Swap(i, j int) { s.xs[i], s.xs[j] = s.xs[j], s.xs[i] }
 
 // appendUvarint appends v as LEB128.
 func appendUvarint(k Key, v uint64) Key {

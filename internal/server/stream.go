@@ -4,10 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"pathdb"
+	"pathdb/internal/ordpath"
 )
 
 // The HTTP API is versioned under /v1/. The unversioned paths from earlier
@@ -80,10 +84,13 @@ type StreamSummaryJSON struct {
 	Kind  string `json:"kind,omitempty"`
 }
 
-// ndjsonWriter emits NDJSON records with chunked flushing.
+// ndjsonWriter emits NDJSON records with chunked flushing. Lines are
+// assembled in buf, which is handed to the response and reused every
+// streamChunk lines, so a node line in steady state costs no allocation.
 type ndjsonWriter struct {
-	enc     *json.Encoder
+	w       io.Writer
 	flusher http.Flusher
+	buf     []byte
 	lines   int
 	failed  bool
 }
@@ -92,31 +99,129 @@ func newNDJSONWriter(w http.ResponseWriter) *ndjsonWriter {
 	w.Header().Set("Content-Type", ndjsonType)
 	w.WriteHeader(http.StatusOK)
 	f, _ := w.(http.Flusher)
-	return &ndjsonWriter{enc: json.NewEncoder(w), flusher: f}
+	return &ndjsonWriter{w: w, flusher: f}
 }
 
-// write encodes one record as a line, flushing every streamChunk lines.
-// After a transport failure (the client hung up) it reports false and goes
-// inert — the caller stops pulling the cursor.
-func (nw *ndjsonWriter) write(v any) bool {
+// writeNode appends one node line — byte for byte what
+// json.Encoder.Encode(NodeJSON{…}) writes — flushing every streamChunk
+// lines. After a transport failure (the client hung up) it reports false
+// and goes inert — the caller stops pulling the cursor.
+func (nw *ndjsonWriter) writeNode(n pathdb.Node, shard int) bool {
 	if nw.failed {
 		return false
 	}
-	if err := nw.enc.Encode(v); err != nil {
-		nw.failed = true
-		return false
+	nw.buf = appendNodeLine(nw.buf, n.ID(), n.Name(), n.OrdKey(), shard)
+	return nw.endLine()
+}
+
+// writeSummary appends the trailing summary line and flushes.
+func (nw *ndjsonWriter) writeSummary(sum StreamSummaryJSON) {
+	if nw.failed {
+		return
 	}
+	line, err := json.Marshal(sum)
+	if err != nil {
+		nw.failed = true
+		return
+	}
+	nw.buf = append(append(nw.buf, line...), '\n')
+	nw.flush()
+}
+
+func (nw *ndjsonWriter) endLine() bool {
 	nw.lines++
 	if nw.lines%streamChunk == 0 {
 		nw.flush()
 	}
-	return true
+	return !nw.failed
 }
 
 func (nw *ndjsonWriter) flush() {
-	if nw.flusher != nil && !nw.failed {
+	if nw.failed {
+		return
+	}
+	if len(nw.buf) > 0 {
+		_, err := nw.w.Write(nw.buf)
+		nw.buf = nw.buf[:0]
+		if err != nil {
+			nw.failed = true
+			return
+		}
+	}
+	if nw.flusher != nil {
 		nw.flusher.Flush()
 	}
+}
+
+// appendNodeLine appends the NodeJSON object for one node and a newline to
+// dst. ord is the node's raw order key, rendered dotted in place.
+func appendNodeLine(dst []byte, id uint64, name string, ord []byte, shard int) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendUint(dst, id, 10)
+	if name != "" {
+		dst = append(dst, `,"name":`...)
+		dst = appendJSONString(dst, name)
+	}
+	dst = append(dst, `,"ord":"`...)
+	dst = ordpath.Key(ord).AppendDotted(dst) // digits and dots: nothing to escape
+	dst = append(dst, '"')
+	if shard != 0 {
+		dst = append(dst, `,"shard":`...)
+		dst = strconv.AppendInt(dst, int64(shard), 10)
+	}
+	return append(dst, '}', '\n')
+}
+
+// appendJSONString appends s as a JSON string literal with the escaping of
+// encoding/json's default encoder: '"', '\\' and control characters, the
+// HTML-sensitive '<', '>' and '&', U+2028 and U+2029 are escaped, and
+// invalid UTF-8 becomes U+FFFD.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			start = i + size
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
 }
 
 // streamQuery is the NDJSON delivery mode of /v1/query on the single-volume
@@ -138,8 +243,7 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, r *http
 
 	nw := newNDJSONWriter(w)
 	for cur.Next() {
-		n := cur.Node()
-		if !nw.write(NodeJSON{ID: n.ID(), Name: n.Name(), Ord: n.OrdPath()}) {
+		if !nw.writeNode(cur.Node(), 0) {
 			// Client hung up; cancel the query (Close withdraws prefetches).
 			s.gone.Add(1)
 			return
@@ -165,8 +269,7 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, r *http
 		sum.CostVNs = int64(res.CostV)
 		sum.VirtualLatencyNs = int64(res.VirtualLatency)
 	}
-	nw.write(sum)
-	nw.flush()
+	nw.writeSummary(sum)
 }
 
 // streamFailure counts a mid-stream failure (the status line is already on
@@ -199,7 +302,7 @@ func (rt *Router) streamQuery(ctx context.Context, w http.ResponseWriter, r *htt
 	nw := newNDJSONWriter(w)
 	for sc.Next() {
 		sn := sc.Node()
-		if !nw.write(NodeJSON{ID: sn.Node.ID(), Name: sn.Node.Name(), Ord: sn.Node.OrdPath(), Shard: sn.Shard}) {
+		if !nw.writeNode(sn.Node, sn.Shard) {
 			rt.gone.Add(1)
 			return
 		}
@@ -236,8 +339,7 @@ func (rt *Router) streamQuery(ctx context.Context, w http.ResponseWriter, r *htt
 			rt.partials.Add(1)
 		}
 	}
-	nw.write(out)
-	nw.flush()
+	nw.writeSummary(out)
 }
 
 func (rt *Router) streamFailure(r *http.Request, err error) {

@@ -3,11 +3,11 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"pathdb"
+	"pathdb/internal/ordpath"
 	"pathdb/internal/stats"
 )
 
@@ -675,7 +675,7 @@ func (c *Cluster) Query(ctx context.Context, path string, opts pathdb.QueryOptio
 		if wantNodes && spineCount > 0 {
 			spineOrds = make(map[string]bool, spineCount)
 			for _, sn := range spineRes.Nodes {
-				spineOrds[sn.OrdPath()] = true
+				spineOrds[string(sn.OrdKey())] = true
 			}
 		}
 	}
@@ -736,18 +736,15 @@ func (c *Cluster) Query(ctx context.Context, path string, opts pathdb.QueryOptio
 	if wantNodes {
 		for idx, i := range answered {
 			for _, nd := range outs[i].res.Nodes {
-				if idx > 0 && spineOrds[nd.OrdPath()] {
+				if idx > 0 && spineOrds[string(nd.OrdKey())] {
 					continue // spine replica already contributed by the first answering shard
 				}
 				m.Nodes = append(m.Nodes, ShardNode{Shard: i, Node: nd})
 			}
 		}
-		sort.SliceStable(m.Nodes, func(a, b int) bool {
-			if d := pathdb.CompareDocOrder(m.Nodes[a].Node, m.Nodes[b].Node); d != 0 {
-				return d < 0
-			}
-			return m.Nodes[a].Shard < m.Nodes[b].Shard
-		})
+		// Order by (key, shard): the nodes were appended in ascending shard
+		// order and the sort is stable, so sorting by key alone does it.
+		ordpath.SortStable(m.Nodes, func(sn *ShardNode) ordpath.Key { return sn.Node.OrdKey() })
 	}
 	return m, nil
 }

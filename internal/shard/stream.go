@@ -1,10 +1,11 @@
 package shard
 
 import (
-	"container/heap"
+	"bytes"
 	"context"
 
 	"pathdb"
+	"pathdb/internal/ordpath"
 )
 
 // StreamSummary is the trailing summary of a streamed scatter — what the
@@ -49,15 +50,14 @@ type StreamCursor struct {
 	h       mergeHeap
 	streams []*shardStream
 
-	// spineOrds is the replicated spine's order-key set for this path;
-	// only these keys deduplicate (the spine volume is a few pages, so
-	// the probe is cheap relative to any scatter).
+	// spineOrds is the replicated spine's order-key set for this path,
+	// keyed by the raw key bytes; only these keys deduplicate (the spine
+	// volume is a few pages, so the probe is cheap relative to any scatter).
 	spineOrds    map[string]bool
 	spineMatches int
 
 	node     ShardNode
-	lastOrd  string
-	hasLast  bool
+	lastKey  ordpath.Key // raw key of the node last yielded
 	yielded  int
 	failures []ShardFailure
 	stats    []ShardStat
@@ -68,37 +68,84 @@ type StreamCursor struct {
 	sum    *StreamSummary
 }
 
+// nodeStream is what the merge needs of one shard's sorted result: a
+// *pathdb.Cursor in service, a pre-filled slice in the merge's own tests
+// and benchmark.
+type nodeStream interface {
+	Next() bool
+	Node() pathdb.Node
+	Err() error
+	Summary() (pathdb.ExecResult, bool)
+	Close() error
+}
+
 // shardStream is one shard's contribution to the merge.
 type shardStream struct {
 	shard  int
-	cur    *pathdb.Cursor
+	cur    nodeStream
 	count  int // nodes fed into the merge
 	closed bool
 }
 
-// mergeEntry is one stream head waiting in the heap.
+// mergeEntry is one stream head waiting in the heap. key is the node's raw
+// order key, read once when the head is pulled: the heap compares keys, it
+// never goes back to the node.
 type mergeEntry struct {
+	key  ordpath.Key
 	node ShardNode
 	src  *shardStream
 }
 
+// mergeHeap is a binary min-heap of stream heads ordered by (order key,
+// shard), at most one entry per shard. It is typed — entries are stored and
+// returned by value — so push and pop allocate nothing once the backing
+// array has grown to the shard count.
 type mergeHeap []mergeEntry
 
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(a, b int) bool {
-	if d := pathdb.CompareDocOrder(h[a].node.Node, h[b].node.Node); d != 0 {
+func (h mergeHeap) less(a, b int) bool {
+	if d := ordpath.Compare(h[a].key, h[b].key); d != 0 {
 		return d < 0
 	}
 	return h[a].node.Shard < h[b].node.Shard
 }
-func (h mergeHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeEntry)) }
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *mergeHeap) push(e mergeEntry) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+// pop removes and returns the least entry; the heap must not be empty.
+func (h *mergeHeap) pop() mergeEntry {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = mergeEntry{} // drop the node and stream references
+	s = s[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && s.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && s.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	*h = s
+	return top
 }
 
 // Stream fans path across every shard as sorted per-shard streams and
@@ -135,7 +182,7 @@ func (c *Cluster) Stream(ctx context.Context, path string, opts pathdb.QueryOpti
 		sc.spineMatches = res.Count()
 		sc.spineOrds = make(map[string]bool, res.Count())
 		for _, sn := range res.Nodes {
-			sc.spineOrds[sn.OrdPath()] = true
+			sc.spineOrds[string(sn.OrdKey())] = true
 		}
 	}
 
@@ -162,16 +209,23 @@ func (c *Cluster) Stream(ctx context.Context, path string, opts pathdb.QueryOpti
 		return nil, qerr
 	}
 
-	// Prime the heap with each stream's head. The first merged node needs
-	// every head anyway (it is their minimum), so this is the stream's
-	// genuine time-to-first-result, not an implementation stall.
-	for _, s := range sc.streams {
-		if err := sc.advance(s); err != nil {
-			sc.close()
-			return nil, err
-		}
+	if err := sc.prime(); err != nil {
+		sc.close()
+		return nil, err
 	}
 	return sc, nil
+}
+
+// prime puts each stream's head on the heap. The first merged node needs
+// every head anyway (it is their minimum), so this is the stream's genuine
+// time-to-first-result, not an implementation stall.
+func (sc *StreamCursor) prime() error {
+	for _, s := range sc.streams {
+		if err := sc.advance(s); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // advance pulls the next node from s, pushing it on the heap; a drained
@@ -180,7 +234,8 @@ func (c *Cluster) Stream(ctx context.Context, path string, opts pathdb.QueryOpti
 func (sc *StreamCursor) advance(s *shardStream) error {
 	if s.cur.Next() {
 		s.count++
-		heap.Push(&sc.h, mergeEntry{node: ShardNode{Shard: s.shard, Node: s.cur.Node()}, src: s})
+		n := s.cur.Node()
+		sc.h.push(mergeEntry{key: n.OrdKey(), node: ShardNode{Shard: s.shard, Node: n}, src: s})
 		return nil
 	}
 	if err := s.cur.Err(); err != nil {
@@ -231,11 +286,11 @@ func (sc *StreamCursor) Next() bool {
 		return false
 	}
 	for {
-		if sc.h.Len() == 0 {
+		if len(sc.h) == 0 {
 			sc.finish()
 			return false
 		}
-		e := heap.Pop(&sc.h).(mergeEntry)
+		e := sc.h.pop()
 		if err := sc.advance(e.src); err != nil {
 			sc.fail(err)
 			return false
@@ -245,11 +300,10 @@ func (sc *StreamCursor) Next() bool {
 		// copy first, so an equal-key successor on a spine key is a
 		// replica to drop. Equal keys off the spine are distinct entities
 		// and all surface (the heap's shard tiebreak orders them).
-		ord := e.node.Node.OrdPath()
-		if sc.hasLast && ord == sc.lastOrd && sc.spineOrds[ord] {
+		if sc.yielded > 0 && bytes.Equal(e.key, sc.lastKey) && sc.spineOrds[string(e.key)] {
 			continue
 		}
-		sc.lastOrd, sc.hasLast = ord, true
+		sc.lastKey = e.key
 		sc.node = e.node
 		sc.yielded++
 		if sc.limit > 0 && sc.yielded >= sc.limit {

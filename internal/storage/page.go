@@ -3,7 +3,6 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"pathdb/internal/ordpath"
 	"pathdb/internal/vdisk"
@@ -146,19 +145,25 @@ func setBit(w []uint64, i uint16) { w[i>>6] |= 1 << (i & 63) }
 
 func hasBit(w []uint64, i uint16) bool { return w[i>>6]&(1<<(i&63)) != 0 }
 
-// tagIndex returns the index of t in nav.tags, or -1.
-func (nav *pageNav) tagIndex(t xmltree.TagID) int {
-	lo, hi := 0, len(nav.tags)
+// tagSlot returns the position of t in the sorted tags — where it is, or
+// where it would be inserted — and whether it is present.
+func tagSlot(tags []xmltree.TagID, t xmltree.TagID) (int, bool) {
+	lo, hi := 0, len(tags)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if nav.tags[mid] < t {
+		if tags[mid] < t {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(nav.tags) && nav.tags[lo] == t {
-		return lo
+	return lo, lo < len(tags) && tags[lo] == t
+}
+
+// tagIndex returns the index of t in nav.tags, or -1.
+func (nav *pageNav) tagIndex(t xmltree.TagID) int {
+	if i, ok := tagSlot(nav.tags, t); ok {
+		return i
 	}
 	return -1
 }
@@ -274,25 +279,25 @@ func buildPageNav(img *pageImage) *pageNav {
 		}
 	}
 
-	// Distinct tags (non-element records land in the NoTag bucket, exactly
-	// the field Matches inspects on them).
+	// Distinct tags, sorted (non-element records land in the NoTag bucket,
+	// exactly the field Matches inspects on them). A page holds hundreds of
+	// records but a dozen or so tags, and runs of siblings repeat one: skip
+	// a repeat of the previous record's tag, insert the rest in place.
 	tags := make([]xmltree.TagID, 0, 16)
+	var last xmltree.TagID
 	for p := range nav.byPre {
 		r := &img.recs[nav.byPre[p]]
-		if r.kind.IsProxy() {
+		if r.kind.IsProxy() || (len(tags) > 0 && r.tag == last) {
 			continue
 		}
-		tags = append(tags, r.tag)
-	}
-	sort.Slice(tags, func(a, b int) bool { return tags[a] < tags[b] })
-	dst := 0
-	for i, t := range tags {
-		if i == 0 || t != tags[dst-1] {
-			tags[dst] = t
-			dst++
+		last = r.tag
+		if i, ok := tagSlot(tags, r.tag); !ok {
+			tags = append(tags, 0)
+			copy(tags[i+1:], tags[i:])
+			tags[i] = r.tag
 		}
 	}
-	nav.tags = tags[:dst]
+	nav.tags = tags
 	nav.tagCnt = make([]int32, len(nav.tags))
 
 	// One backing allocation for every bitset.

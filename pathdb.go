@@ -25,7 +25,6 @@ package pathdb
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -655,9 +654,7 @@ func (q *Query) runUnion(arena *core.Arena) []core.Result {
 		out = append(out, r)
 	}
 	if q.sorted {
-		sort.Slice(out, func(i, j int) bool {
-			return ordpath.Compare(out[i].Ord, out[j].Ord) < 0
-		})
+		core.SortResults(out)
 	}
 	return out
 }
@@ -684,7 +681,7 @@ func (q *Query) Nodes() []Node {
 	}
 	out := make([]Node, len(rs))
 	for i, r := range rs {
-		out[i] = Node{db: q.db, id: r.Node}
+		out[i] = Node{db: q.db, id: r.Node, ord: r.Ord}
 	}
 	return out
 }
@@ -697,7 +694,7 @@ func (q *Query) Each(f func(Node) bool) {
 	defer core.PutArena(arena)
 	if q.isUnion() {
 		for _, r := range q.runUnion(arena) {
-			if !f(Node{db: q.db, id: r.Node}) {
+			if !f(Node{db: q.db, id: r.Node, ord: r.Ord}) {
 				return
 			}
 		}
@@ -712,7 +709,7 @@ func (q *Query) Each(f func(Node) bool) {
 		if !ok {
 			return
 		}
-		if !f(Node{db: q.db, id: inst.NR}) {
+		if !f(Node{db: q.db, id: inst.NR, ord: inst.Ord}) {
 			return
 		}
 	}
@@ -747,9 +744,21 @@ func (db *DB) VolumeStats() VolumeStats {
 // moved nodes resolve to a border node or dangle — re-resolve nodes via a
 // fresh query after heavy updates (the engine's NodeIDs are physical
 // record addresses, as in the paper's Example 2).
+//
+// Node is not comparable: it carries its order key as a byte slice, so ==
+// and use as a map key are compile errors rather than a comparison that
+// would tell a queried handle from an inserted handle of the same node.
+// Compare ID() for identity within one DB.
 type Node struct {
 	db *DB
 	id storage.NodeID
+	// ord is the document-order key XStep captured while the node's
+	// cluster was in hand (core.Result.Ord), kept so that OrdKey, OrdPath
+	// and CompareDocOrder need no swizzle. Like Result.Ord it aliases the
+	// decoded page image's ord slab — no copy is made, and a retained Node
+	// keeps that slab reachable. Empty on handles that never passed through
+	// an operator (Tx.InsertXML results), which swizzle on demand.
+	ord ordpath.Key
 }
 
 // ID returns the node's stable storage identifier.
@@ -778,9 +787,21 @@ func (n Node) XML() string {
 	return xmlwrite.String(n.db.dict, n.db.store.ExportSubtree(n.id), xmlwrite.Options{})
 }
 
+// OrdKey returns the node's document-order key in its encoded form: one
+// LEB128 varint per tree level. Keys of one DB, or of the volumes of one
+// ShardSet, compare in document order (CompareDocOrder), and equal keys are
+// equal byte strings. The slice aliases storage shared with other handles
+// and must not be modified.
+func (n Node) OrdKey() []byte {
+	if len(n.ord) == 0 {
+		return n.db.store.Swizzle(n.id).OrdKey()
+	}
+	return n.ord
+}
+
 // OrdPath returns the node's document-order key in dotted form.
 func (n Node) OrdPath() string {
-	return n.db.store.Swizzle(n.id).OrdKey().String()
+	return ordpath.Key(n.OrdKey()).String()
 }
 
 // Query evaluates a relative location path with this node as context.

@@ -2,10 +2,8 @@ package pathdb
 
 import (
 	"context"
-	"sort"
 
 	"pathdb/internal/core"
-	"pathdb/internal/ordpath"
 	"pathdb/internal/stats"
 	"pathdb/internal/storage"
 	"pathdb/internal/vdisk"
@@ -102,9 +100,7 @@ func (db *DB) QueryCtx(ctx context.Context, path string, opts QueryOptions) (res
 		}
 		all = dedup
 		if opts.Sorted {
-			sort.Slice(all, func(i, j int) bool {
-				return ordpath.Compare(all[i].Ord, all[j].Ord) < 0
-			})
+			core.SortResults(all)
 		}
 	}
 
@@ -125,7 +121,7 @@ func (db *DB) QueryCtx(ctx context.Context, path string, opts QueryOptions) (res
 	out.Gang = 1
 	out.Nodes = make([]Node, len(all))
 	for i, r := range all {
-		out.Nodes[i] = Node{db: db, id: r.Node}
+		out.Nodes[i] = Node{db: db, id: r.Node, ord: r.Ord}
 	}
 	return out, nil
 }

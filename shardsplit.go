@@ -202,7 +202,5 @@ func shallowClone(n *xmltree.Node) *xmltree.Node {
 // keys everywhere, so a cross-shard merge sorted by (CompareDocOrder,
 // shard) is deterministic and spine-consistent.
 func CompareDocOrder(a, b Node) int {
-	ka := a.db.store.Swizzle(a.id).OrdKey()
-	kb := b.db.store.Swizzle(b.id).OrdKey()
-	return ordpath.Compare(ka, kb)
+	return ordpath.Compare(a.OrdKey(), b.OrdKey())
 }

@@ -2,11 +2,9 @@ package pathdb
 
 import (
 	"context"
-	"sort"
 
 	"pathdb/internal/core"
 	"pathdb/internal/engine"
-	"pathdb/internal/ordpath"
 	"pathdb/internal/stats"
 	"pathdb/internal/storage"
 	"pathdb/internal/xpath"
@@ -274,7 +272,7 @@ func (c *Cursor) nextLive() bool {
 			}
 			c.seen[r.Node] = true
 		}
-		c.yield(Node{db: c.db, id: r.Node})
+		c.yield(Node{db: c.db, id: r.Node, ord: r.Ord})
 		return true
 	}
 }
@@ -352,9 +350,7 @@ func (c *Cursor) mergeBuffered() {
 		}
 		all = dedup
 		if c.opts.Sorted {
-			sort.Slice(all, func(i, j int) bool {
-				return ordpath.Compare(all[i].Ord, all[j].Ord) < 0
-			})
+			core.SortResults(all)
 		}
 	}
 	if c.opts.Limit > 0 && len(all) > c.opts.Limit {
@@ -362,7 +358,7 @@ func (c *Cursor) mergeBuffered() {
 	}
 	out.Nodes = make([]Node, len(all))
 	for i, r := range all {
-		out.Nodes[i] = Node{db: c.db, id: r.Node}
+		out.Nodes[i] = Node{db: c.db, id: r.Node, ord: r.Ord}
 	}
 	c.sum = out
 	c.sumOK = true
@@ -619,7 +615,7 @@ func (c *Cursor) nextDirect() bool {
 			}
 			c.seen[inst.NR] = true
 		}
-		c.yield(Node{db: c.db, id: inst.NR})
+		c.yield(Node{db: c.db, id: inst.NR, ord: inst.Ord})
 		return true
 	}
 }
