@@ -2,18 +2,18 @@
 // of the concurrent query engine (internal/server). It loads or generates
 // one volume, starts an engine over it, and answers:
 //
-//	POST /query    {"path": "/site/regions//item", "strategy": "auto",
-//	                "limit": 10, "timeout_ms": 250, "sorted": true}
-//	POST /update   {"op": "insert", "parent": "/site", "xml": "<note/>"}
-//	               {"op": "delete", "path": "/site/note"}
-//	GET  /metrics  Prometheus text exposition (engine + txn + cost ledger + server)
-//	GET  /healthz  200 while serving, 503 once draining
+//	POST /v1/query    {"path": "/site/regions//item", "strategy": "auto",
+//	                   "limit": 10, "timeout_ms": 250, "sorted": true}
+//	POST /v1/update   {"op": "insert", "parent": "/site", "xml": "<note/>"}
+//	                  {"op": "delete", "path": "/site/note"}
+//	GET  /v1/metrics  Prometheus text exposition (engine + txn + cost ledger + server)
+//	GET  /v1/healthz  200 while serving, 503 once draining
 //
 // With -shards N (N > 1) it serves the same endpoints in router mode: the
 // corpus is split across N fully independent volumes (replicated container
-// spine, consistent-hash-placed entity collections), /query scatter-gathers
-// across them with merged counts and document-order nodes, /update routes
-// to the owning shard, /metrics carries per-shard series under a shard
+// spine, consistent-hash-placed entity collections), /v1/query scatter-gathers
+// across them with merged counts and document-order nodes, /v1/update routes
+// to the owning shard, /v1/metrics carries per-shard series under a shard
 // label plus pathdb_cluster_* aggregates, and the X-Tenant header is
 // subject to per-tenant admission quotas (429 + Retry-After at the quota).
 // A shard degraded by storage faults yields typed partial 200s under the
@@ -35,9 +35,9 @@
 //	xserved -xmark 0.5 -addr :8080
 //	xserved -xmark 0.5 -shards 4 -addr :8080
 //	xserved -xml doc.xml -inflight 8 -queue 64 -addr 127.0.0.1:0
-//	curl -s localhost:8080/query -d '{"path": "/site/regions//item"}'
-//	curl -s -H 'X-Tenant: alice' localhost:8080/query -d '{"path": "/site"}'
-//	curl -s localhost:8080/metrics
+//	curl -s localhost:8080/v1/query -d '{"path": "/site/regions//item"}'
+//	curl -s -H 'X-Tenant: alice' localhost:8080/v1/query -d '{"path": "/site"}'
+//	curl -s localhost:8080/v1/metrics
 //
 // The actual listen address is printed on startup ("listening on ..."), so
 // -addr :0 works for scripts and tests.

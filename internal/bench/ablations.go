@@ -7,6 +7,7 @@ import (
 	"pathdb/internal/core"
 	"pathdb/internal/stats"
 	"pathdb/internal/storage"
+	"pathdb/internal/txn"
 	"pathdb/internal/vdisk"
 	"pathdb/internal/xmltree"
 	"pathdb/internal/xpath"
@@ -273,6 +274,10 @@ func (w *Workload) AblationUpdates(sf float64, inserts int) []AblationRow {
 	if len(africa) == 0 {
 		panic("bench: no africa region")
 	}
+	mgr, err := txn.NewManager(st, txn.Options{GroupWindow: -1})
+	if err != nil {
+		panic(fmt.Sprintf("bench: txn manager: %v", err))
+	}
 	for i := 0; i < inserts; i++ {
 		b := xmltree.NewBuilder(dict)
 		b.Begin("item").Attr("id", fmt.Sprintf("upd%d", i)).
@@ -282,7 +287,11 @@ func (w *Workload) AblationUpdates(sf float64, inserts int) []AblationRow {
 			Begin("description").Begin("text").Text("inserted after load").End().End().
 			End()
 		frag := b.Doc().Children[0]
-		if _, err := st.InsertSubtree(africa[0].Node, storage.InvalidNodeID, frag); err != nil {
+		err := mgr.Update(func(tx *txn.Tx) error {
+			_, err := tx.InsertSubtree(africa[0].Node, storage.InvalidNodeID, frag)
+			return err
+		})
+		if err != nil {
 			panic(fmt.Sprintf("bench: insert %d: %v", i, err))
 		}
 	}

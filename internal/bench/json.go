@@ -69,117 +69,6 @@ func WriteMeasurementsJSON(dir, name, title string, ms []Measurement) error {
 	return writeJSON(dir, name, f)
 }
 
-// LoadJSON is the machine-readable summary of one xload run: virtual and
-// wall-clock throughput side by side, per-request allocations, and the
-// engine's admission/dispatch counters so shedding and batching behavior
-// are part of the tracked trajectory.
-type LoadJSON struct {
-	Mode        string  `json:"mode"` // "engine" (in-process) or "url" (networked)
-	Clients     int     `json:"clients"`
-	Requests    int     `json:"requests"`
-	Mix         string  `json:"mix"`
-	Strategy    string  `json:"strategy"`
-	Parallel    int     `json:"parallel"`
-	VirtualSec  float64 `json:"virtual_s"`
-	WallSec     float64 `json:"wall_s"`
-	VirtualQPS  float64 `json:"throughput_virtual_qps"`
-	WallQPS     float64 `json:"throughput_wall_qps"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	P50WallSec  float64 `json:"p50_wall_s"`
-	P99WallSec  float64 `json:"p99_wall_s"`
-	P50VirtSec  float64 `json:"p50_virtual_s"`
-	P99VirtSec  float64 `json:"p99_virtual_s"`
-
-	// Streamed runs (-stream): the closed loop above delivered through
-	// cursors (engine mode) or NDJSON (url mode), and a dedicated
-	// uncontended pass measured time-to-first-result per request — TTFR
-	// is a per-request property, and under the closed loop the engine's
-	// gang-sequential dispatch makes queue wait dominate both the first
-	// and the last node, hiding the streaming shape. The drain
-	// percentiles are the same pass's full-drain times: p50_ttfr_s well
-	// under p50_drain_s is the incremental-delivery win, and benchgate
-	// gates TTFR regressions (streaming silently degrading to
-	// buffer-then-replay shows as TTFR jumping toward drain).
-	Stream      bool    `json:"stream,omitempty"`
-	P50TTFRSec  float64 `json:"p50_ttfr_s,omitempty"`
-	P99TTFRSec  float64 `json:"p99_ttfr_s,omitempty"`
-	P50DrainSec float64 `json:"p50_drain_s,omitempty"`
-	P99DrainSec float64 `json:"p99_drain_s,omitempty"`
-
-	// Engine counters (engine.Metrics, scraped from /metrics in url mode).
-	Submitted int64 `json:"engine_submitted"`
-	Rejected  int64 `json:"engine_rejected"`
-	Gangs     int64 `json:"engine_gangs"`
-	Batched   int64 `json:"engine_batched"`
-
-	// Client-observed flow control (url mode): 503-retry rounds and 504s.
-	ShedRetries int64 `json:"shed_retries,omitempty"`
-	Timeouts    int64 `json:"timeouts,omitempty"`
-
-	// Mixed read/write workloads (-write-frac > 0): transaction outcomes
-	// and commit latency. flushes_per_commit below 1 means group commit
-	// batched concurrent writers onto shared WAL flushes.
-	WriteFrac        float64 `json:"write_frac,omitempty"`
-	Writes           int64   `json:"writes,omitempty"`
-	Commits          uint64  `json:"txn_commits,omitempty"`
-	Aborts           uint64  `json:"txn_aborts,omitempty"`
-	Groups           uint64  `json:"txn_groups,omitempty"`
-	FlushesPerCommit float64 `json:"flushes_per_commit,omitempty"`
-	P50CommitSec     float64 `json:"p50_commit_s,omitempty"`
-	P99CommitSec     float64 `json:"p99_commit_s,omitempty"`
-
-	// Predicate evaluation: the evaluator the main run used ("auto",
-	// "nested" or "join"), and — with xload -pred-compare — the branch
-	// mix replayed under per-candidate probing vs the chooser-picked
-	// structural semi-join, so the join win stays a tracked figure.
-	// benchgate refuses to compare snapshots taken at different preds
-	// settings.
-	Preds       string           `json:"preds,omitempty"`
-	PredCompare *PredCompareJSON `json:"pred_compare,omitempty"`
-
-	// Sharded runs (-shards > 1): cluster shape, per-shard throughput and
-	// degraded-shard outcomes, so cmd/benchgate can gate sharded runs and
-	// refuse to compare snapshots taken at different shard counts.
-	Shards         int             `json:"shards,omitempty"`
-	PartialResults int64           `json:"partial_results,omitempty"` // 200s that excluded a degraded shard
-	DegradedHits   int64           `json:"degraded_hits,omitempty"`   // tolerable shard faults absorbed by quorum
-	PerShard       []ShardLoadJSON `json:"per_shard,omitempty"`
-}
-
-// PredCompareJSON is the join-vs-nested replay of the branching mix:
-// the same request multiset evaluated with per-candidate probing
-// (PredFilter) and with the chooser-picked evaluator (the structural
-// semi-join where the cost model selects it). Speedup is nested wall
-// over join wall — above 1 means the set-at-a-time evaluation wins.
-type PredCompareJSON struct {
-	Mix          string  `json:"mix"`
-	Requests     int     `json:"requests"`
-	NestedWallS  float64 `json:"nested_wall_s"`
-	JoinWallS    float64 `json:"join_wall_s"`
-	NestedAllocs int64   `json:"nested_allocs_per_op"`
-	JoinAllocs   int64   `json:"join_allocs_per_op"`
-	Speedup      float64 `json:"speedup"`
-}
-
-// ShardLoadJSON is one shard's slice of a sharded xload run.
-type ShardLoadJSON struct {
-	Shard        int     `json:"shard"`
-	WallQPS      float64 `json:"wall_qps"`
-	Submitted    int64   `json:"submitted"`
-	Completed    int64   `json:"completed"`
-	Faulted      int64   `json:"faulted"`
-	DegradedHits int64   `json:"degraded_hits"`
-}
-
-// WriteLoadJSON writes l to dir/BENCH_<name>.json.
-func WriteLoadJSON(dir, name string, l LoadJSON) error {
-	data, err := json.MarshalIndent(l, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_"+name+".json"), append(data, '\n'), 0o644)
-}
-
 // WriteAblationJSON writes rows to dir/BENCH_ablation_<name>.json.
 func WriteAblationJSON(dir, name, title string, rows []AblationRow) error {
 	f := benchFile{Name: "ablation_" + name, Title: title}

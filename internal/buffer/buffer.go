@@ -79,7 +79,6 @@ type Manager struct {
 	// it hits zero any device entry for p is withdrawn.
 	submitted map[vdisk.PageID]bool
 	wanted    map[vdisk.PageID]int
-	root      *Waiter // backs the legacy Manager-level Request/WaitLoaded
 
 	// Read-failure bookkeeping. failed[p] holds the terminal error of a
 	// page whose load exhausted its retries; every waiter wanting p is
@@ -127,7 +126,6 @@ func New(disk *vdisk.Disk, capacity int) *Manager {
 		attempts:  make(map[vdisk.PageID]int),
 		retry:     DefaultRetryPolicy(),
 	}
-	m.root = m.NewWaiter(disk.Ledger())
 	for i := range m.shards {
 		m.shards[i].frames = make(map[vdisk.PageID]*Frame)
 	}
@@ -513,51 +511,11 @@ func (w *Waiter) Outstanding() int {
 	return len(w.order)
 }
 
-// Request schedules an asynchronous load of page p on the manager's root
-// waiter (single-query callers that need no per-query accounting).
-func (m *Manager) Request(p vdisk.PageID) { m.root.Request(p) }
-
-// WaitLoaded delivers one of the root waiter's requested pages.
-func (m *Manager) WaitLoaded() (p vdisk.PageID, ok bool, err error) { return m.root.WaitLoaded() }
-
-// OutstandingRequests returns the number of async requests not yet
-// delivered to the root waiter.
-func (m *Manager) OutstandingRequests() int { return m.root.Outstanding() }
-
-// CancelRequests abandons the root waiter's outstanding async requests.
-func (m *Manager) CancelRequests() { m.root.Cancel() }
-
-// Invalidate drops page p from the pool after an out-of-band write (the
-// update path rewrites pages directly). It panics if the frame is pinned.
-func (m *Manager) Invalidate(p vdisk.PageID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.shardOf(p)
-	s.mu.Lock()
-	f, ok := s.frames[p]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	if f.Pinned() {
-		s.mu.Unlock()
-		panic(fmt.Sprintf("buffer: invalidate of pinned page %d", p))
-	}
-	delete(s.frames, p)
-	s.mu.Unlock()
-	m.unlink(f)
-	m.nFrames--
-	if m.onEvict != nil {
-		m.onEvict(p)
-	}
-}
-
-// Discard is Invalidate for version reclamation: it drops page p from the
-// pool if present, but — unlike Invalidate, which treats a pinned frame as
-// a protocol violation — it reports false and leaves the frame alone when
-// the page is still pinned. Superseded page versions are unreachable from
-// any live snapshot, so a pin is at worst a transient read finishing up;
-// the reclaimer retries on the next pass.
+// Discard drops page p from the pool for version reclamation, if present.
+// It reports false and leaves the frame alone when the page is still
+// pinned: superseded page versions are unreachable from any live snapshot,
+// so a pin is at worst a transient read finishing up, and the reclaimer
+// retries on the next pass.
 func (m *Manager) Discard(p vdisk.PageID) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -583,10 +541,9 @@ func (m *Manager) Discard(p vdisk.PageID) bool {
 }
 
 // FlushAll drops every unpinned frame (used between benchmark runs to
-// start cold) and resets the async bookkeeping, including the root
-// waiter's pending set. It panics if any frame is still pinned. Per-query
-// waiters must be cancelled before FlushAll; surviving ones hold stale
-// pending sets.
+// start cold) and resets the async bookkeeping. It panics if any frame is
+// still pinned. Waiters must be cancelled before FlushAll; surviving ones
+// hold stale pending sets.
 func (m *Manager) FlushAll() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -611,8 +568,6 @@ func (m *Manager) FlushAll() {
 	m.wanted = make(map[vdisk.PageID]int)
 	m.failed = make(map[vdisk.PageID]error)
 	m.attempts = make(map[vdisk.PageID]int)
-	m.root.pending = make(map[vdisk.PageID]bool)
-	m.root.order = nil
 }
 
 // newFrame allocates (or steals via eviction) a frame, links it at MRU and

@@ -104,11 +104,12 @@ func TestUnfixUnpinnedPanics(t *testing.T) {
 
 func TestRequestWaitLoaded(t *testing.T) {
 	m, led := newPool(t, 20, 8)
-	m.Request(5)
-	m.Request(15)
+	w := m.NewWaiter(nil)
+	w.Request(5)
+	w.Request(15)
 	got := map[vdisk.PageID]bool{}
 	for i := 0; i < 2; i++ {
-		p, ok, _ := m.WaitLoaded()
+		p, ok, _ := w.WaitLoaded()
 		if !ok {
 			t.Fatal("WaitLoaded failed")
 		}
@@ -120,7 +121,7 @@ func TestRequestWaitLoaded(t *testing.T) {
 	if !got[5] || !got[15] {
 		t.Fatalf("got %v", got)
 	}
-	if _, ok, _ := m.WaitLoaded(); ok {
+	if _, ok, _ := w.WaitLoaded(); ok {
 		t.Fatal("WaitLoaded returned a third page")
 	}
 	if led.AsyncSubmitted != 2 {
@@ -130,10 +131,11 @@ func TestRequestWaitLoaded(t *testing.T) {
 
 func TestRequestCachedIsImmediatelyReady(t *testing.T) {
 	m, led := newPool(t, 10, 4)
+	w := m.NewWaiter(nil)
 	m.Unfix(fix(m, 7))
 	reads := led.PageReads
-	m.Request(7)
-	p, ok, _ := m.WaitLoaded()
+	w.Request(7)
+	p, ok, _ := w.WaitLoaded()
 	if !ok || p != 7 {
 		t.Fatalf("WaitLoaded = %d, %v", p, ok)
 	}
@@ -144,38 +146,41 @@ func TestRequestCachedIsImmediatelyReady(t *testing.T) {
 
 func TestRequestDeduplicated(t *testing.T) {
 	m, led := newPool(t, 10, 4)
-	m.Request(3)
-	m.Request(3)
+	w := m.NewWaiter(nil)
+	w.Request(3)
+	w.Request(3)
 	if led.AsyncSubmitted != 1 {
 		t.Fatalf("duplicate request submitted: %d", led.AsyncSubmitted)
 	}
-	if p, ok, _ := m.WaitLoaded(); !ok || p != 3 {
+	if p, ok, _ := w.WaitLoaded(); !ok || p != 3 {
 		t.Fatalf("WaitLoaded = %d %v", p, ok)
 	}
-	if _, ok, _ := m.WaitLoaded(); ok {
+	if _, ok, _ := w.WaitLoaded(); ok {
 		t.Fatal("dedup delivered twice")
 	}
 }
 
 func TestSyncReadSupersedesPending(t *testing.T) {
 	m, _ := newPool(t, 10, 4)
-	m.Request(3)
+	w := m.NewWaiter(nil)
+	w.Request(3)
 	m.Unfix(fix(m, 3)) // sync read wins the race
 	// The async completion may still surface, but must terminate cleanly.
 	for {
-		_, ok, _ := m.WaitLoaded()
+		_, ok, _ := w.WaitLoaded()
 		if !ok {
 			break
 		}
 	}
-	if m.OutstandingRequests() != 0 {
+	if w.Outstanding() != 0 {
 		t.Fatal("requests left outstanding")
 	}
 }
 
 func TestWaitLoadedEmpty(t *testing.T) {
 	m, _ := newPool(t, 5, 2)
-	if _, ok, _ := m.WaitLoaded(); ok {
+	w := m.NewWaiter(nil)
+	if _, ok, _ := w.WaitLoaded(); ok {
 		t.Fatal("WaitLoaded on empty queue succeeded")
 	}
 }
@@ -240,13 +245,14 @@ func TestDataIntegrityUnderChurn(t *testing.T) {
 
 func TestAsyncRequestsOverlapWithCPU(t *testing.T) {
 	m, led := newPool(t, 100, 50)
+	w := m.NewWaiter(nil)
 	for i := 0; i < 10; i++ {
-		m.Request(vdisk.PageID(i * 7))
+		w.Request(vdisk.PageID(i * 7))
 	}
 	led.AdvanceCPU(stats.Ticks(10) * 100 * stats.Millisecond)
 	waitBefore := led.IOWait
 	for {
-		if _, ok, _ := m.WaitLoaded(); !ok {
+		if _, ok, _ := w.WaitLoaded(); !ok {
 			break
 		}
 	}
@@ -280,30 +286,32 @@ func TestEvictHandlerFires(t *testing.T) {
 	}
 }
 
-func TestInvalidateDropsFrame(t *testing.T) {
+func TestDiscardDropsFrame(t *testing.T) {
 	m, led := newPool(t, 10, 4)
 	m.Unfix(fix(m, 3))
-	m.Invalidate(3)
-	if m.Contains(3) {
-		t.Fatal("page survived invalidation")
+	if !m.Discard(3) || m.Contains(3) {
+		t.Fatal("page survived discard")
 	}
-	m.Invalidate(3) // absent: no-op
+	if !m.Discard(3) {
+		t.Fatal("discard of an absent page reported a pin")
+	}
 	reads := led.PageReads
 	m.Unfix(fix(m, 3))
 	if led.PageReads != reads+1 {
-		t.Fatal("invalidated page served from cache")
+		t.Fatal("discarded page served from cache")
 	}
 }
 
-func TestInvalidatePinnedPanics(t *testing.T) {
+func TestDiscardPinnedRefused(t *testing.T) {
 	m, _ := newPool(t, 10, 4)
-	fix(m, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m.Invalidate(2)
+	f := fix(m, 2)
+	if m.Discard(2) || !m.Contains(2) {
+		t.Fatal("discard dropped a pinned frame")
+	}
+	m.Unfix(f)
+	if !m.Discard(2) {
+		t.Fatal("discard refused an unpinned frame")
+	}
 }
 
 // fix is the test shorthand for a Fix that must succeed.

@@ -99,23 +99,24 @@ func TestConcurrentHitsShareOneLoad(t *testing.T) {
 
 func TestCancelRequests(t *testing.T) {
 	m := newConcurrentPool(t, 8, 8)
-	m.Request(1)
-	m.Request(3)
+	w := m.NewWaiter(nil)
+	w.Request(1)
+	w.Request(3)
 	m.Unfix(fix(m, 5)) // cache page 5
-	m.Request(5)       // ready immediately
-	if m.OutstandingRequests() != 3 {
-		t.Fatalf("outstanding = %d, want 3", m.OutstandingRequests())
+	w.Request(5)       // ready immediately
+	if w.Outstanding() != 3 {
+		t.Fatalf("outstanding = %d, want 3", w.Outstanding())
 	}
-	m.CancelRequests()
-	if m.OutstandingRequests() != 0 {
-		t.Fatal("CancelRequests left requests")
+	w.Cancel()
+	if w.Outstanding() != 0 {
+		t.Fatal("Cancel left requests")
 	}
-	if p, ok, _ := m.WaitLoaded(); ok {
+	if p, ok, _ := w.WaitLoaded(); ok {
 		t.Fatalf("cancelled request delivered page %d", p)
 	}
 	// The pool keeps working normally afterwards.
-	m.Request(3)
-	p, ok, _ := m.WaitLoaded()
+	w.Request(3)
+	p, ok, _ := w.WaitLoaded()
 	if !ok || p != 3 {
 		t.Fatalf("post-cancel request: got %v,%v", p, ok)
 	}

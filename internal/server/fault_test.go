@@ -47,7 +47,7 @@ func TestQueryFaultMapsTo500(t *testing.T) {
 		t.Fatalf("post-disarm status %d: %s", resp.StatusCode, data)
 	}
 
-	mresp, err := http.Get(ts.URL + "/metrics")
+	mresp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,10 +77,10 @@ func NewRouter(cl *shard.Cluster, opts Options, quota shard.QuotaConfig) *Router
 		opts:    opts.withDefaults(),
 		mux:     http.NewServeMux(),
 	}
-	registerVersioned(rt.mux, "query", rt.handleQuery)
-	registerVersioned(rt.mux, "update", rt.handleUpdate)
-	registerVersioned(rt.mux, "metrics", rt.handleMetrics)
-	registerVersioned(rt.mux, "healthz", rt.handleHealthz)
+	rt.mux.HandleFunc("/v1/query", rt.handleQuery)
+	rt.mux.HandleFunc("/v1/update", rt.handleUpdate)
+	rt.mux.HandleFunc("/v1/metrics", rt.handleMetrics)
+	rt.mux.HandleFunc("/v1/healthz", rt.handleHealthz)
 	return rt
 }
 

@@ -47,7 +47,7 @@ func postRouterQuery(t *testing.T, url string, req QueryRequest, tenant string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	hreq, err := http.NewRequest(http.MethodPost, url+"/query", bytes.NewReader(body))
+	hreq, err := http.NewRequest(http.MethodPost, url+"/v1/query", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRouterUpdateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(ts.URL+"/update", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/update", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ var metricLine = regexp.MustCompile(`(?m)^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})?
 
 func metricSamples(t *testing.T, url string) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(url + "/metrics")
+	resp, err := http.Get(url + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,7 @@
 // outlook points at — one I/O-performing operator serving many concurrent
 // location paths, now across real sockets.
 //
-// Endpoints (versioned under /v1/; the unversioned paths remain as
-// deprecated aliases answering a Deprecation header):
+// Endpoints, all under /v1/:
 //
 //	POST /v1/query    evaluate {path, strategy, limit, timeout_ms, sorted};
 //	                  with Accept: application/x-ndjson the response is a
@@ -122,10 +121,10 @@ func New(db *pathdb.DB, eng *pathdb.Engine, opts Options) *Server {
 		opts: opts.withDefaults(),
 		mux:  http.NewServeMux(),
 	}
-	registerVersioned(s.mux, "query", s.handleQuery)
-	registerVersioned(s.mux, "update", s.handleUpdate)
-	registerVersioned(s.mux, "metrics", s.handleMetrics)
-	registerVersioned(s.mux, "healthz", s.handleHealthz)
+	s.mux.HandleFunc("/v1/query", s.handleQuery)
+	s.mux.HandleFunc("/v1/update", s.handleUpdate)
+	s.mux.HandleFunc("/v1/metrics", s.handleMetrics)
+	s.mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	return s
 }
 

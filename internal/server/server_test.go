@@ -61,7 +61,7 @@ func postQuery(t *testing.T, url string, req QueryRequest) (*http.Response, []by
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestQueryValidation(t *testing.T) {
 	}
 
 	// Unknown fields are rejected (catches client typos like "patj").
-	resp, err := http.Post(ts.URL+"/query", "application/json",
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json",
 		strings.NewReader(`{"patj": "/site"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestQueryValidation(t *testing.T) {
 	}
 
 	// GET on /query is a 405.
-	resp, err = http.Get(ts.URL + "/query")
+	resp, err = http.Get(ts.URL + "/v1/query")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		postQuery(t, ts.URL, QueryRequest{Path: itemQuery})
 	}
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestHealthz(t *testing.T) {
 	db := newTestDB(t, 0.1)
 	srv, ts := newTestServer(t, db, pathdb.EngineConfig{}, Options{})
 
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +384,7 @@ func TestHealthz(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	resp, err = http.Get(ts.URL + "/healthz")
+	resp, err = http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestGracefulShutdown(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func() {
 			body, _ := json.Marshal(QueryRequest{Path: descQuery})
-			resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 			if err != nil {
 				results <- outcome{err: err}
 				return

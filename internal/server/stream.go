@@ -14,22 +14,6 @@ import (
 	"pathdb/internal/ordpath"
 )
 
-// The HTTP API is versioned under /v1/. The unversioned paths from earlier
-// revisions remain mounted as aliases with identical behaviour, answering a
-// Deprecation header plus a Link to their successor so clients can migrate
-// mechanically.
-//
-// registerVersioned mounts h at /v1/<name> and the deprecated legacy alias
-// at /<name>.
-func registerVersioned(mux *http.ServeMux, name string, h http.HandlerFunc) {
-	mux.HandleFunc("/v1/"+name, h)
-	mux.HandleFunc("/"+name, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1/"+name+">; rel=\"successor-version\"")
-		h(w, r)
-	})
-}
-
 // ndjsonType is the media type selecting streamed delivery on /v1/query.
 const ndjsonType = "application/x-ndjson"
 

@@ -215,45 +215,33 @@ func TestStreamClientDisconnect(t *testing.T) {
 	drainShutdown(t, ts, srv.Shutdown, baseline)
 }
 
-// Legacy unversioned endpoints answer a Deprecation header pointing at
-// their /v1 successor; the /v1 mounts answer none.
-func TestDeprecationHeaders(t *testing.T) {
+// The API is mounted under /v1/ only: the unversioned paths of earlier
+// revisions answer 404, on the single-volume server and the router alike.
+func TestUnversionedPathsGone(t *testing.T) {
 	db := newTestDB(t, 0.1)
 	_, ts := newTestServer(t, db, pathdb.EngineConfig{}, Options{})
+	_, rts := newTestRouter(t, shard.Config{Shards: 2}, 64, shard.QuotaConfig{})
 
-	body, _ := json.Marshal(QueryRequest{Path: itemQuery})
-	legacy, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, legacy.Body)
-	legacy.Body.Close()
-	if legacy.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy /query missing Deprecation header")
-	}
-	if link := legacy.Header.Get("Link"); link != `</v1/query>; rel="successor-version"` {
-		t.Fatalf("legacy /query Link = %q", link)
-	}
-
-	v1, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, v1.Body)
-	v1.Body.Close()
-	if v1.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1/query must not be deprecated")
-	}
-
-	for _, name := range []string{"metrics", "healthz"} {
-		resp, err := http.Get(ts.URL + "/" + name)
+	for _, base := range []string{ts.URL, rts.URL} {
+		for _, name := range []string{"query", "update", "metrics", "healthz"} {
+			resp, err := http.Get(base + "/" + name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("GET /%s: status %d, want 404", name, resp.StatusCode)
+			}
+		}
+		resp, err := http.Get(base + "/v1/healthz")
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Fatalf("legacy /%s missing Deprecation header", name)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/healthz: status %d, want 200", resp.StatusCode)
 		}
 	}
 }

@@ -17,7 +17,7 @@ func postUpdate(t *testing.T, url string, req UpdateRequest) (*http.Response, []
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+"/update", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/update", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func postUpdate(t *testing.T, url string, req UpdateRequest) (*http.Response, []
 
 func fetchMetrics(t *testing.T, url string) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(url + "/metrics")
+	resp, err := http.Get(url + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestUpdateValidation(t *testing.T) {
 		}
 	}
 
-	resp, _ := http.Get(ts.URL + "/update")
+	resp, _ := http.Get(ts.URL + "/v1/update")
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /update: status %d, want 405", resp.StatusCode)
 	}

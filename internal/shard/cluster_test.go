@@ -9,7 +9,7 @@ import (
 	"pathdb"
 )
 
-// The query set the equivalence tests sweep: the xload mix plus a spine
+// The query set the equivalence tests sweep: the q6/q7/q15 mix plus a spine
 // path and an attribute path.
 var testPaths = []string{
 	"/site/regions//item",

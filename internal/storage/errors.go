@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 
 	"pathdb/internal/buffer"
 	"pathdb/internal/stats"
@@ -95,7 +96,7 @@ func pageErrorFrom(p vdisk.PageID, err error) *PageError {
 // checksum over the rest of the page, verified on every read (the buffer
 // pool runs verifyPageTrailer against each image it loads). The trailer
 // shrinks the usable page capacity by pageTrailerSize bytes; all layout
-// computations (page builder, live-page fit checks, WAL header capacity,
+// computations (page builder, live-page fit checks, log chain capacity,
 // meta and dictionary chunking) work against usable(pageSize).
 
 // pageTrailerSize is the size of the per-page checksum trailer.
@@ -103,6 +104,12 @@ const pageTrailerSize = 8
 
 // usable returns the page capacity available to payload bytes.
 func usable(pageSize int) int { return pageSize - pageTrailerSize }
+
+func pageChecksum(data []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(data)
+	return h.Sum64()
+}
 
 // finalizePage pads payload to a full page and stamps the checksum trailer.
 func finalizePage(payload []byte, pageSize int) []byte {
@@ -135,7 +142,7 @@ func verifyPageTrailer(p vdisk.PageID, data []byte) error {
 }
 
 // readPageVerified reads page p directly from the device (bypassing the
-// buffer pool — for the meta page, dictionary and WAL pages) under the
+// buffer pool — for the meta page, dictionary and log chain pages) under the
 // default retry policy, verifying the checksum trailer on every attempt.
 func readPageVerified(disk *vdisk.Disk, p vdisk.PageID, buf []byte) error {
 	led := disk.Ledger()

@@ -321,6 +321,26 @@ func TestPersistAndOpen(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesReservedMetaField: the meta page's reserved field once
+// pointed at a redo log of a protocol Open no longer replays, so a non-zero
+// value must fail the open rather than be ignored.
+func TestOpenRefusesReservedMetaField(t *testing.T) {
+	dict, doc := buildTree(5, 40)
+	disk := newDisk(512)
+	if _, err := Import(disk, dict, doc, ImportOptions{PageSize: 512}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := readMeta(disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.walPage = 7
+	writeMeta(disk, 0, m)
+	if _, err := Open(disk); err == nil {
+		t.Fatal("Open accepted a volume with a non-zero reserved field")
+	}
+}
+
 func TestOpenBadMagic(t *testing.T) {
 	disk := newDisk(256)
 	disk.Write(disk.Alloc(), []byte("not a volume"))

@@ -100,17 +100,36 @@ func (s *Store) SetBufferCapacity(pages int) {
 // a view, so gang members account CPU, I/O waits and counters separately
 // while still sharing every physical cache (and each other's loaded
 // pages). Views must not be used for updates or pool reconfiguration.
+//
+// The view is built field by field rather than by copying *s: req,
+// ckptPages and txnState are assigned on the base store while views are
+// being taken (a direct query requesting clusters, the txn manager adopting
+// the volume or checkpointing), and a view needs none of them.
 func (s *Store) Reader(led *stats.Ledger) *Store {
-	v := *s
-	v.led = led
-	v.w = s.buf.NewWaiter(led)
-	v.req = nil
-	return &v
+	return &Store{
+		disk:      s.disk,
+		buf:       s.buf,
+		dict:      s.dict,
+		led:       led,
+		model:     s.model,
+		rootID:    s.rootID,
+		roots:     s.roots,
+		firstData: s.firstData,
+		nData:     s.nData,
+		extras:    s.extras,
+		cache:     s.cache,
+		syn:       s.syn,
+		derived:   s.derived,
+		w:         s.buf.NewWaiter(led),
+		vh:        s.vh,
+		pinned:    s.pinned,
+		overlay:   s.overlay,
+	}
 }
 
 // version returns the VersionMap this view resolves through: its pinned
 // snapshot if it has one, else the latest published version, else nil
-// (identity — fresh and legacy volumes).
+// (identity — a volume no txn manager has adopted yet).
 func (s *Store) version() *VersionMap {
 	if s.pinned != nil {
 		return s.pinned
@@ -517,7 +536,7 @@ type metaInfo struct {
 	nData     uint32
 	dictStart uint32
 	dictCount uint32
-	walPage   vdisk.PageID   // committed-but-unapplied WAL header (0 = none)
+	walPage   vdisk.PageID   // reserved, must be zero (Open refuses anything else)
 	extras    []vdisk.PageID // update-extension pages, in scan order
 	ckptPage  vdisk.PageID   // transaction checkpoint chain head (0 = none)
 }
@@ -637,18 +656,17 @@ func readDictionary(disk *vdisk.Disk, start, count uint32) (*xmltree.Dictionary,
 }
 
 // Open attaches to a previously imported volume, reconstructing the
-// dictionary from disk and replaying any committed-but-unapplied update
-// transaction (crash recovery): first the legacy single-writer WAL, then
-// the transactional redo log (checkpoint + commit-group chains), whose
-// folded state is persisted as a fresh checkpoint and published as the
-// volume's current version. The ledger is reset afterwards.
+// dictionary from disk and replaying the transactional redo log (checkpoint
+// + commit-group chains; crash recovery), whose folded state is persisted
+// as a fresh checkpoint and published as the volume's current version. The
+// ledger is reset afterwards.
 func Open(disk *vdisk.Disk) (*Store, error) {
 	m, err := readMeta(disk)
 	if err != nil {
 		return nil, err
 	}
-	if err := recoverWAL(disk, &m); err != nil {
-		return nil, err
+	if m.walPage != 0 {
+		return nil, fmt.Errorf("storage: meta page's reserved field is %d, want 0: not a volume this version can recover", m.walPage)
 	}
 	st, err := recoverTxn(disk, &m)
 	if err != nil {

@@ -98,7 +98,7 @@ func (c *swizCache) track(phys vdisk.PageID, k swizKey) {
 }
 
 // drop discards the cached image decoded from physical page p (buffer
-// eviction, version reclamation, legacy in-place update). Readers already
+// eviction, version reclamation). Readers already
 // holding the image keep using it — images are immutable and
 // self-contained — while the next access re-decodes.
 func (c *swizCache) drop(p vdisk.PageID) {

@@ -110,12 +110,6 @@ func (t *synTable) publish(p vdisk.PageID, sy *PageSynopsis) {
 	t.mu.Unlock()
 }
 
-func (t *synTable) drop(p vdisk.PageID) {
-	t.mu.Lock()
-	delete(t.m, p)
-	t.mu.Unlock()
-}
-
 func (t *synTable) reset() {
 	t.mu.Lock()
 	t.m = make(map[vdisk.PageID]*PageSynopsis)

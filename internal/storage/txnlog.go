@@ -372,8 +372,8 @@ func (s *Store) WriteCheckpoint(st TxnState, alloc PageAlloc) (freed []vdisk.Pag
 // InitTxn adopts a volume that has no transaction state yet: it persists
 // the initial checkpoint (epoch 0, identity map, the current extension
 // directory) and publishes the initial version, switching the volume into
-// transactional mode (the legacy single-writer update path refuses to run
-// from then on). Idempotent: an already-adopted volume returns its state.
+// transactional mode. Idempotent: an already-adopted volume returns its
+// state.
 func (s *Store) InitTxn() (*TxnState, error) {
 	if s.txnState != nil {
 		return s.txnState, nil

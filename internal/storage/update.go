@@ -25,37 +25,11 @@ import (
 
 // Update errors.
 var (
-	ErrNotElement   = errors.New("storage: target is not an element or document node")
-	ErrNotChild     = errors.New("storage: 'before' node is not a child of the parent")
-	ErrIsRoot       = errors.New("storage: cannot delete the document node or root element anchor")
-	ErrGone         = errors.New("storage: target node was deleted")
-	ErrMetaOverflow = errors.New("storage: too many update-extension pages for the meta page")
-	// ErrLegacyUpdate rejects the single-writer in-place update path on a
-	// volume that has transactional state; such volumes must be written
-	// through internal/txn, whose snapshots the in-place path would tear.
-	ErrLegacyUpdate = errors.New("storage: volume has transaction state; update it through the txn manager")
+	ErrNotElement = errors.New("storage: target is not an element or document node")
+	ErrNotChild   = errors.New("storage: 'before' node is not a child of the parent")
+	ErrIsRoot     = errors.New("storage: cannot delete the document node or root element anchor")
+	ErrGone       = errors.New("storage: target node was deleted")
 )
-
-// InsertSubtree stores the logical fragment (an element, text, comment or
-// PI node, with its subtree) as a new child of parent. With before ==
-// InvalidNodeID the fragment is appended after the last child; otherwise
-// it is inserted immediately before that child. It returns the NodeID of
-// the new node.
-//
-// This is the legacy single-writer entry point: staging and the in-place
-// WAL commit in one call. Transactional writers stage the same mutation
-// through a WriteTxn (see writetxn.go) and commit via internal/txn.
-func (s *Store) InsertSubtree(parent NodeID, before NodeID, frag *xmltree.Node) (NodeID, error) {
-	u := newUpdater(s)
-	newID, err := s.insertSubtreeWith(u, parent, before, frag)
-	if err != nil {
-		return InvalidNodeID, err
-	}
-	if err := u.commit(); err != nil {
-		return InvalidNodeID, err
-	}
-	return newID, nil
-}
 
 // swizzleTarget resolves a caller-supplied handle for an update: a slot
 // that an earlier delete compacted away means the handle is merely stale,
@@ -75,8 +49,12 @@ func (s *Store) swizzleTarget(id NodeID) (Cursor, error) {
 	return Cursor{st: s, img: img, page: id.Page(), slot: id.Slot(), attr: attr}, nil
 }
 
-// insertSubtreeWith stages the insert into u without committing; reads go
-// through s, which may be a snapshot view with a staging overlay.
+// insertSubtreeWith stages the insert of the logical fragment (an element,
+// text, comment or PI node, with its subtree) as a new child of parent into
+// u, and returns the NodeID of the new node. With before == InvalidNodeID
+// the fragment is appended after the last child; otherwise it is inserted
+// immediately before that child. Reads go through s, a snapshot view with
+// the transaction's staging overlay (see writetxn.go).
 func (s *Store) insertSubtreeWith(u *updater, parent NodeID, before NodeID, frag *xmltree.Node) (NodeID, error) {
 	if _, isAttr := parent.AttrIndex(); isAttr {
 		return InvalidNodeID, ErrNotElement
@@ -110,18 +88,9 @@ func (s *Store) insertSubtreeWith(u *updater, parent NodeID, before NodeID, frag
 	return u.placeSubtree(s.Swizzle(MakeNodeID(placePage, placeSlot)), frag, ord)
 }
 
-// DeleteSubtree removes the node and its entire subtree, across clusters.
-// Deleting the document node or the root element is rejected. Legacy
-// single-writer entry point (see InsertSubtree).
-func (s *Store) DeleteSubtree(id NodeID) error {
-	u := newUpdater(s)
-	if err := s.deleteSubtreeWith(u, id); err != nil {
-		return err
-	}
-	return u.commit()
-}
-
-// deleteSubtreeWith stages the delete into u without committing.
+// deleteSubtreeWith stages the removal of the node and its entire subtree,
+// across clusters, into u. Deleting the document node or the root element
+// is rejected.
 func (s *Store) deleteSubtreeWith(u *updater, id NodeID) error {
 	c, err := s.swizzleTarget(id)
 	if err != nil {
@@ -227,8 +196,8 @@ func (s *Store) logicalLeftOrd(c Cursor) (ordpath.Key, error) {
 
 // --- updater ----------------------------------------------------------------
 
-// updater batches page mutations for one logical update and writes them
-// back atomically (in the single-threaded sense of this engine).
+// updater batches the page mutations of one transaction; stage hands the
+// dirty pages to the commit as a write set.
 type updater struct {
 	st    *Store
 	pages map[vdisk.PageID]*livePage
@@ -775,43 +744,4 @@ func (u *updater) stage() (map[vdisk.PageID][]byte, error) {
 		images[lp.page] = raw
 	}
 	return images, nil
-}
-
-// commit applies every dirty page through the write-ahead log (see
-// wal.go), so a crash between page writes never leaves dangling proxy
-// pairs, and registers fresh pages in the volume directory (meta page).
-// It writes in place, which only the single-writer legacy path may do;
-// volumes with a published version map must commit through internal/txn.
-func (u *updater) commit() error {
-	if u.st.version() != nil {
-		return ErrLegacyUpdate
-	}
-	images, err := u.stage()
-	if err != nil {
-		return err
-	}
-	if len(images) == 0 {
-		return nil
-	}
-
-	m, err := readMeta(u.st.disk)
-	if err != nil {
-		return err
-	}
-	newExtras := append(append([]vdisk.PageID(nil), u.st.extras...), u.fresh...)
-	if 32+4*len(newExtras)+4+8*len(m.roots)+8 > usable(u.st.disk.PageSize()) {
-		return ErrMetaOverflow
-	}
-	m.extras = newExtras
-
-	if err := u.st.commitWAL(images, m); err != nil {
-		return err
-	}
-	u.st.extras = newExtras
-	for p := range images {
-		u.st.cache.drop(p)     // invalidate the swizzled view…
-		u.st.buf.Invalidate(p) // …and the stale buffered bytes
-		u.st.syn.drop(p)       // …and the cluster synopsis (no epoch move here)
-	}
-	return nil
 }

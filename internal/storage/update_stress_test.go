@@ -18,7 +18,7 @@ func saturate(t *testing.T, st *Store, dict *xmltree.Dictionary, parent NodeID, 
 		e := xmltree.NewElement(dict.Intern("ins"))
 		e.SetAttr(dict.Intern("n"), fmt.Sprintf("%d", i))
 		e.AppendChild(xmltree.NewText("payload"))
-		if _, err := st.InsertSubtree(parent, InvalidNodeID, e); err != nil {
+		if _, err := insertSubtree(st, parent, InvalidNodeID, e); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
@@ -96,7 +96,7 @@ func TestInsertBeforeUnderSaturation(t *testing.T) {
 		}
 		e := xmltree.NewElement(dict.Intern("pre"))
 		e.AppendChild(xmltree.NewText(fmt.Sprintf("%03d", i)))
-		if _, err := st.InsertSubtree(rootID, anchors[0].ID(), e); err != nil {
+		if _, err := insertSubtree(st, rootID, anchors[0].ID(), e); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
@@ -179,7 +179,7 @@ func TestDeleteAfterSaturationReclaimsSlots(t *testing.T) {
 		if len(cands) == 0 {
 			break
 		}
-		if err := st.DeleteSubtree(cands[0].ID()); err != nil {
+		if err := deleteSubtree(st, cands[0].ID()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +195,8 @@ func TestDeleteAfterSaturationReclaimsSlots(t *testing.T) {
 }
 
 func TestExportScanAfterUpdates(t *testing.T) {
-	// The scan export must skip WAL pages and include extension pages.
+	// The scan export must skip superseded page versions and include
+	// extension pages.
 	dict := xmltree.NewDictionary()
 	b := xmltree.NewBuilder(dict)
 	b.Begin("root").Leaf("seed", "s").End()

@@ -7,11 +7,61 @@ import (
 	"testing/quick"
 
 	"pathdb/internal/rng"
+	"pathdb/internal/vdisk"
 	"pathdb/internal/xmltree"
 	"pathdb/internal/xpath"
 )
 
-// insertAtShadow mirrors an InsertSubtree call on the logical shadow tree.
+// commitStaged stands in for the txn manager, minus the log: it stages one
+// transaction against the latest version, relocates the write set to
+// copy-on-write targets from the device allocator and publishes the
+// successor version. Durability and page reclamation are internal/txn's
+// business and are tested there (and in recovery_test.go).
+func commitStaged(st *Store, stage func(*WriteTxn) error) error {
+	base := st.CurrentVersion()
+	wt := st.BeginWrite(base, st.Ledger())
+	if err := stage(wt); err != nil {
+		return err
+	}
+	ws, err := wt.WriteSet()
+	if err != nil {
+		return err
+	}
+	if base == nil {
+		base = NewVersionMap(0, nil, nil)
+	}
+	fresh := map[vdisk.PageID]bool{}
+	for _, p := range ws.Fresh {
+		fresh[p] = true
+	}
+	deltas := map[vdisk.PageID]vdisk.PageID{}
+	for l, img := range ws.Images {
+		target := l // fresh pages live at their identity location
+		if !fresh[l] {
+			target = st.disk.Alloc()
+			deltas[l] = target
+		}
+		st.WriteData(target, img)
+	}
+	st.PublishVersion(base.Apply(base.Epoch()+1, deltas, ws.Fresh))
+	return nil
+}
+
+// insertSubtree commits one insert as a transaction of its own.
+func insertSubtree(st *Store, parent, before NodeID, frag *xmltree.Node) (id NodeID, err error) {
+	err = commitStaged(st, func(wt *WriteTxn) (err error) {
+		id, err = wt.InsertSubtree(parent, before, frag)
+		return err
+	})
+	return id, err
+}
+
+// deleteSubtree commits one delete as a transaction of its own.
+func deleteSubtree(st *Store, id NodeID) error {
+	return commitStaged(st, func(wt *WriteTxn) error { return wt.DeleteSubtree(id) })
+}
+
+// insertAtShadow mirrors an insertSubtree call on the logical shadow tree.
 func insertAtShadow(parent *xmltree.Node, before *xmltree.Node, frag *xmltree.Node) {
 	if before == nil {
 		parent.AppendChild(frag)
@@ -66,7 +116,7 @@ func TestInsertAppendSimple(t *testing.T) {
 
 	frag := xmltree.NewElement(dict.Intern("c"))
 	frag.AppendChild(xmltree.NewText("two"))
-	id, err := st.InsertSubtree(a.ID(), InvalidNodeID, frag)
+	id, err := insertSubtree(st, a.ID(), InvalidNodeID, frag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +155,7 @@ func TestInsertBeforeKeepsOrder(t *testing.T) {
 
 	frag := xmltree.NewElement(dict.Intern("x"))
 	frag.AppendChild(xmltree.NewText("2"))
-	if _, err := st.InsertSubtree(a.ID(), kids[1].ID(), frag); err != nil {
+	if _, err := insertSubtree(st, a.ID(), kids[1].ID(), frag); err != nil {
 		t.Fatal(err)
 	}
 	got := st.Export()
@@ -137,7 +187,7 @@ func TestDeleteSubtree(t *testing.T) {
 	if !ok {
 		t.Fatal("b not found")
 	}
-	if err := st.DeleteSubtree(bNode.ID()); err != nil {
+	if err := deleteSubtree(st, bNode.ID()); err != nil {
 		t.Fatal(err)
 	}
 	got := st.Export()
@@ -154,10 +204,10 @@ func TestDeleteGuards(t *testing.T) {
 	b := xmltree.NewBuilder(dict)
 	b.Begin("a").End()
 	st := importDoc(t, b.Doc(), dict, 8192, LayoutContiguous)
-	if err := st.DeleteSubtree(st.Root()); err == nil {
+	if err := deleteSubtree(st, st.Root()); err == nil {
 		t.Fatal("deleted document node")
 	}
-	if _, err := st.InsertSubtree(st.Root().WithAttr(0), InvalidNodeID, xmltree.NewText("x")); err == nil {
+	if _, err := insertSubtree(st, st.Root().WithAttr(0), InvalidNodeID, xmltree.NewText("x")); err == nil {
 		t.Fatal("inserted under an attribute")
 	}
 }
@@ -186,7 +236,7 @@ func TestInsertOverflowsToFreshPages(t *testing.T) {
 		e.AppendChild(xmltree.NewText(strings.Repeat("z", 20)))
 		frag.AppendChild(e)
 	}
-	if _, err := st.InsertSubtree(aID, InvalidNodeID, cloneTree(frag)); err != nil {
+	if _, err := insertSubtree(st, aID, InvalidNodeID, cloneTree(frag)); err != nil {
 		t.Fatal(err)
 	}
 	if st.NumDataPages() <= before {
@@ -195,40 +245,6 @@ func TestInsertOverflowsToFreshPages(t *testing.T) {
 	got := st.Export()
 	if got.CountTag(dict.Intern("y")) != 60 {
 		t.Fatalf("y count = %d", got.CountTag(dict.Intern("y")))
-	}
-}
-
-func TestUpdatesPersistAcrossOpen(t *testing.T) {
-	dict := xmltree.NewDictionary()
-	b := xmltree.NewBuilder(dict)
-	b.Begin("a").Leaf("b", "1").End()
-	doc := b.Doc()
-	disk := newDisk(512)
-	st, err := Import(disk, dict, doc, ImportOptions{PageSize: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rootCur := st.Swizzle(st.Root())
-	it := st.Step(rootCur, xpath.Child, xpath.Wildcard())
-	a, _ := it.Next()
-	frag := xmltree.NewElement(dict.Intern("big"))
-	for i := 0; i < 40; i++ {
-		frag.AppendChild(xmltree.NewText(strings.Repeat("q", 30)))
-	}
-	if _, err := st.InsertSubtree(a.ID(), InvalidNodeID, frag); err != nil {
-		t.Fatal(err)
-	}
-	want := st.Export()
-
-	st2, err := Open(disk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.NumDataPages() != st.NumDataPages() {
-		t.Fatalf("extension pages lost: %d vs %d", st2.NumDataPages(), st.NumDataPages())
-	}
-	if !xmltree.Equal(want, st2.Export()) {
-		t.Fatal("updates lost after reopen")
 	}
 }
 
@@ -329,7 +345,7 @@ func TestRandomUpdateSequence(t *testing.T) {
 						}
 					}
 				}
-				if _, err := st.InsertSubtree(pk.id, before, cloneTree(frag)); err != nil {
+				if _, err := insertSubtree(st, pk.id, before, cloneTree(frag)); err != nil {
 					t.Logf("seed %d insert: %v", seed, err)
 					return false
 				}
@@ -339,7 +355,7 @@ func TestRandomUpdateSequence(t *testing.T) {
 					insertAtShadow(pk.shadow, beforeShadow, cloneTree(frag))
 				}
 			case pk.shadow.Parent != nil && pk.shadow.Parent.Kind != xmltree.Document:
-				if err := st.DeleteSubtree(pk.id); err != nil {
+				if err := deleteSubtree(st, pk.id); err != nil {
 					t.Logf("seed %d delete: %v", seed, err)
 					return false
 				}
@@ -374,7 +390,7 @@ func TestQueriesCorrectAfterUpdates(t *testing.T) {
 		e.AppendChild(xmltree.NewText("new"))
 		frag.AppendChild(e)
 	}
-	if _, err := st.InsertSubtree(rootElem.ID(), InvalidNodeID, cloneTree(frag)); err != nil {
+	if _, err := insertSubtree(st, rootElem.ID(), InvalidNodeID, cloneTree(frag)); err != nil {
 		t.Fatal(err)
 	}
 	shadow.Children[0].AppendChild(cloneTree(frag))

@@ -130,7 +130,7 @@ func (vm *VersionMap) Apply(epoch uint64, deltas map[vdisk.PageID]vdisk.PageID, 
 
 // versionHandle shares the latest published version between a base store
 // and every view derived from it. Load returns nil until the volume is
-// adopted into transactional mode (fresh or legacy volumes run identity).
+// adopted into transactional mode (until then pages resolve by identity).
 type versionHandle struct {
 	vm atomic.Pointer[VersionMap]
 }

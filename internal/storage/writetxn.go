@@ -46,8 +46,9 @@ func catchFault(err *error) {
 	}
 }
 
-// InsertSubtree stages an insert (same contract as Store.InsertSubtree,
-// but deferred until the manager commits the transaction).
+// InsertSubtree stages the insert of frag as a child of parent — before
+// `before`, or appended when before == InvalidNodeID — and returns the new
+// node's id. Nothing is visible until the manager commits the transaction.
 func (t *WriteTxn) InsertSubtree(parent NodeID, before NodeID, frag *xmltree.Node) (id NodeID, err error) {
 	defer catchFault(&err)
 	id, err = t.view.insertSubtreeWith(t.u, parent, before, frag)
@@ -57,7 +58,8 @@ func (t *WriteTxn) InsertSubtree(parent NodeID, before NodeID, frag *xmltree.Nod
 	return id, t.refreshOverlay()
 }
 
-// DeleteSubtree stages a delete (same contract as Store.DeleteSubtree).
+// DeleteSubtree stages the removal of the node and its whole subtree; the
+// document node and the root element are refused.
 func (t *WriteTxn) DeleteSubtree(id NodeID) (err error) {
 	defer catchFault(&err)
 	if err := t.view.deleteSubtreeWith(t.u, id); err != nil {

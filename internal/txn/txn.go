@@ -25,8 +25,7 @@
 // package never leaks goroutines and needs no Close for correctness.
 // With a single sequential writer every group has one member (mean
 // flushes per commit = 1); with two or more concurrent writers groups
-// grow and the mean drops below one, which /metrics and BENCH_xload
-// report.
+// grow and the mean drops below one, which /v1/metrics reports.
 //
 // Durability semantics are group-commit standard: a commit is visible to
 // new snapshots as soon as it is published (possibly before it is
@@ -243,13 +242,12 @@ type Tx struct {
 
 // InsertSubtree stages an insert of frag as a child of parent (before
 // `before`, or appended when before == storage.InvalidNodeID). The
-// returned NodeID is logical, hence stable across the commit. Semantics
-// match storage.Store.InsertSubtree.
+// returned NodeID is logical, hence stable across the commit.
 func (t *Tx) InsertSubtree(parent, before storage.NodeID, frag *xmltree.Node) (storage.NodeID, error) {
 	return t.wt.InsertSubtree(parent, before, frag)
 }
 
-// DeleteSubtree stages a delete; see storage.Store.DeleteSubtree.
+// DeleteSubtree stages a delete; see storage.WriteTxn.DeleteSubtree.
 func (t *Tx) DeleteSubtree(id storage.NodeID) error {
 	return t.wt.DeleteSubtree(id)
 }

@@ -98,17 +98,6 @@ func TestUpdateCommitVisible(t *testing.T) {
 	}
 }
 
-func TestLegacyUpdateRefusedAfterAdoption(t *testing.T) {
-	st, dict, root := fixture(t, 512)
-	if _, err := NewManager(st, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := st.InsertSubtree(root, storage.InvalidNodeID, insFrag(dict.Intern("ins"), 0))
-	if !errors.Is(err, storage.ErrLegacyUpdate) {
-		t.Fatalf("legacy InsertSubtree on adopted volume: err = %v, want ErrLegacyUpdate", err)
-	}
-}
-
 func TestSnapshotIsolation(t *testing.T) {
 	st, dict, root := fixture(t, 512)
 	m, err := NewManager(st, Options{})

@@ -181,11 +181,16 @@ func TestUpdateMixedWorkloadUnderFaults(t *testing.T) {
 }
 
 // TestUpdateSerializesChooser: commits invalidate the plan chooser; auto
-// queries racing rebuilds must stay consistent.
+// queries racing rebuilds must stay consistent. Four writers race the
+// readers the API documents as safe beside Update: one direct query at a
+// time (QueryCtx forbids more) and any number of engine sessions.
 func TestUpdateSerializesChooser(t *testing.T) {
 	db := engineFixture(t)
 	root := mustOne(t, db, "/site")
-	want := countPath(t, db, "/site/regions//item")
+	const path = "/site/regions//item"
+	want := countPath(t, db, path)
+	eng := db.NewEngine(EngineConfig{MaxInFlight: 4})
+	defer eng.Close()
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -203,12 +208,24 @@ func TestUpdateSerializesChooser(t *testing.T) {
 				}
 			}
 		}()
+		count := func() (int, error) { return countPath(t, db, path), nil }
+		if i > 0 {
+			ses := eng.NewSession()
+			count = func() (int, error) {
+				res, err := ses.Do(context.Background(), path, QueryOptions{})
+				return len(res.Nodes), err
+			}
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 5; j++ {
-				if got := countPath(t, db, "/site/regions//item"); got != want {
-					errs <- fmt.Errorf("count drifted under updates: %d, want %d", got, want)
+				got, err := count()
+				if err == nil && got != want {
+					err = fmt.Errorf("count drifted under updates: %d, want %d", got, want)
+				}
+				if err != nil {
+					errs <- err
 					return
 				}
 			}
