@@ -77,12 +77,14 @@ test-faults:
 		./internal/txn/ ./internal/engine/ ./internal/server/ .
 
 # Short fuzz pass over every parser that consumes untrusted bytes: the
-# XML scanner, the XPath parser, and the redo log's two payload decoders
-# on the recovery path. `go test -fuzz` takes one target per invocation.
+# XML scanner, the XPath parser, the page decoder on the buffer-miss path,
+# and the redo log's two payload decoders on the recovery path. `go test
+# -fuzz` takes one target per invocation.
 fuzz-short: FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xmlparse/
 	$(GO) test -run '^$$' -fuzz FuzzParsePath -fuzztime $(FUZZTIME) ./internal/xpath/
+	$(GO) test -run '^$$' -fuzz FuzzDecodePage -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeGroupRecord -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTxnState -fuzztime $(FUZZTIME) ./internal/storage/
 

@@ -6,13 +6,15 @@ import (
 	"strings"
 	"testing"
 
+	"pathdb/internal/ordpath"
 	"pathdb/internal/storage"
+	"pathdb/internal/xpath"
 )
 
 // diffPaths exercises every supported axis and node-test kind: the
 // benchmark queries (Q6', the Q7 family, Q15) plus steps that force the
 // reverse axes, sibling axes, wildcard, attribute, and kind tests through
-// both the bitmap-batched and the per-node navigation paths.
+// the bitmap-batched navigation and the per-node reference walk.
 var diffPaths = []string{
 	"/site/regions//item", // Q6'
 	"/site//description",  // Q7
@@ -33,62 +35,189 @@ var diffPaths = []string{
 	"/site/open_auctions/open_auction//node()",          // descendant-or-self + node()
 }
 
-// fingerprint runs path with the given strategy and returns a byte-exact
-// rendition of the sorted result set (node identity, document order
-// position, and name per line).
+// renderNodes is the byte-exact rendition the differential compares: node
+// identity, document-order position and name, one line per node.
+func renderNodes(nodes []Node) string {
+	var b strings.Builder
+	for _, n := range nodes {
+		fmt.Fprintf(&b, "%d|%s|%s\n", n.ID(), n.OrdPath(), n.Name())
+	}
+	return b.String()
+}
+
+// fingerprint runs path with the given strategy and renders the sorted
+// result set.
 func fingerprint(t *testing.T, db *DB, path string, strat Strategy) string {
 	t.Helper()
 	res, err := db.QueryCtx(context.Background(), path, QueryOptions{Sorted: true, Strategy: strat})
 	if err != nil {
 		t.Fatalf("%s [%v]: %v", path, strat, err)
 	}
-	var b strings.Builder
-	for _, n := range res.Nodes {
-		fmt.Fprintf(&b, "%d|%s|%s\n", n.ID(), n.OrdPath(), n.Name())
-	}
-	return b.String()
+	return renderNodes(res.Nodes)
 }
 
-// snapshotAll fingerprints every differential path under both physical
-// strategies with bitmap navigation forced to the given setting.
-func snapshotAll(t *testing.T, db *DB, bitmaps bool) map[string]string {
-	t.Helper()
-	storage.EnableBitmapNav(bitmaps)
-	defer storage.EnableBitmapNav(true)
-	out := make(map[string]string, 2*len(diffPaths))
-	for _, p := range diffPaths {
-		out[p+"#simple"] = fingerprint(t, db, p, Simple)
-		out[p+"#schedule"] = fingerprint(t, db, p, Schedule)
+// perNodeNav is the reference the bitmap-batched navigation is checked
+// against: the node-at-a-time walk of the paper's system. Every axis is
+// spelled out over two primitives — a record's child list and its parent
+// pointer, each followed across cluster borders — and every candidate is
+// tested on its own with NodeTest.Matches. It asks Store.Step only for
+// those one-level lists, under node(), so it shares none of the pre-order
+// ranges, tag bitsets and test masks that Step answers name tests and the
+// descendant axes with.
+type perNodeNav struct{ st *storage.Store }
+
+func (o perNodeNav) list(c storage.Cursor, axis xpath.Axis, test xpath.NodeTest) []storage.Cursor {
+	it := o.st.Step(c, axis, test)
+	defer it.Release()
+	var out []storage.Cursor
+	for {
+		r, ok := it.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, r)
+	}
+}
+
+// children returns c's logical children in document order.
+func (o perNodeNav) children(c storage.Cursor) []storage.Cursor {
+	var out []storage.Cursor
+	for _, k := range o.list(c, xpath.Child, xpath.AnyNode()) {
+		if k.IsBorder() {
+			out = append(out, o.children(o.st.Swizzle(k.Target()))...)
+		} else {
+			out = append(out, k)
+		}
 	}
 	return out
 }
 
-// TestBitmapNavDifferential pins the tentpole's correctness contract: the
+// parent returns c's logical parent; ok is false on the document node.
+func (o perNodeNav) parent(c storage.Cursor) (storage.Cursor, bool) {
+	for {
+		up := o.list(c, xpath.Parent, xpath.AnyNode())
+		if len(up) == 0 {
+			return storage.Cursor{}, false
+		}
+		if !up[0].IsBorder() {
+			return up[0], true
+		}
+		c = o.st.Swizzle(up[0].Target())
+	}
+}
+
+func (o perNodeNav) descendants(c storage.Cursor, out []storage.Cursor) []storage.Cursor {
+	for _, k := range o.children(c) {
+		out = o.descendants(k, append(out, k))
+	}
+	return out
+}
+
+// axis enumerates one axis from c, untested.
+func (o perNodeNav) axis(c storage.Cursor, axis xpath.Axis) []storage.Cursor {
+	switch axis {
+	case xpath.Self:
+		return []storage.Cursor{c}
+	case xpath.Child:
+		return o.children(c)
+	case xpath.Descendant:
+		return o.descendants(c, nil)
+	case xpath.DescendantOrSelf:
+		return o.descendants(c, []storage.Cursor{c})
+	case xpath.Parent, xpath.Ancestor, xpath.AncestorOrSelf:
+		var out []storage.Cursor
+		if axis == xpath.AncestorOrSelf {
+			out = append(out, c)
+		}
+		for p, ok := o.parent(c); ok; p, ok = o.parent(p) {
+			out = append(out, p)
+			if axis == xpath.Parent {
+				break
+			}
+		}
+		return out
+	case xpath.FollowingSibling, xpath.PrecedingSibling:
+		p, ok := o.parent(c)
+		if !ok {
+			return nil
+		}
+		sibs := o.children(p)
+		for i, s := range sibs {
+			if s.ID() == c.ID() {
+				if axis == xpath.FollowingSibling {
+					return sibs[i+1:]
+				}
+				return sibs[:i]
+			}
+		}
+	}
+	panic(fmt.Sprintf("perNodeNav: axis %v", axis))
+}
+
+// eval evaluates an absolute, predicate-free path and renders the result
+// like fingerprint does: duplicate-free, in document order.
+func (o perNodeNav) eval(db *DB, path string) string {
+	ctx := []storage.Cursor{o.st.Swizzle(o.st.Root())}
+	for _, step := range xpath.MustParse(db.dict, path).Steps {
+		var next []storage.Cursor
+		seen := map[storage.NodeID]bool{}
+		for _, c := range ctx {
+			var cands []storage.Cursor
+			if step.Axis == xpath.AttributeAxis {
+				// Attributes are enumerated per node in production too.
+				cands = o.list(c, step.Axis, step.Test)
+			} else {
+				for _, r := range o.axis(c, step.Axis) {
+					if step.Test.Matches(r.Kind(), r.Tag()) {
+						cands = append(cands, r)
+					}
+				}
+			}
+			for _, r := range cands {
+				if !seen[r.ID()] {
+					seen[r.ID()] = true
+					next = append(next, r)
+				}
+			}
+		}
+		ctx = next
+	}
+	nodes := make([]Node, len(ctx))
+	for i, c := range ctx {
+		nodes[i] = Node{db: db, id: c.ID(), ord: c.OrdKey()}
+	}
+	ordpath.SortStable(nodes, func(n *Node) ordpath.Key { return n.ord })
+	return renderNodes(nodes)
+}
+
+// TestBitmapNavDifferential pins the correctness contract of the
 // cluster-resident name-test bitmaps (batched navigation plus cluster
-// skipping) must be a pure optimization. For every axis and node-test
-// kind, under both physical strategies, the result set with bitmaps
-// enabled is byte-identical to the per-node reference path — on the
-// freshly loaded volume, and again after a batch of mixed writes has
-// rewritten clusters and invalidated synopses.
+// skipping): for every axis and node-test kind, under both physical
+// strategies, the result set is byte-identical to the per-node reference
+// walk — on the freshly loaded volume, and again after a batch of mixed
+// writes has rewritten clusters and invalidated synopses.
 func TestBitmapNavDifferential(t *testing.T) {
+	t.Parallel()
 	db := engineFixture(t)
 
 	compare := func(label string) {
 		t.Helper()
-		ref := snapshotAll(t, db, false)
-		got := snapshotAll(t, db, true)
+		oracle := perNodeNav{db.store}
 		nonEmpty := 0
-		for key, want := range ref {
-			if got[key] != want {
-				t.Errorf("%s: %s diverges with bitmaps on:\nref %d bytes, got %d bytes",
-					label, key, len(want), len(got[key]))
+		for _, p := range diffPaths {
+			want := oracle.eval(db, p)
+			for _, strat := range []Strategy{Simple, Schedule} {
+				if got := fingerprint(t, db, p, strat); got != want {
+					t.Errorf("%s: %s [%v] diverges from the per-node walk:\nref %d bytes, got %d bytes",
+						label, p, strat, len(want), len(got))
+				}
 			}
 			if want != "" {
 				nonEmpty++
 			}
 		}
-		if nonEmpty < len(ref)/2 {
-			t.Fatalf("%s: only %d/%d differential queries matched nodes; fixture too small to be meaningful", label, nonEmpty, len(ref))
+		if nonEmpty < len(diffPaths)/2 {
+			t.Fatalf("%s: only %d/%d differential queries matched nodes; fixture too small to be meaningful", label, nonEmpty, len(diffPaths))
 		}
 	}
 
@@ -172,41 +301,35 @@ func TestEpochCacheInvalidationDifferential(t *testing.T) {
 
 // TestBitmapNavDifferentialUnderFaults re-runs the differential with the
 // seeded fault plane armed: transient read errors and latency spikes must
-// never make the bitmap path disagree with the per-node path. Terminal
-// typed faults are retried (the schedule is seeded, so a retry draws new
-// outcomes); a silent divergence fails the test.
+// never make a query disagree with the per-node walk (taken fault-free, on
+// an identically generated volume, so the faulted one still reads every
+// page through the fault plane). Terminal typed faults are retried (the
+// schedule is seeded, so a retry draws new outcomes); a silent divergence
+// fails the test.
 func TestBitmapNavDifferentialUnderFaults(t *testing.T) {
+	t.Parallel()
+	clean := engineFixture(t)
+	oracle := perNodeNav{clean.store}
 	db := engineFixture(t)
 	db.SetFaults(FaultConfig{Seed: 99, ReadError: 0.03, Latency: 0.05})
 	defer db.SetFaults(FaultConfig{})
 
-	faulty := func(path string, strat Strategy, bitmaps bool) string {
-		t.Helper()
-		storage.EnableBitmapNav(bitmaps)
-		defer storage.EnableBitmapNav(true)
-		for attempt := 0; ; attempt++ {
-			res, err := db.QueryCtx(context.Background(), path, QueryOptions{Sorted: true, Strategy: strat})
-			if err != nil {
-				if attempt > 50 {
-					t.Fatalf("%s: still faulting after %d attempts: %v", path, attempt, err)
-				}
-				continue
-			}
-			var b strings.Builder
-			for _, n := range res.Nodes {
-				fmt.Fprintf(&b, "%d|%s|%s\n", n.ID(), n.OrdPath(), n.Name())
-			}
-			return b.String()
-		}
-	}
-
 	for _, p := range diffPaths {
+		want := oracle.eval(clean, p)
 		for _, strat := range []Strategy{Simple, Schedule} {
-			ref := faulty(p, strat, false)
-			got := faulty(p, strat, true)
-			if got != ref {
-				t.Errorf("%s [%v]: bitmap path diverges under faults (%d vs %d bytes)",
-					p, strat, len(ref), len(got))
+			for attempt := 0; ; attempt++ {
+				res, err := db.QueryCtx(context.Background(), p, QueryOptions{Sorted: true, Strategy: strat})
+				if err != nil {
+					if attempt > 50 {
+						t.Fatalf("%s: still faulting after %d attempts: %v", p, attempt, err)
+					}
+					continue
+				}
+				if got := renderNodes(res.Nodes); got != want {
+					t.Errorf("%s [%v]: diverges from the per-node walk under faults (%d vs %d bytes)",
+						p, strat, len(want), len(got))
+				}
+				break
 			}
 		}
 	}

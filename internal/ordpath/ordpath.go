@@ -74,6 +74,26 @@ func (k Key) Level() int {
 	return lvl
 }
 
+// Valid reports whether k is a well-formed sequence of LEB128 components.
+// Compare, Level and Components panic on keys that are not, so a key read
+// from untrusted bytes is checked once, where it is decoded.
+func (k Key) Valid() bool {
+	cont := 0 // continuation bytes of the component being read
+	for _, c := range k {
+		switch {
+		case c >= 0x80:
+			if cont++; cont > 9 {
+				return false
+			}
+		case cont == 9 && c > 1:
+			return false // tenth byte overflows 64 bits
+		default:
+			cont = 0
+		}
+	}
+	return cont == 0
+}
+
 // Compare orders keys in document order: component-wise numeric comparison,
 // with a proper prefix (the ancestor) ordering before its extensions.
 func Compare(a, b Key) int {

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 
 	"pathdb/internal/buffer"
 	"pathdb/internal/stats"
@@ -92,9 +92,11 @@ func pageErrorFrom(p vdisk.PageID, err error) *PageError {
 
 // --- page checksum trailer -------------------------------------------------
 //
-// Every page written by the storage layer ends in an 8-byte FNV-64a
-// checksum over the rest of the page, verified on every read (the buffer
-// pool runs verifyPageTrailer against each image it loads). The trailer
+// Every page written by the storage layer ends in an 8-byte little-endian
+// trailer: the payload length before padding in the low word, and in the
+// high word the CRC-32C (hardware-accelerated, allocation-free) of everything
+// before it, length included. It is verified on every read (the buffer pool
+// runs verifyPageTrailer against each image it loads). The trailer
 // shrinks the usable page capacity by pageTrailerSize bytes; all layout
 // computations (page builder, live-page fit checks, log chain capacity,
 // meta and dictionary chunking) work against usable(pageSize).
@@ -105,10 +107,11 @@ const pageTrailerSize = 8
 // usable returns the page capacity available to payload bytes.
 func usable(pageSize int) int { return pageSize - pageTrailerSize }
 
-func pageChecksum(data []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(data)
-	return h.Sum64()
+var castagnoliTable = crc32.MakeTable(crc32.Castagnoli)
+
+// pageChecksum computes the CRC word of a full page image.
+func pageChecksum(page []byte) uint32 {
+	return crc32.Checksum(page[:len(page)-4], castagnoliTable)
 }
 
 // finalizePage pads payload to a full page and stamps the checksum trailer.
@@ -119,8 +122,8 @@ func finalizePage(payload []byte, pageSize int) []byte {
 	}
 	out := make([]byte, pageSize)
 	copy(out, payload)
-	binary.LittleEndian.PutUint64(out[pageSize-pageTrailerSize:],
-		pageChecksum(out[:pageSize-pageTrailerSize]))
+	binary.LittleEndian.PutUint32(out[pageSize-pageTrailerSize:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(out[pageSize-4:], pageChecksum(out))
 	return out
 }
 
@@ -132,9 +135,8 @@ func writePage(disk *vdisk.Disk, p vdisk.PageID, payload []byte) {
 // verifyPageTrailer checks a full page image against its checksum trailer.
 // Its signature matches the buffer pool's verifier hook.
 func verifyPageTrailer(p vdisk.PageID, data []byte) error {
-	n := len(data)
-	want := binary.LittleEndian.Uint64(data[n-pageTrailerSize:])
-	if got := pageChecksum(data[:n-pageTrailerSize]); got != want {
+	want := binary.LittleEndian.Uint32(data[len(data)-4:])
+	if got := pageChecksum(data); got != want {
 		return &PageError{Page: p, Kind: PageCorrupt,
 			Err: fmt.Errorf("checksum trailer mismatch (got %#x, want %#x)", got, want)}
 	}

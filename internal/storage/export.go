@@ -33,17 +33,17 @@ func (s *Store) exportNode(c Cursor) *xmltree.Node {
 	switch r.kind {
 	case RecElem:
 		n := xmltree.NewElement(r.tag)
-		for _, a := range r.attrs {
-			n.SetAttr(a.tag, a.val)
+		for _, a := range c.img.attrsOf(r) {
+			n.SetAttr(a.tag, c.img.val(a))
 		}
 		s.exportChildren(c, n)
 		return n
 	case RecText:
-		return xmltree.NewText(r.text)
+		return xmltree.NewText(c.img.text(r))
 	case RecComment:
-		return &xmltree.Node{Kind: xmltree.Comment, Tag: xmltree.NoTag, Text: r.text}
+		return &xmltree.Node{Kind: xmltree.Comment, Tag: xmltree.NoTag, Text: c.img.text(r)}
 	case RecPI:
-		return &xmltree.Node{Kind: xmltree.ProcInst, Tag: xmltree.NoTag, Text: r.text}
+		return &xmltree.Node{Kind: xmltree.ProcInst, Tag: xmltree.NoTag, Text: c.img.text(r)}
 	default:
 		panic("storage: exportNode on " + r.kind.String())
 	}
@@ -52,7 +52,7 @@ func (s *Store) exportNode(c Cursor) *xmltree.Node {
 // exportChildren appends the logical children of c (a doc, element or
 // proxy-parent record) to out, following proxy chains transparently.
 func (s *Store) exportChildren(c Cursor, out *xmltree.Node) {
-	for _, slot := range c.rec().children {
+	for _, slot := range c.kids() {
 		child := Cursor{st: s, img: c.img, page: c.page, slot: slot, attr: -1}
 		if child.rec().kind == RecProxyChild {
 			far := s.Swizzle(child.rec().target) // the ProxyParent anchor
@@ -127,7 +127,7 @@ func (s *Store) CollectDocStats() *DocStats {
 		if r.kind == RecElem {
 			active[r.tag]++
 		}
-		for _, slot := range r.children {
+		for _, slot := range c.kids() {
 			walk(Cursor{st: s, img: c.img, page: c.page, slot: slot, attr: -1})
 		}
 		if r.kind == RecElem {
@@ -163,8 +163,7 @@ func (s *Store) PageUtilization(buckets int) []int {
 	ps := s.disk.PageSize()
 	n := s.NumDataPages()
 	for i := 0; i < n; i++ {
-		img := s.image(s.DataPage(i))
-		used := pageUsage(img)
+		used := pageUsage(s.image(s.DataPage(i)).expand())
 		b := used * buckets / (ps + 1)
 		if b >= buckets {
 			b = buckets - 1
@@ -185,8 +184,9 @@ func (s *Store) Stats() VolumeStats {
 		img := s.image(s.DataPage(i))
 		vs.Records += len(img.recs)
 		vs.BorderNodes += len(img.borders)
-		for j := range img.recs {
-			r := &img.recs[j]
+		recs := img.expand().recs
+		for j := range recs {
+			r := &recs[j]
 			if r.dead {
 				continue
 			}

@@ -90,7 +90,7 @@ func (s *Store) buildPiece(img *pageImage, slot uint16) *piece {
 		s.led.AdvanceCPU(s.model.CPUNodeVisit)
 		switch r.kind {
 		case RecDoc, RecProxyParent:
-			for _, ch := range r.children {
+			for _, ch := range img.kids(r) {
 				emit(ch)
 			}
 		case RecProxyChild:
@@ -99,33 +99,33 @@ func (s *Store) buildPiece(img *pageImage, slot uint16) *piece {
 		case RecElem:
 			sb.WriteByte('<')
 			sb.WriteString(s.dict.Name(r.tag))
-			for _, a := range r.attrs {
+			for _, a := range img.attrsOf(r) {
 				sb.WriteByte(' ')
 				sb.WriteString(s.dict.Name(a.tag))
 				sb.WriteString(`="`)
-				sb.WriteString(xmlwrite.EscapeAttr(a.val))
+				sb.WriteString(xmlwrite.EscapeAttr(img.val(a)))
 				sb.WriteByte('"')
 			}
-			if len(r.children) == 0 {
+			if r.kidLen == 0 {
 				sb.WriteString("/>")
 				return
 			}
 			sb.WriteByte('>')
-			for _, ch := range r.children {
+			for _, ch := range img.kids(r) {
 				emit(ch)
 			}
 			sb.WriteString("</")
 			sb.WriteString(s.dict.Name(r.tag))
 			sb.WriteByte('>')
 		case RecText:
-			sb.WriteString(xmlwrite.EscapeText(r.text))
+			sb.WriteString(xmlwrite.EscapeText(img.text(r)))
 		case RecComment:
 			sb.WriteString("<!--")
-			sb.WriteString(r.text)
+			sb.WriteString(img.text(r))
 			sb.WriteString("-->")
 		case RecPI:
 			sb.WriteString("<?")
-			sb.WriteString(r.text)
+			sb.WriteString(img.text(r))
 			sb.WriteString("?>")
 		}
 	}

@@ -159,6 +159,9 @@ func ImportCollection(disk *vdisk.Disk, dict *xmltree.Dictionary, docs []*xmltre
 	if opts.PageSize != disk.PageSize() {
 		return nil, fmt.Errorf("storage: option page size %d != disk page size %d", opts.PageSize, disk.PageSize())
 	}
+	if opts.PageSize > MaxPageSize {
+		return nil, fmt.Errorf("storage: page size %d exceeds the maximum of %d", opts.PageSize, MaxPageSize)
+	}
 
 	im := &importer{opts: opts}
 

@@ -29,6 +29,9 @@ func ImportManual(disk *vdisk.Disk, dict *xmltree.Dictionary, doc *xmltree.Node,
 	if opts.PageSize != disk.PageSize() {
 		return nil, fmt.Errorf("storage: option page size %d != disk page size %d", opts.PageSize, disk.PageSize())
 	}
+	if opts.PageSize > MaxPageSize {
+		return nil, fmt.Errorf("storage: page size %d exceeds the maximum of %d", opts.PageSize, MaxPageSize)
+	}
 	if len(doc.Children) == 0 {
 		return nil, errors.New("storage: empty document")
 	}

@@ -36,8 +36,8 @@ func LiveStepIters() int64 { return liveIters.Load() }
 // ancestor/sibling departure).
 //
 // Iterators come from a pool: callers that finish with one should Release
-// it so the next Step on the same worker reuses the struct and its DFS
-// stack instead of allocating — Step is the hottest allocation site and
+// it so the next Step on the same worker reuses the struct and its slot
+// scratch instead of allocating — Step is the hottest allocation site and
 // its cost multiplies under parallel gangs. Releasing is optional
 // (unreleased iterators are ordinary garbage) but using an iterator after
 // Release is a use-after-free.
@@ -78,7 +78,6 @@ const (
 	modeDone iterMode = iota
 	modeSingle
 	modeList
-	modeDFS
 	modeUp
 	modeAttrs
 	modeBits
@@ -118,7 +117,7 @@ func (it *StepIter) initMask(nav *pageNav) {
 }
 
 // initBitRange switches the iterator to modeBits over the pre-order range
-// [lo, hi) — the batched equivalent of a DFS enumeration.
+// [lo, hi) — the batched form of a depth-first subtree enumeration.
 func (it *StepIter) initBitRange(nav *pageNav, lo, hi int) {
 	it.mode = modeBits
 	it.bitPos, it.bitEnd = lo, hi
@@ -128,16 +127,6 @@ func (it *StepIter) initBitRange(nav *pageNav, lo, hi int) {
 // own makes slots a single iterator-owned candidate.
 func (it *StepIter) own(v uint16) {
 	it.slots = append(it.scratch[:0], v)
-	it.owned = true
-}
-
-// ownReversed fills slots with s reversed, reusing the iterator's scratch.
-func (it *StepIter) ownReversed(s []uint16) {
-	buf := it.scratch[:0]
-	for i := len(s) - 1; i >= 0; i-- {
-		buf = append(buf, s[i])
-	}
-	it.slots = buf
 	it.owned = true
 }
 
@@ -176,8 +165,7 @@ func (s *Store) Step(ctx Cursor, axis xpath.Axis, test xpath.NodeTest) *StepIter
 		return it
 	}
 
-	nav := ctx.img.nav
-	useBits := nav != nil && !navBitmapsOff.Load()
+	img, nav := ctx.img, &ctx.img.nav
 
 	switch r.kind {
 	case RecProxyParent:
@@ -186,18 +174,11 @@ func (s *Store) Step(ctx Cursor, axis xpath.Axis, test xpath.NodeTest) *StepIter
 		switch axis {
 		case xpath.Child, xpath.FollowingSibling, xpath.PrecedingSibling:
 			it.mode = modeList
-			it.slots = r.children
+			it.slots = img.kids(r)
 			it.rev = axis == xpath.PrecedingSibling
-			if useBits {
-				it.initMask(nav)
-			}
+			it.initMask(nav)
 		case xpath.Descendant, xpath.DescendantOrSelf:
-			if useBits {
-				it.initBitRange(nav, int(nav.pre[ctx.slot])+1, int(nav.subEnd[ctx.slot]))
-			} else {
-				it.mode = modeDFS
-				it.ownReversed(r.children)
-			}
+			it.initBitRange(nav, int(nav.pre[ctx.slot])+1, int(nav.subEnd[ctx.slot]))
 		default:
 			it.mode = modeDone
 		}
@@ -213,12 +194,9 @@ func (s *Store) Step(ctx Cursor, axis xpath.Axis, test xpath.NodeTest) *StepIter
 			}
 		case xpath.Ancestor, xpath.AncestorOrSelf:
 			it.mode = modeUp
-			it.up = r.parent
+			it.up = int(r.parent)
 		case xpath.FollowingSibling, xpath.PrecedingSibling:
 			it.initSiblings(r)
-			if useBits && it.mode == modeList {
-				it.initMask(nav)
-			}
 		default:
 			it.mode = modeDone
 		}
@@ -229,24 +207,12 @@ func (s *Store) Step(ctx Cursor, axis xpath.Axis, test xpath.NodeTest) *StepIter
 			it.own(ctx.slot)
 		case xpath.Child:
 			it.mode = modeList
-			it.slots = r.children
-			if useBits {
-				it.initMask(nav)
-			}
+			it.slots = img.kids(r)
+			it.initMask(nav)
 		case xpath.Descendant:
-			if useBits {
-				it.initBitRange(nav, int(nav.pre[ctx.slot])+1, int(nav.subEnd[ctx.slot]))
-			} else {
-				it.mode = modeDFS
-				it.ownReversed(r.children)
-			}
+			it.initBitRange(nav, int(nav.pre[ctx.slot])+1, int(nav.subEnd[ctx.slot]))
 		case xpath.DescendantOrSelf:
-			if useBits {
-				it.initBitRange(nav, int(nav.pre[ctx.slot]), int(nav.subEnd[ctx.slot]))
-			} else {
-				it.mode = modeDFS
-				it.own(ctx.slot)
-			}
+			it.initBitRange(nav, int(nav.pre[ctx.slot]), int(nav.subEnd[ctx.slot]))
 		case xpath.Parent:
 			it.mode = modeSingle
 			if r.parent == noParent {
@@ -256,17 +222,14 @@ func (s *Store) Step(ctx Cursor, axis xpath.Axis, test xpath.NodeTest) *StepIter
 			}
 		case xpath.Ancestor:
 			it.mode = modeUp
-			it.up = r.parent
+			it.up = int(r.parent)
 		case xpath.AncestorOrSelf:
 			it.mode = modeUp
 			it.up = int(ctx.slot)
 		case xpath.FollowingSibling, xpath.PrecedingSibling:
 			it.initSiblings(r)
-			if useBits && it.mode == modeList {
-				it.initMask(nav)
-			}
 		case xpath.AttributeAxis:
-			if r.kind == RecElem && len(r.attrs) > 0 {
+			if r.kind == RecElem && r.attrLen > 0 {
 				it.mode = modeAttrs
 			} else {
 				it.mode = modeDone
@@ -280,13 +243,13 @@ func (s *Store) Step(ctx Cursor, axis xpath.Axis, test xpath.NodeTest) *StepIter
 
 // initSiblings prepares sibling iteration for the record r at it.slot:
 // the candidates are the parent's other children after (or before,
-// reversed) r's own position.
-func (it *StepIter) initSiblings(r *rec) {
+// reversed) r's own position, filtered through the test's mask.
+func (it *StepIter) initSiblings(r *imgRec) {
 	if r.parent == noParent {
 		it.mode = modeDone
 		return
 	}
-	sibs := it.img.recs[r.parent].children
+	sibs := it.img.kids(&it.img.recs[r.parent])
 	idx := -1
 	for i, s := range sibs {
 		if s == it.slot {
@@ -322,6 +285,7 @@ func (it *StepIter) initSiblings(r *rec) {
 		it.slots = appended
 		it.owned = true
 	}
+	it.initMask(&it.img.nav)
 }
 
 // Next returns the next step result. Border nodes are returned untested;
@@ -333,8 +297,7 @@ func (it *StepIter) Next() (Cursor, bool) {
 		it.selfAttr = false
 		stats.Inc(&led.NodesVisited)
 		led.AdvanceCPU(visit)
-		r := &it.img.recs[it.slot]
-		if it.test.Matches(xmltree.Attribute, r.attrs[it.attrs].tag) {
+		if it.test.Matches(xmltree.Attribute, it.img.attrsOf(&it.img.recs[it.slot])[it.attrs].tag) {
 			return Cursor{st: it.st, img: it.img, page: it.img.page, slot: it.slot, attr: it.attrs}, true
 		}
 	}
@@ -362,38 +325,26 @@ func (it *StepIter) Next() (Cursor, bool) {
 			}
 			it.pos++
 
-		case modeDFS:
-			if len(it.slots) == 0 {
-				return Cursor{}, false
-			}
-			slot = int(it.slots[len(it.slots)-1])
-			it.slots = it.slots[:len(it.slots)-1]
-			// Descend: children pushed in reverse for document order.
-			kids := it.img.recs[slot].children
-			for i := len(kids) - 1; i >= 0; i-- {
-				it.slots = append(it.slots, kids[i])
-			}
-
 		case modeUp:
 			if it.up == noParent {
 				return Cursor{}, false
 			}
 			slot = it.up
-			it.up = it.img.recs[slot].parent
+			it.up = int(it.img.recs[slot].parent)
 			if it.img.recs[slot].kind == RecProxyParent {
 				it.up = noParent // border ends the intra-cluster chain
 			}
 
 		case modeAttrs:
-			r := &it.img.recs[it.slot]
-			if it.attrs >= len(r.attrs) {
+			attrs := it.img.attrsOf(&it.img.recs[it.slot])
+			if it.attrs >= len(attrs) {
 				return Cursor{}, false
 			}
 			stats.Inc(&led.NodesVisited)
 			led.AdvanceCPU(visit)
 			a := it.attrs
 			it.attrs++
-			if !it.test.Matches(xmltree.Attribute, r.attrs[a].tag) {
+			if !it.test.Matches(xmltree.Attribute, attrs[a].tag) {
 				continue
 			}
 			return Cursor{st: it.st, img: it.img, page: it.img.page, slot: it.slot, attr: a}, true
@@ -404,8 +355,8 @@ func (it *StepIter) Next() (Cursor, bool) {
 			// still charges one node visit per live record passed over —
 			// the cost model describes the paper's node-at-a-time system,
 			// not this implementation's word-level scan — accrued at the
-			// same per-Next granularity as the DFS it replaces.
-			nav := it.img.nav
+			// same per-Next granularity as a per-node walk would.
+			nav := &it.img.nav
 			for it.bitPos < it.bitEnd {
 				w := it.bitPos >> 6
 				word := nav.proxy[w]
@@ -454,7 +405,7 @@ func (it *StepIter) Next() (Cursor, bool) {
 // records a node-at-a-time DFS would have visited and rejected where the
 // batched scan skips whole words.
 func (it *StepIter) chargeLive(w, lo, hi int) {
-	nav := it.img.nav
+	nav := &it.img.nav
 	live := nav.core[w] | nav.proxy[w]
 	live &= ^uint64(0) << uint(lo&63)
 	if hi>>6 == w {

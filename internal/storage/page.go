@@ -2,7 +2,10 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
+	"unsafe"
 
 	"pathdb/internal/ordpath"
 	"pathdb/internal/vdisk"
@@ -79,7 +82,9 @@ type attrRec struct {
 	val string
 }
 
-// rec is the decoded form of one record.
+// rec is the write path's form of one record: fat, independently owned
+// fields that the importer and the updater build, edit and encode. The read
+// path never sees it — decoded pages are pageImages of compact imgRecs.
 type rec struct {
 	kind   RecKind
 	parent int // slot of physical parent, noParent for fragment roots
@@ -90,7 +95,14 @@ type rec struct {
 	attrs  []attrRec
 
 	dead     bool     // tombstoned slot (deleted record)
-	children []uint16 // derived at decode: live slots with parent == this slot
+	children []uint16 // live slots with parent == this slot, sibling-ordered
+}
+
+// recPage is the editing and encoding form of one page: its records by
+// slot, private to one updater.
+type recPage struct {
+	page vdisk.PageID
+	recs []rec
 }
 
 // deadSlotOff marks a tombstoned slot in the on-page slot table. Page
@@ -98,35 +110,140 @@ type rec struct {
 // record offset.
 const deadSlotOff = 0xFFFF
 
-// MaxPageSize bounds page sizes (slot offsets are uint16 with a sentinel).
+// MaxPageSize bounds page sizes (slot offsets are uint16 with a sentinel,
+// and a page's slot count must fit imgRec's int16 parent).
 const MaxPageSize = 32768
+
+// imgRec is one record of a decoded image: fixed-width and pointer-free, so
+// a page's record array is one small allocation the collector never scans.
+// Variable-length parts are (offset, length) spans into the image's arenas.
+type imgRec struct {
+	target NodeID // proxies: companion border node
+	tag    xmltree.TagID
+	parent int16 // slot of physical parent, noParent for fragment roots
+	kind   RecKind
+	dead   bool // tombstoned slot (deleted record)
+
+	ordOff, ordLen   uint16 // ord key, in pageImage.data
+	textOff, textLen uint16 // text/comment/PI content, in pageImage.data
+	attrOff, attrLen uint16 // elements: their run of pageImage.attrs
+	kidOff, kidLen   uint16 // live child slots, sibling-ordered, in pageImage.kidSlab
+}
+
+// imgAttr is one inline attribute of a decoded image; its value is a span
+// of pageImage.data.
+type imgAttr struct {
+	tag      xmltree.TagID
+	off, len uint16
+}
 
 // pageImage is the swizzled (decoded, directly navigable) representation of
 // one page — the object-buffer side of the dual-buffer scheme of Sec. 3.6.
 // Images are immutable once published by the swizzle cache (the update path
-// works on private copies), so they may be shared by concurrent readers.
+// expands them into private recPages), so they may be shared by concurrent
+// readers, and they stay valid after the buffer frame they were decoded from
+// is evicted: cursors keep aliasing them.
+//
+// Everything big is pointer-free: data is the one copy of the page's record
+// bytes that backs every ord key, text and attribute value; one uint16 slab
+// backs kidSlab, borders and the nav index; one uint64 slab every bitset.
 type pageImage struct {
 	page      vdisk.PageID
-	recs      []rec
+	recs      []imgRec
+	data      []byte
+	attrs     []imgAttr
+	kidSlab   []uint16
 	borders   []uint16 // slots of proxy records, for XScan's speculation
 	borderIDs []NodeID // the same borders as NodeIDs, for BordersOf
-	nav       *pageNav // cluster-resident name-test index, built at decode
+	nav       pageNav  // cluster-resident name-test index, built at decode
+}
+
+// kids returns r's live child slots in sibling order. Read-only.
+func (img *pageImage) kids(r *imgRec) []uint16 {
+	o, e := int(r.kidOff), int(r.kidOff)+int(r.kidLen)
+	return img.kidSlab[o:e:e]
+}
+
+// ord returns r's document-order key (nil for records without one).
+// Read-only: it aliases the image's data.
+func (img *pageImage) ord(r *imgRec) ordpath.Key {
+	if r.ordLen == 0 {
+		return nil
+	}
+	o, e := int(r.ordOff), int(r.ordOff)+int(r.ordLen)
+	return ordpath.Key(img.data[o:e:e])
+}
+
+// text returns r's text/comment/PI content.
+func (img *pageImage) text(r *imgRec) string { return img.str(r.textOff, r.textLen) }
+
+// attrsOf returns r's inline attributes. Read-only.
+func (img *pageImage) attrsOf(r *imgRec) []imgAttr {
+	return img.attrs[r.attrOff : int(r.attrOff)+int(r.attrLen)]
+}
+
+// val returns the value of one of the image's attributes.
+func (img *pageImage) val(a imgAttr) string { return img.str(a.off, a.len) }
+
+// str returns data[off:off+n] as a string without copying it — the one use
+// of unsafe in the package. Sound because data is a private copy written
+// once by decodePage, before the image is published, and never afterwards,
+// so the bytes are as immutable as a string's; the returned string keeps
+// the whole arena alive, exactly like a substring of a page-sized string.
+func (img *pageImage) str(off, n uint16) string {
+	if n == 0 {
+		return ""
+	}
+	return unsafe.String(&img.data[off], int(n))
+}
+
+// expand copies the image into the write path's fat records. Ord keys and
+// strings alias the immutable image; attribute and child lists are fresh
+// (child lists carved with exact capacity from one slab, so an insert that
+// grows one reallocates just that list).
+func (img *pageImage) expand() *recPage {
+	out := &recPage{page: img.page, recs: make([]rec, len(img.recs))}
+	attrs := make([]attrRec, len(img.attrs))
+	for i, a := range img.attrs {
+		attrs[i] = attrRec{tag: a.tag, val: img.val(a)}
+	}
+	kids := append([]uint16(nil), img.kidSlab...)
+	for i := range img.recs {
+		r := &img.recs[i]
+		if r.dead {
+			out.recs[i].dead = true
+			continue
+		}
+		w := &out.recs[i]
+		*w = rec{kind: r.kind, parent: int(r.parent), tag: r.tag, text: img.text(r), ord: img.ord(r), target: r.target}
+		if r.attrLen > 0 {
+			o, e := int(r.attrOff), int(r.attrOff)+int(r.attrLen)
+			w.attrs = attrs[o:e:e]
+		}
+		if r.kidLen > 0 {
+			o, e := int(r.kidOff), int(r.kidOff)+int(r.kidLen)
+			w.children = kids[o:e:e]
+		}
+	}
+	return out
 }
 
 // pageNav is the cluster-resident navigation index: every live record gets
-// a pre-order position (the exact order modeDFS enumerates, so a slot's
-// subtree is the contiguous range [pre[s], subEnd[s])), and occupancy
-// bitsets over those positions answer name/kind tests for a whole cluster
-// at once. Immutable after decode, shared with the image.
+// a pre-order position (the order a depth-first walk of the sibling-sorted
+// child lists enumerates, so a slot's subtree is the contiguous range
+// [pre[s], subEnd[s])), and occupancy bitsets over those positions answer
+// name/kind tests for a whole cluster at once. Immutable after decode.
 type pageNav struct {
 	pre    []uint16 // slot → pre-order position (preNone for dead slots)
 	byPre  []uint16 // pre-order position → slot
 	subEnd []uint16 // slot → exclusive pre-order end of its subtree
 	words  int      // uint64 words per bitset
 
+	// tags and tagCnt are allocations of their own: the page's synopsis
+	// aliases them and outlives the image.
 	tags    []xmltree.TagID // sorted distinct record tags (NoTag bucket included)
 	tagCnt  []int32         // live records per tags[i]
-	tagBits [][]uint64      // tagBits[i]: positions of records tagged tags[i]
+	tagBits []uint64        // len(tags) bitsets of words words: positions tagged tags[i]
 
 	core    []uint64 // all live non-proxy positions
 	elem    []uint64 // RecElem positions
@@ -168,6 +285,11 @@ func (nav *pageNav) tagIndex(t xmltree.TagID) int {
 	return -1
 }
 
+// tagMask returns the occupancy bitset of records tagged nav.tags[i].
+func (nav *pageNav) tagMask(i int) []uint64 {
+	return nav.tagBits[i*nav.words : (i+1)*nav.words]
+}
+
 // kindMask returns the occupancy bitset for a kind test (nil means "no
 // record of this kind exists", an always-empty mask).
 func (nav *pageNav) kindMask(k xpath.KindTest) []uint64 {
@@ -205,7 +327,7 @@ func (nav *pageNav) testMask(test xpath.NodeTest, scratch []uint64) []uint64 {
 	// only ever appear on element records, so the bucket is already ⊆ elem.
 	if len(test.Tags) == 1 && test.Kind == xpath.KindElement && test.Tags[0] != xmltree.NoTag {
 		if i := nav.tagIndex(test.Tags[0]); i >= 0 {
-			return nav.tagBits[i]
+			return nav.tagMask(i)
 		}
 		return nil
 	}
@@ -215,7 +337,7 @@ func (nav *pageNav) testMask(test xpath.NodeTest, scratch []uint64) []uint64 {
 	any := false
 	for _, t := range test.Tags {
 		if i := nav.tagIndex(t); i >= 0 {
-			for w, v := range nav.tagBits[i] {
+			for w, v := range nav.tagMask(i) {
 				scratch[w] |= v
 			}
 			any = true
@@ -241,107 +363,6 @@ func (nav *pageNav) testMask(test xpath.NodeTest, scratch []uint64) []uint64 {
 		scratch[w] &= km[w]
 	}
 	return scratch
-}
-
-// buildPageNav derives the navigation index from a decoded image. The
-// pre-order walk mirrors StepIter's modeDFS (children lists are already
-// sibling-sorted), so bitmap range enumeration and per-node DFS agree on
-// emission order byte for byte.
-func buildPageNav(img *pageImage) *pageNav {
-	n := len(img.recs)
-	live := 0
-	for i := range img.recs {
-		if !img.recs[i].dead {
-			live++
-		}
-	}
-	nav := &pageNav{
-		pre:    make([]uint16, n),
-		subEnd: make([]uint16, n),
-		byPre:  make([]uint16, 0, live),
-		words:  (live + 63) / 64,
-	}
-	for i := range nav.pre {
-		nav.pre[i] = preNone
-	}
-	var walk func(s uint16)
-	walk = func(s uint16) {
-		nav.pre[s] = uint16(len(nav.byPre))
-		nav.byPre = append(nav.byPre, s)
-		for _, c := range img.recs[s].children {
-			walk(c)
-		}
-		nav.subEnd[s] = uint16(len(nav.byPre))
-	}
-	for i := 0; i < n; i++ {
-		if r := &img.recs[i]; !r.dead && r.parent == noParent {
-			walk(uint16(i))
-		}
-	}
-
-	// Distinct tags, sorted (non-element records land in the NoTag bucket,
-	// exactly the field Matches inspects on them). A page holds hundreds of
-	// records but a dozen or so tags, and runs of siblings repeat one: skip
-	// a repeat of the previous record's tag, insert the rest in place.
-	tags := make([]xmltree.TagID, 0, 16)
-	var last xmltree.TagID
-	for p := range nav.byPre {
-		r := &img.recs[nav.byPre[p]]
-		if r.kind.IsProxy() || (len(tags) > 0 && r.tag == last) {
-			continue
-		}
-		last = r.tag
-		if i, ok := tagSlot(tags, r.tag); !ok {
-			tags = append(tags, 0)
-			copy(tags[i+1:], tags[i:])
-			tags[i] = r.tag
-		}
-	}
-	nav.tags = tags
-	nav.tagCnt = make([]int32, len(nav.tags))
-
-	// One backing allocation for every bitset.
-	w := nav.words
-	backing := make([]uint64, (len(nav.tags)+6)*w)
-	cut := func() []uint64 { b := backing[:w:w]; backing = backing[w:]; return b }
-	nav.core, nav.elem, nav.text = cut(), cut(), cut()
-	nav.comment, nav.pi, nav.proxy = cut(), cut(), cut()
-	nav.tagBits = make([][]uint64, len(nav.tags))
-	for i := range nav.tagBits {
-		nav.tagBits[i] = cut()
-	}
-
-	for p := range nav.byPre {
-		pos := uint16(p)
-		r := &img.recs[nav.byPre[p]]
-		switch r.kind {
-		case RecProxyChild:
-			setBit(nav.proxy, pos)
-			nav.proxyChildCount++
-			continue
-		case RecProxyParent:
-			setBit(nav.proxy, pos)
-			continue
-		case RecElem:
-			setBit(nav.elem, pos)
-			nav.elemCount++
-		case RecText:
-			setBit(nav.text, pos)
-			nav.textCount++
-		case RecComment:
-			setBit(nav.comment, pos)
-			nav.commentCount++
-		case RecPI:
-			setBit(nav.pi, pos)
-			nav.piCount++
-		}
-		setBit(nav.core, pos)
-		if i := nav.tagIndex(r.tag); i >= 0 {
-			setBit(nav.tagBits[i], pos)
-			nav.tagCnt[i]++
-		}
-	}
-	return nav
 }
 
 // --- binary encoding -------------------------------------------------------
@@ -509,108 +530,218 @@ func (e *corruptError) Error() string {
 	return fmt.Sprintf("storage: page %d corrupt: %s", e.page, e.msg)
 }
 
+// tagTableSize bounds the tags decodePage indexes through its direct table;
+// larger ids (a dictionary of more names than that) fall back to tagSlot.
+const tagTableSize = 512
+
 // decodePage parses raw page bytes into a pageImage. The slot table sits at
 // the end of the usable region; the trailing checksum bytes (verified by the
 // buffer pool before raw reaches us) are not part of the record layout.
 //
-// Decoding is slab-allocated: one immutable string copy of the page backs
-// every text and attribute value, one byte slab every ord key, and one
-// uint16 slab every child list, so the per-record cost is a few appends
-// into pre-sized arrays instead of hundreds of small heap objects. raw
-// itself aliases a buffer frame that is recycled on eviction, so no decoded
-// field may point into it.
+// raw aliases a buffer frame that is recycled on eviction, so the record
+// region is copied once and every decoded field is a span of that copy. Two
+// sweeps over the slots decode the records and link the child lists; one
+// depth-first walk then assigns pre-order positions and sets every bitset.
+// Any byte sequence yields an image or a *corruptError, never a panic.
 func decodePage(page vdisk.PageID, raw []byte, pageSize int) (*pageImage, error) {
 	cap := usable(pageSize)
-	if len(raw) < pageHeaderSize {
+	if len(raw) < pageHeaderSize || len(raw) < cap {
 		return nil, &corruptError{page, "short page"}
 	}
 	n := int(binary.LittleEndian.Uint16(raw[0:2]))
-	if cap-2*n < pageHeaderSize {
-		return nil, &corruptError{page, "slot table overlaps header"}
+	free := int(binary.LittleEndian.Uint16(raw[2:4]))
+	if pageSize > MaxPageSize || free < pageHeaderSize || free > cap-2*n {
+		return nil, &corruptError{page, fmt.Sprintf("free-space offset %d outside the record region of %d slots", free, n)}
 	}
-	img := &pageImage{page: page, recs: make([]rec, n)}
-	pd := pageDecoder{
-		raw: raw,
-		str: string(raw),
-		// Ord keys are substrings of the page, so their total length can
-		// never exceed it: the slab never regrows and every key aliases it.
-		ords: make([]byte, 0, len(raw)),
-	}
+	img := &pageImage{page: page, recs: make([]imgRec, n), data: append([]byte(nil), raw[:free]...)}
+	recs := img.recs
+	pd := pageDecoder{d: decodeCursor{b: img.data}, attrs: make([]imgAttr, 0, n/4)}
+
+	// Sweep 1: decode. Children are counted into their parent's kidLen, and
+	// the tags of core records are marked in the direct table (pages hold
+	// hundreds of records but a dozen or so distinct tags).
+	var direct [tagTableSize]uint16 // tag → 1 + its index in nav.tags; 0 = absent
+	var bigTags []xmltree.TagID     // sorted distinct tags ≥ tagTableSize
+	noTag := false
+	maxTag, ntags := -1, 0
+	live, nkids, nborders := 0, 0, 0
+	slots := raw[cap-2*n : cap] // slot i at the i-th pair from the end
 	for i := 0; i < n; i++ {
-		off := int(binary.LittleEndian.Uint16(raw[cap-2*(i+1):]))
+		off := int(binary.LittleEndian.Uint16(slots[2*(n-1-i):]))
+		r := &recs[i]
 		if off == deadSlotOff {
-			img.recs[i].dead = true
+			r.dead = true
 			continue
 		}
-		if off < pageHeaderSize || off >= cap {
+		if off < pageHeaderSize || off >= free {
 			return nil, &corruptError{page, fmt.Sprintf("slot %d offset %d out of range", i, off)}
 		}
-		if err := pd.decodeRec(&img.recs[i], off); err != nil {
+		if err := pd.decodeRec(r, off, n); err != nil {
 			return nil, &corruptError{page, fmt.Sprintf("slot %d: %v", i, err)}
 		}
-	}
-	// Derive children lists and the border index, then order siblings by
-	// their document-order keys: the initial bulk load allocates slots in
-	// DFS order, but updates may insert out of slot order. Child lists are
-	// carved from one slab, sized by a counting pass.
-	nkids, nborders := 0, 0
-	for i := 0; i < n; i++ {
-		r := &img.recs[i]
-		if r.dead {
-			continue
-		}
+		live++
 		if r.parent != noParent {
-			if r.parent < 0 || r.parent >= n || img.recs[r.parent].dead {
-				return nil, &corruptError{page, fmt.Sprintf("slot %d: bad parent %d", i, r.parent)}
-			}
+			recs[r.parent].kidLen++
 			nkids++
 		}
-		if r.kind.IsProxy() {
+		switch t := r.tag; {
+		case r.kind.IsProxy():
 			nborders++
+		case t == xmltree.NoTag:
+			noTag = true
+		case t >= tagTableSize:
+			if j, ok := tagSlot(bigTags, t); !ok {
+				bigTags = append(bigTags, 0)
+				copy(bigTags[j+1:], bigTags[j:])
+				bigTags[j] = t
+			}
+		case direct[t] == 0:
+			direct[t] = 1
+			ntags++
+			maxTag = max(maxTag, int(t))
 		}
 	}
-	if nkids > 0 {
-		counts := make([]uint16, n)
-		for i := 0; i < n; i++ {
-			if r := &img.recs[i]; !r.dead && r.parent != noParent {
-				counts[r.parent]++
-			}
+	img.attrs = pd.attrs
+
+	// The sorted distinct tags: NoTag (-1), the direct table in index order,
+	// then the big ones.
+	nav := &img.nav
+	nav.tags = make([]xmltree.TagID, 0, 1+ntags+len(bigTags))
+	if noTag {
+		nav.tags = append(nav.tags, xmltree.NoTag)
+	}
+	for t := 0; t <= maxTag; t++ {
+		if direct[t] != 0 {
+			nav.tags = append(nav.tags, xmltree.TagID(t))
+			direct[t] = uint16(len(nav.tags))
 		}
-		kidSlab := make([]uint16, nkids)
-		pos := 0
-		for i := 0; i < n; i++ {
-			if c := int(counts[i]); c > 0 {
-				img.recs[i].children = kidSlab[pos : pos : pos+c]
-				pos += c
+	}
+	nav.tags = append(nav.tags, bigTags...)
+	nav.tagCnt = make([]int32, len(nav.tags))
+
+	// One slab for every uint16 index, one for every bitset.
+	slab := make([]uint16, nkids+nborders+2*n+live)
+	cut := func(k int) []uint16 { c := slab[:k:k]; slab = slab[k:]; return c }
+	img.kidSlab, img.borders = cut(nkids), cut(nborders)[:0]
+	nav.pre, nav.subEnd, nav.byPre = cut(n), cut(n), cut(live)
+	w := (live + 63) / 64
+	bits := make([]uint64, (6+len(nav.tags))*w)
+	cutBits := func() []uint64 { c := bits[:w:w]; bits = bits[w:]; return c }
+	nav.words = w
+	nav.core, nav.elem, nav.text = cutBits(), cutBits(), cutBits()
+	nav.comment, nav.pi, nav.proxy = cutBits(), cutBits(), cutBits()
+	nav.tagBits = bits
+
+	// Sweep 2: carve the child lists and fill them in slot order, then order
+	// siblings by their document-order keys — bulk load allocates slots in
+	// document order, but updates may insert out of slot order.
+	pos := 0
+	for i := range recs {
+		r := &recs[i]
+		if r.dead {
+			if r.kidLen > 0 {
+				return nil, &corruptError{page, fmt.Sprintf("slot %d is dead but has children", i)}
 			}
+			nav.pre[i] = preNone
+			continue
 		}
-		for i := 0; i < n; i++ {
-			if r := &img.recs[i]; !r.dead && r.parent != noParent {
-				p := &img.recs[r.parent]
-				p.children = append(p.children, uint16(i))
+		r.kidOff, pos, r.kidLen = uint16(pos), pos+int(r.kidLen), 0
+		if r.kind.IsProxy() {
+			img.borders = append(img.borders, uint16(i))
+		}
+	}
+	for i := range recs {
+		if r := &recs[i]; !r.dead && r.parent != noParent {
+			p := &recs[r.parent]
+			img.kidSlab[int(p.kidOff)+int(p.kidLen)] = uint16(i)
+			p.kidLen++
+		}
+	}
+	for i := range recs {
+		if recs[i].kidLen > 1 {
+			img.sortKidsByOrd(img.kids(&recs[i]))
+		}
+	}
+
+	// Depth-first walk from every fragment root. The pending stack lives in
+	// the still-unassigned tail of byPre, growing downward: positions handed
+	// out plus slots pending never exceed the live count, because every live
+	// record is pushed at most once (by its one parent, or as a root).
+	next, sp := 0, live
+	for i := range recs {
+		if recs[i].dead || recs[i].parent != noParent {
+			continue
+		}
+		sp--
+		nav.byPre[sp] = uint16(i)
+		for sp < live {
+			s := nav.byPre[sp]
+			sp++
+			p := uint16(next)
+			nav.pre[s], nav.byPre[next] = p, s
+			next++
+			r := &recs[s]
+			kids := img.kids(r)
+			for k := len(kids) - 1; k >= 0; k-- {
+				sp--
+				nav.byPre[sp] = kids[k]
 			}
+			switch r.kind {
+			case RecProxyChild:
+				setBit(nav.proxy, p)
+				nav.proxyChildCount++
+				continue
+			case RecProxyParent:
+				setBit(nav.proxy, p)
+				continue
+			case RecElem:
+				setBit(nav.elem, p)
+				nav.elemCount++
+			case RecText:
+				setBit(nav.text, p)
+				nav.textCount++
+			case RecComment:
+				setBit(nav.comment, p)
+				nav.commentCount++
+			case RecPI:
+				setBit(nav.pi, p)
+				nav.piCount++
+			}
+			setBit(nav.core, p)
+			// Non-element records land in the NoTag bucket, exactly the
+			// field NodeTest.Matches inspects on them.
+			t := 0 // NoTag sorts first
+			if r.tag >= tagTableSize {
+				t, _ = tagSlot(nav.tags, r.tag)
+			} else if r.tag >= 0 {
+				t = int(direct[r.tag]) - 1
+			}
+			nav.tagBits[t*w+int(p>>6)] |= 1 << (p & 63)
+			nav.tagCnt[t]++
+		}
+	}
+	if next != live {
+		return nil, &corruptError{page, "parent pointers form a cycle"}
+	}
+	// Subtree ends, in reverse pre-order: a leaf ends right after itself, and
+	// the last descendant a record sees (the first one visited here) ends it.
+	for p := live - 1; p >= 0; p-- {
+		s := nav.byPre[p]
+		if nav.subEnd[s] == 0 {
+			nav.subEnd[s] = uint16(p) + 1
+		}
+		if par := recs[s].parent; par != noParent && nav.subEnd[par] < nav.subEnd[s] {
+			nav.subEnd[par] = nav.subEnd[s]
 		}
 	}
 	if nborders > 0 {
-		img.borders = make([]uint16, 0, nborders)
-		for i := 0; i < n; i++ {
-			if r := &img.recs[i]; !r.dead && r.kind.IsProxy() {
-				img.borders = append(img.borders, uint16(i))
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		sortKidsByOrd(img.recs, img.recs[i].children)
-	}
-	if len(img.borders) > 0 {
 		// Materialized once here so BordersOf can hand out a shared slice
 		// instead of allocating per call.
-		img.borderIDs = make([]NodeID, len(img.borders))
+		img.borderIDs = make([]NodeID, nborders)
 		for i, slot := range img.borders {
 			img.borderIDs[i] = MakeNodeID(page, slot)
 		}
 	}
-	img.nav = buildPageNav(img)
 	return img, nil
 }
 
@@ -618,7 +749,7 @@ func decodePage(page vdisk.PageID, raw []byte, pageSize int) (*pageImage, error)
 // usable region; writePage adds the checksum trailer), preserving slot
 // numbers (NodeIDs embed them) and tombstoning dead slots. Trailing dead
 // slots are truncated so their numbers become reusable.
-func encodePageImage(img *pageImage, pageSize int) ([]byte, error) {
+func encodePageImage(img *recPage, pageSize int) ([]byte, error) {
 	n := len(img.recs)
 	for n > 0 && img.recs[n-1].dead {
 		n--
@@ -650,7 +781,7 @@ func encodePageImage(img *pageImage, pageSize int) ([]byte, error) {
 
 // pageUsage returns the bytes consumed by live records plus slot table and
 // header, i.e. the fit check for in-page inserts.
-func pageUsage(img *pageImage) int {
+func pageUsage(img *recPage) int {
 	n := len(img.recs)
 	for n > 0 && img.recs[n-1].dead {
 		n--
@@ -664,168 +795,170 @@ func pageUsage(img *pageImage) int {
 	return used
 }
 
+// decodeCursor reads untrusted bytes. Its error is sticky: the first failed
+// read parks the cursor at the end of the buffer, every later read yields
+// zero, and callers check err once per record rather than once per field.
 type decodeCursor struct {
-	b []byte
-	i int
+	b   []byte
+	i   int
+	err error
 }
 
-func (d *decodeCursor) uvarint() (uint64, error) {
+var (
+	errTruncated = errors.New("truncated field")
+	errOverflow  = errors.New("uvarint overflow")
+	errBadOrd    = errors.New("malformed ord key")
+)
+
+func (d *decodeCursor) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.i = len(d.b)
+}
+
+// uvarint reads a LEB128 value; most on a page take one byte.
+func (d *decodeCursor) uvarint() uint64 {
+	if i := d.i; i < len(d.b) && d.b[i] < 0x80 {
+		d.i = i + 1
+		return uint64(d.b[i])
+	}
+	return d.uvarintLong()
+}
+
+func (d *decodeCursor) uvarintLong() uint64 {
 	var v uint64
-	var shift uint
-	for ; d.i < len(d.b); d.i++ {
+	for shift := uint(0); d.i < len(d.b) && shift < 64; shift += 7 {
 		c := d.b[d.i]
+		d.i++
 		if c < 0x80 {
-			if shift > 63 {
-				return 0, fmt.Errorf("uvarint overflow")
-			}
-			d.i++
-			return v | uint64(c)<<shift, nil
+			return v | uint64(c)<<shift
 		}
 		v |= uint64(c&0x7f) << shift
-		shift += 7
-		if shift > 63 {
-			return 0, fmt.Errorf("uvarint overflow")
-		}
 	}
-	return 0, fmt.Errorf("truncated uvarint")
-}
-
-func (d *decodeCursor) bytes() ([]byte, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
+	if d.i < len(d.b) {
+		d.fail(errOverflow)
+	} else {
+		d.fail(errTruncated)
 	}
-	if d.i+int(n) > len(d.b) {
-		return nil, fmt.Errorf("truncated bytes field")
-	}
-	out := d.b[d.i : d.i+int(n)]
-	d.i += int(n)
-	return out, nil
+	return 0
 }
 
 // span reads a length-prefixed bytes field and returns its [start, end)
-// indexes within the cursor's buffer instead of the bytes themselves, so
-// the caller can alias a stable copy of the same buffer.
-func (d *decodeCursor) span() (int, int, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return 0, 0, err
-	}
-	if d.i+int(n) > len(d.b) {
-		return 0, 0, fmt.Errorf("truncated bytes field")
+// indexes within the cursor's buffer. The length is compared in uint64: it
+// is untrusted, and one ≥ 2⁶³ would turn negative as an int.
+func (d *decodeCursor) span() (int, int) {
+	n := d.uvarint()
+	if n > uint64(len(d.b)-d.i) {
+		d.fail(errTruncated)
+		return 0, 0
 	}
 	s := d.i
 	d.i += int(n)
-	return s, d.i, nil
+	return s, d.i
 }
 
-// pageDecoder carries the slabs one decodePage call shares across all its
-// records: str is an immutable copy of the page that every string field
-// aliases, ords collects ord key copies, attrs collects attribute records.
+// pageDecoder is the state one decodePage call shares across its records:
+// the cursor over the image's copy of the record region, and the attribute
+// arena under construction.
 type pageDecoder struct {
-	raw   []byte
-	str   string
-	ords  []byte
-	attrs []attrRec
+	d     decodeCursor
+	attrs []imgAttr
 }
 
-// ordKey copies b into the ord slab and returns the slab-backed key. The
-// slab is pre-sized to the page length so it never regrows.
-func (pd *pageDecoder) ordKey(s, e int) ordpath.Key {
-	o := len(pd.ords)
-	pd.ords = append(pd.ords, pd.raw[s:e]...)
-	return ordpath.Key(pd.ords[o:len(pd.ords):len(pd.ords)])
-}
-
-func (pd *pageDecoder) decodeRec(r *rec, off int) error {
-	raw := pd.raw
-	if off >= len(raw) {
-		return fmt.Errorf("empty record")
+// ordSpan reads an ord key field into r, checking that the key is well
+// formed: sibling sorting and every later comparison rely on it.
+func (pd *pageDecoder) ordSpan(r *imgRec) {
+	s, e := pd.d.span()
+	if !ordpath.Key(pd.d.b[s:e]).Valid() {
+		pd.d.fail(errBadOrd)
 	}
-	d := &decodeCursor{b: raw, i: off + 1}
-	r.kind = RecKind(raw[off])
+	r.ordOff, r.ordLen = uint16(s), uint16(e-s)
+}
+
+func (pd *pageDecoder) proxyTarget(r *imgRec) {
+	d := &pd.d
+	if len(d.b)-d.i < 8 {
+		d.fail(errTruncated)
+		return
+	}
+	r.target = NodeID(binary.LittleEndian.Uint64(d.b[d.i:]))
+}
+
+// decodeRec decodes the record at off into r (which may already carry a
+// child count in kidLen); nslots bounds its parent pointer.
+func (pd *pageDecoder) decodeRec(r *imgRec, off, nslots int) error {
+	d := &pd.d
+	d.i = off + 1
+	r.kind = RecKind(d.b[off])
 	r.tag = xmltree.NoTag
-	p, err := d.uvarint()
-	if err != nil {
-		return err
+	p := d.uvarint()
+	if p > uint64(nslots) {
+		return fmt.Errorf("bad parent %d", int64(p)-1)
 	}
-	r.parent = int(p) - 1
+	r.parent = int16(p) - 1
 	switch r.kind {
 	case RecDoc:
 	case RecElem:
-		tag, err := d.uvarint()
-		if err != nil {
-			return err
+		tag := d.uvarint()
+		pd.ordSpan(r)
+		na := d.uvarint()
+		if na > uint64(len(d.b)-d.i)/2 { // an attribute takes two bytes at least
+			d.fail(errTruncated)
+			na = 0
 		}
-		r.tag = xmltree.TagID(tag)
-		s, e, err := d.span()
-		if err != nil {
-			return err
+		r.tag, r.attrOff, r.attrLen = xmltree.TagID(tag), uint16(len(pd.attrs)), uint16(na)
+		for ; na > 0; na-- {
+			at := d.uvarint()
+			s, e := d.span()
+			tag |= at // either one beyond int32 fails the record below
+			pd.attrs = append(pd.attrs, imgAttr{tag: xmltree.TagID(at), off: uint16(s), len: uint16(e - s)})
 		}
-		r.ord = pd.ordKey(s, e)
-		na, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if na > 0 {
-			start := len(pd.attrs)
-			for i := 0; i < int(na); i++ {
-				at, err := d.uvarint()
-				if err != nil {
-					return err
-				}
-				s, e, err := d.span()
-				if err != nil {
-					return err
-				}
-				pd.attrs = append(pd.attrs, attrRec{tag: xmltree.TagID(at), val: pd.str[s:e]})
-			}
-			r.attrs = pd.attrs[start:len(pd.attrs):len(pd.attrs)]
+		if tag > math.MaxInt32 {
+			return errors.New("tag out of range")
 		}
 	case RecText, RecComment, RecPI:
-		s, e, err := d.span()
-		if err != nil {
-			return err
-		}
-		r.ord = pd.ordKey(s, e)
-		s, e, err = d.span()
-		if err != nil {
-			return err
-		}
-		r.text = pd.str[s:e]
+		pd.ordSpan(r)
+		s, e := d.span()
+		r.textOff, r.textLen = uint16(s), uint16(e-s)
 	case RecProxyChild:
-		s, e, err := d.span()
-		if err != nil {
-			return err
-		}
-		r.ord = pd.ordKey(s, e)
-		if d.i+8 > len(raw) {
-			return fmt.Errorf("truncated proxy target")
-		}
-		r.target = NodeID(binary.LittleEndian.Uint64(raw[d.i:]))
+		pd.ordSpan(r)
+		pd.proxyTarget(r)
 	case RecProxyParent:
-		if d.i+8 > len(raw) {
-			return fmt.Errorf("truncated proxy target")
-		}
-		r.target = NodeID(binary.LittleEndian.Uint64(raw[d.i:]))
+		pd.proxyTarget(r)
 	default:
-		return fmt.Errorf("unknown record kind %d", raw[off])
+		return fmt.Errorf("unknown record kind %d", d.b[off])
 	}
-	return nil
+	return d.err
 }
 
 // sortKidsByOrd stably orders one child list by document-order key. Bulk
-// load emits children in DFS order, so the list is almost always already
-// sorted and the insertion sort runs in linear time; unlike sort.SliceStable
-// it allocates nothing (no reflection-based swapper).
-func sortKidsByOrd(recs []rec, kids []uint16) {
+// load emits children in document order, so the list is almost always
+// already sorted and the insertion sort runs in linear time without
+// allocating. Siblings share every component but the last few, so the
+// components they share byte for byte are skipped before comparing.
+func (img *pageImage) sortKidsByOrd(kids []uint16) {
 	for i := 1; i < len(kids); i++ {
 		k := kids[i]
-		ord := recs[k].ord
+		ord := img.ord(&img.recs[k])
 		j := i - 1
-		for j >= 0 && ordpath.Compare(recs[kids[j]].ord, ord) > 0 {
+		for ; j >= 0; j-- {
+			prev := img.ord(&img.recs[kids[j]])
+			d, m := 0, min(len(prev), len(ord))
+			for d < m && prev[d] == ord[d] {
+				d++
+			}
+			for d > 0 && ord[d-1]&0x80 != 0 {
+				d-- // not a component boundary: the last shared byte continues
+			}
+			if d < m && prev[d]|ord[d] < 0x80 && prev[d] != ord[d] {
+				if prev[d] < ord[d] { // two one-byte components decide it
+					break
+				}
+			} else if ordpath.Compare(prev[d:], ord[d:]) <= 0 {
+				break
+			}
 			kids[j+1] = kids[j]
-			j--
 		}
 		kids[j+1] = k
 	}

@@ -636,6 +636,7 @@ func TestDecodeCorruptPage(t *testing.T) {
 	raw := make([]byte, 64)
 	slotPos := usable(64) - 2
 	raw[0] = 1        // one slot
+	raw[2] = 4        // no record bytes: free space starts after the header
 	raw[slotPos] = 60 // offset 60 > usable size 56
 	if _, err := decodePage(0, raw, 64); err == nil {
 		t.Fatal("bad slot offset accepted")

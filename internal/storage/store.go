@@ -449,7 +449,10 @@ func (c Cursor) ID() NodeID {
 	return id
 }
 
-func (c Cursor) rec() *rec { return &c.img.recs[c.slot] }
+func (c Cursor) rec() *imgRec { return &c.img.recs[c.slot] }
+
+// kids returns the live child slots of the cursor's record, sibling-ordered.
+func (c Cursor) kids() []uint16 { return c.img.kids(c.rec()) }
 
 // Valid reports whether the cursor references a node.
 func (c Cursor) Valid() bool { return c.st != nil }
@@ -476,7 +479,7 @@ func (c Cursor) Kind() xmltree.Kind {
 // Tag returns the element or attribute tag.
 func (c Cursor) Tag() xmltree.TagID {
 	if c.attr >= 0 {
-		return c.rec().attrs[c.attr].tag
+		return c.img.attrsOf(c.rec())[c.attr].tag
 	}
 	return c.rec().tag
 }
@@ -484,14 +487,14 @@ func (c Cursor) Tag() xmltree.TagID {
 // Text returns text/comment/PI content or the attribute value.
 func (c Cursor) Text() string {
 	if c.attr >= 0 {
-		return c.rec().attrs[c.attr].val
+		return c.img.val(c.img.attrsOf(c.rec())[c.attr])
 	}
-	return c.rec().text
+	return c.img.text(c.rec())
 }
 
 // OrdKey returns the document-order key of the node. Attribute nodes share
 // their element's key; border nodes return nil.
-func (c Cursor) OrdKey() ordpath.Key { return c.rec().ord }
+func (c Cursor) OrdKey() ordpath.Key { return c.img.ord(c.rec()) }
 
 // Target returns the companion NodeID of a border node (the paper's
 // target() operation). It panics on core nodes.
@@ -504,7 +507,7 @@ func (c Cursor) Target() NodeID {
 }
 
 // AttrCount returns the number of attributes on an element.
-func (c Cursor) AttrCount() int { return len(c.rec().attrs) }
+func (c Cursor) AttrCount() int { return int(c.rec().attrLen) }
 
 // StringValue computes the XPath string-value of a node: the attribute
 // value, the text content, or — for elements and documents — the
@@ -640,17 +643,14 @@ func readDictionary(disk *vdisk.Disk, start, count uint32) (*xmltree.Dictionary,
 		payload = append(payload, buf[:usable(ps)]...)
 	}
 	d := &decodeCursor{b: payload}
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, fmt.Errorf("storage: dictionary header: %w", err)
-	}
 	dict := xmltree.NewDictionary()
-	for i := uint64(0); i < n; i++ {
-		name, err := d.bytes()
-		if err != nil {
-			return nil, fmt.Errorf("storage: dictionary entry %d: %w", i, err)
+	for n := d.uvarint(); n > 0 && d.err == nil; n-- {
+		if s, e := d.span(); d.err == nil {
+			dict.Intern(string(payload[s:e]))
 		}
-		dict.Intern(string(name))
+	}
+	if d.err != nil {
+		return nil, fmt.Errorf("storage: dictionary entry %d: %w", dict.Len(), d.err)
 	}
 	return dict, nil
 }

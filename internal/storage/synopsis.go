@@ -2,7 +2,6 @@ package storage
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"pathdb/internal/vdisk"
 	"pathdb/internal/xmltree"
@@ -14,8 +13,9 @@ import (
 // cluster has outgoing downward borders. It is derived from the cluster's
 // navigation bitmaps at decode time and registered under the page's write
 // epoch, so a consumer can tell whether a summary still describes the
-// bytes its version would read. All slices alias the immutable pageNav;
-// callers must not mutate them.
+// bytes its version would read. The slices are shared with the image's
+// pageNav (small allocations of their own, so a synopsis never pins a
+// page-sized slab past eviction); callers must not mutate them.
 type PageSynopsis struct {
 	Epoch         uint64
 	Tags          []xmltree.TagID // sorted distinct record tags (NoTag bucket included)
@@ -118,7 +118,7 @@ func (t *synTable) reset() {
 
 // synopsisOf builds the registry entry from a decoded image.
 func synopsisOf(img *pageImage, epoch uint64) *PageSynopsis {
-	nav := img.nav
+	nav := &img.nav
 	return &PageSynopsis{
 		Epoch:         epoch,
 		Tags:          nav.tags,
@@ -132,19 +132,6 @@ func synopsisOf(img *pageImage, epoch uint64) *PageSynopsis {
 		Live:          int32(len(nav.byPre)),
 	}
 }
-
-// navBitmapsOff disables bitmap-batched navigation and cluster skipping,
-// forcing the per-node reference path — the lever the differential tests
-// flip to prove the two paths agree byte for byte.
-var navBitmapsOff atomic.Bool
-
-// EnableBitmapNav toggles bitmap-batched navigation (on by default). Only
-// tests should turn it off; toggling while queries run is safe but makes
-// cost accounting of in-flight queries path-dependent.
-func EnableBitmapNav(on bool) { navBitmapsOff.Store(!on) }
-
-// BitmapNavEnabled reports the current setting.
-func BitmapNavEnabled() bool { return !navBitmapsOff.Load() }
 
 // Synopsis returns the registered summary of cluster p as of this view's
 // version, or ok=false when the cluster has not been decoded at the
@@ -198,9 +185,6 @@ func (s *Store) RefreshSynopses(epoch uint64, images map[vdisk.PageID][]byte) {
 // count together prove the continuation is dead. False means "load it and
 // look", never "skip".
 func (s *Store) SkippableCluster(p vdisk.PageID, axis xpath.Axis, test xpath.NodeTest) bool {
-	if navBitmapsOff.Load() {
-		return false
-	}
 	switch axis {
 	case xpath.Child, xpath.Descendant, xpath.DescendantOrSelf:
 	default:

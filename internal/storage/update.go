@@ -117,19 +117,19 @@ func (s *Store) deleteSubtreeWith(u *updater, id NodeID) error {
 // insertionOrd computes the document-order key for the new node: strictly
 // between its logical neighbours, never relabeling anything.
 func (s *Store) insertionOrd(parent Cursor, before NodeID) (ordpath.Key, error) {
-	kids := parent.rec().children
+	kids := parent.kids()
 	if before == InvalidNodeID {
 		// Append: after the last logical child, which may live across a
 		// chain of proxies.
 		if len(kids) == 0 {
-			return parent.rec().ord.BulkChild(0), nil
+			return parent.OrdKey().BulkChild(0), nil
 		}
 		last := Cursor{st: s, img: parent.img, page: parent.page, slot: kids[len(kids)-1], attr: -1}
 		return ordpath.After(s.lastOrdUnder(last)), nil
 	}
 
 	bc := s.Swizzle(before)
-	right := bc.rec().ord
+	right := bc.OrdKey()
 	if len(right) == 0 {
 		return nil, ErrNotChild
 	}
@@ -140,7 +140,7 @@ func (s *Store) insertionOrd(parent Cursor, before NodeID) (ordpath.Key, error) 
 	if left == nil {
 		// First child: anything below parentOrd.Child(0) sorts before all
 		// existing children (generated keys never end in component 0).
-		return ordpath.Between(parent.rec().ord.Child(0), right), nil
+		return ordpath.Between(parent.OrdKey().Child(0), right), nil
 	}
 	return ordpath.Between(left, right), nil
 }
@@ -151,13 +151,13 @@ func (s *Store) insertionOrd(parent Cursor, before NodeID) (ordpath.Key, error) 
 func (s *Store) lastOrdUnder(c Cursor) ordpath.Key {
 	for c.rec().kind == RecProxyChild {
 		far := s.Swizzle(c.rec().target) // ProxyParent anchor
-		kids := far.rec().children
+		kids := far.kids()
 		if len(kids) == 0 {
-			return c.rec().ord // degenerate empty fragment
+			return c.OrdKey() // degenerate empty fragment
 		}
 		c = Cursor{st: s, img: far.img, page: far.page, slot: kids[len(kids)-1], attr: -1}
 	}
-	return c.rec().ord
+	return c.OrdKey()
 }
 
 // logicalLeftOrd finds the ord key of the node immediately preceding c in
@@ -169,7 +169,7 @@ func (s *Store) logicalLeftOrd(c Cursor) (ordpath.Key, error) {
 		if r.parent == noParent {
 			return nil, ErrNotChild
 		}
-		siblings := c.img.recs[r.parent].children
+		siblings := c.img.kids(&c.img.recs[r.parent])
 		idx := -1
 		for i, slot := range siblings {
 			if slot == c.slot {
@@ -206,7 +206,7 @@ type updater struct {
 
 type livePage struct {
 	page     vdisk.PageID
-	img      *pageImage
+	img      *recPage
 	used     int
 	reserved int // spill headroom claimed by open elements (importer protocol)
 	dirty    bool
@@ -217,31 +217,13 @@ func newUpdater(s *Store) *updater {
 	return &updater{st: s, pages: map[vdisk.PageID]*livePage{}}
 }
 
-// live returns the mutable view of page p, based on a private copy of the
-// decoded image.
+// live returns the mutable view of page p: the decoded image expanded into
+// private fat records.
 func (u *updater) live(p vdisk.PageID) *livePage {
 	if lp, ok := u.pages[p]; ok {
 		return lp
 	}
-	src := u.st.image(p)
-	cp := &pageImage{page: p, recs: append([]rec(nil), src.recs...)}
-	// Copy the child lists through one slab (they must not alias the shared
-	// immutable image). Each carved list has exact capacity, so an insert
-	// that grows it reallocates just that list.
-	nk := 0
-	for i := range cp.recs {
-		nk += len(cp.recs[i].children)
-	}
-	if nk > 0 {
-		slab := make([]uint16, 0, nk)
-		for i := range cp.recs {
-			if kids := cp.recs[i].children; len(kids) > 0 {
-				o := len(slab)
-				slab = append(slab, kids...)
-				cp.recs[i].children = slab[o:len(slab):len(slab)]
-			}
-		}
-	}
+	cp := u.st.image(p).expand()
 	lp := &livePage{page: p, img: cp, used: pageUsage(cp)}
 	u.pages[p] = lp
 	return lp
@@ -252,7 +234,7 @@ func (u *updater) freshPage() *livePage {
 	p := u.st.disk.Alloc()
 	lp := &livePage{
 		page:  p,
-		img:   &pageImage{page: p},
+		img:   &recPage{page: p},
 		used:  pageHeaderSize,
 		dirty: true,
 		isNew: true,
@@ -478,7 +460,7 @@ func (u *updater) makeRoom(lp *livePage, need int, avoid uint16) bool {
 // localSubtree collects the slots of the page-local subtree rooted at
 // slot, in preorder, plus its total record bytes. ok is false when the
 // subtree contains the avoid slot (pass deadSlotOff for "no avoid").
-func localSubtree(img *pageImage, slot, avoid uint16) (members []uint16, bytes int, ok bool) {
+func localSubtree(img *recPage, slot, avoid uint16) (members []uint16, bytes int, ok bool) {
 	stack := []uint16{slot}
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]

@@ -12,7 +12,7 @@ import (
 // saturate inserts children under parent until the count is reached,
 // forcing every overflow mechanism (dedicated proxies, sibling spills,
 // subtree relocation, child-list tail splits).
-func saturate(t *testing.T, st *Store, dict *xmltree.Dictionary, parent NodeID, n int) {
+func saturate(t testing.TB, st *Store, dict *xmltree.Dictionary, parent NodeID, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		e := xmltree.NewElement(dict.Intern("ins"))

@@ -755,8 +755,8 @@ type Node struct {
 	// ord is the document-order key XStep captured while the node's
 	// cluster was in hand (core.Result.Ord), kept so that OrdKey, OrdPath
 	// and CompareDocOrder need no swizzle. Like Result.Ord it aliases the
-	// decoded page image's ord slab — no copy is made, and a retained Node
-	// keeps that slab reachable. Empty on handles that never passed through
+	// decoded page image's copy of the page bytes — no further copy is made,
+	// and a retained Node keeps that copy reachable. Empty on handles that never passed through
 	// an operator (Tx.InsertXML results), which swizzle on demand.
 	ord ordpath.Key
 }
