@@ -11,11 +11,11 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-detect the concurrent layers (engine, server, storage, core,
-# buffer, vdisk, stats) plus the facade, which exercises the engine end
-# to end.
+# Race-detect the concurrent layers (engine, server, storage, core, plan —
+# the chooser reads the pool's fill while workers fix pages — buffer, vdisk,
+# stats) plus the facade, which exercises the engine end to end.
 race:
-	$(GO) test -race ./internal/engine/... ./internal/server/... ./internal/storage/... ./internal/core/... ./internal/buffer/... ./internal/vdisk/... ./internal/stats/... .
+	$(GO) test -race ./internal/engine/... ./internal/server/... ./internal/storage/... ./internal/core/... ./internal/plan/... ./internal/buffer/... ./internal/vdisk/... ./internal/stats/... .
 
 # Go micro-benchmarks with allocation counts (wall-clock; machine
 # dependent, unlike the virtual-clock numbers from xbench).

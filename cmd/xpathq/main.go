@@ -93,12 +93,18 @@ func main() {
 		if qerr != nil {
 			fail("%v", qerr)
 		}
+		// The decision depends on what the pool holds. The run below starts
+		// cold, and the first consultation of the cost model walks the
+		// document for its statistics: flush after it, so the decision and
+		// the plan printed are the ones the run will get.
+		q.Choice()
+		db.ResetStats()
 		if *explain {
 			c := q.Choice()
 			fmt.Println("cost model:", q.Explain())
 			fmt.Printf("  chosen:   %s\n", c.Strategy)
-			fmt.Printf("  coverage: %.1f%% (~%d of %d pages touched)\n",
-				100*c.Coverage, c.PagesTouched, db.Pages())
+			fmt.Printf("  coverage: %.1f%% (~%d of %d pages touched), resident %.0f %%\n",
+				100*c.Coverage, c.PagesTouched, db.Pages(), 100*c.Residency)
 			fmt.Printf("  estimate: xschedule=%v xscan=%v simple=%v\n",
 				c.ScheduleCost, c.ScanCost, c.SimpleCost)
 			for _, p := range c.Preds {

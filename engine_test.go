@@ -2,6 +2,8 @@ package pathdb
 
 import (
 	"context"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -117,5 +119,83 @@ func TestEngineRelativePathRejected(t *testing.T) {
 	defer eng.Close()
 	if _, err := eng.NewSession().Do(context.Background(), "regions//item", QueryOptions{}); err == nil {
 		t.Fatal("relative path accepted")
+	}
+}
+
+// TestEngineAutoFollowsResidency: on a resident volume Auto runs the plan
+// with the least bookkeeping, Simple, and it returns what every forced
+// strategy returns — unsorted, sorted and under a limit; once the pool is
+// flushed the same session is back to the paper's cold-disk picks.
+func TestEngineAutoFollowsResidency(t *testing.T) {
+	db := engineFixture(t)
+	eng := db.NewEngine(EngineConfig{}) // the statistics pass leaves the volume resident
+	defer eng.Close()
+	s := eng.NewSession()
+	ctx := context.Background()
+	ids := func(res ExecResult) []string {
+		out := make([]string, len(res.Nodes))
+		for i, n := range res.Nodes {
+			out[i] = n.id.String()
+		}
+		return out
+	}
+	const limit = 7
+	for _, path := range []string{"/site//description", "/site/regions//item", "/site//item[mailbox/mail//keyword]"} {
+		full := map[string]bool{}
+		for _, opts := range []QueryOptions{{}, {Sorted: true}, {Limit: limit}, {Sorted: true, Limit: limit}} {
+			auto, err := s.Do(ctx, path, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if auto.Strategy != Simple || auto.Choice == nil || auto.Choice.Strategy != Simple || auto.Choice.Residency != 1 {
+				t.Fatalf("%s %+v: warm Auto ran %v, choice %+v", path, opts, auto.Strategy, auto.Choice)
+			}
+			got := ids(auto)
+			if opts.Limit == 0 && !opts.Sorted {
+				for _, id := range got {
+					full[id] = true
+				}
+			}
+			for _, forced := range []Strategy{Simple, Schedule, Scan} {
+				o := opts
+				o.Strategy = forced
+				res, err := s.Do(ctx, path, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := ids(res)
+				if len(got) != len(want) {
+					t.Fatalf("%s %+v: Auto returned %d nodes, %v %d", path, opts, len(got), forced, len(want))
+				}
+				if !opts.Sorted {
+					// Delivery order is the plan's own; under a limit so is
+					// the selection. Compare as sets against the full result.
+					if opts.Limit > 0 {
+						for _, id := range append(got, want...) {
+							if !full[id] {
+								t.Fatalf("%s %+v: node %s is not in the full result", path, opts, id)
+							}
+						}
+						continue
+					}
+					sort.Strings(got)
+					sort.Strings(want)
+				}
+				if strings.Join(got, " ") != strings.Join(want, " ") {
+					t.Fatalf("%s %+v: Auto and %v disagree", path, opts, forced)
+				}
+			}
+		}
+	}
+
+	for path, want := range map[string]Strategy{"/site//description": Scan, "/site/people/person/name": Schedule} {
+		db.ResetStats()
+		res, err := s.Do(ctx, path, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Strategy != want || res.Choice.Residency != 0 {
+			t.Fatalf("%s on a flushed pool: ran %v, want %v (choice %+v)", path, res.Strategy, want, res.Choice)
+		}
 	}
 }

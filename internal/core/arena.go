@@ -3,14 +3,16 @@ package core
 import (
 	"sync"
 
+	"pathdb/internal/storage"
 	"pathdb/internal/vdisk"
 )
 
 // Arena pools the per-query evaluation scratch of one plan's operators:
-// XAssembly's R and S structures, XSchedule's cluster queue and visited
-// set, XScan's pending buffer, and a freelist of instance slices used as
-// map values. A steady-state query evaluated with a warm arena allocates
-// O(results) instead of rebuilding every structure.
+// XAssembly's R and S structures, Distinct's seen set, XSchedule's cluster
+// queue and visited set, XScan's pending buffer, XStep's navigation stacks,
+// and a freelist of instance slices used as map values. A steady-state
+// query evaluated with a warm arena allocates O(results) instead of
+// rebuilding every structure.
 //
 // An arena serves one running plan at a time — operators borrow structures
 // at Open and return them at Close, and nothing inside is synchronized.
@@ -20,12 +22,14 @@ import (
 type Arena struct {
 	r       map[End]bool
 	s       map[End][]Instance
+	seen    map[storage.NodeID]bool
 	q       map[vdisk.PageID][]Instance
 	visited map[vdisk.PageID]bool
 	ready   []Instance
 	spec    []Instance
 	pending []Instance
 	free    [][]Instance
+	iters   [][]*storage.StepIter
 }
 
 // NewArena returns an empty arena. Structures are created lazily by the
@@ -62,6 +66,26 @@ func (a *Arena) putEndSet(m map[End]bool) {
 	clear(m)
 	if a.r == nil {
 		a.r = m
+	}
+}
+
+// takeNodeSet borrows Distinct's seen set.
+func (a *Arena) takeNodeSet() map[storage.NodeID]bool {
+	if a != nil && a.seen != nil {
+		m := a.seen
+		a.seen = nil
+		return m
+	}
+	return make(map[storage.NodeID]bool)
+}
+
+func (a *Arena) putNodeSet(m map[storage.NodeID]bool) {
+	if a == nil || m == nil {
+		return
+	}
+	clear(m)
+	if a.seen == nil {
+		a.seen = m
 	}
 }
 
@@ -199,5 +223,26 @@ func (a *Arena) takeInsts() []Instance {
 func (a *Arena) putInsts(s []Instance) {
 	if a != nil && cap(s) > 0 {
 		a.free = append(a.free, s[:0])
+	}
+}
+
+// takeIters returns an empty XStep navigation stack with retained capacity
+// (nil when none is pooled — append grows it as usual).
+func (a *Arena) takeIters() []*storage.StepIter {
+	if a == nil {
+		return nil
+	}
+	if n := len(a.iters); n > 0 {
+		s := a.iters[n-1]
+		a.iters = a.iters[:n-1]
+		return s
+	}
+	return nil
+}
+
+// putIters recycles a navigation stack's backing array.
+func (a *Arena) putIters(s []*storage.StepIter) {
+	if a != nil && cap(s) > 0 {
+		a.iters = append(a.iters, s[:0])
 	}
 }

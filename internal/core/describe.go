@@ -42,7 +42,7 @@ func describeOp(b *strings.Builder, op Operator, dict *xmltree.Dictionary, depth
 		fmt.Fprintf(b, "%sXAssembly(|π|=%d, feedback→%s%s)\n", indent, o.pathLen, feedback, extra)
 		describeOp(b, o.input, dict, depth+1)
 	case *PredFilter:
-		fmt.Fprintf(b, "%sPredFilter(step %d, %d predicates)\n", indent, o.i, len(o.preds))
+		fmt.Fprintf(b, "%sPredFilter(step %d, %d predicates)\n", indent, o.i, len(o.probes.preds))
 		describeOp(b, o.input, dict, depth+1)
 	case *XJoin:
 		fmt.Fprintf(b, "%sXJoin(step %d, %d predicates, structural semi-join)\n", indent, o.i, len(o.preds))

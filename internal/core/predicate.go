@@ -22,16 +22,16 @@ import (
 // speculative seeds — flow unchanged; each of their eventual extensions
 // re-enters the chain below and is filtered here once it reaches step i.
 type PredFilter struct {
-	es    *EvalState
-	input Operator
-	i     int
-	preds []xpath.Predicate
+	es     *EvalState
+	input  Operator
+	i      int
+	probes predProbes
 }
 
 // NewPredFilter builds the filter for step i (whose predicates it reads
 // from the shared state's path).
 func NewPredFilter(es *EvalState, input Operator, i int) *PredFilter {
-	return &PredFilter{es: es, input: input, i: i, preds: es.Path[i-1].Predicates}
+	return &PredFilter{es: es, input: input, i: i, probes: predProbes{es: es, preds: es.Path[i-1].Predicates}}
 }
 
 // Open opens the producer.
@@ -52,78 +52,94 @@ func (f *PredFilter) Next() (Instance, bool) {
 			return in, true
 		}
 		f.es.chargeTuple()
-		if f.matches(in.NR) {
+		if f.probes.matches(in.NR) {
 			return in, true
 		}
 	}
 }
 
-// matches evaluates every predicate of the step on the candidate node.
-func (f *PredFilter) matches(ctx storage.NodeID) bool {
-	return evalPredicates(f.es, ctx, f.preds)
+// predProbes is the shared per-candidate evaluator of one step's
+// predicates. PredFilter uses it on every step-i candidate; XJoin uses it
+// for nested predicates on branch steps and in its degraded mode. The
+// sub-plans are compiled on the first candidate and re-run for every
+// later one.
+type predProbes struct {
+	es     *EvalState
+	preds  []xpath.Predicate
+	probes [][]*probe // by predicate, by union branch
 }
 
-// evalPredicates is the shared per-candidate probe: it reports whether the
-// node passes every predicate in preds. PredFilter uses it on every
-// step-i candidate; XJoin uses it for non-joinable union branches, for
-// nested predicates on branch steps, and in its degraded mode.
-func evalPredicates(es *EvalState, ctx storage.NodeID, preds []xpath.Predicate) bool {
-	for _, p := range preds {
-		if !evalPredicate(es, ctx, p) {
+// matches reports whether the node passes every predicate: for each, some
+// union branch must match (early exit on the first).
+func (pp *predProbes) matches(ctx storage.NodeID) bool {
+	if pp.probes == nil {
+		pp.probes = make([][]*probe, len(pp.preds))
+		for k, p := range pp.preds {
+			for _, branch := range p.Paths {
+				pp.probes[k] = append(pp.probes[k], newProbe(pp.es, branch, p))
+			}
+		}
+	}
+	for _, branches := range pp.probes {
+		hit := false
+		for _, pr := range branches {
+			if pr.run(ctx) {
+				hit = true
+				break
+			}
+		}
+		if !hit {
 			return false
 		}
 	}
 	return true
 }
 
-// evalPredicate runs each nested union branch from ctx with a Simple
-// sub-plan, early-exiting on the first (matching) result.
-func evalPredicate(es *EvalState, ctx storage.NodeID, p xpath.Predicate) bool {
-	for _, branch := range p.Paths {
-		if evalBranchProbe(es, ctx, branch, p) {
-			return true
-		}
-	}
-	return false
+// probe is one union branch of predicate p compiled into a Simple sub-plan
+// (an Unnest-Map chain) over a one-element context array. It is built once
+// per evaluation state and branch; every operator resets in Open, so a
+// candidate costs storing its id, Open, pull, Close.
+type probe struct {
+	sub     *EvalState
+	ctx     [1]storage.NodeID
+	root    Operator
+	hasLit  bool // the predicate compares: [branch = "literal"]
+	literal string
 }
 
-func evalBranchProbe(es *EvalState, ctx storage.NodeID, branch *xpath.Path, p xpath.Predicate) bool {
+func newProbe(es *EvalState, branch *xpath.Path, p xpath.Predicate) *probe {
 	steps := branch.Simplify().Steps
-	sub := NewEvalState(es.Store, steps)
+	pr := &probe{sub: NewEvalState(es.Store, steps), hasLit: p.HasLit, literal: p.Literal}
 	// The probe inherits the outer query's cancellation (but never its
 	// arena: exactly one running plan may borrow an arena at a time).
-	sub.Ctx = es.Ctx
-	var op Operator = NewContextOp(sub, []storage.NodeID{ctx})
+	pr.sub.Ctx = es.Ctx
+	var op Operator = NewContextOp(pr.sub, pr.ctx[:])
 	for i := 1; i <= len(steps); i++ {
-		xs := NewXStep(sub, op, i)
+		xs := NewXStep(pr.sub, op, i)
 		xs.CrossBorders = true
 		op = xs
 		if len(steps[i-1].Predicates) > 0 {
-			op = NewPredFilter(sub, op, i) // nested predicates recurse
+			op = NewPredFilter(pr.sub, op, i) // nested predicates recurse
 		}
 	}
-	op.Open()
-	defer op.Close()
+	pr.root = op
+	return pr
+}
+
+// run evaluates the branch from ctx, early-exiting on the first result —
+// or, when the predicate compares, on the first result whose string value
+// equals the literal.
+func (pr *probe) run(ctx storage.NodeID) bool {
+	pr.ctx[0] = ctx
+	pr.root.Open()
+	defer pr.root.Close()
 	for {
-		out, ok := op.Next()
+		out, ok := pr.root.Next()
 		if !ok {
 			return false
 		}
-		if !p.HasLit {
-			return true
-		}
-		if es.Store.StringValue(out.NR) == p.Literal {
+		if !pr.hasLit || pr.sub.Store.StringValue(out.NR) == pr.literal {
 			return true
 		}
 	}
-}
-
-// hasPredicates reports whether any step of the path carries predicates.
-func hasPredicates(path []xpath.Step) bool {
-	for _, s := range path {
-		if len(s.Predicates) > 0 {
-			return true
-		}
-	}
-	return false
 }

@@ -21,15 +21,17 @@ func NewDistinct(es *EvalState, input Operator) *Distinct {
 	return &Distinct{es: es, input: input}
 }
 
-// Open opens the producer and resets the seen set.
+// Open opens the producer and resets the seen set (borrowed from the arena
+// when the plan has one).
 func (d *Distinct) Open() {
 	d.input.Open()
-	d.seen = make(map[storage.NodeID]bool)
+	d.seen = d.es.Arena.takeNodeSet()
 }
 
-// Close releases the seen set.
+// Close returns the seen set to the arena.
 func (d *Distinct) Close() {
 	d.input.Close()
+	d.es.Arena.putNodeSet(d.seen)
 	d.seen = nil
 }
 

@@ -49,6 +49,10 @@ type XJoin struct {
 	i     int
 	preds []xpath.Predicate
 
+	// probes evaluates the predicates one candidate at a time — the exact
+	// PredFilter behaviour — in degraded and fallback mode.
+	probes predProbes
+
 	compiled []joinPred // lazily built on first flush, reused across rounds
 	buf      []Instance // right-complete step-i candidates awaiting the join
 	out      []Instance // survivors of the last flush
@@ -63,7 +67,8 @@ type XJoin struct {
 // NewXJoin builds the structural-join filter for step i (whose predicates
 // it reads from the shared state's path).
 func NewXJoin(es *EvalState, input Operator, i int) *XJoin {
-	return &XJoin{es: es, input: input, i: i, preds: es.Path[i-1].Predicates}
+	preds := es.Path[i-1].Predicates
+	return &XJoin{es: es, input: input, i: i, preds: preds, probes: predProbes{es: es, preds: preds}}
 }
 
 // Open opens the producer.
@@ -107,7 +112,7 @@ func (j *XJoin) Next() (Instance, bool) {
 		}
 		j.es.chargeTuple()
 		if j.degraded || j.es.Fallback() {
-			if evalPredicates(j.es, in.NR, j.preds) {
+			if j.probes.matches(in.NR) {
 				return in, true
 			}
 			continue
@@ -130,7 +135,7 @@ func (j *XJoin) Next() (Instance, bool) {
 func (j *XJoin) degrade() {
 	j.degraded = true
 	for _, in := range j.buf {
-		if evalPredicates(j.es, in.NR, j.preds) {
+		if j.probes.matches(in.NR) {
 			j.out = append(j.out, in)
 		}
 	}
@@ -203,8 +208,8 @@ func (j *XJoin) flush() {
 			if !hit && keep[idx] {
 				// Existential union: only candidates no joinable branch
 				// accepted pay a per-candidate probe on the leftovers.
-				for _, branch := range jp.fallback {
-					if evalBranchProbe(j.es, cands[idx].NR, branch, jp.pred) {
+				for _, pr := range jp.fallback {
+					if pr.run(cands[idx].NR) {
 						hit = true
 						break
 					}
@@ -234,10 +239,9 @@ const (
 // joinPred is one compiled predicate: the joinable union branches with
 // their filter sets, plus the branches that need per-candidate probes.
 type joinPred struct {
-	pred     xpath.Predicate
 	always   bool // a trivially true branch ([.]) accepts everything
 	branches []joinBranch
-	fallback []*xpath.Path
+	fallback []*probe
 }
 
 // joinBranch is one joinable union branch reduced to a filter set: the
@@ -260,11 +264,11 @@ func compileJoinPreds(es *EvalState, preds []xpath.Predicate) []joinPred {
 	dcache, epoch, cacheable := es.Store.Derived()
 	out := make([]joinPred, 0, len(preds))
 	for _, p := range preds {
-		jp := joinPred{pred: p}
+		var jp joinPred
 		for _, branch := range p.Paths {
 			steps := joinableSteps(branch)
 			if steps == nil {
-				jp.fallback = append(jp.fallback, branch)
+				jp.fallback = append(jp.fallback, newProbe(es, branch, p))
 				continue
 			}
 			if len(steps) == 0 {
@@ -272,7 +276,7 @@ func compileJoinPreds(es *EvalState, preds []xpath.Predicate) []joinPred {
 				// [.="lit"] compares the candidate's own string value —
 				// per-candidate by nature.
 				if p.HasLit {
-					jp.fallback = append(jp.fallback, branch)
+					jp.fallback = append(jp.fallback, newProbe(es, branch, p))
 				} else {
 					jp.always = true
 				}
@@ -429,21 +433,19 @@ func relOf(a xpath.Axis) relKind {
 // remaining steps, bottom-up as described on XJoin.
 func branchFilterSet(es *EvalState, steps []xpath.Step, p xpath.Predicate) []ordpath.Key {
 	m := len(steps)
+	nested := predProbes{es: es, preds: steps[m-1].Predicates}
 	set := levelNodes(es, steps[m-1], func(r Result) bool {
 		if p.HasLit && es.Store.StringValue(r.Node) != p.Literal {
 			return false
 		}
-		return len(steps[m-1].Predicates) == 0 ||
-			evalPredicates(es, r.Node, steps[m-1].Predicates)
+		return nested.matches(r.Node)
 	})
 	for lvl := m - 2; lvl >= 0; lvl-- {
 		if len(set) == 0 {
 			return nil
 		}
-		djs := levelNodes(es, steps[lvl], func(r Result) bool {
-			return len(steps[lvl].Predicates) == 0 ||
-				evalPredicates(es, r.Node, steps[lvl].Predicates)
-		})
+		nested := predProbes{es: es, preds: steps[lvl].Predicates}
+		djs := levelNodes(es, steps[lvl], func(r Result) bool { return nested.matches(r.Node) })
 		mark := make([]bool, len(djs))
 		semiJoinMark(djs, set, relOf(steps[lvl+1].Axis), mark)
 		es.chargeSetOp(len(djs))

@@ -25,8 +25,12 @@ type XStep struct {
 	// CrossBorders makes the operator a full Unnest-Map.
 	CrossBorders bool
 
-	base  Instance            // input instance currently being extended
-	iters []*storage.StepIter // navigation stack; >1 only when crossing
+	base Instance // input instance currently being extended
+
+	// iters is the navigation stack: one iterator per border crossed on the
+	// way down, so a subtree chained over many clusters nests deeply. The
+	// backing array is borrowed from the arena when the plan has one.
+	iters []*storage.StepIter
 }
 
 // NewXStep builds XStepᵢ for location step es.Path[i-1] reading from input.
@@ -38,12 +42,21 @@ func NewXStep(es *EvalState, input Operator, i int) *XStep {
 func (x *XStep) Open() {
 	x.input.Open()
 	x.releaseIters()
+	if cap(x.iters) == 0 {
+		x.iters = x.es.Arena.takeIters()
+	}
 }
 
 // Close closes the producer, returning any live iterators to the pool
-// (early close: K-limit reached or the query cancelled mid-navigation).
+// (early close: K-limit reached or the query cancelled mid-navigation) and
+// the stack to the arena. Without an arena the operator keeps its stack: a
+// compiled predicate probe is re-opened for every candidate.
 func (x *XStep) Close() {
 	x.releaseIters()
+	if x.es.Arena != nil {
+		x.es.Arena.putIters(x.iters)
+		x.iters = nil
+	}
 	x.input.Close()
 }
 

@@ -1,21 +1,27 @@
-// Package plan implements the cost-based choice between the two
-// I/O-performing operators — the open problem the paper names in its
-// outlook (Sec. 7): "Further research is needed to create a cost model to
-// support the choice of the I/O-performing operator."
+// Package plan implements the cost-based choice between the physical plans
+// of a location path — the open problem the paper names in its outlook
+// (Sec. 7): "Further research is needed to create a cost model to support
+// the choice of the I/O-performing operator."
 //
-// The model is deliberately simple and uses only statistics a storage
-// engine maintains anyway (per-tag record and cluster counts):
+// The model is deliberately simple and uses only what a storage engine
+// knows anyway: per-tag record and cluster counts, and how much of the
+// volume the buffer pool holds right now.
 //
 //   - an XSchedule plan touches roughly the clusters that contain nodes
 //     matching any of the path's node tests, paying a reordered random
-//     access each;
+//     access for each one that misses the pool;
+//   - a Simple plan touches the same clusters in encounter order, paying an
+//     unreordered random access per miss but none of the scheduler's
+//     bookkeeping;
 //   - an XScan plan touches every cluster once, paying a sequential
-//     transfer each, plus the CPU for speculative instances on every
+//     transfer per miss, plus the CPU for speculative instances on every
 //     border node and step.
 //
-// The crossover therefore depends on the path's physical coverage — the
-// same effect the paper measures: Q7 (high coverage) wants the scan, Q15
-// (low coverage) wants the scheduler, Q6' sits near the break-even point.
+// On a cold pool the crossover depends on the path's physical coverage —
+// the effect the paper measures: Q7 (high coverage) wants the scan, Q15
+// (low coverage) wants the scheduler, Q6' sits near the break-even point,
+// and Simple never wins. On a resident volume nothing is left to reorder
+// and the plan with the least bookkeeping, Simple, is the cheapest.
 package plan
 
 import (
@@ -56,6 +62,11 @@ type Choice struct {
 	Simple   Estimate
 	Coverage float64 // fraction of clusters the path is estimated to touch
 
+	// Residency is the share of the volume's data pages the buffer pool
+	// held when the choice was made; every I/O term was priced at the
+	// complementary miss share.
+	Residency float64
+
 	// PredEval is the chosen predicate evaluator (PredNested when the
 	// path carries no predicates); Preds holds the per-step cost detail.
 	PredEval core.PredEval
@@ -64,8 +75,8 @@ type Choice struct {
 
 // String renders the decision for logs and the xpathq tool.
 func (c Choice) String() string {
-	s := fmt.Sprintf("choose %v (coverage %.0f%%: schedule %v, scan %v, simple %v)",
-		c.Strategy, 100*c.Coverage, c.Schedule.Cost, c.Scan.Cost, c.Simple.Cost)
+	s := fmt.Sprintf("choose %v (coverage %.0f%%, resident %.0f %%: schedule %v, scan %v, simple %v)",
+		c.Strategy, 100*c.Coverage, 100*c.Residency, c.Schedule.Cost, c.Scan.Cost, c.Simple.Cost)
 	for _, p := range c.Preds {
 		s += fmt.Sprintf("; step %d preds → %v (C=%d: nested %v, join %v",
 			p.Step, c.PredEval, p.Candidates, p.Nested, p.Join)
@@ -181,8 +192,9 @@ func (c *Chooser) Epoch() uint64 {
 	return c.epoch
 }
 
-// Choose picks the cheaper I/O-performing operator for the path and
-// returns the full cost breakdown.
+// Choose prices the three physical plans for the path against the current
+// state of the buffer pool, picks the cheapest, and returns the full cost
+// breakdown.
 func (c *Chooser) Choose(path []xpath.Step) Choice {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -196,26 +208,49 @@ func (c *Chooser) Choose(path []xpath.Step) Choice {
 	coverage := float64(touched) / float64(n)
 	span := int64(n)
 
-	// CPU per visited page: decoding into the swizzled image (one node
-	// visit per record) plus navigating the records once. The measured
-	// average from the cluster synopses replaces the loader's nominal
-	// ≈330 records per 8 KiB page once statistics exist.
+	// The expected share of page accesses that reach the device: one global
+	// ratio, read when the choice is made. Which pages are resident is not
+	// asked — that would cost a pool probe per touched page per choice.
+	// Frames of superseded versions count too, hence the clamp. An empty
+	// pool gives miss = 1, which leaves every term below as the paper's
+	// cold-disk model prices it, to the tick.
+	residency := float64(c.store.Buffer().Len()) / float64(n)
+	if residency > 1 {
+		residency = 1
+	}
+	miss := 1 - residency
+	onMiss := func(t stats.Ticks) stats.Ticks { return stats.Ticks(miss * float64(t)) }
+
+	// CPU per visited page: navigating the records once, plus — when the
+	// page has to be read — decoding it into the swizzled image (one node
+	// visit per record each). The measured average from the cluster
+	// synopses replaces the loader's nominal ≈330 records per 8 KiB page
+	// once statistics exist.
 	recsPerPage := stats.Ticks(330)
 	if avg := c.live / int64(n); avg > 0 {
 		recsPerPage = stats.Ticks(avg)
 	}
-	pageCPU := 2 * recsPerPage * m.CPUNodeVisit
+	navCPU := recsPerPage * m.CPUNodeVisit
+	pageCPU := navCPU + onMiss(navCPU)
 
 	// XSchedule: one reordered random access per touched cluster. The
 	// asynchronous queue lets the device choose among roughly
 	// queueDepth pending requests, dividing the average travel distance.
+	// Every instance that goes through the queue — the context, then one
+	// per border crossing (an inter-cluster edge is two border records) —
+	// is enqueued, dequeued, passed along the whole XStep chain and entered
+	// in R. While requests are outstanding that work overlaps with the
+	// device; only the resident share is exposed.
 	const queueDepth = 32
-	reordered := m.SeekCost(span/queueDepth) + m.Transfer
-	scheduleCost := stats.Ticks(touched) * (reordered + pageCPU)
+	reordered := onMiss(m.SeekCost(span/queueDepth) + m.Transfer)
+	queued := int64(c.ds.Borders)*int64(touched)/(2*int64(n)) + 1
+	perQueued := stats.Ticks(len(path)+2)*m.CPUTupleMove + 3*m.CPUSetOp
+	exposed := stats.Ticks(residency * float64(stats.Ticks(queued)*perQueued))
+	scheduleCost := stats.Ticks(touched)*(reordered+pageCPU) + exposed
 
 	// Simple: the same clusters, but accessed in encounter order with no
 	// overlap; average travel is a third of the span.
-	random := m.SeekCost(span/3) + m.Transfer
+	random := onMiss(m.SeekCost(span/3) + m.Transfer)
 	simpleCost := stats.Ticks(touched) * (random + pageCPU)
 
 	// XScan: every cluster once, sequentially, plus speculative work per
@@ -223,35 +258,36 @@ func (c *Chooser) Choose(path []xpath.Step) Choice {
 	// of) the XStep chain and touches the R/S structures.
 	perSpec := stats.Ticks(len(path))*m.CPUTupleMove/2 + 2*m.CPUNodeVisit + 2*m.CPUSetOp
 	specCount := int64(c.ds.Borders) * int64(len(path))
-	scanCost := stats.Ticks(n)*(m.Transfer+pageCPU) + stats.Ticks(specCount)*perSpec
+	scanCost := stats.Ticks(n)*(onMiss(m.Transfer)+pageCPU) + stats.Ticks(specCount)*perSpec
 
 	choice := Choice{
-		Coverage: coverage,
-		Schedule: Estimate{Strategy: core.StrategySchedule, PagesTouched: touched, Cost: scheduleCost},
-		Scan:     Estimate{Strategy: core.StrategyScan, PagesTouched: n, Cost: scanCost},
-		Simple:   Estimate{Strategy: core.StrategySimple, PagesTouched: touched, Cost: simpleCost},
+		Coverage:  coverage,
+		Residency: residency,
+		Schedule:  Estimate{Strategy: core.StrategySchedule, PagesTouched: touched, Cost: scheduleCost},
+		Scan:      Estimate{Strategy: core.StrategyScan, PagesTouched: n, Cost: scanCost},
+		Simple:    Estimate{Strategy: core.StrategySimple, PagesTouched: touched, Cost: simpleCost},
 	}
-	// The paper's finding: XSchedule always dominates Simple, so the real
-	// decision is schedule vs. scan.
-	if scanCost < scheduleCost {
-		choice.Strategy = core.StrategyScan
-	} else {
-		choice.Strategy = core.StrategySchedule
+	best := choice.Schedule
+	for _, e := range [...]Estimate{choice.Scan, choice.Simple} {
+		if e.Cost < best.Cost {
+			best = e
+		}
 	}
-	choice.PredEval, choice.Preds = c.predChoices(path, m)
+	choice.Strategy = best.Strategy
+	choice.PredEval, choice.Preds = c.predChoices(path, m, miss)
 	return choice
 }
 
 // predChoices costs the two predicate evaluators for every
 // predicate-bearing step of the path. Nested (PredFilter) pays one probe
 // sub-plan per candidate per branch, with border crossings turning into
-// random reads; the structural join (XJoin) pays one bitmap-assisted
-// whole-document enumeration per branch level plus doc-order semi-join
-// merges, amortised over the whole candidate batch. The evaluator is a
+// random reads at the pool's miss share; the structural join (XJoin) pays
+// one bitmap-assisted whole-document enumeration per branch level plus
+// doc-order semi-join merges, amortised over the whole candidate batch. The evaluator is a
 // plan-wide setting, so the decision sums over all predicate steps, with
 // non-joinable steps costed as nested on both sides (XJoin degenerates to
 // per-candidate probes for them). Caller holds c.mu.
-func (c *Chooser) predChoices(path []xpath.Step, m vdisk.CostModel) (core.PredEval, []PredEstimate) {
+func (c *Chooser) predChoices(path []xpath.Step, m vdisk.CostModel, miss float64) (core.PredEval, []PredEstimate) {
 	var elems int64
 	for _, ts := range c.ds.Tags {
 		elems += ts.Count
@@ -267,7 +303,7 @@ func (c *Chooser) predChoices(path []xpath.Step, m vdisk.CostModel) (core.PredEv
 		fanout = 2
 	}
 	crossRate := float64(c.ds.Borders) / live // chance one probe hop leaves the cluster
-	random := float64(m.SeekCost(int64(max64(int64(c.ds.Pages), 1))/3) + m.Transfer)
+	random := miss * float64(m.SeekCost(int64(max64(int64(c.ds.Pages), 1))/3)+m.Transfer)
 
 	var out []PredEstimate
 	var totalNested, totalJoin float64

@@ -28,9 +28,18 @@ func xmarkStore(t testing.TB, sf float64) (*xmltree.Dictionary, *storage.Store) 
 	return dict, st
 }
 
+// coldChooser returns a chooser over an empty pool — the paper's setting.
+// The statistics walk leaves every cluster resident, so a test of the
+// paper's cold decisions flushes before it chooses.
+func coldChooser(st *storage.Store) *Chooser {
+	ch := NewChooser(st)
+	st.ResetForRun()
+	return ch
+}
+
 func TestChooserPicksScanForLowSelectivity(t *testing.T) {
 	dict, st := xmarkStore(t, 1)
-	ch := NewChooser(st)
+	ch := coldChooser(st)
 	// Q7-style: //description touches most of the document.
 	path := xpath.MustParse(dict, "/site//description").Simplify().Steps
 	choice := ch.Choose(path)
@@ -44,7 +53,7 @@ func TestChooserPicksScanForLowSelectivity(t *testing.T) {
 
 func TestChooserPicksScheduleForHighSelectivity(t *testing.T) {
 	dict, st := xmarkStore(t, 1)
-	ch := NewChooser(st)
+	ch := coldChooser(st)
 	// Q15-style: a long selective child path.
 	path := xpath.MustParse(dict,
 		"/site/closed_auctions/closed_auction/annotation/description/parlist/listitem/parlist/listitem/text/emph/keyword").Steps
@@ -56,7 +65,7 @@ func TestChooserPicksScheduleForHighSelectivity(t *testing.T) {
 
 func TestChooserScheduleNeverWorseThanSimpleEstimate(t *testing.T) {
 	dict, st := xmarkStore(t, 0.5)
-	ch := NewChooser(st)
+	ch := coldChooser(st)
 	for _, src := range []string{"/site//item", "//keyword", "/site/people/person/emailaddress"} {
 		path := xpath.MustParse(dict, src).Simplify().Steps
 		choice := ch.Choose(path)
@@ -79,6 +88,7 @@ func TestChooserDecisionMatchesMeasurement(t *testing.T) {
 	}
 	for _, src := range queries {
 		path := xpath.MustParse(dict, src).Simplify().Steps
+		st.ResetForRun() // the runs below start cold; so must the choice
 		choice := ch.Choose(path)
 
 		measure := func(s core.Strategy) stats.Ticks {
@@ -240,7 +250,7 @@ func TestChooserRefreshMatchesFreshWalk(t *testing.T) {
 // evaluator must be no slower than the rejected one on simulated cost.
 func TestChooserPredEval(t *testing.T) {
 	dict, st := xmarkStore(t, 1)
-	ch := NewChooser(st)
+	ch := coldChooser(st)
 
 	joinSrc := "//text[keyword]"
 	choice := ch.Choose(xpath.MustParse(dict, joinSrc).Simplify().Steps)
@@ -280,6 +290,7 @@ func TestChooserPredEvalMatchesMeasurement(t *testing.T) {
 		"//open_auction[bidder/increase]",
 	} {
 		path := xpath.MustParse(dict, src).Simplify().Steps
+		st.ResetForRun() // the runs below start cold; so must the choice
 		choice := ch.Choose(path)
 
 		measure := func(pe core.PredEval) stats.Ticks {

@@ -243,6 +243,7 @@ type QueryResponse struct {
 type ChoiceJSON struct {
 	ChosenStrategy string  `json:"chosen_strategy"`
 	Coverage       float64 `json:"coverage"`
+	Residency      float64 `json:"residency"`
 	PagesTouched   int     `json:"pages_touched"`
 	ScheduleCostNs int64   `json:"schedule_cost_ns"`
 	ScanCostNs     int64   `json:"scan_cost_ns"`
@@ -597,6 +598,7 @@ func (s *Server) response(req QueryRequest, res *pathdb.ExecResult) QueryRespons
 		out.Choice = &ChoiceJSON{
 			ChosenStrategy: c.Strategy.String(),
 			Coverage:       c.Coverage,
+			Residency:      c.Residency,
 			PagesTouched:   c.PagesTouched,
 			ScheduleCostNs: int64(c.ScheduleCost),
 			ScanCostNs:     int64(c.ScanCost),

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -234,6 +235,10 @@ func TestQueryChoiceExposed(t *testing.T) {
 	if qr.Choice.Coverage <= 0 || qr.Choice.ScheduleCostNs <= 0 || qr.Choice.ScanCostNs <= 0 {
 		t.Fatalf("degenerate choice estimates: %+v", qr.Choice)
 	}
+	// The fixture flushes its pool: the decision was made for a cold run.
+	if !bytes.Contains(data, []byte(`"residency"`)) || qr.Choice.Residency != 0 || qr.Choice.ChosenStrategy != "xscan" {
+		t.Fatalf("flushed pool: %s", data)
+	}
 
 	// A forced strategy bypasses the model: no choice in the response.
 	resp, data = postQuery(t, ts.URL, QueryRequest{Path: descQuery, Strategy: "xscan"})
@@ -242,5 +247,21 @@ func TestQueryChoiceExposed(t *testing.T) {
 	}
 	if qr = decodeResponse(t, data); qr.Choice != nil {
 		t.Fatalf("forced-strategy response carries a choice: %s", data)
+	}
+
+	// A volume that fits its pool stays resident after the engine's
+	// statistics pass, and the decision says so: nothing is left to
+	// reorder, so the plain plan runs.
+	warm, err := pathdb.GenerateXMark(pathdb.XMarkConfig{ScaleFactor: 0.1, Seed: 42, EntityScale: 0.1}, pathdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := warm.NewEngine(pathdb.EngineConfig{})
+	defer eng.Close()
+	wts := httptest.NewServer(New(warm, eng, Options{}))
+	defer wts.Close()
+	_, data = postQuery(t, wts.URL, QueryRequest{Path: descQuery})
+	if qr = decodeResponse(t, data); qr.Choice == nil || qr.Choice.Residency != 1 || qr.Strategy != "simple" {
+		t.Fatalf("resident volume: %s", data)
 	}
 }

@@ -231,6 +231,10 @@ func HasPredicates(steps []Step) bool {
 type Path struct {
 	Absolute bool
 	Steps    []Step
+
+	// simplified marks the result of Simplify, nested predicate branches
+	// included, so simplifying again is free.
+	simplified bool
 }
 
 // Len returns |π|, the number of location steps.
@@ -254,11 +258,16 @@ func (p *Path) Render(dict *xmltree.Dictionary) string {
 // Simplify applies the classic logical rewrite
 // descendant-or-self::node()/child::T  =>  descendant::T,
 // which shortens '//'-style paths by one step without changing results.
-// It returns a new Path; the receiver is unchanged. This is the kind of
-// orthogonal logical optimization the paper's requirement 4 asks the
-// physical layer to interoperate with.
+// It returns a new Path and leaves the receiver unchanged — unless the
+// receiver is itself a result of Simplify, which is returned as it is (the
+// rewrite is idempotent, and the operators ask again for every predicate
+// branch they compile). This is the kind of orthogonal logical optimization
+// the paper's requirement 4 asks the physical layer to interoperate with.
 func (p *Path) Simplify() *Path {
-	return &Path{Absolute: p.Absolute, Steps: simplifySteps(p.Steps)}
+	if p.simplified {
+		return p
+	}
+	return &Path{Absolute: p.Absolute, Steps: simplifySteps(p.Steps), simplified: true}
 }
 
 func simplifySteps(steps []Step) []Step {

@@ -46,8 +46,10 @@ import (
 // Strategy selects the physical evaluation method.
 type Strategy uint8
 
-// Evaluation strategies. Auto lets the cost model decide between
-// Schedule and Scan (Simple exists as the baseline).
+// Evaluation strategies. Auto lets the cost model pick the cheapest of
+// the three for the path and the current state of the buffer pool:
+// Schedule or Scan while pages still have to be read, Simple (the paper's
+// baseline) once the volume is resident.
 const (
 	Auto Strategy = iota
 	Simple
@@ -519,11 +521,13 @@ func (q *Query) Explain() string {
 }
 
 // PlanChoice is the cost model's full decision for a query: the chosen
-// strategy, the estimated cluster coverage that drove it, and the virtual
-// cost estimated for each candidate (see plan.Chooser).
+// strategy, the estimated cluster coverage and the buffer-pool residency
+// that drove it, and the virtual cost estimated for each candidate (see
+// plan.Chooser).
 type PlanChoice struct {
 	Strategy     Strategy
 	Coverage     float64     // estimated fraction of clusters the path touches
+	Residency    float64     // share of the volume's pages in the buffer pool at choice time
 	PagesTouched int         // estimated clusters the path visits
 	ScheduleCost stats.Ticks // estimated virtual cost of XSchedule
 	ScanCost     stats.Ticks // estimated virtual cost of XScan
@@ -549,6 +553,7 @@ func fromPlanChoice(c plan.Choice) PlanChoice {
 	out := PlanChoice{
 		Strategy:     fromCore(c.Strategy),
 		Coverage:     c.Coverage,
+		Residency:    c.Residency,
 		PagesTouched: c.Schedule.PagesTouched,
 		ScheduleCost: c.Schedule.Cost,
 		ScanCost:     c.Scan.Cost,
