@@ -18,7 +18,10 @@ race:
 	$(GO) test -race ./internal/engine/... ./internal/server/... ./internal/storage/... ./internal/core/... ./internal/plan/... ./internal/buffer/... ./internal/vdisk/... ./internal/stats/... .
 
 # Go micro-benchmarks with allocation counts (wall-clock; machine
-# dependent, unlike the virtual-clock numbers from xbench).
+# dependent, unlike the virtual-clock numbers from xbench). Includes
+# internal/txn's BenchmarkCommit/{solo,writers=4} — ns and log flushes
+# per commit — the only timing of a commit group with more than one
+# writer (no benchmark/ workload has two).
 bench:
 	$(GO) test -bench . -benchmem -count=3 ./...
 
@@ -50,8 +53,10 @@ fmt:
 api-check:
 	$(GO) run ./cmd/apigate
 
-# Transaction subsystem: redo-log/group-commit/recovery unit tests and the
-# seeded crash matrix (internal/txn), the facade's mixed read/write
+# Transaction subsystem: redo-log/recovery unit tests, the deterministic
+# group-commit tests (one group for N commits enqueued behind a flush,
+# groups of one for a lone writer) and the seeded crash
+# matrix (internal/txn), the facade's mixed read/write
 # gauntlet (snapshot isolation + goroutine-leak check), and the HTTP
 # update path, all under -race.
 test-txn:

@@ -65,17 +65,8 @@ type Config struct {
 	// sharded cluster earns read throughput a single volume cannot: under
 	// a mixed workload, most shards' cached counts survive every write.
 	NoCountCache bool
-	// Txn tunes each shard volume's transaction manager. The zero value
-	// selects the sharded default, which differs from a single volume's in
-	// one deliberate way: the group-commit window is disabled (immediate
-	// WAL flush). Each shard serializes commits under its own staging lock
-	// and sees only 1/N of the cluster's write traffic, so the chance of a
-	// second commit arriving inside the window is N times smaller than on
-	// a single volume — while every commit still pays the full window in
-	// acknowledgement latency, and the publish-to-acknowledge gap is
-	// precisely the interval in which the owner shard's epoch has moved
-	// but the commit is not yet journaled for cache revalidation. Set
-	// GroupWindow explicitly to restore batching.
+	// Txn tunes each shard volume's transaction manager; the zero value is
+	// the library default, as on a single volume.
 	Txn pathdb.TxnOptions
 }
 
@@ -432,14 +423,10 @@ func New(set *pathdb.ShardSet, ring *Ring, cfg Config) (*Cluster, error) {
 		parentNodes:  make([]sync.Map, cfg.Shards),
 		journals:     make([]shardJournal, cfg.Shards),
 	}
-	txnOpts := cfg.Txn
-	if txnOpts.GroupWindow == 0 {
-		txnOpts.GroupWindow = -1 // sharded default: immediate flush (see Config.Txn)
-	}
 	for _, db := range set.Shards {
 		// Best effort: a volume that has already committed keeps the
 		// options its first write froze.
-		_ = db.SetTxnOptions(txnOpts)
+		_ = db.SetTxnOptions(cfg.Txn)
 		eng := db.NewEngine(cfg.Engine)
 		db.ResetStats()
 		c.engines = append(c.engines, eng)
@@ -453,7 +440,7 @@ func New(set *pathdb.ShardSet, ring *Ring, cfg Config) (*Cluster, error) {
 		c.spineCache = &countCache{}
 	}
 	if set.Spine != nil {
-		_ = set.Spine.SetTxnOptions(txnOpts)
+		_ = set.Spine.SetTxnOptions(cfg.Txn)
 		// The spine volume is tiny; a narrow engine keeps its bookkeeping
 		// cheap while still serving one spine probe per in-flight request.
 		c.spineEng = set.Spine.NewEngine(pathdb.EngineConfig{

@@ -538,8 +538,13 @@ const tagTableSize = 512
 // the end of the usable region; the trailing checksum bytes (verified by the
 // buffer pool before raw reaches us) are not part of the record layout.
 //
-// raw aliases a buffer frame that is recycled on eviction, so the record
-// region is copied once and every decoded field is a span of that copy. Two
+// raw is a buffer frame's bytes (or a page staging has just encoded). The
+// pool allocates a frame per miss and drops it on eviction — it never reuses
+// one — so aliasing raw would not be overwritten under us. The record region
+// is copied once all the same, and every decoded field is a span of that
+// copy: an image then retains its free bytes, not a whole page the pool
+// believes it evicted (capacity would stop bounding frame memory), and str's
+// no-copy strings rest on a private arena nobody else holds. Two
 // sweeps over the slots decode the records and link the child lists; one
 // depth-first walk then assigns pre-order positions and sets every bitset.
 // Any byte sequence yields an image or a *corruptError, never a panic.

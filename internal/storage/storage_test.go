@@ -94,6 +94,7 @@ func evalStepFull(s *Store, ctx Cursor, axis xpath.Axis, test xpath.NodeTest) []
 	var run func(c Cursor)
 	run = func(c Cursor) {
 		it := s.Step(c, axis, test)
+		defer it.Release()
 		for {
 			r, ok := it.Next()
 			if !ok {

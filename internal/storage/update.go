@@ -294,7 +294,6 @@ func (u *updater) linkChild(lp *livePage, slot uint16, parent int) {
 // It follows the importer's reserve protocol so every open element can
 // always afford a continuation proxy.
 func (u *updater) placeSubtree(parent Cursor, frag *xmltree.Node, ord ordpath.Key) (NodeID, error) {
-	lp := u.live(parent.page)
 	r, err := draftRecFor(frag, ord)
 	if err != nil {
 		return InvalidNodeID, err
@@ -303,7 +302,7 @@ func (u *updater) placeSubtree(parent Cursor, frag *xmltree.Node, ord ordpath.Ke
 	// key falls after a ProxyChild entry, it belongs inside that entry's
 	// fragment, not beside it — otherwise fragment key ranges would
 	// overlap and streamed sibling order would break.
-	lp, parentSlot := u.descendToFragment(lp, parent.slot, ord)
+	lp, parentSlot := u.descendToFragment(parent, ord)
 	cur, slot, err := u.placeRec(lp, parentSlot, r)
 	if err != nil {
 		return InvalidNodeID, err
@@ -322,23 +321,26 @@ func (u *updater) placeSubtree(parent Cursor, frag *xmltree.Node, ord ordpath.Ke
 
 // descendToFragment follows ProxyChild entries whose key range covers ord,
 // returning the page and parent slot the new record must physically join.
-func (u *updater) descendToFragment(lp *livePage, parentSlot uint16, ord ordpath.Key) (*livePage, uint16) {
+// The hops only read, so they walk the view's compact images — which show
+// this transaction's earlier edits, the overlay being refreshed after every
+// operation — and only the page the record lands in is made live: a
+// representation change is paid for the cluster one works in (Sec. 3.6),
+// not for every continuation page of a long child list on the way to it.
+func (u *updater) descendToFragment(parent Cursor, ord ordpath.Key) (*livePage, uint16) {
+	img, slot := parent.img, parent.slot
 	for {
-		kids := lp.img.recs[parentSlot].children
 		prev := -1
-		for _, k := range kids {
-			if ordpath.Compare(lp.img.recs[k].ord, ord) < 0 {
-				prev = int(k)
-			} else {
+		for _, k := range img.kids(&img.recs[slot]) {
+			if ordpath.Compare(img.ord(&img.recs[k]), ord) >= 0 {
 				break
 			}
+			prev = int(k)
 		}
-		if prev < 0 || lp.img.recs[prev].kind != RecProxyChild {
-			return lp, parentSlot
+		if prev < 0 || img.recs[prev].kind != RecProxyChild {
+			return u.live(img.page), slot
 		}
-		target := lp.img.recs[prev].target
-		far := u.live(target.Page())
-		lp, parentSlot = far, target.Slot()
+		target := img.recs[prev].target
+		img, slot = u.st.image(target.Page()), target.Slot()
 	}
 }
 

@@ -5,6 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"pathdb/internal/ordpath"
+	"pathdb/internal/rng"
+	"pathdb/internal/vdisk"
+	"pathdb/internal/xmark"
 	"pathdb/internal/xmltree"
 	"pathdb/internal/xpath"
 )
@@ -238,5 +242,183 @@ func TestQueriesAllStrategiesAfterUpdates(t *testing.T) {
 	}
 	if seen != st.NumDataPages() {
 		t.Fatal("scan directory incomplete")
+	}
+}
+
+// peopleVolume imports an XMark document whose /site/people child list
+// spans many continuation pages (the long proxy chain of the benchmark
+// volumes, at a smaller page size) and returns the store, the logical
+// shadow and the shadow's people element.
+func peopleVolume(t testing.TB) (*Store, *xmltree.Dictionary, *xmltree.Node, *xmltree.Node) {
+	dict := xmltree.NewDictionary()
+	doc := xmark.Generate(dict, xmark.Config{ScaleFactor: 0.05, Seed: 3})
+	shadow := cloneTree(doc)
+	st := importDoc(t, doc, dict, 512, LayoutContiguous)
+	var people *xmltree.Node
+	for _, ch := range shadow.Children[0].Children {
+		if ch.Tag == dict.Intern("people") {
+			people = ch
+		}
+	}
+	return st, dict, shadow, people
+}
+
+// peopleKids resolves /site/people and streams its children, checking that
+// the stream is in document order; it also reports how many pages hold them.
+// Relocations invalidate handles, so callers re-resolve before every
+// operation.
+func peopleKids(t testing.TB, st *Store, dict *xmltree.Dictionary) (people NodeID, kids []Cursor, pages int) {
+	t.Helper()
+	site := evalStepFull(st, st.Swizzle(st.Root()), xpath.Child, xpath.Wildcard())
+	ps := evalStepFull(st, site[0], xpath.Child, xpath.NameTest(dict.Intern("people")))
+	if len(ps) != 1 {
+		t.Fatalf("/site/people resolves to %d nodes", len(ps))
+	}
+	kids = evalStepFull(st, ps[0], xpath.Child, xpath.AnyNode())
+	seen := map[vdisk.PageID]bool{}
+	for i, k := range kids {
+		seen[k.ID().Page()] = true
+		if i > 0 && ordpath.Compare(kids[i-1].OrdKey(), k.OrdKey()) >= 0 {
+			t.Fatalf("streamed sibling %d is not after its predecessor in document order", i)
+		}
+	}
+	return ps[0].ID(), kids, len(seen)
+}
+
+// chainInsert stages one insert under /site/people at position pos of its
+// child list (append when pos == len), mirrors it on the shadow, and fails
+// unless the updater made at most three pages live for it: the page the
+// record lands in, an overflow page, and the extension page probed for room
+// — never the continuation pages walked on the way.
+func chainInsert(t testing.TB, wt *WriteTxn, dict *xmltree.Dictionary, shadowPeople *xmltree.Node, pos int, label string) {
+	t.Helper()
+	people, kids, _ := peopleKids(t, wt.view, dict)
+	frag := xmltree.NewElement(dict.Intern("ins"))
+	frag.SetAttr(dict.Intern("n"), label)
+	frag.AppendChild(xmltree.NewText("payload"))
+	before, beforeShadow := InvalidNodeID, (*xmltree.Node)(nil)
+	if pos < len(kids) {
+		before, beforeShadow = kids[pos].ID(), shadowPeople.Children[pos]
+	}
+	was := len(wt.u.pages)
+	if _, err := wt.InsertSubtree(people, before, cloneTree(frag)); err != nil {
+		t.Fatalf("insert %s at %d: %v", label, pos, err)
+	}
+	if made := len(wt.u.pages) - was; made > 3 {
+		t.Fatalf("insert %s at %d of %d made %d pages live, want <= 3", label, pos, len(kids), made)
+	}
+	insertAtShadow(shadowPeople, beforeShadow, frag)
+}
+
+// chainDelete stages the delete of the inserted child labelled label.
+func chainDelete(t testing.TB, wt *WriteTxn, dict *xmltree.Dictionary, shadowPeople *xmltree.Node, label string) {
+	t.Helper()
+	_, kids, _ := peopleKids(t, wt.view, dict)
+	for i, k := range kids {
+		if k.Tag() == dict.Intern("ins") && shadowPeople.Children[i].Attrs[0].Text == label {
+			if err := wt.DeleteSubtree(k.ID()); err != nil {
+				t.Fatalf("delete %s: %v", label, err)
+			}
+			deleteFromShadow(shadowPeople.Children[i])
+			return
+		}
+	}
+	t.Fatalf("inserted child %s not found", label)
+}
+
+// TestLongChainUpdates edits the head, middle and tail of a child list that
+// spans dozens of continuation pages — in one transaction and in separate
+// ones, then in a seeded mix — against the xmltree reference.
+func TestLongChainUpdates(t *testing.T) {
+	baseIters := LiveStepIters() // other tests of the package drop iterators unreleased
+	st, dict, shadow, people := peopleVolume(t)
+	_, kids, pages := peopleKids(t, st, dict)
+	if pages < 50 {
+		t.Fatalf("/site/people spans %d pages, want a chain of >= 50", pages)
+	}
+	if len(kids) != len(people.Children) {
+		t.Fatalf("stored people has %d children, shadow %d", len(kids), len(people.Children))
+	}
+	spots := func() map[string]int {
+		n := len(people.Children)
+		return map[string]int{"head": 0, "middle": n / 2, "tail": n}
+	}
+	check := func(when string) {
+		t.Helper()
+		if !xmltree.Equal(shadow, st.Export()) {
+			t.Fatalf("export diverged from the reference %s", when)
+		}
+		peopleKids(t, st, dict)
+	}
+	order := []string{"head", "middle", "tail"}
+
+	// Separate transactions.
+	for _, name := range order {
+		name := name
+		if err := commitStaged(st, func(wt *WriteTxn) error {
+			chainInsert(t, wt, dict, people, spots()[name], name)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check("after the " + name + " insert")
+	}
+	for _, name := range order {
+		name := name
+		if err := commitStaged(st, func(wt *WriteTxn) error {
+			chainDelete(t, wt, dict, people, name)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check("after the " + name + " delete")
+	}
+
+	// One transaction: later operations read the earlier ones' pages.
+	if err := commitStaged(st, func(wt *WriteTxn) error {
+		for _, name := range order {
+			chainInsert(t, wt, dict, people, spots()[name], name)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("after three inserts in one transaction")
+	if err := commitStaged(st, func(wt *WriteTxn) error {
+		chainInsert(t, wt, dict, people, spots()["middle"], "again")
+		for _, name := range append(order, "again") {
+			chainDelete(t, wt, dict, people, name)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("after insert and four deletes in one transaction")
+
+	// Seeded mix of head/middle/tail/anywhere inserts and deletes.
+	r := rng.New(22)
+	var labels []string
+	for op := 0; op < 40; op++ {
+		op := op
+		if err := commitStaged(st, func(wt *WriteTxn) error {
+			if len(labels) > 0 && r.Bool(0.35) {
+				i := r.Intn(len(labels))
+				chainDelete(t, wt, dict, people, labels[i])
+				labels = append(labels[:i], labels[i+1:]...)
+				return nil
+			}
+			n := len(people.Children)
+			pos := []int{0, n / 2, n, r.Intn(n + 1)}[r.Intn(4)]
+			label := fmt.Sprintf("mix%d", op)
+			chainInsert(t, wt, dict, people, pos, label)
+			labels = append(labels, label)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after the seeded mix")
+	if n := LiveStepIters() - baseIters; n != 0 {
+		t.Fatalf("%d navigation iterators still live", n)
 	}
 }

@@ -20,12 +20,16 @@
 // chain whose final page write is the single fsync-equivalent for every
 // member; all members are acked together when it lands. There is no
 // flusher goroutine: the first committer to reach the pipeline becomes
-// the *leader*, waits one batching window for stragglers while they
-// stage behind it, flushes the whole group, and acks everyone — so the
-// package never leaks goroutines and needs no Close for correctness.
-// With a single sequential writer every group has one member (mean
-// flushes per commit = 1); with two or more concurrent writers groups
-// grow and the mean drops below one, which /v1/metrics reports.
+// the *leader*, takes whatever is enqueued at that instant, flushes it
+// as one group, and acks everyone — it never waits for stragglers, so a
+// lone commit costs staging plus the log append, and the package never
+// leaks goroutines and needs no Close for correctness. A group larger
+// than one forms only from commits that enqueued while the previous
+// leader was flushing. Measured (BenchmarkCommit, 4 closed-loop writers,
+// 2 CPUs): about 0.9 flushes per commit, against 0.36 for the 500µs sleep
+// this replaced (at 30µs instead of 460µs per commit) — closed-loop
+// writers are rarely enqueued together, so they share few log writes.
+// /v1/metrics reports the figure.
 //
 // Durability semantics are group-commit standard: a commit is visible to
 // new snapshots as soon as it is published (possibly before it is
@@ -53,12 +57,8 @@ var ErrClosed = errors.New("txn: manager closed")
 
 // Options configures a Manager.
 type Options struct {
-	// GroupWindow is how long a commit leader waits for concurrent
-	// committers to join its group before flushing (wall clock; the
-	// virtual cost of the flush itself is the log chain's page writes).
-	// Every commit pays at most one window of ack latency; in exchange
-	// commits arriving within a window share one flush. Default 500µs;
-	// negative disables batching (flush immediately, groups of one).
+	// GroupWindow is ignored: a commit leader never waits. The field stays
+	// so existing Options literals compile.
 	GroupWindow time.Duration
 	// CheckpointEvery folds the version map into a fresh checkpoint after
 	// this many groups, bounding recovery's redo scan and recycling log
@@ -67,12 +67,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.GroupWindow == 0 {
-		o.GroupWindow = 500 * time.Microsecond
-	}
-	if o.GroupWindow < 0 {
-		o.GroupWindow = 0
-	}
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 64
 	}
@@ -458,23 +452,13 @@ func (m *Manager) flush(req *commitReq) {
 		return
 	default:
 	}
-	// Leader: wait one batching window so concurrent committers can stage
-	// and join the group. The wait is unconditional (a group-commit
-	// timer): on a busy system it is what creates the pile-up — on a
-	// single-core box concurrent writers only get scheduled while the
-	// leader blocks, so gating the wait on observed concurrency would
-	// never batch exactly when batching matters.
-	if m.opts.GroupWindow > 0 {
-		time.Sleep(m.opts.GroupWindow)
-	}
+	// Leader: the group is whatever has enqueued by now — req itself (only
+	// a leader drains the queue) and any commit that staged while the
+	// previous leader flushed.
 	m.qmu.Lock()
 	batch := m.pending
 	m.pending = nil
 	m.qmu.Unlock()
-	if len(batch) == 0 {
-		m.flushMu.Unlock()
-		return
-	}
 
 	g := foldGroup(batch)
 	used, next := m.st.AppendGroup(m.logHead, g, m.logAlloc)

@@ -3,10 +3,10 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"pathdb/internal/stats"
 	"pathdb/internal/storage"
@@ -171,50 +171,67 @@ func TestUpdateAfterClose(t *testing.T) {
 	m.Snapshot().Release() // reads keep working
 }
 
-// TestGroupCommitBatching drives concurrent writers and requires commits to
-// share log flushes: mean flushes per commit strictly below one.
+// TestGroupCommitBatching: a group is what enqueued while the previous
+// leader flushed. The test stands in for that leader by holding the flush
+// gate until N writers have staged; the first of them through the gate
+// then takes all N, and they share one flush.
 func TestGroupCommitBatching(t *testing.T) {
 	st, dict, root := fixture(t, 1024)
-	m, err := NewManager(st, Options{GroupWindow: 2 * time.Millisecond})
+	m, err := NewManager(st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ins := dict.Intern("ins")
 
-	const writers, perWriter = 4, 25
-	var wg sync.WaitGroup
+	const writers = 4
+	m.flushMu.Lock()
 	errCh := make(chan error, writers)
 	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				if err := commitOne(m, root, ins, w*1000+i); err != nil {
-					errCh <- err
-					return
-				}
-			}
-		}(w)
+		go func(w int) { errCh <- commitOne(m, root, ins, w) }(w)
 	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
+	for enqueued := 0; enqueued < writers; runtime.Gosched() {
+		m.qmu.Lock()
+		enqueued = len(m.pending)
+		m.qmu.Unlock()
+	}
+	m.flushMu.Unlock()
+	for w := 0; w < writers; w++ {
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	mt := m.Metrics()
-	if mt.Commits != writers*perWriter {
-		t.Fatalf("commits = %d, want %d", mt.Commits, writers*perWriter)
+	if mt.Commits != writers || mt.Groups != 1 || mt.MaxGroup != writers || mt.Flushes != 1 {
+		t.Fatalf("metrics = %+v, want %d commits in one group of %d on one flush", mt, writers, writers)
 	}
-	if fpc := mt.FlushesPerCommit(); fpc >= 1 {
-		t.Fatalf("flushes per commit = %.2f (groups=%d flushes=%d), want < 1 with %d writers",
-			fpc, mt.Groups, mt.Flushes, writers)
+	if fpc := mt.FlushesPerCommit(); fpc != 1.0/writers {
+		t.Fatalf("flushes per commit = %v, want 1/%d", fpc, writers)
 	}
-	if mt.MaxGroup < 2 {
-		t.Fatalf("max group = %d, want >= 2", mt.MaxGroup)
+	if got := countIns(m, ins); got != writers {
+		t.Fatalf("ins = %d, want %d", got, writers)
 	}
-	if got := countIns(m, ins); got != writers*perWriter {
-		t.Fatalf("ins = %d, want %d", got, writers*perWriter)
+}
+
+// TestSoloCommits: one writer never shares a flush — every commit is its
+// own group. (That it does not wait either is structural: the package
+// holds no timer and no sleep.)
+func TestSoloCommits(t *testing.T) {
+	st, dict, root := fixture(t, 512)
+	m, err := NewManager(st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := dict.Intern("ins")
+	const commits = 200
+	for i := 0; i < commits; i++ {
+		if err := commitOne(m, root, ins, i); err != nil {
+			t.Fatalf("commit %d: %v", i, err)
+		}
+	}
+	mt := m.Metrics()
+	if mt.Commits != commits || mt.Groups != commits || mt.MaxGroup != 1 {
+		t.Fatalf("metrics = %+v, want %d commits in %d groups of one", mt, commits, commits)
 	}
 }
 
@@ -224,7 +241,7 @@ func TestGroupCommitBatching(t *testing.T) {
 // breaks the equality.
 func TestConcurrentReadersWriters(t *testing.T) {
 	st, dict, root := fixture(t, 512)
-	m, err := NewManager(st, Options{GroupWindow: time.Millisecond})
+	m, err := NewManager(st, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +309,9 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	for cut := 0; cut <= 96; cut++ {
 		st, dict, root := fixture(t, 512)
 		ins := dict.Intern("ins")
-		// No batching window and a tiny checkpoint interval: the sweep
-		// crosses several checkpoints, so cuts land inside checkpoint
-		// writes too.
-		m, err := NewManager(st, Options{GroupWindow: -1, CheckpointEvery: 3})
+		// A tiny checkpoint interval: the sweep crosses several
+		// checkpoints, so cuts land inside checkpoint writes too.
+		m, err := NewManager(st, Options{CheckpointEvery: 3})
 		if err != nil {
 			t.Fatalf("cut=%d: NewManager: %v", cut, err)
 		}

@@ -28,11 +28,9 @@ func (db *DB) CheckFragment(fragment string) error {
 // TxnOptions tunes the MVCC transaction subsystem that backs DB.Update.
 // Zero values select the defaults documented on each field.
 type TxnOptions struct {
-	// GroupWindow is the group-commit window: how long a commit leader
-	// waits for more commits to join its WAL flush. Every commit pays at
-	// most one window of acknowledgement latency; in exchange commits
-	// arriving within a window share one flush. Default 500µs; negative
-	// disables batching (one flush per commit).
+	// GroupWindow is ignored: a commit is flushed as soon as it reaches the
+	// WAL, together with whatever else is enqueued then. The field stays so
+	// existing literals compile.
 	GroupWindow time.Duration
 	// CheckpointEvery folds the version map into a fresh checkpoint after
 	// this many flushed groups, truncating the log (default 64).
