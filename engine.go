@@ -8,7 +8,6 @@ import (
 	"pathdb/internal/core"
 	"pathdb/internal/engine"
 	"pathdb/internal/stats"
-	"pathdb/internal/xpath"
 )
 
 // Typed engine errors. Callers (and the HTTP server's status-code mapping)
@@ -239,9 +238,9 @@ func fromCore(s core.Strategy) Strategy {
 // running it stops at the next operator poll point. A full admission queue
 // makes Do wait (backpressure); use TryDo to shed instead.
 //
-// Do is sugar over Stream: it opens a cursor in buffered delivery mode and
-// drains it, so the virtual-cost accounting of the two surfaces is
-// identical by construction.
+// Do is sugar over the cursor: it opens one over queries that buffer their
+// result in the engine (so they may join a gang-shared scheduler) and
+// drains it.
 func (s *Session) Do(ctx context.Context, path string, opts QueryOptions) (ExecResult, error) {
 	return s.drain(ctx, path, opts, false)
 }
@@ -266,34 +265,27 @@ func (s *Session) drain(ctx context.Context, path string, opts QueryOptions, try
 }
 
 // compile parses the path and maps it onto engine queries, one per union
-// branch. live requests incremental delivery through the engine sink; the
-// returned flag is the effective mode — a sorted union demotes to buffered
-// delivery, because its global document order only exists after every
-// branch has landed and merged (per-branch sinks would interleave).
-func (s *Session) compile(path string, opts QueryOptions, live bool) ([]engine.Query, bool, error) {
-	branches, err := xpathParseUnion(s.eng.db, path)
+// branch. live requests incremental delivery through the engine sink. A
+// sorted union never streams and carries no per-branch Limit: its global
+// document order — and so its first N — only exists after every branch has
+// landed in the cursor's merge.
+func (s *Session) compile(path string, opts QueryOptions, live bool) ([]engine.Query, error) {
+	branches, err := parseUnion(s.eng.db, path)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
+	limit := opts.Limit
 	if opts.Sorted && len(branches) > 1 {
-		live = false
+		live, limit = false, 0
 	}
 	queries := make([]engine.Query, len(branches))
 	for i, b := range branches {
-		limit := opts.Limit
-		if opts.Sorted && len(branches) > 1 {
-			// A sorted union is merged and truncated after all branches
-			// land (the global first-N needs every branch's matches); a
-			// per-branch cap would cut the wrong nodes.
-			limit = 0
-		}
 		queries[i] = engine.Query{
 			Label:    path,
 			Path:     b,
 			Auto:     opts.Strategy == Auto,
 			Strategy: opts.Strategy.internal(),
-			// Union branches are merged and re-sorted by the cursor; plain
-			// paths sort inside the engine.
+			// Plain paths sort inside the engine.
 			Sorted:   opts.Sorted && len(branches) == 1,
 			MemLimit: opts.MemLimit,
 			Limit:    limit,
@@ -301,22 +293,5 @@ func (s *Session) compile(path string, opts QueryOptions, live bool) ([]engine.Q
 			PredEval: opts.PredEval.internal(),
 		}
 	}
-	return queries, live, nil
-}
-
-// xpathParseUnion parses an absolute location path (or union) into
-// simplified step lists.
-func xpathParseUnion(db *DB, path string) ([][]xpath.Step, error) {
-	branches, err := xpath.ParseUnion(db.dict, path)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]xpath.Step, len(branches))
-	for i, b := range branches {
-		if !b.Absolute {
-			return nil, fmt.Errorf("pathdb: engine query %q must be absolute", path)
-		}
-		out[i] = b.Simplify().Steps
-	}
-	return out, nil
+	return queries, nil
 }

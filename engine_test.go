@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pathdb/internal/ordpath"
+	"pathdb/internal/stats"
 )
 
 // engineFixture loads a small generated document for facade-level engine
@@ -184,6 +185,63 @@ func TestEngineAutoFollowsResidency(t *testing.T) {
 				if strings.Join(got, " ") != strings.Join(want, " ") {
 					t.Fatalf("%s %+v: Auto and %v disagree", path, opts, forced)
 				}
+			}
+		}
+	}
+
+	// A union resolves branch by branch through the same plan.Chooser.Resolve
+	// on every surface: the engine (Session.Do), the direct cursor (QueryCtx)
+	// and Query.Nodes pick the same strategy for each branch — observed as
+	// the first branch's, with the union written both ways round — on the
+	// resident pool and on a flushed one, and Nodes costs what QueryCtx costs.
+	nodesCost := func(path string) (int, stats.Ticks) {
+		q, err := db.Query(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := db.CostReport().Total
+		n := len(q.Nodes())
+		return n, db.CostReport().Total - before
+	}
+	for _, union := range []string{
+		"/site/people/person/name | /site/regions//item/name",
+		"/site/regions//item/name | /site/people/person/name",
+	} {
+		for _, flushed := range []bool{false, true} {
+			prepare := func() {
+				db.ResetStats()
+				if !flushed { // one scan makes the whole volume resident again
+					if _, err := s.Do(ctx, "//*", QueryOptions{Strategy: Scan}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			prepare()
+			do, err := s.Do(ctx, union, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prepare()
+			direct, err := db.QueryCtx(ctx, union, QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prepare()
+			n, cost := nodesCost(union)
+			if direct.Strategy != do.Strategy || direct.Choice == nil || direct.Choice.Strategy != do.Choice.Strategy ||
+				len(direct.Nodes) != len(do.Nodes) {
+				t.Fatalf("%s flushed=%v: QueryCtx ran %v (%d nodes), Session.Do %v (%d nodes)",
+					union, flushed, direct.Strategy, len(direct.Nodes), do.Strategy, len(do.Nodes))
+			}
+			if n != len(direct.Nodes) || cost != direct.CostV {
+				t.Fatalf("%s flushed=%v: Query.Nodes returned %d nodes for %v, QueryCtx %d for %v",
+					union, flushed, n, cost, len(direct.Nodes), direct.CostV)
+			}
+			if !flushed && direct.Strategy != Simple {
+				t.Fatalf("%s on a resident pool: QueryCtx ran %v, want simple", union, direct.Strategy)
+			}
+			if flushed && direct.Strategy == Simple {
+				t.Fatalf("%s on a flushed pool: QueryCtx ran simple", union)
 			}
 		}
 	}

@@ -482,18 +482,8 @@ func (e *Engine) execute(gang []*Pending) {
 			p.finish(Result{}, err)
 			continue
 		}
-		u := execUnit{p: p, strat: p.q.Strategy, pred: p.q.PredEval}
-		if p.q.Auto {
-			c := e.chooser.Choose(p.q.Path)
-			u.strat, u.choice = c.Strategy, &c
-			if u.pred == core.PredAuto {
-				u.pred = c.PredEval
-			}
-		} else if u.pred == core.PredAuto && xpath.HasPredicates(p.q.Path) {
-			// A forced strategy still leaves the predicate evaluator to the
-			// cost model.
-			u.pred = e.chooser.Choose(p.q.Path).PredEval
-		}
+		u := execUnit{p: p}
+		u.strat, u.pred, u.choice = e.chooser.Resolve(p.q.Path, p.q.Auto, p.q.Strategy, p.q.PredEval)
 		if !p.q.Stream && batchable(u.strat, p.q.Path) {
 			shared = append(shared, u)
 		} else {

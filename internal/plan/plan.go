@@ -468,15 +468,30 @@ func minf(a, b float64) float64 {
 	return b
 }
 
-// Build compiles the path with the chosen strategy — the convenience entry
-// point used by the pathdb facade.
-func (c *Chooser) Build(path []xpath.Step, contexts []storage.NodeID, opts core.PlanOptions) (*core.Plan, Choice) {
-	choice := c.Choose(path)
-	if opts.PredEval == core.PredAuto {
-		opts.PredEval = choice.PredEval
+// Forced reports whether a request leaves nothing to the cost model: the
+// strategy is given, and so is the predicate evaluator or the path has no
+// predicates to evaluate. Callers that construct their chooser lazily test
+// it first — the statistics walk behind NewChooser is the expensive part.
+func Forced(auto bool, pred core.PredEval, path []xpath.Step) bool {
+	return !auto && (pred != core.PredAuto || !xpath.HasPredicates(path))
+}
+
+// Resolve settles the strategy and predicate evaluator one path will run
+// with — the single place a request's Auto and PredAuto are answered, for
+// the facade and the engine's dispatcher alike. Under auto the model picks
+// the strategy and the Choice is returned for the query's summary; a forced
+// strategy is kept, and the model is still asked for the evaluator when that
+// is PredAuto and the path has predicates.
+func (c *Chooser) Resolve(path []xpath.Step, auto bool, strat core.Strategy, pred core.PredEval) (core.Strategy, core.PredEval, *Choice) {
+	if Forced(auto, pred, path) {
+		return strat, pred, nil
 	}
-	c.mu.Lock()
-	st := c.store
-	c.mu.Unlock()
-	return core.BuildPlan(st, path, contexts, choice.Strategy, opts), choice
+	choice := c.Choose(path)
+	if pred == core.PredAuto {
+		pred = choice.PredEval
+	}
+	if !auto {
+		return strat, pred, nil
+	}
+	return choice.Strategy, pred, &choice
 }

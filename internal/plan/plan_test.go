@@ -111,12 +111,19 @@ func TestChooserDecisionMatchesMeasurement(t *testing.T) {
 	}
 }
 
+// buildAuto is what every production caller does with a request under Auto:
+// Resolve, then core.BuildPlan with the resolved strategy and evaluator.
+func buildAuto(ch *Chooser, st *storage.Store, path []xpath.Step, pred core.PredEval) (*core.Plan, *Choice) {
+	strat, pred, choice := ch.Resolve(path, true, core.StrategySchedule, pred)
+	return core.BuildPlan(st, path, []storage.NodeID{st.Root()}, strat, core.PlanOptions{PredEval: pred}), choice
+}
+
 func TestBuildReturnsRunnablePlan(t *testing.T) {
 	dict, st := xmarkStore(t, 0.5)
 	ch := NewChooser(st)
 	path := xpath.MustParse(dict, "/site//item").Simplify().Steps
 	st.ResetForRun()
-	p, choice := ch.Build(path, []storage.NodeID{st.Root()}, core.PlanOptions{})
+	p, choice := buildAuto(ch, st, path, core.PredAuto)
 	if p.Strategy != choice.Strategy {
 		t.Fatal("plan strategy mismatch")
 	}
@@ -312,15 +319,16 @@ func TestChooserPredEvalMatchesMeasurement(t *testing.T) {
 	}
 }
 
-// TestBuildAppliesPredChoice verifies Chooser.Build threads the predicate
+// TestBuildAppliesPredChoice verifies Chooser.Resolve threads the predicate
 // decision into the plan (PredAuto resolves to the chooser's pick, an
-// explicit setting wins).
+// explicit setting wins), and that a forced strategy is kept while the
+// evaluator is still resolved — without a Choice, which reports Auto only.
 func TestBuildAppliesPredChoice(t *testing.T) {
 	dict, st := xmarkStore(t, 0.5)
 	ch := NewChooser(st)
 	path := xpath.MustParse(dict, "//text[keyword]").Simplify().Steps
 	st.ResetForRun()
-	p, choice := ch.Build(path, []storage.NodeID{st.Root()}, core.PlanOptions{})
+	p, choice := buildAuto(ch, st, path, core.PredAuto)
 	if choice.PredEval != core.PredJoin {
 		t.Fatalf("expected join pick, got %v", choice.PredEval)
 	}
@@ -332,8 +340,15 @@ func TestBuildAppliesPredChoice(t *testing.T) {
 		t.Fatalf("PredAuto did not resolve to the chooser's join pick:\n%s", desc)
 	}
 	st.ResetForRun()
-	p, _ = ch.Build(path, []storage.NodeID{st.Root()}, core.PlanOptions{PredEval: core.PredNested})
+	p, _ = buildAuto(ch, st, path, core.PredNested)
 	if desc := p.Describe(dict); strings.Contains(desc, "XJoin") {
 		t.Fatalf("explicit PredNested overridden:\n%s", desc)
+	}
+	strat, pred, forced := ch.Resolve(path, false, core.StrategyScan, core.PredAuto)
+	if strat != core.StrategyScan || pred != core.PredJoin || forced != nil {
+		t.Fatalf("forced scan resolved to %v/%v (choice %v), want xscan/join and no choice", strat, pred, forced)
+	}
+	if !Forced(false, core.PredNested, path) || !Forced(false, core.PredAuto, path[:0]) || Forced(true, core.PredNested, path) {
+		t.Fatal("Forced must hold exactly for a given strategy with a given evaluator or no predicates")
 	}
 }

@@ -23,6 +23,7 @@
 package pathdb
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -453,10 +454,19 @@ func (db *DB) Delete(n Node) error {
 
 // Query compiles a location path, or a union of location paths separated
 // by '|'. The returned Query can be tuned and then executed with Count,
-// Nodes or Each. Union queries share a single I/O-performing operator
-// under the Schedule strategy (the multi-query extension of the paper's
-// Sec. 7).
+// Nodes or Each. Every branch is resolved (strategy, predicate evaluator)
+// and evaluated on its own plan, one after another; the union is delivered
+// as a duplicate-free node set.
 func (db *DB) Query(path string) (*Query, error) {
+	branches, err := parseAbsolute(db, path)
+	if err != nil {
+		return nil, err
+	}
+	return &Query{db: db, text: path, branches: branches, contexts: db.store.Roots()}, nil
+}
+
+// parseAbsolute parses an absolute location path, or a '|' union of them.
+func parseAbsolute(db *DB, path string) ([]*xpath.Path, error) {
 	branches, err := xpath.ParseUnion(db.dict, path)
 	if err != nil {
 		return nil, err
@@ -466,31 +476,49 @@ func (db *DB) Query(path string) (*Query, error) {
 			return nil, fmt.Errorf("pathdb: query %q must be absolute (use Node.Query for relative paths)", path)
 		}
 	}
-	return &Query{db: db, path: branches[0], branches: branches, contexts: db.store.Roots()}, nil
+	return branches, nil
 }
 
-// Query is a compiled, tunable location-path query.
+// simplified returns the branches' physical step lists.
+func simplified(branches []*xpath.Path) [][]xpath.Step {
+	out := make([][]xpath.Step, len(branches))
+	for i, b := range branches {
+		out[i] = b.Simplify().Steps
+	}
+	return out
+}
+
+// parseUnion is parseAbsolute followed by simplified.
+func parseUnion(db *DB, path string) ([][]xpath.Step, error) {
+	branches, err := parseAbsolute(db, path)
+	if err != nil {
+		return nil, err
+	}
+	return simplified(branches), nil
+}
+
+// Query is a compiled, tunable location-path query. Count, Nodes and Each
+// run it on the caller's goroutine through the same cursor as
+// DB.QueryStream; they have no error result, so a page fault raised by the
+// fault plane panics with the typed *Error (use QueryCtx or QueryStream
+// where faults are expected).
 type Query struct {
 	db       *DB
-	path     *xpath.Path   // first branch (all of it for non-unions)
-	branches []*xpath.Path // union branches; len == 1 for plain paths
+	text     string
+	branches []*xpath.Path // union branches; one for plain paths
 	contexts []storage.NodeID
-
-	strategy Strategy
-	sorted   bool
-	opts     core.PlanOptions
-	choice   *plan.Choice
+	opts     QueryOptions
 }
 
 // WithStrategy forces a physical strategy (default Auto).
 func (q *Query) WithStrategy(s Strategy) *Query {
-	q.strategy = s
+	q.opts.Strategy = s
 	return q
 }
 
 // Sorted requests results in document order (Sec. 5.5 of the paper).
 func (q *Query) Sorted() *Query {
-	q.sorted = true
+	q.opts.Sorted = true
 	return q
 }
 
@@ -504,20 +532,22 @@ func (q *Query) WithMemoryLimit(instances int) *Query {
 // WithPredEval forces the predicate evaluator (default PredAuto: the
 // cost model decides per query).
 func (q *Query) WithPredEval(pe PredEval) *Query {
-	q.opts.PredEval = pe.internal()
+	q.opts.PredEval = pe
 	return q
 }
 
-// Plan returns the physical operator tree the query will execute, one
-// operator per line (EXPLAIN output).
+// Plan returns the physical operator tree the query will execute (for a
+// union, its first branch), one operator per line (EXPLAIN output).
 func (q *Query) Plan() string {
-	return q.build().Describe(q.db.dict)
+	c := q.open()
+	defer c.Close()
+	return c.dir.plan(0).Describe(q.db.dict)
 }
 
 // Explain returns the cost-model decision for this query (forcing a
 // strategy bypasses the model; Explain still reports its opinion).
 func (q *Query) Explain() string {
-	return q.db.getChooser().Choose(q.steps()).String()
+	return q.db.getChooser().Choose(q.branches[0].Simplify().Steps).String()
 }
 
 // PlanChoice is the cost model's full decision for a query: the chosen
@@ -575,149 +605,62 @@ func fromPlanChoice(c plan.Choice) PlanChoice {
 // Choice returns the cost model's structured decision for this query —
 // Explain's machine-readable counterpart.
 func (q *Query) Choice() PlanChoice {
-	return fromPlanChoice(q.db.getChooser().Choose(q.steps()))
+	return fromPlanChoice(q.db.getChooser().Choose(q.branches[0].Simplify().Steps))
 }
 
-func (q *Query) steps() []xpath.Step {
-	return q.path.Simplify().Steps
+// resolve settles one branch's strategy and predicate evaluator through
+// plan.Chooser.Resolve — the one resolution every surface shares with the
+// engine's dispatcher. A request that leaves nothing to the cost model never
+// constructs the chooser (and so never pays its statistics walk).
+func (db *DB) resolve(path []xpath.Step, s Strategy, pred core.PredEval) (core.Strategy, core.PredEval, *plan.Choice) {
+	if plan.Forced(s == Auto, pred, path) {
+		return s.internal(), pred, nil
+	}
+	return db.getChooser().Resolve(path, s == Auto, s.internal(), pred)
 }
 
-// hasPredicates reports whether any location step carries a predicate —
-// the gate that spares predicate-free forced-strategy queries a chooser
-// consultation (and the statistics walk constructing one implies).
-func hasPredicates(steps []xpath.Step) bool { return xpath.HasPredicates(steps) }
-
-func (q *Query) build() *core.Plan { return q.buildWith(nil) }
-
-// buildWith compiles the plan with pooled per-query scratch attached. The
-// arena's lifetime must cover the plan's execution — Count/Nodes/Each
-// borrow one around each run; Plan()/Describe pass nil (no execution).
-func (q *Query) buildWith(arena *core.Arena) *core.Plan {
-	steps := q.steps()
-	opts := q.opts
-	opts.SortResults = q.sorted
-	opts.Arena = arena
-	strat := q.strategy
-	if strat == Auto {
-		choice := q.db.getChooser().Choose(steps)
-		q.choice = &choice
-		if opts.PredEval == core.PredAuto {
-			opts.PredEval = choice.PredEval
-		}
-		return core.BuildPlan(q.db.store, steps, q.contexts, choice.Strategy, opts)
-	}
-	if opts.PredEval == core.PredAuto && hasPredicates(steps) {
-		opts.PredEval = q.db.getChooser().Choose(steps).PredEval
-	}
-	return core.BuildPlan(q.db.store, steps, q.contexts, strat.internal(), opts)
+// open starts the query's cursor over the direct producer. Query's run
+// methods take no context: nothing cancels them but their own return.
+func (q *Query) open() *Cursor {
+	return q.db.openDirect(context.Background(), func() {}, q.text, simplified(q.branches), q.contexts, q.opts)
 }
 
-// isUnion reports whether the query has several branches.
-func (q *Query) isUnion() bool { return len(q.branches) > 1 }
-
-// runUnion evaluates every branch — with one shared XSchedule when the
-// strategy allows — and merges the node sets.
-func (q *Query) runUnion(arena *core.Arena) []core.Result {
-	var all []core.Result
-	strat := q.strategy
-	opts := q.opts
-	opts.Arena = arena
-	if strat == Auto || strat == Schedule {
-		var queries []core.MultiQuery
-		for _, b := range q.branches {
-			mq := core.MultiQuery{
-				Path:     b.Simplify().Steps,
-				Contexts: q.contexts,
-			}
-			if opts.PredEval == core.PredAuto && hasPredicates(mq.Path) {
-				mq.PredEval = q.db.getChooser().Choose(mq.Path).PredEval
-			}
-			queries = append(queries, mq)
-		}
-		for _, rs := range core.BuildMultiPlan(q.db.store, queries, opts).Run() {
-			all = append(all, rs...)
-		}
-	} else {
-		for _, b := range q.branches {
-			steps := b.Simplify().Steps
-			bopts := opts
-			if bopts.PredEval == core.PredAuto && hasPredicates(steps) {
-				bopts.PredEval = q.db.getChooser().Choose(steps).PredEval
-			}
-			plan := core.BuildPlan(q.db.store, steps, q.contexts, strat.internal(), bopts)
-			all = append(all, plan.Run()...)
-		}
+// must re-raises the failure of a finished cursor: Query's run methods
+// cannot return it.
+func must(c *Cursor) {
+	if err := c.Err(); err != nil {
+		panic(err)
 	}
-	// Union semantics: a node set.
-	seen := make(map[storage.NodeID]bool, len(all))
-	out := all[:0]
-	for _, r := range all {
-		if seen[r.Node] {
-			continue
-		}
-		seen[r.Node] = true
-		out = append(out, r)
-	}
-	if q.sorted {
-		core.SortResults(out)
-	}
-	return out
 }
 
 // Count executes the query and returns its cardinality.
 func (q *Query) Count() int {
-	arena := core.GetArena()
-	defer core.PutArena(arena)
-	if q.isUnion() {
-		return len(q.runUnion(arena))
+	c := q.open()
+	defer c.Close()
+	for c.Next() {
 	}
-	return q.buildWith(arena).Count()
+	must(c)
+	return c.Count()
 }
 
 // Nodes executes the query and returns handles on the result nodes.
 func (q *Query) Nodes() []Node {
-	arena := core.GetArena()
-	defer core.PutArena(arena)
-	var rs []core.Result
-	if q.isUnion() {
-		rs = q.runUnion(arena)
-	} else {
-		rs = q.buildWith(arena).Run()
-	}
-	out := make([]Node, len(rs))
-	for i, r := range rs {
-		out[i] = Node{db: q.db, id: r.Node, ord: r.Ord}
-	}
-	return out
+	c := q.open()
+	defer c.Close()
+	res, _ := c.Drain()
+	must(c)
+	return res.Nodes
 }
 
-// Each executes the query, invoking f per result in production order.
-// Union queries are materialized first (their branches interleave on the
-// shared scheduler).
+// Each executes the query, invoking f per result in production order
+// (document order when Sorted) and stopping early when f returns false.
+// Union branches are delivered one after another, duplicates dropped.
 func (q *Query) Each(f func(Node) bool) {
-	arena := core.GetArena()
-	defer core.PutArena(arena)
-	if q.isUnion() {
-		for _, r := range q.runUnion(arena) {
-			if !f(Node{db: q.db, id: r.Node, ord: r.Ord}) {
-				return
-			}
-		}
-		return
+	c := q.open()
+	defer c.Close()
+	for c.Next() && f(c.Node()) {
 	}
-	p := q.buildWith(arena)
-	root := p.Root()
-	root.Open()
-	defer root.Close()
-	for {
-		inst, ok := root.Next()
-		if !ok {
-			return
-		}
-		if !f(Node{db: q.db, id: inst.NR, ord: inst.Ord}) {
-			return
-		}
-	}
+	must(c)
 }
 
 // VolumeStats summarises the physical storage of the loaded document.
@@ -818,5 +761,5 @@ func (n Node) Query(path string) (*Query, error) {
 	if parsed.Absolute {
 		return nil, fmt.Errorf("pathdb: relative path expected, got %q", path)
 	}
-	return &Query{db: n.db, path: parsed, contexts: []storage.NodeID{n.id}}, nil
+	return &Query{db: n.db, text: path, branches: []*xpath.Path{parsed}, contexts: []storage.NodeID{n.id}}, nil
 }

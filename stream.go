@@ -5,14 +5,15 @@ import (
 
 	"pathdb/internal/core"
 	"pathdb/internal/engine"
+	"pathdb/internal/plan"
 	"pathdb/internal/stats"
 	"pathdb/internal/storage"
 	"pathdb/internal/xpath"
 )
 
-// Cursor is a pull-based result stream: the primitive evaluation surface
-// that both the buffered calls (Session.Do, DB.QueryCtx) and the streaming
-// ones (Session.Stream, DB.QueryStream) are built on.
+// Cursor is a pull-based result stream, and the one way a query runs:
+// Session.Do and DB.QueryCtx open a cursor and Drain it, Query.Count, Nodes
+// and Each iterate one.
 //
 //	c, err := sess.Stream(ctx, "//item", pathdb.QueryOptions{})
 //	if err != nil { ... }
@@ -25,15 +26,15 @@ import (
 // Close is mandatory (like sql.Rows): an abandoned cursor would otherwise
 // hold its producer blocked on back-pressure. Close is idempotent, safe
 // mid-stream — it cancels the query, which withdraws its in-flight cluster
-// prefetches and returns pooled arenas/iterators at the next poll point —
-// and after it Next reports false.
+// prefetches and returns pooled arenas/iterators — and after it Next reports
+// false. A stream that ends by itself (exhausted, capped by Limit, failed,
+// context done) has already released all of that.
 //
 // Delivery is incremental for unsorted queries: each match is handed over
-// as the operator tree produces it, with the producer at most a bounded
-// channel ahead (back-pressure). Sorted queries are order-enforced: the
-// producer must see every match before the first can be delivered, so the
-// stream starts only when evaluation finishes (the buffering is charged to
-// the query like any other work).
+// as the operator tree produces it, an engine-backed producer running at
+// most a bounded channel ahead (back-pressure). Sorted queries are
+// order-enforced: every match is seen before the first is delivered (the
+// sort of a single path is charged to the query like any other work).
 //
 // A Cursor is not safe for concurrent use by multiple goroutines.
 type Cursor struct {
@@ -44,39 +45,44 @@ type Cursor struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// Engine-backed state: one Pending per union branch, drained in
-	// submission order. Live cursors read the sinks; buffered cursors wait
-	// the summaries and iterate the merged node list.
-	pend []*engine.Pending
-	live bool
-	cur  int             // branch currently being drained (live)
-	bres []engine.Result // clean branch summaries harvested so far
+	// prod points at eng or dir: both producers live inside the cursor's own
+	// allocation, whichever the cursor was opened over.
+	prod producer
+	eng  engineProducer
+	dir  directProducer
 
-	// Direct state (DB.QueryStream): the operator tree is pulled on the
-	// caller's goroutine, engine-free.
-	direct *directCursor
+	// What the cursor applies above the producer, once for every surface:
+	// union dedup, the sorted-union buffer, Limit.
+	union  bool                    // the query has several branches
+	seen   map[storage.NodeID]bool // nodes a union has delivered
+	merged []core.Result           // a sorted union, in document order
+	sorted bool                    // merged is built
 
-	// Buffered iteration state (engine-buffered and direct-sorted): the
-	// merged result, yielded one node at a time.
-	merged bool
-	sum    ExecResult
-	sumOK  bool
-	idx    int
-
-	seen    map[storage.NodeID]bool // union dedup (live modes)
 	node    Node
 	yielded int
-	capped  bool // Limit reached; next Next() terminates the stream
 	done    bool
-	closed  bool
 	err     error
+	sum     ExecResult
+}
+
+// producer is the source a Cursor pulls from: the matches of a query's
+// branch plans, branch after branch in production order.
+type producer interface {
+	// next returns the next match; ok is false at exhaustion and on error.
+	next(ctx context.Context) (r core.Result, ok bool, err error)
+	// known is how many further matches are already materialized.
+	known() int
+	// stop ends production after the cursor cancelled the query's context:
+	// it releases everything the producer holds and returns the summary of
+	// the work done.
+	stop() ExecResult
 }
 
 // Stream opens a cursor over the path's results. Unsorted queries deliver
 // incrementally (the first node is available long before the last is
 // computed); a sorted single path is order-enforced at the producer (the
 // engine sees every match before the first is delivered) and then streams
-// the sorted sequence; a sorted union is delivered buffered, after the
+// the sorted sequence; a sorted union is delivered after the cursor's
 // cross-branch merge. Streaming queries execute solo — they never join a
 // gang-shared scheduler, since their production is paced by the consumer.
 // A full admission queue makes Stream wait; TryStream sheds instead.
@@ -92,7 +98,7 @@ func (s *Session) TryStream(ctx context.Context, path string, opts QueryOptions)
 }
 
 func (s *Session) stream(ctx context.Context, path string, opts QueryOptions, try, live bool) (*Cursor, error) {
-	queries, live, err := s.compile(path, opts, live)
+	queries, err := s.compile(path, opts, live)
 	if err != nil {
 		return nil, err
 	}
@@ -118,40 +124,101 @@ func (s *Session) stream(ctx context.Context, path string, opts QueryOptions, tr
 		}
 		pendings = append(pendings, p)
 	}
-	c := &Cursor{
-		db:     s.eng.db,
-		path:   path,
-		opts:   opts,
-		ctx:    cctx,
-		cancel: cancel,
-		pend:   pendings,
-		live:   live,
-	}
-	if live && len(pendings) > 1 {
-		c.seen = make(map[storage.NodeID]bool)
-	}
+	c := newCursor(s.eng.db, path, opts, cctx, cancel, len(queries))
+	c.eng = engineProducer{pend: pendings}
+	c.prod = &c.eng
 	return c, nil
+}
+
+// newCursor allocates a cursor over a query of the given number of union
+// branches; the caller attaches the producer.
+func newCursor(db *DB, path string, opts QueryOptions, ctx context.Context, cancel context.CancelFunc, branches int) *Cursor {
+	return &Cursor{db: db, path: path, opts: opts, ctx: ctx, cancel: cancel, union: branches > 1}
 }
 
 // Next advances the cursor to the next result node, reporting false when
 // the stream is exhausted, failed, closed, or capped by Limit. After a
 // false, Err distinguishes completion (nil) from failure.
 func (c *Cursor) Next() bool {
-	if c.done || c.closed {
+	if c.done {
 		return false
 	}
-	if c.capped {
-		c.terminate()
+	if c.opts.Limit > 0 && c.yielded >= c.opts.Limit {
+		c.finish(nil)
 		return false
 	}
-	switch {
-	case c.direct != nil:
-		return c.nextDirect()
-	case c.live:
-		return c.nextLive()
-	default:
-		return c.nextBuffered()
+	r, ok, err := c.pull()
+	if !ok {
+		c.finish(err)
+		return false
 	}
+	c.node = Node{db: c.db, id: r.Node, ord: r.Ord}
+	c.yielded++
+	return true
+}
+
+// pull returns the next node of the result: the producer's next distinct
+// match, or — a sorted union's document order exists only once every branch
+// has landed — the next of the merged sequence, built on the first call.
+// The merge is not charged to any ledger.
+func (c *Cursor) pull() (core.Result, bool, error) {
+	if !c.opts.Sorted || !c.union {
+		return c.distinct()
+	}
+	if !c.sorted {
+		for {
+			r, ok, err := c.distinct()
+			if err != nil {
+				return r, false, err
+			}
+			if !ok {
+				break
+			}
+			if c.merged == nil {
+				c.merged = make([]core.Result, 0, 1+c.prod.known())
+			}
+			c.merged = append(c.merged, r)
+		}
+		core.SortResults(c.merged)
+		c.sorted = true
+	}
+	if c.yielded >= len(c.merged) {
+		return core.Result{}, false, nil
+	}
+	return c.merged[c.yielded], true, nil
+}
+
+// distinct pulls the producer's next match, skipping nodes an earlier union
+// branch already delivered. The set is sized on the first match from what
+// the producer has materialized by then.
+func (c *Cursor) distinct() (core.Result, bool, error) {
+	for {
+		r, ok, err := c.prod.next(c.ctx)
+		if !ok || !c.union {
+			return r, ok, err
+		}
+		if c.seen == nil {
+			c.seen = make(map[storage.NodeID]bool, 1+c.prod.known())
+		}
+		if !c.seen[r.Node] {
+			c.seen[r.Node] = true
+			return r, true, nil
+		}
+	}
+}
+
+// finish is the one exit every stream takes — exhausted, capped by Limit,
+// failed, context done, closed: cancel the query, stop the producer (which
+// settles or closes its plans, withdraws their cluster prefetches and
+// returns pooled arenas) and stamp the summary. Idempotent.
+func (c *Cursor) finish(err error) {
+	if c.done {
+		return
+	}
+	c.done = true
+	c.cancel()
+	c.sum = c.prod.stop()
+	c.err = wrapErr("query", c.path, err)
 }
 
 // Node returns the node Next positioned the cursor on.
@@ -166,14 +233,11 @@ func (c *Cursor) Count() int { return c.yielded }
 
 // Summary returns the query's aggregated execution summary — resolved
 // strategy, cost-model choice, virtual costs, gang/shared info — once the
-// stream has terminated (Next returned false, or Close was called). The
-// summary of a live stream covers the branches that completed cleanly; its
-// Nodes field is nil (nodes were delivered through the cursor).
+// stream has terminated (Next returned false, or Close was called). An
+// engine-backed summary covers the branches that completed cleanly. Its
+// Nodes field is nil (nodes are delivered through the cursor).
 func (c *Cursor) Summary() (ExecResult, bool) {
-	if !c.sumOK {
-		return ExecResult{}, false
-	}
-	return c.sum, true
+	return c.sum, c.done
 }
 
 // Close terminates the stream: it cancels the underlying query (stopping
@@ -181,215 +245,120 @@ func (c *Cursor) Summary() (ExecResult, bool) {
 // prefetches), unblocks and settles every branch, and releases pooled
 // resources. Idempotent; always returns nil.
 func (c *Cursor) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	c.cancel()
-	if c.direct != nil {
-		c.direct.close()
-		if !c.sumOK {
-			c.finishDirect()
-		}
-		return nil
-	}
-	// Settle every branch not yet harvested: drain sinks so producers
-	// unblock, then wait for the engine to finish each Pending (it always
-	// does — cancellation stops it at the next poll point). This is what
-	// makes Close leak-free: no worker is left blocked on our channels
-	// and no prefetch stays in flight.
-	for i := c.cur; i < len(c.pend); i++ {
-		p := c.pend[i]
-		if ch := p.C(); ch != nil {
-			for range ch {
-			}
-		}
-		if res, err := p.Wait(context.Background()); err == nil {
-			c.bres = append(c.bres, res)
-		}
-	}
-	c.cur = len(c.pend)
-	if !c.sumOK && len(c.bres) > 0 {
-		c.sum = aggregateBranches(c.bres)
-		c.sumOK = true
-	}
-	c.done = true
+	c.finish(nil)
 	return nil
 }
 
-// terminate ends a Limit-capped stream cleanly: remaining production is
-// cancelled and the summary is built from the branches seen.
-func (c *Cursor) terminate() {
-	if c.direct != nil {
-		c.direct.close()
-		c.finishDirect()
-		c.done = true
-		return
-	}
-	c.cancel()
-	for i := c.cur; i < len(c.pend); i++ {
-		p := c.pend[i]
-		if ch := p.C(); ch != nil {
-			for range ch {
-			}
-		}
-		if res, err := p.Wait(context.Background()); err == nil {
-			c.bres = append(c.bres, res)
-		}
-	}
-	c.cur = len(c.pend)
-	if !c.sumOK {
-		c.sum = aggregateBranches(c.bres)
-		c.sumOK = true
-	}
-	c.done = true
-}
-
-// nextLive pulls the next node from the engine sinks, branch by branch in
-// submission order, deduplicating across union branches on the fly.
-func (c *Cursor) nextLive() bool {
-	for {
-		if c.cur >= len(c.pend) {
-			c.sum = aggregateBranches(c.bres)
-			c.sumOK = true
-			c.done = true
-			return false
-		}
-		r, ok := <-c.pend[c.cur].C()
-		if !ok {
-			res, err := c.pend[c.cur].Wait(c.ctx)
-			if err != nil {
-				c.fail(err)
-				return false
-			}
-			c.bres = append(c.bres, res)
-			c.cur++
-			continue
-		}
-		if c.seen != nil {
-			if c.seen[r.Node] {
-				continue
-			}
-			c.seen[r.Node] = true
-		}
-		c.yield(Node{db: c.db, id: r.Node, ord: r.Ord})
-		return true
-	}
-}
-
-// nextBuffered waits for every branch once, merges them exactly like the
-// buffered call path, then yields the merged nodes one at a time.
-func (c *Cursor) nextBuffered() bool {
-	if !c.merged {
-		c.mergeBuffered()
-		if c.err != nil {
-			return false
-		}
-	}
-	if c.idx >= len(c.sum.Nodes) {
-		c.done = true
-		return false
-	}
-	c.yield(c.sum.Nodes[c.idx])
-	c.idx++
-	return true
-}
-
-func (c *Cursor) yield(n Node) {
-	c.node = n
-	c.yielded++
-	if c.opts.Limit > 0 && c.yielded >= c.opts.Limit {
-		c.capped = true
-	}
-}
-
-func (c *Cursor) fail(err error) {
-	c.err = wrapErr("query", c.path, err)
-	c.done = true
-	c.cancel()
-	// Settle the remaining branches so nothing stays blocked on our sinks.
-	for i := c.cur; i < len(c.pend); i++ {
-		p := c.pend[i]
-		if ch := p.C(); ch != nil {
-			for range ch {
-			}
-		}
-		p.Wait(context.Background())
-	}
-	c.cur = len(c.pend)
-}
-
-// mergeBuffered combines the branch results into one ExecResult — the Do
-// semantics: union branches dedup as a node set, sorted unions re-sort,
-// Limit truncates the final sequence.
-func (c *Cursor) mergeBuffered() {
-	c.merged = true
-	for ; c.cur < len(c.pend); c.cur++ {
-		res, err := c.pend[c.cur].Wait(c.ctx)
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		c.bres = append(c.bres, res)
-	}
-	out := aggregateBranches(c.bres)
-
-	var all []core.Result
-	for _, r := range c.bres {
-		all = append(all, r.Results...)
-	}
-	if len(c.pend) > 1 {
-		seen := make(map[storage.NodeID]bool, len(all))
-		dedup := all[:0]
-		for _, r := range all {
-			if seen[r.Node] {
-				continue
-			}
-			seen[r.Node] = true
-			dedup = append(dedup, r)
-		}
-		all = dedup
-		if c.opts.Sorted {
-			core.SortResults(all)
-		}
-	}
-	if c.opts.Limit > 0 && len(all) > c.opts.Limit {
-		all = all[:c.opts.Limit]
-	}
-	out.Nodes = make([]Node, len(all))
-	for i, r := range all {
-		out.Nodes[i] = Node{db: c.db, id: r.Node, ord: r.Ord}
-	}
-	c.sum = out
-	c.sumOK = true
-}
-
-// drainAll consumes the whole cursor and returns the buffered-call result:
-// every yielded node plus the aggregated summary.
-func (c *Cursor) drainAll() (ExecResult, error) {
-	if !c.live && c.direct == nil {
-		// Buffered engine mode already materializes the exact Do result.
-		if !c.merged {
-			c.mergeBuffered()
-		}
-		return c.sum, c.err
-	}
+// Drain consumes the rest of the stream and returns it as a buffered
+// ExecResult — the bridge from cursor to one-shot semantics. Session.Do and
+// DB.QueryCtx are exactly open-then-Drain.
+func (c *Cursor) Drain() (ExecResult, error) {
 	var nodes []Node
 	for c.Next() {
-		nodes = append(nodes, c.Node())
+		if nodes == nil {
+			// Size the slice once from what is already materialized.
+			n := c.prod.known()
+			if c.sorted {
+				n = len(c.merged) - c.yielded
+			}
+			if lim := c.opts.Limit; lim > 0 && n >= lim {
+				n = lim - 1
+			}
+			nodes = make([]Node, 0, 1+n)
+		}
+		nodes = append(nodes, c.node)
 	}
 	if c.err != nil {
 		return ExecResult{}, c.err
 	}
-	res, _ := c.Summary()
+	res := c.sum
 	res.Nodes = nodes
 	return res, nil
 }
 
-// Drain consumes the rest of the stream and returns it as a buffered
-// ExecResult — the bridge from cursor to one-shot semantics. Session.Do is
-// exactly stream-then-Drain.
-func (c *Cursor) Drain() (ExecResult, error) { return c.drainAll() }
+// ---------------------------------------------------------------------------
+// The engine producer: Session.Stream/TryStream/Do/TryDo.
+
+// engineProducer pulls a query admitted to the engine: one Pending per
+// union branch, drained in submission order. A streaming branch hands its
+// matches over through its sink as the worker produces them; whatever the
+// engine buffered instead is in the branch's Result once it has settled.
+type engineProducer struct {
+	pend []*engine.Pending
+	done []engine.Result // summaries of the branches harvested so far, in order
+	cur  int             // branch being delivered
+	idx  int             // next of done[cur].Results
+}
+
+func (p *engineProducer) next(ctx context.Context) (core.Result, bool, error) {
+	for p.cur < len(p.pend) {
+		ch := p.pend[p.cur].C()
+		if ch != nil {
+			if r, ok := <-ch; ok {
+				return r, true, nil
+			}
+		}
+		// The branch's sink is closed, or it never had one. A streamed query
+		// harvests branch by branch; a buffered one waits for all of them
+		// before it delivers anything, so that a Limit reached on an early
+		// branch cannot cancel its siblings mid-run and leave the query's
+		// cost to goroutine timing.
+		upto := len(p.pend)
+		if ch != nil {
+			upto = p.cur + 1
+		}
+		for len(p.done) < upto {
+			res, err := p.pend[len(p.done)].Wait(ctx)
+			if err != nil {
+				return core.Result{}, false, err
+			}
+			p.done = append(p.done, res)
+		}
+		if rs := p.done[p.cur].Results; p.idx < len(rs) {
+			p.idx++
+			return rs[p.idx-1], true, nil
+		}
+		p.cur++
+		p.idx = 0
+	}
+	return core.Result{}, false, nil
+}
+
+func (p *engineProducer) known() int {
+	n := -p.idx // idx is past 0 only once done[cur] is there
+	for i := p.cur; i < len(p.done); i++ {
+		n += len(p.done[i].Results)
+	}
+	return n
+}
+
+// stop settles every branch not yet harvested: drain its sink so the worker
+// unblocks, then wait for the engine to finish the Pending (it always does —
+// the cancelled context stops it at the next poll point, and the engine
+// withdraws a cancelled query's prefetches). This is what makes every exit
+// leak-free: no worker stays blocked on the cursor's channels.
+func (p *engineProducer) stop() ExecResult {
+	for _, pd := range p.pend[len(p.done):] {
+		if ch := pd.C(); ch != nil {
+			for range ch {
+			}
+		}
+		if res, err := pd.Wait(context.Background()); err == nil {
+			p.done = append(p.done, res)
+		}
+	}
+	return aggregateBranches(p.done)
+}
+
+// choiceOf converts the model's decision for a summary; nil (the strategy
+// was forced) stays nil.
+func choiceOf(c *plan.Choice) *PlanChoice {
+	if c == nil {
+		return nil
+	}
+	pc := fromPlanChoice(*c)
+	return &pc
+}
 
 // aggregateBranches folds branch summaries into one ExecResult (no nodes):
 // costs sum, shared flags or, and the virtual latency spans the earliest
@@ -398,11 +367,8 @@ func aggregateBranches(branch []engine.Result) ExecResult {
 	if len(branch) == 0 {
 		return ExecResult{}
 	}
-	out := ExecResult{Strategy: fromCore(branch[0].Strategy), Gang: branch[0].Gang}
-	if ch := branch[0].Choice; ch != nil {
-		pc := fromPlanChoice(*ch)
-		out.Choice = &pc
-	}
+	out := ExecResult{Strategy: fromCore(branch[0].Strategy), Gang: branch[0].Gang,
+		Choice: choiceOf(branch[0].Choice)}
 	minSubmit, maxDone := branch[0].SubmitV, branch[0].DoneV
 	for _, r := range branch {
 		out.Shared = out.Shared || r.Shared
@@ -424,223 +390,157 @@ func aggregateBranches(branch []engine.Result) ExecResult {
 }
 
 // ---------------------------------------------------------------------------
-// Direct (engine-free) streaming: DB.QueryStream.
+// The direct (engine-free) producer: DB.QueryStream/QueryCtx and Query.
 
 // QueryStream opens a cursor directly over the operator tree, on the
-// caller's goroutine — the streaming counterpart of DB.QueryCtx, and the
-// engine-free counterpart of Session.Stream. Unsorted queries pull the
-// plan incrementally: each Next advances the operators just far enough to
-// produce one match. Sorted queries evaluate fully first (order
+// caller's goroutine — the engine-free counterpart of Session.Stream.
+// Unsorted queries pull the plan incrementally: each Next advances the
+// operators just far enough to produce one match, union branches one after
+// another. Sorted queries evaluate fully on the first Next (order
 // enforcement), then stream the sorted result.
 //
-// Like QueryCtx, it is not safe for use concurrently with other queries on
-// the same DB; use Session.Stream for concurrent streaming.
+// It is not safe for use concurrently with other queries on the same DB (it
+// runs on the volume's own clock); use Session.Stream for concurrent
+// streaming.
 func (db *DB) QueryStream(ctx context.Context, path string, opts QueryOptions) (*Cursor, error) {
-	branches, err := xpathParseUnion(db, path)
+	branches, err := parseUnion(db, path)
 	if err != nil {
 		return nil, err
 	}
 	cctx, cancel := opts.context(ctx)
-	if opts.Sorted {
-		// Order enforcement buffers anyway: evaluate through the buffered
-		// path and stream the sorted nodes from the cursor.
-		res, qerr := db.QueryCtx(cctx, path, opts)
-		if qerr != nil {
-			cancel()
-			return nil, qerr
-		}
-		c := &Cursor{db: db, path: path, opts: opts, ctx: cctx, cancel: cancel,
-			merged: true, sum: res, sumOK: true}
-		return c, nil
-	}
-	d := &directCursor{
+	return db.openDirect(cctx, cancel, path, branches, db.store.Roots(), opts), nil
+}
+
+// openDirect opens a cursor over the direct producer: the branches' plans
+// evaluated from the given context nodes. Every branch is resolved here,
+// against the pool as the query finds it — as the engine's dispatcher
+// resolves a gang — not against what an earlier branch leaves behind.
+func (db *DB) openDirect(ctx context.Context, cancel context.CancelFunc, path string, branches [][]xpath.Step, contexts []storage.NodeID, opts QueryOptions) *Cursor {
+	c := newCursor(db, path, opts, ctx, cancel, len(branches))
+	start := db.store.Ledger().Snapshot()
+	c.dir = directProducer{
 		db:       db,
-		branches: branches,
-		arena:    core.GetArena(),
-		startLed: db.store.Ledger().Snapshot(),
+		branches: make([]directBranch, len(branches)),
+		contexts: contexts,
+		popts: core.PlanOptions{
+			MemLimit: opts.MemLimit,
+			Ctx:      ctx,
+			Arena:    core.GetArena(),
+			// A single path sorts inside its plan, charged to the query;
+			// union branches are merged by the cursor.
+			SortResults: opts.Sorted && len(branches) == 1,
+		},
+		startV: start.Now, startCPU: start.CPU, startIO: start.IOWait,
 	}
-	c := &Cursor{db: db, path: path, opts: opts, ctx: cctx, cancel: cancel, direct: d}
-	if len(branches) > 1 {
-		c.seen = make(map[storage.NodeID]bool)
+	for i, b := range branches {
+		strat, pred, choice := db.resolve(b, opts.Strategy, opts.PredEval.internal())
+		c.dir.branches[i] = directBranch{path: b, strat: strat, pred: pred}
+		if i == 0 {
+			c.dir.choice = choice
+		}
 	}
-	return c, nil
+	c.prod = &c.dir
+	return c
 }
 
-// directCursor pulls the operator tree of one branch at a time on the
-// consumer's goroutine. Union branches evaluate sequentially (a streamed
-// union has no shared scheduler — delivery is paced by the consumer).
-type directCursor struct {
+// directProducer builds each branch's plan with core.BuildPlan and pulls it
+// on the consumer's goroutine, one branch after another: delivery is paced
+// by the consumer, so union branches share no scheduler.
+type directProducer struct {
 	db       *DB
-	branches [][]xpath.Step
-	bi       int
-	root     core.Operator
-	opened   bool
-	arena    *core.Arena
-	startLed stats.Ledger
-	strat    Strategy
-	choice   *PlanChoice
-	strategd bool
-	closed   bool
+	branches []directBranch
+	contexts []storage.NodeID
+	popts    core.PlanOptions // all but PredEval, which is per branch
+
+	bi   int           // branch being delivered
+	root core.Operator // its open plan; nil between branches
+
+	// For the summary: the volume clocks when the cursor opened, and the
+	// model's decision on the first branch (nil when forced).
+	startV, startCPU, startIO stats.Ticks
+	choice                    *plan.Choice
 }
 
-// open builds and opens the plan for the current branch. A page fault
-// during open is returned as a typed error.
-func (d *directCursor) open(ctx context.Context, opts QueryOptions) (ferr error) {
+// directBranch is one union branch with its resolved strategy and predicate
+// evaluator.
+type directBranch struct {
+	path  []xpath.Step
+	strat core.Strategy
+	pred  core.PredEval
+}
+
+// plan compiles branch bi.
+func (p *directProducer) plan(bi int) *core.Plan {
+	b, opts := p.branches[bi], p.popts
+	opts.PredEval = b.pred
+	return core.BuildPlan(p.db.store, b.path, p.contexts, b.strat, opts)
+}
+
+// next advances the current branch's plan by one match, opening it first
+// and moving on to the next branch when it is exhausted. A page fault
+// raised by the fault plane anywhere below is returned as the typed error.
+func (p *directProducer) next(ctx context.Context) (r core.Result, ok bool, err error) {
 	defer func() {
-		if r := recover(); r != nil {
-			if pe, ok := storage.AsPageFault(r); ok {
-				ferr = pe
-				return
+		if rec := recover(); rec != nil {
+			pe, isFault := storage.AsPageFault(rec)
+			if !isFault {
+				panic(rec)
 			}
-			panic(r)
+			r, ok, err = core.Result{}, false, pe
 		}
 	}()
-	strat := opts.Strategy
-	if !d.strategd {
-		d.strategd = true
-		if strat == Auto && len(d.branches) == 1 {
-			ch := d.db.getChooser().Choose(d.branches[0])
-			d.strat = fromCore(ch.Strategy)
-			pc := fromPlanChoice(ch)
-			d.choice = &pc
-		} else if strat == Auto {
-			d.strat = Schedule
-		} else {
-			d.strat = strat
+	for p.bi < len(p.branches) {
+		if err := ctx.Err(); err != nil {
+			return core.Result{}, false, err
 		}
-	}
-	pe := opts.PredEval.internal()
-	if pe == core.PredAuto && hasPredicates(d.branches[d.bi]) {
-		if d.choice != nil && d.bi == 0 {
-			pe = d.choice.PredEval.internal()
-		} else {
-			pe = d.db.getChooser().Choose(d.branches[d.bi]).PredEval
+		if p.root == nil {
+			root := p.plan(p.bi).Root()
+			root.Open()
+			p.root = root
 		}
+		if inst, ok := p.root.Next(); ok {
+			return core.Result{Node: inst.NR, Ord: inst.Ord}, true, nil
+		}
+		// A cancelled plan ends its stream early rather than erroring;
+		// surface the context failure as the typed taxonomy error.
+		if err := ctx.Err(); err != nil {
+			return core.Result{}, false, err
+		}
+		p.root.Close()
+		p.root = nil
+		p.bi++
 	}
-	p := core.BuildPlan(d.db.store, d.branches[d.bi], d.db.store.Roots(), d.strat.internal(),
-		core.PlanOptions{MemLimit: opts.MemLimit, Ctx: ctx, Arena: d.arena, PredEval: pe})
-	d.root = p.Root()
-	d.root.Open()
-	d.opened = true
-	return nil
+	return core.Result{}, false, nil
 }
 
-// pull advances the current branch by one match, converting the fault
-// plane's typed panic into an error.
-func (d *directCursor) pull() (inst core.Instance, ok bool, ferr error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if pe, isPF := storage.AsPageFault(r); isPF {
-				ferr = pe
-				return
-			}
-			panic(r)
-		}
-	}()
-	inst, ok = d.root.Next()
-	return inst, ok, nil
-}
+func (p *directProducer) known() int { return 0 }
 
-// close releases the current plan and pooled resources, and withdraws the
-// volume's in-flight cluster prefetches (a streamed plan abandoned
-// mid-flight may have requests queued on the device).
-func (d *directCursor) close() {
-	if d.closed {
-		return
-	}
-	d.closed = true
-	if d.opened {
-		d.opened = false
+// stop closes the open plan, withdraws the cluster requests it left with
+// the volume's waiter — a plan abandoned mid-flight has prefetches queued on
+// the device, and they must not surface inside the next query — returns the
+// arena, and reports the volume-ledger delta since the cursor opened.
+func (p *directProducer) stop() ExecResult {
+	if p.root != nil {
 		func() {
 			defer func() {
-				if r := recover(); r != nil {
-					if _, isPF := storage.AsPageFault(r); !isPF {
-						panic(r)
+				if rec := recover(); rec != nil {
+					if _, isFault := storage.AsPageFault(rec); !isFault {
+						panic(rec)
 					}
 				}
 			}()
-			d.root.Close()
+			p.root.Close()
 		}()
+		p.root = nil
 	}
-	d.root = nil
-	d.db.store.CancelRequests()
-	if d.arena != nil {
-		core.PutArena(d.arena)
-		d.arena = nil
-	}
-}
+	p.db.store.CancelRequests()
+	core.PutArena(p.popts.Arena)
 
-// nextDirect advances the direct cursor: open the next branch as needed,
-// pull one match, dedup across union branches.
-func (c *Cursor) nextDirect() bool {
-	d := c.direct
-	for {
-		if cerr := c.ctx.Err(); cerr != nil {
-			c.failDirect(cerr)
-			return false
-		}
-		if !d.opened {
-			if d.bi >= len(d.branches) {
-				d.close()
-				c.finishDirect()
-				c.done = true
-				return false
-			}
-			if ferr := d.open(c.ctx, c.opts); ferr != nil {
-				c.failDirect(ferr)
-				return false
-			}
-		}
-		inst, ok, ferr := d.pull()
-		if ferr != nil {
-			c.failDirect(ferr)
-			return false
-		}
-		if !ok {
-			// A cancelled plan ends its stream early rather than erroring;
-			// surface the context failure as the typed taxonomy error.
-			if cerr := c.ctx.Err(); cerr != nil {
-				c.failDirect(cerr)
-				return false
-			}
-			d.opened = false
-			d.root.Close()
-			d.root = nil
-			d.bi++
-			continue
-		}
-		if c.seen != nil {
-			if c.seen[inst.NR] {
-				continue
-			}
-			c.seen[inst.NR] = true
-		}
-		c.yield(Node{db: c.db, id: inst.NR, ord: inst.Ord})
-		return true
-	}
-}
-
-func (c *Cursor) failDirect(err error) {
-	c.err = wrapErr("query", c.path, err)
-	c.done = true
-	c.direct.close()
-	c.cancel()
-	c.finishDirect()
-}
-
-// finishDirect stamps the direct cursor's summary from the volume-ledger
-// delta (the same accounting DB.QueryCtx reports).
-func (c *Cursor) finishDirect() {
-	if c.sumOK {
-		return
-	}
-	d := c.direct
-	end := c.db.store.Ledger().Snapshot()
-	out := ExecResult{Strategy: d.strat, Choice: d.choice, Gang: 1}
-	out.CostV = end.Now - d.startLed.Now
-	out.CPUV = end.CPU - d.startLed.CPU
-	out.IOWaitV = end.IOWait - d.startLed.IOWait
+	end := p.db.store.Ledger().Snapshot()
+	out := ExecResult{Strategy: fromCore(p.branches[0].strat), Gang: 1, Choice: choiceOf(p.choice)}
+	out.CostV = end.Now - p.startV
+	out.CPUV = end.CPU - p.startCPU
+	out.IOWaitV = end.IOWait - p.startIO
 	out.VirtualLatency = out.CostV
-	c.sum = out
-	c.sumOK = true
+	return out
 }

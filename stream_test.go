@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pathdb/internal/stats"
 	"pathdb/internal/storage"
 )
 
@@ -152,35 +153,228 @@ func TestStreamLimit(t *testing.T) {
 	}
 }
 
-// TestStreamEarlyClose: closing a cursor mid-stream (including immediately)
-// unblocks the producer, returns pooled navigation iterators, and leaves no
-// goroutines behind — the leak-free property Close promises.
+// exitFixture is the volume the exit-path tests run on: cold, shuffled, and
+// with a pool far smaller than the document, so that an XSchedule plan
+// abandoned mid-flight has cluster requests outstanding.
+func exitFixture(t *testing.T) *DB {
+	t.Helper()
+	db, err := GenerateXMark(XMarkConfig{ScaleFactor: 0.1, Seed: 7, EntityScale: 0.05},
+		Options{PageSize: 2048, BufferPages: 40, Layout: Shuffled, LayoutSeed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.ResetStats()
+	return db
+}
+
+// checkNoRequestsLeft runs exit on two identically prepared volumes, calls
+// CancelRequests by hand on the second, and requires the next query to cost
+// and visit exactly the same on both: whatever exit did, it left no cluster
+// request with the volume's waiter to surface inside a later query.
+func checkNoRequestsLeft(t *testing.T, exit func(t *testing.T, db *DB)) {
+	t.Helper()
+	var clusters [2]int64
+	var cost [2]stats.Ticks
+	for i := range clusters {
+		db := exitFixture(t)
+		exit(t, db)
+		if i == 1 {
+			db.store.CancelRequests()
+		}
+		before := db.CostReport().ClustersHit
+		res, err := db.QueryCtx(context.Background(), "/site/people/person/name", QueryOptions{Strategy: Schedule})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clusters[i], cost[i] = db.CostReport().ClustersHit-before, res.CostV
+	}
+	if clusters[0] != clusters[1] || cost[0] != cost[1] {
+		t.Fatalf("the exit left cluster requests behind: the next query visited %d clusters for %v, %d for %v once they are withdrawn",
+			clusters[0], cost[0], clusters[1], cost[1])
+	}
+}
+
+// TestDirectExitWithdrawsRequests: an abandoned Each, a faulted QueryCtx and
+// a query cancelled mid-flight all withdraw their outstanding cluster
+// requests (the contract of core.XSchedule: "the plan's owner cancels them").
+func TestDirectExitWithdrawsRequests(t *testing.T) {
+	t.Run("abandoned Each", func(t *testing.T) {
+		checkNoRequestsLeft(t, func(t *testing.T, db *DB) {
+			q, err := db.Query("//item/name")
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			q.WithStrategy(Schedule).Each(func(Node) bool { n++; return n < 50 })
+			if n != 50 {
+				t.Fatalf("Each stopped after %d nodes, want 50", n)
+			}
+		})
+	})
+	t.Run("faulted QueryCtx", func(t *testing.T) {
+		checkNoRequestsLeft(t, func(t *testing.T, db *DB) {
+			db.SetFaults(FaultConfig{Seed: 1, ReadError: 0.9})
+			_, err := db.QueryCtx(context.Background(), "//item/name", QueryOptions{Strategy: Schedule})
+			db.SetFaults(FaultConfig{})
+			if !errors.Is(err, ErrIO) {
+				t.Fatalf("QueryCtx under ReadError=0.9: err=%v, want ErrIO", err)
+			}
+		})
+	})
+	t.Run("cancelled mid-flight", func(t *testing.T) {
+		// QueryCtx is this cursor followed by Drain; holding the cursor is
+		// what lets the test cancel at a known point.
+		checkNoRequestsLeft(t, func(t *testing.T, db *DB) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cur, err := db.QueryStream(ctx, "//item/name", QueryOptions{Strategy: Schedule})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 50 && cur.Next(); i++ {
+			}
+			cancel()
+			if _, err := cur.Drain(); !errors.Is(err, ErrCanceled) {
+				t.Fatalf("Drain of a cancelled query: err=%v, want ErrCanceled", err)
+			}
+		})
+	})
+}
+
+// TestStreamEarlyClose: every way a cursor can end — over the engine
+// producer and over the direct one — takes the same exit: Err is nil or
+// typed, the summary is there, a second Close is a no-op, no goroutine and
+// no pooled navigation iterator stays behind, and (direct) no cluster
+// request is left to surface inside the next query.
 func TestStreamEarlyClose(t *testing.T) {
-	db := engineFixture(t)
-	eng := db.NewEngine(EngineConfig{MaxInFlight: 4})
-	defer eng.Close()
-	ses := eng.NewSession()
+	const union = "/site/people/person/name | /site/regions//item/name"
+	exits := []struct {
+		name  string
+		path  string
+		opts  QueryOptions
+		fault bool
+		// drive takes the open cursor to its exit; cancel cancels its context.
+		drive func(t *testing.T, cur *Cursor, cancel func())
+		kind  ErrorKind // of Err(); KindUnknown wants nil
+		count int       // required Count(), -1 for any
+	}{
+		{name: "exhausted", path: "//item/name", count: -1,
+			drive: func(_ *testing.T, cur *Cursor, _ func()) {
+				for cur.Next() {
+				}
+			}},
+		{name: "limit cut", path: "//item/name", opts: QueryOptions{Limit: 3}, count: 3,
+			drive: func(_ *testing.T, cur *Cursor, _ func()) {
+				for cur.Next() {
+				}
+			}},
+		{name: "close after one node", path: "//item/name", count: 1,
+			drive: func(_ *testing.T, cur *Cursor, _ func()) { cur.Next(); cur.Close() }},
+		{name: "close before the first Next", path: "//item/name", count: 0,
+			drive: func(_ *testing.T, cur *Cursor, _ func()) { cur.Close() }},
+		{name: "context cancelled mid-stream", path: "//item/name", count: -1, kind: KindCanceled,
+			drive: func(_ *testing.T, cur *Cursor, cancel func()) {
+				cur.Next()
+				cancel()
+				for cur.Next() {
+				}
+			}},
+		{name: "read fault", path: "//item/name", fault: true, count: -1, kind: KindIO,
+			drive: func(_ *testing.T, cur *Cursor, _ func()) {
+				for cur.Next() {
+				}
+			}},
+		{name: "sorted union", path: union, opts: QueryOptions{Sorted: true}, count: -1,
+			drive: func(t *testing.T, cur *Cursor, _ func()) {
+				var prev Node
+				for i := 0; cur.Next(); i++ {
+					if i > 0 && CompareDocOrder(prev, cur.Node()) >= 0 {
+						t.Fatal("sorted union out of document order")
+					}
+					prev = cur.Node()
+				}
+			}},
+	}
+	type opener func(ctx context.Context, path string, opts QueryOptions) (*Cursor, error)
+
+	// check drives one exit and asserts what every exit promises.
+	check := func(t *testing.T, db *DB, open opener, i int, direct bool) {
+		ex := exits[i]
+		opts := ex.opts
+		opts.Strategy = Schedule
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if ex.fault {
+			db.SetFaults(FaultConfig{Seed: 3, ReadError: 1})
+			defer db.SetFaults(FaultConfig{})
+		}
+		cur, err := open(ctx, ex.path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex.drive(t, cur, cancel)
+		if cur.Next() {
+			t.Fatal("Next after the exit must report false")
+		}
+		err = cur.Err()
+		// An engine stream whose worker finished before the cancel arrived
+		// ends cleanly; everything else ends exactly as the exit says.
+		raced := err == nil && !direct && ex.kind == KindCanceled
+		if wantErr := ex.kind != KindUnknown; !raced && ((err != nil) != wantErr || KindOf(err) != ex.kind) {
+			t.Fatalf("Err() = %v (kind %v), want kind %v", err, KindOf(err), ex.kind)
+		}
+		if ex.count >= 0 && cur.Count() != ex.count {
+			t.Fatalf("Count() = %d, want %d", cur.Count(), ex.count)
+		}
+		sum, ok := cur.Summary()
+		if !ok {
+			t.Fatal("no summary after the exit")
+		}
+		for n := 0; n < 2; n++ {
+			if err := cur.Close(); err != nil {
+				t.Fatalf("Close #%d: %v", n+1, err)
+			}
+		}
+		if again, ok := cur.Summary(); !ok || again.CostV != sum.CostV || cur.Err() != err {
+			t.Fatal("a second Close changed the cursor's outcome")
+		}
+	}
 
 	baseline := runtime.NumGoroutine()
 	baseIters := storage.LiveStepIters()
 
-	for _, k := range []int{0, 1, 3, 17} {
-		cur, err := ses.Stream(context.Background(), "/site//description", QueryOptions{})
-		if err != nil {
-			t.Fatal(err)
+	t.Run("direct", func(t *testing.T) {
+		for i, ex := range exits {
+			t.Run(ex.name, func(t *testing.T) {
+				checkNoRequestsLeft(t, func(t *testing.T, db *DB) { check(t, db, db.QueryStream, i, true) })
+			})
 		}
-		for i := 0; i < k && cur.Next(); i++ {
+	})
+	t.Run("engine", func(t *testing.T) {
+		db := exitFixture(t)
+		eng := db.NewEngine(EngineConfig{MaxInFlight: 4})
+		defer eng.Close()
+		ses := eng.NewSession()
+		for i, ex := range exits {
+			t.Run(ex.name, func(t *testing.T) {
+				db.ResetStats() // cold, so that the fault plane has reads to fail
+				check(t, db, ses.Stream, i, false)
+			})
 		}
-		if err := cur.Close(); err != nil {
-			t.Fatal(err)
+		// Early closes at varying depths of the sink.
+		for _, k := range []int{0, 1, 3, 17} {
+			cur, err := ses.Stream(context.Background(), "/site//description", QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < k && cur.Next(); i++ {
+			}
+			cur.Close()
+			if cur.Next() {
+				t.Fatal("Next after Close must report false")
+			}
 		}
-		if cur.Next() {
-			t.Fatal("Next after Close must report false")
-		}
-		if err := cur.Close(); err != nil {
-			t.Fatal("Close must be idempotent")
-		}
-	}
+	})
 
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
@@ -188,11 +382,11 @@ func TestStreamEarlyClose(t *testing.T) {
 	}
 	if g := runtime.NumGoroutine(); g > baseline {
 		buf := make([]byte, 1<<20)
-		t.Fatalf("early Close leaked goroutines: %d > %d\n%s",
+		t.Fatalf("the exits leaked goroutines: %d > %d\n%s",
 			g, baseline, buf[:runtime.Stack(buf, true)])
 	}
 	if iters := storage.LiveStepIters(); iters != baseIters {
-		t.Fatalf("early Close leaked navigation iterators: %d live, baseline %d", iters, baseIters)
+		t.Fatalf("the exits leaked navigation iterators: %d live, baseline %d", iters, baseIters)
 	}
 }
 
@@ -244,46 +438,74 @@ func TestStreamFaultTyped(t *testing.T) {
 	}
 }
 
-// TestQueryStreamMatchesQueryCtx: the engine-free direct cursor agrees
-// with QueryCtx on set, order and limit, and an early Close returns its
-// pooled resources.
+// TestQueryStreamMatchesQueryCtx: QueryCtx is QueryStream followed by Drain,
+// so from the same pool state the two report the same nodes in the same
+// order at the same cost under the same strategy — for plain, predicate and
+// union paths, every strategy, sorted or not, limited or not. A limited
+// unsorted QueryCtx stops pulling its plan; an early Close returns the
+// cursor's pooled resources.
 func TestQueryStreamMatchesQueryCtx(t *testing.T) {
 	db := mustLoad(t, `<a><b><c/><c/></b><b/><d><b><c/></b></d></a>`)
-	paths := []string{"/a/b", "/a//c", "/a/b | /a/d/b", "/a//b | /a/b"}
-	for _, path := range paths {
-		for _, sorted := range []bool{false, true} {
-			opts := QueryOptions{Sorted: sorted}
-			want, err := db.QueryCtx(context.Background(), path, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cur, err := db.QueryStream(context.Background(), path, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := streamIDs(t, cur)
-			if sorted {
-				if !sameSeq(got, resultIDs(want)) {
-					t.Errorf("sorted QueryStream(%q) differs from QueryCtx", path)
+	db.getChooser() // the statistics walk, so that Auto finds the same pool on both sides
+	ctx := context.Background()
+	for _, path := range []string{"/a/b", "/a//c", "/a//b[c]", "/a/b | /a/d/b", "/a//b | /a/b"} {
+		for _, strat := range []Strategy{Auto, Simple, Schedule, Scan} {
+			for _, sorted := range []bool{false, true} {
+				for _, limit := range []int{0, 2} {
+					opts := QueryOptions{Strategy: strat, Sorted: sorted, Limit: limit}
+					db.ResetStats()
+					want, err := db.QueryCtx(ctx, path, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					db.ResetStats()
+					cur, err := db.QueryStream(ctx, path, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := cur.Drain()
+					if err != nil {
+						t.Fatal(err)
+					}
+					cur.Close()
+					if !sameSeq(resultIDs(got), resultIDs(want)) || got.CostV != want.CostV || got.Strategy != want.Strategy {
+						t.Errorf("%s %+v: QueryStream+Drain %d nodes, %v, %v; QueryCtx %d nodes, %v, %v", path, opts,
+							len(got.Nodes), got.CostV, got.Strategy, len(want.Nodes), want.CostV, want.Strategy)
+					}
+					if limit > 0 && len(want.Nodes) > limit {
+						t.Errorf("%s %+v: %d nodes exceed the limit", path, opts, len(want.Nodes))
+					}
+					if sorted {
+						for i := 1; i < len(want.Nodes); i++ {
+							if CompareDocOrder(want.Nodes[i-1], want.Nodes[i]) >= 0 {
+								t.Errorf("%s %+v: result not in document order", path, opts)
+							}
+						}
+					}
 				}
-			} else if !sameSet(got, resultIDs(want)) {
-				t.Errorf("QueryStream(%q) node set differs from QueryCtx", path)
 			}
 		}
 	}
 
-	// Limit on the direct cursor stops pulling the operator tree.
-	cur, err := db.QueryStream(context.Background(), "/a//c", QueryOptions{Limit: 2})
+	// Unsorted evaluation stops pulling after Limit matches: on a cold
+	// volume one node of many costs a fraction of the full run.
+	big := exitFixture(t)
+	full, err := big.QueryCtx(ctx, "//item/name", QueryOptions{Strategy: Schedule})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := streamIDs(t, cur); len(got) != 2 {
-		t.Fatalf("direct limited stream yielded %d nodes, want 2", len(got))
+	big.ResetStats()
+	one, err := big.QueryCtx(ctx, "//item/name", QueryOptions{Strategy: Schedule, Limit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one.Nodes) != 1 || one.CostV*10 > full.CostV {
+		t.Fatalf("QueryCtx{Limit: 1} returned %d nodes for %v; the unlimited run costs %v", len(one.Nodes), one.CostV, full.CostV)
 	}
 
 	// Early close releases pooled iterators.
 	baseIters := storage.LiveStepIters()
-	cur, err = db.QueryStream(context.Background(), "/a//c", QueryOptions{})
+	cur, err := db.QueryStream(ctx, "/a//c", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
