@@ -21,7 +21,10 @@ race:
 # dependent, unlike the virtual-clock numbers from xbench). Includes
 # internal/txn's BenchmarkCommit/{solo,writers=4} — ns and log flushes
 # per commit — the only timing of a commit group with more than one
-# writer (no benchmark/ workload has two).
+# writer (no benchmark/ workload has two) — and the phases of a
+# structural join (ns, B, allocs): internal/core's BenchmarkJoinResident
+# (levels cached), BenchmarkLevelBuild and BenchmarkLiteralSelect, and
+# internal/storage's BenchmarkStringValue.
 bench:
 	$(GO) test -bench . -benchmem -count=3 ./...
 

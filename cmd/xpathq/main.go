@@ -108,8 +108,8 @@ func main() {
 			fmt.Printf("  estimate: xschedule=%v xscan=%v simple=%v\n",
 				c.ScheduleCost, c.ScanCost, c.SimpleCost)
 			for _, p := range c.Preds {
-				fmt.Printf("  preds:    step %d → %s (C=%d: nested=%v join=%v, joinable=%v)\n",
-					p.Step, c.PredEval, p.Candidates, p.NestedCost, p.JoinCost, p.Joinable)
+				fmt.Printf("  preds:    step %d → %s (C=%d: nested=%v join=%v, joinable=%v, cached=%v, build=%v, credit=%v)\n",
+					p.Step, c.PredEval, p.Candidates, p.NestedCost, p.JoinCost, p.Joinable, p.Cached, p.BuildCost, p.Credit)
 			}
 		}
 		if *showPlan {

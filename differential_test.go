@@ -253,7 +253,9 @@ func TestBitmapNavDifferential(t *testing.T) {
 // must observe every later commit — the pre-commit and post-commit result
 // sets differ by exactly the committed mutation, across several commits
 // so the page epoch advances repeatedly. A stale cached decode would
-// surface here as a missing (or resurrected) probe node.
+// surface here as a missing (or resurrected) probe node. The derived cache
+// is held to the same contract through a literal predicate evaluated by the
+// join: every commit changes the values of the level it is compared with.
 func TestEpochCacheInvalidationDifferential(t *testing.T) {
 	db := engineFixture(t)
 	regions := mustOne(t, db, "/site/regions")
@@ -261,6 +263,17 @@ func TestEpochCacheInvalidationDifferential(t *testing.T) {
 	const probePath = "/site/regions/epochprobe"
 	const kwPath = "/site//keyword"
 	baseKw := countPath(t, db, kwPath) // warms the decoded-cluster cache
+	litCount := func() int {
+		t.Helper()
+		res, err := db.QueryCtx(context.Background(), `/site//epochprobe[keyword="epoch"]`, QueryOptions{PredEval: PredJoin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Nodes)
+	}
+	if got := litCount(); got != 0 { // caches both levels, and the keyword level's values
+		t.Fatalf("%d probes before the first commit", got)
+	}
 
 	var probes []Node
 	for round := 1; round <= 4; round++ {
@@ -281,6 +294,9 @@ func TestEpochCacheInvalidationDifferential(t *testing.T) {
 		if got := countPath(t, db, kwPath); got != baseKw+round {
 			t.Fatalf("after commit %d: keyword count %d, want %d", round, got, baseKw+round)
 		}
+		if got := litCount(); got != round {
+			t.Fatalf("after commit %d: the join finds %d probes by their literal, want %d (stale level?)", round, got, round)
+		}
 	}
 
 	// Deletes must invalidate just as precisely: each removal drops exactly
@@ -292,6 +308,9 @@ func TestEpochCacheInvalidationDifferential(t *testing.T) {
 		want := len(probes) - i - 1
 		if got := countPath(t, db, probePath); got != want {
 			t.Fatalf("after delete %d: %d probes visible, want %d", i+1, got, want)
+		}
+		if got := litCount(); got != want {
+			t.Fatalf("after delete %d: the join finds %d probes by their literal, want %d (stale level?)", i+1, got, want)
 		}
 	}
 	if got := countPath(t, db, kwPath); got != baseKw {

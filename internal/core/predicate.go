@@ -105,6 +105,7 @@ type probe struct {
 	root    Operator
 	hasLit  bool // the predicate compares: [branch = "literal"]
 	literal string
+	val     []byte // the string value under comparison, reused per result
 }
 
 func newProbe(es *EvalState, branch *xpath.Path, p xpath.Predicate) *probe {
@@ -138,7 +139,11 @@ func (pr *probe) run(ctx storage.NodeID) bool {
 		if !ok {
 			return false
 		}
-		if !pr.hasLit || pr.sub.Store.StringValue(out.NR) == pr.literal {
+		if !pr.hasLit {
+			return true
+		}
+		pr.val = pr.sub.Store.AppendStringValue(pr.val[:0], out.NR)
+		if string(pr.val) == pr.literal {
 			return true
 		}
 	}

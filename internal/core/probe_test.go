@@ -125,20 +125,26 @@ func TestCompiledProbeAllocatesNothingPerCandidate(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	dict, st := xmarkFixture(t)
-	steps := xpath.MustParse(dict, "/site//item[mailbox/mail//keyword]").Simplify().Steps
 	items := BuildPlan(st, xpath.MustParse(dict, "/site//item").Simplify().Steps, st.Roots(),
 		StrategySimple, PlanOptions{}).Run()
 	if len(items) < 2 {
 		t.Fatalf("fixture has %d items", len(items))
 	}
-	pp := predProbes{es: NewEvalState(st, steps), preds: steps[len(steps)-1].Predicates}
-	pp.matches(items[0].Node)
-	k := 0
-	if n := testing.AllocsPerRun(200, func() {
-		k++
-		pp.matches(items[k%len(items)].Node)
-	}); n != 0 {
-		t.Fatalf("compiled probe allocates %v per candidate, want 0", n)
+	// The literal probe compares string values in its own buffer, which the
+	// warm-up pass over every item sizes.
+	for _, src := range []string{"/site//item[mailbox/mail//keyword]", `/site//item[.//keyword="soul"]`} {
+		steps := xpath.MustParse(dict, src).Simplify().Steps
+		pp := predProbes{es: NewEvalState(st, steps), preds: steps[len(steps)-1].Predicates}
+		for _, it := range items {
+			pp.matches(it.Node)
+		}
+		k := 0
+		if n := testing.AllocsPerRun(200, func() {
+			k++
+			pp.matches(items[k%len(items)].Node)
+		}); n != 0 {
+			t.Fatalf("%s: compiled probe allocates %v per candidate, want 0", src, n)
+		}
 	}
 }
 
@@ -160,5 +166,31 @@ func TestSimplePlanAllocatesNoMoreThanSchedule(t *testing.T) {
 	simple, sched := allocs(StrategySimple), allocs(StrategySchedule)
 	if simple > sched {
 		t.Fatalf("warm Simple plan allocates %v per run, XSchedule %v", simple, sched)
+	}
+}
+
+// TestResidentJoinAllocations pins the steady state of a join whose sets
+// are resident: with a warm arena it allocates at most 40 objects more than
+// the flat plan of the same path (keys rendered for the lookups, the
+// compiled predicate, the plan's two extra operators).
+func TestResidentJoinAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	dict, st := xmarkFixture(t)
+	arena := NewArena()
+	allocs := func(src string) float64 {
+		steps := xpath.MustParse(dict, src).Simplify().Steps
+		run := func() {
+			BuildPlan(st, steps, st.Roots(), StrategySimple, PlanOptions{Arena: arena, PredEval: PredJoin}).Count()
+		}
+		run() // load the clusters, build the levels, size the arena
+		run()
+		return testing.AllocsPerRun(20, run)
+	}
+	flat, join := allocs("/site//item"), allocs("/site//item[mailbox/mail//keyword]")
+	t.Logf("flat %v, resident join %v allocations per run", flat, join)
+	if join > flat+40 {
+		t.Fatalf("resident join allocates %v per run, the flat plan %v", join, flat)
 	}
 }

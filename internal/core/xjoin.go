@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -25,14 +26,14 @@ import (
 // between pulling and flushing until both sides are dry.
 //
 // Filter sets are built bottom-up over the branch's m location steps:
-// D_j is every document node matching test_j (one Simple sub-plan per
-// level, a whole-document enumeration that the storage layer's name-test
-// bitmaps make a near-linear scan); S_m is D_m filtered by the literal
-// comparison and any nested predicates; and S_j = semijoin(D_j, S_{j+1})
-// marks the D_j nodes with at least one S_{j+1} partner under step j+1's
-// axis — a doc-order merge with an ancestor-chain stack (Stack-Tree
-// style), O(|D_j| + |S_{j+1}|) comparisons. Candidates finally merge
-// against S_1 the same way. Ancestor/descendant relations are ordpath
+// D_j is every document node matching test_j (a level: one whole-document
+// Simple sub-plan per version, a near-linear scan over the storage layer's
+// name-test bitmaps, shared by every branch and literal naming the test);
+// S_m is D_m filtered by the literal comparison and any nested predicates;
+// and S_j = semijoin(D_j, S_{j+1}) marks the D_j nodes with at least one
+// S_{j+1} partner under step j+1's axis — a doc-order merge with an
+// ancestor-chain stack (Stack-Tree style), O(|D_j| + |S_{j+1}|)
+// comparisons. Candidates finally merge against S_1 the same way. Ancestor/descendant relations are ordpath
 // prefix tests; parent/child adds a level check; attributes share their
 // owner's ord, so the attribute axis joins on key equality.
 //
@@ -58,6 +59,12 @@ type XJoin struct {
 	out      []Instance // survivors of the last flush
 	outPos   int
 
+	// flush's scratch, kept across flushes: the batch's document order and
+	// keys, and the three mark arrays of the merges.
+	order []int
+	ords  []ordpath.Key
+	marks []bool
+
 	// degraded switches to immediate per-candidate evaluation (the exact
 	// PredFilter behaviour) when the buffer outgrows the plan's memory
 	// limit — the join's analogue of XAssembly's fallback mode.
@@ -71,18 +78,21 @@ func NewXJoin(es *EvalState, input Operator, i int) *XJoin {
 	return &XJoin{es: es, input: input, i: i, preds: preds, probes: predProbes{es: es, preds: preds}}
 }
 
-// Open opens the producer.
+// Open opens the producer and borrows the instance buffers from the arena.
 func (j *XJoin) Open() {
 	j.input.Open()
-	j.buf = j.buf[:0]
-	j.out = j.out[:0]
-	j.outPos = 0
+	if j.buf == nil {
+		j.buf, j.out = j.es.Arena.takeInsts(), j.es.Arena.takeInsts()
+	}
+	j.buf, j.out, j.outPos = j.buf[:0], j.out[:0], 0
 	j.degraded = false
 	j.compiled = nil
 }
 
-// Close closes the producer.
+// Close returns the buffers and closes the producer.
 func (j *XJoin) Close() {
+	j.es.Arena.putInsts(j.buf)
+	j.es.Arena.putInsts(j.out)
 	j.buf, j.out = nil, nil
 	j.input.Close()
 }
@@ -153,33 +163,33 @@ func (j *XJoin) flush() {
 	j.out = j.out[:0]
 	j.outPos = 0
 
-	// Candidates sorted by document order for the merge; ord maps the
-	// sorted position back to the arrival position.
-	order := make([]int, len(cands))
+	// Candidates sorted by document order for the merge (a border-crossing
+	// producer delivers them so); order maps sorted to arrival position.
+	n := len(cands)
+	j.order, j.ords = slices.Grow(j.order[:0], n)[:n], slices.Grow(j.ords[:0], n)[:n]
+	j.marks = slices.Grow(j.marks[:0], 3*n)[:3*n]
+	order, ords := j.order, j.ords
+	keep := j.marks[:n]                            // by arrival position
+	pass, scratch := j.marks[n:2*n], j.marks[2*n:] // by sorted position: per predicate; per branch, OR-ed into pass
+	sorted := true
 	for k := range order {
-		order[k] = k
+		order[k], keep[k] = k, true
+		sorted = sorted && (k == 0 || ordpath.Compare(cands[k-1].Ord, cands[k].Ord) <= 0)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return ordpath.Compare(cands[order[a]].Ord, cands[order[b]].Ord) < 0
-	})
-	ords := make([]ordpath.Key, len(order))
+	if !sorted {
+		sort.Slice(order, func(a, b int) bool {
+			return ordpath.Compare(cands[order[a]].Ord, cands[order[b]].Ord) < 0
+		})
+	}
 	for k, idx := range order {
 		ords[k] = cands[idx].Ord
 	}
 
-	keep := make([]bool, len(cands)) // by arrival position
-	for k := range keep {
-		keep[k] = true
-	}
-	pass := make([]bool, len(cands))    // by sorted position, reused per predicate
-	scratch := make([]bool, len(cands)) // per-branch marks, OR-ed into pass
 	for _, jp := range j.compiled {
 		if jp.always {
 			continue
 		}
-		for k := range pass {
-			pass[k] = false
-		}
+		clear(pass)
 		for bi, br := range jp.branches {
 			// Each union branch marks its own zeroed array: semiJoinMark's
 			// stop-at-first-mark shortcut assumes every mark it encounters
@@ -189,9 +199,7 @@ func (j *XJoin) flush() {
 			dst := pass
 			if bi > 0 {
 				dst = scratch
-				for k := range scratch {
-					scratch[k] = false
-				}
+				clear(scratch)
 			}
 			semiJoinMark(ords, br.set, br.rel, dst)
 			if bi > 0 {
@@ -253,21 +261,21 @@ type joinBranch struct {
 }
 
 // compileJoinPreds builds the filter sets for every predicate of the step.
-//
-// Filter sets are document-only — they depend on the branch path, the
-// literal, and the document, never on the candidates — so they are served
-// from the volume's epoch-keyed derived cache when a prior query over the
-// same version already paid for the whole-document enumerations. Hits are
-// free (like swizzle-cache hits: the work was done once, not skipped); a
-// commit advances the epoch and the first join after it recomputes.
+// What is document-only comes from the volume's epoch-keyed derived cache:
+// the levels always, and the S_1 of a branch without a literal under its
+// branch key. A set that depends on a literal is selected and merged from
+// the levels on every query, so no key contains a literal and a generation
+// is bounded by the distinct tests and branches of the traffic, not by its
+// vocabulary. Hits are free (the work was done once, not skipped); a commit
+// advances the epoch and the first join after it recomputes.
 func compileJoinPreds(es *EvalState, preds []xpath.Predicate) []joinPred {
 	dcache, epoch, cacheable := es.Store.Derived()
 	out := make([]joinPred, 0, len(preds))
 	for _, p := range preds {
 		var jp joinPred
 		for _, branch := range p.Paths {
-			steps := joinableSteps(branch)
-			if steps == nil {
+			steps, joinable := joinableSteps(branch)
+			if !joinable {
 				jp.fallback = append(jp.fallback, newProbe(es, branch, p))
 				continue
 			}
@@ -283,22 +291,16 @@ func compileJoinPreds(es *EvalState, preds []xpath.Predicate) []joinPred {
 				continue
 			}
 			var set []ordpath.Key
-			var key string
-			cached := false
-			if cacheable {
-				key = joinBranchKey(es.Store.Dict(), steps, p)
+			key, cached := "", false
+			if cacheable && !hasLiteral(steps, p) {
+				key = joinBranchKey(es.Store.Dict(), steps)
 				if v, ok := dcache.Get(epoch, key); ok {
-					set = v.([]ordpath.Key)
-					cached = true
+					set, cached = v.([]ordpath.Key), true
 				}
 			}
 			if !cached {
 				set = branchFilterSet(es, steps, p)
-				if cacheable {
-					// Detach the keys from the decoded page images they
-					// alias before publishing, so a cached generation never
-					// pins whole clusters in memory.
-					set = cloneKeys(set)
+				if key != "" && !es.Cancelled() { // a cancelled build is partial
 					dcache.Put(epoch, key, set)
 				}
 			}
@@ -312,85 +314,184 @@ func compileJoinPreds(es *EvalState, preds []xpath.Predicate) []joinPred {
 	return out
 }
 
-// joinBranchKey names one branch filter set in the derived cache: the
-// canonical rendition of the simplified steps (nested predicates included)
-// plus the step predicate's literal comparison, if any.
-func joinBranchKey(dict *xmltree.Dictionary, steps []xpath.Step, p xpath.Predicate) string {
+// joinBranchKey names the S_1 of one literal-free branch in the derived
+// cache: the canonical rendition of the simplified steps, nested
+// predicates included.
+func joinBranchKey(dict *xmltree.Dictionary, steps []xpath.Step) string {
 	var b strings.Builder
 	b.WriteString("xjoin:")
 	for _, s := range steps {
 		b.WriteByte('/')
 		b.WriteString(s.Render(dict))
 	}
-	if p.HasLit {
-		b.WriteString("\x00=")
-		b.WriteString(p.Literal)
-	}
 	return b.String()
 }
 
-// cloneKeys copies a filter set into one private backing array. Empty
-// sets come back non-nil so they survive the cache round-trip as a
-// present (if hollow) value rather than decaying into a miss.
-func cloneKeys(set []ordpath.Key) []ordpath.Key {
-	if len(set) == 0 {
-		return []ordpath.Key{}
+// hasLiteral reports whether the branch's filter set depends on a literal:
+// the predicate compares, or a nested predicate of some step does.
+func hasLiteral(steps []xpath.Step, p xpath.Predicate) bool {
+	for _, s := range steps {
+		for _, np := range s.Predicates {
+			for _, branch := range np.Paths {
+				if hasLiteral(branch.Steps, np) {
+					return true
+				}
+			}
+		}
 	}
+	return p.HasLit
+}
+
+// level is one node test's share of the document in the derived cache:
+// every node matching the test, in document order — the tag-partitioned
+// identifier list of a path-partitioned store, built lazily. A published
+// level is immutable; filter sets are selected from it into fresh slices.
+type level struct {
+	ords []ordpath.Key    // detached from the page images they were read from
+	ids  []storage.NodeID // ids[k] is the node of ords[k]
+	// The nodes' string values back to back, entry k ending at ends[k]; nil
+	// until a literal was first compared against the level.
+	vals []byte
+	ends []uint32
+}
+
+// levelKey names a step's level in the derived cache: the rendition of
+// descendant-or-self::test, or of the attribute test.
+func levelKey(dict *xmltree.Dictionary, s xpath.Step) string {
+	ax := xpath.DescendantOrSelf
+	if s.Axis == xpath.AttributeAxis {
+		ax = xpath.AttributeAxis
+	}
+	return "level:" + xpath.Step{Axis: ax, Test: s.Test}.Render(dict)
+}
+
+// levelOf returns the level of the step's node test, with the string values
+// when vals is set: from the derived cache, or — what is missing — built
+// now and admitted. A build that the query's context cut short is partial
+// and admits nothing; one that unwinds on a page fault never gets here.
+func levelOf(es *EvalState, step xpath.Step, vals bool) *level {
+	dcache, epoch, cacheable := es.Store.Derived()
+	var lv *level
+	key := ""
+	if cacheable {
+		key = levelKey(es.Store.Dict(), step)
+		if v, ok := dcache.Get(epoch, key); ok {
+			lv = v.(*level)
+		}
+	}
+	if lv != nil && (!vals || lv.ends != nil) {
+		return lv
+	}
+	if lv == nil {
+		lv = buildLevel(es, step)
+	} else {
+		lv = &level{ords: lv.ords, ids: lv.ids}
+	}
+	if vals {
+		lv.ends = make([]uint32, len(lv.ids))
+		for k, id := range lv.ids {
+			lv.vals = es.Store.AppendStringValue(lv.vals, id)
+			lv.ends[k] = uint32(len(lv.vals))
+		}
+	}
+	if cacheable && !es.Cancelled() {
+		dcache.Put(epoch, key, lv)
+	}
+	return lv
+}
+
+// buildLevel enumerates every document node matching the step's node test
+// with a whole-document Simple sub-plan, and copies the keys into one private
+// backing array so a cached generation never pins whole clusters in memory.
+func buildLevel(es *EvalState, step xpath.Step) *level {
+	sub := []xpath.Step{{Axis: xpath.DescendantOrSelf, Test: step.Test}}
+	if step.Axis == xpath.AttributeAxis {
+		sub = []xpath.Step{
+			{Axis: xpath.DescendantOrSelf, Test: xpath.AnyNode()},
+			{Axis: xpath.AttributeAxis, Test: step.Test},
+		}
+	}
+	results := BuildPlan(es.Store, sub, es.Store.Roots(), StrategySimple, PlanOptions{Ctx: es.Ctx}).Run()
+	SortResults(results)
 	n := 0
-	for _, k := range set {
-		n += len(k)
+	for _, r := range results {
+		n += len(r.Ord)
 	}
 	buf := make([]byte, 0, n)
-	out := make([]ordpath.Key, len(set))
-	for i, k := range set {
-		buf = append(buf, k...)
-		out[i] = ordpath.Key(buf[len(buf)-len(k):])
+	lv := &level{ords: make([]ordpath.Key, len(results)), ids: make([]storage.NodeID, len(results))}
+	for k, r := range results {
+		buf = append(buf, r.Ord...)
+		lv.ords[k], lv.ids[k] = ordpath.Key(buf[len(buf)-len(r.Ord):]), r.Node
+	}
+	return lv
+}
+
+// selectLevel returns the keys of the step's level that pass the step's
+// nested predicates (probed per entry) and, when lit is set, whose string
+// value equals the literal (a comparison per entry, charged as a set
+// operation). An unfiltered level is returned as cached: sets are read-only.
+func selectLevel(es *EvalState, step xpath.Step, lit *xpath.Predicate) []ordpath.Key {
+	lv := levelOf(es, step, lit != nil)
+	if lit == nil && len(step.Predicates) == 0 {
+		return lv.ords
+	}
+	if lit != nil {
+		es.chargeSetOp(len(lv.ords))
+	}
+	nested := predProbes{es: es, preds: step.Predicates}
+	var out []ordpath.Key
+	start := uint32(0)
+	for k, ord := range lv.ords {
+		if lit != nil {
+			v := lv.vals[start:lv.ends[k]]
+			start = lv.ends[k]
+			if string(v) != lit.Literal {
+				continue
+			}
+		}
+		if nested.matches(lv.ids[k]) {
+			out = append(out, ord)
+		}
 	}
 	return out
 }
 
-// JoinBuildCached reports whether every joinable branch of the predicate
-// has its filter set resident in the store's derived cache at the store's
-// version epoch. The build half of the structural join — the
-// whole-document enumerations — is then already paid, so a cost model
-// should charge only the doc-order merges (the same way buffer-aware
-// optimizers discount pages known to be resident).
-func JoinBuildCached(st *storage.Store, p xpath.Predicate) bool {
+// JoinNeed is what a structural join over one predicate branch would find
+// in the derived cache: the branch's steps with identity steps removed (as
+// the join and the nested probes both see them), whether the join can
+// express them, and — unless the branch's S_1 is resident — per step the key
+// of the level it would have to build first ("" for a resident level).
+type JoinNeed struct {
+	Steps    []xpath.Step
+	Joinable bool
+	Missing  []string // nil: S_1 resident, or nothing to join
+}
+
+// JoinNeeds probes the store's derived cache, at the store's version epoch,
+// for the cost model: what is resident is already paid, the way buffer-aware
+// optimizers discount pages known to be resident.
+func JoinNeeds(st *storage.Store, branch *xpath.Path, p xpath.Predicate) JoinNeed {
+	steps, joinable := joinableSteps(branch)
+	n := JoinNeed{Steps: steps, Joinable: joinable && !(len(steps) == 0 && p.HasLit)}
+	if !joinable || len(steps) == 0 {
+		return n
+	}
 	dcache, epoch, ok := st.Derived()
-	if !ok {
-		return false
+	if ok && !hasLiteral(steps, p) && dcache.Contains(epoch, joinBranchKey(st.Dict(), steps)) {
+		return n
 	}
-	dict := st.Dict()
-	any := false
-	for _, branch := range p.Paths {
-		steps := joinableSteps(branch)
-		if len(steps) == 0 {
-			continue // non-joinable or identity branches build no set
+	n.Missing = make([]string, len(steps))
+	for k, s := range steps {
+		if key := levelKey(st.Dict(), s); !ok || !dcache.Contains(epoch, key) {
+			n.Missing[k] = key
 		}
-		if !dcache.Contains(epoch, joinBranchKey(dict, steps, p)) {
-			return false
-		}
-		any = true
 	}
-	return any
+	return n
 }
 
-// JoinCompatible reports whether XJoin evaluates every branch of the
-// predicate set-at-a-time — no per-candidate fallback probes. The cost
-// model (internal/plan) checks this before costing a structural join.
-func JoinCompatible(p xpath.Predicate) bool {
-	for _, branch := range p.Paths {
-		steps := joinableSteps(branch)
-		if steps == nil || (len(steps) == 0 && p.HasLit) {
-			return false
-		}
-	}
-	return true
-}
-
-// joinableSteps returns the branch's steps with identity self::node()
-// steps removed, or nil when some axis the join cannot express remains.
-func joinableSteps(branch *xpath.Path) []xpath.Step {
+// joinableSteps returns the branch's steps with identity self::node() steps
+// removed, and whether the join can express every axis that remains.
+func joinableSteps(branch *xpath.Path) ([]xpath.Step, bool) {
 	simplified := branch.Simplify().Steps
 	steps := make([]xpath.Step, 0, len(simplified))
 	for _, s := range simplified {
@@ -404,13 +505,13 @@ func joinableSteps(branch *xpath.Path) []xpath.Step {
 		case xpath.Child, xpath.Descendant, xpath.DescendantOrSelf:
 		case xpath.AttributeAxis:
 			if k != len(steps)-1 {
-				return nil // attributes have no children to continue into
+				return steps, false // attributes have no children to continue into
 			}
 		default:
-			return nil
+			return steps, false
 		}
 	}
-	return steps
+	return steps, true
 }
 
 func relOf(a xpath.Axis) relKind {
@@ -430,59 +531,27 @@ func relOf(a xpath.Axis) relKind {
 
 // branchFilterSet computes S_1 for one branch: the ord keys of every
 // document node matching step 1's test that roots a full match of the
-// remaining steps, bottom-up as described on XJoin.
+// remaining steps, bottom-up over the levels as described on XJoin.
 func branchFilterSet(es *EvalState, steps []xpath.Step, p xpath.Predicate) []ordpath.Key {
 	m := len(steps)
-	nested := predProbes{es: es, preds: steps[m-1].Predicates}
-	set := levelNodes(es, steps[m-1], func(r Result) bool {
-		if p.HasLit && es.Store.StringValue(r.Node) != p.Literal {
-			return false
-		}
-		return nested.matches(r.Node)
-	})
-	for lvl := m - 2; lvl >= 0; lvl-- {
-		if len(set) == 0 {
-			return nil
-		}
-		nested := predProbes{es: es, preds: steps[lvl].Predicates}
-		djs := levelNodes(es, steps[lvl], func(r Result) bool { return nested.matches(r.Node) })
+	var lit *xpath.Predicate
+	if p.HasLit {
+		lit = &p
+	}
+	set := selectLevel(es, steps[m-1], lit)
+	for lvl := m - 2; lvl >= 0 && len(set) > 0; lvl-- {
+		djs := selectLevel(es, steps[lvl], nil)
 		mark := make([]bool, len(djs))
 		semiJoinMark(djs, set, relOf(steps[lvl+1].Axis), mark)
 		es.chargeSetOp(len(djs))
-		kept := djs[:0]
+		set = make([]ordpath.Key, 0, len(djs)/4)
 		for k, ok := range mark {
 			if ok {
-				kept = append(kept, djs[k])
+				set = append(set, djs[k])
 			}
 		}
-		set = kept
 	}
 	return set
-}
-
-// levelNodes enumerates every document node matching the step's node test
-// (via a whole-document Simple sub-plan) and returns the doc-ordered ord
-// keys of those accepted by keepFn.
-func levelNodes(es *EvalState, step xpath.Step, keepFn func(Result) bool) []ordpath.Key {
-	var sub []xpath.Step
-	if step.Axis == xpath.AttributeAxis {
-		sub = []xpath.Step{
-			{Axis: xpath.DescendantOrSelf, Test: xpath.AnyNode()},
-			{Axis: xpath.AttributeAxis, Test: step.Test},
-		}
-	} else {
-		sub = []xpath.Step{{Axis: xpath.DescendantOrSelf, Test: step.Test}}
-	}
-	plan := BuildPlan(es.Store, sub, es.Store.Roots(), StrategySimple, PlanOptions{Ctx: es.Ctx})
-	results := plan.Run()
-	out := make([]ordpath.Key, 0, len(results))
-	for _, r := range results {
-		if keepFn(r) {
-			out = append(out, r.Ord)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return ordpath.Compare(out[a], out[b]) < 0 })
-	return out
 }
 
 // semiJoinMark merges anc (doc-ordered candidate/ancestor-side keys) with

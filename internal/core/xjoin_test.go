@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"pathdb/internal/ordpath"
 	"pathdb/internal/storage"
 	"pathdb/internal/xmltree"
 	"pathdb/internal/xpath"
@@ -99,14 +98,15 @@ func TestXJoinPropertyRandomTrees(t *testing.T) {
 
 // TestXJoinCachesEmptyFilterSets pins the empty-set round-trip through
 // the derived cache: a branch with zero matches must be cached as a
-// present (empty, non-nil) set — resident for JoinBuildCached and served
-// on the next compile — not silently rebuilt with a whole-document
-// enumeration on every query while the chooser prices the build as free.
+// present (if hollow) S_1 and an empty level as a present level — resident
+// for JoinNeeds and served on the next compile — not silently rebuilt with
+// a whole-document enumeration on every query while the chooser prices the
+// build as free.
 func TestXJoinCachesEmptyFilterSets(t *testing.T) {
 	dict, _, st := xjoinFixture(t)
 	// Two levels with an empty lower level: branchFilterSet's bottom-up
-	// loop returns its nil early-exit, the shape that used to decay into a
-	// cache miss on every Get.
+	// loop stops early, the shape that used to decay into a cache miss on
+	// every Get.
 	parsed := xpath.MustParse(dict, `//book[meta/zzz]`).Simplify()
 	run := func() int {
 		plan := BuildPlan(st, parsed.Steps, []storage.NodeID{st.Root()}, StrategySimple,
@@ -116,36 +116,27 @@ func TestXJoinCachesEmptyFilterSets(t *testing.T) {
 	if n := run(); n != 0 {
 		t.Fatalf("query over absent tag returned %d nodes", n)
 	}
-	var pred xpath.Predicate
-	found := false
-	for _, s := range parsed.Steps {
-		if len(s.Predicates) > 0 {
-			pred, found = s.Predicates[0], true
-		}
-	}
-	if !found {
-		t.Fatal("no predicate on parsed path")
-	}
-	if !JoinBuildCached(st, pred) {
-		t.Fatal("empty filter set not resident in the derived cache after the first join")
+	pred := parsed.Steps[len(parsed.Steps)-1].Predicates[0]
+	if need := JoinNeeds(st, pred.Paths[0], pred); need.Missing != nil {
+		t.Fatalf("empty filter set not resident in the derived cache after the first join: %+v", need)
 	}
 	dcache, epoch, ok := st.Derived()
 	if !ok {
 		t.Fatal("store has no derived cache")
 	}
-	// The cached value must be a present empty slice, not a typed nil:
-	// compileJoinPreds once used `set == nil` as its miss test, so a nil
-	// round-trip silently redid the whole-document enumeration every query.
-	key := joinBranchKey(dict, joinableSteps(pred.Paths[0]), pred)
-	v, ok := dcache.Get(epoch, key)
-	if !ok {
-		t.Fatalf("filter set key %q missing from the derived cache", key)
+	steps, _ := joinableSteps(pred.Paths[0])
+	if _, ok := dcache.Get(epoch, joinBranchKey(dict, steps)); !ok {
+		t.Fatal("S_1 key missing from the derived cache")
 	}
-	if set, ok := v.([]ordpath.Key); !ok || set == nil {
-		t.Fatalf("empty filter set cached as %#v; a nil value decays every Get into a rebuild", v)
+	if v, ok := dcache.Get(epoch, levelKey(dict, steps[1])); !ok || len(v.(*level).ords) != 0 {
+		t.Fatalf("empty level not cached as a present level: %v %v", v, ok)
 	}
+	hits, misses := dcache.Stats()
 	if n := run(); n != 0 {
 		t.Fatalf("second run returned %d nodes", n)
+	}
+	if h, m := dcache.Stats(); h != hits+1 || m != misses {
+		t.Fatalf("second run: %d hits, %d misses, want one S_1 hit and no miss (a level was rebuilt)", h-hits, m-misses)
 	}
 }
 

@@ -26,6 +26,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"pathdb/internal/core"
@@ -49,9 +50,11 @@ type PredEstimate struct {
 	Step       int         // 1-based location step index
 	Candidates int64       // estimated candidate nodes reaching the step
 	Nested     stats.Ticks // per-candidate probing (PredFilter)
-	Join       stats.Ticks // set-at-a-time structural semi-join (XJoin)
+	Join       stats.Ticks // set-at-a-time structural semi-join (XJoin), Build included
 	Joinable   bool        // every branch expressible as a semi-join
-	Cached     bool        // filter sets resident in the derived cache
+	Cached     bool        // every level, or the S_1, the join needs is in the derived cache
+	Build      stats.Ticks // enumerating the levels that are not (each priced once per query)
+	Credit     stats.Ticks // saving credited to those levels by the nested runs so far
 }
 
 // Choice is the chooser's full output, for explainability.
@@ -81,7 +84,9 @@ func (c Choice) String() string {
 		s += fmt.Sprintf("; step %d preds → %v (C=%d: nested %v, join %v",
 			p.Step, c.PredEval, p.Candidates, p.Nested, p.Join)
 		if p.Cached {
-			s += ", build cached"
+			s += ", levels resident"
+		} else {
+			s += fmt.Sprintf(", build %v, credit %v", p.Build, p.Credit)
 		}
 		s += ")"
 	}
@@ -194,8 +199,13 @@ func (c *Chooser) Epoch() uint64 {
 
 // Choose prices the three physical plans for the path against the current
 // state of the buffer pool, picks the cheapest, and returns the full cost
-// breakdown.
-func (c *Chooser) Choose(path []xpath.Step) Choice {
+// breakdown. It moves nothing: the predicate evaluator it reports is the
+// one Resolve would pick on the credit accrued so far.
+func (c *Chooser) Choose(path []xpath.Step) Choice { return c.choose(path, false) }
+
+// choose is Choose; accrue lets a nested decision credit the levels whose
+// absence caused it (see predChoices).
+func (c *Chooser) choose(path []xpath.Step, accrue bool) Choice {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := c.store.Disk().Model()
@@ -274,20 +284,31 @@ func (c *Chooser) Choose(path []xpath.Step) Choice {
 		}
 	}
 	choice.Strategy = best.Strategy
-	choice.PredEval, choice.Preds = c.predChoices(path, m, miss)
+	choice.PredEval, choice.Preds = c.predChoices(path, m, miss, accrue)
 	return choice
 }
 
 // predChoices costs the two predicate evaluators for every
 // predicate-bearing step of the path. Nested (PredFilter) pays one probe
 // sub-plan per candidate per branch, with border crossings turning into
-// random reads at the pool's miss share; the structural join (XJoin) pays
-// one bitmap-assisted whole-document enumeration per branch level plus
-// doc-order semi-join merges, amortised over the whole candidate batch. The evaluator is a
-// plan-wide setting, so the decision sums over all predicate steps, with
-// non-joinable steps costed as nested on both sides (XJoin degenerates to
-// per-candidate probes for them). Caller holds c.mu.
-func (c *Chooser) predChoices(path []xpath.Step, m vdisk.CostModel, miss float64) (core.PredEval, []PredEstimate) {
+// random reads at the pool's miss share; the structural join (XJoin) pays a
+// selection or doc-order merge per branch level, amortised over the whole
+// candidate batch, plus — once per distinct level of the query that is not
+// in the derived cache — a bitmap-assisted whole-document enumeration. The
+// evaluator is a plan-wide setting, so the decision sums over all predicate
+// steps, with non-joinable steps costed as nested on both sides (XJoin
+// degenerates to per-candidate probes for them).
+//
+// When only the builds make the join the dearer plan, the choice is rent or
+// buy with the reads until the next commit unknown, and it is answered at
+// break-even: with accrue set, the saving the join would have brought this
+// query is credited in equal shares to the missing levels, and once their
+// credit covers the estimate of building them the join is picked — it
+// builds and admits them. Credits live in the derived cache's generation: a
+// volume written between every two reads keeps probing at the nested price,
+// a read-mostly one pays at most one build's worth of rent before it buys
+// (2-competitive with either fixed policy). Caller holds c.mu.
+func (c *Chooser) predChoices(path []xpath.Step, m vdisk.CostModel, miss float64, accrue bool) (core.PredEval, []PredEstimate) {
 	var elems int64
 	for _, ts := range c.ds.Tags {
 		elems += ts.Count
@@ -306,7 +327,9 @@ func (c *Chooser) predChoices(path []xpath.Step, m vdisk.CostModel, miss float64
 	random := miss * float64(m.SeekCost(int64(max64(int64(c.ds.Pages), 1))/3)+m.Transfer)
 
 	var out []PredEstimate
-	var totalNested, totalJoin float64
+	var keys []string // the query's distinct missing levels, in step order
+	var keyEnd []int  // out[k] met keys[keyEnd[k-1]:keyEnd[k]] first
+	var totalNested, totalJoin, totalBuild float64
 	anyJoinable := false
 	for si, s := range path {
 		if len(s.Predicates) == 0 {
@@ -317,30 +340,11 @@ func (c *Chooser) predChoices(path []xpath.Step, m vdisk.CostModel, miss float64
 			cands = 1
 		}
 		est := PredEstimate{Step: si + 1, Candidates: int64(cands), Joinable: true, Cached: true}
-		var nested, join float64
+		var nested, join, build float64
 		for _, p := range s.Predicates {
-			if !core.JoinCompatible(p) {
-				est.Joinable = false
-			}
-			// A filter set already resident in the derived cache (built by an
-			// earlier join over the same version) costs nothing to rebuild:
-			// charge only the merges, the way buffer-aware optimizers discount
-			// resident pages. The differential suites pin that a cached set is
-			// exactly what a fresh build would produce.
-			cached := core.JoinBuildCached(c.store, p)
-			est.Cached = est.Cached && cached
 			for _, branch := range p.Paths {
-				steps := branch.Simplify().Steps
-				// Identity self::node() steps (the "." in ".//a") navigate
-				// nowhere and join no level — skip them, as XJoin does.
-				kept := steps[:0:0]
-				for _, bs := range steps {
-					if bs.Axis == xpath.Self && bs.Test.Kind == xpath.KindAny && len(bs.Predicates) == 0 {
-						continue
-					}
-					kept = append(kept, bs)
-				}
-				steps = kept
+				need := core.JoinNeeds(c.store, branch, p)
+				est.Joinable = est.Joinable && need.Joinable
 				// Nested: per candidate, sub-plan setup plus the walk —
 				// child steps visit the fanout, descendant steps the
 				// candidate's subtree.
@@ -349,7 +353,7 @@ func (c *Chooser) predChoices(path []xpath.Step, m vdisk.CostModel, miss float64
 					subtree = fanout
 				}
 				walk := float64(4*m.CPUTupleMove + 2*m.CPUSetOp)
-				for _, bs := range steps {
+				for _, bs := range need.Steps {
 					visits := fanout
 					switch bs.Axis {
 					case xpath.Descendant, xpath.DescendantOrSelf:
@@ -358,39 +362,60 @@ func (c *Chooser) predChoices(path []xpath.Step, m vdisk.CostModel, miss float64
 					walk += visits*float64(m.CPUNodeVisit) + crossRate*random
 				}
 				nested += cands * walk
-				// Join: one document enumeration per level — the virtual
+				// Join: unless S_1 is resident, a pass over every level, and
+				// for a missing one first its enumeration — the virtual
 				// clock charges a node visit per live record even under the
 				// bitmap scan (it models the paper's node-at-a-time system)
-				// — with D_j survivors moved into the filter set, then the
-				// doc-order merges.
+				// and a move per match. Then the candidates merge against S_1.
 				var d1 float64
-				for li, bs := range steps {
+				for li, bs := range need.Steps {
 					dj := float64(c.testCount(bs.Test))
 					if li == 0 {
 						d1 = dj
 					}
-					if !cached {
-						join += live*float64(m.CPUNodeVisit) +
-							dj*float64(m.CPUTupleMove+m.CPUSetOp)
+					if need.Missing == nil {
+						continue // S_1 resident (or no join to price)
+					}
+					join += dj * float64(m.CPUSetOp)
+					if key := need.Missing[li]; key != "" {
+						est.Cached = false
+						if !slices.Contains(keys, key) {
+							keys = append(keys, key)
+							build += live*float64(m.CPUNodeVisit) + dj*float64(m.CPUTupleMove)
+						}
 					}
 				}
 				join += (cands + d1) * float64(m.CPUSetOp)
 			}
 		}
-		est.Nested = stats.Ticks(nested)
-		est.Join = stats.Ticks(join)
-		out = append(out, est)
+		est.Nested, est.Join, est.Build = stats.Ticks(nested), stats.Ticks(join+build), stats.Ticks(build)
+		out, keyEnd = append(out, est), append(keyEnd, len(keys))
 		totalNested += nested
 		if est.Joinable {
 			anyJoinable = true
 			totalJoin += join
+			totalBuild += build
 		} else {
 			totalJoin += nested
 		}
 	}
 	pred := core.PredNested
 	if anyJoinable && totalJoin < totalNested {
-		pred = core.PredJoin
+		var share, credit float64
+		if accrue && totalJoin+totalBuild >= totalNested {
+			share = (totalNested - totalJoin) / float64(len(keys))
+		}
+		if dcache, epoch, ok := c.store.Derived(); ok && len(keys) > 0 {
+			lo := 0
+			for k, hi := range keyEnd {
+				got := dcache.Credit(epoch, keys[lo:hi], share)
+				out[k].Credit, lo = stats.Ticks(got), hi
+				credit += got
+			}
+		}
+		if totalJoin+totalBuild < totalNested || credit >= totalBuild {
+			pred = core.PredJoin
+		}
 	}
 	return pred, out
 }
@@ -486,7 +511,7 @@ func (c *Chooser) Resolve(path []xpath.Step, auto bool, strat core.Strategy, pre
 	if Forced(auto, pred, path) {
 		return strat, pred, nil
 	}
-	choice := c.Choose(path)
+	choice := c.choose(path, pred == core.PredAuto)
 	if pred == core.PredAuto {
 		pred = choice.PredEval
 	}

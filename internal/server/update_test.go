@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
@@ -263,5 +264,20 @@ func TestQueryChoiceExposed(t *testing.T) {
 	_, data = postQuery(t, wts.URL, QueryRequest{Path: descQuery})
 	if qr = decodeResponse(t, data); qr.Choice == nil || qr.Choice.Residency != 1 || qr.Strategy != "simple" {
 		t.Fatalf("resident volume: %s", data)
+	}
+
+	// pred_eval is the evaluator that ran: a branching path rents (nested)
+	// until the join's levels are paid for, then joins for good.
+	var ran []string
+	for i := 0; i < 12; i++ {
+		_, data = postQuery(t, wts.URL, QueryRequest{Path: "/site//item[mailbox/mail//keyword]"})
+		if qr = decodeResponse(t, data); qr.Choice == nil {
+			t.Fatalf("branching query: %s", data)
+		}
+		ran = append(ran, qr.Choice.PredEval)
+	}
+	first := slices.Index(ran, "join")
+	if ran[0] != "nested" || first < 0 || slices.Contains(ran[first:], "nested") {
+		t.Fatalf("resident volume, the same branching query twelve times: pred_eval %v", ran)
 	}
 }

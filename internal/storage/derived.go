@@ -7,27 +7,43 @@ import "sync"
 const maxDerivedEntries = 256
 
 // DerivedCache memoizes document-only artifacts derived from a volume's
-// content — today the structural-join filter sets (internal/core.XJoin),
-// which depend on the document and the branch path but never on the
-// candidate set. It holds exactly one generation: the entries computed at
-// the highest version epoch seen so far. A commit advances the epoch, so
-// the first lookup at the new epoch drops the whole generation — the same
-// invalidation discipline as the epoch-keyed swizzle cache, at coarser
-// (whole-volume) grain because a filter set can span every cluster.
+// content — today the structural join's node-test levels and literal-free
+// filter sets (internal/core.XJoin), which depend on the document and the
+// branch path but never on the candidate set — and, per key still missing,
+// the credit the cost model has accrued towards building it (plan.Chooser's
+// break-even rule). It holds exactly one generation: what was computed at
+// the highest version epoch seen so far. A commit advances the epoch, so the
+// first admission at the new epoch drops the whole generation, credits
+// included — the same invalidation discipline as the epoch-keyed swizzle
+// cache, at coarser (whole-volume) grain because a level can span every
+// cluster.
 //
-// Views pinned to an older snapshot simply miss (and their results are not
-// admitted), so MVCC readers can never observe entries from a version
-// other than their own.
+// Views pinned to an older snapshot simply miss (and their results and
+// credits are not admitted), so MVCC readers can never observe entries from
+// a version other than their own.
 type DerivedCache struct {
-	mu    sync.Mutex
-	epoch uint64
-	m     map[string]any
+	mu     sync.Mutex
+	epoch  uint64
+	m      map[string]any
+	credit map[string]float64
 
 	hits, misses uint64
 }
 
 func newDerivedCache() *DerivedCache {
-	return &DerivedCache{m: make(map[string]any)}
+	return &DerivedCache{m: make(map[string]any), credit: make(map[string]float64)}
+}
+
+// admits reports whether the generation takes artifacts of the given epoch:
+// one ahead of it replaces it wholesale, an older one (a query pinned to a
+// superseded snapshot) is refused. Caller holds c.mu.
+func (c *DerivedCache) admits(epoch uint64) bool {
+	if epoch > c.epoch {
+		c.epoch = epoch
+		c.m = make(map[string]any)
+		c.credit = make(map[string]float64)
+	}
+	return epoch == c.epoch
 }
 
 // Get returns the entry for key computed at exactly the given epoch.
@@ -47,24 +63,40 @@ func (c *DerivedCache) Get(epoch uint64, key string) (any, bool) {
 	return v, ok
 }
 
-// Put admits an entry computed at the given epoch. An epoch ahead of the
-// cache's generation replaces it wholesale; an older epoch (a query pinned
-// to a superseded snapshot) is dropped so stale artifacts never shadow
-// current ones.
+// Put admits an entry computed at the given epoch (see admits), replacing
+// one already resident under the key; a full generation refuses new keys.
+// Either way the key's credit is spent.
 func (c *DerivedCache) Put(epoch uint64, key string, v any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch {
-	case epoch > c.epoch:
-		c.epoch = epoch
-		c.m = make(map[string]any)
-	case epoch < c.epoch:
+	if !c.admits(epoch) {
 		return
 	}
-	if len(c.m) >= maxDerivedEntries {
+	delete(c.credit, key)
+	if _, ok := c.m[key]; !ok && len(c.m) >= maxDerivedEntries {
 		return
 	}
 	c.m[key] = v
+}
+
+// Credit adds share to the break-even account of every key and returns the
+// accounts' sum; a zero share only reads. A generation with no room left
+// for the keys grants nothing: what could not be admitted is never bought.
+func (c *DerivedCache) Credit(epoch uint64, keys []string, share float64) (sum float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.admits(epoch) || len(c.m)+len(keys) > maxDerivedEntries {
+		return 0
+	}
+	for _, k := range keys {
+		// The accounts are bounded like the entries: past the bound only
+		// existing ones grow.
+		if share != 0 && (len(c.credit) < maxDerivedEntries || c.credit[k] != 0) {
+			c.credit[k] += share
+		}
+		sum += c.credit[k]
+	}
+	return sum
 }
 
 // Contains reports whether key is resident at the given epoch, without
@@ -92,6 +124,7 @@ func (c *DerivedCache) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.m = make(map[string]any)
+	c.credit = make(map[string]float64)
 }
 
 // Derived returns this view's derived-artifact cache together with the

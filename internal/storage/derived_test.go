@@ -69,6 +69,64 @@ func TestDerivedCacheBounded(t *testing.T) {
 	}
 }
 
+// TestDerivedCacheCredit pins the break-even accounts: they accrue per key,
+// a zero share only reads, admission spends them, they die with the
+// generation by the epoch test Get and Put use, and neither a superseded
+// epoch nor a generation without room for the keys is granted anything.
+func TestDerivedCacheCredit(t *testing.T) {
+	c := newDerivedCache()
+	ab := []string{"a", "b"}
+	if got := c.Credit(3, ab, 5); got != 10 {
+		t.Fatalf("first credit: sum %v, want 10", got)
+	}
+	if got := c.Credit(3, ab[:1], 2); got != 7 {
+		t.Fatalf("second credit to one key: sum %v, want 7", got)
+	}
+	if got := c.Credit(3, ab, 0); got != 12 {
+		t.Fatalf("read: sum %v, want 12", got)
+	}
+	if got := c.Credit(2, ab, 100); got != 0 {
+		t.Fatalf("a superseded epoch was credited: %v", got)
+	}
+	c.Put(3, "a", 1)
+	if got := c.Credit(3, ab, 0); got != 5 {
+		t.Fatalf("after admitting a: sum %v, want b's 5", got)
+	}
+	c.Put(4, "x", 1) // a commit: the generation goes, and the credits with it
+	if got := c.Credit(4, ab, 0); got != 0 {
+		t.Fatalf("credit survived an epoch advance: %v", got)
+	}
+	c.Credit(4, ab, 5)
+	c.reset()
+	if got := c.Credit(4, ab, 0); got != 0 {
+		t.Fatalf("credit survived reset: %v", got)
+	}
+
+	// A generation with no room for the keys grants nothing, so a build that
+	// could not be admitted is never bought (again).
+	for i := 0; len(c.m) < maxDerivedEntries-1; i++ {
+		c.Put(4, fmt.Sprintf("k%d", i), i)
+	}
+	if got := c.Credit(4, ab, 5); got != 0 {
+		t.Fatalf("two keys credited with room for one: %v", got)
+	}
+	if got := c.Credit(4, ab[:1], 5); got != 5 {
+		t.Fatalf("one key refused with room for one: %v", got)
+	}
+	c.Put(4, "full", 0)
+	c.Put(4, "a", 1) // refused: the generation is full
+	if _, ok := c.Get(4, "a"); ok {
+		t.Fatal("a full generation admitted a new key")
+	}
+	if got := c.Credit(4, ab[:1], 5); got != 0 {
+		t.Fatalf("a refused build left credit behind: %v", got)
+	}
+	c.Put(4, "full", 7) // a resident key is replaced even then
+	if v, _ := c.Get(4, "full"); v.(int) != 7 {
+		t.Fatalf("resident key not replaced in a full generation: %v", v)
+	}
+}
+
 // TestStoreDerivedViews checks the Store wiring: views share the base
 // store's cache, and a write transaction's overlay view opts out.
 func TestStoreDerivedViews(t *testing.T) {
@@ -86,5 +144,8 @@ func TestStoreDerivedViews(t *testing.T) {
 	ov.overlay = map[vdisk.PageID]*pageImage{}
 	if _, _, ok := ov.Derived(); ok {
 		t.Fatal("overlay view must not use the derived cache")
+	}
+	if _, _, ok := s.BeginWrite(nil, s.led).view.Derived(); ok {
+		t.Fatal("a write transaction's view must not use the derived cache: it can neither read, admit nor be credited")
 	}
 }

@@ -513,20 +513,37 @@ func (c Cursor) AttrCount() int { return int(c.rec().attrLen) }
 // value, the text content, or — for elements and documents — the
 // concatenated descendant text, crossing cluster borders as needed.
 func (s *Store) StringValue(id NodeID) string {
+	return string(s.AppendStringValue(nil, id))
+}
+
+// AppendStringValue appends the node's string-value to buf: a walk over the
+// record spans of the decoded images, with no tree built and — given a
+// buffer with room — no allocation. It swizzles exactly the nodes an export
+// of the subtree would (the root once more, then every proxy target), so it
+// is charged what that export was.
+func (s *Store) AppendStringValue(buf []byte, id NodeID) []byte {
 	c := s.Swizzle(id)
 	switch c.Kind() {
 	case xmltree.Attribute, xmltree.Text, xmltree.Comment, xmltree.ProcInst:
-		return c.Text()
-	case xmltree.Document:
-		for i, r := range s.roots {
-			if r == id.WithoutAttr() {
-				return s.ExportDocument(i).TextContent()
-			}
-		}
-		return ""
-	default:
-		return s.ExportSubtree(id).TextContent()
+		return append(buf, c.Text()...)
 	}
+	return s.appendText(buf, s.Swizzle(id))
+}
+
+// appendText appends the text of c's logical descendants in document order,
+// following proxy chains exactly as exportChildren does.
+func (s *Store) appendText(buf []byte, c Cursor) []byte {
+	for _, slot := range c.kids() {
+		switch r := &c.img.recs[slot]; r.kind {
+		case RecProxyChild:
+			buf = s.appendText(buf, s.Swizzle(r.target)) // the ProxyParent anchor
+		case RecElem:
+			buf = s.appendText(buf, Cursor{st: s, img: c.img, page: c.page, slot: slot, attr: -1})
+		case RecText:
+			buf = append(buf, c.img.text(r)...)
+		}
+	}
+	return buf
 }
 
 // --- persistence -----------------------------------------------------------

@@ -575,8 +575,11 @@ type PredChoice struct {
 	Step       int         // 1-based location step index
 	Candidates int64       // estimated candidate nodes reaching the step
 	NestedCost stats.Ticks // estimated cost of per-candidate probing
-	JoinCost   stats.Ticks // estimated cost of the structural semi-join
+	JoinCost   stats.Ticks // estimated cost of the structural semi-join, BuildCost included
 	Joinable   bool        // every branch expressible as a semi-join
+	Cached     bool        // the levels (or filter set) the join reads are in the derived cache
+	BuildCost  stats.Ticks // estimated cost of enumerating the levels that are not
+	Credit     stats.Ticks // saving credited to them so far; the join is bought at Credit ≥ BuildCost
 }
 
 func fromPlanChoice(c plan.Choice) PlanChoice {
@@ -597,6 +600,9 @@ func fromPlanChoice(c plan.Choice) PlanChoice {
 			NestedCost: p.Nested,
 			JoinCost:   p.Join,
 			Joinable:   p.Joinable,
+			Cached:     p.Cached,
+			BuildCost:  p.Build,
+			Credit:     p.Credit,
 		})
 	}
 	return out
@@ -720,15 +726,7 @@ func (n Node) Name() string {
 
 // Text returns the node's own text (attribute value, text content);
 // for elements it concatenates the subtree's text.
-func (n Node) Text() string {
-	c := n.db.store.Swizzle(n.id)
-	switch c.Kind() {
-	case xmltree.Element, xmltree.Document:
-		return n.db.store.ExportSubtree(n.id).TextContent()
-	default:
-		return c.Text()
-	}
-}
+func (n Node) Text() string { return n.db.store.StringValue(n.id) }
 
 // XML serializes the subtree rooted at this node.
 func (n Node) XML() string {
