@@ -24,7 +24,9 @@ race:
 # writer (no benchmark/ workload has two) — and the phases of a
 # structural join (ns, B, allocs): internal/core's BenchmarkJoinResident
 # (levels cached), BenchmarkLevelBuild and BenchmarkLiteralSelect, and
-# internal/storage's BenchmarkStringValue.
+# internal/storage's BenchmarkStringValue — and the root package's
+# BenchmarkStreamDrain (ns/result and allocs per query of draining an
+# engine cursor on a resident volume, sorted and unsorted).
 bench:
 	$(GO) test -bench . -benchmem -count=3 ./...
 

@@ -14,6 +14,7 @@ package pathdb
 // (one tenth of official XMark by byte volume), or 2 for full size.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -129,6 +130,43 @@ func BenchmarkAblationMultiQuery(b *testing.B) {
 	}
 	for _, r := range rows {
 		b.ReportMetric(r.Total.Seconds(), r.Label[:1]+"-vsec")
+	}
+}
+
+// BenchmarkStreamDrain drains an engine cursor over /site//description on a
+// resident volume, sorted and unsorted: what a resident match costs beyond
+// its navigation — the plan's dedup and sort, the sink hand-over, the
+// cursor (wall time per result and allocations per query).
+func BenchmarkStreamDrain(b *testing.B) {
+	db, err := GenerateXMark(XMarkConfig{ScaleFactor: 0.1, Seed: 7, EntityScale: 0.05}, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := db.NewEngine(EngineConfig{})
+	defer eng.Close()
+	ses := eng.NewSession()
+	ctx := context.Background()
+	if _, err := ses.Do(ctx, "//*", QueryOptions{Strategy: Scan}); err != nil { // every cluster resident
+		b.Fatal(err)
+	}
+	for _, sorted := range []bool{false, true} {
+		b.Run(fmt.Sprintf("sorted=%v", sorted), func(b *testing.B) {
+			b.ReportAllocs()
+			results := 0
+			for i := 0; i < b.N; i++ {
+				cur, err := ses.Stream(ctx, "/site//description", QueryOptions{Sorted: sorted})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for cur.Next() {
+					results++
+				}
+				if err := cur.Close(); err != nil || cur.Err() != nil {
+					b.Fatal(err, cur.Err())
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(results), "ns/result")
+		})
 	}
 }
 

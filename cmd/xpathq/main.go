@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"pathdb"
@@ -93,6 +94,9 @@ func main() {
 		if qerr != nil {
 			fail("%v", qerr)
 		}
+		if *sorted {
+			q.Sorted()
+		}
 		// The decision depends on what the pool holds. The run below starts
 		// cold, and the first consultation of the cost model walks the
 		// document for its statistics: flush after it, so the decision and
@@ -111,6 +115,10 @@ func main() {
 				fmt.Printf("  preds:    step %d → %s (C=%d: nested=%v join=%v, joinable=%v, cached=%v, build=%v, credit=%v)\n",
 					p.Step, c.PredEval, p.Candidates, p.NestedCost, p.JoinCost, p.Joinable, p.Cached, p.BuildCost, p.Credit)
 			}
+			// The plan's last line says whether it sorts, or delivers
+			// document order by its shape.
+			_, order, _ := strings.Cut(q.WithStrategy(strat).Plan(), "order: ")
+			fmt.Printf("  order:    %s", order)
 		}
 		if *showPlan {
 			fmt.Print(q.WithStrategy(strat).Plan())

@@ -152,10 +152,11 @@ type QueryOptions struct {
 	// Strategy forces a physical strategy (default Auto: the cost model
 	// decides per query).
 	Strategy Strategy
-	// Sorted requests results in document order. A sorted result must be
-	// fully evaluated before the first node is delivered (order
-	// enforcement buffers at the producer), so sorted streams trade
-	// time-to-first-result for ordering.
+	// Sorted requests results in document order. A plan that yields
+	// document order by itself — a Simple plan whose path shape keeps it —
+	// streams as it produces; any other sorted result must be fully
+	// evaluated before the first node is delivered (order enforcement
+	// buffers at the producer), trading time-to-first-result for ordering.
 	Sorted bool
 	// MemLimit bounds the speculative structure S (0 = unlimited).
 	MemLimit int
@@ -164,10 +165,10 @@ type QueryOptions struct {
 	// composes with the caller's context — whichever deadline is sooner
 	// wins.
 	Timeout time.Duration
-	// Limit caps the result at N nodes (0 = unlimited). Unsorted
-	// evaluation stops pulling the operator tree after N matches; sorted
-	// evaluation sees everything, sorts, and keeps the first N in
-	// document order.
+	// Limit caps the result at N nodes (0 = unlimited). Streaming
+	// evaluation (unsorted, or sorted over an ordered plan) stops pulling
+	// the operator tree after N matches; order-enforced evaluation sees
+	// everything, sorts, and keeps the first N in document order.
 	Limit int
 	// PredEval forces the predicate evaluator (default PredAuto: the
 	// cost model decides per query between per-candidate probing and the
@@ -285,7 +286,7 @@ func (s *Session) compile(path string, opts QueryOptions, live bool) ([]engine.Q
 			Path:     b,
 			Auto:     opts.Strategy == Auto,
 			Strategy: opts.Strategy.internal(),
-			// Plain paths sort inside the engine.
+			// Plain paths are ordered inside the engine.
 			Sorted:   opts.Sorted && len(branches) == 1,
 			MemLimit: opts.MemLimit,
 			Limit:    limit,

@@ -72,6 +72,7 @@ func ExampleQuery_plan() {
 	//     XStep₁(child::a)
 	//       XScan(1 clusters, sequential)
 	//         Context(1 nodes)
+	// order: none
 }
 
 // Relative queries start from a previously found node.

@@ -8,16 +8,27 @@ import (
 )
 
 // Describe renders the physical operator tree of the plan, one operator
-// per line, producer-first — the EXPLAIN output of this engine. Example:
+// per line, producer-first — the EXPLAIN output of this engine — and then
+// the order the plan delivers. Example:
 //
 //	XAssembly(|π|=2, feedback→XSchedule)
 //	  XStep₂(descendant::item)
 //	    XStep₁(child::regions)
 //	      XSchedule(k=100, speculative=false)
 //	        Context(1 node)
+//	order: none
 func (p *Plan) Describe(dict *xmltree.Dictionary) string {
 	var b strings.Builder
 	describeOp(&b, p.root, dict, 0)
+	_, sorted := p.root.(*SortByDocumentOrder)
+	switch {
+	case sorted:
+		b.WriteString("order: sorted\n")
+	case p.Ordered:
+		b.WriteString("order: document (no sort)\n")
+	default:
+		b.WriteString("order: none\n")
+	}
 	return b.String()
 }
 

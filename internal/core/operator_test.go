@@ -352,15 +352,23 @@ func TestDescribeRendersOperatorTree(t *testing.T) {
 		}
 	}
 	scan := BuildPlan(st, steps, []storage.NodeID{st.Root()}, StrategyScan, PlanOptions{SortResults: true}).Describe(dict)
-	for _, want := range []string{"SortByDocumentOrder", "XScan(", "feedback→none"} {
+	for _, want := range []string{"SortByDocumentOrder", "XScan(", "feedback→none", "order: sorted"} {
 		if !strings.Contains(scan, want) {
 			t.Fatalf("scan describe missing %q:\n%s", want, scan)
 		}
 	}
-	simple := BuildPlan(st, steps, []storage.NodeID{st.Root()}, StrategySimple, PlanOptions{}).Describe(dict)
-	for _, want := range []string{"Distinct", "unnest-map"} {
+	// A dup-free, ordered path: the Simple plan is the bare chain, sorted
+	// or not; a second descendant step brings Distinct and the sort back.
+	simple := BuildPlan(st, steps, []storage.NodeID{st.Root()}, StrategySimple, PlanOptions{SortResults: true}).Describe(dict)
+	if !strings.Contains(simple, "unnest-map") || !strings.HasSuffix(simple, "order: document (no sort)\n") ||
+		strings.Contains(simple, "Distinct") || strings.Contains(simple, "SortByDocumentOrder") {
+		t.Fatalf("simple describe of /a//b:\n%s", simple)
+	}
+	twice := xpath.MustParse(dict, "/a//b//c").Simplify().Steps
+	simple = BuildPlan(st, twice, []storage.NodeID{st.Root()}, StrategySimple, PlanOptions{SortResults: true}).Describe(dict)
+	for _, want := range []string{"SortByDocumentOrder\n  Distinct\n", "unnest-map", "order: sorted"} {
 		if !strings.Contains(simple, want) {
-			t.Fatalf("simple describe missing %q:\n%s", want, simple)
+			t.Fatalf("simple describe of /a//b//c missing %q:\n%s", want, simple)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"pathdb/internal/ordpath"
 	"pathdb/internal/storage"
@@ -73,7 +74,8 @@ type PlanOptions struct {
 	// MemLimit bounds XAssembly's S structure (0 = unlimited); exceeding
 	// it triggers fallback mode (Sec. 5.4.6).
 	MemLimit int
-	// SortResults appends a document-order sort (Sec. 5.5).
+	// SortResults appends a document-order sort (Sec. 5.5) unless the plan
+	// is already Ordered.
 	SortResults bool
 	// NoFirstStepAllOpt disables the '//' optimisation of Sec. 5.4.5.4
 	// even when it applies (for ablations).
@@ -97,6 +99,37 @@ type Plan struct {
 	Strategy Strategy
 	Assembly *XAssembly // nil for Simple plans
 	Schedule *XSchedule // nil unless StrategySchedule
+	// Ordered reports that the root yields document order: a Simple plan
+	// whose path shape preserves it, or any plan with the final sort.
+	Ordered bool
+}
+
+// PathShape reports what a border-crossing Simple chain over path yields
+// from a single context node, or from an ordered antichain of contexts such
+// as the volume roots: each node at most once (dupFree), and in document
+// order (ordered). Child, attribute and self steps keep both while their
+// input is an antichain; the first descendant(-or-self) step keeps both and
+// ends the antichain; a child or attribute step after it keeps only
+// dup-freedom; a second descendant step, or any other axis, loses both.
+// Predicates only filter (XJoin emits its survivors in arrival order), so
+// they change nothing.
+func PathShape(path []xpath.Step) (dupFree, ordered bool) {
+	ordered, antichain := true, true
+	for _, s := range path {
+		switch s.Axis {
+		case xpath.Self:
+		case xpath.Child, xpath.AttributeAxis:
+			ordered = ordered && antichain
+		case xpath.Descendant, xpath.DescendantOrSelf:
+			if !antichain {
+				return false, false
+			}
+			antichain = false
+		default:
+			return false, false
+		}
+	}
+	return true, ordered
 }
 
 // BuildPlan compiles a plan evaluating path from the given context nodes
@@ -133,7 +166,16 @@ func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeI
 	var top Operator
 	switch strat {
 	case StrategySimple:
-		top = NewDistinct(es, chain(NewContextOp(es, ctxIDs), true))
+		top = chain(NewContextOp(es, ctxIDs), true)
+		// The shape rule holds from one context or from the roots; other
+		// context lists may nest or come out of order.
+		dupFree := false
+		if len(ctxIDs) <= 1 || slices.Equal(ctxIDs, store.Roots()) {
+			dupFree, p.Ordered = PathShape(path)
+		}
+		if !dupFree {
+			top = NewDistinct(es, top)
+		}
 
 	case StrategySchedule:
 		sched := NewXSchedule(es, NewContextOp(es, ctxIDs))
@@ -164,8 +206,9 @@ func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeI
 		panic("core: unknown strategy")
 	}
 
-	if opts.SortResults {
+	if opts.SortResults && !p.Ordered {
 		top = NewSortByDocumentOrder(es, top)
+		p.Ordered = true
 	}
 	p.root = top
 	return p

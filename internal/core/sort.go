@@ -6,10 +6,10 @@ import (
 	"pathdb/internal/storage"
 )
 
-// Distinct eliminates duplicate result nodes by their NodeID. Simple plans
-// need it to honour XPath node-set semantics (Sec. 5.1); XSchedule/XScan
-// plans get duplicate elimination from XAssembly's R for free
-// (Sec. 5.3.3.3).
+// Distinct eliminates duplicate result nodes by their NodeID. A Simple plan
+// needs it to honour XPath node-set semantics (Sec. 5.1) where its path
+// shape admits duplicates (PathShape); XSchedule/XScan plans get duplicate
+// elimination from XAssembly's R for free (Sec. 5.3.3.3).
 type Distinct struct {
 	es    *EvalState
 	input Operator

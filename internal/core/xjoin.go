@@ -411,8 +411,11 @@ func buildLevel(es *EvalState, step xpath.Step) *level {
 			{Axis: xpath.AttributeAxis, Test: step.Test},
 		}
 	}
-	results := BuildPlan(es.Store, sub, es.Store.Roots(), StrategySimple, PlanOptions{Ctx: es.Ctx}).Run()
-	SortResults(results)
+	p := BuildPlan(es.Store, sub, es.Store.Roots(), StrategySimple, PlanOptions{Ctx: es.Ctx})
+	results := p.Run()
+	if !p.Ordered {
+		SortResults(results)
+	}
 	n := 0
 	for _, r := range results {
 		n += len(r.Ord)

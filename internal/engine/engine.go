@@ -137,19 +137,23 @@ type Query struct {
 	// is used as given.
 	Auto     bool
 	Strategy core.Strategy
-	// Sorted requests document-order results.
+	// Sorted requests document-order results. A plan that yields document
+	// order by itself (core.Plan.Ordered) delivers them as it produces them;
+	// any other is order-enforced: evaluated fully, then sorted.
 	Sorted bool
 	// MemLimit bounds the speculative structure S (0 = unlimited).
 	MemLimit int
-	// Limit caps delivered results at N (0 = unlimited). Unsorted queries
-	// stop pulling the operator tree after N matches; Sorted queries must
-	// evaluate fully (order enforcement), sort, then truncate.
+	// Limit caps delivered results at N (0 = unlimited). A query whose
+	// production order is its delivery order stops pulling the operator
+	// tree after N matches; an order-enforced one evaluates fully, sorts,
+	// then truncates.
 	Limit int
 	// Stream delivers results incrementally through Pending.C instead of
-	// buffering them in Result.Results. Streaming queries always run solo
-	// (never on a gang-shared scheduler): their production is paced by the
-	// consumer, and parking a shared group's pooled I/O behind a slow
-	// consumer would stall the other members.
+	// buffering them in Result.Results (order-enforced queries still buffer,
+	// and hand the sorted result over in Result.Results). Streaming queries
+	// always run solo (never on a gang-shared scheduler): their production
+	// is paced by the consumer, and parking a shared group's pooled I/O
+	// behind a slow consumer would stall the other members.
 	Stream bool
 	// PredEval forces the predicate evaluator; PredAuto defers to the
 	// cost model (resolved by the dispatcher alongside the strategy).
@@ -691,7 +695,7 @@ func (e *Engine) runShared(snap Snapshot, units []execUnit, gangSize int) {
 			WallQueue: startW.Sub(u.p.submitW),
 			WallExec:  wall,
 		}
-		e.deliver(u.p, res, qleds[i], baseV)
+		e.deliver(u.p, res, qleds[i], baseV, u.p.q.Sorted)
 	}
 	if anyCancelled {
 		// Abandon the cancelled members' in-flight prefetches so they
@@ -710,7 +714,9 @@ func (e *Engine) runSolo(snap Snapshot, u execUnit, gangSize int) {
 	startV := e.store.Ledger().Total()
 	startW := time.Now()
 
+	// results is the buffered result, or a live stream's open block.
 	var results []core.Result
+	var sorted, stopped bool
 	arena := core.GetArena()
 	defer core.PutArena(arena)
 	ferr := func() (ferr *storage.PageError) {
@@ -741,28 +747,25 @@ func (e *Engine) runSolo(snap Snapshot, u execUnit, gangSize int) {
 		root = p.Root()
 		root.Open()
 		opened = true
-		live := u.p.sink != nil && !u.p.q.Sorted
-		limit := u.p.q.Limit
-		for {
+		// Only a plan that does not yield document order by itself must
+		// see everything before it delivers anything.
+		sorted = u.p.q.Sorted && !p.Ordered
+		live := u.p.sink != nil && !sorted
+		for n, limit := 0, u.p.q.Limit; ; {
 			inst, ok := root.Next()
 			if !ok {
 				break
 			}
 			r := core.Result{Node: inst.NR, Ord: inst.Ord}
-			if live {
-				// Incremental delivery: hand the match to the consumer
-				// now; a false emit means the consumer is gone (context
-				// cancelled or engine stopping), so stop pulling.
-				if !e.emit(u.p, r) {
-					break
-				}
-				if limit > 0 && u.p.sent >= limit {
-					break
-				}
-				continue
+			if !live {
+				results = append(results, r)
+			} else if results, ok = e.emit(u.p, results, r); !ok {
+				// The consumer is gone (context cancelled) or the engine
+				// is stopping: stop pulling.
+				stopped = true
+				break
 			}
-			results = append(results, r)
-			if limit > 0 && !u.p.q.Sorted && len(results) >= limit {
+			if n++; limit > 0 && !sorted && n >= limit {
 				break
 			}
 		}
@@ -775,14 +778,21 @@ func (e *Engine) runSolo(snap Snapshot, u execUnit, gangSize int) {
 		// just this query, withdraw its outstanding prefetches so they
 		// cannot surface inside a later gang, and account its work.
 		e.faulted.Add(1)
+		Recycle(results)
 		view.CancelRequests()
 		e.store.Ledger().Merge(qled.Sub(clockBase(baseV)))
 		u.p.finish(Result{}, ferr)
 		return
 	}
 
-	if err := u.p.ctx.Err(); err != nil {
+	err := u.p.ctx.Err()
+	if err != nil {
 		e.cancelled.Add(1)
+	} else if stopped {
+		err = ErrClosed // the engine stopped under a producer parked on its consumer
+	}
+	if err != nil {
+		Recycle(results)
 		view.CancelRequests()
 		e.store.Ledger().Merge(qled.Sub(clockBase(baseV)))
 		u.p.finish(Result{}, err)
@@ -798,30 +808,41 @@ func (e *Engine) runSolo(snap Snapshot, u execUnit, gangSize int) {
 		WallQueue: startW.Sub(u.p.submitW),
 		WallExec:  time.Since(startW),
 	}
-	e.deliver(u.p, res, qled, baseV)
+	e.deliver(u.p, res, qled, baseV, sorted)
 }
 
-// emit hands one result to a streaming consumer, blocking when the sink is
-// full (back-pressure: the producer runs at most streamDepth results ahead).
-// It reports false — stop producing — when the query's context is cancelled
-// or the engine is stopping, so an abandoned consumer can never wedge a
-// worker or the dispatcher.
-func (e *Engine) emit(p *Pending, r core.Result) bool {
-	select {
-	case p.sink <- r:
-		p.sent++
-		return true
-	default:
+// emit appends r to blk, a streaming query's open block, and hands blocks to
+// the consumer: the first as soon as the consumer takes it (one match, when
+// the consumer is already waiting), later ones when they are full and the
+// next match needs room. Only that hand-over waits (back-pressure: the
+// producer runs at most one block ahead), so a query of at most streamDepth
+// matches never waits on its consumer. emit reports false — stop producing —
+// when the query's context is cancelled or the engine is stopping, so an
+// abandoned consumer can never wedge a worker or the dispatcher.
+func (e *Engine) emit(p *Pending, blk []core.Result, r core.Result) ([]core.Result, bool) {
+	if len(blk) == streamDepth {
+		select {
+		case p.sink <- blk:
+			blk = nil
+		case <-p.ctx.Done():
+			return blk, false
+		case <-e.stop:
+			return blk, false
+		}
 	}
-	select {
-	case p.sink <- r:
-		p.sent++
-		return true
-	case <-p.ctx.Done():
-		return false
-	case <-e.stop:
-		return false
+	if blk == nil {
+		blk = newBlock()
 	}
+	blk = append(blk, r)
+	if p.sent++; p.sent == len(blk) {
+		// Nothing handed over yet: offer the block without waiting.
+		select {
+		case p.sink <- blk:
+			blk = nil
+		default:
+		}
+	}
+	return blk, true
 }
 
 // clockBase is a ledger snapshot representing a seeded arrival instant, for
@@ -829,13 +850,13 @@ func (e *Engine) emit(p *Pending, r core.Result) bool {
 // into the volume ledger.
 func clockBase(t stats.Ticks) stats.Ledger { return stats.Ledger{Now: t} }
 
-// deliver applies per-query post-processing (the document-order sort stays
-// off the shared path, charged to the query's own ledger), folds the query
-// ledger into the volume ledger, stamps the per-query costs and completes
-// the waiter. baseV is the device instant the ledger was seeded at; only
-// the time past it is the query's own.
-func (e *Engine) deliver(p *Pending, res Result, qled *stats.Ledger, baseV stats.Ticks) {
-	if p.q.Sorted {
+// deliver applies per-query post-processing (the document-order sort of an
+// order-enforced query stays off the shared path, charged to the query's
+// own ledger), folds the query ledger into the volume ledger, stamps the
+// per-query costs and completes the waiter. baseV is the device instant the
+// ledger was seeded at; only the time past it is the query's own.
+func (e *Engine) deliver(p *Pending, res Result, qled *stats.Ledger, baseV stats.Ticks, sorted bool) {
+	if sorted {
 		rs := res.Results
 		if len(rs) > 1 {
 			cmp := core.SortResults(rs)
@@ -846,17 +867,6 @@ func (e *Engine) deliver(p *Pending, res Result, qled *stats.Ledger, baseV stats
 			// keeps the first N in document order.
 			res.Results = rs[:p.q.Limit]
 		}
-	}
-	if p.sink != nil {
-		// Streaming delivery of whatever is still buffered: sorted runs
-		// buffer producer-side for order enforcement and flush here;
-		// unsorted runs already emitted from the pull loop.
-		for _, r := range res.Results {
-			if !e.emit(p, r) {
-				break
-			}
-		}
-		res.Results = nil
 	}
 	snap := qled.Sub(clockBase(baseV))
 	res.CostV, res.CPUV, res.IOWaitV = snap.Now, snap.CPU, snap.IOWait

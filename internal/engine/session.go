@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"pathdb/internal/core"
@@ -15,11 +16,29 @@ type Session struct {
 	e *Engine
 }
 
-// streamDepth is the per-query sink buffer: a streaming producer runs
-// ahead of its consumer by at most this many results before the channel
-// send blocks (back-pressure at the operator poll point). Queries at or
-// under this cardinality complete without ever waiting on the consumer.
+// streamDepth is the size of a streaming query's sink blocks: the producer
+// runs ahead of its consumer by at most one full block before the hand-over
+// blocks (back-pressure at the operator poll point). Queries at or under
+// this cardinality complete without ever waiting on the consumer.
 const streamDepth = 64
+
+// blocks recycles sink blocks: the producer takes one per block it opens,
+// the consumer hands each back once read (Recycle).
+var blocks = sync.Pool{New: func() any { return new([streamDepth]core.Result) }}
+
+func newBlock() []core.Result { return blocks.Get().(*[streamDepth]core.Result)[:0] }
+
+// Recycle returns a block read from Pending.C, or the Result.Results a
+// streaming query ended with, for the next block to reuse; the caller must
+// not touch it afterwards. A slice of any other capacity is left alone.
+func Recycle(blk []core.Result) {
+	if cap(blk) != streamDepth {
+		return
+	}
+	b := (*[streamDepth]core.Result)(blk[:streamDepth])
+	clear(b[:]) // drop the order keys, which alias decoded cluster images
+	blocks.Put(b)
+}
 
 // Pending is an admitted query waiting for (or holding) its outcome.
 type Pending struct {
@@ -29,11 +48,12 @@ type Pending struct {
 	submitW time.Time
 	submitV stats.Ticks // volume clock at submission
 
-	// sink carries results incrementally for streaming queries (Query.
-	// Stream); nil for buffered queries. It is closed by finish, so a
-	// consumer ranging over C() always unblocks when the query settles.
-	sink chan core.Result
-	sent int // results emitted into sink (producer side)
+	// sink carries a streaming query's matches (Query.Stream) in blocks of
+	// up to streamDepth; nil for buffered queries. It is unbuffered and
+	// closed by finish, so a consumer ranging over C() always unblocks when
+	// the query settles.
+	sink chan []core.Result
+	sent int // matches emitted into blocks (producer side), the open one's included
 
 	done chan struct{}
 	res  Result
@@ -49,10 +69,13 @@ func (p *Pending) finish(res Result, err error) {
 	}
 }
 
-// C is the result stream of a streaming query: one core.Result per match,
-// closed when the query settles. Nil for buffered queries. The summary
-// Result (costs, strategy, gang) is available from Wait after C closes.
-func (p *Pending) C() <-chan core.Result { return p.sink }
+// C is the result stream of a streaming query: blocks of matches in
+// delivery order, closed when the query settles. The block still open then
+// — all of an order-enforced query's result — follows in the Result's
+// Results, which Wait returns after C closes together with the summary
+// (costs, strategy, gang). Hand every block back with Recycle. Nil for
+// buffered queries.
+func (p *Pending) C() <-chan []core.Result { return p.sink }
 
 // Wait blocks until the query finishes or ctx is done. A Wait abandoned by
 // its caller does not cancel the query — cancel the submission context for
@@ -81,7 +104,7 @@ func (s *Session) newPending(ctx context.Context, q Query) *Pending {
 		done:    make(chan struct{}),
 	}
 	if q.Stream {
-		p.sink = make(chan core.Result, streamDepth)
+		p.sink = make(chan []core.Result)
 	}
 	return p
 }

@@ -19,7 +19,8 @@ const ndjsonType = "application/x-ndjson"
 
 // streamChunk is how many NDJSON lines are written between flushes: the
 // response path holds at most one chunk of encoded records plus the
-// cursor's bounded read-ahead, never the full result.
+// cursor's bounded read-ahead, never the full result. The first node line
+// is flushed on its own, so a client sees it without waiting for a chunk.
 const streamChunk = 64
 
 // wantsStream reports whether the request negotiated NDJSON streaming.
@@ -87,9 +88,10 @@ func newNDJSONWriter(w http.ResponseWriter) *ndjsonWriter {
 }
 
 // writeNode appends one node line — byte for byte what
-// json.Encoder.Encode(NodeJSON{…}) writes — flushing every streamChunk
-// lines. After a transport failure (the client hung up) it reports false
-// and goes inert — the caller stops pulling the cursor.
+// json.Encoder.Encode(NodeJSON{…}) writes — flushing after the first line
+// and then every streamChunk lines. After a transport failure (the client
+// hung up) it reports false and goes inert — the caller stops pulling the
+// cursor.
 func (nw *ndjsonWriter) writeNode(n pathdb.Node, shard int) bool {
 	if nw.failed {
 		return false
@@ -114,7 +116,7 @@ func (nw *ndjsonWriter) writeSummary(sum StreamSummaryJSON) {
 
 func (nw *ndjsonWriter) endLine() bool {
 	nw.lines++
-	if nw.lines%streamChunk == 0 {
+	if nw.lines == 1 || nw.lines%streamChunk == 0 {
 		nw.flush()
 	}
 	return !nw.failed

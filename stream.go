@@ -30,11 +30,13 @@ import (
 // false. A stream that ends by itself (exhausted, capped by Limit, failed,
 // context done) has already released all of that.
 //
-// Delivery is incremental for unsorted queries: each match is handed over
-// as the operator tree produces it, an engine-backed producer running at
-// most a bounded channel ahead (back-pressure). Sorted queries are
-// order-enforced: every match is seen before the first is delivered (the
-// sort of a single path is charged to the query like any other work).
+// Delivery is incremental wherever production order is delivery order:
+// unsorted queries, and sorted single paths whose plan yields document order
+// by itself (core.Plan.Ordered). Each match is handed over as the operator
+// tree produces it, an engine-backed producer running at most one block of
+// matches ahead (back-pressure). Other sorted queries are order-enforced:
+// every match is seen before the first is delivered (the sort of a single
+// path is charged to the query like any other work).
 //
 // A Cursor is not safe for concurrent use by multiple goroutines.
 type Cursor struct {
@@ -80,9 +82,10 @@ type producer interface {
 
 // Stream opens a cursor over the path's results. Unsorted queries deliver
 // incrementally (the first node is available long before the last is
-// computed); a sorted single path is order-enforced at the producer (the
-// engine sees every match before the first is delivered) and then streams
-// the sorted sequence; a sorted union is delivered after the cursor's
+// computed), and so does a sorted single path whose plan is ordered; any
+// other sorted single path is order-enforced at the producer (the engine
+// sees every match before the first is delivered) and then streams the
+// sorted sequence; a sorted union is delivered after the cursor's
 // cross-branch merge. Streaming queries execute solo — they never join a
 // gang-shared scheduler, since their production is paced by the consumer.
 // A full admission queue makes Stream wait; TryStream sheds instead.
@@ -281,21 +284,29 @@ func (c *Cursor) Drain() (ExecResult, error) {
 
 // engineProducer pulls a query admitted to the engine: one Pending per
 // union branch, drained in submission order. A streaming branch hands its
-// matches over through its sink as the worker produces them; whatever the
-// engine buffered instead is in the branch's Result once it has settled.
+// matches over in blocks through its sink as the worker produces them;
+// whatever the engine buffered instead — a stream's last block included —
+// is in the branch's Result once it has settled.
 type engineProducer struct {
 	pend []*engine.Pending
 	done []engine.Result // summaries of the branches harvested so far, in order
-	cur  int             // branch being delivered
-	idx  int             // next of done[cur].Results
+	cur  int             // next branch to read from; blk belongs to the one before once its Results are taken
+	blk  []core.Result   // block being delivered: from a sink, or a branch's Results
+	idx  int             // next of blk
 }
 
 func (p *engineProducer) next(ctx context.Context) (core.Result, bool, error) {
-	for p.cur < len(p.pend) {
+	for p.idx == len(p.blk) {
+		engine.Recycle(p.blk)
+		p.blk, p.idx = nil, 0
+		if p.cur == len(p.pend) {
+			return core.Result{}, false, nil
+		}
 		ch := p.pend[p.cur].C()
 		if ch != nil {
-			if r, ok := <-ch; ok {
-				return r, true, nil
+			if blk, ok := <-ch; ok {
+				p.blk = blk
+				continue
 			}
 		}
 		// The branch's sink is closed, or it never had one. A streamed query
@@ -314,18 +325,15 @@ func (p *engineProducer) next(ctx context.Context) (core.Result, bool, error) {
 			}
 			p.done = append(p.done, res)
 		}
-		if rs := p.done[p.cur].Results; p.idx < len(rs) {
-			p.idx++
-			return rs[p.idx-1], true, nil
-		}
+		p.blk = p.done[p.cur].Results
 		p.cur++
-		p.idx = 0
 	}
-	return core.Result{}, false, nil
+	p.idx++
+	return p.blk[p.idx-1], true, nil
 }
 
 func (p *engineProducer) known() int {
-	n := -p.idx // idx is past 0 only once done[cur] is there
+	n := len(p.blk) - p.idx
 	for i := p.cur; i < len(p.done); i++ {
 		n += len(p.done[i].Results)
 	}
@@ -336,16 +344,23 @@ func (p *engineProducer) known() int {
 // unblocks, then wait for the engine to finish the Pending (it always does —
 // the cancelled context stops it at the next poll point, and the engine
 // withdraws a cancelled query's prefetches). This is what makes every exit
-// leak-free: no worker stays blocked on the cursor's channels.
+// leak-free: no worker stays blocked on the cursor's channels. Every block
+// not delivered goes back to the engine.
 func (p *engineProducer) stop() ExecResult {
+	engine.Recycle(p.blk)
+	p.blk, p.idx = nil, 0
 	for _, pd := range p.pend[len(p.done):] {
 		if ch := pd.C(); ch != nil {
-			for range ch {
+			for blk := range ch {
+				engine.Recycle(blk)
 			}
 		}
 		if res, err := pd.Wait(context.Background()); err == nil {
 			p.done = append(p.done, res)
 		}
+	}
+	for i := p.cur; i < len(p.done); i++ {
+		engine.Recycle(p.done[i].Results)
 	}
 	return aggregateBranches(p.done)
 }
@@ -396,8 +411,9 @@ func aggregateBranches(branch []engine.Result) ExecResult {
 // caller's goroutine — the engine-free counterpart of Session.Stream.
 // Unsorted queries pull the plan incrementally: each Next advances the
 // operators just far enough to produce one match, union branches one after
-// another. Sorted queries evaluate fully on the first Next (order
-// enforcement), then stream the sorted result.
+// another; so does a sorted single path whose plan is ordered. Other sorted
+// queries evaluate fully on the first Next (order enforcement), then stream
+// the sorted result.
 //
 // It is not safe for use concurrently with other queries on the same DB (it
 // runs on the volume's own clock); use Session.Stream for concurrent
@@ -426,8 +442,9 @@ func (db *DB) openDirect(ctx context.Context, cancel context.CancelFunc, path st
 			MemLimit: opts.MemLimit,
 			Ctx:      ctx,
 			Arena:    core.GetArena(),
-			// A single path sorts inside its plan, charged to the query;
-			// union branches are merged by the cursor.
+			// A single path sorts inside its plan, charged to the query,
+			// unless the plan is ordered; union branches are merged by the
+			// cursor.
 			SortResults: opts.Sorted && len(branches) == 1,
 		},
 		startV: start.Now, startCPU: start.CPU, startIO: start.IOWait,

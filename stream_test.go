@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -361,32 +362,138 @@ func TestStreamEarlyClose(t *testing.T) {
 				check(t, db, ses.Stream, i, false)
 			})
 		}
-		// Early closes at varying depths of the sink.
-		for _, k := range []int{0, 1, 3, 17} {
-			cur, err := ses.Stream(context.Background(), "/site//description", QueryOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < k && cur.Next(); i++ {
-			}
-			cur.Close()
-			if cur.Next() {
-				t.Fatal("Next after Close must report false")
+		// Early closes at varying depths of the sink's blocks: inside the
+		// first, at the end of a full one, one past it, one past the next.
+		// Sorted over Simple streams live too (the plan is ordered).
+		for _, opts := range []QueryOptions{{}, {Sorted: true, Strategy: Simple}} {
+			for _, k := range []int{0, 1, 3, 17, 64, 65, 129} {
+				cur, err := ses.Stream(context.Background(), "/site//description", opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < k && cur.Next(); i++ {
+				}
+				if cur.Count() != k {
+					t.Fatalf("%+v: %d nodes before the close, want %d", opts, cur.Count(), k)
+				}
+				cur.Close()
+				if cur.Next() {
+					t.Fatal("Next after Close must report false")
+				}
 			}
 		}
+		// A cancel while the producer is parked on back-pressure.
+		ctx, cancel := context.WithCancel(context.Background())
+		cur, err := ses.Stream(ctx, "/site//description", QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur.Next()
+		waitParked(t)
+		cancel()
+		for cur.Next() {
+		}
+		if err := cur.Err(); err != nil && KindOf(err) != KindCanceled {
+			t.Fatalf("cancelled while parked: %v", err)
+		}
+		cur.Close()
 	})
 
+	checkNoLeaks(t, baseline, baseIters)
+}
+
+// waitParked waits until a streaming producer is parked on back-pressure:
+// its worker blocked handing a full block to a consumer that does not read.
+func waitParked(t *testing.T) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if strings.Contains(string(buf[:runtime.Stack(buf, true)]), "engine.(*Engine).emit(") {
+			return
+		}
+	}
+	t.Fatal("no streaming producer parked on its consumer")
+}
+
+// checkNoLeaks waits for the goroutine count to fall back to baseline and
+// requires every pooled navigation iterator to be back.
+func checkNoLeaks(t *testing.T, goroutines int, iters int64) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if g := runtime.NumGoroutine(); g > baseline {
+	if g := runtime.NumGoroutine(); g > goroutines {
 		buf := make([]byte, 1<<20)
-		t.Fatalf("the exits leaked goroutines: %d > %d\n%s",
-			g, baseline, buf[:runtime.Stack(buf, true)])
+		t.Fatalf("leaked goroutines: %d > %d\n%s", g, goroutines, buf[:runtime.Stack(buf, true)])
 	}
-	if iters := storage.LiveStepIters(); iters != baseIters {
-		t.Fatalf("the exits leaked navigation iterators: %d live, baseline %d", iters, baseIters)
+	if n := storage.LiveStepIters(); n != iters {
+		t.Fatalf("leaked navigation iterators: %d live, baseline %d", n, iters)
+	}
+}
+
+// TestEngineShutdownWithParkedStream: closing or draining an engine under a
+// streaming query whose producer is parked on an unread cursor returns, fails
+// the query with ErrClosed, and leaves no goroutine or iterator behind.
+func TestEngineShutdownWithParkedStream(t *testing.T) {
+	db := engineFixture(t)
+	goroutines, iters := runtime.NumGoroutine(), storage.LiveStepIters()
+	for _, name := range []string{"Close", "Shutdown"} {
+		eng := db.NewEngine(EngineConfig{})
+		cur, err := eng.NewSession().Stream(context.Background(), "/site//description", QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur.Next()
+		waitParked(t)
+		if name == "Close" {
+			eng.Close()
+		} else {
+			// Draining waits for the parked query until the deadline, then
+			// closes.
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			if err := eng.Shutdown(ctx); !errors.Is(err, ErrTimeout) && !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("Shutdown over a parked stream: %v, want the deadline", err)
+			}
+			cancel()
+		}
+		for cur.Next() {
+		}
+		if err := cur.Err(); !errors.Is(err, ErrClosed) {
+			t.Fatalf("%s: the parked stream ended with %v, want ErrClosed", name, err)
+		}
+		cur.Close()
+	}
+	checkNoLeaks(t, goroutines, iters)
+}
+
+// TestUnreadSmallStreamDoesNotBlock: a streaming query of at most one block
+// completes without its consumer, so a cursor opened and not yet read does
+// not hold the dispatcher — the next query on a one-worker engine completes
+// — and still yields everything once read.
+func TestUnreadSmallStreamDoesNotBlock(t *testing.T) {
+	db := engineFixture(t)
+	eng := db.NewEngine(EngineConfig{MaxInFlight: 1, Parallel: 1})
+	defer eng.Close()
+	ses := eng.NewSession()
+	const small = "/site/regions/*"
+	for _, opts := range []QueryOptions{{}, {Sorted: true, Strategy: Simple}} {
+		cur, err := ses.Stream(context.Background(), small, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		want, err := ses.Do(ctx, small, opts)
+		cancel()
+		if err != nil {
+			t.Fatalf("%+v: the query after an unread stream: %v", opts, err)
+		}
+		if n := len(want.Nodes); n == 0 || n > 64 {
+			t.Fatalf("%s has %d nodes; the test needs 1..64", small, n)
+		}
+		if got := streamIDs(t, cur); !sameSeq(got, resultIDs(want)) {
+			t.Fatalf("%+v: the unread stream yields %d nodes, Do %d", opts, len(got), len(want.Nodes))
+		}
 	}
 }
 
