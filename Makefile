@@ -12,10 +12,13 @@ test:
 	$(GO) test ./...
 
 # Race-detect the concurrent layers (engine, server, storage, core, plan —
-# the chooser reads the pool's fill while workers fix pages — buffer, vdisk,
-# stats) plus the facade, which exercises the engine end to end.
+# the chooser reads the pool's fill while commits fix pages — buffer, vdisk,
+# stats) plus the facade, which exercises the engine end to end. The engine
+# and server run a second time at GOMAXPROCS 1, the setting the benchmark
+# uses.
 race:
 	$(GO) test -race ./internal/engine/... ./internal/server/... ./internal/storage/... ./internal/core/... ./internal/plan/... ./internal/buffer/... ./internal/vdisk/... ./internal/stats/... .
+	$(GO) test -race -cpu 1 ./internal/engine/ ./internal/server/
 
 # Go micro-benchmarks with allocation counts (wall-clock; machine
 # dependent, unlike the virtual-clock numbers from xbench). Includes

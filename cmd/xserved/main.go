@@ -71,7 +71,6 @@ func main() {
 
 	inflight := flag.Int("inflight", 0, "engine MaxInFlight (default 8)")
 	queue := flag.Int("queue", 0, "engine QueueDepth (default 64)")
-	parallel := flag.Int("parallel", 0, "engine worker-pool width per gang (default min(MaxInFlight, GOMAXPROCS))")
 	maxNodes := flag.Int("max-nodes", 0, "cap on result nodes per response (default 1000)")
 	maxTimeout := flag.Duration("max-timeout", 0, "cap on per-request execution budget (default 30s)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on shutdown")
@@ -95,7 +94,7 @@ func main() {
 	}
 
 	opts := pathdb.Options{Layout: layout, LayoutSeed: *seed, BufferPages: *buffer}
-	engCfg := pathdb.EngineConfig{MaxInFlight: *inflight, QueueDepth: *queue, Parallel: *parallel}
+	engCfg := pathdb.EngineConfig{MaxInFlight: *inflight, QueueDepth: *queue}
 	srvOpts := server.Options{MaxNodes: *maxNodes, MaxTimeout: *maxTimeout}
 
 	var xmlData []byte

@@ -31,23 +31,23 @@ type EngineConfig struct {
 	// QueueDepth bounds the admission queue: TrySubmit beyond it is
 	// rejected, Do/Submit block (default 64).
 	QueueDepth int
-	// Parallel is the worker-pool width per gang: how many gang tasks
-	// (shared scheduler groups and solo queries) execute concurrently.
-	// Default min(MaxInFlight, GOMAXPROCS).
+	// Parallel is ignored: the engine executes every gang on its one
+	// dispatcher goroutine. The field is kept so existing configurations
+	// compile.
 	Parallel int
 }
 
-// Engine executes queries from many goroutines concurrently against one
-// loaded document — the concurrent counterpart of DB.Query. Open sessions
-// with NewSession; Close shuts the dispatcher down.
+// Engine serves queries submitted from many goroutines against one loaded
+// document — the concurrent counterpart of DB.Query. Open sessions with
+// NewSession; Close shuts the dispatcher down.
 //
 // See internal/engine for the execution model: submissions are admitted
-// into a bounded queue, gathered into gangs by a single dispatcher, and
-// executed on a worker pool over concurrent read-only storage views, with
-// compatible XSchedule plans batched onto shared schedulers so the
-// asynchronous I/O layer reorders cluster loads across query boundaries.
-// Every query pays its costs on a private virtual clock that is folded
-// into the volume clock at completion.
+// into a bounded queue and gathered into gangs by a single dispatcher, which
+// executes each gang itself over read-only storage views, with compatible
+// XSchedule plans batched onto one shared scheduler so the asynchronous I/O
+// layer reorders cluster loads across query boundaries. Every query pays
+// its costs on a private virtual clock that is folded into the volume clock
+// at completion.
 type Engine struct {
 	// The engine's write/transaction surface is the same volumeAPI the DB
 	// embeds, parameterized with the engine's write-admission hook: Update
@@ -69,7 +69,6 @@ func (db *DB) NewEngine(cfg EngineConfig) *Engine {
 		e: engine.New(db.store, engine.Config{
 			MaxInFlight: cfg.MaxInFlight,
 			QueueDepth:  cfg.QueueDepth,
-			Parallel:    cfg.Parallel,
 			// Each gang pins one MVCC snapshot for all its members, so
 			// concurrent Updates never tear a gang's reads (see txn.go).
 			Snapshots: dbSnapshots{db: db},
@@ -205,7 +204,7 @@ type ExecResult struct {
 	VirtualLatency stats.Ticks
 	// CostV is the query's own elapsed virtual time (CPUV + IOWaitV),
 	// measured on its private ledger — deterministic on a warm buffer
-	// regardless of how many workers the gang ran on. SharedV is the
+	// regardless of the gang it ran in. SharedV is the
 	// gang-shared scheduler's clock (pooled prefetch I/O, reported to
 	// every member of the group; zero for solo runs). Union queries sum
 	// their branches.

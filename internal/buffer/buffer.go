@@ -2,7 +2,7 @@
 // engine and the virtual disk.
 //
 // It models the costs the paper attributes to this layer (Sec. 1, 3.6): a
-// page access requires a hash-table probe (with its latch), a miss adds a
+// page access requires a hash-table probe (with its lock), a miss adds a
 // disk read and possibly an eviction, and translating a NodeID into an
 // in-memory pointer ("swizzling") is charged separately by the storage
 // layer on top of Fix.
@@ -10,21 +10,17 @@
 // The manager also fronts the asynchronous interface the XSchedule operator
 // expects (Sec. 3.7): Request enqueues a cluster load without blocking, and
 // WaitLoaded returns some cluster whose load has completed — already-cached
-// clusters complete immediately. Under the parallel engine each query (or
-// shared gang group) owns a Waiter, which scopes Request/WaitLoaded to that
-// query: deliveries are fanned out per waiter, so two workers waiting on
-// different clusters never steal each other's wakeups, and a page wanted by
-// several waiters is submitted to the device once and delivered to each.
+// clusters complete immediately. Each query (or shared gang group) owns a
+// Waiter, which scopes Request/WaitLoaded to that query: deliveries are
+// fanned out per waiter, so one query never consumes another's wakeups, and
+// a page wanted by several waiters is submitted to the device once and
+// delivered to each.
 //
-// Concurrency. The page table is split into latch shards (the classic
-// buffer-manager design the CPUHashLookup constant already models), pin
-// counts are atomic, and a single manager mutex serializes the cold paths:
-// LRU maintenance, misses, eviction and the async waiter bookkeeping. Lock
-// ordering is strict — the manager mutex may acquire shard latches and the
-// device mutex, never the reverse — and the hit path touches the LRU under
-// the manager mutex after pinning under the shard latch, which doubles as
-// the barrier that keeps a concurrently-loading frame's Data invisible
-// until complete.
+// Concurrency. The engine runs queries on one goroutine, but commits and
+// the version reclaimer reach the pool from their own. One manager mutex
+// guards the page table, the LRU list, misses, eviction and the async
+// waiter bookkeeping; it may acquire the device mutex, never the reverse.
+// Pin counts are atomic, so Unfix takes no lock.
 package buffer
 
 import (
@@ -35,15 +31,6 @@ import (
 	"pathdb/internal/stats"
 	"pathdb/internal/vdisk"
 )
-
-// nShards is the number of page-table latch shards. Plenty for the worker
-// counts the engine admits; must be a power of two.
-const nShards = 64
-
-type shard struct {
-	mu     sync.RWMutex
-	frames map[vdisk.PageID]*Frame
-}
 
 // Frame is a buffered page. Data aliases the manager's internal copy; it is
 // valid while the frame is pinned (and until eviction otherwise).
@@ -59,24 +46,22 @@ type Frame struct {
 func (f *Frame) Pinned() bool { return f.pins.Load() > 0 }
 
 // Manager is the buffer pool. Safe for concurrent use; see the package
-// comment for the latching discipline.
+// comment for the locking discipline.
 type Manager struct {
 	disk     *vdisk.Disk
 	led      *stats.Ledger
 	capacity int
 
-	shards [nShards]shard
-
-	mu      sync.Mutex // guards everything below; may take shard latches
-	nFrames int        // mapped frames across all shards
-	head    *Frame     // MRU
-	tail    *Frame     // LRU
+	mu     sync.Mutex // guards everything below
+	frames map[vdisk.PageID]*Frame
+	head   *Frame // MRU
+	tail   *Frame // LRU
 
 	// Async request bookkeeping, shared across waiters. submitted[p] means
-	// an undelivered root-domain request or completion for p exists on the
-	// device (dedup: one physical submission no matter how many waiters
-	// want p). wanted[p] counts waiters with p in their pending set; when
-	// it hits zero any device entry for p is withdrawn.
+	// an undelivered request or completion for p exists on the device
+	// (dedup: one physical submission no matter how many waiters want p).
+	// wanted[p] counts waiters with p in their pending set; when it hits
+	// zero any device entry for p is withdrawn.
 	submitted map[vdisk.PageID]bool
 	wanted    map[vdisk.PageID]int
 
@@ -120,20 +105,14 @@ func New(disk *vdisk.Disk, capacity int) *Manager {
 		disk:      disk,
 		led:       disk.Ledger(),
 		capacity:  capacity,
+		frames:    make(map[vdisk.PageID]*Frame),
 		submitted: make(map[vdisk.PageID]bool),
 		wanted:    make(map[vdisk.PageID]int),
 		failed:    make(map[vdisk.PageID]error),
 		attempts:  make(map[vdisk.PageID]int),
 		retry:     DefaultRetryPolicy(),
 	}
-	for i := range m.shards {
-		m.shards[i].frames = make(map[vdisk.PageID]*Frame)
-	}
 	return m
-}
-
-func (m *Manager) shardOf(p vdisk.PageID) *shard {
-	return &m.shards[uint32(p)&(nShards-1)]
 }
 
 // SetVerifier registers a page-image verifier run against every page read
@@ -173,7 +152,7 @@ func (m *Manager) Capacity() int { return m.capacity }
 func (m *Manager) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.nFrames
+	return len(m.frames)
 }
 
 // Overflow returns how many times the pool had to exceed its capacity
@@ -187,30 +166,15 @@ func (m *Manager) Overflow() int64 {
 // Contains reports whether page p is buffered, without charging costs or
 // touching the LRU order (for tests and the scheduler's bookkeeping).
 func (m *Manager) Contains(p vdisk.PageID) bool {
-	s := m.shardOf(p)
-	s.mu.RLock()
-	_, ok := s.frames[p]
-	s.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.frames[p]
 	return ok
 }
 
 // Disk exposes the underlying device (the storage layer needs its cost
 // model and page size).
 func (m *Manager) Disk() *vdisk.Disk { return m.disk }
-
-// probe looks p up in its shard and, on a hit, pins the frame under the
-// shard latch — the pin taken there is what makes it safe against a
-// concurrent eviction, which re-checks pins under the exclusive latch.
-func (m *Manager) probe(p vdisk.PageID) *Frame {
-	s := m.shardOf(p)
-	s.mu.RLock()
-	f := s.frames[p]
-	if f != nil {
-		f.pins.Add(1)
-	}
-	s.mu.RUnlock()
-	return f
-}
 
 // Fix returns a pinned frame for page p, reading it from disk on a miss.
 // The caller must Unfix it. Each call charges one hash probe. A non-nil
@@ -220,60 +184,29 @@ func (m *Manager) Fix(p vdisk.PageID) (*Frame, error) { return m.FixOn(m.led, p)
 
 // FixOn is Fix with the probe, hit/miss statistics and any disk read billed
 // to led instead of the pool's root ledger — the per-query accounting entry
-// point of the parallel engine. The frame itself is shared pool state either
-// way.
+// point of the engine. The frame itself is shared pool state either way.
 func (m *Manager) FixOn(led *stats.Ledger, p vdisk.PageID) (*Frame, error) {
 	stats.Inc(&led.HashLookups)
 	led.AdvanceCPU(m.disk.Model().CPUHashLookup)
-	if f := m.probe(p); f != nil {
-		// Passing through the manager mutex guarantees the loader of a
-		// freshly-published frame has finished filling Data before we hand
-		// it out — and lets us confirm the load did not fail and unmap the
-		// frame after our pin-under-read-latch.
-		m.mu.Lock()
-		if m.mapped(p) == f {
-			stats.Inc(&led.BufferHits)
-			m.touch(f)
-			m.mu.Unlock()
-			return f, nil
-		}
-		m.mu.Unlock()
-		m.Unfix(f) // loader failed and withdrew the frame; treat as a miss
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Re-probe: another goroutine may have loaded p while we waited.
-	// Unmapping requires m.mu, so a frame found here is live.
-	if f := m.probe(p); f != nil {
+	f := m.frames[p]
+	if f != nil {
 		stats.Inc(&led.BufferHits)
 		m.touch(f)
-		return f, nil
+	} else {
+		stats.Inc(&led.BufferMisses)
+		f = m.newFrame(p)
+		if err := m.loadFrame(led, p, f); err != nil {
+			delete(m.frames, p)
+			m.unlink(f)
+			return nil, err
+		}
+		delete(m.failed, p) // a fresh successful read supersedes older failures
+		delete(m.attempts, p)
 	}
-	stats.Inc(&led.BufferMisses)
-	f := m.newFrame(p)
-	if err := m.loadFrame(led, p, f); err != nil {
-		s := m.shardOf(p)
-		s.mu.Lock()
-		delete(s.frames, p)
-		s.mu.Unlock()
-		m.unlink(f)
-		m.nFrames--
-		return nil, err
-	}
-	delete(m.failed, p) // a fresh successful read supersedes older failures
-	delete(m.attempts, p)
 	f.pins.Add(1)
 	return f, nil
-}
-
-// mapped returns the frame currently registered for p, or nil. Caller holds
-// m.mu (which is what excludes concurrent unmapping).
-func (m *Manager) mapped(p vdisk.PageID) *Frame {
-	s := m.shardOf(p)
-	s.mu.RLock()
-	f := s.frames[p]
-	s.mu.RUnlock()
-	return f
 }
 
 // loadFrame reads page p into f under the retry policy: transient device
@@ -348,7 +281,7 @@ func (w *Waiter) Request(p vdisk.PageID) {
 	w.pending[p] = true
 	w.order = append(w.order, p)
 	m.wanted[p]++
-	if !m.Contains(p) && !m.submitted[p] {
+	if m.frames[p] == nil && !m.submitted[p] {
 		m.submitted[p] = true
 		m.disk.SubmitOn(w.led, p)
 	}
@@ -415,19 +348,14 @@ func (w *Waiter) WaitLoaded() (p vdisk.PageID, ok bool, err error) {
 			m.failed[page] = derr
 			continue // the poisoned-page scan above delivers it
 		}
-		s := m.shardOf(page)
-		s.mu.Lock()
-		if old, exists := s.frames[page]; exists {
+		if old, exists := m.frames[page]; exists {
 			// Already (re)loaded synchronously in the meantime; keep the
 			// existing frame and discard the fresh buffer.
-			s.mu.Unlock()
 			m.unlink(f)
 			m.touch(old)
 		} else {
 			f.Page = page
-			s.frames[page] = f
-			s.mu.Unlock()
-			m.nFrames++
+			m.frames[page] = f
 		}
 		w.deliverLocked(page)
 		return page, true, nil
@@ -438,7 +366,7 @@ func (w *Waiter) WaitLoaded() (p vdisk.PageID, ok bool, err error) {
 // Caller holds m.mu.
 func (w *Waiter) takeBuffered() (vdisk.PageID, bool) {
 	for _, p := range w.order {
-		if w.m.Contains(p) {
+		if w.m.frames[p] != nil {
 			w.deliverLocked(p)
 			return p, true
 		}
@@ -519,21 +447,15 @@ func (w *Waiter) Outstanding() int {
 func (m *Manager) Discard(p vdisk.PageID) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := m.shardOf(p)
-	s.mu.Lock()
-	f, ok := s.frames[p]
+	f, ok := m.frames[p]
 	if !ok {
-		s.mu.Unlock()
 		return true
 	}
 	if f.Pinned() {
-		s.mu.Unlock()
 		return false
 	}
-	delete(s.frames, p)
-	s.mu.Unlock()
+	delete(m.frames, p)
 	m.unlink(f)
-	m.nFrames--
 	if m.onEvict != nil {
 		m.onEvict(p)
 	}
@@ -547,22 +469,15 @@ func (m *Manager) Discard(p vdisk.PageID) bool {
 func (m *Manager) FlushAll() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		for p, f := range s.frames {
-			if f.Pinned() {
-				s.mu.Unlock()
-				panic(fmt.Sprintf("buffer: FlushAll with pinned page %d", p))
-			}
-			if m.onEvict != nil {
-				m.onEvict(p)
-			}
+	for p, f := range m.frames {
+		if f.Pinned() {
+			panic(fmt.Sprintf("buffer: FlushAll with pinned page %d", p))
 		}
-		s.frames = make(map[vdisk.PageID]*Frame)
-		s.mu.Unlock()
+		if m.onEvict != nil {
+			m.onEvict(p)
+		}
 	}
-	m.nFrames = 0
+	m.frames = make(map[vdisk.PageID]*Frame)
 	m.head, m.tail = nil, nil
 	m.submitted = make(map[vdisk.PageID]bool)
 	m.wanted = make(map[vdisk.PageID]int)
@@ -574,7 +489,7 @@ func (m *Manager) FlushAll() {
 // registers it under page p (unless p is InvalidPage, for placeholders).
 // Caller holds m.mu.
 func (m *Manager) newFrame(p vdisk.PageID) *Frame {
-	if m.nFrames >= m.capacity {
+	if len(m.frames) >= m.capacity {
 		if !m.evictOne() {
 			m.overflow++
 		}
@@ -582,34 +497,21 @@ func (m *Manager) newFrame(p vdisk.PageID) *Frame {
 	f := &Frame{Page: p, Data: make([]byte, m.disk.PageSize())}
 	m.linkFront(f)
 	if p != vdisk.InvalidPage {
-		s := m.shardOf(p)
-		s.mu.Lock()
-		s.frames[p] = f
-		s.mu.Unlock()
-		m.nFrames++
+		m.frames[p] = f
 	}
 	return f
 }
 
 // evictOne drops the least recently used unpinned frame. It returns false
-// if every frame is pinned. Caller holds m.mu; the victim's pin count is
-// re-checked under its shard's exclusive latch, which excludes the hit
-// path's pin-under-read-latch.
+// if every frame is pinned. Caller holds m.mu, which every new pin takes,
+// so a frame seen unpinned here stays unpinned.
 func (m *Manager) evictOne() bool {
 	for f := m.tail; f != nil; f = f.prev {
 		if f.Pinned() || f.Page == vdisk.InvalidPage {
 			continue // pinned, or a placeholder still being filled
 		}
-		s := m.shardOf(f.Page)
-		s.mu.Lock()
-		if f.Pinned() {
-			s.mu.Unlock()
-			continue
-		}
-		delete(s.frames, f.Page)
-		s.mu.Unlock()
+		delete(m.frames, f.Page)
 		m.unlink(f)
-		m.nFrames--
 		stats.Inc(&m.led.Evictions)
 		if m.onEvict != nil {
 			m.onEvict(f.Page)

@@ -24,7 +24,7 @@ func newConcurrentPool(t *testing.T, pages, capacity int) *Manager {
 
 // TestConcurrentFixUnfix drives the pool from many goroutines with a
 // capacity small enough to force constant eviction pressure. Assertions
-// are structural (right data, pins balanced); -race validates the latching.
+// are structural (right data, pins balanced); -race validates the locking.
 func TestConcurrentFixUnfix(t *testing.T) {
 	const pages = 48
 	m := newConcurrentPool(t, pages, 8)

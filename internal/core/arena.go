@@ -16,7 +16,7 @@ import (
 //
 // An arena serves one running plan at a time — operators borrow structures
 // at Open and return them at Close, and nothing inside is synchronized.
-// Callers that evaluate queries concurrently keep one arena per worker
+// Callers that evaluate queries concurrently keep one arena per goroutine
 // (GetArena/PutArena wrap a shared pool) and pass it via PlanOptions.Arena.
 // A nil arena is always valid and falls back to fresh allocations.
 type Arena struct {

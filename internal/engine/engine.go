@@ -1,43 +1,40 @@
-// Package engine executes many queries concurrently against one volume.
+// Package engine serves many submitting sessions against one volume with a
+// single-threaded cost-model executor.
 //
-// The seed repository evaluates one query at a time on one goroutine; this
-// package turns it into a servable system along the lines the paper's
-// outlook sketches (Sec. 7): several sessions submit queries, admission
-// control bounds the work in flight, and a batching layer coalesces the
-// cluster requests of concurrently admitted XSchedule plans into the single
-// asynchronous device queue (core.MultiPlan), so the I/O scheduler reorders
-// across query boundaries.
+// The paper gets its overlap from one source: XSchedule feeds an
+// asynchronous device queue that reorders cluster loads (Sec. 3.7). This
+// package extends that across query boundaries, along the lines of the
+// paper's outlook (Sec. 7): several sessions submit queries, admission
+// control bounds the work in flight, and the cluster requests of XSchedule
+// plans admitted together pool in the one device queue (core.MultiPlan).
 //
-// Execution model — parallel gang scheduling. Any number of goroutines
-// submit into a bounded admission queue; a single dispatcher drains the
-// queue in gangs of at most MaxInFlight queries and classifies each gang:
-// batchable members are partitioned into shared-scheduler groups, the rest
-// run solo. The resulting tasks execute on a pool of up to Parallel worker
-// goroutines — the storage read path (buffer pool, swizzle cache, simulated
-// device) is safe for concurrent readers, so independent plans make
-// wall-clock progress in parallel while still sharing every physical cache.
+// Execution model — one dispatcher. Any number of goroutines submit into a
+// bounded admission queue; a single dispatcher goroutine drains the queue in
+// gangs of at most MaxInFlight queries and runs each gang itself: the
+// batchable members first, together as one shared group (a MultiPlan), then
+// every other member solo, in submission order. No query runs on any other
+// goroutine. A streaming query holds the dispatcher only while its consumer
+// lags a full sink block behind.
 //
 // Cost accounting. Each query runs against a read-only storage view
 // (storage.Store.Reader) with its own stats.Ledger: the query's CPU charges
-// and I/O waits advance a private virtual clock, so per-query costs are
-// independent of how workers interleave. A shared group additionally owns a
-// group ledger that pays for the pooled scheduler I/O. At completion every
-// ledger is folded into the volume ledger (stats.Ledger.Merge) — addition
-// commutes, so the volume totals are deterministic regardless of worker
-// scheduling, and with a warm buffer each query's cost is bit-identical to
-// a serial run.
+// and I/O waits advance a private virtual clock seeded at the device's
+// instant when the query starts. A shared group additionally owns a group
+// ledger that pays for the pooled scheduler I/O. At completion every ledger
+// is folded into the volume ledger (stats.Ledger.Merge). With a warm buffer
+// a solo member costs what the same plan costs outside the engine, and a
+// shared member what it costs on the same MultiPlan outside the engine.
 //
 // Cancellation. Every query carries a context.Context. A query cancelled
 // while queued never executes; one cancelled mid-execution stops at the
 // next operator poll point, and its in-flight cluster prefetches are
-// cancelled (per-view, so concurrent queries keep theirs) so they cannot
-// leak into subsequent queries.
+// cancelled (per-view, so its gang-mates keep theirs) so they cannot leak
+// into subsequent queries.
 package engine
 
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,7 +43,6 @@ import (
 	"pathdb/internal/plan"
 	"pathdb/internal/stats"
 	"pathdb/internal/storage"
-	"pathdb/internal/vdisk"
 	"pathdb/internal/xpath"
 )
 
@@ -88,14 +84,6 @@ type Config struct {
 	// QueueDepth bounds the admission queue; TrySubmit beyond it returns
 	// ErrQueueFull, Submit blocks. Default 64.
 	QueueDepth int
-	// Parallel is the worker-pool width per gang: how many gang tasks
-	// (shared groups and solo queries) execute concurrently. Default
-	// min(MaxInFlight, GOMAXPROCS); an explicit value may exceed
-	// GOMAXPROCS (oversubscription — useful for exercising the concurrent
-	// read path under -race on few cores).
-	Parallel int
-	// K overrides XSchedule's queue fill target (0 = core.DefaultK).
-	K int
 	// Snapshots, when set, pins one version per gang: every member view
 	// resolves pages through it, isolating queries from concurrent
 	// commits. Nil falls back to a view pinned at gang start (equivalent
@@ -114,12 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.Parallel <= 0 {
-		c.Parallel = runtime.GOMAXPROCS(0)
-		if c.Parallel > c.MaxInFlight {
-			c.Parallel = c.MaxInFlight
-		}
 	}
 	return c
 }
@@ -231,10 +213,9 @@ type Engine struct {
 	drainOnce sync.Once
 	stopOnce  sync.Once
 
-	// The engine's own clock domain on the shared device: admission and
-	// dispatch bookkeeping is charged here, separate from the volume clock
-	// that queries pay. Future cross-volume I/O issues through dom.
-	dom *vdisk.Domain
+	// overhead is charged for admission and dispatch bookkeeping, separate
+	// from the volume clock that queries pay.
+	overhead stats.Ledger
 
 	// writers tracks admitted write transactions so shutdown waits for
 	// them the way it waits for the in-flight gang.
@@ -266,7 +247,6 @@ func New(store *storage.Store, cfg Config) *Engine {
 		queue:   make(chan *Pending, cfg.QueueDepth),
 		stop:    make(chan struct{}),
 		drain:   make(chan struct{}),
-		dom:     store.Disk().NewDomain(stats.NewLedger()),
 	}
 	e.wg.Add(1)
 	go e.run()
@@ -287,7 +267,7 @@ func (e *Engine) Metrics() Metrics {
 		Batched:   e.batched.Load(),
 		Faulted:   e.faulted.Load(),
 		Updates:   e.updates.Load(),
-		OverheadV: e.dom.Ledger().Total(),
+		OverheadV: e.overhead.Total(),
 	}
 }
 
@@ -374,9 +354,8 @@ func (e *Engine) failQueued() {
 // goroutine should own one.
 func (e *Engine) NewSession() *Session { return &Session{e: e} }
 
-// run is the dispatcher: it drains the admission queue in gangs, classifies
-// each gang on this goroutine (the cost-model chooser is serial), and fans
-// the resulting tasks out to the gang's worker pool.
+// run is the dispatcher: it drains the admission queue in gangs and executes
+// each gang on this goroutine.
 func (e *Engine) run() {
 	defer e.wg.Done()
 	for {
@@ -454,11 +433,10 @@ func (e *Engine) view(snap Snapshot, led *stats.Ledger) *storage.Store {
 	return e.store.SnapshotView(led)
 }
 
-// execute runs one gang: batchable members are partitioned into shared
-// groups (each a MultiPlan), the rest run solo, and the resulting tasks
-// execute on a worker pool of up to cfg.Parallel goroutines. The whole
-// gang reads one pinned snapshot, acquired here and released when every
-// member has finished.
+// execute runs one gang on the dispatcher: the batchable members together as
+// one shared group (a MultiPlan), then the rest solo, in submission order.
+// The whole gang reads one pinned snapshot, acquired here and released when
+// every member has finished.
 func (e *Engine) execute(gang []*Pending) {
 	e.gangs.Add(1)
 	var snap Snapshot
@@ -466,10 +444,9 @@ func (e *Engine) execute(gang []*Pending) {
 		snap = e.cfg.Snapshots.Snapshot()
 		defer snap.Release()
 	}
-	model := e.store.Disk().Model()
-	// Dispatch bookkeeping is charged to the engine's own clock domain,
-	// one set-op per admitted member, keeping the volume clock pure.
-	e.dom.Ledger().AdvanceCPU(stats.Ticks(len(gang)) * model.CPUSetOp)
+	// Dispatch bookkeeping is charged to the engine's overhead ledger, one
+	// set-op per admitted member, keeping the volume clock pure.
+	e.overhead.AdvanceCPU(stats.Ticks(len(gang)) * e.store.Disk().Model().CPUSetOp)
 
 	// Commits since the last gang are folded into the chooser's statistics
 	// from the rewritten clusters' synopses (the dispatcher is the only
@@ -501,77 +478,12 @@ func (e *Engine) execute(gang []*Pending) {
 	}
 	gangSize := len(shared) + len(solo)
 
-	groups := splitShared(shared, e.cfg.Parallel)
-	tasks := make([]func(), 0, len(groups)+len(solo))
-	for _, g := range groups {
-		tasks = append(tasks, func() { e.runShared(snap, g, gangSize) })
+	if len(shared) > 0 {
+		e.runShared(snap, shared, gangSize)
 	}
 	for _, u := range solo {
-		tasks = append(tasks, func() { e.runSolo(snap, u, gangSize) })
+		e.runSolo(snap, u, gangSize)
 	}
-	e.runTasks(tasks)
-}
-
-// splitShared partitions the batchable members into up to `workers`
-// contiguous shared groups of at least two members each. One group
-// maximises I/O pooling but runs serially (a MultiPlan drains on one
-// goroutine); several groups trade a little duplicated scheduler work for
-// wall-clock parallelism — they still share loaded pages through the
-// common buffer pool and deduplicated device queue.
-func splitShared(units []execUnit, workers int) [][]execUnit {
-	if len(units) == 0 {
-		return nil
-	}
-	n := len(units) / 2 // each group needs ≥2 members
-	if n > workers {
-		n = workers
-	}
-	if n < 1 {
-		n = 1
-	}
-	groups := make([][]execUnit, 0, n)
-	per, extra := len(units)/n, len(units)%n
-	for i, g := 0, 0; g < n; g++ {
-		sz := per
-		if g < extra {
-			sz++
-		}
-		groups = append(groups, units[i:i+sz])
-		i += sz
-	}
-	return groups
-}
-
-// runTasks executes the gang's tasks on up to cfg.Parallel workers. With a
-// single worker (or task) everything runs on the calling goroutine — the
-// dispatcher — preserving the fully serial execution order.
-func (e *Engine) runTasks(tasks []func()) {
-	n := e.cfg.Parallel
-	if n > len(tasks) {
-		n = len(tasks)
-	}
-	if n <= 1 {
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	next := make(chan func())
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range next {
-				t()
-			}
-		}()
-	}
-	for _, t := range tasks {
-		next <- t
-	}
-	close(next)
-	wg.Wait()
 }
 
 func (e *Engine) contextsOf(q Query) []storage.NodeID {
@@ -581,13 +493,13 @@ func (e *Engine) contextsOf(q Query) []storage.NodeID {
 	return e.store.Roots()
 }
 
-// runShared executes one shared group of a gang on a gang-shared XSchedule:
-// every member's cluster accesses pool in the single device queue, so
-// overlapping working sets load once and the scheduler reorders across
-// query boundaries. The pooled prefetch I/O is paid by a group ledger;
-// every member charges its own CPU and synchronous I/O to a private view.
+// runShared executes a gang's batchable members on one gang-shared
+// XSchedule: every member's cluster accesses pool in the single device
+// queue, so overlapping working sets load once and the scheduler reorders
+// across query boundaries. The pooled prefetch I/O is paid by a group
+// ledger; every member charges its own CPU and synchronous I/O to a private
+// view.
 func (e *Engine) runShared(snap Snapshot, units []execUnit, gangSize int) {
-	e.batched.Add(int64(len(units)))
 	// Every ledger of this run is seeded with the device's current instant:
 	// the gang arrives now, and is billed for time past its arrival — not
 	// for device history that earlier gangs and committed writers already
@@ -635,7 +547,7 @@ func (e *Engine) runShared(snap Snapshot, units []execUnit, gangSize int) {
 				panic(r)
 			}
 		}()
-		mp = core.BuildMultiPlan(gview, queries, core.PlanOptions{K: e.cfg.K, Arena: arena})
+		mp = core.BuildMultiPlan(gview, queries, core.PlanOptions{Arena: arena})
 		mp.RunEach(
 			func(i int) bool {
 				u := units[i]
@@ -671,6 +583,7 @@ func (e *Engine) runShared(snap Snapshot, units []execUnit, gangSize int) {
 		return
 	}
 
+	e.batched.Add(int64(len(units)))
 	sharedV := gled.Total() - baseV
 	e.store.Ledger().Merge(gled.Sub(clockBase(baseV)))
 	wall := time.Since(startW)
@@ -699,8 +612,7 @@ func (e *Engine) runShared(snap Snapshot, units []execUnit, gangSize int) {
 	}
 	if anyCancelled {
 		// Abandon the cancelled members' in-flight prefetches so they
-		// cannot surface inside a later gang. Prefetches belong to the
-		// group's waiter, so this leaves concurrent groups untouched.
+		// cannot surface inside a later gang.
 		gview.CancelRequests()
 	}
 }
@@ -738,7 +650,6 @@ func (e *Engine) runSolo(snap Snapshot, u execUnit, gangSize int) {
 			}
 		}()
 		p := core.BuildPlan(view, u.p.q.Path, e.contextsOf(u.p.q), u.strat, core.PlanOptions{
-			K:        e.cfg.K,
 			MemLimit: u.p.q.MemLimit,
 			Ctx:      u.p.ctx,
 			Arena:    arena,
@@ -818,7 +729,7 @@ func (e *Engine) runSolo(snap Snapshot, u execUnit, gangSize int) {
 // producer runs at most one block ahead), so a query of at most streamDepth
 // matches never waits on its consumer. emit reports false — stop producing —
 // when the query's context is cancelled or the engine is stopping, so an
-// abandoned consumer can never wedge a worker or the dispatcher.
+// abandoned consumer can never wedge the dispatcher.
 func (e *Engine) emit(p *Pending, blk []core.Result, r core.Result) ([]core.Result, bool) {
 	if len(blk) == streamDepth {
 		select {

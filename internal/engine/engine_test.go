@@ -58,7 +58,6 @@ func newStoppedEngine(st *storage.Store, cfg Config) *Engine {
 		queue:   make(chan *Pending, cfg.QueueDepth),
 		stop:    make(chan struct{}),
 		drain:   make(chan struct{}),
-		dom:     st.Disk().NewDomain(stats.NewLedger()),
 	}
 }
 
@@ -230,12 +229,9 @@ func TestSharedBatchingBeatsSequential(t *testing.T) {
 	}
 
 	// The same eight queries as one gang on a stopped engine (deterministic
-	// gang composition: all eight are queued before the dispatcher runs).
-	// Parallel is pinned to 1 so the whole gang forms a single shared group:
-	// this experiment measures the virtual-cost batching win, which parallel
-	// group splitting deliberately trades away for wall-clock throughput
-	// (each extra group re-pays device queueing on its own clock).
-	e := newStoppedEngine(st, Config{MaxInFlight: clients, QueueDepth: clients, Parallel: 1})
+	// gang composition: all eight are queued before the dispatcher runs), so
+	// they form one shared group.
+	e := newStoppedEngine(st, Config{MaxInFlight: clients, QueueDepth: clients})
 	s := e.NewSession()
 	var pendings []*Pending
 	for i := 0; i < clients; i++ {

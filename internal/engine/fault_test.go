@@ -227,7 +227,7 @@ func TestFaultIsolationInGang(t *testing.T) {
 	}
 	// Build the engine (whose chooser scans the whole volume) before
 	// damaging the medium.
-	e := newStoppedEngine(st, Config{MaxInFlight: 2, QueueDepth: 4, Parallel: 1})
+	e := newStoppedEngine(st, Config{MaxInFlight: 2, QueueDepth: 4})
 	st.ResetForRun()
 	st.Disk().CorruptPage(bad, 3)
 	defer func() {
@@ -262,7 +262,10 @@ func TestFaultIsolationInGang(t *testing.T) {
 	if res15.Count() != q15Want {
 		t.Fatalf("Q15 count = %d, want %d", res15.Count(), q15Want)
 	}
-	if e.faulted.Load() != 1 {
-		t.Fatalf("faulted counter = %d, want 1", e.faulted.Load())
+	if res15.Shared {
+		t.Fatal("Q15 reported a shared run, but the shared run faulted and it re-ran solo")
+	}
+	if m := e.Metrics(); m.Faulted != 1 || m.Batched != 0 {
+		t.Fatalf("metrics: faulted %d batched %d, want 1 and 0", m.Faulted, m.Batched)
 	}
 }

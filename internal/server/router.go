@@ -590,7 +590,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Each shard's full cost ledger, labeled; the virtual clocks of
 	// independent volumes tick independently, so no cluster sum is
-	// emitted for them (a sum of clock domains measures nothing).
+	// emitted for them (a sum of independent clocks measures nothing).
 	if len(ms) > 0 {
 		for fi, nv := range ms[0].Ledger.Named() {
 			vals := make([]labeledSample, len(ms))

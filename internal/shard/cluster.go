@@ -441,12 +441,11 @@ func New(set *pathdb.ShardSet, ring *Ring, cfg Config) (*Cluster, error) {
 	}
 	if set.Spine != nil {
 		_ = set.Spine.SetTxnOptions(cfg.Txn)
-		// The spine volume is tiny; a narrow engine keeps its bookkeeping
-		// cheap while still serving one spine probe per in-flight request.
+		// The spine volume is tiny; its engine serves one spine probe per
+		// in-flight request.
 		c.spineEng = set.Spine.NewEngine(pathdb.EngineConfig{
 			MaxInFlight: cfg.Engine.MaxInFlight,
 			QueueDepth:  cfg.Engine.QueueDepth,
-			Parallel:    2,
 		})
 		set.Spine.ResetStats()
 		c.spineSes = c.spineEng.NewSession()

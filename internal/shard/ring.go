@@ -1,5 +1,5 @@
 // Package shard scales the single-volume engine out: N fully independent
-// pathdb volumes (each with its own vdisk clock domain, buffer pool,
+// pathdb volumes (each with its own simulated disk, buffer pool,
 // engine, transaction manager and plan chooser), a consistent-hash ring
 // assigning entity collections to volumes deterministically, and a
 // scatter-gather coordinator that fans queries across the volumes and

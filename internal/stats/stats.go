@@ -102,8 +102,8 @@ type Counters struct {
 }
 
 // Ledger is the virtual clock plus counters. One ledger may be shared by
-// several operators of one query — or, under the concurrent engine, by
-// every query of a gang — because all mutation paths are atomic.
+// several operators of one query, and read by monitoring goroutines while
+// they charge it, because all mutation paths are atomic.
 type Ledger struct {
 	Now    Ticks // current virtual time
 	CPU    Ticks // total CPU ticks charged
@@ -242,9 +242,8 @@ func (l *Ledger) Reset() {
 
 // Merge atomically adds every field of the snapshot s into l. The engine
 // uses it to fold a per-query ledger into the volume ledger at query
-// completion: addition commutes, so the volume totals are deterministic (the
-// sum of all queries' charges) no matter in which order parallel workers
-// finish. Merging a live ledger is safe but folds in whatever its writers
+// completion: addition commutes, so the volume totals are the sum of all
+// queries' charges no matter in which order the queries finish. Merging a live ledger is safe but folds in whatever its writers
 // had charged at snapshot time; quiesce the source first for exact totals.
 func (l *Ledger) Merge(s Ledger) {
 	src, dst := s.fields(), l.fields()

@@ -53,7 +53,7 @@ func (e *PageError) Unwrap() error { return e.Err }
 
 // pageFault transports a *PageError across the error-free navigation
 // interfaces (Cursor methods, operator Next loops) as a typed panic; the
-// query boundaries (engine workers, QueryCtx, exports) recover it via
+// query boundaries (engine dispatcher, QueryCtx, exports) recover it via
 // AsPageFault. Keeping the fault typed means an unrelated panic — a real
 // bug — still crashes loudly instead of masquerading as an I/O error.
 type pageFault struct {

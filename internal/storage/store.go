@@ -16,13 +16,12 @@ import (
 // directly navigable cursors, the intra-cluster navigation primitives, and
 // the cluster-granular load interface used by the I/O operators.
 //
-// The read path is safe for concurrent use: the swizzle cache is sharded
-// and decode-once, the buffer manager and disk below are concurrency-safe,
-// and page images are immutable once published. Cost accounting is scoped
-// by *views*: Reader returns a shallow Store sharing every cache with the
-// base but charging to its own ledger and routing async cluster requests
-// through its own buffer waiter — the unit the parallel engine hands each
-// query. Mutating entry points (updates, SetBufferCapacity, ResetForRun)
+// The read path is safe for concurrent use: the swizzle cache is
+// decode-once, the buffer manager and disk below are concurrency-safe, and
+// page images are immutable once published. Cost accounting is scoped by
+// *views*: Reader returns a shallow Store sharing every cache with the base
+// but charging to its own ledger and routing async cluster requests through
+// its own buffer waiter — the unit the engine hands each query. Mutating entry points (updates, SetBufferCapacity, ResetForRun)
 // remain base-store, single-writer operations.
 type Store struct {
 	disk  *vdisk.Disk
@@ -96,7 +95,7 @@ func (s *Store) SetBufferCapacity(pages int) {
 
 // Reader returns a read-only view of the store charging to led: same disk,
 // buffer pool, swizzle cache and dictionary, but a private ledger and a
-// private async-request waiter. The parallel engine gives every query such
+// private async-request waiter. The engine gives every query such
 // a view, so gang members account CPU, I/O waits and counters separately
 // while still sharing every physical cache (and each other's loaded
 // pages). Views must not be used for updates or pool reconfiguration.
@@ -299,7 +298,7 @@ func (s *Store) ResetForRun() {
 // and decoding it if necessary. Decoding charges one node-visit per record
 // — the representation change from external to in-memory format — to the
 // ledger of the view that won the decode race; concurrent losers block on
-// the entry latch and share the winner's image for free (they raced the
+// the entry mutex and share the winner's image for free (they raced the
 // same work, not skipped it). A failed load or decode escalates as a page
 // fault (typed panic recovered at query boundaries) and leaves the entry
 // empty, so a later access retries the load rather than inheriting the

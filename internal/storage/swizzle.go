@@ -7,10 +7,6 @@ import (
 	"pathdb/internal/vdisk"
 )
 
-// swizShards is the number of latch shards of the swizzle cache; a power of
-// two, sized like the buffer manager's page-table shards.
-const swizShards = 64
-
 // swizKey names one immutable byte image of a cluster across versions: the
 // *logical* page (what NodeIDs embed) plus the epoch of the last commit
 // that rewrote it in the reading view's version. Pages never written carry
@@ -23,24 +19,23 @@ type swizKey struct {
 	epoch uint64
 }
 
-// swizEntry is one cached page image. The mutex serializes the decode:
-// losers of the publication race block until the winner has decoded, then
-// share its image — decode-once semantics under contention. Unlike a
-// sync.Once, a failed load (the fault plane's terminal errors) publishes
-// nothing, so the next access retries instead of inheriting a nil image.
+// swizEntry is one cached page image. The mutex serializes the decode, so
+// an image is decoded, and its CPU charged, once: a second reader blocks
+// until the first has decoded, then shares its image. A failed load (the
+// fault plane's terminal errors) publishes nothing, so the next access
+// retries instead of inheriting a nil image.
 type swizEntry struct {
 	mu  sync.Mutex
 	img atomic.Pointer[pageImage]
 }
 
-// swizCache is the sharded, double-checked cache of decoded (swizzled) page
-// images, shared by a base Store and all its Reader views. The shard latch
-// covers only the map probe and insert; the buffer Fix and the decode run
-// outside it (under the entry's mutex), so a slow decode never blocks
-// lookups of other pages in the same shard and the lock order stays
-// buffer-manager locks → swizzle shard (the eviction handler calls drop
-// while holding manager locks; the decode path never holds a shard latch
-// while calling into the pool).
+// swizCache is the cache of decoded (swizzled) page images, shared by a
+// base Store and all its Reader views. Its mutex covers only the map probes
+// and updates; the buffer Fix and the decode run outside it (under the
+// entry's mutex), and the lock order is buffer-manager mutex → swizzle
+// mutex (the eviction handler calls drop while holding the manager mutex;
+// the decode path never holds the swizzle mutex while calling into the
+// pool).
 //
 // Entries are keyed by swizKey; the phys index maps the *physical* page a
 // decoded image came from back to its key, because the two invalidation
@@ -48,87 +43,56 @@ type swizEntry struct {
 // identify frames physically. The version map is injective, so at any
 // moment one physical page backs at most one key.
 type swizCache struct {
-	shards [swizShards]struct {
-		mu      sync.RWMutex
-		entries map[swizKey]*swizEntry
-	}
-	physMu sync.Mutex
-	phys   map[vdisk.PageID]swizKey
+	mu      sync.Mutex
+	entries map[swizKey]*swizEntry
+	phys    map[vdisk.PageID]swizKey
 }
 
 func newSwizCache() *swizCache {
-	c := &swizCache{phys: make(map[vdisk.PageID]swizKey)}
-	for i := range c.shards {
-		c.shards[i].entries = make(map[swizKey]*swizEntry)
-	}
+	c := &swizCache{}
+	c.reset()
 	return c
-}
-
-func (c *swizCache) shard(k swizKey) *struct {
-	mu      sync.RWMutex
-	entries map[swizKey]*swizEntry
-} {
-	return &c.shards[uint32(k.page)&(swizShards-1)]
 }
 
 // entry returns the cache entry for k, creating it if absent.
 func (c *swizCache) entry(k swizKey) *swizEntry {
-	sh := c.shard(k)
-	sh.mu.RLock()
-	e := sh.entries[k]
-	sh.mu.RUnlock()
-	if e != nil {
-		return e
-	}
-	sh.mu.Lock()
-	if e = sh.entries[k]; e == nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[k]
+	if e == nil {
 		e = &swizEntry{}
-		sh.entries[k] = e
+		c.entries[k] = e
 	}
-	sh.mu.Unlock()
 	return e
 }
 
 // track records that the image published under k was decoded from physical
 // page phys, so physically-addressed invalidation can find it.
 func (c *swizCache) track(phys vdisk.PageID, k swizKey) {
-	c.physMu.Lock()
+	c.mu.Lock()
 	c.phys[phys] = k
-	c.physMu.Unlock()
+	c.mu.Unlock()
 }
 
 // drop discards the cached image decoded from physical page p (buffer
-// eviction, version reclamation). Readers already
-// holding the image keep using it — images are immutable and
-// self-contained — while the next access re-decodes.
+// eviction, version reclamation). Readers already holding the image keep
+// using it — images are immutable and self-contained — while the next
+// access re-decodes. Nothing happens if no image was published from p (a
+// decode raced an eviction, or the frame held a non-data page).
 func (c *swizCache) drop(p vdisk.PageID) {
-	c.physMu.Lock()
-	k, ok := c.phys[p]
-	if ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if k, ok := c.phys[p]; ok {
 		delete(c.phys, p)
+		delete(c.entries, k)
 	}
-	c.physMu.Unlock()
-	if !ok {
-		// Nothing was published from this frame (decode raced an eviction,
-		// or the frame held a non-data page).
-		return
-	}
-	sh := c.shard(k)
-	sh.mu.Lock()
-	delete(sh.entries, k)
-	sh.mu.Unlock()
 }
 
-// reset empties every shard in place (keeping the cache's identity, which
+// reset empties the cache in place (keeping the cache's identity, which
 // Reader views share by pointer).
 func (c *swizCache) reset() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.entries = make(map[swizKey]*swizEntry)
-		sh.mu.Unlock()
-	}
-	c.physMu.Lock()
+	c.mu.Lock()
+	c.entries = make(map[swizKey]*swizEntry)
 	c.phys = make(map[vdisk.PageID]swizKey)
-	c.physMu.Unlock()
+	c.mu.Unlock()
 }

@@ -20,15 +20,12 @@
 // computed lazily when the CPU looks at the disk, which makes the whole
 // simulation reproducible while still modelling CPU/I-O overlap exactly.
 //
-// Concurrency. A mutex serializes every operation that touches device
-// state, so multiple goroutines may share one Disk. Beyond plain mutual
-// exclusion, the device supports clock *domains* (NewDomain): each domain
-// pairs the shared head/queue with its own ledger, so several engines —
-// each running its own virtual clock — can share one physical device.
-// Requests and completions are tagged with their domain; WaitAny on a
-// domain only delivers that domain's completions. Submission timestamps
-// from different domains are compared on one merged timeline, which is the
-// usual simplification for multi-initiator device models.
+// Accounting and concurrency. The *On variants (ReadSyncOn, SubmitOn,
+// WaitMatchOn) bill the caller's ledger instead of the disk's root ledger,
+// so each query pays for the pages it asked for on its own virtual clock
+// while every query shares one head and one queue. A mutex serializes every
+// operation that touches device state, so the engine's dispatcher, commits
+// and the version reclaimer may share one Disk.
 package vdisk
 
 import (
@@ -251,27 +248,24 @@ func (d *Disk) CorruptPage(p PageID, seed uint64) {
 	corruptCopy(d.pages[p], r.Intn(d.pageSize))
 }
 
-// request is a queued asynchronous read. dom is nil for the disk's root
-// clock domain; led is the ledger the physical read will be charged to
-// (the submitter's — under per-query accounting each gang member pays for
-// the pages it asked for, even when another member's drain services them).
+// request is a queued asynchronous read. led is the ledger the physical
+// read will be charged to (the submitter's — under per-query accounting
+// each gang member pays for the pages it asked for, even when another
+// member's wait services them).
 type request struct {
 	page      PageID
 	submitted stats.Ticks
-	dom       *Domain
 	led       *stats.Ledger
 }
 
 type completion struct {
 	page  PageID
 	at    stats.Ticks
-	dom   *Domain
 	fault readFault // drawn at service time, applied at delivery
 }
 
 // Disk is the simulated device. All operations are serialized by an
-// internal mutex, so a Disk may be shared by concurrent goroutines and by
-// multiple clock domains.
+// internal mutex, so a Disk may be shared by concurrent goroutines.
 type Disk struct {
 	model    CostModel
 	led      *stats.Ledger
@@ -440,9 +434,8 @@ func (d *Disk) ReadSync(p PageID, buf []byte) error {
 }
 
 // ReadSyncOn is ReadSync billed to led instead of the root ledger. The
-// parallel engine gives every query its own ledger; the queries still share
-// the root clock domain (one queue, one head) because gang members overlap
-// on the same device, but each blocks and charges its own virtual clock.
+// engine gives every query its own ledger; the queries still share one
+// queue and one head, but each blocks and charges its own virtual clock.
 func (d *Disk) ReadSyncOn(led *stats.Ledger, p PageID, buf []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -515,78 +508,62 @@ func (d *Disk) cost(led *stats.Ledger, p PageID) stats.Ticks {
 func (d *Disk) Submit(p PageID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.submit(d.led, nil, p)
+	d.submit(d.led, p)
 }
 
-// SubmitOn is Submit billed to led instead of the root ledger (same clock
-// domain, private accounting — see ReadSyncOn).
+// SubmitOn is Submit billed to led instead of the root ledger (see
+// ReadSyncOn).
 func (d *Disk) SubmitOn(led *stats.Ledger, p PageID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.submit(led, nil, p)
+	d.submit(led, p)
 }
 
-func (d *Disk) submit(led *stats.Ledger, dom *Domain, p PageID) {
+func (d *Disk) submit(led *stats.Ledger, p PageID) {
 	d.checkPage(p)
 	stats.Inc(&led.AsyncSubmitted)
-	d.pending = append(d.pending, request{page: p, submitted: led.Total(), dom: dom, led: led})
+	d.pending = append(d.pending, request{page: p, submitted: led.Total(), led: led})
 }
 
-// PendingAsync returns the number of submitted-but-undelivered requests in
-// the root clock domain.
+// PendingAsync returns the number of submitted-but-undelivered requests.
 func (d *Disk) PendingAsync() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.pendingIn(nil)
+	return len(d.pending) + len(d.completed)
 }
 
-func (d *Disk) pendingIn(dom *Domain) int {
-	n := 0
-	for _, r := range d.pending {
-		if r.dom == dom {
-			n++
-		}
-	}
-	for _, c := range d.completed {
-		if c.dom == dom {
-			n++
-		}
-	}
-	return n
-}
-
-// WaitAny blocks until some asynchronous request of the root domain has
-// completed, copies its page into buf and returns its id. ok is false if no
-// such request is pending. A non-nil error (with ok true) is a *ReadError
-// injected by the fault plane for the returned page.
+// WaitAny blocks until some asynchronous request has completed, copies its
+// page into buf and returns its id. ok is false if no request is pending. A
+// non-nil error (with ok true) is a *ReadError injected by the fault plane
+// for the returned page.
 func (d *Disk) WaitAny(buf []byte) (p PageID, ok bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.waitMatch(d.led, nil, nil, buf)
+	return d.waitMatch(d.led, nil, buf)
 }
 
-// WaitMatchOn blocks led until some root-domain request whose page satisfies
-// match has completed, copies its page into buf and returns its id. ok is
-// false if no matching request is pending. Completions that do not match are
-// left queued for their owners — this is the device half of the buffer
-// manager's completion fanout: two gang members waiting on different
-// clusters each see only their own wakeups, so neither can steal the
-// other's completion (or have its clock blocked by it).
+// WaitMatchOn blocks led until some request whose page satisfies match has
+// completed, copies its page into buf and returns its id. ok is false if no
+// matching request is pending. Completions that do not match are left
+// queued for their owners — this is the device half of the buffer
+// manager's completion fanout: two queries waiting on different clusters
+// each see only their own wakeups, so neither can steal the other's
+// completion (or have its clock blocked by it).
 func (d *Disk) WaitMatchOn(led *stats.Ledger, match func(PageID) bool, buf []byte) (p PageID, ok bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.waitMatch(led, nil, match, buf)
+	return d.waitMatch(led, match, buf)
 }
 
-// waitMatch delivers one completion of dom whose page satisfies match (nil
-// matches everything), advancing led. While a matching request is pending
-// but not yet complete, the device keeps servicing requests of any domain —
-// overlap across gang members is preserved even though delivery is filtered.
-func (d *Disk) waitMatch(led *stats.Ledger, dom *Domain, match func(PageID) bool, buf []byte) (PageID, bool, error) {
+// waitMatch delivers one completion whose page satisfies match (nil matches
+// everything), advancing led. While a matching request is pending but not
+// yet complete, the device keeps servicing every request — overlap across
+// gang members is preserved even though delivery is filtered.
+func (d *Disk) waitMatch(led *stats.Ledger, match func(PageID) bool, buf []byte) (PageID, bool, error) {
 	d.drainUntil(led.Total())
 	for {
 		for i, c := range d.completed {
-			if c.dom != dom || (match != nil && !match(c.page)) {
+			if match != nil && !match(c.page) {
 				continue
 			}
 			d.completed = append(d.completed[:i], d.completed[i+1:]...)
@@ -603,7 +580,7 @@ func (d *Disk) waitMatch(led *stats.Ledger, dom *Domain, match func(PageID) bool
 		}
 		outstanding := false
 		for _, r := range d.pending {
-			if r.dom == dom && (match == nil || match(r.page)) {
+			if match == nil || match(r.page) {
 				outstanding = true
 				break
 			}
@@ -611,56 +588,30 @@ func (d *Disk) waitMatch(led *stats.Ledger, dom *Domain, match func(PageID) bool
 		if !outstanding {
 			return InvalidPage, false, nil
 		}
-		// Keep the device working (any domain's requests) until one of
-		// ours completes.
+		// Keep the device working (anyone's requests) until one of ours
+		// completes.
 		d.processNext()
 	}
 }
 
-// CancelPending discards the root domain's queued-but-undelivered requests
-// and completions. Page data already transferred is dropped; the device
-// time it consumed remains spent. Used when a query is cancelled so its
-// in-flight prefetches cannot leak into the next query.
-func (d *Disk) CancelPending() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.cancelPending(nil)
-}
-
-// CancelMatch discards root-domain queued-but-undelivered requests and
-// completions whose page satisfies match. A cancelled query's buffer waiter
-// uses this to withdraw only the prefetches it alone owns, leaving the rest
-// of its gang's in-flight requests untouched.
+// CancelMatch discards queued-but-undelivered requests and completions
+// whose page satisfies match. Page data already transferred is dropped;
+// the device time it consumed remains spent. A cancelled query's buffer
+// waiter uses this to withdraw only the prefetches it alone owns, leaving
+// the rest of its gang's in-flight requests untouched.
 func (d *Disk) CancelMatch(match func(PageID) bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	pending := d.pending[:0]
 	for _, r := range d.pending {
-		if r.dom != nil || !match(r.page) {
+		if !match(r.page) {
 			pending = append(pending, r)
 		}
 	}
 	d.pending = pending
 	completed := d.completed[:0]
 	for _, c := range d.completed {
-		if c.dom != nil || !match(c.page) {
-			completed = append(completed, c)
-		}
-	}
-	d.completed = completed
-}
-
-func (d *Disk) cancelPending(dom *Domain) {
-	pending := d.pending[:0]
-	for _, r := range d.pending {
-		if r.dom != dom {
-			pending = append(pending, r)
-		}
-	}
-	d.pending = pending
-	completed := d.completed[:0]
-	for _, c := range d.completed {
-		if c.dom != dom {
+		if !match(c.page) {
 			completed = append(completed, c)
 		}
 	}
@@ -694,7 +645,7 @@ func (d *Disk) earliestSubmit() stats.Ticks {
 }
 
 // processNext services one pending request according to the policy. The
-// physical read is charged to the ledger of the request's domain.
+// physical read is charged to the ledger of the request's submitter.
 func (d *Disk) processNext() {
 	idx := d.pickNext()
 	r := d.pending[idx]
@@ -703,15 +654,11 @@ func (d *Disk) processNext() {
 	if r.submitted > start {
 		start = r.submitted
 	}
-	led := r.led
-	if led == nil {
-		led = d.led
-	}
-	f := d.drawFault(led)
-	done := start + d.cost(led, r.page) + f.spike
+	f := d.drawFault(r.led)
+	done := start + d.cost(r.led, r.page) + f.spike
 	d.head = r.page
 	d.busyUntil = done
-	d.completed = append(d.completed, completion{page: r.page, at: done, dom: r.dom, fault: f})
+	d.completed = append(d.completed, completion{page: r.page, at: done, fault: f})
 	d.traceEvent("read-async", r.page, done)
 }
 
@@ -773,7 +720,7 @@ func (d *Disk) checkPage(p PageID) {
 }
 
 // ResetClockState clears the device's temporal state (head position, busy
-// time, queues — across all clock domains) without touching page contents.
+// time, queues) without touching page contents.
 // Benchmarks call this between plan runs so each run starts from a cold,
 // parked device.
 func (d *Disk) ResetClockState() {
@@ -783,64 +730,4 @@ func (d *Disk) ResetClockState() {
 	d.busyUntil = 0
 	d.pending = nil
 	d.completed = nil
-}
-
-// Domain pairs the shared device with a private virtual clock: requests
-// issued through a Domain block that domain's ledger, while head movement
-// and queue contention are shared with every other domain on the device.
-// This is what lets several engines, each with its own notion of "now",
-// drive one simulated disk. The zero Disk methods (ReadSync, Submit,
-// WaitAny) are the root domain over the disk's own ledger.
-type Domain struct {
-	d   *Disk
-	led *stats.Ledger
-}
-
-// NewDomain creates a clock domain over the disk billing to led.
-func (d *Disk) NewDomain(led *stats.Ledger) *Domain {
-	if led == nil {
-		panic("vdisk: nil domain ledger")
-	}
-	return &Domain{d: d, led: led}
-}
-
-// Ledger returns the domain's ledger.
-func (dom *Domain) Ledger() *stats.Ledger { return dom.led }
-
-// ReadSync reads page p synchronously on the domain's clock.
-func (dom *Domain) ReadSync(p PageID, buf []byte) error {
-	dom.d.mu.Lock()
-	defer dom.d.mu.Unlock()
-	return dom.d.readSync(dom.led, p, buf)
-}
-
-// Submit queues an asynchronous read tagged with this domain.
-func (dom *Domain) Submit(p PageID) {
-	dom.d.mu.Lock()
-	defer dom.d.mu.Unlock()
-	dom.d.submit(dom.led, dom, p)
-}
-
-// WaitAny delivers one of this domain's completed requests, advancing the
-// domain's clock; requests of other domains are serviced in passing but
-// never delivered here.
-func (dom *Domain) WaitAny(buf []byte) (PageID, bool, error) {
-	dom.d.mu.Lock()
-	defer dom.d.mu.Unlock()
-	return dom.d.waitMatch(dom.led, dom, nil, buf)
-}
-
-// Pending returns the number of submitted-but-undelivered requests in this
-// domain.
-func (dom *Domain) Pending() int {
-	dom.d.mu.Lock()
-	defer dom.d.mu.Unlock()
-	return dom.d.pendingIn(dom)
-}
-
-// CancelPending discards this domain's queued-but-undelivered requests.
-func (dom *Domain) CancelPending() {
-	dom.d.mu.Lock()
-	defer dom.d.mu.Unlock()
-	dom.d.cancelPending(dom)
 }

@@ -20,7 +20,7 @@ const SplitEntityFanout = 8
 
 // ShardSet is one corpus partitioned across independent volumes: the
 // outcome of GenerateXMarkSharded / LoadXMLSharded. Each member of Shards
-// is a fully independent DB — its own simulated disk (clock domain),
+// is a fully independent DB — its own simulated disk (and virtual clock),
 // buffer pool, cost ledger, transaction manager and plan chooser — holding
 // the replicated container spine plus the entity subtrees the placement
 // function assigned to it.

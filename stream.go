@@ -284,7 +284,7 @@ func (c *Cursor) Drain() (ExecResult, error) {
 
 // engineProducer pulls a query admitted to the engine: one Pending per
 // union branch, drained in submission order. A streaming branch hands its
-// matches over in blocks through its sink as the worker produces them;
+// matches over in blocks through its sink as the dispatcher produces them;
 // whatever the engine buffered instead — a stream's last block included —
 // is in the branch's Result once it has settled.
 type engineProducer struct {
@@ -340,12 +340,12 @@ func (p *engineProducer) known() int {
 	return n
 }
 
-// stop settles every branch not yet harvested: drain its sink so the worker
-// unblocks, then wait for the engine to finish the Pending (it always does —
-// the cancelled context stops it at the next poll point, and the engine
-// withdraws a cancelled query's prefetches). This is what makes every exit
-// leak-free: no worker stays blocked on the cursor's channels. Every block
-// not delivered goes back to the engine.
+// stop settles every branch not yet harvested: drain its sink so the
+// dispatcher unblocks, then wait for the engine to finish the Pending (it
+// always does — the cancelled context stops it at the next poll point, and
+// the engine withdraws a cancelled query's prefetches). This is what makes
+// every exit leak-free: the dispatcher never stays blocked on the cursor's
+// channels. Every block not delivered goes back to the engine.
 func (p *engineProducer) stop() ExecResult {
 	engine.Recycle(p.blk)
 	p.blk, p.idx = nil, 0

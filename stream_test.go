@@ -469,11 +469,11 @@ func TestEngineShutdownWithParkedStream(t *testing.T) {
 
 // TestUnreadSmallStreamDoesNotBlock: a streaming query of at most one block
 // completes without its consumer, so a cursor opened and not yet read does
-// not hold the dispatcher — the next query on a one-worker engine completes
-// — and still yields everything once read.
+// not hold the dispatcher — the next query completes — and still yields
+// everything once read.
 func TestUnreadSmallStreamDoesNotBlock(t *testing.T) {
 	db := engineFixture(t)
-	eng := db.NewEngine(EngineConfig{MaxInFlight: 1, Parallel: 1})
+	eng := db.NewEngine(EngineConfig{MaxInFlight: 1})
 	defer eng.Close()
 	ses := eng.NewSession()
 	const small = "/site/regions/*"
