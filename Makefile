@@ -1,7 +1,7 @@
 # CI entry points. `make` runs the full set.
 GO ?= go
 
-.PHONY: all build test race vet fmt api-check bench bench-e2e bench-json profile test-faults test-txn test-shard fuzz-short clean
+.PHONY: all build test race vet fmt api-check bench bench-e2e bench-json profile test-faults test-txn test-shard fuzz-short loc clean
 
 all: build fmt vet api-check test race
 
@@ -105,6 +105,11 @@ fuzz-short:
 # performance trajectory across commits. Slow: full evaluation.
 bench-json:
 	$(GO) run ./cmd/xbench -json bench-out
+
+# Code size: non-test Go lines outside benchmark/, the figure CHANGES.md
+# entries quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -not -path './.git/*' -exec cat {} + | wc -l
 
 clean:
 	rm -rf bench-out profiles

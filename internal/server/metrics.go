@@ -2,81 +2,8 @@ package server
 
 import (
 	"fmt"
-	"net/http"
 	"strings"
 )
-
-// handleMetrics renders GET /metrics in the Prometheus text exposition
-// format (version 0.0.4): engine admission/dispatch counters, the volume's
-// full cost ledger under the stable names stats.Ledger.Named exports, and
-// the server's own request counters. Everything is emitted from atomic
-// snapshots; no locks are held while writing.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	var b strings.Builder
-
-	m := s.eng.Metrics()
-	counter(&b, "pathdb_engine_submitted_total", "Queries admitted by the engine.", float64(m.Submitted))
-	counter(&b, "pathdb_engine_rejected_total", "Submissions shed because the admission queue was full.", float64(m.Rejected))
-	counter(&b, "pathdb_engine_completed_total", "Queries finished without error.", float64(m.Completed))
-	counter(&b, "pathdb_engine_cancelled_total", "Queries failed with a context error (deadline or disconnect).", float64(m.Cancelled))
-	counter(&b, "pathdb_engine_gangs_total", "Dispatcher batches executed.", float64(m.Gangs))
-	counter(&b, "pathdb_engine_batched_total", "Queries that ran on a gang-shared I/O scheduler.", float64(m.Batched))
-	counter(&b, "pathdb_engine_faulted_total", "Queries failed by a storage page fault (I/O or corruption).", float64(m.Faulted))
-	counter(&b, "pathdb_engine_updates_total", "Write transactions admitted by the engine.", float64(m.Updates))
-	counter(&b, "pathdb_engine_overhead_virtual_seconds_total", "Virtual time spent on dispatch bookkeeping.", m.OverheadV.Seconds())
-
-	// Transaction subsystem: commit/abort outcomes and the group-commit
-	// shape (flushes per commit < 1 means concurrent writers batched onto
-	// shared WAL flushes). All zeros until the first write creates the
-	// manager.
-	tm := s.eng.TxnMetrics()
-	counter(&b, "pathdb_txn_commits_total", "Transactions committed.", float64(tm.Commits))
-	counter(&b, "pathdb_txn_aborts_total", "Transactions rolled back.", float64(tm.Aborts))
-	counter(&b, "pathdb_txn_groups_total", "Commit groups flushed to the WAL.", float64(tm.Groups))
-	counter(&b, "pathdb_txn_wal_flushes_total", "WAL page writes across all commit groups.", float64(tm.Flushes))
-	gauge(&b, "pathdb_txn_max_group_size", "Largest commit group observed.", float64(tm.MaxGroup))
-	gauge(&b, "pathdb_txn_flushes_per_commit", "WAL flushes divided by commits (group commit drives it below 1).", tm.FlushesPerCommit)
-	gauge(&b, "pathdb_txn_epoch", "Current published volume version.", float64(tm.Epoch))
-	gauge(&b, "pathdb_txn_pinned_snapshots", "Snapshots currently pinned by readers.", float64(tm.Pinned))
-	gauge(&b, "pathdb_txn_free_pages", "Reclaimed pages awaiting reuse.", float64(tm.FreePage))
-
-	// The whole cost ledger, one series per field. Virtual clocks (the
-	// "_ns" names) become seconds; event counts stay raw.
-	led := s.eng.CostLedger()
-	for _, nv := range led.Named() {
-		if base, ok := strings.CutSuffix(nv.Name, "_ns"); ok {
-			counter(&b, "pathdb_ledger_"+base+"_virtual_seconds_total",
-				"Virtual clock \""+nv.Name+"\" of the volume cost ledger.",
-				float64(nv.Value)/1e9)
-			continue
-		}
-		counter(&b, "pathdb_ledger_"+nv.Name+"_total",
-			"Counter \""+nv.Name+"\" of the volume cost ledger.",
-			float64(nv.Value))
-	}
-
-	gauge(&b, "pathdb_server_inflight", "Query requests currently executing.", float64(s.inflightN.Load()))
-	gauge(&b, "pathdb_server_draining", "1 once Shutdown has begun.", boolGauge(s.Draining()))
-	counter(&b, "pathdb_server_requests_total", "Query requests accepted into a handler.", float64(s.requests.Load()))
-	counter(&b, "pathdb_server_served_total", "Query requests answered 200.", float64(s.served.Load()))
-	counter(&b, "pathdb_server_shed_total", "Query requests answered 503 (overload or drain).", float64(s.shed.Load()))
-	counter(&b, "pathdb_server_timeouts_total", "Query requests answered 504 (deadline expired).", float64(s.timeouts.Load()))
-	counter(&b, "pathdb_server_bad_requests_total", "Query requests answered 400.", float64(s.badReqs.Load()))
-	counter(&b, "pathdb_server_client_gone_total", "Queries whose client disconnected mid-flight.", float64(s.gone.Load()))
-	counter(&b, "pathdb_server_io_errors_total", "Query requests answered 500 for a storage fault (io or corrupt kind).", float64(s.ioErrors.Load()))
-	counter(&b, "pathdb_server_updates_total", "Update requests accepted into a handler.", float64(s.updates.Load()))
-	counter(&b, "pathdb_server_updated_total", "Update requests answered 200.", float64(s.updated.Load()))
-	counter(&b, "pathdb_server_update_errors_total", "Update requests answered 4xx/5xx.", float64(s.updateErrs.Load()))
-	gauge(&b, "pathdb_volume_pages", "Data pages of the loaded volume.", float64(s.db.Pages()))
-
-	_, _ = w.Write([]byte(b.String()))
-}
 
 func boolGauge(v bool) float64 {
 	if v {

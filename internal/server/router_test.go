@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -387,5 +388,102 @@ func TestRouterDrain(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("post-drain 503 without Retry-After")
+	}
+}
+
+// TestRouterServerParity sends the same requests to a single-volume Server
+// and a 2-shard Router. Every rejection lives in the one front end, so both
+// must answer each with the same status, error kind and Retry-After.
+func TestRouterServerParity(t *testing.T) {
+	srv, sts := newTestServer(t, newTestDB(t, 0.25), pathdb.EngineConfig{}, Options{})
+	rt, rts := newTestRouter(t, shard.Config{Shards: 2}, 64, shard.QuotaConfig{})
+
+	type answer struct {
+		status     int
+		kind       string
+		retryAfter string
+	}
+	send := func(base, method, endpoint, body string) answer {
+		t.Helper()
+		req, err := http.NewRequest(method, base+"/v1/"+endpoint, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&er); err != nil && resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s /v1/%s %s: status %d with no JSON error body", method, endpoint, body, resp.StatusCode)
+		}
+		return answer{resp.StatusCode, er.Kind, resp.Header.Get("Retry-After")}
+	}
+	type request struct {
+		name, method, endpoint, body string
+		want                         int
+	}
+	check := func(rq request, srvGot, rtGot answer) {
+		t.Helper()
+		if srvGot.status != rq.want || srvGot != rtGot {
+			t.Errorf("%s: server %+v, router %+v, want status %d on both", rq.name, srvGot, rtGot, rq.want)
+		}
+	}
+	for _, rq := range []request{
+		{"GET query", http.MethodGet, "query", "", http.StatusMethodNotAllowed},
+		{"GET update", http.MethodGet, "update", "", http.StatusMethodNotAllowed},
+		{"bad body", http.MethodPost, "query", `{"path":`, http.StatusBadRequest},
+		{"unknown field", http.MethodPost, "query", `{"patj": "/site"}`, http.StatusBadRequest},
+		{"missing path", http.MethodPost, "query", `{"limit": 3}`, http.StatusBadRequest},
+		{"negative limit", http.MethodPost, "query", `{"path": "/site", "limit": -1}`, http.StatusBadRequest},
+		{"negative timeout", http.MethodPost, "query", `{"path": "/site", "timeout_ms": -1}`, http.StatusBadRequest},
+		{"bad strategy", http.MethodPost, "query", `{"path": "/site", "strategy": "quantum"}`, http.StatusBadRequest},
+		{"bad preds", http.MethodPost, "query", `{"path": "/site", "preds": "psychic"}`, http.StatusBadRequest},
+		{"malformed path", http.MethodPost, "query", `{"path": "/site//"}`, http.StatusBadRequest},
+		{"update bad body", http.MethodPost, "update", `{"op":`, http.StatusBadRequest},
+		{"update unknown field", http.MethodPost, "update", `{"op": "delete", "pth": "/site"}`, http.StatusBadRequest},
+		{"unknown op", http.MethodPost, "update", `{"op": "rename", "path": "/site"}`, http.StatusBadRequest},
+		{"insert missing xml", http.MethodPost, "update", `{"op": "insert", "parent": "/site"}`, http.StatusBadRequest},
+		{"insert missing parent", http.MethodPost, "update", `{"op": "insert", "xml": "<x/>"}`, http.StatusBadRequest},
+		{"delete missing path", http.MethodPost, "update", `{"op": "delete"}`, http.StatusBadRequest},
+		{"bad fragment", http.MethodPost, "update", `{"op": "insert", "parent": "/site", "xml": "<broken"}`, http.StatusBadRequest},
+		{"ambiguous parent", http.MethodPost, "update", `{"op": "insert", "parent": "/site/regions//item", "xml": "<x/>"}`, http.StatusBadRequest},
+		{"malformed update path", http.MethodPost, "update", `{"op": "delete", "path": "/site//"}`, http.StatusBadRequest},
+		{"update negative timeout", http.MethodPost, "update", `{"op": "delete", "path": "/site", "timeout_ms": -1}`, http.StatusBadRequest},
+	} {
+		check(rq, send(sts.URL, rq.method, rq.endpoint, rq.body), send(rts.URL, rq.method, rq.endpoint, rq.body))
+	}
+
+	// A 1 ms budget on a heavy node query: 504 with the timeout kind. A
+	// machine that beats the budget answers 200; try again.
+	timeout := request{"1 ms timeout", http.MethodPost, "query",
+		`{"path": "` + descQuery + `", "strategy": "xschedule", "limit": 1, "timeout_ms": 1}`, http.StatusGatewayTimeout}
+	timedOut := func(base string) answer {
+		var a answer
+		for i := 0; i < 20 && a.status != http.StatusGatewayTimeout; i++ {
+			a = send(base, timeout.method, timeout.endpoint, timeout.body)
+		}
+		return a
+	}
+	check(timeout, timedOut(sts.URL), timedOut(rts.URL))
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, rq := range []request{
+		{"draining query", http.MethodPost, "query", `{"path": "/site"}`, http.StatusServiceUnavailable},
+		{"draining update", http.MethodPost, "update", `{"op": "delete", "path": "/site/nothing_here"}`, http.StatusServiceUnavailable},
+	} {
+		srvGot, rtGot := send(sts.URL, rq.method, rq.endpoint, rq.body), send(rts.URL, rq.method, rq.endpoint, rq.body)
+		check(rq, srvGot, rtGot)
+		if srvGot.retryAfter == "" || srvGot.kind != pathdb.KindClosed.String() {
+			t.Errorf("%s: %+v, want Retry-After and kind %q", rq.name, srvGot, pathdb.KindClosed)
+		}
 	}
 }

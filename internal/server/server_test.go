@@ -262,6 +262,37 @@ func TestLoadShedding(t *testing.T) {
 	if srv.shed.Load() == 0 {
 		t.Fatal("server shed counter not incremented")
 	}
+
+	// Park the engine: an unread stream holds the dispatcher (its first
+	// block waits for a consumer) and a second fills the one-slot queue.
+	// An update's target lookup must then shed like a query, not wait.
+	// The running stream is closed first: closing the queued one waits for
+	// the dispatcher.
+	var parked []*pathdb.Cursor
+	defer func() {
+		for _, cur := range parked {
+			cur.Close()
+		}
+	}()
+	for i := 0; i < 2; i++ {
+		cur, err := srv.ses.Stream(context.Background(), descQuery, pathdb.QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parked = append(parked, cur)
+	}
+	shedBefore := fetchMetrics(t, ts.URL)["pathdb_server_shed_total"]
+	resp, data := postUpdate(t, ts.URL, UpdateRequest{Op: "delete", Path: "/site/nothing_here", TimeoutMS: 2000})
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "7" {
+		t.Fatalf("update against a full queue: status %d Retry-After %q (%s), want 503 and 7",
+			resp.StatusCode, resp.Header.Get("Retry-After"), data)
+	}
+	if er := decodeError(t, data); er.Kind != pathdb.KindOverloaded.String() {
+		t.Fatalf("shed update kind %q, want %q", er.Kind, pathdb.KindOverloaded)
+	}
+	if got := fetchMetrics(t, ts.URL)["pathdb_server_shed_total"]; got != shedBefore+1 {
+		t.Fatalf("pathdb_server_shed_total %v after a shed update, want %v", got, shedBefore+1)
+	}
 }
 
 // promLine matches one Prometheus text-format sample: a metric name

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -12,6 +11,7 @@ import (
 
 	"pathdb"
 	"pathdb/internal/ordpath"
+	"pathdb/internal/shard"
 )
 
 // ndjsonType is the media type selecting streamed delivery on /v1/query.
@@ -51,7 +51,7 @@ type StreamSummaryJSON struct {
 	// see PerShard in the buffered response for the breakdown).
 	Strategy string `json:"strategy,omitempty"`
 	Shared   bool   `json:"shared,omitempty"`
-	// Truncated is set when the request's limit cut the stream short.
+	// Truncated is set when the request's limit cut off at least one node.
 	Truncated bool `json:"truncated,omitempty"`
 
 	CostVNs          int64 `json:"cost_v_ns,omitempty"`
@@ -101,7 +101,7 @@ func (nw *ndjsonWriter) writeNode(n pathdb.Node, shard int) bool {
 }
 
 // writeSummary appends the trailing summary line and flushes.
-func (nw *ndjsonWriter) writeSummary(sum StreamSummaryJSON) {
+func (nw *ndjsonWriter) writeSummary(sum *StreamSummaryJSON) {
 	if nw.failed {
 		return
 	}
@@ -210,131 +210,104 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// streamQuery is the NDJSON delivery mode of /v1/query on the single-volume
-// server: one NodeJSON line per node as the cursor produces them, a
-// trailing StreamSummaryJSON line, chunked flushes in between. The
-// request's limit truncates production (the cursor stops pulling the
-// operator tree), not just the echo; MaxNodes does not apply — a streamed
-// response is bounded by back-pressure, not by a response buffer.
-func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, r *http.Request, req QueryRequest, opts pathdb.QueryOptions) {
-	opts.Limit = req.Limit
-	cur, err := s.ses.TryStream(ctx, req.Path, opts)
+// nodeCursor is the result stream the NDJSON loop drains: a pathdb.Cursor
+// on one volume, a shard.StreamCursor over a cluster.
+type nodeCursor interface {
+	Next() bool
+	Err() error
+	Close() error
+	// node returns the node Next positioned the cursor on and its shard.
+	node() (pathdb.Node, int)
+	// summarize fills the backend's fields of the trailing record once the
+	// stream has ended.
+	summarize(sum *StreamSummaryJSON)
+}
+
+// stream is the NDJSON delivery mode of /v1/query: one NodeJSON line per
+// node as the cursor yields it, a trailing StreamSummaryJSON line, chunked
+// flushes in between. The request's limit truncates production (the cursor
+// stops pulling), not just the echo: the cursor is opened for limit+1
+// nodes, limit lines are written, and the summary says truncated only when
+// the extra node exists. MaxNodes does not apply — a streamed response is
+// bounded by back-pressure, not by a response buffer.
+func (f *front) stream(ctx context.Context, w http.ResponseWriter, r *http.Request, req QueryRequest, opts pathdb.QueryOptions) {
+	if req.Limit > 0 {
+		opts.Limit = req.Limit + 1
+	}
+	cur, err := f.b.open(ctx, req.Path, opts)
 	if err != nil {
-		// Nothing streamed yet: fail with the same status mapping as the
-		// buffered mode.
-		s.queryError(w, r, err)
+		// Nothing streamed yet: fail like a buffered query.
+		f.fail(w, r, "query", err)
 		return
 	}
 	defer cur.Close()
 
 	nw := newNDJSONWriter(w)
+	sum := StreamSummaryJSON{Summary: true, Path: req.Path}
 	for cur.Next() {
-		if !nw.writeNode(cur.Node(), 0) {
+		if sum.Count == req.Limit && req.Limit > 0 {
+			sum.Truncated = true
+			break
+		}
+		n, shard := cur.node()
+		if !nw.writeNode(n, shard) {
 			// Client hung up; cancel the query (Close withdraws prefetches).
-			s.gone.Add(1)
+			f.gone.Add(1)
 			return
 		}
-	}
-
-	sum := StreamSummaryJSON{
-		Summary:   true,
-		Path:      req.Path,
-		Count:     cur.Count(),
-		Truncated: opts.Limit > 0 && cur.Count() >= opts.Limit,
+		sum.Count++
 	}
 	if err := cur.Err(); err != nil {
+		// The status line is already on the wire: report the failure
+		// in-band and count it as the error table would.
 		sum.Error, sum.Kind = err.Error(), errKind(err)
-		s.streamFailure(r, err)
+		if _, _, n := f.outcome(r, "query", err); n != nil {
+			n.Add(1)
+		}
 	} else {
-		s.served.Add(1)
+		f.served.Add(1)
 	}
 	cur.Close() // settle so the summary below is complete
-	if res, ok := cur.Summary(); ok {
+	cur.summarize(&sum)
+	if sum.Partial {
+		f.partials.Add(1)
+	}
+	nw.writeSummary(&sum)
+}
+
+// volumeCursor is the single-volume server's node stream: every node is
+// shard 0.
+type volumeCursor struct{ *pathdb.Cursor }
+
+func (c volumeCursor) node() (pathdb.Node, int) { return c.Node(), 0 }
+
+func (c volumeCursor) summarize(sum *StreamSummaryJSON) {
+	if res, ok := c.Summary(); ok {
 		sum.Strategy = res.Strategy.String()
 		sum.Shared = res.Shared
 		sum.CostVNs = int64(res.CostV)
 		sum.VirtualLatencyNs = int64(res.VirtualLatency)
 	}
-	nw.writeSummary(sum)
 }
 
-// streamFailure counts a mid-stream failure (the status line is already on
-// the wire, so the failure is reported in-band by the summary record).
-func (s *Server) streamFailure(r *http.Request, err error) {
-	switch {
-	case r.Context().Err() != nil:
-		s.gone.Add(1)
-	case errors.Is(err, pathdb.ErrTimeout):
-		s.timeouts.Add(1)
-	case errors.Is(err, pathdb.ErrIO) || errors.Is(err, pathdb.ErrCorrupt):
-		s.ioErrors.Add(1)
-	}
+// clusterCursor is the router's node stream: the cluster's k-way merge.
+type clusterCursor struct{ *shard.StreamCursor }
+
+func (c clusterCursor) node() (pathdb.Node, int) {
+	sn := c.Node()
+	return sn.Node, sn.Shard
 }
 
-// streamQuery is the router's NDJSON delivery mode: the cluster's k-way
-// merge feeds the response directly, so merged nodes go to the client in
-// global document order as the shards produce them and the router never
-// holds more than the heap of stream heads plus one flush chunk. Document
-// order is inherent to the merge, so the "sorted" request field is implied.
-func (rt *Router) streamQuery(ctx context.Context, w http.ResponseWriter, r *http.Request, req QueryRequest, opts pathdb.QueryOptions) {
-	opts.Limit = req.Limit
-	sc, err := rt.cluster.Stream(ctx, req.Path, opts)
-	if err != nil {
-		rt.queryError(w, r, err)
+func (c clusterCursor) summarize(sum *StreamSummaryJSON) {
+	s, ok := c.Summary()
+	if !ok {
 		return
 	}
-	defer sc.Close()
-
-	nw := newNDJSONWriter(w)
-	for sc.Next() {
-		sn := sc.Node()
-		if !nw.writeNode(sn.Node, sn.Shard) {
-			rt.gone.Add(1)
-			return
+	sum.Partial = s.Partial
+	sum.Degraded = degradedJSON(s.Degraded)
+	for _, ps := range s.PerShard {
+		if !ps.Failed && !ps.Cached {
+			sum.CostVNs += int64(ps.CostV)
 		}
-	}
-
-	out := StreamSummaryJSON{
-		Summary:   true,
-		Path:      req.Path,
-		Count:     sc.Count(),
-		Truncated: opts.Limit > 0 && sc.Count() >= opts.Limit,
-	}
-	if err := sc.Err(); err != nil {
-		out.Error, out.Kind = err.Error(), errKind(err)
-		rt.streamFailure(r, err)
-	} else {
-		rt.served.Add(1)
-	}
-	sc.Close()
-	if sum, ok := sc.Summary(); ok {
-		out.Partial = sum.Partial
-		for _, f := range sum.Degraded {
-			out.Degraded = append(out.Degraded, DegradedJSON{
-				Shard: f.Shard,
-				Kind:  f.Kind.String(),
-				Error: f.Err.Error(),
-			})
-		}
-		for _, ps := range sum.PerShard {
-			if !ps.Failed && !ps.Cached {
-				out.CostVNs += int64(ps.CostV)
-			}
-		}
-		if out.Partial {
-			rt.partials.Add(1)
-		}
-	}
-	nw.writeSummary(out)
-}
-
-func (rt *Router) streamFailure(r *http.Request, err error) {
-	switch {
-	case r.Context().Err() != nil:
-		rt.gone.Add(1)
-	case errors.Is(err, pathdb.ErrTimeout):
-		rt.timeouts.Add(1)
-	case errors.Is(err, pathdb.ErrIO) || errors.Is(err, pathdb.ErrCorrupt):
-		rt.ioErrors.Add(1)
 	}
 }

@@ -143,19 +143,33 @@ func TestStreamQueryMatchesBuffered(t *testing.T) {
 	}
 }
 
+// checkStreamLimits streams itemQuery under limits below, at and above its
+// match count: exactly min(limit, count) node lines, and truncated flagged
+// only when the limit cut a node off.
+func checkStreamLimits(t *testing.T, url string, count int) {
+	t.Helper()
+	for _, limit := range []int{5, count - 1, count, count + 1} {
+		resp := openStream(t, url, QueryRequest{Path: itemQuery, Sorted: true, Limit: limit})
+		nodes, sum := readStream(t, resp.Body)
+		resp.Body.Close()
+		want := min(limit, count)
+		if len(nodes) != want || sum.Count != want || sum.Truncated != (limit < count) {
+			t.Fatalf("limit %d of %d matches: %d nodes, count %d, truncated %v; want %d/%d/%v",
+				limit, count, len(nodes), sum.Count, sum.Truncated, want, want, limit < count)
+		}
+	}
+}
+
 // The request's limit truncates production in stream mode: exactly N node
-// lines, truncated flagged, count N.
+// lines, count N, truncated flagged only when a node was cut off.
 func TestStreamQueryLimit(t *testing.T) {
 	db := newTestDB(t, 0.1)
 	_, ts := newTestServer(t, db, pathdb.EngineConfig{}, Options{})
-
-	resp := openStream(t, ts.URL, QueryRequest{Path: itemQuery, Sorted: true, Limit: 5})
-	defer resp.Body.Close()
-	nodes, sum := readStream(t, resp.Body)
-	if len(nodes) != 5 || sum.Count != 5 || !sum.Truncated {
-		t.Fatalf("limited stream: %d nodes, count %d, truncated %v; want 5/5/true",
-			len(nodes), sum.Count, sum.Truncated)
+	q, err := db.Query(itemQuery)
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkStreamLimits(t, ts.URL, q.Count())
 }
 
 // A storage fault mid-stream is reported in-band: HTTP 200 (the status
@@ -248,7 +262,8 @@ func TestUnversionedPathsGone(t *testing.T) {
 
 // Router mode: the streamed NDJSON sequence must match the buffered
 // router response node for node — same global document order, same shard
-// attribution — with the cluster summary in the trailing record.
+// attribution — with the cluster summary in the trailing record; limits
+// at and around the match count flag truncation exactly as on one volume.
 func TestRouterStreamMatchesBuffered(t *testing.T) {
 	_, ts := newTestRouter(t, shard.Config{}, 256, shard.QuotaConfig{})
 
@@ -283,6 +298,7 @@ func TestRouterStreamMatchesBuffered(t *testing.T) {
 	if sum.Partial || len(sum.Degraded) != 0 {
 		t.Fatalf("healthy cluster streamed partial/degraded: %+v", sum)
 	}
+	checkStreamLimits(t, ts.URL, want.Count)
 }
 
 // Router mode disconnect: hanging up mid-merge closes every shard cursor

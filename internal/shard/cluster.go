@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"pathdb"
-	"pathdb/internal/ordpath"
 	"pathdb/internal/stats"
 )
 
@@ -287,24 +286,12 @@ type ShardNode struct {
 	Node  pathdb.Node
 }
 
-// Merged is a scatter-gather query result.
+// Merged is a scatter-gather query result: the scatter's summary plus, when
+// the caller asked for them, the merged nodes in global document order with
+// spine replicas contributed once.
 type Merged struct {
-	// Count is the cluster-wide match count. Spine nodes are replicated on
-	// every answering shard, so the merge counts them once:
-	// sum(local counts) - (answered-1) * SpineMatches.
-	Count int
-	// SpineMatches is how many matches fall on the replicated spine
-	// (computed on the spine volume; 0 for single-shard clusters).
-	SpineMatches int
-	// Nodes is the merged node list in global document order, deduplicated
-	// against the spine (only set when the caller asked for nodes).
+	StreamSummary
 	Nodes []ShardNode
-	// PerShard has one entry per shard, including failed ones.
-	PerShard []ShardStat
-	// Degraded lists shards whose storage faulted; Partial is true when
-	// the result excludes at least one of them.
-	Degraded []ShardFailure
-	Partial  bool
 }
 
 // Cluster is the scatter-gather coordinator over one ShardSet: N
@@ -525,18 +512,25 @@ func tolerable(err error) bool {
 }
 
 // Query fans path across every shard (and the spine volume), gathers with
-// the configured failure policy, and merges counts — and nodes, when
-// wantNodes is set — in global document order. The caller's ctx deadline
-// and cancellation propagate to every shard query; under PolicyAll the
-// first shard failure cancels the rest of the scatter.
+// the configured failure policy, and merges the counts. With wantNodes it
+// drains Stream instead, so the nodes come back in global document order.
+// The caller's ctx deadline and cancellation propagate to every shard
+// query; under PolicyAll the first shard failure cancels the rest of the
+// scatter.
 func (c *Cluster) Query(ctx context.Context, path string, opts pathdb.QueryOptions, wantNodes bool) (*Merged, error) {
+	if wantNodes {
+		sc, err := c.Stream(ctx, path, opts)
+		if err != nil {
+			return nil, err
+		}
+		return sc.Drain(-1)
+	}
 	n := len(c.engines)
 
 	// Count-only scatters consult the epoch-keyed caches first: a shard
 	// whose count for this path is still valid at its current publish
-	// epoch is not queried at all. Node requests always execute (nodes
-	// are not cached), but still refresh the counts on the way out.
-	useCache := c.caches != nil && !wantNodes
+	// epoch is not queried at all.
+	useCache := c.caches != nil
 	hit := make([]bool, n)
 	cachedCount := make([]int, n)
 	epochs := make([]uint64, n)
@@ -648,7 +642,6 @@ func (c *Cluster) Query(ctx context.Context, path string, opts pathdb.QueryOptio
 	// Spine arithmetic. The spine query runs on a fault-free volume; an
 	// error here is a deadline or cancellation shared with the scatter.
 	spineCount := 0
-	var spineOrds map[string]bool
 	if c.spineSes != nil {
 		if spineHit {
 			spineCount = spineCachedCount
@@ -658,20 +651,14 @@ func (c *Cluster) Query(ctx context.Context, path string, opts pathdb.QueryOptio
 			}
 			spineCount = spineRes.Count()
 		}
-		if wantNodes && spineCount > 0 {
-			spineOrds = make(map[string]bool, spineCount)
-			for _, sn := range spineRes.Nodes {
-				spineOrds[string(sn.OrdKey())] = true
-			}
-		}
 	}
 
-	m := &Merged{
+	m := &Merged{StreamSummary: StreamSummary{
 		SpineMatches: spineCount,
 		Degraded:     failures,
 		Partial:      len(failures) > 0,
 		PerShard:     make([]ShardStat, 0, n),
-	}
+	}}
 	if m.Partial {
 		c.partials.Add(1)
 	}
@@ -717,20 +704,6 @@ func (c *Cluster) Query(ctx context.Context, path string, opts pathdb.QueryOptio
 		if idx > 0 {
 			m.Count -= spineCount
 		}
-	}
-
-	if wantNodes {
-		for idx, i := range answered {
-			for _, nd := range outs[i].res.Nodes {
-				if idx > 0 && spineOrds[string(nd.OrdKey())] {
-					continue // spine replica already contributed by the first answering shard
-				}
-				m.Nodes = append(m.Nodes, ShardNode{Shard: i, Node: nd})
-			}
-		}
-		// Order by (key, shard): the nodes were appended in ascending shard
-		// order and the sort is stable, so sorting by key alone does it.
-		ordpath.SortStable(m.Nodes, func(sn *ShardNode) ordpath.Key { return sn.Node.OrdKey() })
 	}
 	return m, nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pathdb"
+	"pathdb/internal/ordpath"
 )
 
 // The query set the equivalence tests sweep: the q6/q7/q15 mix plus a spine
@@ -63,6 +64,43 @@ func mustQuery(t *testing.T, cl *Cluster, path string, wantNodes bool) *Merged {
 	return m
 }
 
+// bufferedMerge is the reference node merge the streamed one is held to,
+// built without it: every shard's full result by Session.Do, replicas of
+// the spine probe's order keys dropped after the first shard, and a stable
+// sort by key — the nodes are appended in shard order, so that is the
+// (key, shard) order. Count is the merged length.
+func bufferedMerge(t *testing.T, cl *Cluster, path string, opts pathdb.QueryOptions) *Merged {
+	t.Helper()
+	ctx := context.Background()
+	m := &Merged{}
+	spine := map[string]bool{}
+	if cl.spineSes != nil {
+		res, err := cl.spineSes.Do(ctx, path, opts)
+		if err != nil {
+			t.Fatalf("spine probe %q: %v", path, err)
+		}
+		m.SpineMatches = res.Count()
+		for _, n := range res.Nodes {
+			spine[string(n.OrdKey())] = true
+		}
+	}
+	for i, ses := range cl.sessions {
+		res, err := ses.Do(ctx, path, opts)
+		if err != nil {
+			t.Fatalf("shard %d %q: %v", i, path, err)
+		}
+		m.PerShard = append(m.PerShard, ShardStat{Shard: i, Count: res.Count()})
+		for _, n := range res.Nodes {
+			if i == 0 || !spine[string(n.OrdKey())] {
+				m.Nodes = append(m.Nodes, ShardNode{Shard: i, Node: n})
+			}
+		}
+	}
+	ordpath.SortStable(m.Nodes, func(sn *ShardNode) ordpath.Key { return sn.Node.OrdKey() })
+	m.Count = len(m.Nodes)
+	return m
+}
+
 // Scatter-gather counts must equal a single volume holding the same
 // corpus, for every path, both on the executing pass and on the cached
 // pass that follows it.
@@ -93,13 +131,17 @@ func TestClusterCountEquivalence(t *testing.T) {
 }
 
 // Node merges must come back in global document order with each
-// replicated spine match contributed exactly once.
+// replicated spine match contributed exactly once: the reference merge has
+// those properties, and Query's node mode yields exactly its sequence.
 func TestClusterNodeMergeDocOrder(t *testing.T) {
 	cl := newTestCluster(t, Config{})
 	for _, path := range testPaths {
-		m := mustQuery(t, cl, path, true)
-		if len(m.Nodes) != m.Count {
-			t.Fatalf("%q: %d nodes but count %d", path, len(m.Nodes), m.Count)
+		m := bufferedMerge(t, cl, path, pathdb.QueryOptions{})
+		if got := mustQuery(t, cl, path, true); got.Count != m.Count || !sameMerge(got.Nodes, m.Nodes) {
+			t.Fatalf("%q: Query merged %d nodes (count %d), reference %d", path, len(got.Nodes), got.Count, m.Count)
+		}
+		if want := mustQuery(t, cl, path, false).Count; m.Count != want {
+			t.Fatalf("%q: %d merged nodes but count %d", path, m.Count, want)
 		}
 		for i := 1; i < len(m.Nodes); i++ {
 			a, b := m.Nodes[i-1], m.Nodes[i]
@@ -122,7 +164,7 @@ func TestClusterNodeMergeDocOrder(t *testing.T) {
 
 	// A spine match is replicated on every shard; len(Nodes) == Count above
 	// proves the merge emits it once, and a pure-spine path pins it down.
-	m := mustQuery(t, cl, "/site/regions", true)
+	m := bufferedMerge(t, cl, "/site/regions", pathdb.QueryOptions{})
 	if m.SpineMatches != 1 || m.Count != 1 || len(m.Nodes) != 1 {
 		t.Fatalf("/site/regions: spine=%d count=%d nodes=%d, want 1/1/1 (replicas merged once)",
 			m.SpineMatches, m.Count, len(m.Nodes))

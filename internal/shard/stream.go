@@ -8,21 +8,23 @@ import (
 	"pathdb/internal/ordpath"
 )
 
-// StreamSummary is the trailing summary of a streamed scatter — what the
-// buffered Merged reports, minus the node list (the nodes went through the
-// cursor).
+// StreamSummary is what a scatter reports besides its nodes: the trailing
+// summary of a streamed merge, and the body of every Merged result.
 type StreamSummary struct {
-	// Count is how many merged nodes the cursor yielded (spine replicas
-	// counted once). For a Limit-capped stream it is the cap.
+	// Count is the cluster-wide match count, spine replicas counted once:
+	// how many merged nodes a stream yielded (for a Limit-capped stream,
+	// the cap), or sum(local counts) - (answered-1) * SpineMatches for a
+	// count-only scatter.
 	Count int
 	// SpineMatches is how many matches fall on the replicated spine —
-	// the probe result the merge deduplicates replicas against.
+	// the spine probe's result (0 for single-shard clusters).
 	SpineMatches int
-	// PerShard has one entry per shard that participated; Count there is
-	// the number of nodes the shard fed into the merge before dedup.
+	// PerShard has one entry per shard, including failed ones; a stream's
+	// Count there is the number of nodes the shard fed into the merge
+	// before dedup.
 	PerShard []ShardStat
 	// Degraded lists shards lost to tolerable storage faults; Partial is
-	// true when at least one was dropped mid-merge.
+	// true when the result excludes at least one of them.
 	Degraded []ShardFailure
 	Partial  bool
 }
@@ -34,9 +36,10 @@ type StreamSummary struct {
 // order keys on every answering shard) are deduplicated on the fly,
 // keeping the lowest answering shard's copy; distinct entities that
 // coincide on a local order key across shards are NOT spine replicas and
-// all surface, in shard order — exactly the buffered merge's semantics,
-// which is why the probe against the spine volume is required rather
-// than deduplicating on order-key equality alone.
+// all surface, in shard order — which is why the probe against the spine
+// volume is required rather than deduplicating on order-key equality
+// alone. It is the cluster's one node merge: Query's node mode and the
+// router's JSON node responses drain it.
 //
 // Close is mandatory and idempotent; it closes every shard cursor, which
 // cancels their queries and withdraws in-flight prefetches.
@@ -151,7 +154,7 @@ func (h *mergeHeap) pop() mergeEntry {
 // Stream fans path across every shard as sorted per-shard streams and
 // returns a cursor merging them in global document order. Admission is
 // non-blocking per shard (an overloaded shard fails the open, like the
-// buffered scatter's TryDo); the failure policy applies both at open and
+// count-only scatter's TryDo); the failure policy applies both at open and
 // mid-merge — under PolicyQuorum a shard lost to a storage fault mid-way
 // is dropped from the heap (its already-merged prefix stands, and the
 // trailing summary reports it degraded), under PolicyAll any failure
@@ -167,10 +170,9 @@ func (c *Cluster) Stream(ctx context.Context, path string, opts pathdb.QueryOpti
 	sc := &StreamCursor{c: c, cancel: cancel, limit: opts.Limit}
 
 	// Spine probe: the replica dedup below keys on the spine's order-key
-	// set, exactly like the buffered merge (order-key equality alone is
-	// not replication — distinct entities on different shards may share a
-	// local key). The probe must see every spine match, so the caller's
-	// Limit does not apply to it.
+	// set (order-key equality alone is not replication — distinct entities
+	// on different shards may share a local key). The probe must see every
+	// spine match, so the caller's Limit does not apply to it.
 	if c.spineSes != nil {
 		popts := opts
 		popts.Limit = 0
@@ -189,24 +191,13 @@ func (c *Cluster) Stream(ctx context.Context, path string, opts pathdb.QueryOpti
 	for i := range c.sessions {
 		cur, err := c.sessions[i].TryStream(sctx, path, opts)
 		if err != nil {
-			if tolerable(err) && c.cfg.Policy == PolicyQuorum {
-				sc.failures = append(sc.failures, ShardFailure{Shard: i, Kind: pathdb.KindOf(err), Err: err})
-				c.degradedHits[i].Add(1)
-				continue
+			if err = sc.drop(i, err); err != nil {
+				sc.close()
+				return nil, err
 			}
-			sc.close()
-			return nil, err
+			continue
 		}
 		sc.streams = append(sc.streams, &shardStream{shard: i, cur: cur})
-	}
-	if len(c.sessions)-len(sc.failures) < c.cfg.Quorum {
-		qerr := &QuorumError{
-			Healthy:  len(c.sessions) - len(sc.failures),
-			Needed:   c.cfg.Quorum,
-			Failures: sc.failures,
-		}
-		sc.close()
-		return nil, qerr
 	}
 
 	if err := sc.prime(); err != nil {
@@ -240,19 +231,7 @@ func (sc *StreamCursor) advance(s *shardStream) error {
 	}
 	if err := s.cur.Err(); err != nil {
 		sc.settle(s)
-		if tolerable(err) && sc.c.cfg.Policy == PolicyQuorum {
-			sc.failures = append(sc.failures, ShardFailure{Shard: s.shard, Kind: pathdb.KindOf(err), Err: err})
-			sc.c.degradedHits[s.shard].Add(1)
-			if len(sc.c.sessions)-len(sc.failures) < sc.c.cfg.Quorum {
-				return &QuorumError{
-					Healthy:  len(sc.c.sessions) - len(sc.failures),
-					Needed:   sc.c.cfg.Quorum,
-					Failures: sc.failures,
-				}
-			}
-			return nil
-		}
-		return err
+		return sc.drop(s.shard, err)
 	}
 	// Clean exhaustion: harvest the shard's execution stats.
 	if res, ok := s.cur.Summary(); ok {
@@ -267,6 +246,22 @@ func (sc *StreamCursor) advance(s *shardStream) error {
 		})
 	}
 	sc.settle(s)
+	return nil
+}
+
+// drop applies the failure policy to shard s failing with err, at open or
+// mid-merge: under PolicyQuorum a tolerable storage fault drops the shard
+// (its merged prefix stands) as long as Quorum shards remain. It returns
+// the error fatal to the merge, if any.
+func (sc *StreamCursor) drop(s int, err error) error {
+	if !tolerable(err) || sc.c.cfg.Policy != PolicyQuorum {
+		return err
+	}
+	sc.failures = append(sc.failures, ShardFailure{Shard: s, Kind: pathdb.KindOf(err), Err: err})
+	sc.c.degradedHits[s].Add(1)
+	if healthy := len(sc.c.sessions) - len(sc.failures); healthy < sc.c.cfg.Quorum {
+		return &QuorumError{Healthy: healthy, Needed: sc.c.cfg.Quorum, Failures: sc.failures}
+	}
 	return nil
 }
 
@@ -330,6 +325,25 @@ func (sc *StreamCursor) Summary() (*StreamSummary, bool) {
 		return nil, false
 	}
 	return sc.sum, true
+}
+
+// Drain consumes the rest of the merge and returns it as a Merged result
+// holding the first keep merged nodes (all of them when keep < 0); Count
+// and the rest of the summary cover the whole merge. Under PolicyQuorum a
+// shard lost mid-merge keeps its merged prefix, as in the stream. Drain
+// closes the cursor.
+func (sc *StreamCursor) Drain(keep int) (*Merged, error) {
+	var nodes []ShardNode
+	for sc.Next() {
+		if keep < 0 || len(nodes) < keep {
+			nodes = append(nodes, sc.node)
+		}
+	}
+	sc.Close()
+	if sc.err != nil {
+		return nil, sc.err
+	}
+	return &Merged{StreamSummary: *sc.sum, Nodes: nodes}, nil
 }
 
 // Close terminates the merge: every shard cursor is closed (cancelling its

@@ -44,7 +44,7 @@ func sameMerge(a []ShardNode, b []ShardNode) bool {
 func TestStreamMatchesBufferedMerge(t *testing.T) {
 	cl := newTestCluster(t, Config{})
 	for _, path := range testPaths {
-		want := mustQuery(t, cl, path, true)
+		want := bufferedMerge(t, cl, path, pathdb.QueryOptions{})
 		sc, err := cl.Stream(context.Background(), path, pathdb.QueryOptions{})
 		if err != nil {
 			t.Fatalf("Stream(%q): %v", path, err)
@@ -93,7 +93,7 @@ func TestStreamSpineDedup(t *testing.T) {
 func TestStreamLimit(t *testing.T) {
 	cl := newTestCluster(t, Config{})
 	const path = "/site//description"
-	want := mustQuery(t, cl, path, true)
+	want := bufferedMerge(t, cl, path, pathdb.QueryOptions{})
 	if len(want.Nodes) < 20 {
 		t.Fatalf("fixture too small: %d nodes", len(want.Nodes))
 	}
