@@ -26,7 +26,8 @@ race:
 # per commit — the only timing of a commit group with more than one
 # writer (no benchmark/ workload has two) — and the phases of a
 # structural join (ns, B, allocs): internal/core's BenchmarkJoinResident
-# (levels cached), BenchmarkLevelBuild and BenchmarkLiteralSelect, and
+# (levels cached), BenchmarkLevelBuild, BenchmarkLevelAdvance (a level
+# carried across one commit) and BenchmarkLiteralSelect, and
 # internal/storage's BenchmarkStringValue — and the root package's
 # BenchmarkStreamDrain (ns/result and allocs per query of draining an
 # engine cursor on a resident volume, sorted and unsorted).
@@ -65,11 +66,14 @@ api-check:
 # group-commit tests (one group for N commits enqueued behind a flush,
 # groups of one for a lone writer) and the seeded crash
 # matrix (internal/txn), the facade's mixed read/write
-# gauntlet (snapshot isolation + goroutine-leak check), and the HTTP
-# update path, all under -race.
+# gauntlet (snapshot isolation + goroutine-leak check), the HTTP
+# update path, and the structural join's levels across commits (advanced
+# levels equal fresh builds, rent-or-buy, pinned snapshots, faulted
+# advances), all under -race.
 test-txn:
 	$(GO) test -race ./internal/txn/
 	$(GO) test -race -run 'TestUpdate|TestQueryChoice' ./internal/server/ .
+	$(GO) test -race -run 'TestLevelAdvance|TestRentOrBuy|TestSupersededSnapshot|TestFailedAdvance' .
 
 # Sharding subsystem: ring placement/skew/degradation, the split
 # invariants, the scatter-gather coordinator, and the HTTP router

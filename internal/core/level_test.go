@@ -9,6 +9,8 @@ import (
 	"pathdb/internal/ordpath"
 	"pathdb/internal/stats"
 	"pathdb/internal/storage"
+	"pathdb/internal/txn"
+	"pathdb/internal/xmltree"
 	"pathdb/internal/xpath"
 )
 
@@ -22,16 +24,16 @@ func joinRun(t testing.TB, st *storage.Store, src string, opts PlanOptions) []st
 
 // cachedLevels snapshots every level of the store's derived generation that
 // the given tests name, by value.
-func cachedLevels(t testing.TB, st *storage.Store, tests ...string) map[string]level {
+func cachedLevels(t testing.TB, st *storage.Store, tests ...string) map[string]storage.Level {
 	t.Helper()
 	dcache, epoch, _ := st.Derived()
-	out := map[string]level{}
+	out := map[string]storage.Level{}
 	for _, name := range tests {
 		step := xpath.MustParse(st.Dict(), "//"+name).Simplify().Steps[0]
-		if v, ok := dcache.Get(epoch, levelKey(st.Dict(), step)); ok {
-			lv := *v.(*level)
-			lv.ords = append([]ordpath.Key(nil), lv.ords...)
-			lv.ids = append([]storage.NodeID(nil), lv.ids...)
+		if v, ok := dcache.Get(epoch, LevelKey(st.Dict(), step)); ok {
+			lv := *v.(*storage.Level)
+			lv.Ords = append([]ordpath.Key(nil), lv.Ords...)
+			lv.IDs = append([]storage.NodeID(nil), lv.IDs...)
 			out[name] = lv
 		}
 	}
@@ -53,7 +55,7 @@ func TestLevelsSharedNeverMutated(t *testing.T) {
 	}
 	joinRun(t, st, srcs[0], PlanOptions{PredEval: PredJoin})
 	before := cachedLevels(t, st, "meta", "year")
-	if len(before) != 2 || before["year"].ends == nil {
+	if len(before) != 2 || before["year"].Ends == nil {
 		t.Fatalf("first join cached %d of the levels meta and year (with values)", len(before))
 	}
 	for _, src := range srcs {
@@ -100,8 +102,8 @@ func TestCancelledBuildAdmitsNothing(t *testing.T) {
 		joinRun(t, st, src, PlanOptions{PredEval: PredJoin, Ctx: &countdownCtx{Context: context.Background(), polls: polls}})
 		for name, lv := range cachedLevels(t, st, "meta", "year", "title") {
 			admitted++
-			if full := buildLevel(NewEvalState(st, nil), xpath.MustParse(st.Dict(), "//"+name).Simplify().Steps[0]); !reflect.DeepEqual(lv.ords, full.ords) {
-				t.Fatalf("polls=%d: level %s admitted with %d of %d entries", polls, name, len(lv.ords), len(full.ords))
+			if full := buildLevel(NewEvalState(st, nil), xpath.MustParse(st.Dict(), "//"+name).Simplify().Steps[0]); !reflect.DeepEqual(lv.Ords, full.Ords) {
+				t.Fatalf("polls=%d: level %s admitted with %d of %d entries", polls, name, len(lv.Ords), len(full.Ords))
 			}
 		}
 		if got := joinRun(t, st, src, PlanOptions{PredEval: PredJoin}); !reflect.DeepEqual(got, want) {
@@ -143,9 +145,9 @@ func TestConcurrentLevelBuilds(t *testing.T) {
 		}
 		after := cachedLevels(t, st, "meta", "year")
 		for name, lv := range after {
-			lv.vals, lv.ends = nil, nil // a level without values may be admitted last
+			lv.Vals, lv.Ends = nil, nil // a level without values may be admitted last
 			s := solo[name]
-			s.vals, s.ends = nil, nil
+			s.Vals, s.Ends = nil, nil
 			if !reflect.DeepEqual(lv, s) {
 				t.Fatalf("round %d: level %s differs from a solo build", round, name)
 			}
@@ -156,9 +158,58 @@ func TestConcurrentLevelBuilds(t *testing.T) {
 	}
 }
 
-// The three benchmarks below time the join's phases on the XMark fixture:
-// a query whose sets are resident, the enumeration of one level, and the
-// per-query selection of a literal from a resident level.
+// TestConcurrentAdvance: workers that first read the levels after a commit
+// race to advance them; one advance publishes, the others find the
+// generation at their epoch, and every worker's result is nested's. Run
+// under -race.
+func TestConcurrentAdvance(t *testing.T) {
+	dict, _, st := xjoinFixture(t)
+	const src = `//book[meta/year="1992"]`
+	mgr, err := txn.NewManager(st, txn.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	lib := BuildPlan(st, xpath.MustParse(dict, "/lib").Simplify().Steps, st.Roots(), StrategySimple, PlanOptions{}).Run()[0].Node
+	for round := 0; round < 10; round++ {
+		joinRun(t, st, src, PlanOptions{PredEval: PredJoin})
+		book, meta, year := xmltree.NewElement(dict.Intern("book")), xmltree.NewElement(dict.Intern("meta")), xmltree.NewElement(dict.Intern("year"))
+		book.AppendChild(meta.AppendChild(year.AppendChild(xmltree.NewText("1992"))))
+		if err := mgr.Update(func(tx *txn.Tx) error {
+			_, err := tx.InsertSubtree(lib, storage.InvalidNodeID, book)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want := joinRun(t, st, src, PlanOptions{PredEval: PredNested})
+		dcache, _, _ := st.Derived()
+		before := dcache.Metrics()
+		var wg sync.WaitGroup
+		got := make([][]string, 4)
+		for w := range got {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				got[w] = joinRun(t, st.Reader(stats.NewLedger()), src, PlanOptions{PredEval: PredJoin})
+			}(w)
+		}
+		wg.Wait()
+		for w := range got {
+			if !reflect.DeepEqual(got[w], want) {
+				t.Fatalf("round %d worker %d:\nwant %v\ngot  %v", round, w, want, got[w])
+			}
+		}
+		if m := dcache.Metrics(); m.LevelAdvances-before.LevelAdvances != 2 || m.LevelBuilds != before.LevelBuilds {
+			t.Fatalf("round %d: %d level advances, %d builds; want the two levels advanced once", round,
+				m.LevelAdvances-before.LevelAdvances, m.LevelBuilds-before.LevelBuilds)
+		}
+	}
+}
+
+// The four benchmarks below time the join's phases on the XMark fixture:
+// a query whose sets are resident, the enumeration of one level, its advance
+// across a commit, and the per-query selection of a literal from a resident
+// level.
 
 func BenchmarkJoinResident(b *testing.B) {
 	dict, st := xmarkFixture(b)
@@ -170,7 +221,7 @@ func BenchmarkJoinResident(b *testing.B) {
 	}
 }
 
-var levelSink *level
+var levelSink *storage.Level
 
 func BenchmarkLevelBuild(b *testing.B) {
 	dict, st := xmarkFixture(b)
@@ -179,6 +230,41 @@ func BenchmarkLevelBuild(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		levelSink = buildLevel(es, step)
+	}
+}
+
+// BenchmarkLevelAdvance advances the keyword level, with its string values,
+// over the pages one commit wrote: the benchmark's write epilogue inserts a
+// fragment under a person.
+func BenchmarkLevelAdvance(b *testing.B) {
+	dict, st := xmarkFixture(b)
+	kw := levelOf(NewEvalState(st, nil), xpath.MustParse(dict, "//keyword").Simplify().Steps[0], true)
+	since := st.VersionEpoch()
+	person := BuildPlan(st, xpath.MustParse(dict, "/site/people/person").Simplify().Steps, st.Roots(), StrategySimple, PlanOptions{}).Run()[0].Node
+	mgr, err := txn.NewManager(st, txn.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mgr.Close()
+	pad, note := xmltree.NewElement(dict.Intern("benchpad")), xmltree.NewElement(dict.Intern("note"))
+	pad.AppendChild(note.AppendChild(xmltree.NewText("cost sensitive")))
+	if err := mgr.Update(func(tx *txn.Tx) error {
+		_, err := tx.InsertSubtree(person, storage.InvalidNodeID, pad)
+		return err
+	}); err != nil {
+		b.Fatal(err)
+	}
+	snap := mgr.Snapshot()
+	defer snap.Release()
+	view := snap.View(stats.NewLedger())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		levels := map[string]any{"keyword": kw}
+		if _, pages, _ := storage.AdvanceLevels(view, since, levels); pages == 0 {
+			b.Fatal("the commit wrote no page")
+		}
+		levelSink = levels["keyword"].(*storage.Level)
 	}
 }
 

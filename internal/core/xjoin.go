@@ -27,8 +27,9 @@ import (
 //
 // Filter sets are built bottom-up over the branch's m location steps:
 // D_j is every document node matching test_j (a level: one whole-document
-// Simple sub-plan per version, a near-linear scan over the storage layer's
-// name-test bitmaps, shared by every branch and literal naming the test);
+// Simple sub-plan, a near-linear scan over the storage layer's name-test
+// bitmaps, then advanced by the pages each commit writes, shared by every
+// branch and literal naming the test);
 // S_m is D_m filtered by the literal comparison and any nested predicates;
 // and S_j = semijoin(D_j, S_{j+1}) marks the D_j nodes with at least one
 // S_{j+1} partner under step j+1's axis — a doc-order merge with an
@@ -261,15 +262,16 @@ type joinBranch struct {
 }
 
 // compileJoinPreds builds the filter sets for every predicate of the step.
-// What is document-only comes from the volume's epoch-keyed derived cache:
-// the levels always, and the S_1 of a branch without a literal under its
-// branch key. A set that depends on a literal is selected and merged from
-// the levels on every query, so no key contains a literal and a generation
-// is bounded by the distinct tests and branches of the traffic, not by its
-// vocabulary. Hits are free (the work was done once, not skipped); a commit
-// advances the epoch and the first join after it recomputes.
+// What is document-only comes from the volume's derived cache: the levels
+// always, and the S_1 of a branch that is a function of its levels alone
+// under its branch key. A set that depends on a literal or a nested
+// predicate is selected and merged from the levels on every query, so no key
+// contains a literal and a generation is bounded by the distinct tests and
+// branches of the traffic, not by its vocabulary. Hits are free (the work
+// was done once, not skipped); the first join after a commit advances the
+// generation by the pages the commit wrote (storage.AdvanceDerived).
 func compileJoinPreds(es *EvalState, preds []xpath.Predicate) []joinPred {
-	dcache, epoch, cacheable := es.Store.Derived()
+	dcache, epoch, cacheable := es.Store.AdvanceDerived(es.Cancelled)
 	out := make([]joinPred, 0, len(preds))
 	for _, p := range preds {
 		var jp joinPred
@@ -292,7 +294,7 @@ func compileJoinPreds(es *EvalState, preds []xpath.Predicate) []joinPred {
 			}
 			var set []ordpath.Key
 			key, cached := "", false
-			if cacheable && !hasLiteral(steps, p) {
+			if cacheable && fromLevels(steps, p) {
 				key = joinBranchKey(es.Store.Dict(), steps)
 				if v, ok := dcache.Get(epoch, key); ok {
 					set, cached = v.([]ordpath.Key), true
@@ -327,37 +329,16 @@ func joinBranchKey(dict *xmltree.Dictionary, steps []xpath.Step) string {
 	return b.String()
 }
 
-// hasLiteral reports whether the branch's filter set depends on a literal:
-// the predicate compares, or a nested predicate of some step does.
-func hasLiteral(steps []xpath.Step, p xpath.Predicate) bool {
-	for _, s := range steps {
-		for _, np := range s.Predicates {
-			for _, branch := range np.Paths {
-				if hasLiteral(branch.Steps, np) {
-					return true
-				}
-			}
-		}
-	}
-	return p.HasLit
+// fromLevels reports whether the branch's filter set is a function of its
+// levels alone — no literal to compare, no nested predicate to probe — so
+// that it may be cached, and carried across a commit that moves no level.
+func fromLevels(steps []xpath.Step, p xpath.Predicate) bool {
+	return !p.HasLit && !slices.ContainsFunc(steps, func(s xpath.Step) bool { return len(s.Predicates) > 0 })
 }
 
-// level is one node test's share of the document in the derived cache:
-// every node matching the test, in document order — the tag-partitioned
-// identifier list of a path-partitioned store, built lazily. A published
-// level is immutable; filter sets are selected from it into fresh slices.
-type level struct {
-	ords []ordpath.Key    // detached from the page images they were read from
-	ids  []storage.NodeID // ids[k] is the node of ords[k]
-	// The nodes' string values back to back, entry k ending at ends[k]; nil
-	// until a literal was first compared against the level.
-	vals []byte
-	ends []uint32
-}
-
-// levelKey names a step's level in the derived cache: the rendition of
+// LevelKey names a step's level in the derived cache: the rendition of
 // descendant-or-self::test, or of the attribute test.
-func levelKey(dict *xmltree.Dictionary, s xpath.Step) string {
+func LevelKey(dict *xmltree.Dictionary, s xpath.Step) string {
 	ax := xpath.DescendantOrSelf
 	if s.Axis == xpath.AttributeAxis {
 		ax = xpath.AttributeAxis
@@ -369,29 +350,29 @@ func levelKey(dict *xmltree.Dictionary, s xpath.Step) string {
 // when vals is set: from the derived cache, or — what is missing — built
 // now and admitted. A build that the query's context cut short is partial
 // and admits nothing; one that unwinds on a page fault never gets here.
-func levelOf(es *EvalState, step xpath.Step, vals bool) *level {
-	dcache, epoch, cacheable := es.Store.Derived()
-	var lv *level
+func levelOf(es *EvalState, step xpath.Step, vals bool) *storage.Level {
+	dcache, epoch, cacheable := es.Store.AdvanceDerived(es.Cancelled)
+	var lv *storage.Level
 	key := ""
 	if cacheable {
-		key = levelKey(es.Store.Dict(), step)
+		key = LevelKey(es.Store.Dict(), step)
 		if v, ok := dcache.Get(epoch, key); ok {
-			lv = v.(*level)
+			lv = v.(*storage.Level)
 		}
 	}
-	if lv != nil && (!vals || lv.ends != nil) {
+	if lv != nil && (!vals || lv.Ends != nil) {
 		return lv
 	}
 	if lv == nil {
 		lv = buildLevel(es, step)
 	} else {
-		lv = &level{ords: lv.ords, ids: lv.ids}
+		lv = &storage.Level{Test: lv.Test, Attr: lv.Attr, Ords: lv.Ords, IDs: lv.IDs}
 	}
 	if vals {
-		lv.ends = make([]uint32, len(lv.ids))
-		for k, id := range lv.ids {
-			lv.vals = es.Store.AppendStringValue(lv.vals, id)
-			lv.ends[k] = uint32(len(lv.vals))
+		lv.Ends = make([]uint32, len(lv.IDs))
+		for k, id := range lv.IDs {
+			lv.Vals = es.Store.AppendStringValue(lv.Vals, id)
+			lv.Ends[k] = uint32(len(lv.Vals))
 		}
 	}
 	if cacheable && !es.Cancelled() {
@@ -401,11 +382,11 @@ func levelOf(es *EvalState, step xpath.Step, vals bool) *level {
 }
 
 // buildLevel enumerates every document node matching the step's node test
-// with a whole-document Simple sub-plan, and copies the keys into one private
-// backing array so a cached generation never pins whole clusters in memory.
-func buildLevel(es *EvalState, step xpath.Step) *level {
+// with a whole-document Simple sub-plan.
+func buildLevel(es *EvalState, step xpath.Step) *storage.Level {
+	attr := step.Axis == xpath.AttributeAxis
 	sub := []xpath.Step{{Axis: xpath.DescendantOrSelf, Test: step.Test}}
-	if step.Axis == xpath.AttributeAxis {
+	if attr {
 		sub = []xpath.Step{
 			{Axis: xpath.DescendantOrSelf, Test: xpath.AnyNode()},
 			{Axis: xpath.AttributeAxis, Test: step.Test},
@@ -416,17 +397,11 @@ func buildLevel(es *EvalState, step xpath.Step) *level {
 	if !p.Ordered {
 		SortResults(results)
 	}
-	n := 0
-	for _, r := range results {
-		n += len(r.Ord)
-	}
-	buf := make([]byte, 0, n)
-	lv := &level{ords: make([]ordpath.Key, len(results)), ids: make([]storage.NodeID, len(results))}
+	ords, ids := make([]ordpath.Key, len(results)), make([]storage.NodeID, len(results))
 	for k, r := range results {
-		buf = append(buf, r.Ord...)
-		lv.ords[k], lv.ids[k] = ordpath.Key(buf[len(buf)-len(r.Ord):]), r.Node
+		ords[k], ids[k] = r.Ord, r.Node
 	}
-	return lv
+	return storage.NewLevel(step.Test, attr, ords, ids)
 }
 
 // selectLevel returns the keys of the step's level that pass the step's
@@ -436,23 +411,23 @@ func buildLevel(es *EvalState, step xpath.Step) *level {
 func selectLevel(es *EvalState, step xpath.Step, lit *xpath.Predicate) []ordpath.Key {
 	lv := levelOf(es, step, lit != nil)
 	if lit == nil && len(step.Predicates) == 0 {
-		return lv.ords
+		return lv.Ords
 	}
 	if lit != nil {
-		es.chargeSetOp(len(lv.ords))
+		es.chargeSetOp(len(lv.Ords))
 	}
 	nested := predProbes{es: es, preds: step.Predicates}
 	var out []ordpath.Key
 	start := uint32(0)
-	for k, ord := range lv.ords {
+	for k, ord := range lv.Ords {
 		if lit != nil {
-			v := lv.vals[start:lv.ends[k]]
-			start = lv.ends[k]
+			v := lv.Vals[start:lv.Ends[k]]
+			start = lv.Ends[k]
 			if string(v) != lit.Literal {
 				continue
 			}
 		}
-		if nested.matches(lv.ids[k]) {
+		if nested.matches(lv.IDs[k]) {
 			out = append(out, ord)
 		}
 	}
@@ -471,7 +446,8 @@ type JoinNeed struct {
 }
 
 // JoinNeeds probes the store's derived cache, at the store's version epoch,
-// for the cost model: what is resident is already paid, the way buffer-aware
+// for the cost model: what is resident — or in a generation the query's
+// first read advances to that epoch — is already paid, the way buffer-aware
 // optimizers discount pages known to be resident.
 func JoinNeeds(st *storage.Store, branch *xpath.Path, p xpath.Predicate) JoinNeed {
 	steps, joinable := joinableSteps(branch)
@@ -480,12 +456,12 @@ func JoinNeeds(st *storage.Store, branch *xpath.Path, p xpath.Predicate) JoinNee
 		return n
 	}
 	dcache, epoch, ok := st.Derived()
-	if ok && !hasLiteral(steps, p) && dcache.Contains(epoch, joinBranchKey(st.Dict(), steps)) {
+	if ok && fromLevels(steps, p) && dcache.Contains(epoch, joinBranchKey(st.Dict(), steps)) {
 		return n
 	}
 	n.Missing = make([]string, len(steps))
 	for k, s := range steps {
-		if key := levelKey(st.Dict(), s); !ok || !dcache.Contains(epoch, key) {
+		if key := LevelKey(st.Dict(), s); !ok || !dcache.Contains(epoch, key) {
 			n.Missing[k] = key
 		}
 	}

@@ -128,7 +128,7 @@ func TestXJoinCachesEmptyFilterSets(t *testing.T) {
 	if _, ok := dcache.Get(epoch, joinBranchKey(dict, steps)); !ok {
 		t.Fatal("S_1 key missing from the derived cache")
 	}
-	if v, ok := dcache.Get(epoch, levelKey(dict, steps[1])); !ok || len(v.(*level).ords) != 0 {
+	if v, ok := dcache.Get(epoch, LevelKey(dict, steps[1])); !ok || len(v.(*storage.Level).Ords) != 0 {
 		t.Fatalf("empty level not cached as a present level: %v %v", v, ok)
 	}
 	hits, misses := dcache.Stats()

@@ -300,14 +300,14 @@ func (c *Chooser) choose(path []xpath.Step, accrue bool) Choice {
 // degenerates to per-candidate probes for them).
 //
 // When only the builds make the join the dearer plan, the choice is rent or
-// buy with the reads until the next commit unknown, and it is answered at
+// buy with the number of reads the levels will serve unknown, answered at
 // break-even: with accrue set, the saving the join would have brought this
 // query is credited in equal shares to the missing levels, and once their
 // credit covers the estimate of building them the join is picked — it
-// builds and admits them. Credits live in the derived cache's generation: a
-// volume written between every two reads keeps probing at the nested price,
-// a read-mostly one pays at most one build's worth of rent before it buys
-// (2-competitive with either fixed policy). Caller holds c.mu.
+// builds and admits them. Credits live in the derived cache's generation,
+// which commits advance rather than drop, so a volume pays at most one
+// build's worth of rent per level before it buys, however often it is
+// written (2-competitive with either fixed policy). Caller holds c.mu.
 func (c *Chooser) predChoices(path []xpath.Step, m vdisk.CostModel, miss float64, accrue bool) (core.PredEval, []PredEstimate) {
 	var elems int64
 	for _, ts := range c.ds.Tags {

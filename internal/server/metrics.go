@@ -3,6 +3,8 @@ package server
 import (
 	"fmt"
 	"strings"
+
+	"pathdb/internal/storage"
 )
 
 func boolGauge(v bool) float64 {
@@ -52,4 +54,19 @@ var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 func labelValue(key, value string) string {
 	return key + `="` + labelEscaper.Replace(value) + `"`
+}
+
+// derivedSeries are the counters of a volume's derived cache — the
+// structural join's levels — on /v1/metrics: one sample from Server, one per
+// shard from Router.
+var derivedSeries = []struct {
+	name, help string
+	v          func(storage.DerivedMetrics) uint64
+}{
+	{"pathdb_derived_hits_total", "Derived-cache lookups that found their entry.", func(m storage.DerivedMetrics) uint64 { return m.Hits }},
+	{"pathdb_derived_misses_total", "Derived-cache lookups that did not.", func(m storage.DerivedMetrics) uint64 { return m.Misses }},
+	{"pathdb_derived_level_builds_total", "Levels enumerated from the whole document and admitted.", func(m storage.DerivedMetrics) uint64 { return m.LevelBuilds }},
+	{"pathdb_derived_level_advances_total", "Levels carried across commits by the pages written.", func(m storage.DerivedMetrics) uint64 { return m.LevelAdvances }},
+	{"pathdb_derived_pages_advanced_total", "Written pages the advances read.", func(m storage.DerivedMetrics) uint64 { return m.PagesAdvanced }},
+	{"pathdb_derived_generations_dropped_total", "Derived generations dropped: full at a commit, a failed advance, or a reset.", func(m storage.DerivedMetrics) uint64 { return m.GenerationsDropped }},
 }

@@ -340,6 +340,9 @@ func (rt *Router) metrics(b *strings.Builder) {
 	labeledCounter(b, "pathdb_shard_count_cache_hits_total",
 		"Per-shard counts served from the epoch-keyed cache without executing a plan.",
 		samples(func(sm shard.ShardMetrics) float64 { return float64(sm.CacheHits) }))
+	for _, d := range derivedSeries {
+		labeledCounter(b, d.name, d.help+" (per shard)", samples(func(sm shard.ShardMetrics) float64 { return float64(d.v(sm.Derived)) }))
+	}
 	ring := rt.cluster.Ring()
 	labeledGauge(b, "pathdb_shard_degraded", "1 while the shard is marked degraded on the ring.",
 		samples(func(sm shard.ShardMetrics) float64 { return boolGauge(ring.IsDegraded(sm.Shard)) }))

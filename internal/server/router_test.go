@@ -235,7 +235,7 @@ func TestShardedMetricsRollup(t *testing.T) {
 	for _, name := range []string{
 		"pathdb_engine_submitted_total", "pathdb_engine_completed_total",
 		"pathdb_txn_epoch", "pathdb_volume_pages", "pathdb_shard_degraded_hits_total",
-		"pathdb_shard_count_cache_hits_total",
+		"pathdb_shard_count_cache_hits_total", "pathdb_derived_hits_total", "pathdb_derived_level_builds_total",
 	} {
 		sum := 0.0
 		for s := 0; s < 4; s++ {

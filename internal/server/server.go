@@ -64,8 +64,10 @@ type ChoiceJSON struct {
 	ScanCostNs     int64   `json:"scan_cost_ns"`
 	SimpleCostNs   int64   `json:"simple_cost_ns"`
 	// PredEval is the chosen predicate evaluator ("nested" or "join");
-	// omitted when the path carries no predicates.
-	PredEval string `json:"pred_eval,omitempty"`
+	// omitted when the path carries no predicates. Preds is the per-step
+	// detail it was chosen on.
+	PredEval string              `json:"pred_eval,omitempty"`
+	Preds    []pathdb.PredChoice `json:"preds,omitempty"`
 }
 
 // UpdateResponse is the POST /v1/update result body.
@@ -123,7 +125,7 @@ func (s *Server) query(ctx context.Context, req QueryRequest, opts pathdb.QueryO
 			SimpleCostNs:   int64(c.SimpleCost),
 		}
 		if len(c.Preds) > 0 {
-			out.Choice.PredEval = c.PredEval.String()
+			out.Choice.PredEval, out.Choice.Preds = c.PredEval.String(), c.Preds
 		}
 	}
 	if limit := min(req.Limit, s.opts.MaxNodes, len(res.Nodes)); limit > 0 {
@@ -245,6 +247,10 @@ func (s *Server) metrics(b *strings.Builder) {
 			"Counter \""+nv.Name+"\" of the volume cost ledger.", float64(nv.Value))
 	}
 	gauge(b, "pathdb_volume_pages", "Data pages of the loaded volume.", float64(s.db.Pages()))
+	dm := s.db.DerivedMetrics()
+	for _, d := range derivedSeries {
+		counter(b, d.name, d.help, float64(d.v(dm)))
+	}
 }
 
 func (s *Server) health() string                     { return "ok" }

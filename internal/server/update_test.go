@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -267,17 +268,79 @@ func TestQueryChoiceExposed(t *testing.T) {
 	}
 
 	// pred_eval is the evaluator that ran: a branching path rents (nested)
-	// until the join's levels are paid for, then joins for good.
+	// until the join's levels are paid for, then joins for good. preds says
+	// why: the credit grows with every rent, and after the build the levels
+	// are cached.
 	var ran []string
+	var preds []pathdb.PredChoice
 	for i := 0; i < 12; i++ {
 		_, data = postQuery(t, wts.URL, QueryRequest{Path: "/site//item[mailbox/mail//keyword]"})
-		if qr = decodeResponse(t, data); qr.Choice == nil {
+		if qr = decodeResponse(t, data); qr.Choice == nil || len(qr.Choice.Preds) != 1 {
 			t.Fatalf("branching query: %s", data)
 		}
-		ran = append(ran, qr.Choice.PredEval)
+		ran, preds = append(ran, qr.Choice.PredEval), append(preds, qr.Choice.Preds[0])
 	}
 	first := slices.Index(ran, "join")
 	if ran[0] != "nested" || first < 0 || slices.Contains(ran[first:], "nested") {
 		t.Fatalf("resident volume, the same branching query twelve times: pred_eval %v", ran)
+	}
+	for i, p := range preds {
+		switch {
+		case p.Step != 2 || !p.Joinable || p.NestedCost <= 0 || p.JoinCost <= 0:
+			t.Fatalf("read %d: preds %+v", i, p)
+		case i > 0 && i <= first && (p.Credit <= preds[i-1].Credit || p.Cached):
+			t.Fatalf("read %d rented or bought: credit %v after %v, cached %v", i, p.Credit, preds[i-1].Credit, p.Cached)
+		case i > first && (!p.Cached || p.BuildCost != 0):
+			t.Fatalf("read %d after the build: %+v", i, p)
+		}
+	}
+}
+
+// TestDerivedMetrics moves every pathdb_derived_* counter of /v1/metrics:
+// a join builds a level and a filter set (two misses) and reuses the set (a
+// hit); a commit adding a match is followed by an advance over the page it
+// wrote, which moves the level, so the set is merged again (a miss, and a
+// hit on the level); and a generation filled by 130 levels and filter sets
+// is dropped at the next commit.
+func TestDerivedMetrics(t *testing.T) {
+	var doc strings.Builder
+	doc.WriteString("<r>")
+	for k := 0; k < 130; k++ {
+		fmt.Fprintf(&doc, "<g><t%d>x</t%d></g>", k, k)
+	}
+	doc.WriteString("</r>")
+	db, err := pathdb.LoadXMLString(doc.String(), pathdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, db, pathdb.EngineConfig{}, Options{})
+	join := func(k int) {
+		if resp, data := postQuery(t, ts.URL, QueryRequest{Path: fmt.Sprintf("/r/g[t%d]", k), Preds: "join"}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query: status %d: %s", resp.StatusCode, data)
+		}
+	}
+	commit := func() {
+		if resp, data := postUpdate(t, ts.URL, UpdateRequest{Op: "insert", Parent: "/r", XML: "<g><t0>y</t0></g>"}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("insert: status %d: %s", resp.StatusCode, data)
+		}
+	}
+	join(0)
+	join(0)
+	commit()
+	join(0)
+	m := fetchMetrics(t, ts.URL)
+	for name, want := range map[string]float64{"hits": 2, "misses": 3, "level_builds": 1, "level_advances": 1, "pages_advanced": 1, "generations_dropped": 0} {
+		if got := m["pathdb_derived_"+name+"_total"]; got != want {
+			t.Errorf("pathdb_derived_%s_total = %v, want %v", name, got, want)
+		}
+	}
+	for k := 1; k < 130; k++ {
+		join(k)
+	}
+	commit()
+	join(0)
+	if m = fetchMetrics(t, ts.URL); m["pathdb_derived_generations_dropped_total"] != 1 || m["pathdb_derived_level_builds_total"] < 100 {
+		t.Fatalf("after filling the generation and a commit: %v dropped, %v builds",
+			m["pathdb_derived_generations_dropped_total"], m["pathdb_derived_level_builds_total"])
 	}
 }

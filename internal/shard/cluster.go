@@ -8,6 +8,7 @@ import (
 
 	"pathdb"
 	"pathdb/internal/stats"
+	"pathdb/internal/storage"
 )
 
 // Policy selects how the scatter-gather coordinator treats shard failures.
@@ -886,6 +887,7 @@ type ShardMetrics struct {
 	Engine       pathdb.EngineMetrics
 	Txn          pathdb.TxnMetrics
 	Ledger       stats.Ledger
+	Derived      storage.DerivedMetrics
 	DegradedHits int64 // queries this shard failed with a tolerable storage fault
 	CacheHits    int64 // counts served from the epoch-keyed cache without execution
 }
@@ -900,6 +902,7 @@ func (c *Cluster) Metrics() []ShardMetrics {
 			Engine:       eng.Metrics(),
 			Txn:          eng.TxnMetrics(),
 			Ledger:       eng.CostLedger(),
+			Derived:      c.set.Shards[i].DerivedMetrics(),
 			DegradedHits: c.degradedHits[i].Load(),
 		}
 		if c.caches != nil {

@@ -1,23 +1,29 @@
 package storage
 
-import "sync"
+import (
+	"maps"
+	"math/bits"
+	"slices"
+	"sync"
+
+	"pathdb/internal/ordpath"
+	"pathdb/internal/stats"
+	"pathdb/internal/vdisk"
+	"pathdb/internal/xmltree"
+	"pathdb/internal/xpath"
+)
 
 // maxDerivedEntries bounds the derived cache; when a generation fills up,
-// further inserts are dropped (the next epoch starts a fresh generation).
+// further inserts are dropped, and the next commit drops the generation.
 const maxDerivedEntries = 256
 
 // DerivedCache memoizes document-only artifacts derived from a volume's
-// content — today the structural join's node-test levels and literal-free
-// filter sets (internal/core.XJoin), which depend on the document and the
-// branch path but never on the candidate set — and, per key still missing,
-// the credit the cost model has accrued towards building it (plan.Chooser's
-// break-even rule). It holds exactly one generation: what was computed at
-// the highest version epoch seen so far. A commit advances the epoch, so the
-// first admission at the new epoch drops the whole generation, credits
-// included — the same invalidation discipline as the epoch-keyed swizzle
-// cache, at coarser (whole-volume) grain because a level can span every
-// cluster.
-//
+// content — the structural join's node-test levels and the filter sets
+// computed from levels alone (internal/core.XJoin) — and, per key still
+// missing, the credit the cost model has accrued towards building it
+// (plan.Chooser's break-even rule). It holds one generation: what was
+// computed at the highest version epoch seen so far. The first read at a
+// newer epoch advances it (AdvanceDerived); the commit path does no work.
 // Views pinned to an older snapshot simply miss (and their results and
 // credits are not admitted), so MVCC readers can never observe entries from
 // a version other than their own.
@@ -26,24 +32,43 @@ type DerivedCache struct {
 	epoch  uint64
 	m      map[string]any
 	credit map[string]float64
+	met    DerivedMetrics
+}
 
-	hits, misses uint64
+// DerivedMetrics are the derived cache's lifetime counters.
+type DerivedMetrics struct {
+	Hits, Misses       uint64 // Get lookups that found their entry, and the rest
+	LevelBuilds        uint64 // levels admitted under a key the generation lacked
+	LevelAdvances      uint64 // levels carried to a newer epoch
+	PagesAdvanced      uint64 // written pages the advances read
+	GenerationsDropped uint64 // full, failed to advance, reset, or replaced by a later Put
 }
 
 func newDerivedCache() *DerivedCache {
 	return &DerivedCache{m: make(map[string]any), credit: make(map[string]float64)}
 }
 
-// admits reports whether the generation takes artifacts of the given epoch:
-// one ahead of it replaces it wholesale, an older one (a query pinned to a
-// superseded snapshot) is refused. Caller holds c.mu.
-func (c *DerivedCache) admits(epoch uint64) bool {
-	if epoch > c.epoch {
-		c.epoch = epoch
-		c.m = make(map[string]any)
-		c.credit = make(map[string]float64)
+// drop replaces the generation by an empty one at epoch. Caller holds c.mu.
+func (c *DerivedCache) drop(epoch uint64) {
+	if len(c.m)+len(c.credit) > 0 {
+		c.met.GenerationsDropped++
 	}
-	return epoch == c.epoch
+	c.epoch, c.m, c.credit = epoch, make(map[string]any), make(map[string]float64)
+}
+
+// reaches reports whether a view at epoch may use the generation: at its
+// epoch, or at a later one the view's next read advances it to. An empty
+// generation moves there at once; a full one is dropped, so a wide workload
+// cannot pin a full cache for good. Caller holds c.mu.
+func (c *DerivedCache) reaches(epoch uint64) bool {
+	switch {
+	case epoch <= c.epoch:
+	case len(c.m) == 0:
+		c.epoch = epoch
+	case len(c.m) >= maxDerivedEntries:
+		c.drop(epoch)
+	}
+	return epoch >= c.epoch
 }
 
 // Get returns the entry for key computed at exactly the given epoch.
@@ -51,30 +76,38 @@ func (c *DerivedCache) Get(epoch uint64, key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if epoch != c.epoch {
-		c.misses++
+		c.met.Misses++
 		return nil, false
 	}
 	v, ok := c.m[key]
 	if ok {
-		c.hits++
+		c.met.Hits++
 	} else {
-		c.misses++
+		c.met.Misses++
 	}
 	return v, ok
 }
 
-// Put admits an entry computed at the given epoch (see admits), replacing
-// one already resident under the key; a full generation refuses new keys.
-// Either way the key's credit is spent.
+// Put admits an entry computed at the given epoch, replacing one already
+// resident under the key; a full generation refuses new keys. Either way
+// the key's credit is spent. An entry of a later epoch than the generation
+// (which nobody advanced) replaces it wholesale; an older one is refused.
 func (c *DerivedCache) Put(epoch uint64, key string, v any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.admits(epoch) {
+	if epoch > c.epoch {
+		c.drop(epoch)
+	}
+	if epoch != c.epoch {
 		return
 	}
 	delete(c.credit, key)
-	if _, ok := c.m[key]; !ok && len(c.m) >= maxDerivedEntries {
+	_, had := c.m[key]
+	if !had && len(c.m) >= maxDerivedEntries {
 		return
+	}
+	if _, ok := v.(*Level); ok && !had {
+		c.met.LevelBuilds++
 	}
 	c.m[key] = v
 }
@@ -85,7 +118,7 @@ func (c *DerivedCache) Put(epoch uint64, key string, v any) {
 func (c *DerivedCache) Credit(epoch uint64, keys []string, share float64) (sum float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.admits(epoch) || len(c.m)+len(keys) > maxDerivedEntries {
+	if !c.reaches(epoch) || len(c.m)+len(keys) > maxDerivedEntries {
 		return 0
 	}
 	for _, k := range keys {
@@ -99,23 +132,30 @@ func (c *DerivedCache) Credit(epoch uint64, keys []string, share float64) (sum f
 	return sum
 }
 
-// Contains reports whether key is resident at the given epoch, without
-// touching the hit/miss counters — cost-model probes are not lookups.
+// Contains reports whether key is resident for a view at the given epoch
+// (see reaches), without touching the lookup counters: cost-model probes
+// are not lookups.
 func (c *DerivedCache) Contains(epoch uint64, key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if epoch != c.epoch {
+	if !c.reaches(epoch) {
 		return false
 	}
 	_, ok := c.m[key]
 	return ok
 }
 
-// Stats returns the lifetime hit/miss counters (for tests and metrics).
+// Stats returns the lifetime hit/miss counters.
 func (c *DerivedCache) Stats() (hits, misses uint64) {
+	m := c.Metrics()
+	return m.Hits, m.Misses
+}
+
+// Metrics returns the lifetime counters (for tests and /v1/metrics).
+func (c *DerivedCache) Metrics() DerivedMetrics {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.met
 }
 
 // reset drops every entry but keeps the generation epoch, so the next
@@ -123,8 +163,7 @@ func (c *DerivedCache) Stats() (hits, misses uint64) {
 func (c *DerivedCache) reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m = make(map[string]any)
-	c.credit = make(map[string]float64)
+	c.drop(c.epoch)
 }
 
 // Derived returns this view's derived-artifact cache together with the
@@ -136,4 +175,201 @@ func (s *Store) Derived() (*DerivedCache, uint64, bool) {
 		return nil, 0, false
 	}
 	return s.derived, s.VersionEpoch(), true
+}
+
+// AdvanceDerived is Derived for a view about to read the cache: a generation
+// older than the view is first advanced to its epoch (AdvanceLevels) on its
+// ledger. Filter sets survive if no level moved, credits always. An advance
+// that is cancelled or faults publishes nothing and drops the generation.
+func (s *Store) AdvanceDerived(cancelled func() bool) (*DerivedCache, uint64, bool) {
+	c, epoch, ok := s.Derived()
+	if !ok {
+		return c, epoch, ok
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.reaches(epoch) || epoch == c.epoch {
+		return c, epoch, ok
+	}
+	published := false
+	defer func() {
+		if !published {
+			c.drop(epoch)
+		}
+	}()
+	next := maps.Clone(c.m)
+	levels, pages, moved := AdvanceLevels(s, c.epoch, next)
+	if cancelled() {
+		return c, epoch, ok
+	}
+	maps.DeleteFunc(next, func(_ string, v any) bool {
+		_, isLevel := v.(*Level)
+		return moved && !isLevel
+	})
+	c.met.LevelAdvances += uint64(levels)
+	c.met.PagesAdvanced += uint64(pages)
+	c.epoch, c.m, published = epoch, next, true
+	return c, epoch, ok
+}
+
+// AdvanceLevels replaces every level in m, built at epoch since, by its
+// successor at the view's version, and reports how many levels and written
+// pages that took and whether a level had or has entries on those pages.
+// Each page is read once for all levels, charged a node visit per live
+// record; a level that changes is charged a set operation per entry.
+func AdvanceLevels(view *Store, since uint64, m map[string]any) (levels, pages int, moved bool) {
+	var keys []string
+	for k, v := range m {
+		if _, isLevel := v.(*Level); isLevel {
+			keys = append(keys, k)
+		}
+	}
+	var written []vdisk.PageID
+	if len(keys) > 0 {
+		view.WrittenSince(since, func(p vdisk.PageID, _ uint64) { written = append(written, p) })
+	}
+	slices.Sort(keys) // with the pages: the reads, and their costs, repeat exactly
+	slices.Sort(written)
+	fresh := make([][]levelEntry, len(keys))
+	wrote := make(map[vdisk.PageID]bool, len(written))
+	var roots []ordpath.Key // the keys of the written pages' fragment roots
+	for _, p := range written {
+		wrote[p] = true
+		img := view.image(p)
+		for i, k := range keys {
+			fresh[i] = img.levelMatches(m[k].(*Level), fresh[i])
+		}
+		for i := range img.recs {
+			if r := &img.recs[i]; !r.dead && r.ordLen > 0 && (r.parent == noParent || img.recs[r.parent].kind == RecProxyParent) {
+				roots = append(roots, img.ord(r))
+			}
+		}
+		live := len(img.nav.byPre)
+		stats.Add(&view.led.NodesVisited, int64(live))
+		view.led.AdvanceCPU(stats.Ticks(live) * view.model.CPUNodeVisit)
+	}
+	slices.SortFunc(roots, ordpath.Compare)
+	for i, k := range keys {
+		lv, touched := m[k].(*Level).advance(view, wrote, fresh[i], roots)
+		m[k], moved = lv, moved || touched
+	}
+	return len(keys), len(written), moved
+}
+
+// Level is one node test's share of the document: every node matching the
+// test, in document order — the tag-partitioned identifier list of a
+// path-partitioned store, built by internal/core. A published level is
+// immutable.
+type Level struct {
+	Test xpath.NodeTest
+	Attr bool          // the entries are the attributes passing Test
+	Ords []ordpath.Key // in one private backing array: no page image is pinned
+	IDs  []NodeID      // IDs[k] is the node of Ords[k]
+	// The nodes' string values back to back, entry k ending at Ends[k]; nil
+	// until a literal was first compared against the level.
+	Vals []byte
+	Ends []uint32
+}
+
+// NewLevel returns the level of the given document-ordered entries,
+// copying the keys, in place, into one private backing array.
+func NewLevel(test xpath.NodeTest, attr bool, ords []ordpath.Key, ids []NodeID) *Level {
+	n := 0
+	for _, k := range ords {
+		n += len(k)
+	}
+	buf := make([]byte, 0, n)
+	for i, k := range ords {
+		buf = append(buf, k...)
+		ords[i] = ordpath.Key(buf[len(buf)-len(k):])
+	}
+	return &Level{Test: test, Attr: attr, Ords: ords, IDs: ids}
+}
+
+// levelEntry is an entry of a level being advanced, with its old string
+// value unless it is re-read.
+type levelEntry struct {
+	ord    ordpath.Key
+	id     NodeID
+	val    []byte
+	reread bool
+}
+
+// levelMatches appends to fresh the page's records (or attributes) matching
+// the level, read off the page's test bitsets.
+func (img *pageImage) levelMatches(lv *Level, fresh []levelEntry) []levelEntry {
+	nav := &img.nav
+	mask := nav.elem
+	if !lv.Attr {
+		mask = nav.testMask(lv.Test, make([]uint64, nav.words))
+	}
+	for w, word := range mask {
+		for ; word != 0; word &= word - 1 {
+			slot := nav.byPre[w<<6|bits.TrailingZeros64(word)]
+			id, ord := MakeNodeID(img.page, slot), img.ord(&img.recs[slot])
+			if !lv.Attr {
+				fresh = append(fresh, levelEntry{ord: ord, id: id, reread: true})
+				continue
+			}
+			for a, at := range img.attrsOf(&img.recs[slot]) {
+				if lv.Test.Matches(xmltree.Attribute, at.tag) {
+					fresh = append(fresh, levelEntry{ord: ord, id: id.WithAttr(a), reread: true})
+				}
+			}
+		}
+	}
+	return fresh
+}
+
+// advance returns the level at the view's version, given the written pages,
+// its matches on them (fresh) and their fragment-root keys (roots, sorted),
+// and whether it had or has entries on those pages. String values are
+// re-read for fresh entries and for kept ones that are an ancestor of a
+// root: an entry off a page contains a record of it exactly when it contains
+// one of its fragment roots, and a delete leaves such a witness too, since
+// the pages it writes run up its proxy chain to one that keeps a record
+// under the deleted node's parent. An untouched level is returned as it is.
+func (lv *Level) advance(view *Store, wrote map[vdisk.PageID]bool, fresh []levelEntry, roots []ordpath.Key) (*Level, bool) {
+	all, moved, stale := fresh, len(fresh) > 0, false
+	var start uint32
+	r := 0
+	for k, id := range lv.IDs {
+		e := levelEntry{ord: lv.Ords[k], id: id}
+		if lv.Ends != nil {
+			e.val, start = lv.Vals[start:lv.Ends[k]], lv.Ends[k]
+			// The first root after the entry is in its subtree if any is.
+			for r < len(roots) && ordpath.Compare(roots[r], e.ord) <= 0 {
+				r++
+			}
+			e.reread = r < len(roots) && e.ord.IsAncestorOf(roots[r])
+		}
+		if wrote[id.Page()] {
+			moved = true
+			continue
+		}
+		stale = stale || e.reread
+		all = append(all, e)
+	}
+	if !moved && !stale {
+		return lv, false
+	}
+	slices.SortStableFunc(all, func(a, b levelEntry) int { return ordpath.Compare(a.ord, b.ord) })
+	ords, ids := make([]ordpath.Key, len(all)), make([]NodeID, len(all))
+	for k, e := range all {
+		ords[k], ids[k] = e.ord, e.id
+	}
+	next := NewLevel(lv.Test, lv.Attr, ords, ids)
+	if lv.Ends != nil {
+		next.Ends = make([]uint32, len(all))
+		for k, e := range all {
+			if e.reread {
+				next.Vals = view.AppendStringValue(next.Vals, e.id)
+			} else {
+				next.Vals = append(next.Vals, e.val...)
+			}
+			next.Ends[k] = uint32(len(next.Vals))
+		}
+	}
+	view.led.AdvanceCPU(stats.Ticks(len(all)) * view.model.CPUSetOp)
+	return next, moved
 }

@@ -70,9 +70,10 @@ func TestDerivedCacheBounded(t *testing.T) {
 }
 
 // TestDerivedCacheCredit pins the break-even accounts: they accrue per key,
-// a zero share only reads, admission spends them, they die with the
-// generation by the epoch test Get and Put use, and neither a superseded
-// epoch nor a generation without room for the keys is granted anything.
+// a zero share only reads, admission spends them, they survive a later
+// epoch the generation can advance to and die with a generation that is
+// dropped, and neither a superseded epoch nor a generation without room for
+// the keys is granted anything.
 func TestDerivedCacheCredit(t *testing.T) {
 	c := newDerivedCache()
 	ab := []string{"a", "b"}
@@ -92,9 +93,14 @@ func TestDerivedCacheCredit(t *testing.T) {
 	if got := c.Credit(3, ab, 0); got != 5 {
 		t.Fatalf("after admitting a: sum %v, want b's 5", got)
 	}
-	c.Put(4, "x", 1) // a commit: the generation goes, and the credits with it
-	if got := c.Credit(4, ab, 0); got != 0 {
-		t.Fatalf("credit survived an epoch advance: %v", got)
+	// A commit: views at epoch 4 see the generation they will advance, with
+	// its entries and its credits.
+	if got := c.Credit(4, ab, 1); got != 7 || !c.Contains(4, "a") || c.Contains(2, "a") {
+		t.Fatalf("at a later epoch: sum %v (want 7), a resident %v", got, c.Contains(4, "a"))
+	}
+	c.Put(4, "x", 1) // admitted at an epoch nobody advanced to: the generation goes
+	if got := c.Credit(4, ab, 0); got != 0 || c.Contains(4, "a") {
+		t.Fatalf("credit survived a dropped generation: %v", got)
 	}
 	c.Credit(4, ab, 5)
 	c.reset()

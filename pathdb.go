@@ -346,6 +346,14 @@ func (db *DB) Pages() int { return db.store.NumDataPages() }
 // next query is measured from a cold start.
 func (db *DB) ResetStats() { db.store.ResetForRun() }
 
+// DerivedMetrics returns the lifetime counters of the volume's derived
+// cache: the structural join's levels, their builds and their advances
+// across commits.
+func (db *DB) DerivedMetrics() storage.DerivedMetrics {
+	dc, _, _ := db.store.Derived()
+	return dc.Metrics()
+}
+
 // CostReport is a snapshot of the virtual cost ledger.
 type CostReport struct {
 	Total       stats.Ticks
@@ -570,16 +578,17 @@ type PlanChoice struct {
 }
 
 // PredChoice is the cost model's join-vs-nested detail for one
-// predicate-bearing location step.
+// predicate-bearing location step; the JSON names are those of /v1/query's
+// choice.preds.
 type PredChoice struct {
-	Step       int         // 1-based location step index
-	Candidates int64       // estimated candidate nodes reaching the step
-	NestedCost stats.Ticks // estimated cost of per-candidate probing
-	JoinCost   stats.Ticks // estimated cost of the structural semi-join, BuildCost included
-	Joinable   bool        // every branch expressible as a semi-join
-	Cached     bool        // the levels (or filter set) the join reads are in the derived cache
-	BuildCost  stats.Ticks // estimated cost of enumerating the levels that are not
-	Credit     stats.Ticks // saving credited to them so far; the join is bought at Credit ≥ BuildCost
+	Step       int         `json:"step"`           // 1-based location step index
+	Candidates int64       `json:"candidates"`     // estimated candidate nodes reaching the step
+	NestedCost stats.Ticks `json:"nested_cost_ns"` // estimated cost of per-candidate probing
+	JoinCost   stats.Ticks `json:"join_cost_ns"`   // estimated cost of the structural semi-join, BuildCost included
+	Joinable   bool        `json:"joinable"`       // every branch expressible as a semi-join
+	Cached     bool        `json:"cached"`         // the levels (or filter set) the join reads are in the derived cache
+	BuildCost  stats.Ticks `json:"build_cost_ns"`  // estimated cost of enumerating the levels that are not
+	Credit     stats.Ticks `json:"credit_ns"`      // saving credited to them so far; the join is bought at Credit ≥ BuildCost
 }
 
 func fromPlanChoice(c plan.Choice) PlanChoice {
