@@ -1,7 +1,7 @@
 # CI entry points. `make` runs the full set.
 GO ?= go
 
-.PHONY: all build test race vet fmt api-check bench bench-e2e bench-json profile test-faults test-txn test-shard fuzz-short loc clean
+.PHONY: all build test race vet fmt api-check bench bench-e2e bench-json profile profile-cold test-faults test-txn test-shard fuzz-short loc clean
 
 all: build fmt vet api-check test race
 
@@ -28,9 +28,14 @@ race:
 # structural join (ns, B, allocs): internal/core's BenchmarkJoinResident
 # (levels cached), BenchmarkLevelBuild, BenchmarkLevelAdvance (a level
 # carried across one commit) and BenchmarkLiteralSelect, and
-# internal/storage's BenchmarkStringValue — and the root package's
-# BenchmarkStreamDrain (ns/result and allocs per query of draining an
-# engine cursor on a resident volume, sorted and unsorted).
+# internal/storage's BenchmarkStringValue — the cold path: internal/storage's
+# BenchmarkDecodePage (validating one 8 KB cluster and counting its
+# synopsis) and BenchmarkColdSweep (ns, B and allocs per page of touching
+# every page of the flat_cold volume through its 90-page pool), and the
+# root package's BenchmarkColdQuery (flat_cold's reads, see profile-cold) —
+# and the root package's BenchmarkStreamDrain (ns/result and allocs per
+# query of draining an engine cursor on a resident volume, sorted and
+# unsorted).
 bench:
 	$(GO) test -bench . -benchmem -count=3 ./...
 
@@ -46,6 +51,15 @@ profile:
 	@mkdir -p $(PROFILES)
 	$(GO) test -run '^$$' -bench BenchmarkQueryWallClock \
 		-cpuprofile $(PROFILES)/cpu.pprof -memprofile $(PROFILES)/heap.pprof .
+
+# CPU + heap profiles of the cold path: BenchmarkColdQuery reads the
+# flat_cold volume through a 90-page pool, so nearly every cluster it
+# touches is a miss. `go tool pprof -top profiles/cold-cpu.pprof`.
+profile-cold: PROFILES ?= profiles
+profile-cold:
+	@mkdir -p $(PROFILES)
+	$(GO) test -run '^$$' -bench BenchmarkColdQuery -benchtime 100x -o $(PROFILES)/pathdb.test \
+		-cpuprofile $(PROFILES)/cold-cpu.pprof -memprofile $(PROFILES)/cold-heap.pprof .
 
 vet:
 	$(GO) vet ./...

@@ -46,9 +46,7 @@ type advanceVolume struct {
 }
 
 // update commits fn over nodes resolved afresh: relocations invalidate
-// handles, so every operation finds its targets by path. They are resolved
-// under Simple: after a faulted single-attempt read, an XSchedule query on a
-// volume larger than its pool can spin in WaitCluster (ROADMAP).
+// handles, so every operation finds its targets by path.
 func update(t *testing.T, db *DB, fn func(tx *Tx, nodes func(path string) []Node) error) {
 	t.Helper()
 	nodes := func(path string) []Node {
@@ -56,7 +54,7 @@ func update(t *testing.T, db *DB, fn func(tx *Tx, nodes func(path string) []Node
 		if err != nil {
 			t.Fatal(err)
 		}
-		return q.WithStrategy(Simple).Nodes()
+		return q.Nodes()
 	}
 	if err := db.Update(func(tx *Tx) error { return fn(tx, nodes) }); err != nil {
 		t.Fatal(err)

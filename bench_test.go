@@ -170,6 +170,40 @@ func BenchmarkStreamDrain(b *testing.B) {
 	}
 }
 
+// BenchmarkColdQuery reads flat_cold's volume the way that workload does —
+// XMark factor 1 at entity scale 0.2, shuffled over 8 KB pages, behind a
+// 90-page pool, through the engine: Q15, a child path, a three-way union
+// and a descendant scan per op. Nearly every cluster a read touches misses
+// the pool, so a profile of it is a profile of the cold path (make
+// profile-cold).
+func BenchmarkColdQuery(b *testing.B) {
+	db, err := GenerateXMark(XMarkConfig{ScaleFactor: 1, Seed: 20050614, EntityScale: 0.2},
+		Options{BufferPages: 90, Layout: Shuffled, LayoutSeed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := db.NewEngine(EngineConfig{})
+	defer eng.Close()
+	ses := eng.NewSession()
+	ctx := context.Background()
+	paths := []string{
+		"/site/closed_auctions/closed_auction/annotation/description/parlist/listitem/parlist/listitem/text/emph/keyword",
+		"/site/people/person/name",
+		"/site/people/person/name | /site/people/person/emailaddress | /site/people/person/phone",
+		"/site//description",
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, path := range paths {
+			if _, err := ses.Do(ctx, path, QueryOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(paths)), "ns/read")
+}
+
 // BenchmarkQueryWallClock measures the raw Go-implementation throughput of
 // the three strategies on Q6' (wall time only; no virtual-clock metric).
 func BenchmarkQueryWallClock(b *testing.B) {

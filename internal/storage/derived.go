@@ -2,7 +2,6 @@ package storage
 
 import (
 	"maps"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -239,14 +238,15 @@ func AdvanceLevels(view *Store, since uint64, m map[string]any) (levels, pages i
 		for i, k := range keys {
 			fresh[i] = img.levelMatches(m[k].(*Level), fresh[i])
 		}
-		for i := range img.recs {
-			if r := &img.recs[i]; !r.dead && r.ordLen > 0 && (r.parent == noParent || img.recs[r.parent].kind == RecProxyParent) {
-				roots = append(roots, img.ord(r))
+		for q := 0; q < img.n; q++ {
+			if par := img.parent(q); par == noParent || img.kind(par) == RecProxyParent {
+				if k := img.key(q); k != nil {
+					roots = append(roots, k)
+				}
 			}
 		}
-		live := len(img.nav.byPre)
-		stats.Add(&view.led.NodesVisited, int64(live))
-		view.led.AdvanceCPU(stats.Ticks(live) * view.model.CPUNodeVisit)
+		stats.Add(&view.led.NodesVisited, int64(img.n))
+		view.led.AdvanceCPU(stats.Ticks(img.n) * view.model.CPUNodeVisit)
 	}
 	slices.SortFunc(roots, ordpath.Compare)
 	for i, k := range keys {
@@ -296,25 +296,26 @@ type levelEntry struct {
 }
 
 // levelMatches appends to fresh the page's records (or attributes) matching
-// the level, read off the page's test bitsets.
+// the level, in position order.
 func (img *pageImage) levelMatches(lv *Level, fresh []levelEntry) []levelEntry {
-	nav := &img.nav
-	mask := nav.elem
-	if !lv.Attr {
-		mask = nav.testMask(lv.Test, make([]uint64, nav.words))
-	}
-	for w, word := range mask {
-		for ; word != 0; word &= word - 1 {
-			slot := nav.byPre[w<<6|bits.TrailingZeros64(word)]
-			id, ord := MakeNodeID(img.page, slot), img.ord(&img.recs[slot])
-			if !lv.Attr {
+	for p := 0; p < img.n; p++ {
+		k := img.kind(p)
+		if k.IsProxy() || lv.Attr && k != RecElem {
+			continue
+		}
+		id, ord := MakeNodeID(img.page, img.slotOf(p)), img.key(p)
+		if !lv.Attr {
+			if lv.Test.Matches(k.LogicalKind(), img.tag(p)) {
 				fresh = append(fresh, levelEntry{ord: ord, id: id, reread: true})
-				continue
 			}
-			for a, at := range img.attrsOf(&img.recs[slot]) {
-				if lv.Test.Matches(xmltree.Attribute, at.tag) {
-					fresh = append(fresh, levelEntry{ord: ord, id: id.WithAttr(a), reread: true})
-				}
+			continue
+		}
+		b := img.body(p)
+		for a := 0; len(b) > 0; a++ {
+			var tag xmltree.TagID
+			tag, _, b = nextAttr(b)
+			if lv.Test.Matches(xmltree.Attribute, tag) {
+				fresh = append(fresh, levelEntry{ord: ord, id: id.WithAttr(a), reread: true})
 			}
 		}
 	}

@@ -29,37 +29,39 @@ func (s *Store) ExportSubtree(id NodeID) *xmltree.Node {
 }
 
 func (s *Store) exportNode(c Cursor) *xmltree.Node {
-	r := c.rec()
-	switch r.kind {
+	img, p := c.img, int(c.pos)
+	switch k := img.kind(p); k {
 	case RecElem:
-		n := xmltree.NewElement(r.tag)
-		for _, a := range c.img.attrsOf(r) {
-			n.SetAttr(a.tag, c.img.val(a))
+		n := xmltree.NewElement(img.tag(p))
+		for b := img.body(p); len(b) > 0; {
+			var tag xmltree.TagID
+			var val string
+			tag, val, b = nextAttr(b)
+			n.SetAttr(tag, val)
 		}
 		s.exportChildren(c, n)
 		return n
 	case RecText:
-		return xmltree.NewText(c.img.text(r))
+		return xmltree.NewText(img.text(p))
 	case RecComment:
-		return &xmltree.Node{Kind: xmltree.Comment, Tag: xmltree.NoTag, Text: c.img.text(r)}
+		return &xmltree.Node{Kind: xmltree.Comment, Tag: xmltree.NoTag, Text: img.text(p)}
 	case RecPI:
-		return &xmltree.Node{Kind: xmltree.ProcInst, Tag: xmltree.NoTag, Text: c.img.text(r)}
+		return &xmltree.Node{Kind: xmltree.ProcInst, Tag: xmltree.NoTag, Text: img.text(p)}
 	default:
-		panic("storage: exportNode on " + r.kind.String())
+		panic("storage: exportNode on " + k.String())
 	}
 }
 
 // exportChildren appends the logical children of c (a doc, element or
 // proxy-parent record) to out, following proxy chains transparently.
 func (s *Store) exportChildren(c Cursor, out *xmltree.Node) {
-	for _, slot := range c.kids() {
-		child := Cursor{st: s, img: c.img, page: c.page, slot: slot, attr: -1}
-		if child.rec().kind == RecProxyChild {
-			far := s.Swizzle(child.rec().target) // the ProxyParent anchor
+	for k, e := int(c.pos)+1, c.img.end(int(c.pos)); k < e; k = c.img.end(k) {
+		if c.img.kind(k) == RecProxyChild {
+			far := s.Swizzle(c.img.target(k)) // the ProxyParent anchor
 			s.exportChildren(far, out)
 			continue
 		}
-		out.AppendChild(s.exportNode(child))
+		out.AppendChild(s.exportNode(c.at(k)))
 	}
 }
 
@@ -89,7 +91,7 @@ func (s *Store) CollectDocStats() *DocStats {
 	n := s.NumDataPages()
 	ds := &DocStats{Pages: n, Tags: make(map[xmltree.TagID]TagStats)}
 	for i := 0; i < n; i++ {
-		ds.Borders += len(s.image(s.DataPage(i)).borders)
+		ds.Borders += len(s.image(s.DataPage(i)).borderIDs)
 	}
 
 	ownPages := map[xmltree.TagID]map[vdisk.PageID]bool{}
@@ -106,32 +108,33 @@ func (s *Store) CollectDocStats() *DocStats {
 	active := map[xmltree.TagID]int{}
 	var walk func(c Cursor)
 	walk = func(c Cursor) {
-		r := c.rec()
-		if r.kind == RecProxyChild {
-			walk(s.Swizzle(r.target))
+		img, p := c.img, int(c.pos)
+		kind, tag := img.kind(p), img.tag(p)
+		if kind == RecProxyChild {
+			walk(s.Swizzle(img.target(p)))
 			return
 		}
-		if r.kind == RecElem {
-			ts := ds.Tags[r.tag]
+		if kind == RecElem {
+			ts := ds.Tags[tag]
 			ts.Count++
-			ds.Tags[r.tag] = ts
-			mark(ownPages, r.tag, c.page)
+			ds.Tags[tag] = ts
+			mark(ownPages, tag, c.page)
 		}
-		if r.kind != RecProxyParent {
+		if kind != RecProxyParent {
 			for t, depth := range active {
 				if depth > 0 {
 					mark(subPages, t, c.page)
 				}
 			}
 		}
-		if r.kind == RecElem {
-			active[r.tag]++
+		if kind == RecElem {
+			active[tag]++
 		}
-		for _, slot := range c.kids() {
-			walk(Cursor{st: s, img: c.img, page: c.page, slot: slot, attr: -1})
+		for k, e := p+1, img.end(p); k < e; k = img.end(k) {
+			walk(c.at(k))
 		}
-		if r.kind == RecElem {
-			active[r.tag]--
+		if kind == RecElem {
+			active[tag]--
 		}
 	}
 	for _, root := range s.roots {
@@ -149,10 +152,10 @@ func (s *Store) CollectDocStats() *DocStats {
 // VolumeStats summarises physical storage for reporting and tests.
 type VolumeStats struct {
 	DataPages   int
-	Records     int
+	Records     int // slots, dead ones included
 	CoreNodes   int
 	BorderNodes int
-	UsedBytes   int
+	UsedBytes   int // bytes the page encodings take: header, entries, slot table, heap
 }
 
 // PageUtilization returns a histogram of per-page space utilisation with
@@ -163,7 +166,7 @@ func (s *Store) PageUtilization(buckets int) []int {
 	ps := s.disk.PageSize()
 	n := s.NumDataPages()
 	for i := 0; i < n; i++ {
-		used := pageUsage(s.image(s.DataPage(i)).expand())
+		used := s.image(s.DataPage(i)).heapEnd
 		b := used * buckets / (ps + 1)
 		if b >= buckets {
 			b = buckets - 1
@@ -182,19 +185,10 @@ func (s *Store) Stats() VolumeStats {
 	vs.DataPages = n
 	for i := 0; i < n; i++ {
 		img := s.image(s.DataPage(i))
-		vs.Records += len(img.recs)
-		vs.BorderNodes += len(img.borders)
-		recs := img.expand().recs
-		for j := range recs {
-			r := &recs[j]
-			if r.dead {
-				continue
-			}
-			if !r.kind.IsProxy() {
-				vs.CoreNodes++
-			}
-			vs.UsedBytes += encodedSize(r) + 2
-		}
+		vs.Records += img.nslots
+		vs.BorderNodes += len(img.borderIDs)
+		vs.CoreNodes += img.n - len(img.borderIDs)
+		vs.UsedBytes += img.heapEnd
 	}
 	return vs
 }

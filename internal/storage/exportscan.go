@@ -6,7 +6,7 @@ import (
 	"strings"
 
 	"pathdb/internal/stats"
-
+	"pathdb/internal/xmltree"
 	"pathdb/internal/xmlwrite"
 )
 
@@ -58,80 +58,81 @@ func (s *Store) ExportScanDocumentXML(w io.Writer, doc int) (err error) {
 		page := s.DataPage(i)
 		s.LoadCluster(page) // sequential
 		img := s.image(page)
-		for slot := range img.recs {
-			r := &img.recs[slot]
-			if r.dead || r.parent != noParent {
-				continue
-			}
+		for p := 0; p < img.n; p = img.end(p) {
 			// A fragment root: the document record itself or a
 			// ProxyParent anchor.
-			pieces[MakeNodeID(page, uint16(slot))] = s.buildPiece(img, uint16(slot))
+			pieces[MakeNodeID(page, img.slotOf(p))] = s.buildPiece(img, p)
 		}
 	}
 	root := s.roots[doc]
 	return stitch(w, root, pieces)
 }
 
-// buildPiece serializes the fragment anchored at slot into text segments,
-// leaving a placeholder wherever an edge crosses out of the cluster.
-func (s *Store) buildPiece(img *pageImage, slot uint16) *piece {
-	p := &piece{}
+// buildPiece serializes the fragment anchored at position p into text
+// segments, leaving a placeholder wherever an edge crosses out of the
+// cluster.
+func (s *Store) buildPiece(img *pageImage, p int) *piece {
+	pc := &piece{}
 	var sb strings.Builder
 	flush := func() {
 		if sb.Len() > 0 {
-			p.segs = append(p.segs, seg{text: sb.String()})
+			pc.segs = append(pc.segs, seg{text: sb.String()})
 			sb.Reset()
 		}
 	}
-	var emit func(slot uint16)
-	emit = func(slot uint16) {
-		r := &img.recs[slot]
+	var emit func(p int)
+	children := func(p int) {
+		for k, e := p+1, img.end(p); k < e; k = img.end(k) {
+			emit(k)
+		}
+	}
+	emit = func(p int) {
 		stats.Inc(&s.led.NodesVisited)
 		s.led.AdvanceCPU(s.model.CPUNodeVisit)
-		switch r.kind {
+		switch img.kind(p) {
 		case RecDoc, RecProxyParent:
-			for _, ch := range img.kids(r) {
-				emit(ch)
-			}
+			children(p)
 		case RecProxyChild:
 			flush()
-			p.segs = append(p.segs, seg{ref: r.target})
+			pc.segs = append(pc.segs, seg{ref: img.target(p)})
 		case RecElem:
+			name := s.dict.Name(img.tag(p))
 			sb.WriteByte('<')
-			sb.WriteString(s.dict.Name(r.tag))
-			for _, a := range img.attrsOf(r) {
+			sb.WriteString(name)
+			for b := img.body(p); len(b) > 0; {
+				var tag xmltree.TagID
+				var val string
+				tag, val, b = nextAttr(b)
 				sb.WriteByte(' ')
-				sb.WriteString(s.dict.Name(a.tag))
+				sb.WriteString(s.dict.Name(tag))
 				sb.WriteString(`="`)
-				sb.WriteString(xmlwrite.EscapeAttr(img.val(a)))
+				sb.WriteString(xmlwrite.EscapeAttr(val))
 				sb.WriteByte('"')
 			}
-			if r.kidLen == 0 {
+			if img.end(p) == p+1 {
 				sb.WriteString("/>")
 				return
 			}
 			sb.WriteByte('>')
-			for _, ch := range img.kids(r) {
-				emit(ch)
-			}
+			children(p)
 			sb.WriteString("</")
-			sb.WriteString(s.dict.Name(r.tag))
+			sb.WriteString(name)
 			sb.WriteByte('>')
 		case RecText:
-			sb.WriteString(xmlwrite.EscapeText(img.text(r)))
+			sb.WriteString(xmlwrite.EscapeText(img.text(p)))
 		case RecComment:
 			sb.WriteString("<!--")
-			sb.WriteString(img.text(r))
+			sb.WriteString(img.text(p))
 			sb.WriteString("-->")
 		case RecPI:
 			sb.WriteString("<?")
-			sb.WriteString(img.text(r))
+			sb.WriteString(img.text(p))
 			sb.WriteString("?>")
 		}
 	}
-	emit(slot)
+	emit(p)
 	flush()
-	return p
+	return pc
 }
 
 // stitch writes the piece anchored at id, splicing referenced pieces

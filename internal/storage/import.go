@@ -85,27 +85,68 @@ var ErrRecordTooLarge = errors.New("storage: record exceeds page capacity")
 
 // proxyReserve is the headroom reserved per open element so that a
 // continuation proxy can always be spilled into its cluster: an encoded
-// proxy record (header, ord key, 8-byte target) plus its slot entry. Ord
-// keys grow with tree depth; 48 bytes covers depths well beyond XMark's.
+// proxy record (entry, key, 8-byte target) plus its slot entry. The proxy's
+// key is one component below its parent element's, so 48 bytes covers any
+// depth.
 const proxyReserve = 48
 
 // draftCluster is a cluster being assembled during partitioning.
 type draftCluster struct {
 	id       int
 	recs     []rec
-	used     int // bytes incl. header and slot entries
+	used     int // encoded bytes incl. header and slot entries
+	charged  int // clusterCharge of the records incl. slot entries, plus a 4-byte header
 	reserved int // headroom claimed by open elements
 	cap      int
 }
 
-func (c *draftCluster) fits(recBytes int) bool {
-	return c.used+c.reserved+recBytes+2 <= c.cap
-}
-
 func (c *draftCluster) add(r rec) uint16 {
-	c.used += encodedSize(&r) + 2
+	var parent *rec
+	if r.parent != noParent {
+		parent = &c.recs[r.parent]
+	}
+	c.used += encodedSize(&r, parent) + 2
+	c.charged += clusterCharge(&r) + 2
 	c.recs = append(c.recs, r)
 	return uint16(len(c.recs) - 1)
+}
+
+// clusterCharge is what r costs its cluster's budget when the bulk loader
+// decides where to cut: the size r had in the uvarint record format the
+// virtual cost model and the paper's orderings are calibrated against
+// (EXPERIMENTS.md: ≈1 270 clusters per factor-1 document). The page
+// encoding is about an eighth denser; cutting by it instead would move
+// every crossover (Q6' at the calibrated scale: Simple 501 ms would beat
+// XScan 520 ms), so the loader cuts where that format filled a page, and
+// the room left over is headroom for in-place inserts. A cut must fit the
+// encoding too, which decides alone on documents the format handled worse.
+func clusterCharge(r *rec) int {
+	n := 1 + uvarintLen(uint64(r.parent+1))
+	key := uvarintLen(uint64(len(r.ord))) + len(r.ord)
+	switch r.kind {
+	case RecElem:
+		n += uvarintLen(uint64(r.tag)) + key + uvarintLen(uint64(len(r.attrs)))
+		for _, a := range r.attrs {
+			n += uvarintLen(uint64(a.tag)) + uvarintLen(uint64(len(a.val))) + len(a.val)
+		}
+	case RecText, RecComment, RecPI:
+		n += key + uvarintLen(uint64(len(r.text))) + len(r.text)
+	case RecProxyChild:
+		n += key + 8
+	case RecProxyParent:
+		n += 8
+	}
+	return n
+}
+
+// write encodes the cluster onto page p.
+func (c *draftCluster) write(disk *vdisk.Disk, p vdisk.PageID) error {
+	payload, err := encodePage(&recPage{page: p, recs: c.recs}, disk.PageSize())
+	if err != nil {
+		return err
+	}
+	writePage(disk, p, payload)
+	return nil
 }
 
 // proxyLink records a companion pair to be patched with real NodeIDs after
@@ -123,7 +164,7 @@ type importer struct {
 }
 
 func (im *importer) newCluster() *draftCluster {
-	c := &draftCluster{id: len(im.clusters), used: pageHeaderSize, cap: usable(im.opts.PageSize)}
+	c := &draftCluster{id: len(im.clusters), used: pageHeaderSize, charged: 4, cap: usable(im.opts.PageSize)}
 	im.clusters = append(im.clusters, c)
 	return c
 }
@@ -245,12 +286,9 @@ func ImportCollection(disk *vdisk.Disk, dict *xmltree.Dictionary, docs []*xmltre
 		}
 	}
 	for pos, cid := range order {
-		c := im.clusters[cid]
-		pb := newPageBuilder(opts.PageSize)
-		for i := range c.recs {
-			pb.add(encodeRec(&c.recs[i]))
+		if err := im.clusters[cid].write(disk, vdisk.PageID(firstData+pos)); err != nil {
+			return nil, err
 		}
-		writePage(disk, vdisk.PageID(firstData+pos), pb.finish())
 	}
 	dictStart, dictCount := writeDictionary(disk, dict)
 	roots := make([]NodeID, len(rootRefs))
@@ -313,19 +351,26 @@ func (im *importer) walkChildren(n *xmltree.Node, attach *attachPoint, ord ordpa
 // placeChild stores one record as a child of *attach, advancing the active
 // cluster and re-anchoring as needed, then recurses into element children.
 func (im *importer) placeChild(attach *attachPoint, r rec, node *xmltree.Node) error {
-	sz := encodedSize(&r)
 	needsReserve := 0
 	if r.kind == RecElem {
 		needsReserve = proxyReserve
 	}
+	charge := clusterCharge(&r)
 	advanced := false
 	for {
-		extra := 0
+		// Below its element the record's key is relative; below a
+		// re-anchoring ProxyParent it is stored whole.
+		extra, chargeExtra, sz := 0, 0, encodedSize(&r, &attach.c.recs[attach.slot])
 		if attach.c != im.cur {
 			// Re-anchoring adds a ProxyParent plus the migrated reserve.
-			extra = encodedSize(&rec{kind: RecProxyParent, parent: noParent}) + 2 + proxyReserve
+			pp := &rec{kind: RecProxyParent, parent: noParent}
+			extra = encodedSize(pp, nil) + 2 + proxyReserve
+			chargeExtra = clusterCharge(pp) + 2 + proxyReserve
+			sz = encodedSize(&r, nil)
 		}
-		if im.cur.used+im.cur.reserved+sz+2+needsReserve+extra <= im.cur.cap {
+		c := im.cur
+		if c.used+c.reserved+sz+2+needsReserve+extra <= c.cap &&
+			c.charged+c.reserved+charge+2+needsReserve+chargeExtra <= c.cap {
 			break
 		}
 		if advanced {
@@ -378,7 +423,7 @@ func (im *importer) draftRecs(ch *xmltree.Node, parentOrd ordpath.Key, childIdx 
 		for _, a := range ch.Attrs {
 			r.attrs = append(r.attrs, attrRec{tag: a.Tag, val: a.Text})
 		}
-		if encodedSize(&r)+2+2*proxyReserve+pageHeaderSize+encodedSize(&rec{kind: RecProxyChild, parent: 0, ord: r.ord})+16 > usable(im.opts.PageSize) {
+		if encodedSize(&r, nil)+2+2*proxyReserve+pageHeaderSize+encodedSize(&rec{kind: RecProxyChild, parent: 0, ord: r.ord}, nil)+16 > usable(im.opts.PageSize) {
 			return nil, fmt.Errorf("%w: element with %d attributes", ErrRecordTooLarge, len(ch.Attrs))
 		}
 		return []draftRec{{r: r, node: ch}}, nil

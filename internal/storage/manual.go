@@ -62,11 +62,9 @@ func ImportManual(disk *vdisk.Disk, dict *xmltree.Dictionary, doc *xmltree.Node,
 		disk.Alloc()
 	}
 	for i, c := range im.clusters {
-		pb := newPageBuilder(opts.PageSize)
-		for j := range c.recs {
-			pb.add(encodeRec(&c.recs[j]))
+		if err := c.write(disk, vdisk.PageID(firstData+i)); err != nil {
+			return nil, err
 		}
-		writePage(disk, vdisk.PageID(firstData+i), pb.finish())
 	}
 	dictStart, dictCount := writeDictionary(disk, dict)
 	rootID := MakeNodeID(vdisk.PageID(firstData+rootCluster.id), docSlot)

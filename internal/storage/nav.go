@@ -35,10 +35,13 @@ func LiveStepIters() int64 { return liveIters.Load() }
 // sibling arrival), a ProxyChild continues an upward crossing (parent/
 // ancestor/sibling departure).
 //
+// Records sit on the page in pre-order, so children are p+1, then each
+// child's subtree end, up to p's own end, and descendants are the range
+// [p+1, end): nothing is looked up but the entries.
+//
 // Iterators come from a pool: callers that finish with one should Release
-// it so the next Step on the same worker reuses the struct and its slot
-// scratch instead of allocating — Step is the hottest allocation site and
-// its cost multiplies under parallel gangs. Releasing is optional
+// it so the next Step reuses the struct and its scratch instead of
+// allocating — Step is the hottest allocation site. Releasing is optional
 // (unreleased iterators are ordinary garbage) but using an iterator after
 // Release is a use-after-free.
 type StepIter struct {
@@ -47,29 +50,20 @@ type StepIter struct {
 
 	axis xpath.Axis
 	test xpath.NodeTest
+	m    entryTest
 
 	mode     iterMode
-	slots    []uint16 // list mode candidates / DFS stack
-	pos      int      // list mode position
-	rev      bool     // list mode: iterate in reverse
-	up       int      // up mode: next slot, -1 when done
-	attrs    int      // attr mode position / context attribute index
-	slot     uint16   // context slot (attr modes)
+	ctx      int      // context position
+	pos      int      // next candidate (kids, bits, single and up modes; noParent ends the last two)
+	end      int      // kids mode: the parent's subtree end; bits mode: the range end
+	extra    int      // kids mode: a final candidate after the walk, or noParent
+	list     []uint16 // list mode: the candidates in visiting order, in scratch
+	attrs    []byte   // attribute mode: the attributes not yet visited
+	attr     int      // attribute mode: index of the next one; attribute context: its index
 	selfAttr bool     // emit the context attribute itself first
-	done     bool
 
-	// Bitmap-batched state (modeBits, and bit-filtered list modes): the
-	// name-test occupancy mask over the cluster's pre-order positions.
-	// bits may be nil (test matches no core record — only borders emit);
-	// it aliases either an immutable nav-owned bitset or maskBuf.
-	bits    []uint64
-	bitPos  int // next pre-order position to probe (modeBits)
-	bitEnd  int // exclusive end of the pre-order range (modeBits)
-	useBits bool
-
-	owned   bool     // slots is iterator-owned scratch, not a page alias
-	scratch []uint16 // retained backing array for owned slots
-	maskBuf []uint64 // retained scratch for combined test masks
+	bits    []uint64 // bits mode: the test's matches and the borders, by position
+	scratch []uint16
 }
 
 type iterMode uint8
@@ -77,67 +71,63 @@ type iterMode uint8
 const (
 	modeDone iterMode = iota
 	modeSingle
+	modeKids
 	modeList
 	modeUp
 	modeAttrs
 	modeBits
 )
 
-// stepIterPool recycles released StepIters (with their slot scratch) so
+// stepIterPool recycles released StepIters (with their scratch) so
 // steady-state navigation does not allocate per step.
 var stepIterPool = sync.Pool{New: func() any { return new(StepIter) }}
 
-// Release returns the iterator to the pool, keeping the larger of its
-// scratch and an iterator-owned slots array for reuse. The iterator must
-// not be used afterwards. Safe on a nil iterator.
+// Release returns the iterator to the pool, keeping its scratch for reuse.
+// The iterator must not be used afterwards. Safe on a nil iterator.
 func (it *StepIter) Release() {
 	if it == nil {
 		return
 	}
 	liveIters.Add(-1)
-	scratch := it.scratch
-	if it.owned && cap(it.slots) > cap(scratch) {
-		scratch = it.slots
-	}
-	maskBuf := it.maskBuf
-	*it = StepIter{scratch: scratch[:0], maskBuf: maskBuf[:0]}
+	*it = StepIter{scratch: it.scratch[:0]}
 	stepIterPool.Put(it)
 }
 
-// initMask materializes the test's occupancy mask for the cluster and
-// enables bit-filtered emission. The mask build costs one set operation
-// per bitset word, charged here; every emitted node still pays its visit.
-func (it *StepIter) initMask(nav *pageNav) {
-	if cap(it.maskBuf) < nav.words {
-		it.maskBuf = make([]uint64, nav.words)
+// chargeMask bills a name-test mask over the cluster: one set operation per
+// bitset word, whether or not a mask is built for the step.
+func (it *StepIter) chargeMask() {
+	it.st.led.AdvanceCPU(stats.Ticks((it.img.n+63)/64) * it.st.model.CPUSetOp)
+}
+
+// bitRange enumerates the positions [lo, hi) through the test's mask — the
+// batched form of a depth-first subtree enumeration.
+func (it *StepIter) bitRange(lo, hi int) {
+	it.mode, it.pos, it.end = modeBits, lo, hi
+	it.bits = it.img.mask(it.test)
+	it.chargeMask()
+}
+
+// kids walks the children of p.
+func (it *StepIter) kids(p int) {
+	it.mode, it.pos, it.end = modeKids, p+1, it.img.end(p)
+	it.chargeMask()
+}
+
+func (it *StepIter) single(p int) {
+	it.mode, it.pos = modeSingle, p
+	if p == noParent {
+		it.mode = modeDone
 	}
-	it.bits = nav.testMask(it.test, it.maskBuf[:nav.words])
-	it.useBits = true
-	it.st.led.AdvanceCPU(stats.Ticks(nav.words) * it.st.model.CPUSetOp)
 }
 
-// initBitRange switches the iterator to modeBits over the pre-order range
-// [lo, hi) — the batched form of a depth-first subtree enumeration.
-func (it *StepIter) initBitRange(nav *pageNav, lo, hi int) {
-	it.mode = modeBits
-	it.bitPos, it.bitEnd = lo, hi
-	it.initMask(nav)
-}
-
-// own makes slots a single iterator-owned candidate.
-func (it *StepIter) own(v uint16) {
-	it.slots = append(it.scratch[:0], v)
-	it.owned = true
-}
+func (it *StepIter) up(p int) { it.mode, it.pos = modeUp, p }
 
 // Step starts the enumeration of one location step from ctx.
 func (s *Store) Step(ctx Cursor, axis xpath.Axis, test xpath.NodeTest) *StepIter {
 	it := stepIterPool.Get().(*StepIter)
 	liveIters.Add(1)
-	scratch := it.scratch
-	maskBuf := it.maskBuf
-	*it = StepIter{st: s, img: ctx.img, axis: axis, test: test, slot: ctx.slot, scratch: scratch[:0], maskBuf: maskBuf[:0]}
-	r := ctx.rec()
+	img, p := ctx.img, int(ctx.pos)
+	*it = StepIter{st: s, img: img, axis: axis, test: test, m: compileTest(test), ctx: p, extra: noParent, scratch: it.scratch[:0]}
 
 	if ctx.attr >= 0 {
 		// From an attribute node only self, parent and the ancestor axes
@@ -145,94 +135,61 @@ func (s *Store) Step(ctx Cursor, axis xpath.Axis, test xpath.NodeTest) *StepIter
 		// XPath data model).
 		switch axis {
 		case xpath.Self:
-			it.selfAttr = true
-			it.attrs = ctx.attr
-			it.mode = modeDone
+			it.selfAttr, it.attr = true, ctx.attr
 		case xpath.AncestorOrSelf:
-			it.selfAttr = true
-			it.attrs = ctx.attr
-			it.mode = modeUp
-			it.up = int(ctx.slot)
+			it.selfAttr, it.attr = true, ctx.attr
+			it.up(p)
 		case xpath.Parent:
-			it.mode = modeSingle
-			it.own(ctx.slot)
+			it.single(p)
 		case xpath.Ancestor:
-			it.mode = modeUp
-			it.up = int(ctx.slot)
-		default:
-			it.mode = modeDone
+			it.up(p)
 		}
 		return it
 	}
 
-	img, nav := ctx.img, &ctx.img.nav
-
-	switch r.kind {
+	switch ctx.kind {
 	case RecProxyParent:
 		// Downward continuation: everything below this anchor belongs to
 		// the interrupted enumeration.
 		switch axis {
-		case xpath.Child, xpath.FollowingSibling, xpath.PrecedingSibling:
-			it.mode = modeList
-			it.slots = img.kids(r)
-			it.rev = axis == xpath.PrecedingSibling
-			it.initMask(nav)
+		case xpath.Child, xpath.FollowingSibling:
+			it.kids(p)
+		case xpath.PrecedingSibling:
+			it.reversed(p+1, img.end(p), noParent)
 		case xpath.Descendant, xpath.DescendantOrSelf:
-			it.initBitRange(nav, int(nav.pre[ctx.slot])+1, int(nav.subEnd[ctx.slot]))
-		default:
-			it.mode = modeDone
+			it.bitRange(p+1, img.end(p))
 		}
 	case RecProxyChild:
 		// Upward continuation.
 		switch axis {
 		case xpath.Parent:
-			it.mode = modeSingle
-			if r.parent == noParent {
-				it.mode = modeDone
-			} else {
-				it.own(uint16(r.parent))
-			}
+			it.single(img.parent(p))
 		case xpath.Ancestor, xpath.AncestorOrSelf:
-			it.mode = modeUp
-			it.up = int(r.parent)
+			it.up(img.parent(p))
 		case xpath.FollowingSibling, xpath.PrecedingSibling:
-			it.initSiblings(r)
-		default:
-			it.mode = modeDone
+			it.siblings(p)
 		}
 	default: // core node
 		switch axis {
 		case xpath.Self:
-			it.mode = modeSingle
-			it.own(ctx.slot)
+			it.single(p)
 		case xpath.Child:
-			it.mode = modeList
-			it.slots = img.kids(r)
-			it.initMask(nav)
+			it.kids(p)
 		case xpath.Descendant:
-			it.initBitRange(nav, int(nav.pre[ctx.slot])+1, int(nav.subEnd[ctx.slot]))
+			it.bitRange(p+1, img.end(p))
 		case xpath.DescendantOrSelf:
-			it.initBitRange(nav, int(nav.pre[ctx.slot]), int(nav.subEnd[ctx.slot]))
+			it.bitRange(p, img.end(p))
 		case xpath.Parent:
-			it.mode = modeSingle
-			if r.parent == noParent {
-				it.mode = modeDone
-			} else {
-				it.own(uint16(r.parent))
-			}
+			it.single(img.parent(p))
 		case xpath.Ancestor:
-			it.mode = modeUp
-			it.up = int(r.parent)
+			it.up(img.parent(p))
 		case xpath.AncestorOrSelf:
-			it.mode = modeUp
-			it.up = int(ctx.slot)
+			it.up(p)
 		case xpath.FollowingSibling, xpath.PrecedingSibling:
-			it.initSiblings(r)
+			it.siblings(p)
 		case xpath.AttributeAxis:
-			if r.kind == RecElem && r.attrLen > 0 {
-				it.mode = modeAttrs
-			} else {
-				it.mode = modeDone
+			if ctx.kind == RecElem {
+				it.mode, it.attrs = modeAttrs, img.body(p)
 			}
 		default:
 			panic(fmt.Sprintf("storage: unsupported axis %v", axis))
@@ -241,182 +198,192 @@ func (s *Store) Step(ctx Cursor, axis xpath.Axis, test xpath.NodeTest) *StepIter
 	return it
 }
 
-// initSiblings prepares sibling iteration for the record r at it.slot:
-// the candidates are the parent's other children after (or before,
-// reversed) r's own position, filtered through the test's mask.
-func (it *StepIter) initSiblings(r *imgRec) {
-	if r.parent == noParent {
-		it.mode = modeDone
+// siblings prepares sibling iteration for the record at p: the parent's
+// other children after p (or before it, nearest first). A fragment root's
+// remaining siblings live across the border: its physical parent is the
+// ProxyParent anchor, which the walk will not surface by itself — the
+// anchor *is* the border to emit, so it comes as the final candidate.
+func (it *StepIter) siblings(p int) {
+	img := it.img
+	par := img.parent(p)
+	if par == noParent {
 		return
 	}
-	sibs := it.img.kids(&it.img.recs[r.parent])
-	idx := -1
-	for i, s := range sibs {
-		if s == it.slot {
-			idx = i
-			break
-		}
+	anchor := noParent
+	if img.kind(par) == RecProxyParent {
+		anchor = par
 	}
-	if idx < 0 {
-		panic("storage: node missing from its parent's child list")
-	}
-	it.mode = modeList
 	if it.axis == xpath.FollowingSibling {
-		it.slots = sibs[idx+1:]
-	} else {
-		it.slots = sibs[:idx]
-		it.rev = true
+		it.mode, it.pos, it.end, it.extra = modeKids, img.end(p), img.end(par), anchor
+		it.chargeMask()
+		return
 	}
-	// A fragment root's remaining siblings live across the border: its
-	// physical parent is the ProxyParent anchor, which the list walk will
-	// not surface by itself — the anchor *is* the border to emit, so
-	// append it as a final candidate (into iterator-owned scratch; the
-	// page's child list must stay untouched).
-	if it.img.recs[r.parent].kind == RecProxyParent {
-		appended := it.scratch[:0]
-		if it.rev {
-			// Reverse iteration visits it last if placed first.
-			appended = append(appended, uint16(r.parent))
-			appended = append(appended, it.slots...)
-		} else {
-			appended = append(appended, it.slots...)
-			appended = append(appended, uint16(r.parent))
-		}
-		it.slots = appended
-		it.owned = true
+	it.reversed(par+1, p, anchor)
+}
+
+// reversed lists the siblings from first up to (not including) stop, nearest
+// to stop first, then last if it is a position.
+func (it *StepIter) reversed(first, stop, last int) {
+	list := it.scratch[:0]
+	for c := first; c < stop; c = it.img.end(c) {
+		list = append(list, uint16(c))
 	}
-	it.initMask(&it.img.nav)
+	for i, j := 0, len(list)-1; i < j; i, j = i+1, j-1 {
+		list[i], list[j] = list[j], list[i]
+	}
+	if last != noParent {
+		list = append(list, uint16(last))
+	}
+	it.mode, it.list, it.scratch = modeList, list, list
+	it.chargeMask()
 }
 
 // Next returns the next step result. Border nodes are returned untested;
 // core nodes are filtered through the node test. ok is false at the end.
 func (it *StepIter) Next() (Cursor, bool) {
-	led := it.st.led
+	led, img := it.st.led, it.img
 	visit := it.st.model.CPUNodeVisit
 	if it.selfAttr {
 		it.selfAttr = false
 		stats.Inc(&led.NodesVisited)
 		led.AdvanceCPU(visit)
-		if it.test.Matches(xmltree.Attribute, it.img.attrsOf(&it.img.recs[it.slot])[it.attrs].tag) {
-			return Cursor{st: it.st, img: it.img, page: it.img.page, slot: it.slot, attr: it.attrs}, true
+		if tag, _ := img.attr(it.ctx, it.attr); it.test.Matches(xmltree.Attribute, tag) {
+			return img.cursor(it.st, it.ctx, it.attr), true
 		}
 	}
 	for {
-		var slot int
+		var p int
 		switch it.mode {
 		case modeDone:
 			return Cursor{}, false
 
 		case modeSingle:
-			if it.done {
+			p, it.mode = it.pos, modeDone
+
+		case modeKids:
+			switch {
+			case it.pos < it.end:
+				p, it.pos = it.pos, img.end(it.pos)
+			case it.extra != noParent:
+				p, it.extra = it.extra, noParent
+			default:
 				return Cursor{}, false
 			}
-			it.done = true
-			slot = int(it.slots[0])
 
 		case modeList:
-			if it.pos >= len(it.slots) {
+			if len(it.list) == 0 {
 				return Cursor{}, false
 			}
-			if it.rev {
-				slot = int(it.slots[len(it.slots)-1-it.pos])
-			} else {
-				slot = int(it.slots[it.pos])
-			}
-			it.pos++
+			p, it.list = int(it.list[0]), it.list[1:]
 
 		case modeUp:
-			if it.up == noParent {
+			if it.pos == noParent {
 				return Cursor{}, false
 			}
-			slot = it.up
-			it.up = int(it.img.recs[slot].parent)
-			if it.img.recs[slot].kind == RecProxyParent {
-				it.up = noParent // border ends the intra-cluster chain
+			p, it.pos = it.pos, img.parent(it.pos)
+			if img.kind(p) == RecProxyParent {
+				it.pos = noParent // border ends the intra-cluster chain
 			}
 
 		case modeAttrs:
-			attrs := it.img.attrsOf(&it.img.recs[it.slot])
-			if it.attrs >= len(attrs) {
+			if len(it.attrs) == 0 {
 				return Cursor{}, false
 			}
 			stats.Inc(&led.NodesVisited)
 			led.AdvanceCPU(visit)
-			a := it.attrs
-			it.attrs++
-			if !it.test.Matches(xmltree.Attribute, attrs[a].tag) {
+			a := it.attr
+			var tag xmltree.TagID
+			tag, _, it.attrs = nextAttr(it.attrs)
+			it.attr++
+			if !it.test.Matches(xmltree.Attribute, tag) {
 				continue
 			}
-			return Cursor{st: it.st, img: it.img, page: it.img.page, slot: it.slot, attr: a}, true
+			return img.cursor(it.st, it.ctx, a), true
 
 		case modeBits:
-			// Batched enumeration: scan the (test ∪ border) occupancy
-			// words over the subtree's pre-order range. The virtual clock
-			// still charges one node visit per live record passed over —
-			// the cost model describes the paper's node-at-a-time system,
-			// not this implementation's word-level scan — accrued at the
-			// same per-Next granularity as a per-node walk would.
-			nav := &it.img.nav
-			for it.bitPos < it.bitEnd {
-				w := it.bitPos >> 6
-				word := nav.proxy[w]
-				if it.bits != nil {
-					word |= it.bits[w]
-				}
-				word &= ^uint64(0) << uint(it.bitPos&63)
-				if w == it.bitEnd>>6 {
-					word &= uint64(1)<<uint(it.bitEnd&63) - 1
+			// Batched enumeration: scan the (test ∪ border) mask words over
+			// the subtree's range. The virtual clock still charges one node
+			// visit per record passed over — the cost model describes the
+			// paper's node-at-a-time system, not this implementation's
+			// word-level scan — accrued at the same per-Next granularity as
+			// a per-node walk would.
+			from := it.pos
+			for it.pos < it.end {
+				w := it.pos >> 6
+				word := it.bits[w] & (^uint64(0) << uint(it.pos&63))
+				if w == it.end>>6 {
+					word &= uint64(1)<<uint(it.end&63) - 1
 				}
 				if word == 0 {
-					it.chargeLive(w, it.bitPos, it.bitEnd)
-					it.bitPos = (w + 1) << 6
+					it.pos = min((w+1)<<6, it.end)
 					continue
 				}
-				pos := w<<6 + bits.TrailingZeros64(word)
-				it.chargeLive(w, it.bitPos, pos+1)
-				it.bitPos = pos + 1
-				return it.cursor(nav.byPre[pos]), true
+				q := w<<6 + bits.TrailingZeros64(word)
+				it.pos = q + 1
+				it.charge(it.pos - from)
+				return img.cursor(it.st, q, -1), true
+			}
+			if it.pos > from {
+				it.charge(it.pos - from)
 			}
 			return Cursor{}, false
 		}
 
 		stats.Inc(&led.NodesVisited)
 		led.AdvanceCPU(visit)
-		r := &it.img.recs[slot]
-		if r.kind.IsProxy() {
-			return it.cursor(uint16(slot)), true
-		}
-		if it.useBits {
-			// List candidates filter through the precomputed mask: one
-			// word probe instead of a record inspection.
-			if it.bits != nil && hasBit(it.bits, it.img.nav.pre[slot]) {
-				return it.cursor(uint16(slot)), true
-			}
-			continue
-		}
-		if it.test.Matches(r.kind.LogicalKind(), r.tag) {
-			return it.cursor(uint16(slot)), true
+		w0 := img.word(p, 0)
+		if k := RecKind(w0 & 7); k.IsProxy() || it.m.matches(&it.test, img, p, w0) {
+			return Cursor{st: it.st, img: img, page: img.page, pos: uint16(p), kind: k, attr: -1}, true
 		}
 	}
 }
 
-// chargeLive bills a node visit for every live record (core or border)
-// whose pre-order position falls in [lo, min(hi, end of word w)) — the
-// records a node-at-a-time DFS would have visited and rejected where the
-// batched scan skips whole words.
-func (it *StepIter) chargeLive(w, lo, hi int) {
-	nav := &it.img.nav
-	live := nav.core[w] | nav.proxy[w]
-	live &= ^uint64(0) << uint(lo&63)
-	if hi>>6 == w {
-		live &= uint64(1)<<uint(hi&63) - 1
-	}
-	if n := bits.OnesCount64(live); n > 0 {
-		stats.Add(&it.st.led.NodesVisited, int64(n))
-		it.st.led.AdvanceCPU(stats.Ticks(n) * it.st.model.CPUNodeVisit)
-	}
+// charge bills a node visit for each of n records the batched scan passed
+// over — the records a node-at-a-time DFS would have visited and rejected.
+func (it *StepIter) charge(n int) {
+	stats.Add(&it.st.led.NodesVisited, int64(n))
+	it.st.led.AdvanceCPU(stats.Ticks(n) * it.st.model.CPUNodeVisit)
 }
 
-func (it *StepIter) cursor(slot uint16) Cursor {
-	return Cursor{st: it.st, img: it.img, page: it.img.page, slot: slot, attr: -1}
+// entryTest is a node test compiled against the first word of an entry:
+// the record kinds it accepts, by bit, and the one element tag it names
+// (anyTag: any). A test beyond that shape is asked itself (slow).
+type entryTest struct {
+	kinds uint8
+	tag   int
+	slow  bool
+}
+
+const anyTag = -1
+
+func compileTest(test xpath.NodeTest) entryTest {
+	var kinds uint8
+	switch test.Kind {
+	case xpath.KindAny:
+		kinds = 1<<RecDoc | 1<<RecElem | 1<<RecText | 1<<RecComment | 1<<RecPI
+	case xpath.KindElement:
+		kinds = 1 << RecElem
+	case xpath.KindText:
+		kinds = 1 << RecText
+	case xpath.KindComment:
+		kinds = 1 << RecComment
+	case xpath.KindPI:
+		kinds = 1 << RecPI
+	}
+	switch {
+	case test.AnyName:
+		return entryTest{kinds: kinds, tag: anyTag}
+	case test.Kind == xpath.KindElement && len(test.Tags) == 1 && test.Tags[0] >= 0 && test.Tags[0] < tagEscape:
+		return entryTest{kinds: kinds, tag: int(test.Tags[0])}
+	}
+	return entryTest{slow: true}
+}
+
+// matches reports whether the core record at p, whose entry begins with w0,
+// passes test, which m was compiled from.
+func (m *entryTest) matches(test *xpath.NodeTest, img *pageImage, p, w0 int) bool {
+	if m.slow {
+		return test.Matches(RecKind(w0&7).LogicalKind(), img.tag(p))
+	}
+	return m.kinds>>(w0&7)&1 != 0 && (m.tag == anyTag || w0>>tagShift == m.tag)
 }

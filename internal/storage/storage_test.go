@@ -89,6 +89,15 @@ func cursorKey(c Cursor) string {
 
 // evalStepFull applies one step to ctx, crossing all borders synchronously
 // (a miniature Simple evaluation of one step, used as ground truth access).
+// childCursors returns the physical children of c, in sibling order.
+func childCursors(c Cursor) []Cursor {
+	var out []Cursor
+	for k, e := int(c.pos)+1, c.img.end(int(c.pos)); k < e; k = c.img.end(k) {
+		out = append(out, c.at(k))
+	}
+	return out
+}
+
 func evalStepFull(s *Store, ctx Cursor, axis xpath.Axis, test xpath.NodeTest) []Cursor {
 	var out []Cursor
 	var run func(c Cursor)
@@ -503,10 +512,9 @@ func TestBordersHaveCompanions(t *testing.T) {
 	first, n := st.DataPages()
 	borders := 0
 	for i := 0; i < n; i++ {
-		img := st.image(first + vdisk.PageID(i))
-		for _, slot := range img.borders {
+		for _, id := range st.BordersOf(first + vdisk.PageID(i)) {
 			borders++
-			b := Cursor{st: st, img: img, page: img.page, slot: slot, attr: -1}
+			b := st.Swizzle(id)
 			target := b.Target()
 			far := st.Swizzle(target)
 			if !far.IsBorder() {
@@ -629,24 +637,27 @@ func TestManualImportMatchesAssignment(t *testing.T) {
 }
 
 func TestDecodeCorruptPage(t *testing.T) {
-	if _, err := decodePage(0, []byte{1}, 8); err == nil {
+	var img pageImage
+	if err := decodePage(&img, 0, []byte{1}, 8); err == nil {
 		t.Fatal("short page accepted")
 	}
-	// A slot offset pointing outside the usable region (the slot table sits
-	// at the end of usable(pageSize), before the checksum trailer).
-	raw := make([]byte, 64)
-	slotPos := usable(64) - 2
-	raw[0] = 1        // one slot
-	raw[2] = 4        // no record bytes: free space starts after the header
-	raw[slotPos] = 60 // offset 60 > usable size 56
-	if _, err := decodePage(0, raw, 64); err == nil {
-		t.Fatal("bad slot offset accepted")
+	// A dead slot before the document record's is legal: it names nothing.
+	payload, err := encodePage(&recPage{recs: []rec{{dead: true}, {kind: RecDoc, parent: noParent}}}, 64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The dead-slot sentinel is legal and yields a tombstone.
-	raw[slotPos], raw[slotPos+1] = 0xFF, 0xFF
-	img, err := decodePage(0, raw, 64)
-	if err != nil || !img.recs[0].dead {
+	raw := finalizePage(payload, 64)
+	if err := decodePage(&img, 0, raw, 64); err != nil || img.nslots != 2 {
 		t.Fatalf("dead slot not tolerated: %v", err)
+	}
+	if _, ok := img.posOf(0); ok {
+		t.Fatal("dead slot names a record")
+	}
+	// A slot naming a position past the records (the table follows the one
+	// entry, at 6 + 8).
+	raw[6+8+2] = 7
+	if err := decodePage(&img, 0, raw, 64); err == nil {
+		t.Fatal("bad slot accepted")
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // the cluster-granular load interface used by the I/O operators.
 //
 // The read path is safe for concurrent use: the swizzle cache is
-// decode-once, the buffer manager and disk below are concurrency-safe, and
+// load-once, the buffer manager and disk below are concurrency-safe, and
 // page images are immutable once published. Cost accounting is scoped by
 // *views*: Reader returns a shallow Store sharing every cache with the base
 // but charging to its own ledger and routing async cluster requests through
@@ -36,7 +36,7 @@ type Store struct {
 	nData     uint32
 	extras    []vdisk.PageID // data pages appended by updates
 
-	cache   *swizCache     // decoded page images, shared across views
+	cache   *swizCache     // loaded page images, shared across views
 	syn     *synTable      // per-cluster synopses, shared across views
 	derived *DerivedCache  // epoch-keyed derived artifacts, shared across views
 	w       *buffer.Waiter // async cluster requests of this view
@@ -294,12 +294,12 @@ func (s *Store) ResetForRun() {
 	s.disk.ResetClockState()
 }
 
-// image returns the decoded (swizzled) representation of a page, loading
-// and decoding it if necessary. Decoding charges one node-visit per record
-// — the representation change from external to in-memory format — to the
-// ledger of the view that won the decode race; concurrent losers block on
-// the entry mutex and share the winner's image for free (they raced the
-// same work, not skipped it). A failed load or decode escalates as a page
+// image returns the navigable (swizzled) image of a page, loading and
+// validating it if necessary. The load charges one node visit per record
+// slot — the representation change from external to in-memory format — to
+// the ledger of the view that won the load race; concurrent losers block on
+// the entry mutex and share the winner's image for free (they raced the same
+// work, not skipped it). A failed load or validation escalates as a page
 // fault (typed panic recovered at query boundaries) and leaves the entry
 // empty, so a later access retries the load rather than inheriting the
 // failure.
@@ -311,47 +311,51 @@ func (s *Store) image(p vdisk.PageID) *pageImage {
 	}
 	// The cache is keyed by (logical page, write epoch) — the
 	// version-independent name of these bytes — so snapshots at different
-	// epochs share one decoded image for every page the commits between
-	// them did not touch, and a commit invalidates exactly the clusters it
-	// rewrote. The buffer pool below stays keyed by the resolved *physical*
-	// page; the decode keeps the *logical* id, which is what NodeIDs embed.
+	// epochs share one image for every page the commits between them did
+	// not touch, and a commit invalidates exactly the clusters it rewrote.
+	// The buffer pool below stays keyed by the resolved *physical* page; the
+	// image keeps the *logical* id, which is what NodeIDs embed.
 	key := swizKey{page: p, epoch: s.pageEpoch(p)}
 	e := s.cache.entry(key)
-	if img := e.img.Load(); img != nil {
-		return img
+	if e.ready.Load() {
+		return &e.img
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if img := e.img.Load(); img != nil {
-		return img
+	if e.ready.Load() {
+		return &e.img
 	}
 	phys := s.resolve(p)
 	f, err := s.buf.FixOn(s.led, phys)
 	if err != nil {
 		throwPageError(p, err)
 	}
-	img, err := decodePage(p, f.Data, s.disk.PageSize())
+	err = decodePage(&e.img, p, f.Data, s.disk.PageSize())
 	s.buf.Unfix(f)
 	if err != nil {
 		throwPageError(p, err) // malformed records: corruption past the checksum
 	}
-	s.led.AdvanceCPU(stats.Ticks(len(img.recs)) * s.model.CPUNodeVisit)
-	e.img.Store(img)
+	s.led.AdvanceCPU(stats.Ticks(e.img.nslots) * s.model.CPUNodeVisit)
+	e.ready.Store(true)
 	s.cache.track(phys, key)
-	s.syn.publish(p, synopsisOf(img, key.epoch))
-	return img
+	// A page version's synopsis is built once: later loads of the same
+	// bytes find it registered.
+	if sy := s.syn.get(p); sy == nil || sy.Epoch != key.epoch {
+		s.syn.publish(p, synopsisOf(&e.img, key.epoch))
+	}
+	return &e.img
 }
 
-// LoadCluster ensures a cluster is buffered and decoded, reading it
+// LoadCluster ensures a cluster is buffered and its image loaded, reading it
 // synchronously if absent. XScan calls this in ascending physical order,
 // which the disk detects as a sequential pattern.
 func (s *Store) LoadCluster(p vdisk.PageID) { s.image(p) }
 
-// BordersOf lists the NodeIDs of all border (proxy) records in a cluster,
-// the seeds of XScan's speculative instances (Sec. 5.4.3.2). The cluster
-// must already be loaded. The returned slice is the image's cached copy,
-// materialized once at decode time and shared by every caller — callers
-// must not mutate it.
+// BordersOf lists the NodeIDs of all border (proxy) records in a cluster, in
+// slot order — the seeds of XScan's speculative instances (Sec. 5.4.3.2).
+// The cluster must already be loaded. The returned slice is the image's,
+// materialized once per load and shared by every caller — callers must not
+// mutate it.
 func (s *Store) BordersOf(p vdisk.PageID) []NodeID {
 	return s.image(p).borderIDs
 }
@@ -362,7 +366,9 @@ func (s *Store) Loaded(p vdisk.PageID) bool { return s.buf.Contains(s.resolve(p)
 // RequestCluster schedules an asynchronous load of a cluster (XSchedule's
 // interface to the I/O subsystem) on this view's waiter. The request is
 // issued for the version-resolved physical page; WaitCluster translates
-// completions back so operators keep reasoning in logical cluster ids.
+// completions back so operators keep reasoning in logical cluster ids. A
+// page back at its own number forgets the logical page an earlier version
+// kept there: WaitCluster would hand that one out instead.
 func (s *Store) RequestCluster(p vdisk.PageID) {
 	phys := s.resolve(p)
 	if phys != p {
@@ -370,6 +376,8 @@ func (s *Store) RequestCluster(p vdisk.PageID) {
 			s.req = map[vdisk.PageID]vdisk.PageID{}
 		}
 		s.req[phys] = p
+	} else if s.req != nil {
+		delete(s.req, phys)
 	}
 	s.w.Request(phys)
 }
@@ -399,15 +407,16 @@ func (s *Store) WaitCluster() (vdisk.PageID, bool) {
 // with other views stay in flight for them.
 func (s *Store) CancelRequests() { s.w.Cancel() }
 
-// Cursor is a swizzled node reference: direct pointers into the decoded
-// page image, so navigation between cursors on the same page costs no
-// buffer-manager interaction (Sec. 5.3.2.3).
+// Cursor is a swizzled node reference: a position in a page image, so
+// navigation between cursors on the same page costs no buffer-manager
+// interaction (Sec. 5.3.2.3).
 type Cursor struct {
 	st   *Store
 	img  *pageImage
 	page vdisk.PageID
-	slot uint16
-	attr int // -1 for the record itself, else attribute index
+	pos  uint16  // pre-order position in img
+	kind RecKind // the record's, read where the cursor was made
+	attr int     // -1 for the record itself, else attribute index
 }
 
 // Swizzle converts a NodeID into a Cursor, charging the swizzle cost
@@ -417,54 +426,51 @@ func (s *Store) Swizzle(id NodeID) Cursor {
 	stats.Inc(&s.led.Swizzles)
 	s.led.AdvanceCPU(s.model.CPUSwizzle)
 	img := s.image(id.Page())
+	p, ok := img.posOf(id.Slot())
+	if !ok {
+		panic(fmt.Sprintf("storage: swizzle of invalid slot %v", id))
+	}
 	attr := -1
 	if i, ok := id.AttrIndex(); ok {
 		attr = i
 	}
-	if int(id.Slot()) >= len(img.recs) {
-		panic(fmt.Sprintf("storage: swizzle of invalid slot %v", id))
-	}
-	return Cursor{st: s, img: img, page: id.Page(), slot: id.Slot(), attr: attr}
+	return img.cursor(s, p, attr)
 }
 
 // Unswizzle converts a Cursor back into a NodeID (cheap).
 func (c Cursor) Unswizzle() NodeID {
 	stats.Inc(&c.st.led.Unswizzles)
 	c.st.led.AdvanceCPU(c.st.model.CPUUnswizzle)
-	id := MakeNodeID(c.page, c.slot)
-	if c.attr >= 0 {
-		id = id.WithAttr(c.attr)
-	}
-	return id
+	return c.ID()
 }
 
 // ID returns the cursor's NodeID without charging unswizzle cost (for
 // assertions and tests).
 func (c Cursor) ID() NodeID {
-	id := MakeNodeID(c.page, c.slot)
+	id := MakeNodeID(c.page, c.slot())
 	if c.attr >= 0 {
 		id = id.WithAttr(c.attr)
 	}
 	return id
 }
 
-func (c Cursor) rec() *imgRec { return &c.img.recs[c.slot] }
+func (c Cursor) slot() uint16 { return c.img.slotOf(int(c.pos)) }
 
-// kids returns the live child slots of the cursor's record, sibling-ordered.
-func (c Cursor) kids() []uint16 { return c.img.kids(c.rec()) }
+// at returns the cursor on position p of c's page.
+func (c Cursor) at(p int) Cursor { return c.img.cursor(c.st, p, -1) }
 
 // Valid reports whether the cursor references a node.
 func (c Cursor) Valid() bool { return c.st != nil }
 
 // IsBorder reports whether the cursor references a border (proxy) node.
-func (c Cursor) IsBorder() bool { return c.attr < 0 && c.rec().kind.IsProxy() }
+func (c Cursor) IsBorder() bool { return c.attr < 0 && c.kind.IsProxy() }
 
 // RecKind returns the physical record kind.
 func (c Cursor) RecKind() RecKind {
 	if c.attr >= 0 {
 		return RecElem // attribute of an element record
 	}
-	return c.rec().kind
+	return c.kind
 }
 
 // Kind returns the logical node kind; panics on border nodes.
@@ -472,41 +478,55 @@ func (c Cursor) Kind() xmltree.Kind {
 	if c.attr >= 0 {
 		return xmltree.Attribute
 	}
-	return c.rec().kind.LogicalKind()
+	return c.kind.LogicalKind()
 }
 
 // Tag returns the element or attribute tag.
 func (c Cursor) Tag() xmltree.TagID {
 	if c.attr >= 0 {
-		return c.img.attrsOf(c.rec())[c.attr].tag
+		t, _ := c.img.attr(int(c.pos), c.attr)
+		return t
 	}
-	return c.rec().tag
+	return c.img.tag(int(c.pos))
 }
 
 // Text returns text/comment/PI content or the attribute value.
 func (c Cursor) Text() string {
 	if c.attr >= 0 {
-		return c.img.val(c.img.attrsOf(c.rec())[c.attr])
+		_, v := c.img.attr(int(c.pos), c.attr)
+		return v
 	}
-	return c.img.text(c.rec())
+	switch c.kind {
+	case RecText, RecComment, RecPI:
+		return c.img.text(int(c.pos))
+	}
+	return ""
 }
 
 // OrdKey returns the document-order key of the node. Attribute nodes share
-// their element's key; border nodes return nil.
-func (c Cursor) OrdKey() ordpath.Key { return c.img.ord(c.rec()) }
+// their element's key; proxy anchors return nil.
+func (c Cursor) OrdKey() ordpath.Key { return c.img.key(int(c.pos)) }
 
 // Target returns the companion NodeID of a border node (the paper's
 // target() operation). It panics on core nodes.
 func (c Cursor) Target() NodeID {
-	r := c.rec()
-	if !r.kind.IsProxy() {
+	if !c.kind.IsProxy() {
 		panic("storage: Target on a core node")
 	}
-	return r.target
+	return c.img.target(int(c.pos))
 }
 
 // AttrCount returns the number of attributes on an element.
-func (c Cursor) AttrCount() int { return int(c.rec().attrLen) }
+func (c Cursor) AttrCount() int {
+	if c.kind != RecElem {
+		return 0
+	}
+	n := 0
+	for b := c.img.body(int(c.pos)); len(b) > 0; n++ {
+		_, _, b = nextAttr(b)
+	}
+	return n
+}
 
 // StringValue computes the XPath string-value of a node: the attribute
 // value, the text content, or — for elements and documents — the
@@ -516,7 +536,7 @@ func (s *Store) StringValue(id NodeID) string {
 }
 
 // AppendStringValue appends the node's string-value to buf: a walk over the
-// record spans of the decoded images, with no tree built and — given a
+// records of the page images, with no tree built and — given a
 // buffer with room — no allocation. It swizzles exactly the nodes an export
 // of the subtree would (the root once more, then every proxy target), so it
 // is charged what that export was.
@@ -532,14 +552,13 @@ func (s *Store) AppendStringValue(buf []byte, id NodeID) []byte {
 // appendText appends the text of c's logical descendants in document order,
 // following proxy chains exactly as exportChildren does.
 func (s *Store) appendText(buf []byte, c Cursor) []byte {
-	for _, slot := range c.kids() {
-		switch r := &c.img.recs[slot]; r.kind {
+	img := c.img
+	for k, e := int(c.pos)+1, img.end(int(c.pos)); k < e; k++ {
+		switch img.kind(k) {
 		case RecProxyChild:
-			buf = s.appendText(buf, s.Swizzle(r.target)) // the ProxyParent anchor
-		case RecElem:
-			buf = s.appendText(buf, Cursor{st: s, img: c.img, page: c.page, slot: slot, attr: -1})
+			buf = s.appendText(buf, s.Swizzle(img.target(k))) // the ProxyParent anchor
 		case RecText:
-			buf = append(buf, c.img.text(r)...)
+			buf = append(buf, img.body(k)...)
 		}
 	}
 	return buf
@@ -547,7 +566,13 @@ func (s *Store) appendText(buf []byte, c Cursor) []byte {
 
 // --- persistence -----------------------------------------------------------
 
-const metaMagic = "PATHDB1\x00"
+// metaMagic names the volume format; it changes with the page layout.
+const metaMagic = "PATHDB2\x00"
+
+// ErrVolumeFormat is returned by Open for a device that does not hold a
+// volume of this format: garbage, or a volume written with an older page
+// layout (volumes live in memory, so none is migrated).
+var ErrVolumeFormat = errors.New("storage: not a volume of this format")
 
 type metaInfo struct {
 	roots     []NodeID // collection document roots
@@ -595,7 +620,7 @@ func readMeta(disk *vdisk.Disk) (metaInfo, error) {
 		return metaInfo{}, fmt.Errorf("storage: meta page unreadable: %w", err)
 	}
 	if string(buf[:8]) != metaMagic {
-		return metaInfo{}, errors.New("storage: bad magic, not a pathdb volume")
+		return metaInfo{}, fmt.Errorf("%w: magic %q", ErrVolumeFormat, buf[:8])
 	}
 	m := metaInfo{
 		firstData: binary.LittleEndian.Uint32(buf[8:]),
@@ -707,4 +732,66 @@ func Open(disk *vdisk.Disk) (*Store, error) {
 	disk.Ledger().Reset()
 	disk.ResetClockState()
 	return s, nil
+}
+
+var (
+	errTruncated = errors.New("truncated field")
+	errOverflow  = errors.New("uvarint overflow")
+)
+
+// decodeCursor reads untrusted bytes. Its error is sticky: the first failed
+// read parks the cursor at the end of the buffer, every later read yields
+// zero, and callers check err once per record rather than once per field.
+type decodeCursor struct {
+	b   []byte
+	i   int
+	err error
+}
+
+func (d *decodeCursor) fail(err error) {
+	if d.err == nil {
+		d.err = err
+	}
+	d.i = len(d.b)
+}
+
+// uvarint reads a LEB128 value; most on a page take one byte.
+func (d *decodeCursor) uvarint() uint64 {
+	if i := d.i; i < len(d.b) && d.b[i] < 0x80 {
+		d.i = i + 1
+		return uint64(d.b[i])
+	}
+	return d.uvarintLong()
+}
+
+func (d *decodeCursor) uvarintLong() uint64 {
+	var v uint64
+	for shift := uint(0); d.i < len(d.b) && shift < 64; shift += 7 {
+		c := d.b[d.i]
+		d.i++
+		if c < 0x80 {
+			return v | uint64(c)<<shift
+		}
+		v |= uint64(c&0x7f) << shift
+	}
+	if d.i < len(d.b) {
+		d.fail(errOverflow)
+	} else {
+		d.fail(errTruncated)
+	}
+	return 0
+}
+
+// span reads a length-prefixed bytes field and returns its [start, end)
+// indexes within the cursor's buffer. The length is compared in uint64: it
+// is untrusted, and one ≥ 2⁶³ would turn negative as an int.
+func (d *decodeCursor) span() (int, int) {
+	n := d.uvarint()
+	if n > uint64(len(d.b)-d.i) {
+		d.fail(errTruncated)
+		return 0, 0
+	}
+	s := d.i
+	d.i += int(n)
+	return s, d.i
 }

@@ -59,7 +59,7 @@ func TestStringValueAllocatesNothing(t *testing.T) {
 	st := xmarkVolume(t, 8192)
 	var leaf NodeID
 	for _, c := range evalStepFull(st, st.Swizzle(st.Root()), xpath.Descendant, xpath.Wildcard()) {
-		if kids := c.kids(); len(kids) == 1 && c.img.recs[kids[0]].kind == RecText {
+		if kids := childCursors(c); len(kids) == 1 && kids[0].RecKind() == RecText {
 			leaf = c.ID()
 			break
 		}

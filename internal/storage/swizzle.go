@@ -19,26 +19,29 @@ type swizKey struct {
 	epoch uint64
 }
 
-// swizEntry is one cached page image. The mutex serializes the decode, so
-// an image is decoded, and its CPU charged, once: a second reader blocks
-// until the first has decoded, then shares its image. A failed load (the
-// fault plane's terminal errors) publishes nothing, so the next access
-// retries instead of inheriting a nil image.
+// swizEntry is one cached page image, held in place so a load allocates no
+// image of its own. The mutex serializes the load, so an image is validated,
+// and its CPU charged, once: a second reader blocks until the first has
+// loaded, then shares its image. A failed load (the fault plane's terminal
+// errors, a corrupt page) leaves ready unset, so the next access retries
+// instead of inheriting a half-built image. Cursors point into the entry
+// and keep it, and the frame its image aliases, reachable after drop.
 type swizEntry struct {
-	mu  sync.Mutex
-	img atomic.Pointer[pageImage]
+	mu    sync.Mutex
+	ready atomic.Bool
+	img   pageImage
 }
 
-// swizCache is the cache of decoded (swizzled) page images, shared by a
+// swizCache is the cache of loaded (swizzled) page images, shared by a
 // base Store and all its Reader views. Its mutex covers only the map probes
-// and updates; the buffer Fix and the decode run outside it (under the
+// and updates; the buffer Fix and the load run outside it (under the
 // entry's mutex), and the lock order is buffer-manager mutex → swizzle
 // mutex (the eviction handler calls drop while holding the manager mutex;
-// the decode path never holds the swizzle mutex while calling into the
+// the load path never holds the swizzle mutex while calling into the
 // pool).
 //
 // Entries are keyed by swizKey; the phys index maps the *physical* page a
-// decoded image came from back to its key, because the two invalidation
+// loaded image came from back to its key, because the two invalidation
 // callers — buffer eviction and the version reclaimer (DropVersion) —
 // identify frames physically. The version map is injective, so at any
 // moment one physical page backs at most one key.
@@ -66,7 +69,7 @@ func (c *swizCache) entry(k swizKey) *swizEntry {
 	return e
 }
 
-// track records that the image published under k was decoded from physical
+// track records that the image published under k was loaded from physical
 // page phys, so physically-addressed invalidation can find it.
 func (c *swizCache) track(phys vdisk.PageID, k swizKey) {
 	c.mu.Lock()
@@ -74,11 +77,11 @@ func (c *swizCache) track(phys vdisk.PageID, k swizKey) {
 	c.mu.Unlock()
 }
 
-// drop discards the cached image decoded from physical page p (buffer
+// drop discards the cached image loaded from physical page p (buffer
 // eviction, version reclamation). Readers already holding the image keep
-// using it — images are immutable and self-contained — while the next
-// access re-decodes. Nothing happens if no image was published from p (a
-// decode raced an eviction, or the frame held a non-data page).
+// using it — images are immutable, and the frame they alias is never
+// reused — while the next access loads the page again. Nothing happens if no image was published from p (a
+// load raced an eviction, or the frame held a non-data page).
 func (c *swizCache) drop(p vdisk.PageID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sync"
 
 	"pathdb/internal/vdisk"
@@ -8,14 +9,14 @@ import (
 	"pathdb/internal/xpath"
 )
 
-// PageSynopsis summarizes one decoded cluster for whole-cluster decisions:
-// which record kinds and tags occur (and how often), and whether the
-// cluster has outgoing downward borders. It is derived from the cluster's
-// navigation bitmaps at decode time and registered under the page's write
-// epoch, so a consumer can tell whether a summary still describes the
-// bytes its version would read. The slices are shared with the image's
-// pageNav (small allocations of their own, so a synopsis never pins a
-// page-sized slab past eviction); callers must not mutate them.
+// PageSynopsis summarizes one cluster for whole-cluster decisions: which
+// record kinds and tags occur (and how often), and whether the cluster has
+// outgoing downward borders. It is counted off the page's entries the first
+// time a version of the page is loaded and registered under the page's write
+// epoch, so a consumer can tell whether a summary still describes the bytes
+// its version would read. Its slices are allocations of its own — a synopsis
+// outlives eviction and must not pin a page — and callers must not mutate
+// them.
 type PageSynopsis struct {
 	Epoch         uint64
 	Tags          []xmltree.TagID // sorted distinct record tags (NoTag bucket included)
@@ -80,9 +81,8 @@ func (sy *PageSynopsis) CanMatch(test xpath.NodeTest) bool {
 
 // synTable is the persistent synopsis registry, shared (by pointer) across
 // a base store and every view. Unlike the swizzle cache it survives buffer
-// eviction: summaries are tiny and alias already-allocated nav slices, so
-// keeping them lets XSchedule skip clusters that were decoded once in any
-// earlier query.
+// eviction: summaries are tiny, so keeping them lets XSchedule skip
+// clusters that were loaded once in any earlier query.
 type synTable struct {
 	mu sync.RWMutex
 	m  map[vdisk.PageID]*PageSynopsis
@@ -116,25 +116,72 @@ func (t *synTable) reset() {
 	t.mu.Unlock()
 }
 
-// synopsisOf builds the registry entry from a decoded image.
+// synopsisOf counts the registry entry off an image's entries: tags below
+// directTags in a table, the rest sorted.
 func synopsisOf(img *pageImage, epoch uint64) *PageSynopsis {
-	nav := &img.nav
-	return &PageSynopsis{
-		Epoch:         epoch,
-		Tags:          nav.tags,
-		TagCounts:     nav.tagCnt,
-		Elems:         int32(nav.elemCount),
-		Texts:         int32(nav.textCount),
-		Comments:      int32(nav.commentCount),
-		PIs:           int32(nav.piCount),
-		ProxyChildren: int32(nav.proxyChildCount),
-		Borders:       int32(len(img.borders)),
-		Live:          int32(len(nav.byPre)),
+	const directTags = 512
+	sy := &PageSynopsis{Epoch: epoch, Borders: int32(len(img.borderIDs)), Live: int32(img.n)}
+	var direct [directTags]int32
+	var noTag int32 // non-element core records: the NoTag bucket
+	var big []xmltree.TagID
+	distinct := 0
+	for p := 0; p < img.n; p++ {
+		switch img.kind(p) {
+		case RecProxyChild:
+			sy.ProxyChildren++
+		case RecElem:
+			sy.Elems++
+			if t := img.tag(p); t < directTags {
+				if direct[t]++; direct[t] == 1 {
+					distinct++
+				}
+			} else {
+				big = append(big, t)
+			}
+			continue
+		case RecText:
+			sy.Texts++
+		case RecComment:
+			sy.Comments++
+		case RecPI:
+			sy.PIs++
+		}
+		if k := img.kind(p); !k.IsProxy() {
+			noTag++
+		}
 	}
+	slices.Sort(big)
+	for i := range big {
+		if i == 0 || big[i] != big[i-1] {
+			distinct++
+		}
+	}
+	if noTag > 0 {
+		distinct++
+	}
+	sy.Tags, sy.TagCounts = make([]xmltree.TagID, 0, distinct), make([]int32, 0, distinct)
+	add := func(t xmltree.TagID, n int32) {
+		sy.Tags, sy.TagCounts = append(sy.Tags, t), append(sy.TagCounts, n)
+	}
+	if noTag > 0 {
+		add(xmltree.NoTag, noTag)
+	}
+	for t, n := range direct {
+		if n > 0 {
+			add(xmltree.TagID(t), n)
+		}
+	}
+	for i, t := range big {
+		if i == 0 || t != big[i-1] {
+			add(t, 0)
+		}
+		sy.TagCounts[len(sy.TagCounts)-1]++
+	}
+	return sy
 }
 
 // Synopsis returns the registered summary of cluster p as of this view's
-// version, or ok=false when the cluster has not been decoded at the
+// version, or ok=false when the cluster has not been loaded at the
 // version's write epoch yet (the summary on file, if any, describes other
 // bytes).
 func (s *Store) Synopsis(p vdisk.PageID) (*PageSynopsis, bool) {
@@ -145,9 +192,9 @@ func (s *Store) Synopsis(p vdisk.PageID) (*PageSynopsis, bool) {
 	return sy, true
 }
 
-// EnsureSynopsis decodes cluster p if needed and returns its summary at
-// this view's version. Used by the plan chooser's incremental refresh; the
-// decode charges this view's ledger.
+// EnsureSynopsis loads cluster p if needed and returns its summary at this
+// view's version. Used by the plan chooser's incremental refresh; the load
+// charges this view's ledger.
 func (s *Store) EnsureSynopsis(p vdisk.PageID) *PageSynopsis {
 	if sy, ok := s.Synopsis(p); ok {
 		return sy
@@ -156,22 +203,22 @@ func (s *Store) EnsureSynopsis(p vdisk.PageID) *PageSynopsis {
 	return synopsisOf(img, s.pageEpoch(p))
 }
 
-// RefreshSynopses decodes the after-images of a commit and registers their
+// RefreshSynopses validates the after-images of a commit and registers their
 // summaries at the commit epoch. The txn manager calls this right after
 // publishing the successor version, so the registry tracks commits eagerly:
 // skip decisions stay deterministic (a current-version reader always finds
 // a current-epoch summary for every page that ever had one) instead of
-// depending on which queries happened to decode which clusters first.
+// depending on which queries happened to load which clusters first.
 // Payloads are unfinalized page images (as produced by WriteTxn.WriteSet);
-// undecodable ones are skipped — the read path will fault on them properly.
+// invalid ones are skipped — the read path will fault on them properly.
 func (s *Store) RefreshSynopses(epoch uint64, images map[vdisk.PageID][]byte) {
 	ps := s.disk.PageSize()
+	var img pageImage
 	for p, raw := range images {
-		img, err := decodePage(p, finalizePage(raw, ps), ps)
-		if err != nil {
+		if decodePage(&img, p, finalizePage(raw, ps), ps) != nil {
 			continue
 		}
-		s.syn.publish(p, synopsisOf(img, epoch))
+		s.syn.publish(p, synopsisOf(&img, epoch))
 	}
 }
 

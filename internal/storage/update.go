@@ -32,21 +32,22 @@ var (
 )
 
 // swizzleTarget resolves a caller-supplied handle for an update: a slot
-// that an earlier delete compacted away means the handle is merely stale,
-// so it reports ErrGone instead of the page-corruption panic Swizzle
-// reserves for genuinely impossible ids.
+// that an earlier delete emptied or compacted away means the handle is
+// merely stale, so it reports ErrGone instead of the panic Swizzle reserves
+// for genuinely impossible ids.
 func (s *Store) swizzleTarget(id NodeID) (Cursor, error) {
 	stats.Inc(&s.led.Swizzles)
 	s.led.AdvanceCPU(s.model.CPUSwizzle)
 	img := s.image(id.Page())
-	if int(id.Slot()) >= len(img.recs) {
+	p, ok := img.posOf(id.Slot())
+	if !ok {
 		return Cursor{}, ErrGone
 	}
 	attr := -1
 	if i, ok := id.AttrIndex(); ok {
 		attr = i
 	}
-	return Cursor{st: s, img: img, page: id.Page(), slot: id.Slot(), attr: attr}, nil
+	return img.cursor(s, p, attr), nil
 }
 
 // insertSubtreeWith stages the insert of the logical fragment (an element,
@@ -63,10 +64,7 @@ func (s *Store) insertSubtreeWith(u *updater, parent NodeID, before NodeID, frag
 	if err != nil {
 		return InvalidNodeID, err
 	}
-	if pc.rec().dead {
-		return InvalidNodeID, ErrGone
-	}
-	if k := pc.rec().kind; k != RecElem && k != RecDoc {
+	if k := pc.kind; k != RecElem && k != RecDoc {
 		return InvalidNodeID, ErrNotElement
 	}
 	ord, err := s.insertionOrd(pc, before)
@@ -77,15 +75,15 @@ func (s *Store) insertSubtreeWith(u *updater, parent NodeID, before NodeID, frag
 	// Physical placement: under `before`'s physical parent when given
 	// (keeps the record next to its siblings), else under the parent
 	// record itself. The ord key alone determines logical position.
-	placePage, placeSlot := pc.page, pc.slot
+	place := pc
 	if before != InvalidNodeID {
 		bc, err := s.swizzleTarget(before)
 		if err != nil {
 			return InvalidNodeID, err
 		}
-		placePage, placeSlot = bc.page, uint16(bc.rec().parent)
+		place = bc.at(bc.img.parent(int(bc.pos)))
 	}
-	return u.placeSubtree(s.Swizzle(MakeNodeID(placePage, placeSlot)), frag, ord)
+	return u.placeSubtree(s.Swizzle(place.ID()), frag, ord)
 }
 
 // deleteSubtreeWith stages the removal of the node and its entire subtree,
@@ -96,35 +94,29 @@ func (s *Store) deleteSubtreeWith(u *updater, id NodeID) error {
 	if err != nil {
 		return err
 	}
-	r := c.rec()
-	if r.dead {
-		return ErrGone
-	}
-	if r.kind == RecDoc || r.kind.IsProxy() {
-		return ErrIsRoot
-	}
-	if r.parent == noParent {
+	if k := c.kind; k == RecDoc || k.IsProxy() {
 		return ErrIsRoot
 	}
 	lp := u.live(c.page)
-	u.deleteRec(lp, c.slot)
+	slot := c.slot()
+	parent := lp.img.recs[slot].parent
+	u.deleteRec(lp, slot)
 	// If the physical parent was a ProxyParent that just lost its only
 	// fragment, collapse the whole proxy pair.
-	u.collapseAnchors(lp, uint16(r.parent))
+	u.collapseAnchors(lp, uint16(parent))
 	return nil
 }
 
 // insertionOrd computes the document-order key for the new node: strictly
 // between its logical neighbours, never relabeling anything.
 func (s *Store) insertionOrd(parent Cursor, before NodeID) (ordpath.Key, error) {
-	kids := parent.kids()
 	if before == InvalidNodeID {
 		// Append: after the last logical child, which may live across a
 		// chain of proxies.
-		if len(kids) == 0 {
+		last, ok := parent.lastChild()
+		if !ok {
 			return parent.OrdKey().BulkChild(0), nil
 		}
-		last := Cursor{st: s, img: parent.img, page: parent.page, slot: kids[len(kids)-1], attr: -1}
 		return ordpath.After(s.lastOrdUnder(last)), nil
 	}
 
@@ -149,15 +141,26 @@ func (s *Store) insertionOrd(parent Cursor, before NodeID) (ordpath.Key, error) 
 // order reachable from child entry c: for a ProxyChild, the far fragment's
 // last member; for core records, the record itself.
 func (s *Store) lastOrdUnder(c Cursor) ordpath.Key {
-	for c.rec().kind == RecProxyChild {
-		far := s.Swizzle(c.rec().target) // ProxyParent anchor
-		kids := far.kids()
-		if len(kids) == 0 {
+	for c.kind == RecProxyChild {
+		last, ok := s.Swizzle(c.Target()).lastChild() // below the ProxyParent anchor
+		if !ok {
 			return c.OrdKey() // degenerate empty fragment
 		}
-		c = Cursor{st: s, img: far.img, page: far.page, slot: kids[len(kids)-1], attr: -1}
+		c = last
 	}
 	return c.OrdKey()
+}
+
+// lastChild returns the last physical child of c, false if it has none.
+func (c Cursor) lastChild() (Cursor, bool) {
+	last := -1
+	for k, e := int(c.pos)+1, c.img.end(int(c.pos)); k < e; k = c.img.end(k) {
+		last = k
+	}
+	if last < 0 {
+		return Cursor{}, false
+	}
+	return c.at(last), true
 }
 
 // logicalLeftOrd finds the ord key of the node immediately preceding c in
@@ -165,32 +168,24 @@ func (s *Store) lastOrdUnder(c Cursor) ordpath.Key {
 // child.
 func (s *Store) logicalLeftOrd(c Cursor) (ordpath.Key, error) {
 	for {
-		r := c.rec()
-		if r.parent == noParent {
+		img, p := c.img, int(c.pos)
+		par := img.parent(p)
+		if par == noParent {
 			return nil, ErrNotChild
 		}
-		siblings := c.img.kids(&c.img.recs[r.parent])
-		idx := -1
-		for i, slot := range siblings {
-			if slot == c.slot {
-				idx = i
-				break
-			}
+		left := -1
+		for k := par + 1; k < p; k = img.end(k) {
+			left = k
 		}
-		if idx < 0 {
-			return nil, ErrNotChild
-		}
-		if idx > 0 {
-			leftEntry := Cursor{st: c.st, img: c.img, page: c.page, slot: siblings[idx-1], attr: -1}
-			return c.st.lastOrdUnder(leftEntry), nil
+		if left >= 0 {
+			return c.st.lastOrdUnder(c.at(left)), nil
 		}
 		// First in this physical segment: if anchored by a ProxyParent,
 		// the logical predecessor lives before the companion ProxyChild.
-		anchor := &c.img.recs[r.parent]
-		if anchor.kind != RecProxyParent {
+		if img.kind(par) != RecProxyParent {
 			return nil, nil // genuinely the first child
 		}
-		c = c.st.Swizzle(anchor.target)
+		c = c.st.Swizzle(img.target(par))
 	}
 }
 
@@ -217,7 +212,7 @@ func newUpdater(s *Store) *updater {
 	return &updater{st: s, pages: map[vdisk.PageID]*livePage{}}
 }
 
-// live returns the mutable view of page p: the decoded image expanded into
+// live returns the mutable view of page p: the page image expanded into
 // private fat records.
 func (u *updater) live(p vdisk.PageID) *livePage {
 	if lp, ok := u.pages[p]; ok {
@@ -252,7 +247,7 @@ func (lp *livePage) fits(sz int, pageSize int) bool {
 
 // addRec stores r, reusing a dead slot when possible.
 func (u *updater) addRec(lp *livePage, r rec) uint16 {
-	sz := encodedSize(&r)
+	sz := encodedSize(&r, lp.img.parentOf(&r))
 	for i := range lp.img.recs {
 		if lp.img.recs[i].dead {
 			lp.img.recs[i] = r
@@ -327,20 +322,21 @@ func (u *updater) placeSubtree(parent Cursor, frag *xmltree.Node, ord ordpath.Ke
 // representation change is paid for the cluster one works in (Sec. 3.6),
 // not for every continuation page of a long child list on the way to it.
 func (u *updater) descendToFragment(parent Cursor, ord ordpath.Key) (*livePage, uint16) {
-	img, slot := parent.img, parent.slot
+	img, p := parent.img, int(parent.pos)
 	for {
 		prev := -1
-		for _, k := range img.kids(&img.recs[slot]) {
-			if ordpath.Compare(img.ord(&img.recs[k]), ord) >= 0 {
+		for k, e := p+1, img.end(p); k < e; k = img.end(k) {
+			if ordpath.Compare(img.key(k), ord) >= 0 {
 				break
 			}
-			prev = int(k)
+			prev = k
 		}
-		if prev < 0 || img.recs[prev].kind != RecProxyChild {
-			return u.live(img.page), slot
+		if prev < 0 || img.kind(prev) != RecProxyChild {
+			return u.live(img.page), img.slotOf(p)
 		}
-		target := img.recs[prev].target
-		img, slot = u.st.image(target.Page()), target.Slot()
+		target := img.target(prev)
+		img = u.st.image(target.Page())
+		p, _ = img.posOf(target.Slot())
 	}
 }
 
@@ -380,16 +376,19 @@ func (u *updater) placeRec(lp *livePage, parentSlot uint16, r rec) (*livePage, u
 	if r.kind == RecElem {
 		needsReserve = proxyReserve
 	}
-	if lp.fits(encodedSize(&r)+needsReserve, ps) {
+	parent := &lp.img.recs[parentSlot]
+	if lp.fits(encodedSize(&r, parent)+needsReserve, ps) {
 		r.parent = int(parentSlot)
 		return lp, u.addRec(lp, r), nil
 	}
-	proxySz := encodedSize(&rec{kind: RecProxyChild, parent: int(parentSlot), ord: r.ord})
+	proxySz := encodedSize(&rec{kind: RecProxyChild, parent: int(parentSlot), ord: r.ord}, parent)
 	if !lp.fits(proxySz, ps) && !u.makeRoom(lp, proxySz, parentSlot) {
 		return nil, 0, fmt.Errorf("%w: page %d full", ErrRecordTooLarge, lp.page)
 	}
-	far, ppSlot := u.proxyPair(lp, parentSlot, r.ord, encodedSize(&r)+needsReserve)
-	if !far.fits(encodedSize(&r)+needsReserve, ps) {
+	// Below the far page's ProxyParent the key is stored whole.
+	sz := encodedSize(&r, nil) + needsReserve
+	far, ppSlot := u.proxyPair(lp, parentSlot, r.ord, sz)
+	if !far.fits(sz, ps) {
 		return nil, 0, ErrRecordTooLarge
 	}
 	r.parent = int(ppSlot)
@@ -407,10 +406,11 @@ func (u *updater) placeRecSpilling(cur **livePage, curPS *uint16, r rec) (*liveP
 	if r.kind == RecElem {
 		needsReserve = proxyReserve
 	}
-	sz := encodedSize(&r)
-	proxySz := encodedSize(&rec{kind: RecProxyChild, parent: int(*curPS), ord: r.ord})
+	parent := &lp.img.recs[*curPS]
+	proxySz := encodedSize(&rec{kind: RecProxyChild, parent: int(*curPS), ord: r.ord}, parent)
+	sz := encodedSize(&r, nil) // the size on a far page, below its ProxyParent
 	switch {
-	case lp.fits(sz+needsReserve, ps):
+	case lp.fits(encodedSize(&r, parent)+needsReserve, ps):
 		r.parent = int(*curPS)
 		return lp, u.addRec(lp, r), nil
 	case lp.fits(proxySz, ps):
@@ -460,8 +460,9 @@ func (u *updater) makeRoom(lp *livePage, need int, avoid uint16) bool {
 }
 
 // localSubtree collects the slots of the page-local subtree rooted at
-// slot, in preorder, plus its total record bytes. ok is false when the
-// subtree contains the avoid slot (pass deadSlotOff for "no avoid").
+// slot, in preorder, plus its total record bytes once moved: the root's
+// key stored whole, below a ProxyParent. ok is false when the subtree
+// contains the avoid slot (pass noPos for "no avoid").
 func localSubtree(img *recPage, slot, avoid uint16) (members []uint16, bytes int, ok bool) {
 	stack := []uint16{slot}
 	for len(stack) > 0 {
@@ -471,7 +472,11 @@ func localSubtree(img *recPage, slot, avoid uint16) (members []uint16, bytes int
 			return nil, 0, false
 		}
 		members = append(members, s)
-		bytes += encodedSize(&img.recs[s])
+		if s == slot {
+			bytes += encodedSize(&img.recs[s], nil)
+		} else {
+			bytes += encodedSize(&img.recs[s], img.parentOf(&img.recs[s]))
+		}
 		kids := img.recs[s].children
 		for i := len(kids) - 1; i >= 0; i-- {
 			stack = append(stack, kids[i])
@@ -493,7 +498,7 @@ func (u *updater) moveBestSubtree(lp *livePage, avoid uint16, maxMove int) bool 
 		if !ok || bytes+2*len(members) > maxMove {
 			continue
 		}
-		pcSz := encodedSize(&rec{kind: RecProxyChild, parent: r.parent, ord: r.ord})
+		pcSz := encodedSize(&rec{kind: RecProxyChild, parent: r.parent, ord: r.ord}, lp.img.parentOf(r))
 		if g := bytes - pcSz; g > bestGain {
 			best, bestGain = i, g
 		}
@@ -556,14 +561,14 @@ func (u *updater) moveFragment(lp *livePage, parentSlot uint16, roots []uint16) 
 	total := 0
 	var perRoot [][]uint16
 	for _, root := range roots {
-		m, b, ok := localSubtree(lp.img, root, deadSlotOff) // no avoid here
+		m, b, ok := localSubtree(lp.img, root, noPos) // no avoid here
 		if !ok {
 			panic("storage: moveFragment over protected slot")
 		}
 		perRoot = append(perRoot, m)
 		total += b + 2*len(m)
 	}
-	far := u.overflowPage(total + encodedSize(&rec{kind: RecProxyParent}) + 4)
+	far := u.overflowPage(total + encodedSize(&rec{kind: RecProxyParent}, nil) + 4)
 	ppSlot := u.addRec(far, rec{kind: RecProxyParent, parent: noParent})
 	firstOrd := lp.img.recs[roots[0]].ord
 
@@ -597,7 +602,7 @@ func (u *updater) moveFragment(lp *livePage, parentSlot uint16, roots []uint16) 
 	pc := rec{kind: RecProxyChild, parent: int(parentSlot), ord: firstOrd,
 		target: MakeNodeID(far.page, ppSlot)}
 	lp.img.recs[pcSlot] = pc
-	lp.used += encodedSize(&pc)
+	lp.used += encodedSize(&pc, lp.img.parentOf(&pc))
 	u.linkChild(lp, pcSlot, int(parentSlot))
 	far.img.recs[ppSlot].target = MakeNodeID(lp.page, pcSlot)
 }
@@ -627,7 +632,7 @@ func (u *updater) overflowPage(need int) *livePage {
 // ord) and ProxyParent in an extension page with room for `need` more
 // bytes, returning the far page and the anchor slot.
 func (u *updater) proxyPair(lp *livePage, parentSlot uint16, ord ordpath.Key, need int) (*livePage, uint16) {
-	far := u.overflowPage(need + encodedSize(&rec{kind: RecProxyParent}) + 4)
+	far := u.overflowPage(need + encodedSize(&rec{kind: RecProxyParent}, nil) + 4)
 	ppSlot := u.addRec(far, rec{kind: RecProxyParent, parent: noParent})
 	pcSlot := u.addRec(lp, rec{kind: RecProxyChild, parent: int(parentSlot), ord: ord,
 		target: MakeNodeID(far.page, ppSlot)})
@@ -687,7 +692,7 @@ func (u *updater) tombstone(lp *livePage, slot uint16) {
 			}
 		}
 	}
-	lp.used -= encodedSize(r)
+	lp.used -= encodedSize(r, lp.img.parentOf(r))
 	r.dead = true
 	r.children = nil
 	lp.dirty = true
@@ -721,7 +726,7 @@ func (u *updater) stage() (map[vdisk.PageID][]byte, error) {
 		if !lp.dirty {
 			continue
 		}
-		raw, err := encodePageImage(lp.img, u.st.disk.PageSize())
+		raw, err := encodePage(lp.img, u.st.disk.PageSize())
 		if err != nil {
 			return nil, err
 		}

@@ -273,10 +273,9 @@ func TestRandomUpdateSequence(t *testing.T) {
 				var storedKids []Cursor
 				var gather func(cc Cursor)
 				gather = func(cc Cursor) {
-					for _, slot := range cc.kids() {
-						ch := Cursor{st: st, img: cc.img, page: cc.page, slot: slot, attr: -1}
-						if ch.rec().kind == RecProxyChild {
-							gather(st.Swizzle(ch.rec().target))
+					for _, ch := range childCursors(cc) {
+						if ch.RecKind() == RecProxyChild {
+							gather(st.Swizzle(ch.Target()))
 							continue
 						}
 						storedKids = append(storedKids, ch)
@@ -293,12 +292,10 @@ func TestRandomUpdateSequence(t *testing.T) {
 			rootCur := st.Swizzle(st.Root())
 			// Document node.
 			var kids []Cursor
-			for _, slot := range rootCur.kids() {
-				ch := Cursor{st: st, img: rootCur.img, page: rootCur.page, slot: slot, attr: -1}
-				if ch.rec().kind == RecProxyChild {
-					ch = st.Swizzle(ch.rec().target)
+			for _, ch := range childCursors(rootCur) {
+				if ch.RecKind() == RecProxyChild {
 					// fragment under anchor: single chain
-					ch = Cursor{st: st, img: ch.img, page: ch.page, slot: ch.kids()[0], attr: -1}
+					ch = childCursors(st.Swizzle(ch.Target()))[0]
 				}
 				kids = append(kids, ch)
 			}

@@ -69,7 +69,7 @@ func (t *WriteTxn) DeleteSubtree(id NodeID) (err error) {
 }
 
 // refreshOverlay republishes every staged dirty page into the overlay, so
-// the next operation's reads see this one's mutations. Encode + decode
+// the next operation's reads see this one's mutations. Encode + validate
 // round-trips through the page format, which keeps the overlay images
 // structurally identical to what a committed read would produce.
 func (t *WriteTxn) refreshOverlay() error {
@@ -78,12 +78,12 @@ func (t *WriteTxn) refreshOverlay() error {
 		if !lp.dirty {
 			continue
 		}
-		raw, err := encodePageImage(lp.img, ps)
+		raw, err := encodePage(lp.img, ps)
 		if err != nil {
 			return err
 		}
-		img, err := decodePage(p, finalizePage(raw, ps), ps)
-		if err != nil {
+		img := new(pageImage)
+		if err := decodePage(img, p, finalizePage(raw, ps), ps); err != nil {
 			return err
 		}
 		t.overlay[p] = img

@@ -71,6 +71,55 @@ func TestUpdateBasic(t *testing.T) {
 	}
 }
 
+// TestScheduleAfterPagesReturn commits inserts and deletes that relocate
+// pages copy-on-write until a physical page comes back to the logical page
+// it started as, after a scheduled read had requested another logical page
+// stored there. Every read must still finish, under a deadline: the view
+// once translated the returning page's completion to the other logical page,
+// and XSchedule re-requested a cluster that never arrived, forever.
+func TestScheduleAfterPagesReturn(t *testing.T) {
+	db := exitFixture(t) // 40-page pool, smaller than the volume
+	q, err := db.Query("/site/people/person/name")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := q.WithStrategy(Simple).Count()
+	people, err := db.Query("/site/people/person")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []Node
+	for i := 0; i < 80; i++ {
+		if len(held) > 3 {
+			if err := db.Update(func(tx *Tx) error { return tx.Delete(held[0]) }); err != nil {
+				t.Fatal(err)
+			}
+			held = held[1:]
+		} else {
+			persons := people.WithStrategy(Simple).Nodes()
+			var n Node
+			err := db.Update(func(tx *Tx) (err error) {
+				n, err = tx.InsertXML(persons[(i*7)%len(persons)], "<x>pad</x>")
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, n)
+		}
+		done := make(chan int, 1)
+		go func() { done <- q.WithStrategy(Schedule).Count() }()
+		select {
+		case got := <-done:
+			if got != want {
+				t.Fatalf("commit %d: %d names, want %d", i, got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("commit %d: the scheduled read did not finish", i)
+		}
+	}
+}
+
 // TestUpdateMixedWorkloadUnderFaults is the subsystem's integration gauntlet:
 // 8 readers and 2 writers race through the engine while the fault plane
 // injects read errors and latency spikes. Every transaction inserts TWO
