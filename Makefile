@@ -82,12 +82,12 @@ api-check:
 # matrix (internal/txn), the facade's mixed read/write
 # gauntlet (snapshot isolation + goroutine-leak check), the HTTP
 # update path, and the structural join's levels across commits (advanced
-# levels equal fresh builds, rent-or-buy, pinned snapshots, faulted
-# advances), all under -race.
+# levels equal fresh builds, Auto reads build once and then join over
+# advanced levels, pinned snapshots, faulted advances), all under -race.
 test-txn:
 	$(GO) test -race ./internal/txn/
 	$(GO) test -race -run 'TestUpdate|TestQueryChoice' ./internal/server/ .
-	$(GO) test -race -run 'TestLevelAdvance|TestRentOrBuy|TestSupersededSnapshot|TestFailedAdvance' .
+	$(GO) test -race -run 'TestLevelAdvance|TestAutoJoinsAcrossCommits|TestSupersededSnapshot|TestFailedAdvance' .
 
 # Sharding subsystem: ring placement/skew/degradation, the split
 # invariants, the scatter-gather coordinator, and the HTTP router

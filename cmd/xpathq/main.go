@@ -29,7 +29,6 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "entity scale for -xmark")
 	query := flag.String("q", "", "location path to evaluate (required)")
 	strategy := flag.String("strategy", "auto", "plan strategy: auto, simple, xschedule, xscan")
-	preds := flag.String("preds", "auto", "predicate evaluator: auto, nested, join")
 	layoutName := flag.String("layout", "natural", "physical layout: natural, contiguous, shuffled")
 	buffer := flag.Int("buffer", 0, "buffer pool pages (default 1000)")
 	sorted := flag.Bool("sorted", false, "return results in document order")
@@ -46,10 +45,6 @@ func main() {
 		fail("missing -q")
 	}
 	strat, err := pathdb.ParseStrategy(*strategy)
-	if err != nil {
-		fail("%v", err)
-	}
-	predEval, err := pathdb.ParsePredEval(*preds)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -86,7 +81,6 @@ func main() {
 		Sorted:   *sorted,
 		Limit:    *limit,
 		Timeout:  time.Duration(*timeoutMS) * time.Millisecond,
-		PredEval: predEval,
 	}
 
 	if *explain || *showPlan {
@@ -111,10 +105,6 @@ func main() {
 				100*c.Coverage, c.PagesTouched, db.Pages(), 100*c.Residency)
 			fmt.Printf("  estimate: xschedule=%v xscan=%v simple=%v\n",
 				c.ScheduleCost, c.ScanCost, c.SimpleCost)
-			for _, p := range c.Preds {
-				fmt.Printf("  preds:    step %d → %s (C=%d: nested=%v join=%v, joinable=%v, cached=%v, build=%v, credit=%v)\n",
-					p.Step, c.PredEval, p.Candidates, p.NestedCost, p.JoinCost, p.Joinable, p.Cached, p.BuildCost, p.Credit)
-			}
 			// The plan's last line says whether it sorts, or delivers
 			// document order by its shape.
 			_, order, _ := strings.Cut(q.WithStrategy(strat).Plan(), "order: ")

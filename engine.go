@@ -170,8 +170,8 @@ type QueryOptions struct {
 	// everything, sorts, and keeps the first N in document order.
 	Limit int
 	// PredEval forces the predicate evaluator (default PredAuto: the
-	// cost model decides per query between per-candidate probing and the
-	// set-at-a-time structural semi-join).
+	// structural semi-join when its levels fit the derived cache,
+	// per-candidate probing otherwise).
 	PredEval PredEval
 }
 

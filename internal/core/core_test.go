@@ -639,6 +639,9 @@ func evalPathLogicalPred(doc *xmltree.Node, path []xpath.Step) []*xmltree.Node {
 	return eval([]*xmltree.Node{doc}, path)
 }
 
+// TestPredicatesAllStrategies holds PredFilter, the per-candidate
+// evaluator, to the logical-tree reference. It pins PredNested: the Auto
+// rule would pick XJoin for most of these paths.
 func TestPredicatesAllStrategies(t *testing.T) {
 	dict := xmltree.NewDictionary()
 	b := xmltree.NewBuilder(dict)
@@ -669,7 +672,7 @@ func TestPredicatesAllStrategies(t *testing.T) {
 		parsed := xpath.MustParse(dict, src).Simplify()
 		want := logicalKeySet(doc, evalPathLogicalPred(doc, parsed.Steps))
 		for _, strat := range allStrategies {
-			got := resultKeySet(st, runStrategy(t, st, parsed.Steps, strat, PlanOptions{}))
+			got := resultKeySet(st, runStrategy(t, st, parsed.Steps, strat, PlanOptions{PredEval: PredNested}))
 			if strings.Join(got, "\n") != strings.Join(want, "\n") {
 				t.Fatalf("%v on %q:\nwant %v\ngot  %v", strat, src, want, got)
 			}
@@ -677,6 +680,8 @@ func TestPredicatesAllStrategies(t *testing.T) {
 	}
 }
 
+// TestPredicatesPropertyRandomTrees is the random-tree counterpart of
+// TestPredicatesAllStrategies, also pinned to PredFilter.
 func TestPredicatesPropertyRandomTrees(t *testing.T) {
 	srcs := []string{"//a[b]", "//b[c]/..", "/a//c[d]", "//a[b/c]", `//b[.="t"]`}
 	f := func(seed uint64, pi uint8) bool {
@@ -686,7 +691,7 @@ func TestPredicatesPropertyRandomTrees(t *testing.T) {
 		parsed := xpath.MustParse(dict, src).Simplify()
 		want := logicalKeySet(doc, evalPathLogicalPred(doc, parsed.Steps))
 		for _, strat := range allStrategies {
-			got := resultKeySet(st, runStrategy(t, st, parsed.Steps, strat, PlanOptions{}))
+			got := resultKeySet(st, runStrategy(t, st, parsed.Steps, strat, PlanOptions{PredEval: PredNested}))
 			if strings.Join(got, "\n") != strings.Join(want, "\n") {
 				t.Logf("seed=%d src=%q strat=%v\nwant %v\ngot  %v", seed, src, strat, want, got)
 				return false
@@ -703,7 +708,7 @@ func TestPredicateDescribe(t *testing.T) {
 	dict, doc := buildTree(4, 50)
 	st := importTree(t, dict, doc, 512, storage.LayoutNatural)
 	steps := xpath.MustParse(dict, "/a//b[c]").Simplify().Steps
-	desc := BuildPlan(st, steps, []storage.NodeID{st.Root()}, StrategySchedule, PlanOptions{}).Describe(dict)
+	desc := BuildPlan(st, steps, []storage.NodeID{st.Root()}, StrategySchedule, PlanOptions{PredEval: PredNested}).Describe(dict)
 	if !strings.Contains(desc, "PredFilter(step 2, 1 predicates)") {
 		t.Fatalf("describe missing filter:\n%s", desc)
 	}

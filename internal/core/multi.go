@@ -24,6 +24,9 @@ type MultiPlan struct {
 	shared *XSchedule
 	asms   []*XAssembly
 	closed bool
+	// PredEvals holds, per member, the evaluator its predicate steps run
+	// with (see Plan.PredEval).
+	PredEvals []PredEval
 }
 
 // Close shuts every member's operator chain down, releasing pooled
@@ -54,7 +57,7 @@ type MultiQuery struct {
 	// MemLimit overrides PlanOptions.MemLimit for this member when > 0.
 	MemLimit int
 	// PredEval overrides PlanOptions.PredEval for this member when not
-	// PredAuto — the cost model decides per member query.
+	// PredAuto; what stays PredAuto is resolved on the member's own view.
 	PredEval PredEval
 	// Store, when non-nil, is the storage view this member's operators
 	// charge to (a per-query Reader over the group's base store). The
@@ -115,6 +118,10 @@ func BuildMultiPlan(store *storage.Store, queries []MultiQuery, opts PlanOptions
 		if q.PredEval != PredAuto {
 			pe = q.PredEval
 		}
+		if pe == PredAuto {
+			pe = AutoPredEval(st, q.Path)
+		}
+		mp.PredEvals = append(mp.PredEvals, pe)
 		var op Operator = &demuxPort{d: d, path: pi}
 		for i := 1; i <= len(q.Path); i++ {
 			op = NewXStep(es, op, i)

@@ -41,11 +41,11 @@ func (s Strategy) String() string {
 type PredEval uint8
 
 const (
-	// PredAuto defers to the cost model (internal/plan); a plan built
-	// without a chooser treats it as PredNested.
+	// PredAuto lets the plan pick by AutoPredEval when it is built.
 	PredAuto PredEval = iota
 	// PredNested probes each candidate with a per-node Simple sub-plan
-	// (PredFilter) — the safe default, linear in candidates × probe cost.
+	// (PredFilter), linear in candidates × probe cost. It is XJoin's
+	// fallback and the differential tests' oracle.
 	PredNested
 	// PredJoin evaluates predicates set-at-a-time with ordpath structural
 	// semi-joins (XJoin); branches the join cannot express still fall back
@@ -86,8 +86,8 @@ type PlanOptions struct {
 	// Arena supplies pooled per-query scratch to the plan's operators.
 	// Optional; one arena may serve only one running plan at a time.
 	Arena *Arena
-	// PredEval picks the predicate evaluator (default PredNested). The
-	// cost model (internal/plan) decides per query from the synopsis.
+	// PredEval picks the predicate evaluator (default PredAuto: the plan
+	// applies AutoPredEval to its store).
 	PredEval PredEval
 }
 
@@ -102,6 +102,9 @@ type Plan struct {
 	// Ordered reports that the root yields document order: a Simple plan
 	// whose path shape preserves it, or any plan with the final sort.
 	Ordered bool
+	// PredEval is the evaluator the predicate steps run with, PredAuto
+	// resolved (PredNested for a path without joinable predicates).
+	PredEval PredEval
 }
 
 // PathShape reports what a border-crossing Simple chain over path yields
@@ -144,6 +147,11 @@ func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeI
 
 	ctxIDs := append([]storage.NodeID(nil), contexts...)
 	p := &Plan{es: es, Strategy: strat}
+	pe := opts.PredEval
+	if pe == PredAuto {
+		pe = AutoPredEval(store, path)
+	}
+	p.PredEval = pe
 
 	// chain appends XStepᵢ (plus a predicate evaluator when the step
 	// carries predicates) for every location step.
@@ -153,7 +161,7 @@ func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeI
 			xs.CrossBorders = crossBorders
 			op = xs
 			if len(path[i-1].Predicates) > 0 {
-				if opts.PredEval == PredJoin {
+				if pe == PredJoin {
 					op = NewXJoin(es, op, i)
 				} else {
 					op = NewPredFilter(es, op, i)

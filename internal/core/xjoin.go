@@ -316,15 +316,18 @@ func compileJoinPreds(es *EvalState, preds []xpath.Predicate) []joinPred {
 	return out
 }
 
-// joinBranchKey names the S_1 of one literal-free branch in the derived
-// cache: the canonical rendition of the simplified steps, nested
-// predicates included.
+// joinBranchKey names the S_1 of one branch whose set comes from its
+// levels alone (fromLevels: no literal, no nested predicate) in the derived
+// cache: the canonical rendition of the simplified steps.
 func joinBranchKey(dict *xmltree.Dictionary, steps []xpath.Step) string {
 	var b strings.Builder
+	b.Grow(64)
 	b.WriteString("xjoin:")
 	for _, s := range steps {
 		b.WriteByte('/')
-		b.WriteString(s.Render(dict))
+		b.WriteString(s.Axis.String())
+		b.WriteString("::")
+		b.WriteString(s.Test.Render(dict))
 	}
 	return b.String()
 }
@@ -343,7 +346,7 @@ func LevelKey(dict *xmltree.Dictionary, s xpath.Step) string {
 	if s.Axis == xpath.AttributeAxis {
 		ax = xpath.AttributeAxis
 	}
-	return "level:" + xpath.Step{Axis: ax, Test: s.Test}.Render(dict)
+	return "level:" + ax.String() + "::" + s.Test.Render(dict)
 }
 
 // levelOf returns the level of the step's node test, with the string values
@@ -435,23 +438,20 @@ func selectLevel(es *EvalState, step xpath.Step, lit *xpath.Predicate) []ordpath
 }
 
 // JoinNeed is what a structural join over one predicate branch would find
-// in the derived cache: the branch's steps with identity steps removed (as
-// the join and the nested probes both see them), whether the join can
-// express them, and — unless the branch's S_1 is resident — per step the key
-// of the level it would have to build first ("" for a resident level).
+// in the derived cache: whether the join can express the branch, and —
+// unless the branch's S_1 is resident — per step the key of the level it
+// would have to build first ("" for a resident level).
 type JoinNeed struct {
-	Steps    []xpath.Step
 	Joinable bool
 	Missing  []string // nil: S_1 resident, or nothing to join
 }
 
-// JoinNeeds probes the store's derived cache, at the store's version epoch,
-// for the cost model: what is resident — or in a generation the query's
-// first read advances to that epoch — is already paid, the way buffer-aware
-// optimizers discount pages known to be resident.
+// JoinNeeds probes the store's derived cache, at the store's version epoch:
+// what is resident — or in a generation the query's first read advances to
+// that epoch — need not be built.
 func JoinNeeds(st *storage.Store, branch *xpath.Path, p xpath.Predicate) JoinNeed {
 	steps, joinable := joinableSteps(branch)
-	n := JoinNeed{Steps: steps, Joinable: joinable && !(len(steps) == 0 && p.HasLit)}
+	n := JoinNeed{Joinable: joinable && !(len(steps) == 0 && p.HasLit)}
 	if !joinable || len(steps) == 0 {
 		return n
 	}
@@ -468,16 +468,45 @@ func JoinNeeds(st *storage.Store, branch *xpath.Path, p xpath.Predicate) JoinNee
 	return n
 }
 
-// joinableSteps returns the branch's steps with identity self::node() steps
-// removed, and whether the join can express every axis that remains.
-func joinableSteps(branch *xpath.Path) ([]xpath.Step, bool) {
-	simplified := branch.Simplify().Steps
-	steps := make([]xpath.Step, 0, len(simplified))
-	for _, s := range simplified {
-		if s.Axis == xpath.Self && s.Test.Kind == xpath.KindAny && len(s.Predicates) == 0 {
-			continue // identity step: .//a
+// AutoPredEval is what PredAuto resolves to on a view: XJoin when some
+// predicate branch of the path is joinable and the derived generation the
+// view reaches has room for the levels it lacks, so that they are built
+// once and every later read joins over them; PredFilter otherwise — no
+// joinable branch, a write transaction's overlay, a superseded snapshot or
+// a full generation, where a join would enumerate its levels on every read.
+func AutoPredEval(st *storage.Store, path []xpath.Step) PredEval {
+	dcache, epoch, ok := st.Derived()
+	if !ok {
+		return PredNested
+	}
+	joinable := false
+	var missing []string
+	for _, s := range path {
+		for _, p := range s.Predicates {
+			for _, branch := range p.Paths {
+				need := JoinNeeds(st, branch, p)
+				joinable = joinable || need.Joinable
+				for _, key := range need.Missing {
+					if key != "" && !slices.Contains(missing, key) {
+						missing = append(missing, key)
+					}
+				}
+			}
 		}
-		steps = append(steps, s)
+	}
+	if joinable && dcache.Room(epoch, len(missing)) {
+		return PredJoin
+	}
+	return PredNested
+}
+
+// joinableSteps returns the branch's steps with identity self::node() steps
+// removed, and whether the join can express every axis that remains. The
+// steps are shared with the branch unless there was one to remove.
+func joinableSteps(branch *xpath.Path) ([]xpath.Step, bool) {
+	steps := branch.Simplify().Steps
+	if slices.ContainsFunc(steps, isIdentity) {
+		steps = slices.DeleteFunc(slices.Clone(steps), isIdentity) // .//a
 	}
 	for k, s := range steps {
 		switch s.Axis {
@@ -491,6 +520,10 @@ func joinableSteps(branch *xpath.Path) ([]xpath.Step, bool) {
 		}
 	}
 	return steps, true
+}
+
+func isIdentity(s xpath.Step) bool {
+	return s.Axis == xpath.Self && s.Test.Kind == xpath.KindAny && len(s.Predicates) == 0
 }
 
 func relOf(a xpath.Axis) relKind {

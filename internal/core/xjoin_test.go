@@ -189,3 +189,39 @@ func TestXJoinDescribe(t *testing.T) {
 		t.Fatalf("describe missing join:\n%s", desc)
 	}
 }
+
+// TestPlanReportsPredEval: a plan reports the evaluator its predicate steps
+// run with — PredAuto resolved by AutoPredEval on its own store, a forced
+// evaluator as given — in a solo plan and per member of a multi-plan.
+func TestPlanReportsPredEval(t *testing.T) {
+	dict, _, st := xjoinFixture(t)
+	pred := xpath.MustParse(dict, `//book[meta]`).Simplify().Steps
+	bare := xpath.MustParse(dict, `//title`).Simplify().Steps
+	if AutoPredEval(st, pred) != PredJoin || AutoPredEval(st, bare) != PredNested {
+		t.Fatalf("rule: %v on a joinable branch, %v without predicates",
+			AutoPredEval(st, pred), AutoPredEval(st, bare))
+	}
+	roots := []storage.NodeID{st.Root()}
+	for _, c := range []struct {
+		path []xpath.Step
+		pe   PredEval
+		want PredEval
+	}{
+		{pred, PredAuto, PredJoin},
+		{pred, PredNested, PredNested},
+		{bare, PredAuto, PredNested},
+	} {
+		if got := BuildPlan(st, c.path, roots, StrategySchedule, PlanOptions{PredEval: c.pe}).PredEval; got != c.want {
+			t.Fatalf("solo plan with %v: %v, want %v", c.pe, got, c.want)
+		}
+	}
+	mp := BuildMultiPlan(st, []MultiQuery{
+		{Path: pred, Contexts: roots},
+		{Path: pred, Contexts: roots, PredEval: PredNested},
+		{Path: bare, Contexts: roots},
+	}, PlanOptions{})
+	defer mp.Close()
+	if want := []PredEval{PredJoin, PredNested, PredNested}; fmt.Sprint(mp.PredEvals) != fmt.Sprint(want) {
+		t.Fatalf("multi-plan members: %v, want %v", mp.PredEvals, want)
+	}
+}

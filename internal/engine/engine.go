@@ -137,8 +137,8 @@ type Query struct {
 	// is paced by the consumer, and parking a shared group's pooled I/O
 	// behind a slow consumer would stall the other members.
 	Stream bool
-	// PredEval forces the predicate evaluator; PredAuto defers to the
-	// cost model (resolved by the dispatcher alongside the strategy).
+	// PredEval forces the predicate evaluator; PredAuto leaves it to the
+	// plan (core.AutoPredEval on the query's view).
 	PredEval core.PredEval
 }
 
@@ -414,12 +414,10 @@ func batchable(strat core.Strategy, path []xpath.Step) bool {
 	return true
 }
 
-// execUnit is one gang member with its resolved strategy and predicate
-// evaluator.
+// execUnit is one gang member with its resolved strategy.
 type execUnit struct {
 	p      *Pending
 	strat  core.Strategy
-	pred   core.PredEval
 	choice *plan.Choice
 }
 
@@ -464,7 +462,7 @@ func (e *Engine) execute(gang []*Pending) {
 			continue
 		}
 		u := execUnit{p: p}
-		u.strat, u.pred, u.choice = e.chooser.Resolve(p.q.Path, p.q.Auto, p.q.Strategy, p.q.PredEval)
+		u.strat, u.choice = e.chooser.Resolve(p.q.Path, p.q.Auto, p.q.Strategy)
 		if !p.q.Stream && batchable(u.strat, p.q.Path) {
 			shared = append(shared, u)
 		} else {
@@ -522,7 +520,7 @@ func (e *Engine) runShared(snap Snapshot, units []execUnit, gangSize int) {
 			Contexts: e.contextsOf(u.p.q),
 			Ctx:      u.p.ctx,
 			MemLimit: u.p.q.MemLimit,
-			PredEval: u.pred,
+			PredEval: u.p.q.PredEval,
 			Store:    e.view(snap, qleds[i]),
 		}
 	}
@@ -548,6 +546,11 @@ func (e *Engine) runShared(snap Snapshot, units []execUnit, gangSize int) {
 			}
 		}()
 		mp = core.BuildMultiPlan(gview, queries, core.PlanOptions{Arena: arena})
+		for i, u := range units {
+			if u.choice != nil {
+				u.choice.PredEval = mp.PredEvals[i]
+			}
+		}
 		mp.RunEach(
 			func(i int) bool {
 				u := units[i]
@@ -653,8 +656,11 @@ func (e *Engine) runSolo(snap Snapshot, u execUnit, gangSize int) {
 			MemLimit: u.p.q.MemLimit,
 			Ctx:      u.p.ctx,
 			Arena:    arena,
-			PredEval: u.pred,
+			PredEval: u.p.q.PredEval,
 		})
+		if u.choice != nil {
+			u.choice.PredEval = p.PredEval
+		}
 		root = p.Root()
 		root.Open()
 		opened = true

@@ -26,7 +26,6 @@ package plan
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"pathdb/internal/core"
@@ -44,19 +43,6 @@ type Estimate struct {
 	Cost         stats.Ticks
 }
 
-// PredEstimate is the chooser's join-vs-nested decision detail for one
-// predicate-bearing location step.
-type PredEstimate struct {
-	Step       int         // 1-based location step index
-	Candidates int64       // estimated candidate nodes reaching the step
-	Nested     stats.Ticks // per-candidate probing (PredFilter)
-	Join       stats.Ticks // set-at-a-time structural semi-join (XJoin), Build included
-	Joinable   bool        // every branch expressible as a semi-join
-	Cached     bool        // every level, or the S_1, the join needs is in the derived cache
-	Build      stats.Ticks // enumerating the levels that are not (each priced once per query)
-	Credit     stats.Ticks // saving credited to those levels by the nested runs so far
-}
-
 // Choice is the chooser's full output, for explainability.
 type Choice struct {
 	Strategy core.Strategy
@@ -70,27 +56,17 @@ type Choice struct {
 	// complementary miss share.
 	Residency float64
 
-	// PredEval is the chosen predicate evaluator (PredNested when the
-	// path carries no predicates); Preds holds the per-step cost detail.
+	// PredEval is what PredAuto resolves to for the path on the chooser's
+	// view (core.AutoPredEval; PredNested when it carries no predicates).
+	// The engine overwrites it with the evaluator the built plan applied
+	// on the query's own view, so an executed query reports what ran.
 	PredEval core.PredEval
-	Preds    []PredEstimate
 }
 
 // String renders the decision for logs and the xpathq tool.
 func (c Choice) String() string {
-	s := fmt.Sprintf("choose %v (coverage %.0f%%, resident %.0f %%: schedule %v, scan %v, simple %v)",
+	return fmt.Sprintf("choose %v (coverage %.0f%%, resident %.0f %%: schedule %v, scan %v, simple %v)",
 		c.Strategy, 100*c.Coverage, 100*c.Residency, c.Schedule.Cost, c.Scan.Cost, c.Simple.Cost)
-	for _, p := range c.Preds {
-		s += fmt.Sprintf("; step %d preds → %v (C=%d: nested %v, join %v",
-			p.Step, c.PredEval, p.Candidates, p.Nested, p.Join)
-		if p.Cached {
-			s += ", levels resident"
-		} else {
-			s += fmt.Sprintf(", build %v, credit %v", p.Build, p.Credit)
-		}
-		s += ")"
-	}
-	return s
 }
 
 // Chooser estimates plan costs over one store. Construct with NewChooser
@@ -199,13 +175,8 @@ func (c *Chooser) Epoch() uint64 {
 
 // Choose prices the three physical plans for the path against the current
 // state of the buffer pool, picks the cheapest, and returns the full cost
-// breakdown. It moves nothing: the predicate evaluator it reports is the
-// one Resolve would pick on the credit accrued so far.
-func (c *Chooser) Choose(path []xpath.Step) Choice { return c.choose(path, false) }
-
-// choose is Choose; accrue lets a nested decision credit the levels whose
-// absence caused it (see predChoices).
-func (c *Chooser) choose(path []xpath.Step, accrue bool) Choice {
+// breakdown, with the predicate evaluator PredAuto resolves to.
+func (c *Chooser) Choose(path []xpath.Step) Choice {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m := c.store.Disk().Model()
@@ -284,161 +255,8 @@ func (c *Chooser) choose(path []xpath.Step, accrue bool) Choice {
 		}
 	}
 	choice.Strategy = best.Strategy
-	choice.PredEval, choice.Preds = c.predChoices(path, m, miss, accrue)
+	choice.PredEval = core.AutoPredEval(c.store, path)
 	return choice
-}
-
-// predChoices costs the two predicate evaluators for every
-// predicate-bearing step of the path. Nested (PredFilter) pays one probe
-// sub-plan per candidate per branch, with border crossings turning into
-// random reads at the pool's miss share; the structural join (XJoin) pays a
-// selection or doc-order merge per branch level, amortised over the whole
-// candidate batch, plus — once per distinct level of the query that is not
-// in the derived cache — a bitmap-assisted whole-document enumeration. The
-// evaluator is a plan-wide setting, so the decision sums over all predicate
-// steps, with non-joinable steps costed as nested on both sides (XJoin
-// degenerates to per-candidate probes for them).
-//
-// When only the builds make the join the dearer plan, the choice is rent or
-// buy with the number of reads the levels will serve unknown, answered at
-// break-even: with accrue set, the saving the join would have brought this
-// query is credited in equal shares to the missing levels, and once their
-// credit covers the estimate of building them the join is picked — it
-// builds and admits them. Credits live in the derived cache's generation,
-// which commits advance rather than drop, so a volume pays at most one
-// build's worth of rent per level before it buys, however often it is
-// written (2-competitive with either fixed policy). Caller holds c.mu.
-func (c *Chooser) predChoices(path []xpath.Step, m vdisk.CostModel, miss float64, accrue bool) (core.PredEval, []PredEstimate) {
-	var elems int64
-	for _, ts := range c.ds.Tags {
-		elems += ts.Count
-	}
-	live := float64(c.live)
-	if live < 1 {
-		live = 1
-	}
-	// Average fanout calibrates child-step probe walks; a candidate's
-	// subtree share calibrates descendant-step walks.
-	fanout := live / float64(max64(elems, 1))
-	if fanout < 2 {
-		fanout = 2
-	}
-	crossRate := float64(c.ds.Borders) / live // chance one probe hop leaves the cluster
-	random := miss * float64(m.SeekCost(int64(max64(int64(c.ds.Pages), 1))/3)+m.Transfer)
-
-	var out []PredEstimate
-	var keys []string // the query's distinct missing levels, in step order
-	var keyEnd []int  // out[k] met keys[keyEnd[k-1]:keyEnd[k]] first
-	var totalNested, totalJoin, totalBuild float64
-	anyJoinable := false
-	for si, s := range path {
-		if len(s.Predicates) == 0 {
-			continue
-		}
-		cands := float64(c.testCount(s.Test))
-		if cands < 1 {
-			cands = 1
-		}
-		est := PredEstimate{Step: si + 1, Candidates: int64(cands), Joinable: true, Cached: true}
-		var nested, join, build float64
-		for _, p := range s.Predicates {
-			for _, branch := range p.Paths {
-				need := core.JoinNeeds(c.store, branch, p)
-				est.Joinable = est.Joinable && need.Joinable
-				// Nested: per candidate, sub-plan setup plus the walk —
-				// child steps visit the fanout, descendant steps the
-				// candidate's subtree.
-				subtree := live / cands
-				if subtree < fanout {
-					subtree = fanout
-				}
-				walk := float64(4*m.CPUTupleMove + 2*m.CPUSetOp)
-				for _, bs := range need.Steps {
-					visits := fanout
-					switch bs.Axis {
-					case xpath.Descendant, xpath.DescendantOrSelf:
-						visits = subtree
-					}
-					walk += visits*float64(m.CPUNodeVisit) + crossRate*random
-				}
-				nested += cands * walk
-				// Join: unless S_1 is resident, a pass over every level, and
-				// for a missing one first its enumeration — the virtual
-				// clock charges a node visit per live record even under the
-				// bitmap scan (it models the paper's node-at-a-time system)
-				// and a move per match. Then the candidates merge against S_1.
-				var d1 float64
-				for li, bs := range need.Steps {
-					dj := float64(c.testCount(bs.Test))
-					if li == 0 {
-						d1 = dj
-					}
-					if need.Missing == nil {
-						continue // S_1 resident (or no join to price)
-					}
-					join += dj * float64(m.CPUSetOp)
-					if key := need.Missing[li]; key != "" {
-						est.Cached = false
-						if !slices.Contains(keys, key) {
-							keys = append(keys, key)
-							build += live*float64(m.CPUNodeVisit) + dj*float64(m.CPUTupleMove)
-						}
-					}
-				}
-				join += (cands + d1) * float64(m.CPUSetOp)
-			}
-		}
-		est.Nested, est.Join, est.Build = stats.Ticks(nested), stats.Ticks(join+build), stats.Ticks(build)
-		out, keyEnd = append(out, est), append(keyEnd, len(keys))
-		totalNested += nested
-		if est.Joinable {
-			anyJoinable = true
-			totalJoin += join
-			totalBuild += build
-		} else {
-			totalJoin += nested
-		}
-	}
-	pred := core.PredNested
-	if anyJoinable && totalJoin < totalNested {
-		var share, credit float64
-		if accrue && totalJoin+totalBuild >= totalNested {
-			share = (totalNested - totalJoin) / float64(len(keys))
-		}
-		if dcache, epoch, ok := c.store.Derived(); ok && len(keys) > 0 {
-			lo := 0
-			for k, hi := range keyEnd {
-				got := dcache.Credit(epoch, keys[lo:hi], share)
-				out[k].Credit, lo = stats.Ticks(got), hi
-				credit += got
-			}
-		}
-		if totalJoin+totalBuild < totalNested || credit >= totalBuild {
-			pred = core.PredJoin
-		}
-	}
-	return pred, out
-}
-
-// testCount estimates how many document nodes match the node test; name
-// tests read the synopsis tag counts, everything else conservatively
-// assumes the whole document.
-func (c *Chooser) testCount(t xpath.NodeTest) int64 {
-	if !t.AnyName && t.Kind == xpath.KindElement {
-		var n int64
-		for _, tag := range t.Tags {
-			n += c.ds.Tags[tag].Count
-		}
-		return n
-	}
-	return c.live
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // pagesTouched estimates how many clusters the path evaluation must load.
@@ -493,30 +311,15 @@ func minf(a, b float64) float64 {
 	return b
 }
 
-// Forced reports whether a request leaves nothing to the cost model: the
-// strategy is given, and so is the predicate evaluator or the path has no
-// predicates to evaluate. Callers that construct their chooser lazily test
-// it first — the statistics walk behind NewChooser is the expensive part.
-func Forced(auto bool, pred core.PredEval, path []xpath.Step) bool {
-	return !auto && (pred != core.PredAuto || !xpath.HasPredicates(path))
-}
-
-// Resolve settles the strategy and predicate evaluator one path will run
-// with — the single place a request's Auto and PredAuto are answered, for
-// the facade and the engine's dispatcher alike. Under auto the model picks
-// the strategy and the Choice is returned for the query's summary; a forced
-// strategy is kept, and the model is still asked for the evaluator when that
-// is PredAuto and the path has predicates.
-func (c *Chooser) Resolve(path []xpath.Step, auto bool, strat core.Strategy, pred core.PredEval) (core.Strategy, core.PredEval, *Choice) {
-	if Forced(auto, pred, path) {
-		return strat, pred, nil
-	}
-	choice := c.choose(path, pred == core.PredAuto)
-	if pred == core.PredAuto {
-		pred = choice.PredEval
-	}
+// Resolve settles the strategy one path will run with — the single place a
+// request's Auto is answered, for the facade and the engine's dispatcher
+// alike. Under auto the model picks and the Choice is returned for the
+// query's summary; a forced strategy is kept without asking it. The
+// predicate evaluator is left to the plan (core.AutoPredEval).
+func (c *Chooser) Resolve(path []xpath.Step, auto bool, strat core.Strategy) (core.Strategy, *Choice) {
 	if !auto {
-		return strat, pred, nil
+		return strat, nil
 	}
-	return choice.Strategy, pred, &choice
+	choice := c.Choose(path)
+	return choice.Strategy, &choice
 }

@@ -41,25 +41,22 @@ func TestChooserColdEstimatesUnchanged(t *testing.T) {
 		src                    string
 		strategy               core.Strategy
 		schedule, scan, simple stats.Ticks
-		nested, join           stats.Ticks // first predicate step; 0 without one
+		pred                   core.PredEval
 	}{
-		{"/site/regions//item", core.StrategySchedule, 91326800, 105633850, 100374800, 0, 0},
-		{"/site//description", core.StrategyScan, 206272600, 103345600, 226708600, 0, 0},
+		{"/site/regions//item", core.StrategySchedule, 91326800, 105633850, 100374800, core.PredNested},
+		{"/site//description", core.StrategyScan, 206272600, 103345600, 226708600, core.PredNested},
 		{"/site/closed_auctions/closed_auction/annotation/description/parlist/listitem/parlist/listitem/text/emph/keyword",
-			core.StrategySchedule, 31492000, 135340600, 34612000, 0, 0},
-		{"/site//item[mailbox/mail//keyword]", core.StrategyScan, 206272600, 103345600, 226708600, 62723037, 97825900},
-		{`/site//closed_auction[annotation//keyword="golden"]`, core.StrategyScan, 206272600, 103345600, 226708600, 41230034, 65397600},
+			core.StrategySchedule, 31492000, 135340600, 34612000, core.PredNested},
+		{"/site//item[mailbox/mail//keyword]", core.StrategyScan, 206272600, 103345600, 226708600, core.PredJoin},
+		{`/site//closed_auction[annotation//keyword="golden"]`, core.StrategyScan, 206272600, 103345600, 226708600, core.PredJoin},
 	} {
 		c := ch.Choose(xpath.MustParse(dict, g.src).Simplify().Steps)
 		if c.Residency != 0 {
 			t.Fatalf("%s: residency %v on a flushed pool", g.src, c.Residency)
 		}
-		if c.Strategy != g.strategy || c.PredEval != core.PredNested ||
+		if c.Strategy != g.strategy || c.PredEval != g.pred ||
 			c.Schedule.Cost != g.schedule || c.Scan.Cost != g.scan || c.Simple.Cost != g.simple {
-			t.Errorf("%s: cold choice moved: %v", g.src, c)
-		}
-		if g.nested != 0 && (len(c.Preds) != 1 || c.Preds[0].Nested != g.nested || c.Preds[0].Join != g.join) {
-			t.Errorf("%s: cold predicate estimate moved: %+v", g.src, c.Preds)
+			t.Errorf("%s: cold choice moved: %v, preds %v", g.src, c, c.PredEval)
 		}
 	}
 }
@@ -129,12 +126,6 @@ func TestChooserEstimatesFallWithResidency(t *testing.T) {
 					if e.Cost > was[k].Cost {
 						t.Errorf("%s: %v estimate rose from %v to %v at residency %.1f",
 							benchPaths[i], e.Strategy, was[k].Cost, e.Cost, c.Residency)
-					}
-				}
-				for k, p := range c.Preds {
-					if p.Nested > prev[i].Preds[k].Nested {
-						t.Errorf("%s: nested estimate rose from %v to %v at residency %.1f",
-							benchPaths[i], prev[i].Preds[k].Nested, p.Nested, c.Residency)
 					}
 				}
 			}

@@ -7,10 +7,10 @@
 //
 // Endpoints, all under /v1/:
 //
-//	POST /v1/query    evaluate {path, strategy, preds, limit, timeout_ms,
-//	                  sorted}; with Accept: application/x-ndjson the
-//	                  response is a stream — one node record per line plus
-//	                  a trailing summary record
+//	POST /v1/query    evaluate {path, strategy, limit, timeout_ms, sorted};
+//	                  with Accept: application/x-ndjson the response is a
+//	                  stream — one node record per line plus a trailing
+//	                  summary record
 //	POST /v1/update   mutate {op, parent, xml, path, timeout_ms}
 //	GET  /v1/metrics  Prometheus text exposition: the backend's engine
 //	                  counters and cost ledgers, then the front end's own
@@ -236,9 +236,6 @@ type QueryRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Sorted requests document-order results.
 	Sorted bool `json:"sorted,omitempty"`
-	// Preds forces the predicate evaluator ("auto", "nested", "join");
-	// empty means auto (the cost model decides per query).
-	Preds string `json:"preds,omitempty"`
 }
 
 // UpdateRequest is the POST /v1/update body.
@@ -352,11 +349,6 @@ func (f *front) queryRequest(w http.ResponseWriter, r *http.Request) (QueryReque
 	var err error
 	if req.Strategy != "" {
 		if opts.Strategy, err = pathdb.ParseStrategy(req.Strategy); err != nil {
-			return req, opts, requestError(err.Error())
-		}
-	}
-	if req.Preds != "" {
-		if opts.PredEval, err = pathdb.ParsePredEval(req.Preds); err != nil {
 			return req, opts, requestError(err.Error())
 		}
 	}

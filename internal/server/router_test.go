@@ -439,7 +439,7 @@ func TestRouterServerParity(t *testing.T) {
 		{"negative limit", http.MethodPost, "query", `{"path": "/site", "limit": -1}`, http.StatusBadRequest},
 		{"negative timeout", http.MethodPost, "query", `{"path": "/site", "timeout_ms": -1}`, http.StatusBadRequest},
 		{"bad strategy", http.MethodPost, "query", `{"path": "/site", "strategy": "quantum"}`, http.StatusBadRequest},
-		{"bad preds", http.MethodPost, "query", `{"path": "/site", "preds": "psychic"}`, http.StatusBadRequest},
+		{"retired preds field", http.MethodPost, "query", `{"path": "/site", "preds": "join"}`, http.StatusBadRequest},
 		{"malformed path", http.MethodPost, "query", `{"path": "/site//"}`, http.StatusBadRequest},
 		{"update bad body", http.MethodPost, "update", `{"op":`, http.StatusBadRequest},
 		{"update unknown field", http.MethodPost, "update", `{"op": "delete", "pth": "/site"}`, http.StatusBadRequest},

@@ -63,11 +63,9 @@ type ChoiceJSON struct {
 	ScheduleCostNs int64   `json:"schedule_cost_ns"`
 	ScanCostNs     int64   `json:"scan_cost_ns"`
 	SimpleCostNs   int64   `json:"simple_cost_ns"`
-	// PredEval is the chosen predicate evaluator ("nested" or "join");
-	// omitted when the path carries no predicates. Preds is the per-step
-	// detail it was chosen on.
-	PredEval string              `json:"pred_eval,omitempty"`
-	Preds    []pathdb.PredChoice `json:"preds,omitempty"`
+	// PredEval is the predicate evaluator the path runs with, "join" or
+	// "nested" ("nested" too for a path without predicates).
+	PredEval string `json:"pred_eval"`
 }
 
 // UpdateResponse is the POST /v1/update result body.
@@ -123,9 +121,7 @@ func (s *Server) query(ctx context.Context, req QueryRequest, opts pathdb.QueryO
 			ScheduleCostNs: int64(c.ScheduleCost),
 			ScanCostNs:     int64(c.ScanCost),
 			SimpleCostNs:   int64(c.SimpleCost),
-		}
-		if len(c.Preds) > 0 {
-			out.Choice.PredEval, out.Choice.Preds = c.PredEval.String(), c.Preds
+			PredEval:       c.PredEval.String(),
 		}
 	}
 	if limit := min(req.Limit, s.opts.MaxNodes, len(res.Nodes)); limit > 0 {

@@ -18,20 +18,17 @@ const maxDerivedEntries = 256
 
 // DerivedCache memoizes document-only artifacts derived from a volume's
 // content — the structural join's node-test levels and the filter sets
-// computed from levels alone (internal/core.XJoin) — and, per key still
-// missing, the credit the cost model has accrued towards building it
-// (plan.Chooser's break-even rule). It holds one generation: what was
-// computed at the highest version epoch seen so far. The first read at a
-// newer epoch advances it (AdvanceDerived); the commit path does no work.
-// Views pinned to an older snapshot simply miss (and their results and
-// credits are not admitted), so MVCC readers can never observe entries from
-// a version other than their own.
+// computed from levels alone (internal/core.XJoin). It holds one
+// generation: what was computed at the highest version epoch seen so far.
+// The first read at a newer epoch advances it (AdvanceDerived); the commit
+// path does no work. Views pinned to an older snapshot simply miss (and
+// their results are not admitted), so MVCC readers can never observe
+// entries from a version other than their own.
 type DerivedCache struct {
-	mu     sync.Mutex
-	epoch  uint64
-	m      map[string]any
-	credit map[string]float64
-	met    DerivedMetrics
+	mu    sync.Mutex
+	epoch uint64
+	m     map[string]any
+	met   DerivedMetrics
 }
 
 // DerivedMetrics are the derived cache's lifetime counters.
@@ -44,15 +41,15 @@ type DerivedMetrics struct {
 }
 
 func newDerivedCache() *DerivedCache {
-	return &DerivedCache{m: make(map[string]any), credit: make(map[string]float64)}
+	return &DerivedCache{m: make(map[string]any)}
 }
 
 // drop replaces the generation by an empty one at epoch. Caller holds c.mu.
 func (c *DerivedCache) drop(epoch uint64) {
-	if len(c.m)+len(c.credit) > 0 {
+	if len(c.m) > 0 {
 		c.met.GenerationsDropped++
 	}
-	c.epoch, c.m, c.credit = epoch, make(map[string]any), make(map[string]float64)
+	c.epoch, c.m = epoch, make(map[string]any)
 }
 
 // reaches reports whether a view at epoch may use the generation: at its
@@ -88,9 +85,9 @@ func (c *DerivedCache) Get(epoch uint64, key string) (any, bool) {
 }
 
 // Put admits an entry computed at the given epoch, replacing one already
-// resident under the key; a full generation refuses new keys. Either way
-// the key's credit is spent. An entry of a later epoch than the generation
-// (which nobody advanced) replaces it wholesale; an older one is refused.
+// resident under the key; a full generation refuses new keys. An entry of
+// a later epoch than the generation (which nobody advanced) replaces it
+// wholesale; an older one is refused.
 func (c *DerivedCache) Put(epoch uint64, key string, v any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -100,7 +97,6 @@ func (c *DerivedCache) Put(epoch uint64, key string, v any) {
 	if epoch != c.epoch {
 		return
 	}
-	delete(c.credit, key)
 	_, had := c.m[key]
 	if !had && len(c.m) >= maxDerivedEntries {
 		return
@@ -111,24 +107,13 @@ func (c *DerivedCache) Put(epoch uint64, key string, v any) {
 	c.m[key] = v
 }
 
-// Credit adds share to the break-even account of every key and returns the
-// accounts' sum; a zero share only reads. A generation with no room left
-// for the keys grants nothing: what could not be admitted is never bought.
-func (c *DerivedCache) Credit(epoch uint64, keys []string, share float64) (sum float64) {
+// Room reports whether a view at the given epoch may use the generation
+// (see reaches) and it can admit n more keys: what a view cannot admit,
+// every later query would build again.
+func (c *DerivedCache) Room(epoch uint64, n int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.reaches(epoch) || len(c.m)+len(keys) > maxDerivedEntries {
-		return 0
-	}
-	for _, k := range keys {
-		// The accounts are bounded like the entries: past the bound only
-		// existing ones grow.
-		if share != 0 && (len(c.credit) < maxDerivedEntries || c.credit[k] != 0) {
-			c.credit[k] += share
-		}
-		sum += c.credit[k]
-	}
-	return sum
+	return c.reaches(epoch) && len(c.m)+n <= maxDerivedEntries
 }
 
 // Contains reports whether key is resident for a view at the given epoch
@@ -178,7 +163,7 @@ func (s *Store) Derived() (*DerivedCache, uint64, bool) {
 
 // AdvanceDerived is Derived for a view about to read the cache: a generation
 // older than the view is first advanced to its epoch (AdvanceLevels) on its
-// ledger. Filter sets survive if no level moved, credits always. An advance
+// ledger. Filter sets survive if no level moved. An advance
 // that is cancelled or faults publishes nothing and drops the generation.
 func (s *Store) AdvanceDerived(cancelled func() bool) (*DerivedCache, uint64, bool) {
 	c, epoch, ok := s.Derived()

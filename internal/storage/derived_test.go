@@ -69,67 +69,41 @@ func TestDerivedCacheBounded(t *testing.T) {
 	}
 }
 
-// TestDerivedCacheCredit pins the break-even accounts: they accrue per key,
-// a zero share only reads, admission spends them, they survive a later
-// epoch the generation can advance to and die with a generation that is
-// dropped, and neither a superseded epoch nor a generation without room for
-// the keys is granted anything.
-func TestDerivedCacheCredit(t *testing.T) {
+// TestDerivedCacheRoom pins the room probe the predicate rule asks before
+// it picks the join: a generation has room at its epoch and at a later one
+// it will advance to, none for a superseded epoch, and room for n keys only
+// while n more fit under the bound (a full one still replaces resident
+// keys); a dropped (reset) generation has room again.
+func TestDerivedCacheRoom(t *testing.T) {
 	c := newDerivedCache()
-	ab := []string{"a", "b"}
-	if got := c.Credit(3, ab, 5); got != 10 {
-		t.Fatalf("first credit: sum %v, want 10", got)
-	}
-	if got := c.Credit(3, ab[:1], 2); got != 7 {
-		t.Fatalf("second credit to one key: sum %v, want 7", got)
-	}
-	if got := c.Credit(3, ab, 0); got != 12 {
-		t.Fatalf("read: sum %v, want 12", got)
-	}
-	if got := c.Credit(2, ab, 100); got != 0 {
-		t.Fatalf("a superseded epoch was credited: %v", got)
-	}
 	c.Put(3, "a", 1)
-	if got := c.Credit(3, ab, 0); got != 5 {
-		t.Fatalf("after admitting a: sum %v, want b's 5", got)
+	if !c.Room(3, 2) || !c.Room(4, 2) {
+		t.Fatal("a generation with one entry has no room for two more")
 	}
-	// A commit: views at epoch 4 see the generation they will advance, with
-	// its entries and its credits.
-	if got := c.Credit(4, ab, 1); got != 7 || !c.Contains(4, "a") || c.Contains(2, "a") {
-		t.Fatalf("at a later epoch: sum %v (want 7), a resident %v", got, c.Contains(4, "a"))
+	if c.Room(2, 0) {
+		t.Fatal("a superseded epoch was granted room")
 	}
-	c.Put(4, "x", 1) // admitted at an epoch nobody advanced to: the generation goes
-	if got := c.Credit(4, ab, 0); got != 0 || c.Contains(4, "a") {
-		t.Fatalf("credit survived a dropped generation: %v", got)
-	}
-	c.Credit(4, ab, 5)
-	c.reset()
-	if got := c.Credit(4, ab, 0); got != 0 {
-		t.Fatalf("credit survived reset: %v", got)
-	}
-
-	// A generation with no room for the keys grants nothing, so a build that
-	// could not be admitted is never bought (again).
 	for i := 0; len(c.m) < maxDerivedEntries-1; i++ {
-		c.Put(4, fmt.Sprintf("k%d", i), i)
+		c.Put(3, fmt.Sprintf("k%d", i), i)
 	}
-	if got := c.Credit(4, ab, 5); got != 0 {
-		t.Fatalf("two keys credited with room for one: %v", got)
+	if c.Room(3, 2) || !c.Room(3, 1) {
+		t.Fatalf("%d of %d entries: want room for exactly one more", len(c.m), maxDerivedEntries)
 	}
-	if got := c.Credit(4, ab[:1], 5); got != 5 {
-		t.Fatalf("one key refused with room for one: %v", got)
+	c.Put(3, "full", 0)
+	if c.Room(3, 1) || !c.Room(3, 0) {
+		t.Fatal("a full generation: want room for its resident keys only")
 	}
-	c.Put(4, "full", 0)
-	c.Put(4, "a", 1) // refused: the generation is full
-	if _, ok := c.Get(4, "a"); ok {
+	c.Put(3, "b", 1) // refused: the generation is full
+	if _, ok := c.Get(3, "b"); ok {
 		t.Fatal("a full generation admitted a new key")
 	}
-	if got := c.Credit(4, ab[:1], 5); got != 0 {
-		t.Fatalf("a refused build left credit behind: %v", got)
-	}
-	c.Put(4, "full", 7) // a resident key is replaced even then
-	if v, _ := c.Get(4, "full"); v.(int) != 7 {
+	c.Put(3, "full", 7) // a resident key is replaced even then
+	if v, _ := c.Get(3, "full"); v.(int) != 7 {
 		t.Fatalf("resident key not replaced in a full generation: %v", v)
+	}
+	c.reset()
+	if !c.Room(3, 2) {
+		t.Fatal("no room after reset")
 	}
 }
 
@@ -152,6 +126,6 @@ func TestStoreDerivedViews(t *testing.T) {
 		t.Fatal("overlay view must not use the derived cache")
 	}
 	if _, _, ok := s.BeginWrite(nil, s.led).view.Derived(); ok {
-		t.Fatal("a write transaction's view must not use the derived cache: it can neither read, admit nor be credited")
+		t.Fatal("a write transaction's view must not use the derived cache: it can neither read nor admit")
 	}
 }

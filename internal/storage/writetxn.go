@@ -114,5 +114,9 @@ func (t *WriteTxn) FreshPages() []vdisk.PageID {
 	return append([]vdisk.PageID(nil), t.u.fresh...)
 }
 
+// View returns the staging view: the base snapshot with the transaction's
+// staged images laid over it.
+func (t *WriteTxn) View() *Store { return t.view }
+
 // Ledger returns the staging view's cost ledger.
 func (t *WriteTxn) Ledger() *stats.Ledger { return t.view.led }

@@ -160,6 +160,9 @@ func (nt NodeTest) Render(dict *xmltree.Dictionary) string {
 	if nt.AnyName {
 		return "*"
 	}
+	if len(nt.Tags) == 1 {
+		return dict.Name(nt.Tags[0])
+	}
 	parts := make([]string, len(nt.Tags))
 	for i, t := range nt.Tags {
 		parts[i] = dict.Name(t)
@@ -212,18 +215,6 @@ func (s Step) Render(dict *xmltree.Dictionary) string {
 		out += "[" + p.Render(dict) + "]"
 	}
 	return out
-}
-
-// HasPredicates reports whether any of the steps carries a predicate —
-// the gate callers use to spare predicate-free queries a join-vs-nested
-// cost consultation.
-func HasPredicates(steps []Step) bool {
-	for _, s := range steps {
-		if len(s.Predicates) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Path is a location path. Absolute paths start at the document root;

@@ -106,9 +106,10 @@ func (s Strategy) internal() core.Strategy {
 // [path = "lit"] filters).
 type PredEval uint8
 
-// Predicate evaluators. PredAuto lets the cost model pick per query
-// between per-candidate probing (PredFilter) and the set-at-a-time
-// structural semi-join (XJoin).
+// Predicate evaluators. PredAuto picks the set-at-a-time structural
+// semi-join (XJoin) when the path has a joinable predicate branch and the
+// volume's derived cache has room for the levels the join lacks, and
+// per-candidate probing (PredFilter) otherwise.
 const (
 	PredAuto PredEval = iota
 	PredNested
@@ -126,20 +127,6 @@ func (p PredEval) String() string {
 	default:
 		return fmt.Sprintf("predeval(%d)", uint8(p))
 	}
-}
-
-// ParsePredEval parses a predicate-evaluator name, round-tripping
-// PredEval.String: "auto", "nested" and "join" (case-insensitive).
-func ParsePredEval(s string) (PredEval, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "auto":
-		return PredAuto, nil
-	case "nested":
-		return PredNested, nil
-	case "join":
-		return PredJoin, nil
-	}
-	return PredAuto, fmt.Errorf("pathdb: unknown predicate evaluator %q (want auto, nested or join)", s)
 }
 
 func (p PredEval) internal() core.PredEval {
@@ -537,8 +524,7 @@ func (q *Query) WithMemoryLimit(instances int) *Query {
 	return q
 }
 
-// WithPredEval forces the predicate evaluator (default PredAuto: the
-// cost model decides per query).
+// WithPredEval forces the predicate evaluator (default PredAuto).
 func (q *Query) WithPredEval(pe PredEval) *Query {
 	q.opts.PredEval = pe
 	return q
@@ -571,28 +557,14 @@ type PlanChoice struct {
 	ScanCost     stats.Ticks // estimated virtual cost of XScan
 	SimpleCost   stats.Ticks // estimated virtual cost of the Simple baseline
 
-	// PredEval is the chosen predicate evaluator (PredNested for paths
-	// without predicates); Preds carries the per-step cost detail.
+	// PredEval is the evaluator PredAuto picks for the path (PredNested
+	// for paths without predicates). On an executed query's summary it is
+	// the evaluator the plan ran with.
 	PredEval PredEval
-	Preds    []PredChoice
-}
-
-// PredChoice is the cost model's join-vs-nested detail for one
-// predicate-bearing location step; the JSON names are those of /v1/query's
-// choice.preds.
-type PredChoice struct {
-	Step       int         `json:"step"`           // 1-based location step index
-	Candidates int64       `json:"candidates"`     // estimated candidate nodes reaching the step
-	NestedCost stats.Ticks `json:"nested_cost_ns"` // estimated cost of per-candidate probing
-	JoinCost   stats.Ticks `json:"join_cost_ns"`   // estimated cost of the structural semi-join, BuildCost included
-	Joinable   bool        `json:"joinable"`       // every branch expressible as a semi-join
-	Cached     bool        `json:"cached"`         // the levels (or filter set) the join reads are in the derived cache
-	BuildCost  stats.Ticks `json:"build_cost_ns"`  // estimated cost of enumerating the levels that are not
-	Credit     stats.Ticks `json:"credit_ns"`      // saving credited to them so far; the join is bought at Credit ≥ BuildCost
 }
 
 func fromPlanChoice(c plan.Choice) PlanChoice {
-	out := PlanChoice{
+	return PlanChoice{
 		Strategy:     fromCore(c.Strategy),
 		Coverage:     c.Coverage,
 		Residency:    c.Residency,
@@ -602,19 +574,6 @@ func fromPlanChoice(c plan.Choice) PlanChoice {
 		SimpleCost:   c.Simple.Cost,
 		PredEval:     fromCorePredEval(c.PredEval),
 	}
-	for _, p := range c.Preds {
-		out.Preds = append(out.Preds, PredChoice{
-			Step:       p.Step,
-			Candidates: p.Candidates,
-			NestedCost: p.Nested,
-			JoinCost:   p.Join,
-			Joinable:   p.Joinable,
-			Cached:     p.Cached,
-			BuildCost:  p.Build,
-			Credit:     p.Credit,
-		})
-	}
-	return out
 }
 
 // Choice returns the cost model's structured decision for this query —
@@ -623,15 +582,15 @@ func (q *Query) Choice() PlanChoice {
 	return fromPlanChoice(q.db.getChooser().Choose(q.branches[0].Simplify().Steps))
 }
 
-// resolve settles one branch's strategy and predicate evaluator through
-// plan.Chooser.Resolve — the one resolution every surface shares with the
-// engine's dispatcher. A request that leaves nothing to the cost model never
-// constructs the chooser (and so never pays its statistics walk).
-func (db *DB) resolve(path []xpath.Step, s Strategy, pred core.PredEval) (core.Strategy, core.PredEval, *plan.Choice) {
-	if plan.Forced(s == Auto, pred, path) {
-		return s.internal(), pred, nil
+// resolve settles one branch's strategy through plan.Chooser.Resolve — the
+// one resolution every surface shares with the engine's dispatcher. A forced
+// strategy never constructs the chooser (and so never pays its statistics
+// walk).
+func (db *DB) resolve(path []xpath.Step, s Strategy) (core.Strategy, *plan.Choice) {
+	if s != Auto {
+		return s.internal(), nil
 	}
-	return db.getChooser().Resolve(path, s == Auto, s.internal(), pred)
+	return db.getChooser().Resolve(path, true, s.internal())
 }
 
 // open starts the query's cursor over the direct producer. Query's run

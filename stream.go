@@ -446,12 +446,13 @@ func (db *DB) openDirect(ctx context.Context, cancel context.CancelFunc, path st
 			// unless the plan is ordered; union branches are merged by the
 			// cursor.
 			SortResults: opts.Sorted && len(branches) == 1,
+			PredEval:    opts.PredEval.internal(),
 		},
 		startV: start.Now, startCPU: start.CPU, startIO: start.IOWait,
 	}
 	for i, b := range branches {
-		strat, pred, choice := db.resolve(b, opts.Strategy, opts.PredEval.internal())
-		c.dir.branches[i] = directBranch{path: b, strat: strat, pred: pred}
+		strat, choice := db.resolve(b, opts.Strategy)
+		c.dir.branches[i] = directBranch{path: b, strat: strat}
 		if i == 0 {
 			c.dir.choice = choice
 		}
@@ -467,7 +468,7 @@ type directProducer struct {
 	db       *DB
 	branches []directBranch
 	contexts []storage.NodeID
-	popts    core.PlanOptions // all but PredEval, which is per branch
+	popts    core.PlanOptions
 
 	bi   int           // branch being delivered
 	root core.Operator // its open plan; nil between branches
@@ -478,19 +479,16 @@ type directProducer struct {
 	choice                    *plan.Choice
 }
 
-// directBranch is one union branch with its resolved strategy and predicate
-// evaluator.
+// directBranch is one union branch with its resolved strategy.
 type directBranch struct {
 	path  []xpath.Step
 	strat core.Strategy
-	pred  core.PredEval
 }
 
 // plan compiles branch bi.
 func (p *directProducer) plan(bi int) *core.Plan {
-	b, opts := p.branches[bi], p.popts
-	opts.PredEval = b.pred
-	return core.BuildPlan(p.db.store, b.path, p.contexts, b.strat, opts)
+	b := p.branches[bi]
+	return core.BuildPlan(p.db.store, b.path, p.contexts, b.strat, p.popts)
 }
 
 // next advances the current branch's plan by one match, opening it first

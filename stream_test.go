@@ -554,8 +554,8 @@ func TestStreamFaultTyped(t *testing.T) {
 func TestQueryStreamMatchesQueryCtx(t *testing.T) {
 	db := mustLoad(t, `<a><b><c/><c/></b><b/><d><b><c/></b></d></a>`)
 	db.getChooser() // the statistics walk, so that Auto finds the same pool on both sides
-	// ResetStats also drops the derived generation with its break-even
-	// credits, so a PredAuto predicate resolves alike on both sides too.
+	// ResetStats also drops the derived generation, so a PredAuto predicate
+	// builds its levels on both sides alike.
 	ctx := context.Background()
 	for _, path := range []string{"/a/b", "/a//c", "/a//b[c]", "/a/b | /a/d/b", "/a//b | /a/b"} {
 		for _, strat := range []Strategy{Auto, Simple, Schedule, Scan} {
