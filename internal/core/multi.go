@@ -88,10 +88,6 @@ func BuildMultiPlan(store *storage.Store, queries []MultiQuery, opts PlanOptions
 	if opts.K > 0 {
 		shared.K = opts.K
 	}
-	shared.Paths = make([][]xpath.Step, len(queries))
-	for pi, q := range queries {
-		shared.Paths[pi] = q.Path
-	}
 	mp.shared = shared
 
 	d := &demux{shared: shared, buffers: make([][]Instance, len(queries))}

@@ -191,7 +191,6 @@ func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeI
 			sched.K = opts.K
 		}
 		sched.Speculative = opts.Speculative
-		sched.Paths = [][]xpath.Step{path}
 		asm := NewXAssembly(es, chain(sched, false), sched)
 		p.Assembly, p.Schedule = asm, sched
 		top = asm

@@ -5,7 +5,6 @@ import (
 
 	"pathdb/internal/stats"
 	"pathdb/internal/vdisk"
-	"pathdb/internal/xpath"
 )
 
 // XSchedule is the I/O-performing operator based on asynchronous I/O
@@ -30,12 +29,6 @@ type XSchedule struct {
 	// Speculative enables left-incomplete instance generation per visited
 	// cluster (general XSchedule; off reproduces XScheduleR).
 	Speculative bool
-	// Paths lists the location paths whose instances flow through this
-	// scheduler, indexed by Instance.Path (single-path plans have one
-	// entry). Enqueue uses it to resolve an instance's pending step and
-	// consult the target cluster's synopsis: a cluster that provably
-	// cannot contribute to the step is dropped before it is pooled.
-	Paths [][]xpath.Step
 
 	q            map[vdisk.PageID][]Instance
 	qLen         int
@@ -80,18 +73,9 @@ func (x *XSchedule) Close() {
 
 // Enqueue adds a continuation instance whose target cluster must be
 // visited (called by XAssembly, Sec. 5.3.3.2). The access is scheduled
-// immediately with the asynchronous I/O subsystem — unless the cluster's
-// synopsis proves the instance's pending downward step matches nothing
-// there and no border could carry the enumeration further, in which case
-// the instance is dropped without any I/O.
+// immediately with the asynchronous I/O subsystem.
 func (x *XSchedule) Enqueue(p Instance) {
 	cluster := p.NR.Page()
-	if step, ok := x.pendingStep(p); ok &&
-		x.es.Store.SkippableCluster(cluster, step.Axis, step.Test) {
-		stats.Inc(&x.es.ledger().ClustersSkipped)
-		x.es.chargeSetOp(1)
-		return
-	}
 	lst, ok := x.q[cluster]
 	if !ok {
 		lst = x.es.Arena.takeInsts()
@@ -100,20 +84,6 @@ func (x *XSchedule) Enqueue(p Instance) {
 	x.qLen++
 	x.es.chargeSetOp(1)
 	x.es.Store.RequestCluster(cluster)
-}
-
-// pendingStep resolves the location step an enqueued instance evaluates
-// next: seeds (S_L = S_R = 0) and continuations interrupted during step
-// S_R+1 both resume at Paths[p.Path][p.SR].
-func (x *XSchedule) pendingStep(p Instance) (xpath.Step, bool) {
-	if p.Path < 0 || p.Path >= len(x.Paths) {
-		return xpath.Step{}, false
-	}
-	steps := x.Paths[p.Path]
-	if p.SR < 0 || p.SR >= len(steps) {
-		return xpath.Step{}, false
-	}
-	return steps[p.SR], true
 }
 
 // QLen reports the number of queued instances (tests, ablations).

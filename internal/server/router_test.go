@@ -317,7 +317,7 @@ func TestRouterTenantQuota(t *testing.T) {
 // correct merged count — never a 500.
 func TestRouterDegradedShardPartial200(t *testing.T) {
 	const bad = 2
-	rt, ts := newTestRouter(t, shard.Config{NoCountCache: true}, 8, shard.QuotaConfig{})
+	rt, ts := newTestRouter(t, shard.Config{}, 8, shard.QuotaConfig{})
 
 	base, err := rt.Cluster().Query(context.Background(), descQuery, pathdb.QueryOptions{}, false)
 	if err != nil {

@@ -58,13 +58,6 @@ type Config struct {
 	Quorum int
 	// Engine configures each shard's engine (and the spine volume's).
 	Engine pathdb.EngineConfig
-	// NoCountCache disables the per-shard epoch-keyed count cache (on by
-	// default). Count-only scatters reuse a shard's last count for a path
-	// while that shard's publish epoch is unchanged — a commit on one
-	// shard invalidates only that shard's entries, which is where a
-	// sharded cluster earns read throughput a single volume cannot: under
-	// a mixed workload, most shards' cached counts survive every write.
-	NoCountCache bool
 	// Txn tunes each shard volume's transaction manager; the zero value is
 	// the library default, as on a single volume.
 	Txn pathdb.TxnOptions
@@ -132,10 +125,10 @@ type ShardStat struct {
 }
 
 // countCache memoizes one volume's count per path, keyed by the volume's
-// publish epoch: any commit on the volume bumps the epoch and silently
-// invalidates every entry. Entries are only served while the stored epoch
-// matches the volume's current one, so cached counts are always exactly
-// what a fresh query would return.
+// publish epoch. One rule: an entry is served while the volume's epoch is
+// the one it was stored at, so any commit on the volume retires every entry
+// (and only that volume's: the other shards keep theirs), and a cached
+// count is always exactly what a fresh query would return.
 type countCache struct {
 	mu   sync.RWMutex
 	m    map[string]countEntry
@@ -162,34 +155,6 @@ func (cc *countCache) get(path string, epoch uint64) (int, bool) {
 	return e.count, true
 }
 
-// getWalk is get with a second chance for stale entries: when the entry's
-// epoch lags the volume's, keep may prove the intervening commits left the
-// path's count unchanged (a journal walk), in which case the entry is
-// carried forward and served. This catches the gap between a commit
-// publishing its epoch and the writer journaling it — eager revalidation
-// only runs once the commit's WAL flush has been acknowledged.
-func (cc *countCache) getWalk(path string, epoch uint64, keep func(entryEpoch uint64, path string) bool) (int, bool) {
-	cc.mu.RLock()
-	e, ok := cc.m[path]
-	cc.mu.RUnlock()
-	if !ok {
-		return 0, false
-	}
-	if e.epoch != epoch {
-		if e.epoch > epoch || keep == nil || !keep(e.epoch, path) {
-			return 0, false
-		}
-		cc.mu.Lock()
-		if cur, ok := cc.m[path]; ok && cur.epoch == e.epoch {
-			cur.epoch = epoch
-			cc.m[path] = cur
-		}
-		cc.mu.Unlock()
-	}
-	cc.hits.Add(1)
-	return e.count, true
-}
-
 // put stores a count computed while the volume sat at epoch. If a commit
 // raced the query, the volume's epoch has already moved on and the stale
 // entry simply never matches again.
@@ -202,83 +167,11 @@ func (cc *countCache) put(path string, epoch uint64, count int) {
 	cc.mu.Unlock()
 }
 
-// revalidateTo carries an entry forward to epoch to when keep can prove,
-// starting from the entry's own stored epoch, that every commit between
-// them left the path's count unchanged. Each entry is judged against its
-// own epoch, so group-committed windows and interleaved inserts revalidate
-// entry by entry instead of all-or-nothing per window.
-func (cc *countCache) revalidateTo(to uint64, keep func(entryEpoch uint64, path string) bool) {
+// drop forgets every entry.
+func (cc *countCache) drop() {
 	cc.mu.Lock()
-	for p, e := range cc.m {
-		if e.epoch < to && keep(e.epoch, p) {
-			e.epoch = to
-			cc.m[p] = e
-		}
-	}
+	cc.m = nil
 	cc.mu.Unlock()
-}
-
-// pathTokensIfSimple returns path's step-name tokens when path is a simple
-// downward path — name steps joined by / and //, possibly @-attribute
-// steps, nothing else. Predicates, wildcards and functions disqualify it
-// (second return false): through those, an insert could change the count
-// in ways name disjointness cannot rule out.
-func pathTokensIfSimple(path string) (map[string]bool, bool) {
-	for i := 0; i < len(path); i++ {
-		if c := path[i]; !isNameChar(c) && c != '/' && c != '@' {
-			return nil, false
-		}
-	}
-	return nameTokens(path), true
-}
-
-// updateIndependent conservatively decides whether inserting fragment can
-// change the match count of path (the classic XPath/update independence
-// test, reduced to its sound core): only simple downward paths are
-// considered, and the inserted fragment must share no name token with the
-// path. New nodes can only extend the matches of a path whose final step
-// names one of them, and a simple path has no predicates or wildcards
-// through which existing matches could be gained or lost, so disjoint
-// names mean the count is provably unchanged.
-func updateIndependent(path, fragment string) bool {
-	ptoks, simple := pathTokensIfSimple(path)
-	if !simple {
-		return false
-	}
-	frag := nameTokens(fragment)
-	for t := range ptoks {
-		if frag[t] {
-			return false
-		}
-	}
-	return true
-}
-
-func isNameChar(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
-		c == '_' || c == '-' || c == '.' || c == ':'
-}
-
-// nameTokens returns the maximal name-character runs of s — for a
-// fragment that over-approximates its tag and attribute names (text
-// content included, which only errs toward dependence), for a path its
-// step names.
-func nameTokens(s string) map[string]bool {
-	out := make(map[string]bool)
-	start := -1
-	for i := 0; i <= len(s); i++ {
-		if i < len(s) && isNameChar(s[i]) {
-			if start < 0 {
-				start = i
-			}
-			continue
-		}
-		if start >= 0 {
-			out[s[start:i]] = true
-			start = -1
-		}
-	}
-	return out
 }
 
 // ShardNode is one merged result node tagged with its source shard.
@@ -310,86 +203,13 @@ type Cluster struct {
 	spineEng *pathdb.Engine
 	spineSes *pathdb.Session
 
-	// Per-shard count caches plus one for the spine volume; nil slices
-	// when Config.NoCountCache is set.
-	caches     []*countCache
-	spineCache *countCache
-
-	// parentNodes memoizes resolved insert-parent handles per shard
-	// (path → pathdb.Node). MVCC keeps a node handle stable across
-	// commits until the node is deleted, so inserts only invalidate
-	// nothing and deletes clear the whole map; a handle lost to a racing
-	// delete surfaces as the same conflict error the uncached path hits.
-	parentNodes []sync.Map
-
-	// journals records recent insert commits per shard, keyed by exact
-	// publish epoch, so cache revalidation can attribute every epoch a
-	// stale entry must cross — including epochs published by concurrent
-	// group-committed inserts.
-	journals []shardJournal
+	// Per-shard count caches plus one for the spine volume.
+	caches     []countCache
+	spineCache countCache
 
 	writeSeq     atomic.Uint64
 	partials     atomic.Int64
 	degradedHits []atomic.Int64
-}
-
-// shardJournal is a short per-shard log of insert commits, each tagged
-// with the exact epoch the transaction published (Engine.UpdateEpoch
-// assigns it under the staging lock, so the mapping is unambiguous even
-// when group commit interleaves writers). A cache entry stored at epoch E
-// may carry forward to epoch E' only when every epoch in (E, E'] appears
-// here with a fragment update-independent of the entry's path. Deletes
-// never journal, so any delete in the window breaks attribution and the
-// entry takes the full invalidation.
-type shardJournal struct {
-	mu      sync.Mutex
-	commits []journalCommit
-}
-
-type journalCommit struct {
-	epoch uint64
-	toks  map[string]bool // inserted fragment's name tokens
-}
-
-// journalDepth bounds each shard's commit log; windows reaching further
-// back than this simply fail attribution.
-const journalDepth = 32
-
-// attributable reports whether every epoch in (from, to] on shard s is a
-// journaled insert whose fragment is update-independent of path — the
-// proof obligation for carrying a cached count at epoch from forward to
-// epoch to. Any unjournaled epoch in the window (a delete, an insert not
-// yet acknowledged, or history evicted past journalDepth) fails it.
-func (c *Cluster) attributable(s int, from, to uint64, path string) bool {
-	if to <= from || to-from > journalDepth {
-		return false
-	}
-	ptoks, simple := pathTokensIfSimple(path)
-	if !simple {
-		return false
-	}
-	j := &c.journals[s]
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for e := from + 1; e <= to; e++ {
-		ok := false
-		for i := len(j.commits) - 1; i >= 0; i-- {
-			if j.commits[i].epoch != e {
-				continue
-			}
-			ok = true
-			for t := range ptoks {
-				if j.commits[i].toks[t] {
-					return false
-				}
-			}
-			break
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // New builds a Cluster over an already-split ShardSet. ring must cover
@@ -408,8 +228,7 @@ func New(set *pathdb.ShardSet, ring *Ring, cfg Config) (*Cluster, error) {
 		ring:         ring,
 		set:          set,
 		degradedHits: make([]atomic.Int64, cfg.Shards),
-		parentNodes:  make([]sync.Map, cfg.Shards),
-		journals:     make([]shardJournal, cfg.Shards),
+		caches:       make([]countCache, cfg.Shards),
 	}
 	for _, db := range set.Shards {
 		// Best effort: a volume that has already committed keeps the
@@ -419,13 +238,6 @@ func New(set *pathdb.ShardSet, ring *Ring, cfg Config) (*Cluster, error) {
 		db.ResetStats()
 		c.engines = append(c.engines, eng)
 		c.sessions = append(c.sessions, eng.NewSession())
-	}
-	if !cfg.NoCountCache {
-		c.caches = make([]*countCache, cfg.Shards)
-		for i := range c.caches {
-			c.caches[i] = &countCache{}
-		}
-		c.spineCache = &countCache{}
 	}
 	if set.Spine != nil {
 		_ = set.Spine.SetTxnOptions(cfg.Txn)
@@ -489,9 +301,11 @@ func (c *Cluster) CheckFragment(frag string) error {
 }
 
 // SetFaults installs a fault schedule on one shard's volume — the seeded
-// fault plane driving the degraded-shard story end to end.
+// fault plane driving the degraded-shard story end to end. It drops the
+// shard's cached counts: a count served from memory would hide the fault.
 func (c *Cluster) SetFaults(s int, f pathdb.FaultConfig) {
 	c.set.Shards[s].SetFaults(f)
+	c.caches[s].drop()
 }
 
 // MarkDegraded marks shard s degraded on the ring (writes route around
@@ -530,8 +344,9 @@ func (c *Cluster) Query(ctx context.Context, path string, opts pathdb.QueryOptio
 
 	// Count-only scatters consult the epoch-keyed caches first: a shard
 	// whose count for this path is still valid at its current publish
-	// epoch is not queried at all.
-	useCache := c.caches != nil
+	// epoch is not queried at all. A limited count is not the path's
+	// count, so it neither reads nor fills the caches.
+	useCache := opts.Limit <= 0
 	hit := make([]bool, n)
 	cachedCount := make([]int, n)
 	epochs := make([]uint64, n)
@@ -541,8 +356,7 @@ func (c *Cluster) Query(ctx context.Context, path string, opts pathdb.QueryOptio
 	if useCache {
 		for i := 0; i < n; i++ {
 			epochs[i] = c.set.Shards[i].TxnMetrics().Epoch
-			cachedCount[i], hit[i] = c.caches[i].getWalk(path, epochs[i],
-				func(from uint64, p string) bool { return c.attributable(i, from, epochs[i], p) })
+			cachedCount[i], hit[i] = c.caches[i].get(path, epochs[i])
 		}
 		if c.spineSes != nil {
 			spineEpoch = c.set.Spine.TxnMetrics().Epoch
@@ -748,23 +562,16 @@ func (c *Cluster) Insert(ctx context.Context, parent, fragment string) (InsertRe
 		}
 	}
 
-	var parentNode pathdb.Node
-	if v, ok := c.parentNodes[owner].Load(parent); ok {
-		parentNode = v.(pathdb.Node)
-	} else {
-		res, err := c.sessions[owner].Do(ctx, parent, pathdb.QueryOptions{})
-		if err != nil {
-			return InsertResult{}, err
-		}
-		if res.Count() != 1 {
-			return InsertResult{}, &ParentError{Path: parent, Matches: res.Count()}
-		}
-		parentNode = res.Nodes[0]
-		c.parentNodes[owner].Store(parent, parentNode)
+	res, err := c.sessions[owner].Do(ctx, parent, pathdb.QueryOptions{})
+	if err != nil {
+		return InsertResult{}, err
+	}
+	if res.Count() != 1 {
+		return InsertResult{}, &ParentError{Path: parent, Matches: res.Count()}
 	}
 	var inserted pathdb.Node
 	epoch, err := c.engines[owner].UpdateEpoch(func(tx *pathdb.Tx) error {
-		nd, err := tx.InsertXML(parentNode, fragment)
+		nd, err := tx.InsertXML(res.Nodes[0], fragment)
 		if err != nil {
 			return err
 		}
@@ -772,25 +579,7 @@ func (c *Cluster) Insert(ctx context.Context, parent, fragment string) (InsertRe
 		return nil
 	})
 	if err != nil {
-		c.parentNodes[owner].Delete(parent)
 		return InsertResult{}, err
-	}
-	// Carry the owner's cached counts forward past this commit's epoch for
-	// paths the intervening commits provably cannot affect. Each stale
-	// entry walks the journal from its own epoch: every epoch it crosses
-	// must be a journaled insert whose fragment is update-independent of
-	// the entry's path, or the entry takes the full invalidation.
-	if c.caches != nil {
-		j := &c.journals[owner]
-		j.mu.Lock()
-		j.commits = append(j.commits, journalCommit{epoch: epoch, toks: nameTokens(fragment)})
-		if len(j.commits) > journalDepth {
-			j.commits = j.commits[len(j.commits)-journalDepth:]
-		}
-		j.mu.Unlock()
-		c.caches[owner].revalidateTo(epoch, func(entryEpoch uint64, p string) bool {
-			return c.attributable(owner, entryEpoch, epoch, p)
-		})
 	}
 	return InsertResult{
 		Shard: owner,
@@ -869,13 +658,6 @@ func (c *Cluster) Delete(ctx context.Context, path string) (DeleteResult, error)
 			return DeleteResult{}, err
 		}
 	}
-	// Any deleted subtree may have been a memoized insert parent.
-	for i := range c.parentNodes {
-		c.parentNodes[i].Range(func(k, _ any) bool {
-			c.parentNodes[i].Delete(k)
-			return true
-		})
-	}
 	out.Deleted = m.Count
 	return out, nil
 }
@@ -904,9 +686,7 @@ func (c *Cluster) Metrics() []ShardMetrics {
 			Ledger:       eng.CostLedger(),
 			Derived:      c.set.Shards[i].DerivedMetrics(),
 			DegradedHits: c.degradedHits[i].Load(),
-		}
-		if c.caches != nil {
-			out[i].CacheHits = c.caches[i].hits.Load()
+			CacheHits:    c.caches[i].hits.Load(),
 		}
 	}
 	return out

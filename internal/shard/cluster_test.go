@@ -211,45 +211,88 @@ func TestClusterInsertRouting(t *testing.T) {
 	}
 }
 
-// The epoch-keyed cache must stay exactly consistent across commits: an
-// update-independent insert leaves cached counts valid (and the owner
-// shard's entries are revalidated, not just invalidated), while an insert
-// that can affect a path forces re-execution and the new count.
-func TestClusterCountCacheRevalidation(t *testing.T) {
+// The count cache keeps one rule: a shard's count is served while that
+// shard's publish epoch is unchanged. An insert re-executes its owner shard
+// only, with the new count, and SetFaults re-executes the shard it touches:
+// a count served from memory would hide the fault.
+func TestClusterCountCacheOneRule(t *testing.T) {
 	cl := newTestCluster(t, Config{})
 	ctx := context.Background()
-	const itemPath = "/site//item"
+	const path = "/site//item"
 
-	itemsBefore := mustQuery(t, cl, itemPath, false).Count
-	regionItems := mustQuery(t, cl, "/site/regions//item", false).Count
-
-	// Independent insert: fragment shares no name token with either path.
-	if _, err := cl.Insert(ctx, "/site", "<cachepad/>"); err != nil {
-		t.Fatal(err)
-	}
-	m := mustQuery(t, cl, "/site/regions//item", false)
-	if m.Count != regionItems {
-		t.Fatalf("independent insert changed cached count %d -> %d", regionItems, m.Count)
-	}
-	for _, ps := range m.PerShard {
+	mustQuery(t, cl, path, false)
+	before := mustQuery(t, cl, path, false)
+	old := make([]int, cl.Shards())
+	for _, ps := range before.PerShard {
 		if !ps.Cached {
-			t.Errorf("shard %d re-executed after an update-independent insert (revalidation failed)", ps.Shard)
+			t.Fatalf("shard %d executed on the second pass (cache miss with no commits)", ps.Shard)
 		}
+		old[ps.Shard] = ps.Count
 	}
 
-	// Dependent insert: <item/> shares the path's final step name, so the
-	// owner's cache entry must be dropped and the new count observed.
 	res, err := cl.Insert(ctx, "/site", "<item><name>cache-test</name></item>")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m = mustQuery(t, cl, itemPath, false)
-	if m.Count != itemsBefore+1 {
-		t.Fatalf("dependent insert: count %d, want %d", m.Count, itemsBefore+1)
+	m := mustQuery(t, cl, path, false)
+	if m.Count != before.Count+1 {
+		t.Fatalf("after insert: count %d, want %d", m.Count, before.Count+1)
 	}
 	for _, ps := range m.PerShard {
-		if ps.Shard == res.Shard && ps.Cached {
-			t.Errorf("owner shard %d served a cached count across a dependent insert", ps.Shard)
+		if ps.Shard == res.Shard {
+			if ps.Cached || ps.Count != old[ps.Shard]+1 {
+				t.Errorf("owner shard %d: cached %v count %d, want a re-execution counting %d",
+					ps.Shard, ps.Cached, ps.Count, old[ps.Shard]+1)
+			}
+			continue
+		}
+		if !ps.Cached || ps.Count != old[ps.Shard] {
+			t.Errorf("shard %d: cached %v count %d, want its cached count %d",
+				ps.Shard, ps.Cached, ps.Count, old[ps.Shard])
+		}
+	}
+
+	faulted := (res.Shard + 1) % cl.Shards()
+	cl.SetFaults(faulted, pathdb.FaultConfig{})
+	for _, ps := range mustQuery(t, cl, path, false).PerShard {
+		if cached := ps.Shard != faulted; ps.Cached != cached {
+			t.Errorf("after SetFaults(%d): shard %d cached %v, want %v", faulted, ps.Shard, ps.Cached, cached)
+		}
+	}
+}
+
+// A count cut off by a limit is not the path's count: it must neither be
+// stored under the path nor be answered from the cache.
+func TestClusterLimitedCountBypassesCache(t *testing.T) {
+	cl := newTestCluster(t, Config{})
+	ctx := context.Background()
+	const path = "/site//item"
+	res, err := singleVolume(t).QueryCtx(ctx, path, pathdb.QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Count()
+
+	limited, err := cl.Query(ctx, path, pathdb.QueryOptions{Limit: 2}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limited.Count >= want {
+		t.Fatalf("limited count %d, want fewer than %d", limited.Count, want)
+	}
+	if got := mustQuery(t, cl, path, false).Count; got != want {
+		t.Fatalf("count after a limited count: %d, want %d", got, want)
+	}
+	again, err := cl.Query(ctx, path, pathdb.QueryOptions{Limit: 2}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Count != limited.Count {
+		t.Fatalf("limited count %d after a full count, want %d", again.Count, limited.Count)
+	}
+	for _, ps := range again.PerShard {
+		if ps.Cached {
+			t.Errorf("shard %d answered a limited count from the cache", ps.Shard)
 		}
 	}
 }
@@ -293,13 +336,11 @@ func TestClusterDeleteFanout(t *testing.T) {
 
 // faultedCluster builds a 4-shard cluster with a tiny buffer pool (so
 // queries keep reading the device) and a heavy read-fault schedule on one
-// shard. The count cache is disabled: cached counts at an unchanged epoch
-// are legitimately served without touching storage, which would let the
-// degraded shard answer from memory.
+// shard. SetFaults drops that shard's cached counts, so the degraded shard
+// cannot answer from memory.
 func faultedCluster(t *testing.T, cfg Config, shard int, readError float64) *Cluster {
 	t.Helper()
 	cfg.Shards = 4
-	cfg.NoCountCache = true
 	cl, err := NewXMark(testXMarkConfig(), testOptions(8), cfg)
 	if err != nil {
 		t.Fatal(err)

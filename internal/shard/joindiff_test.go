@@ -41,7 +41,7 @@ func mergedFingerprint(m *Merged) string {
 // byte-identical to the reference merge of the nested results, and the
 // merged count equals a single volume holding the same corpus.
 func TestClusterJoinDifferential(t *testing.T) {
-	cl := newTestCluster(t, Config{NoCountCache: true})
+	cl := newTestCluster(t, Config{})
 	db := singleVolume(t)
 	ctx := context.Background()
 

@@ -90,7 +90,10 @@ type Counters struct {
 	AsyncWithdrawn int64 // prefetches cancelled before delivery
 
 	ClustersVisited int64 // distinct cluster activations by I/O operators
-	ClustersSkipped int64 // pooled accesses avoided via cluster synopses
+	// ClustersSkipped always reads 0: nothing skips a cluster any more.
+	// The benchmark's storage.clusters_skipped_frac still reads it; both go
+	// with Benchmark v2.
+	ClustersSkipped int64
 	SpecInstances   int64 // speculative left-incomplete instances created
 	FallbackEvents  int64 // low-memory fallback activations
 

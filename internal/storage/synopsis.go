@@ -6,83 +6,28 @@ import (
 
 	"pathdb/internal/vdisk"
 	"pathdb/internal/xmltree"
-	"pathdb/internal/xpath"
 )
 
-// PageSynopsis summarizes one cluster for whole-cluster decisions: which
-// record kinds and tags occur (and how often), and whether the cluster has
-// outgoing downward borders. It is counted off the page's entries the first
-// time a version of the page is loaded and registered under the page's write
+// PageSynopsis summarizes one cluster for the plan chooser's statistics:
+// which tags occur and how often, how many proxy records and live records
+// the cluster holds. It is counted off the page's entries the first time a
+// version of the page is loaded and registered under the page's write
 // epoch, so a consumer can tell whether a summary still describes the bytes
 // its version would read. Its slices are allocations of its own — a synopsis
 // outlives eviction and must not pin a page — and callers must not mutate
 // them.
 type PageSynopsis struct {
-	Epoch         uint64
-	Tags          []xmltree.TagID // sorted distinct record tags (NoTag bucket included)
-	TagCounts     []int32         // live records per Tags[i]
-	Elems         int32
-	Texts         int32
-	Comments      int32
-	PIs           int32
-	ProxyChildren int32 // outgoing downward borders
-	Borders       int32 // all proxy records
-	Live          int32 // all live records
-}
-
-// TagCount returns the number of live records tagged t.
-func (sy *PageSynopsis) TagCount(t xmltree.TagID) int32 {
-	lo, hi := 0, len(sy.Tags)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sy.Tags[mid] < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(sy.Tags) && sy.Tags[lo] == t {
-		return sy.TagCounts[lo]
-	}
-	return 0
-}
-
-// CanMatch reports whether any core record of the cluster could satisfy
-// test. Conservative: false only when the synopsis proves zero matches.
-func (sy *PageSynopsis) CanMatch(test xpath.NodeTest) bool {
-	var kindTotal int32
-	switch test.Kind {
-	case xpath.KindAny:
-		kindTotal = sy.Live - sy.Borders
-	case xpath.KindElement:
-		kindTotal = sy.Elems
-	case xpath.KindText:
-		kindTotal = sy.Texts
-	case xpath.KindComment:
-		kindTotal = sy.Comments
-	case xpath.KindPI:
-		kindTotal = sy.PIs
-	default:
-		return true
-	}
-	if kindTotal == 0 {
-		return false
-	}
-	if test.AnyName {
-		return true
-	}
-	for _, t := range test.Tags {
-		if sy.TagCount(t) > 0 {
-			return true
-		}
-	}
-	return false
+	Epoch     uint64
+	Tags      []xmltree.TagID // sorted distinct record tags (NoTag bucket included)
+	TagCounts []int32         // live records per Tags[i]
+	Borders   int32           // all proxy records
+	Live      int32           // all live records
 }
 
 // synTable is the persistent synopsis registry, shared (by pointer) across
 // a base store and every view. Unlike the swizzle cache it survives buffer
-// eviction: summaries are tiny, so keeping them lets XSchedule skip
-// clusters that were loaded once in any earlier query.
+// eviction: summaries are tiny, so keeping them lets the chooser's refresh
+// read a rewritten cluster's statistics without loading the cluster.
 type synTable struct {
 	mu sync.RWMutex
 	m  map[vdisk.PageID]*PageSynopsis
@@ -126,11 +71,8 @@ func synopsisOf(img *pageImage, epoch uint64) *PageSynopsis {
 	var big []xmltree.TagID
 	distinct := 0
 	for p := 0; p < img.n; p++ {
-		switch img.kind(p) {
-		case RecProxyChild:
-			sy.ProxyChildren++
-		case RecElem:
-			sy.Elems++
+		switch k := img.kind(p); {
+		case k == RecElem:
 			if t := img.tag(p); t < directTags {
 				if direct[t]++; direct[t] == 1 {
 					distinct++
@@ -138,15 +80,7 @@ func synopsisOf(img *pageImage, epoch uint64) *PageSynopsis {
 			} else {
 				big = append(big, t)
 			}
-			continue
-		case RecText:
-			sy.Texts++
-		case RecComment:
-			sy.Comments++
-		case RecPI:
-			sy.PIs++
-		}
-		if k := img.kind(p); !k.IsProxy() {
+		case !k.IsProxy():
 			noTag++
 		}
 	}
@@ -180,23 +114,12 @@ func synopsisOf(img *pageImage, epoch uint64) *PageSynopsis {
 	return sy
 }
 
-// Synopsis returns the registered summary of cluster p as of this view's
-// version, or ok=false when the cluster has not been loaded at the
-// version's write epoch yet (the summary on file, if any, describes other
-// bytes).
-func (s *Store) Synopsis(p vdisk.PageID) (*PageSynopsis, bool) {
-	sy := s.syn.get(p)
-	if sy == nil || sy.Epoch != s.pageEpoch(p) {
-		return nil, false
-	}
-	return sy, true
-}
-
-// EnsureSynopsis loads cluster p if needed and returns its summary at this
-// view's version. Used by the plan chooser's incremental refresh; the load
-// charges this view's ledger.
+// EnsureSynopsis returns the summary of cluster p at this view's version:
+// the registered one when it describes the bytes this version reads (its
+// epoch is the page's write epoch), else one counted off a load of the
+// cluster, charged to this view's ledger. Used by the plan chooser.
 func (s *Store) EnsureSynopsis(p vdisk.PageID) *PageSynopsis {
-	if sy, ok := s.Synopsis(p); ok {
+	if sy := s.syn.get(p); sy != nil && sy.Epoch == s.pageEpoch(p) {
 		return sy
 	}
 	img := s.image(p)
@@ -206,9 +129,8 @@ func (s *Store) EnsureSynopsis(p vdisk.PageID) *PageSynopsis {
 // RefreshSynopses validates the after-images of a commit and registers their
 // summaries at the commit epoch. The txn manager calls this right after
 // publishing the successor version, so the registry tracks commits eagerly:
-// skip decisions stay deterministic (a current-version reader always finds
-// a current-epoch summary for every page that ever had one) instead of
-// depending on which queries happened to load which clusters first.
+// a current-version reader finds a current-epoch summary for every page the
+// commit wrote, and the chooser's Refresh loads no page to fold them in.
 // Payloads are unfinalized page images (as produced by WriteTxn.WriteSet);
 // invalid ones are skipped — the read path will fault on them properly.
 func (s *Store) RefreshSynopses(epoch uint64, images map[vdisk.PageID][]byte) {
@@ -220,26 +142,4 @@ func (s *Store) RefreshSynopses(epoch uint64, images map[vdisk.PageID][]byte) {
 		}
 		s.syn.publish(p, synopsisOf(&img, epoch))
 	}
-}
-
-// SkippableCluster reports whether pooling cluster p for a pending
-// downward step (axis, test) is provably useless: the summary is current
-// for this view's version, the cluster has no outgoing downward borders
-// (so the enumeration cannot continue elsewhere), and no record can match
-// the test. Downward axes only — the enumeration of child/descendant steps
-// arriving over a border emits exclusively core records of the cluster
-// plus its ProxyChild borders, so an empty test mask and a zero ProxyChild
-// count together prove the continuation is dead. False means "load it and
-// look", never "skip".
-func (s *Store) SkippableCluster(p vdisk.PageID, axis xpath.Axis, test xpath.NodeTest) bool {
-	switch axis {
-	case xpath.Child, xpath.Descendant, xpath.DescendantOrSelf:
-	default:
-		return false
-	}
-	sy, ok := s.Synopsis(p)
-	if !ok || sy.ProxyChildren > 0 {
-		return false
-	}
-	return !sy.CanMatch(test)
 }

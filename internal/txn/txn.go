@@ -371,8 +371,8 @@ func (m *Manager) stageCommitLocked(base *storage.VersionMap, ws storage.WriteSe
 	next := base.Apply(m.epoch, deltas, ws.Fresh)
 	m.cur.Store(next)
 	m.st.PublishVersion(next)
-	// Register the committed clusters' synopses at the new epoch so
-	// cluster-skip and chooser refresh stay current without a rebuild.
+	// Register the committed clusters' synopses at the new epoch so the
+	// chooser's refresh folds them in without loading a page.
 	m.st.RefreshSynopses(m.epoch, ws.Images)
 
 	return &commitReq{
