@@ -26,8 +26,10 @@ race:
 # per commit — the only timing of a commit group with more than one
 # writer (no benchmark/ workload has two) — and the phases of a
 # structural join (ns, B, allocs): internal/core's BenchmarkJoinResident
-# (levels cached), BenchmarkLevelBuild, BenchmarkLevelAdvance (a level
-# carried across one commit) and BenchmarkLiteralSelect, and
+# (levels cached, the predicated path read from levels from the roots),
+# BenchmarkJoinNavigated (the same predicate from a relative context, its
+# candidates navigated), BenchmarkLevelBuild, BenchmarkLevelAdvance (a
+# level carried across one commit) and BenchmarkLiteralSelect, and
 # internal/storage's BenchmarkStringValue — the cold path: internal/storage's
 # BenchmarkDecodePage (validating one 8 KB cluster and counting its
 # synopsis) and BenchmarkColdSweep (ns, B and allocs per page of touching
@@ -83,11 +85,14 @@ api-check:
 # gauntlet (snapshot isolation + goroutine-leak check), the HTTP
 # update path, and the structural join's levels across commits (advanced
 # levels equal fresh builds, Auto reads build once and then join over
-# advanced levels, pinned snapshots, faulted advances), all under -race.
+# advanced levels, pinned snapshots, faulted advances, reads that take
+# their steps from levels and the candidate sets those commits drop), all
+# under -race.
 test-txn:
 	$(GO) test -race ./internal/txn/
 	$(GO) test -race -run 'TestUpdate|TestQueryChoice' ./internal/server/ .
-	$(GO) test -race -run 'TestLevelAdvance|TestAutoJoinsAcrossCommits|TestSupersededSnapshot|TestFailedAdvance' .
+	$(GO) test -race -run 'TestLevelAdvance|TestAutoJoinsAcrossCommits|TestSupersededSnapshot|TestFailedAdvance|TestLevelReadDifferential' .
+	$(GO) test -race -run 'TestLevelReadAcrossCommits' ./internal/core/
 
 # Sharding subsystem: ring placement/skew/degradation, the split
 # invariants, the scatter-gather coordinator, and the HTTP router

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"pathdb/internal/buffer"
@@ -33,20 +34,17 @@ var autoForms = []string{
 func TestAutoJoinsAcrossCommits(t *testing.T) {
 	ctx := context.Background()
 	db := engineFixture(t)
+	// missing counts the levels a join plan of the path lacks: its
+	// branches' and those of the prefix it reads from levels.
 	missing := func(path string) uint64 {
-		keys := map[string]bool{}
-		for _, s := range xpath.MustParse(db.dict, path).Simplify().Steps {
-			for _, p := range s.Predicates {
-				for _, branch := range p.Paths {
-					for _, key := range core.JoinNeeds(db.store, branch, p).Missing {
-						if key != "" {
-							keys[key] = true
-						}
-					}
-				}
+		_, keys := core.PlanNeeds(db.store, xpath.MustParse(db.dict, path).Simplify().Steps, db.store.Roots())
+		n := uint64(0)
+		for _, key := range keys {
+			if strings.HasPrefix(key, "level:") {
+				n++
 			}
 		}
-		return uint64(len(keys))
+		return n
 	}
 	want := map[string]int{}
 	for _, path := range autoForms {
@@ -178,7 +176,7 @@ func TestSupersededSnapshotStaysOut(t *testing.T) {
 	if h, _ := dc.Stats(); h != hits {
 		t.Fatalf("the pinned view hit the current generation %d times", h-hits)
 	}
-	if need := core.JoinNeeds(old, pred.Paths[0], pred); need.Missing[0] == "" || core.AutoPredEval(old, steps) != core.PredNested {
+	if need := core.JoinNeeds(old, pred.Paths[0], pred); need.Missing[0] == "" || core.AutoPredEval(old, steps, old.Roots()) != core.PredNested {
 		t.Fatalf("the pinned view sees its level resident, or PredAuto joins on it: %+v", need)
 	}
 	if n := count(db.store, core.PredJoin); n != 2 {

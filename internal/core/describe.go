@@ -11,12 +11,19 @@ import (
 // per line, producer-first — the EXPLAIN output of this engine — and then
 // the order the plan delivers. Example:
 //
-//	XAssembly(|π|=2, feedback→XSchedule)
+//	XAssembly(|π|=2, feedback→XSchedule queue)
 //	  XStep₂(descendant::item)
 //	    XStep₁(child::regions)
 //	      XSchedule(k=100, speculative=false)
-//	        Context(1 node)
+//	        Context(1 nodes)
 //	order: none
+//
+// The steps a plan reads from levels show as one Levels operator under the
+// XJoin of their last step:
+//
+//	XJoin(step 2, 1 predicates, structural semi-join)
+//	  Levels(child::site/descendant::item)
+//	order: document (no sort)
 func (p *Plan) Describe(dict *xmltree.Dictionary) string {
 	var b strings.Builder
 	describeOp(&b, p.root, dict, 0)
@@ -71,6 +78,14 @@ func describeOp(b *strings.Builder, op Operator, dict *xmltree.Dictionary, depth
 	case *XScan:
 		fmt.Fprintf(b, "%sXScan(%d clusters, sequential)\n", indent, o.n)
 		describeOp(b, o.producer, dict, depth+1)
+	case *Levels:
+		fmt.Fprintf(b, "%s%s\n", indent, o.describe(dict))
+		if o.input != nil {
+			describeOp(b, o.input, dict, depth+1)
+		}
+	case *clusterOrder:
+		fmt.Fprintf(b, "%sClusterOrder\n", indent)
+		describeOp(b, o.input, dict, depth+1)
 	case *ContextOp:
 		fmt.Fprintf(b, "%sContext(%d nodes)\n", indent, len(o.ids))
 	default:

@@ -97,10 +97,10 @@ func TestCancelledBuildAdmitsNothing(t *testing.T) {
 	const src = `//book[meta/year="1992"][title]`
 	want := joinRun(t, st, src, PlanOptions{PredEval: PredNested})
 	admitted := 0
-	for polls := 0; polls < 60; polls++ {
+	for polls := 0; polls < 100; polls++ { // through the last admission, the fourth level
 		st.ResetForRun()
 		joinRun(t, st, src, PlanOptions{PredEval: PredJoin, Ctx: &countdownCtx{Context: context.Background(), polls: polls}})
-		for name, lv := range cachedLevels(t, st, "meta", "year", "title") {
+		for name, lv := range cachedLevels(t, st, "book", "meta", "year", "title") {
 			admitted++
 			if full := buildLevel(NewEvalState(st, nil), xpath.MustParse(st.Dict(), "//"+name).Simplify().Steps[0]); !reflect.DeepEqual(lv.Ords, full.Ords) {
 				t.Fatalf("polls=%d: level %s admitted with %d of %d entries", polls, name, len(lv.Ords), len(full.Ords))
@@ -199,18 +199,23 @@ func TestConcurrentAdvance(t *testing.T) {
 				t.Fatalf("round %d worker %d:\nwant %v\ngot  %v", round, w, want, got[w])
 			}
 		}
-		if m := dcache.Metrics(); m.LevelAdvances-before.LevelAdvances != 2 || m.LevelBuilds != before.LevelBuilds {
-			t.Fatalf("round %d: %d level advances, %d builds; want the two levels advanced once", round,
+		// Three levels: book, which the plan reads its step from, and meta
+		// and year, which the predicate joins over.
+		if m := dcache.Metrics(); m.LevelAdvances-before.LevelAdvances != 3 || m.LevelBuilds != before.LevelBuilds {
+			t.Fatalf("round %d: %d level advances, %d builds; want the three levels advanced once", round,
 				m.LevelAdvances-before.LevelAdvances, m.LevelBuilds-before.LevelBuilds)
 		}
 	}
 }
 
-// The four benchmarks below time the join's phases on the XMark fixture:
-// a query whose sets are resident, the enumeration of one level, its advance
-// across a commit, and the per-query selection of a literal from a resident
-// level.
+// The benchmarks below time the join's phases on the XMark fixture: a
+// query whose sets are resident, read from levels from the roots and fed by
+// navigation from a relative context, the enumeration of one level, its
+// advance across a commit, and the per-query selection of a literal from a
+// resident level.
 
+// BenchmarkJoinResident times /site//item[mailbox/mail//keyword] over
+// resident sets: the plan reads both steps from levels.
 func BenchmarkJoinResident(b *testing.B) {
 	dict, st := xmarkFixture(b)
 	steps := xpath.MustParse(dict, "/site//item[mailbox/mail//keyword]").Simplify().Steps
@@ -218,6 +223,24 @@ func BenchmarkJoinResident(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		BuildPlan(st, steps, st.Roots(), StrategySimple, PlanOptions{Arena: arena, PredEval: PredJoin}).Count()
+	}
+}
+
+// BenchmarkJoinNavigated times the same predicate from the site element,
+// //item[mailbox/mail//keyword] as a relative path: the level read does
+// not apply, so the XJoin filters candidates an XStep navigates to.
+func BenchmarkJoinNavigated(b *testing.B) {
+	dict, st := xmarkFixture(b)
+	site := BuildPlan(st, xpath.MustParse(dict, "/site").Simplify().Steps, st.Roots(), StrategySimple, PlanOptions{}).Run()[0].Node
+	steps := xpath.MustParse(dict, "/site//item[mailbox/mail//keyword]").Simplify().Steps[1:]
+	contexts := []storage.NodeID{site}
+	arena := NewArena()
+	if p := BuildPlan(st, steps, contexts, StrategySimple, PlanOptions{PredEval: PredJoin}); p.LevelSteps() != 0 {
+		b.Fatal("the relative plan reads from levels")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		BuildPlan(st, steps, contexts, StrategySimple, PlanOptions{Arena: arena, PredEval: PredJoin}).Count()
 	}
 }
 

@@ -18,11 +18,14 @@ import (
 // all chains read from one shared XSchedule through a demultiplexer that
 // routes instances by their Path tag. Continuations enqueued by any
 // XAssembly land in the same queue, so the asynchronous I/O subsystem sees
-// the union of all paths' pending cluster accesses.
+// the union of all paths' pending cluster accesses. A member whose prefix
+// is read from levels (see BuildPlan) feeds that prefix's survivors to the
+// shared scheduler in place of its contexts; one with nothing left to
+// navigate is the level read alone.
 type MultiPlan struct {
 	es     []*EvalState
 	shared *XSchedule
-	asms   []*XAssembly
+	roots  []Operator // per member: its XAssembly, or its level read
 	closed bool
 	// PredEvals holds, per member, the evaluator its predicate steps run
 	// with (see Plan.PredEval).
@@ -39,8 +42,8 @@ func (mp *MultiPlan) Close() {
 		return
 	}
 	mp.closed = true
-	for _, a := range mp.asms {
-		a.Close()
+	for _, r := range mp.roots {
+		r.Close()
 	}
 }
 
@@ -71,20 +74,14 @@ type MultiQuery struct {
 func BuildMultiPlan(store *storage.Store, queries []MultiQuery, opts PlanOptions) *MultiPlan {
 	mp := &MultiPlan{}
 
-	// The shared scheduler lives on the first path's state; it only uses
-	// the store, ledger and queue machinery, which all paths share.
-	// Contexts of all paths are multiplexed into its producer, tagged.
-	var seeds []Instance
-	for pi, q := range queries {
-		for _, id := range q.Contexts {
-			inst := ContextInstance(id)
-			inst.Path = pi
-			seeds = append(seeds, inst)
-		}
-	}
+	// The shared scheduler lives on its own state; it only uses the store,
+	// ledger and queue machinery, which all paths share. Contexts of all
+	// paths are multiplexed into its producer, tagged, and after them the
+	// survivors of the members' level reads.
 	es0 := NewEvalState(store, nil)
 	es0.Arena = opts.Arena
-	shared := NewXSchedule(es0, &sliceOp{es: es0, items: seeds})
+	seeds := &seedOp{es: es0}
+	shared := NewXSchedule(es0, seeds)
 	if opts.K > 0 {
 		shared.K = opts.K
 	}
@@ -114,12 +111,25 @@ func BuildMultiPlan(store *storage.Store, queries []MultiQuery, opts PlanOptions
 		if q.PredEval != PredAuto {
 			pe = q.PredEval
 		}
-		if pe == PredAuto {
-			pe = AutoPredEval(st, q.Path)
-		}
+		pe = predPlan(es, q.Contexts, pe)
+		k := es.LevelSteps
 		mp.PredEvals = append(mp.PredEvals, pe)
+		switch {
+		case k > 0 && k == len(q.Path):
+			mp.roots = append(mp.roots, levelSource(es, k))
+			continue
+		case k > 0:
+			seeds.srcs = append(seeds.srcs, levelSource(es, k))
+			seeds.tags = append(seeds.tags, pi)
+		default:
+			for _, id := range q.Contexts {
+				inst := ContextInstance(id)
+				inst.Path = pi
+				seeds.items = append(seeds.items, inst)
+			}
+		}
 		var op Operator = &demuxPort{d: d, path: pi}
-		for i := 1; i <= len(q.Path); i++ {
+		for i := k + 1; i <= len(q.Path); i++ {
 			op = NewXStep(es, op, i)
 			if len(q.Path[i-1].Predicates) > 0 {
 				if pe == PredJoin {
@@ -129,14 +139,14 @@ func BuildMultiPlan(store *storage.Store, queries []MultiQuery, opts PlanOptions
 				}
 			}
 		}
-		mp.asms = append(mp.asms, NewXAssembly(es, op, shared))
+		mp.roots = append(mp.roots, NewXAssembly(es, op, shared))
 	}
 	return mp
 }
 
 // Run evaluates all member queries and returns one result list per query.
 func (mp *MultiPlan) Run() [][]Result {
-	out := make([][]Result, len(mp.asms))
+	out := make([][]Result, len(mp.roots))
 	mp.RunEach(nil, func(i int, r Result) {
 		out[i] = append(out[i], r)
 	})
@@ -156,13 +166,13 @@ func (mp *MultiPlan) Run() [][]Result {
 // calling goroutine.
 func (mp *MultiPlan) RunEach(cancelled func(i int) bool, emit func(i int, r Result)) {
 	defer mp.Close()
-	for _, a := range mp.asms {
-		a.Open()
+	for _, r := range mp.roots {
+		r.Open()
 	}
-	done := make([]bool, len(mp.asms))
-	remaining := len(mp.asms)
+	done := make([]bool, len(mp.roots))
+	remaining := len(mp.roots)
 	for remaining > 0 {
-		for i, a := range mp.asms {
+		for i, a := range mp.roots {
 			if done[i] {
 				continue
 			}
@@ -192,24 +202,45 @@ func (mp *MultiPlan) Counts() []int {
 	return out
 }
 
-// sliceOp replays a fixed instance list (the multiplexed context seeds).
-type sliceOp struct {
+// seedOp replays the multiplexed context seeds, then the survivors of each
+// level-reading member's prefix (srcs), tagged with its member index.
+type seedOp struct {
 	es    *EvalState
 	items []Instance
 	pos   int
+	srcs  []Operator
+	tags  []int
+	src   int // the source being drained
 }
 
-func (s *sliceOp) Open() { s.pos = 0 }
-func (s *sliceOp) Next() (Instance, bool) {
-	if s.pos >= len(s.items) {
-		return Instance{}, false
+func (s *seedOp) Open() {
+	s.pos, s.src = 0, 0
+	for _, src := range s.srcs {
+		src.Open()
 	}
-	out := s.items[s.pos]
-	s.pos++
-	s.es.chargeTuple()
-	return out, true
 }
-func (s *sliceOp) Close() {}
+
+func (s *seedOp) Next() (Instance, bool) {
+	if s.pos < len(s.items) {
+		out := s.items[s.pos]
+		s.pos++
+		s.es.chargeTuple()
+		return out, true
+	}
+	for ; s.src < len(s.srcs); s.src++ {
+		if out, ok := s.srcs[s.src].Next(); ok {
+			out.Path = s.tags[s.src]
+			return out, true
+		}
+	}
+	return Instance{}, false
+}
+
+func (s *seedOp) Close() {
+	for _, src := range s.srcs {
+		src.Close()
+	}
+}
 
 // demux routes instances from the shared scheduler to per-path ports,
 // buffering instances that belong to other paths.

@@ -107,6 +107,10 @@ type Plan struct {
 	PredEval PredEval
 }
 
+// LevelSteps reports how many leading steps the plan reads from levels
+// instead of navigating them (0: it navigates every step).
+func (p *Plan) LevelSteps() int { return p.es.LevelSteps }
+
 // PathShape reports what a border-crossing Simple chain over path yields
 // from a single context node, or from an ordered antichain of contexts such
 // as the volume roots: each node at most once (dupFree), and in document
@@ -117,7 +121,14 @@ type Plan struct {
 // Predicates only filter (XJoin emits its survivors in arrival order), so
 // they change nothing.
 func PathShape(path []xpath.Step) (dupFree, ordered bool) {
-	ordered, antichain := true, true
+	return pathShape(path, true)
+}
+
+// pathShape is PathShape from an ordered, duplicate-free input that is an
+// antichain, or — antichain false — may nest, as a level read's output does
+// once it has read a descendant step.
+func pathShape(path []xpath.Step, antichain bool) (dupFree, ordered bool) {
+	ordered = true
 	for _, s := range path {
 		switch s.Axis {
 		case xpath.Self:
@@ -138,30 +149,33 @@ func PathShape(path []xpath.Step) (dupFree, ordered bool) {
 // BuildPlan compiles a plan evaluating path from the given context nodes
 // over store. The path is the physical step list (apply xpath.Simplify
 // beforehand if desired); absolute paths pass the document root as the
-// single context.
+// single context. The plan reads contexts as it runs: the caller must not
+// change them before it is done.
+//
+// When the predicates join and the contexts are the volume roots, the steps
+// through the last predicated one are read from levels rather than
+// navigated (Levels, levelPrefix): the chosen strategy navigates only the
+// steps after them, from their survivors; with none left the plan is the
+// level read itself, ordered and duplicate-free.
 func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeID, strat Strategy, opts PlanOptions) *Plan {
 	es := NewEvalState(store, path)
 	es.MemLimit = opts.MemLimit
 	es.Ctx = opts.Ctx
 	es.Arena = opts.Arena
 
-	ctxIDs := append([]storage.NodeID(nil), contexts...)
 	p := &Plan{es: es, Strategy: strat}
-	pe := opts.PredEval
-	if pe == PredAuto {
-		pe = AutoPredEval(store, path)
-	}
-	p.PredEval = pe
+	p.PredEval = predPlan(es, contexts, opts.PredEval)
+	k := es.LevelSteps
 
 	// chain appends XStepᵢ (plus a predicate evaluator when the step
-	// carries predicates) for every location step.
+	// carries predicates) for every navigated location step.
 	chain := func(op Operator, crossBorders bool) Operator {
-		for i := 1; i <= len(path); i++ {
+		for i := k + 1; i <= len(path); i++ {
 			xs := NewXStep(es, op, i)
 			xs.CrossBorders = crossBorders
 			op = xs
 			if len(path[i-1].Predicates) > 0 {
-				if pe == PredJoin {
+				if p.PredEval == PredJoin {
 					op = NewXJoin(es, op, i)
 				} else {
 					op = NewPredFilter(es, op, i)
@@ -170,23 +184,39 @@ func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeI
 		}
 		return op
 	}
+	// source produces the contexts of the first navigated step.
+	source := func() Operator {
+		if k > 0 {
+			return levelSource(es, k)
+		}
+		return NewContextOp(es, contexts)
+	}
 
 	var top Operator
-	switch strat {
-	case StrategySimple:
-		top = chain(NewContextOp(es, ctxIDs), true)
+	switch {
+	case k > 0 && k == len(path):
+		top = levelSource(es, k)
+		p.Ordered = true
+
+	case strat == StrategySimple:
+		top = chain(source(), true)
 		// The shape rule holds from one context or from the roots; other
-		// context lists may nest or come out of order.
+		// context lists may nest or come out of order. A level read
+		// delivers an ordered set that is an antichain until it reads a
+		// descendant step.
 		dupFree := false
-		if len(ctxIDs) <= 1 || slices.Equal(ctxIDs, store.Roots()) {
+		switch {
+		case k > 0:
+			dupFree, p.Ordered = pathShape(path[k:], !slices.ContainsFunc(path[:k], func(s xpath.Step) bool { return s.Axis != xpath.Child }))
+		case len(contexts) <= 1 || slices.Equal(contexts, store.Roots()):
 			dupFree, p.Ordered = PathShape(path)
 		}
 		if !dupFree {
 			top = NewDistinct(es, top)
 		}
 
-	case StrategySchedule:
-		sched := NewXSchedule(es, NewContextOp(es, ctxIDs))
+	case strat == StrategySchedule:
+		sched := NewXSchedule(es, source())
 		if opts.K > 0 {
 			sched.K = opts.K
 		}
@@ -195,9 +225,16 @@ func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeI
 		p.Assembly, p.Schedule = asm, sched
 		top = asm
 
-	case StrategyScan:
-		SortContexts(ctxIDs)
-		scan := NewXScan(es, NewContextOp(es, ctxIDs))
+	case strat == StrategyScan:
+		var producer Operator
+		if k > 0 {
+			producer = &clusterOrder{es: es, input: levelSource(es, k)}
+		} else {
+			sorted := slices.Clone(contexts)
+			SortContexts(sorted)
+			producer = NewContextOp(es, sorted)
+		}
+		scan := NewXScan(es, producer)
 		asm := NewXAssembly(es, chain(scan, false), nil)
 		if !opts.NoFirstStepAllOpt && len(path) > 0 &&
 			path[0].Axis == xpath.DescendantOrSelf && path[0].Test.Kind == xpath.KindAny &&

@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 	"sort"
-	"strings"
 
 	"pathdb/internal/ordpath"
 	"pathdb/internal/storage"
@@ -320,16 +319,7 @@ func compileJoinPreds(es *EvalState, preds []xpath.Predicate) []joinPred {
 // levels alone (fromLevels: no literal, no nested predicate) in the derived
 // cache: the canonical rendition of the simplified steps.
 func joinBranchKey(dict *xmltree.Dictionary, steps []xpath.Step) string {
-	var b strings.Builder
-	b.Grow(64)
-	b.WriteString("xjoin:")
-	for _, s := range steps {
-		b.WriteByte('/')
-		b.WriteString(s.Axis.String())
-		b.WriteString("::")
-		b.WriteString(s.Test.Render(dict))
-	}
-	return b.String()
+	return stepsKey("xjoin:", dict, steps)
 }
 
 // fromLevels reports whether the branch's filter set is a function of its
@@ -468,36 +458,49 @@ func JoinNeeds(st *storage.Store, branch *xpath.Path, p xpath.Predicate) JoinNee
 	return n
 }
 
-// AutoPredEval is what PredAuto resolves to on a view: XJoin when some
-// predicate branch of the path is joinable and the derived generation the
-// view reaches has room for the levels it lacks, so that they are built
-// once and every later read joins over them; PredFilter otherwise — no
-// joinable branch, a write transaction's overlay, a superseded snapshot or
-// a full generation, where a join would enumerate its levels on every read.
-func AutoPredEval(st *storage.Store, path []xpath.Step) PredEval {
-	dcache, epoch, ok := st.Derived()
-	if !ok {
-		return PredNested
+// AutoPredEval is what PredAuto resolves to for a plan of path from
+// contexts on a view: XJoin when some predicate branch of the path is
+// joinable and the derived generation the view reaches has room for the
+// entries the plan lacks (PlanNeeds), so that they are built once and every
+// later read joins over them; PredFilter otherwise — no joinable branch, a
+// write transaction's overlay, a superseded snapshot or a full generation,
+// where a join would enumerate its levels on every read.
+func AutoPredEval(st *storage.Store, path []xpath.Step, contexts []storage.NodeID) PredEval {
+	return predPlan(NewEvalState(st, path), contexts, PredAuto)
+}
+
+// PlanNeeds reports whether some predicate branch of path is joinable, and
+// the derived-cache keys a join plan of path from contexts lacks, each
+// once: the levels its branches join over and, when it reads a level prefix
+// (from the volume roots), the prefix's levels and candidate set.
+func PlanNeeds(st *storage.Store, path []xpath.Step, contexts []storage.NodeID) (joinable bool, missing []string) {
+	k, key := levelPrefix(st, path, contexts)
+	return planNeeds(st, path, k, key)
+}
+
+// planNeeds is PlanNeeds for a plan reading its first k steps from levels,
+// the first run's candidate set under key.
+func planNeeds(st *storage.Store, path []xpath.Step, k int, key string) (joinable bool, missing []string) {
+	add := func(key string) {
+		if key != "" && !slices.Contains(missing, key) {
+			missing = append(missing, key)
+		}
 	}
-	joinable := false
-	var missing []string
 	for _, s := range path {
 		for _, p := range s.Predicates {
 			for _, branch := range p.Paths {
 				need := JoinNeeds(st, branch, p)
 				joinable = joinable || need.Joinable
 				for _, key := range need.Missing {
-					if key != "" && !slices.Contains(missing, key) {
-						missing = append(missing, key)
-					}
+					add(key)
 				}
 			}
 		}
 	}
-	if joinable && dcache.Room(epoch, len(missing)) {
-		return PredJoin
+	for _, lk := range prefixNeeds(st, path[:k], key) {
+		add(lk)
 	}
-	return PredNested
+	return joinable, missing
 }
 
 // joinableSteps returns the branch's steps with identity self::node() steps

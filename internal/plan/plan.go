@@ -255,7 +255,7 @@ func (c *Chooser) Choose(path []xpath.Step) Choice {
 		}
 	}
 	choice.Strategy = best.Strategy
-	choice.PredEval = core.AutoPredEval(c.store, path)
+	choice.PredEval = core.AutoPredEval(c.store, path, c.store.Roots())
 	return choice
 }
 

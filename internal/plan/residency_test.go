@@ -74,14 +74,25 @@ func TestChooserWarmMatchesMeasurement(t *testing.T) {
 			t.Fatalf("%s: residency %v after the statistics walk", src, choice.Residency)
 		}
 		measured := map[core.Strategy]stats.Ticks{}
+		navigates := true
 		for _, e := range estimates(choice) {
 			run := func() {
-				core.BuildPlan(st, path, st.Roots(), e.Strategy, core.PlanOptions{PredEval: choice.PredEval}).Count()
+				p := core.BuildPlan(st, path, st.Roots(), e.Strategy, core.PlanOptions{PredEval: choice.PredEval})
+				p.Count()
+				navigates = p.LevelSteps() < len(path)
 			}
 			run() // a join's filter sets are built once, whoever runs first
 			v0 := st.Ledger().Total()
 			run()
 			measured[e.Strategy] = st.Ledger().Total() - v0
+		}
+		if !navigates {
+			// The plan reads every step from levels: no strategy is left
+			// to choose, and all three run the same level read.
+			if m := measured[core.StrategySimple]; measured[core.StrategySchedule] != m || measured[core.StrategyScan] != m {
+				t.Errorf("%s: a level read measures %v across strategies", src, measured)
+			}
+			continue
 		}
 		byEstimate, byMeasurement := estimates(choice), estimates(choice)
 		sort.SliceStable(byEstimate[:], func(a, b int) bool { return byEstimate[a].Cost < byEstimate[b].Cost })

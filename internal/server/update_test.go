@@ -280,11 +280,14 @@ func TestQueryChoiceExposed(t *testing.T) {
 }
 
 // TestDerivedMetrics moves every pathdb_derived_* counter of /v1/metrics:
-// a join builds a level and a filter set (two misses) and reuses the set (a
-// hit); a commit adding a match is followed by an advance over the page it
-// wrote, which moves the level, so the set is merged again (a miss, and a
-// hit on the level); and a generation that 130 templates fill (those that
-// find no room left probe instead) is dropped at the next commit.
+// a join of /r/g[t0] reads its /r/g prefix from levels and builds the r, g
+// and t0 levels, the prefix's candidate set and the predicate's filter set
+// (five misses), then reuses both sets (two hits); a commit adding a match
+// is followed by an advance of the three levels over the page it wrote,
+// which moves two of them, so both sets are merged again (two misses, and
+// hits on the three levels); and a generation that 130 templates fill
+// (those that find no room left probe instead) is dropped at the next
+// commit.
 func TestDerivedMetrics(t *testing.T) {
 	var doc strings.Builder
 	doc.WriteString("<r>")
@@ -312,7 +315,7 @@ func TestDerivedMetrics(t *testing.T) {
 	commit()
 	join(0)
 	m := fetchMetrics(t, ts.URL)
-	for name, want := range map[string]float64{"hits": 2, "misses": 3, "level_builds": 1, "level_advances": 1, "pages_advanced": 1, "generations_dropped": 0} {
+	for name, want := range map[string]float64{"hits": 5, "misses": 7, "level_builds": 3, "level_advances": 3, "pages_advanced": 1, "generations_dropped": 0} {
 		if got := m["pathdb_derived_"+name+"_total"]; got != want {
 			t.Errorf("pathdb_derived_%s_total = %v, want %v", name, got, want)
 		}

@@ -191,14 +191,16 @@ func inDocOrder(rs []core.Result) bool {
 // says dup-free the Simple plan has no Distinct and yields no node twice,
 // where it says ordered the plan has no sort and its output is already in
 // document order (sorting it moves nothing), and every output equals the
-// Distinct + sort oracle once sorted. Two named witnesses keep the rule
-// from being vacuous: what it rejects really does go wrong on XMark.
+// Distinct + sort oracle once sorted. A join plan that reads its prefix
+// from levels claims at least as much as PathShape, and is held to its own
+// claims. Two named witnesses keep the rule from being vacuous: what it
+// rejects really does go wrong on XMark.
 func TestPathShapeProperty(t *testing.T) {
 	vols := shapeVolumes(t)
 	for vi, v := range vols {
 		st := v.db.store
 		r := rng.New(7 + uint64(vi))
-		var dupFree, ordered, nonEmpty int
+		var dupFree, ordered, nonEmpty, levelRead int
 		for trial := 0; trial < 150; trial++ {
 			src := randDownwardPath(r, v)
 			path := xpath.MustParse(v.db.dict, src).Simplify().Steps
@@ -208,14 +210,22 @@ func TestPathShapeProperty(t *testing.T) {
 				p := core.BuildPlan(st, path, st.Roots(), core.StrategySimple, core.PlanOptions{PredEval: pe})
 				got := p.Run()
 				_, distinct := p.Root().(*core.Distinct)
-				if p.Ordered != ord || distinct == df {
+				// A plan that reads a prefix from levels may claim more than
+				// PathShape, never less; its own claims are held against
+				// its output.
+				if p.LevelSteps() > 0 {
+					levelRead++
+					if ord && !p.Ordered || df && distinct {
+						t.Fatalf("%s: level read claims Ordered=%v Distinct=%v, weaker than PathShape (%v, %v)", label, p.Ordered, distinct, df, ord)
+					}
+				} else if p.Ordered != ord || distinct == df {
 					t.Fatalf("%s: plan Ordered=%v Distinct=%v, PathShape (%v, %v)", label, p.Ordered, distinct, df, ord)
 				}
-				if df && hasDuplicate(got) {
-					t.Fatalf("%s: dup-free by shape, yet a node comes twice", label)
+				if !distinct && hasDuplicate(got) {
+					t.Fatalf("%s: no Distinct, yet a node comes twice", label)
 				}
-				if ord && !inDocOrder(got) {
-					t.Fatalf("%s: ordered by shape, yet out of document order", label)
+				if p.Ordered && !inDocOrder(got) {
+					t.Fatalf("%s: ordered by its plan, yet out of document order", label)
 				}
 				want := shapeOracle(st, path, pe)
 				core.SortResults(got)
@@ -233,9 +243,9 @@ func TestPathShapeProperty(t *testing.T) {
 				ordered++
 			}
 		}
-		t.Logf("%s: %d dup-free, %d ordered, %d non-empty of 150 paths", v.name, dupFree, ordered, nonEmpty)
-		if dupFree == 150 || ordered == 0 || nonEmpty < 30 {
-			t.Fatalf("%s: the draw exercises too little (%d dup-free, %d ordered, %d non-empty)", v.name, dupFree, ordered, nonEmpty)
+		t.Logf("%s: %d dup-free, %d ordered, %d non-empty of 150 paths, %d join plans read levels", v.name, dupFree, ordered, nonEmpty, levelRead)
+		if dupFree == 150 || ordered == 0 || nonEmpty < 30 || levelRead < 20 {
+			t.Fatalf("%s: the draw exercises too little (%d dup-free, %d ordered, %d non-empty, %d level reads)", v.name, dupFree, ordered, nonEmpty, levelRead)
 		}
 	}
 
