@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"pathdb/internal/buffer"
@@ -35,16 +34,29 @@ func TestAutoJoinsAcrossCommits(t *testing.T) {
 	ctx := context.Background()
 	db := engineFixture(t)
 	// missing counts the levels a join plan of the path lacks: its
-	// branches' and those of the prefix it reads from levels.
+	// branches' and, as it reads the path from levels, its steps'.
 	missing := func(path string) uint64 {
-		_, keys := core.PlanNeeds(db.store, xpath.MustParse(db.dict, path).Simplify().Steps, db.store.Roots())
-		n := uint64(0)
-		for _, key := range keys {
-			if strings.HasPrefix(key, "level:") {
-				n++
+		steps := xpath.MustParse(db.dict, path).Simplify().Steps
+		if !core.ReadsLevels(db.store, steps, db.store.Roots()) {
+			t.Fatalf("%s: a join plan navigates", path)
+		}
+		dcache, epoch, _ := db.store.Derived()
+		keys := map[string]bool{}
+		for _, s := range steps {
+			if key := core.LevelKey(db.dict, s); !dcache.Contains(epoch, key) {
+				keys[key] = true
+			}
+			for _, p := range s.Predicates {
+				for _, branch := range p.Paths {
+					for _, key := range core.JoinNeeds(db.store, branch, p).Missing {
+						if key != "" {
+							keys[key] = true
+						}
+					}
+				}
 			}
 		}
-		return n
+		return uint64(len(keys))
 	}
 	want := map[string]int{}
 	for _, path := range autoForms {

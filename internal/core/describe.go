@@ -18,8 +18,8 @@ import (
 //	        Context(1 nodes)
 //	order: none
 //
-// The steps a plan reads from levels show as one Levels operator under the
-// XJoin of their last step:
+// A plan that reads its path from levels shows one Levels operator under
+// the XJoin of its last step:
 //
 //	XJoin(step 2, 1 predicates, structural semi-join)
 //	  Levels(child::site/descendant::item)
@@ -80,12 +80,6 @@ func describeOp(b *strings.Builder, op Operator, dict *xmltree.Dictionary, depth
 		describeOp(b, o.producer, dict, depth+1)
 	case *Levels:
 		fmt.Fprintf(b, "%s%s\n", indent, o.describe(dict))
-		if o.input != nil {
-			describeOp(b, o.input, dict, depth+1)
-		}
-	case *clusterOrder:
-		fmt.Fprintf(b, "%sClusterOrder\n", indent)
-		describeOp(b, o.input, dict, depth+1)
 	case *ContextOp:
 		fmt.Fprintf(b, "%sContext(%d nodes)\n", indent, len(o.ids))
 	default:

@@ -15,11 +15,9 @@ type EvalState struct {
 	Store *storage.Store
 	Path  []xpath.Step // Path[i-1] is location step πᵢ
 
-	// LevelSteps is how many leading steps the plan reads from levels
-	// (Levels); navigation starts at step LevelSteps+1. levelsKey names the
-	// candidate set of the first run in the derived cache.
-	LevelSteps int
-	levelsKey  string
+	// levelsKey, when set, names the derived-cache entry of the candidate
+	// set the plan reads its whole path from levels with (Levels).
+	levelsKey string
 
 	// Ctx, when non-nil, carries the query's deadline and cancellation.
 	// The I/O-performing operators poll it between productions and end

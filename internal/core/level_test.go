@@ -235,7 +235,7 @@ func BenchmarkJoinNavigated(b *testing.B) {
 	steps := xpath.MustParse(dict, "/site//item[mailbox/mail//keyword]").Simplify().Steps[1:]
 	contexts := []storage.NodeID{site}
 	arena := NewArena()
-	if p := BuildPlan(st, steps, contexts, StrategySimple, PlanOptions{PredEval: PredJoin}); p.LevelSteps() != 0 {
+	if p := BuildPlan(st, steps, contexts, StrategySimple, PlanOptions{PredEval: PredJoin}); p.LevelRead() {
 		b.Fatal("the relative plan reads from levels")
 	}
 	b.ReportAllocs()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -12,24 +11,20 @@ import (
 	"pathdb/internal/xpath"
 )
 
-// Levels reads a run of location steps from levels instead of navigating
-// them. Its output is the run's last level after a top-down semi-join over
-// the levels of the steps above it: a node is kept when it has a partner in
-// the previous step's set under its own step's axis — the mirror of the
-// bottom-up merge XJoin builds its filter sets with. The first run starts
-// from the volume roots, and its candidate set, a function of levels alone,
-// is cached in the derived cache; a run below a predicated step starts from
-// that step's survivors (its input) and is merged on every query. Each merge
-// is O(|previous| + |D_j|) and charged a set operation per level entry.
+// Levels reads a whole location path from levels instead of navigating it.
+// Its output is the last step's level after a top-down semi-join over the
+// levels of the steps above it, from the volume roots: a node is kept when
+// it has a partner in the previous step's set under its own step's axis —
+// the mirror of the bottom-up merge XJoin builds its filter sets with. Each
+// merge is O(|previous| + |D_j|) and charged a set operation per level
+// entry. The candidate set is a function of levels alone and is cached in
+// the derived cache.
 //
-// Candidates come out in document order as right-complete step-`to`
-// instances whose NR and Ord are the level's IDs and keys, so a plan over
-// resident levels touches no page before its first navigated step.
+// Candidates come out in document order as right-complete instances of the
+// last step whose NR and Ord are the level's IDs and keys, so a plan over
+// resident levels touches no page.
 type Levels struct {
-	es       *EvalState
-	input    Operator // the previous run's survivors; nil: the volume roots
-	from, to int      // the run is steps from+1 … to (1-based)
-
+	es    *EvalState
 	cands *candSet
 	pos   int
 }
@@ -41,92 +36,70 @@ type candSet struct {
 	ids  []storage.NodeID
 }
 
-// levelPrefix returns how many leading steps of path a join plan from
-// contexts reads from levels — every step through the last predicated one,
-// when the contexts are the volume roots and each of those steps is a
-// child, descendant or descendant-or-self step with a name test; 0
-// otherwise — and the derived-cache key of the first run's candidate set.
-func levelPrefix(st *storage.Store, path []xpath.Step, contexts []storage.NodeID) (k int, key string) {
+// levelRead returns the derived-cache key of the candidate set a join plan
+// of path from contexts reads from levels, or "" when the plan navigates.
+// The level read applies when the contexts are the volume roots, the last
+// step is the only one with predicates, and every step is a child,
+// descendant or descendant-or-self step with a name test.
+func levelRead(st *storage.Store, path []xpath.Step, contexts []storage.NodeID) string {
+	if len(path) == 0 || !slices.Equal(contexts, st.Roots()) {
+		return ""
+	}
 	for i, s := range path {
-		if len(s.Predicates) > 0 {
-			k = i + 1
+		if (len(s.Predicates) > 0) != (i == len(path)-1) {
+			return ""
 		}
-	}
-	if k == 0 || !slices.Equal(contexts, st.Roots()) {
-		return 0, ""
-	}
-	for _, s := range path[:k] {
 		switch s.Axis {
 		case xpath.Child, xpath.Descendant, xpath.DescendantOrSelf:
 		default:
-			return 0, ""
+			return ""
 		}
 		if s.Test.Kind != xpath.KindElement || s.Test.AnyName {
-			return 0, ""
+			return ""
 		}
 	}
-	return k, stepsKey("levels:", st.Dict(), path[:runEnd(path, 0)])
+	return stepsKey("levels:", st.Dict(), path)
+}
+
+// ReadsLevels reports whether a join plan of path from contexts reads the
+// path from levels (Levels) rather than navigating it.
+func ReadsLevels(st *storage.Store, path []xpath.Step, contexts []storage.NodeID) bool {
+	return levelRead(st, path, contexts) != ""
 }
 
 // predPlan settles how the plan of es's path from contexts evaluates its
 // predicates and returns the evaluator — pe, or AutoPredEval's rule for
-// PredAuto. When the predicates join, es.LevelSteps becomes the number of
-// leading steps read from levels (levelPrefix). BuildPlan and
+// PredAuto. When the predicates join and the path is read from levels,
+// es.levelsKey becomes the candidate set's key (levelRead). BuildPlan and
 // BuildMultiPlan both decide here.
 func predPlan(es *EvalState, contexts []storage.NodeID, pe PredEval) PredEval {
 	st, path := es.Store, es.Path
-	k, key := levelPrefix(st, path, contexts)
+	key := levelRead(st, path, contexts)
 	if pe == PredAuto {
 		pe = PredNested
 		if dcache, epoch, ok := st.Derived(); ok {
-			if joinable, missing := planNeeds(st, path, k, key); joinable && dcache.Room(epoch, len(missing)) {
+			if joinable, missing := planNeeds(st, path, key); joinable && dcache.Room(epoch, len(missing)) {
 				pe = PredJoin
 			}
 		}
 	}
 	if pe == PredJoin {
-		es.LevelSteps, es.levelsKey = k, key
+		es.levelsKey = key
 	}
 	return pe
 }
 
-// runEnd returns the end of the level run starting after step from: the
-// first predicated step after it (1-based).
-func runEnd(path []xpath.Step, from int) int {
-	to := from + 1
-	for len(path[to-1].Predicates) == 0 {
-		to++
-	}
-	return to
+// levelSource builds the level read of the plan's path: the Levels
+// operator under the last step's XJoin.
+func levelSource(es *EvalState) Operator {
+	return NewXJoin(es, &Levels{es: es}, len(es.Path))
 }
 
-// levelSource builds the operators reading steps 1 … k of the plan's path
-// from levels: per run ending in a predicated step, a Levels operator and
-// that step's XJoin, each run reading the survivors of the one above.
-func levelSource(es *EvalState, k int) Operator {
-	var op Operator
-	for from := 0; from < k; {
-		to := runEnd(es.Path, from)
-		op = NewXJoin(es, &Levels{es: es, input: op, from: from, to: to}, to)
-		from = to
-	}
-	return op
-}
+// Open resets the read; the candidates are read on the first Next.
+func (l *Levels) Open() { l.cands, l.pos = nil, 0 }
 
-// Open opens the input; the candidates are read on the first Next.
-func (l *Levels) Open() {
-	if l.input != nil {
-		l.input.Open()
-	}
-	l.cands, l.pos = nil, 0
-}
-
-// Close closes the input.
-func (l *Levels) Close() {
-	if l.input != nil {
-		l.input.Close()
-	}
-}
+// Close does nothing: Levels holds no input.
+func (l *Levels) Close() {}
 
 // Next emits the next candidate.
 func (l *Levels) Next() (Instance, bool) {
@@ -137,34 +110,19 @@ func (l *Levels) Next() (Instance, bool) {
 		return Instance{}, false
 	}
 	id := l.cands.ids[l.pos]
-	out := Instance{NL: id, SR: l.to, NR: id, Ord: l.cands.ords[l.pos]}
+	out := Instance{NL: id, SR: len(l.es.Path), NR: id, Ord: l.cands.ords[l.pos]}
 	l.pos++
 	l.es.chargeTuple()
 	return out, true
 }
 
-// candidates reads the run's steps from levels: from the roots through the
-// derived cache, or from the input's survivors.
+// candidates reads the path's steps from levels, from the roots, through
+// the derived cache.
 func (l *Levels) candidates() *candSet {
 	es := l.es
-	steps := es.Path[l.from:l.to]
-	if l.input != nil {
-		var ctx []ordpath.Key
-		for {
-			in, ok := l.input.Next()
-			if !ok {
-				break
-			}
-			es.chargeTuple()
-			ctx = append(ctx, in.Ord)
-		}
-		return semiJoinDown(es, ctx, steps)
-	}
 	dcache, epoch, cacheable := es.Store.AdvanceDerived(es.Cancelled)
-	key := ""
 	if cacheable {
-		key = es.levelsKey
-		if v, ok := dcache.Get(epoch, key); ok {
+		if v, ok := dcache.Get(epoch, es.levelsKey); ok {
 			return v.(*candSet)
 		}
 	}
@@ -173,9 +131,9 @@ func (l *Levels) candidates() *candSet {
 	for i, r := range roots {
 		ctx[i] = es.Store.Swizzle(r).OrdKey()
 	}
-	cs := semiJoinDown(es, ctx, steps)
-	if key != "" && !es.Cancelled() { // a cancelled read is partial
-		dcache.Put(epoch, key, cs)
+	cs := semiJoinDown(es, ctx, es.Path)
+	if cacheable && !es.Cancelled() { // a cancelled read is partial
+		dcache.Put(epoch, es.levelsKey, cs)
 	}
 	return cs
 }
@@ -237,27 +195,22 @@ func semiJoinKeep(anc, desc []ordpath.Key, rel relKind, keep []bool) {
 	}
 }
 
-// prefixNeeds returns the derived-cache keys a level read of prefix lacks:
-// the first run's candidate set (named key) and, unless that is resident,
-// its levels; the levels of every later run.
-func prefixNeeds(st *storage.Store, prefix []xpath.Step, key string) []string {
+// levelNeeds returns the derived-cache keys a level read of path lacks:
+// the candidate set (named key) and, unless that is resident, the levels
+// of the path's steps. A plan that navigates (key "") lacks none.
+func levelNeeds(st *storage.Store, path []xpath.Step, key string) []string {
+	if key == "" {
+		return nil
+	}
 	dcache, epoch, ok := st.Derived()
-	var out []string
-	for from := 0; from < len(prefix); {
-		to := runEnd(prefix, from)
-		if from == 0 {
-			if ok && dcache.Contains(epoch, key) {
-				from = to
-				continue
-			}
-			out = append(out, key)
+	if ok && dcache.Contains(epoch, key) {
+		return nil
+	}
+	out := []string{key}
+	for _, s := range path {
+		if lk := LevelKey(st.Dict(), s); !ok || !dcache.Contains(epoch, lk) {
+			out = append(out, lk)
 		}
-		for _, s := range prefix[from:to] {
-			if lk := LevelKey(st.Dict(), s); !ok || !dcache.Contains(epoch, lk) {
-				out = append(out, lk)
-			}
-		}
-		from = to
 	}
 	return out
 }
@@ -277,48 +230,8 @@ func stepsKey(kind string, dict *xmltree.Dictionary, steps []xpath.Step) string 
 	return b.String()
 }
 
-// describe renders the run as the steps it reads, e.g.
+// describe renders the read as the steps it reads, e.g.
 // Levels(child::site/descendant::item).
 func (l *Levels) describe(dict *xmltree.Dictionary) string {
-	return fmt.Sprintf("Levels(%s)", strings.TrimPrefix(stepsKey("", dict, l.es.Path[l.from:l.to]), "/"))
-}
-
-// clusterOrder replays its input sorted by cluster — XScan's input order —
-// draining it on the first Next. Rewind replays it again (XScan's fallback
-// restarts its producer).
-type clusterOrder struct {
-	es     *EvalState
-	input  Operator
-	items  []Instance
-	filled bool
-	pos    int
-}
-
-func (c *clusterOrder) Open() {
-	c.input.Open()
-	c.items, c.filled, c.pos = c.items[:0], false, 0
-}
-
-func (c *clusterOrder) Close() { c.input.Close() }
-
-// Rewind restarts the replay.
-func (c *clusterOrder) Rewind() { c.pos = 0 }
-
-func (c *clusterOrder) Next() (Instance, bool) {
-	if !c.filled {
-		for {
-			in, ok := c.input.Next()
-			if !ok {
-				break
-			}
-			c.items = append(c.items, in)
-		}
-		slices.SortStableFunc(c.items, func(a, b Instance) int { return cmp.Compare(a.NR.Page(), b.NR.Page()) })
-		c.filled = true
-	}
-	if c.pos >= len(c.items) {
-		return Instance{}, false
-	}
-	c.pos++
-	return c.items[c.pos-1], true
+	return fmt.Sprintf("Levels(%s)", strings.TrimPrefix(stepsKey("", dict, l.es.Path), "/"))
 }

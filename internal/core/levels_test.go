@@ -85,8 +85,8 @@ func TestLevelReadTouchesNoPage(t *testing.T) {
 			led := stats.NewLedger()
 			view := st.Reader(led)
 			p := BuildPlan(view, steps, view.Roots(), strat, PlanOptions{PredEval: PredJoin})
-			if desc := p.Describe(dict); p.LevelSteps() != len(steps) || strings.Contains(desc, "XStep") {
-				t.Fatalf("%s [%v]: %d of %d steps read from levels:\n%s", src, strat, p.LevelSteps(), len(steps), desc)
+			if desc := p.Describe(dict); !p.LevelRead() || strings.Contains(desc, "XStep") {
+				t.Fatalf("%s [%v]: the plan navigates:\n%s", src, strat, desc)
 			}
 			got := resultKeySet(st, p.Run())
 			if !reflect.DeepEqual(got, want) {
@@ -169,9 +169,10 @@ func TestLevelReadAcrossCommits(t *testing.T) {
 	}
 }
 
-// TestDescribeRenderings pins Describe's rendering of a navigated plan and
-// of plans that read their prefix from levels: one Levels operator under
-// the XJoin of its last step, and navigation only after it.
+// TestDescribeRenderings pins Describe's rendering of a navigated plan, of
+// a plan that reads its path from levels — one Levels operator under the
+// XJoin of its last step — and of a join plan the level read does not
+// apply to, whose XJoin filters what navigation finds.
 func TestDescribeRenderings(t *testing.T) {
 	dict, st := xmarkFixture(t)
 	for _, c := range []struct {
@@ -191,14 +192,13 @@ order: none
   Levels(child::site/descendant::item)
 order: document (no sort)
 `},
-		{"/site/regions[.//item]/europe/item[name]/description", StrategyScan, `XAssembly(|π|=5, feedback→none (scan plan))
-  XStep₅(child::description)
-    XScan(` + "%d" + ` clusters, sequential)
-      ClusterOrder
-        XJoin(step 4, 1 predicates, structural semi-join)
-          Levels(child::europe/child::item)
-            XJoin(step 2, 1 predicates, structural semi-join)
-              Levels(child::site/child::regions)
+		{"/site//item[mailbox]/name", StrategyScan, `XAssembly(|π|=3, feedback→none (scan plan))
+  XStep₃(child::name)
+    XJoin(step 2, 1 predicates, structural semi-join)
+      XStep₂(descendant::item[child::mailbox])
+        XStep₁(child::site)
+          XScan(` + "%d" + ` clusters, sequential)
+            Context(1 nodes)
 order: none
 `},
 	} {
@@ -210,24 +210,5 @@ order: none
 		if got := BuildPlan(st, steps, st.Roots(), c.strat, PlanOptions{PredEval: PredJoin}).Describe(dict); got != want {
 			t.Errorf("%s [%v]:\ngot\n%s\nwant\n%s", c.src, c.strat, got, want)
 		}
-	}
-}
-
-// TestLevelReadSpeculatesOnlyNavigatedSteps: an XScan plan speculates one
-// instance per border and navigated step; steps read from levels get none,
-// as no XStep would ever extend them.
-func TestLevelReadSpeculatesOnlyNavigatedSteps(t *testing.T) {
-	dict, st := xmarkFixture(t)
-	borders := 0
-	for i := 0; i < st.NumDataPages(); i++ {
-		borders += len(st.BordersOf(st.DataPage(i)))
-	}
-	steps := xpath.MustParse(dict, "/site//item[mailbox]/name").Simplify().Steps
-	led := stats.NewLedger()
-	view := st.Reader(led)
-	p := BuildPlan(view, steps, view.Roots(), StrategyScan, PlanOptions{PredEval: PredJoin})
-	p.Count()
-	if p.LevelSteps() != 2 || led.SpecInstances != int64(borders) {
-		t.Fatalf("%d steps read from levels, %d speculative instances; want 2 and one per border (%d)", p.LevelSteps(), led.SpecInstances, borders)
 	}
 }

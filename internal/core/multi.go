@@ -18,10 +18,9 @@ import (
 // all chains read from one shared XSchedule through a demultiplexer that
 // routes instances by their Path tag. Continuations enqueued by any
 // XAssembly land in the same queue, so the asynchronous I/O subsystem sees
-// the union of all paths' pending cluster accesses. A member whose prefix
-// is read from levels (see BuildPlan) feeds that prefix's survivors to the
-// shared scheduler in place of its contexts; one with nothing left to
-// navigate is the level read alone.
+// the union of all paths' pending cluster accesses. A member that reads its
+// path from levels (see BuildPlan) is the level read alone and takes no
+// part in the shared schedule.
 type MultiPlan struct {
 	es     []*EvalState
 	shared *XSchedule
@@ -76,11 +75,10 @@ func BuildMultiPlan(store *storage.Store, queries []MultiQuery, opts PlanOptions
 
 	// The shared scheduler lives on its own state; it only uses the store,
 	// ledger and queue machinery, which all paths share. Contexts of all
-	// paths are multiplexed into its producer, tagged, and after them the
-	// survivors of the members' level reads.
+	// navigating paths are multiplexed into its producer, tagged.
 	es0 := NewEvalState(store, nil)
 	es0.Arena = opts.Arena
-	seeds := &seedOp{es: es0}
+	seeds := &sliceOp{es: es0}
 	shared := NewXSchedule(es0, seeds)
 	if opts.K > 0 {
 		shared.K = opts.K
@@ -112,24 +110,18 @@ func BuildMultiPlan(store *storage.Store, queries []MultiQuery, opts PlanOptions
 			pe = q.PredEval
 		}
 		pe = predPlan(es, q.Contexts, pe)
-		k := es.LevelSteps
 		mp.PredEvals = append(mp.PredEvals, pe)
-		switch {
-		case k > 0 && k == len(q.Path):
-			mp.roots = append(mp.roots, levelSource(es, k))
+		if es.levelsKey != "" {
+			mp.roots = append(mp.roots, levelSource(es))
 			continue
-		case k > 0:
-			seeds.srcs = append(seeds.srcs, levelSource(es, k))
-			seeds.tags = append(seeds.tags, pi)
-		default:
-			for _, id := range q.Contexts {
-				inst := ContextInstance(id)
-				inst.Path = pi
-				seeds.items = append(seeds.items, inst)
-			}
+		}
+		for _, id := range q.Contexts {
+			inst := ContextInstance(id)
+			inst.Path = pi
+			seeds.items = append(seeds.items, inst)
 		}
 		var op Operator = &demuxPort{d: d, path: pi}
-		for i := k + 1; i <= len(q.Path); i++ {
+		for i := 1; i <= len(q.Path); i++ {
 			op = NewXStep(es, op, i)
 			if len(q.Path[i-1].Predicates) > 0 {
 				if pe == PredJoin {
@@ -202,45 +194,24 @@ func (mp *MultiPlan) Counts() []int {
 	return out
 }
 
-// seedOp replays the multiplexed context seeds, then the survivors of each
-// level-reading member's prefix (srcs), tagged with its member index.
-type seedOp struct {
+// sliceOp replays a fixed instance list (the multiplexed context seeds).
+type sliceOp struct {
 	es    *EvalState
 	items []Instance
 	pos   int
-	srcs  []Operator
-	tags  []int
-	src   int // the source being drained
 }
 
-func (s *seedOp) Open() {
-	s.pos, s.src = 0, 0
-	for _, src := range s.srcs {
-		src.Open()
+func (s *sliceOp) Open() { s.pos = 0 }
+func (s *sliceOp) Next() (Instance, bool) {
+	if s.pos >= len(s.items) {
+		return Instance{}, false
 	}
+	out := s.items[s.pos]
+	s.pos++
+	s.es.chargeTuple()
+	return out, true
 }
-
-func (s *seedOp) Next() (Instance, bool) {
-	if s.pos < len(s.items) {
-		out := s.items[s.pos]
-		s.pos++
-		s.es.chargeTuple()
-		return out, true
-	}
-	for ; s.src < len(s.srcs); s.src++ {
-		if out, ok := s.srcs[s.src].Next(); ok {
-			out.Path = s.tags[s.src]
-			return out, true
-		}
-	}
-	return Instance{}, false
-}
-
-func (s *seedOp) Close() {
-	for _, src := range s.srcs {
-		src.Close()
-	}
-}
+func (s *sliceOp) Close() {}
 
 // demux routes instances from the shared scheduler to per-path ports,
 // buffering instances that belong to other paths.

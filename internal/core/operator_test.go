@@ -29,7 +29,7 @@ func TestXStepPassesThroughInapplicable(t *testing.T) {
 	// Feed an instance with S_R = 1 into XStep_1 (applicable only to
 	// S_R = 0): it must come out unchanged.
 	in := Instance{SL: 0, NL: ctx, SR: 1, NR: ctx}
-	x := NewXStep(es, &seedOp{es: es, items: []Instance{in}}, 1)
+	x := NewXStep(es, &sliceOp{es: es, items: []Instance{in}}, 1)
 	x.Open()
 	out, ok := x.Next()
 	if !ok || out.SL != in.SL || out.SR != in.SR || out.NL != in.NL || out.NR != in.NR {
@@ -44,7 +44,7 @@ func TestXStepPassesThroughInapplicable(t *testing.T) {
 func TestXStepExtendsAndStopsAtBorders(t *testing.T) {
 	st, ctx, step1, _ := miniTree(t)
 	es := NewEvalState(st, []xpath.Step{step1})
-	x := NewXStep(es, &seedOp{es: es, items: []Instance{ContextInstance(ctx)}}, 1)
+	x := NewXStep(es, &sliceOp{es: es, items: []Instance{ContextInstance(ctx)}}, 1)
 	x.Open()
 	defer x.Close()
 
@@ -83,7 +83,7 @@ func TestXStepExtendsAndStopsAtBorders(t *testing.T) {
 func TestXStepCrossBordersProducesFinals(t *testing.T) {
 	st, ctx, step1, _ := miniTree(t)
 	es := NewEvalState(st, []xpath.Step{step1})
-	x := NewXStep(es, &seedOp{es: es, items: []Instance{ContextInstance(ctx)}}, 1)
+	x := NewXStep(es, &sliceOp{es: es, items: []Instance{ContextInstance(ctx)}}, 1)
 	x.CrossBorders = true
 	x.Open()
 	defer x.Close()
@@ -107,7 +107,7 @@ func TestXAssemblyDeduplicatesFinals(t *testing.T) {
 	st, ctx, _, _ := miniTree(t)
 	es := NewEvalState(st, []xpath.Step{{Axis: xpath.Child, Test: xpath.Wildcard()}})
 	full := Instance{SL: 0, NL: ctx, SR: 1, NR: storage.MakeNodeID(1, 1)}
-	a := NewXAssembly(es, &seedOp{es: es, items: []Instance{full, full, full}}, nil)
+	a := NewXAssembly(es, &sliceOp{es: es, items: []Instance{full, full, full}}, nil)
 	a.Open()
 	defer a.Close()
 	n := 0
@@ -150,7 +150,7 @@ func TestXAssemblyMergesSpeculativeChains(t *testing.T) {
 	spec := Instance{SL: 1, NL: pp, NLBorder: true, SR: 2, NR: result}
 	crossing := Instance{SL: 0, NL: ctx, SR: 1, NR: pc, NRBorder: true, TargetR: pp}
 
-	a := NewXAssembly(es, &seedOp{es: es, items: []Instance{spec, crossing}}, nil)
+	a := NewXAssembly(es, &sliceOp{es: es, items: []Instance{spec, crossing}}, nil)
 	a.Open()
 	defer a.Close()
 	var got []Instance
@@ -174,7 +174,7 @@ func TestXAssemblySpeculativeStaysParkedWhenUnreachable(t *testing.T) {
 	es := NewEvalState(st, []xpath.Step{{Axis: xpath.Child, Test: xpath.Wildcard()}})
 	ghost := storage.MakeNodeID(2, 0)
 	spec := Instance{SL: 1, NL: ghost, NLBorder: true, SR: 1, NR: storage.MakeNodeID(1, 1)}
-	a := NewXAssembly(es, &seedOp{es: es, items: []Instance{spec}}, nil)
+	a := NewXAssembly(es, &sliceOp{es: es, items: []Instance{spec}}, nil)
 	a.Open()
 	defer a.Close()
 	if _, ok := a.Next(); ok {
@@ -196,7 +196,7 @@ func TestXScheduleGroupsByCluster(t *testing.T) {
 		ContextInstance(pageA), ContextInstance(pageC),
 		ContextInstance(ctx),
 	}
-	x := NewXSchedule(es, &seedOp{es: es, items: seeds})
+	x := NewXSchedule(es, &sliceOp{es: es, items: seeds})
 	x.Open()
 	defer x.Close()
 	var pages []uint32
@@ -228,7 +228,7 @@ func TestXScheduleShortestPathsFirstWithinCluster(t *testing.T) {
 	target := storage.MakeNodeID(1, 1)
 	long := Instance{SL: 0, NL: target, SR: 2, NR: target}
 	short := Instance{SL: 0, NL: target, SR: 1, NR: target}
-	x := NewXSchedule(es, &seedOp{es: es, items: []Instance{long, short}})
+	x := NewXSchedule(es, &sliceOp{es: es, items: []Instance{long, short}})
 	x.Open()
 	defer x.Close()
 	first, _ := x.Next()

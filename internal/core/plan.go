@@ -107,9 +107,9 @@ type Plan struct {
 	PredEval PredEval
 }
 
-// LevelSteps reports how many leading steps the plan reads from levels
-// instead of navigating them (0: it navigates every step).
-func (p *Plan) LevelSteps() int { return p.es.LevelSteps }
+// LevelRead reports whether the plan reads its path from levels (Levels)
+// instead of navigating it.
+func (p *Plan) LevelRead() bool { return p.es.levelsKey != "" }
 
 // PathShape reports what a border-crossing Simple chain over path yields
 // from a single context node, or from an ordered antichain of contexts such
@@ -121,14 +121,7 @@ func (p *Plan) LevelSteps() int { return p.es.LevelSteps }
 // Predicates only filter (XJoin emits its survivors in arrival order), so
 // they change nothing.
 func PathShape(path []xpath.Step) (dupFree, ordered bool) {
-	return pathShape(path, true)
-}
-
-// pathShape is PathShape from an ordered, duplicate-free input that is an
-// antichain, or — antichain false — may nest, as a level read's output does
-// once it has read a descendant step.
-func pathShape(path []xpath.Step, antichain bool) (dupFree, ordered bool) {
-	ordered = true
+	ordered, antichain := true, true
 	for _, s := range path {
 		switch s.Axis {
 		case xpath.Self:
@@ -152,11 +145,10 @@ func pathShape(path []xpath.Step, antichain bool) (dupFree, ordered bool) {
 // single context. The plan reads contexts as it runs: the caller must not
 // change them before it is done.
 //
-// When the predicates join and the contexts are the volume roots, the steps
-// through the last predicated one are read from levels rather than
-// navigated (Levels, levelPrefix): the chosen strategy navigates only the
-// steps after them, from their survivors; with none left the plan is the
-// level read itself, ordered and duplicate-free.
+// When the predicates join, the contexts are the volume roots and the path
+// qualifies (levelRead), the plan reads the path from levels instead of
+// navigating it, whatever the strategy: the last step's XJoin over Levels,
+// ordered and duplicate-free.
 func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeID, strat Strategy, opts PlanOptions) *Plan {
 	es := NewEvalState(store, path)
 	es.MemLimit = opts.MemLimit
@@ -165,12 +157,11 @@ func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeI
 
 	p := &Plan{es: es, Strategy: strat}
 	p.PredEval = predPlan(es, contexts, opts.PredEval)
-	k := es.LevelSteps
 
 	// chain appends XStepᵢ (plus a predicate evaluator when the step
-	// carries predicates) for every navigated location step.
+	// carries predicates) for every location step.
 	chain := func(op Operator, crossBorders bool) Operator {
-		for i := k + 1; i <= len(path); i++ {
+		for i := 1; i <= len(path); i++ {
 			xs := NewXStep(es, op, i)
 			xs.CrossBorders = crossBorders
 			op = xs
@@ -184,31 +175,19 @@ func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeI
 		}
 		return op
 	}
-	// source produces the contexts of the first navigated step.
-	source := func() Operator {
-		if k > 0 {
-			return levelSource(es, k)
-		}
-		return NewContextOp(es, contexts)
-	}
 
 	var top Operator
 	switch {
-	case k > 0 && k == len(path):
-		top = levelSource(es, k)
+	case p.LevelRead():
+		top = levelSource(es)
 		p.Ordered = true
 
 	case strat == StrategySimple:
-		top = chain(source(), true)
+		top = chain(NewContextOp(es, contexts), true)
 		// The shape rule holds from one context or from the roots; other
-		// context lists may nest or come out of order. A level read
-		// delivers an ordered set that is an antichain until it reads a
-		// descendant step.
+		// context lists may nest or come out of order.
 		dupFree := false
-		switch {
-		case k > 0:
-			dupFree, p.Ordered = pathShape(path[k:], !slices.ContainsFunc(path[:k], func(s xpath.Step) bool { return s.Axis != xpath.Child }))
-		case len(contexts) <= 1 || slices.Equal(contexts, store.Roots()):
+		if len(contexts) <= 1 || slices.Equal(contexts, store.Roots()) {
 			dupFree, p.Ordered = PathShape(path)
 		}
 		if !dupFree {
@@ -216,7 +195,7 @@ func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeI
 		}
 
 	case strat == StrategySchedule:
-		sched := NewXSchedule(es, source())
+		sched := NewXSchedule(es, NewContextOp(es, contexts))
 		if opts.K > 0 {
 			sched.K = opts.K
 		}
@@ -226,15 +205,9 @@ func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeI
 		top = asm
 
 	case strat == StrategyScan:
-		var producer Operator
-		if k > 0 {
-			producer = &clusterOrder{es: es, input: levelSource(es, k)}
-		} else {
-			sorted := slices.Clone(contexts)
-			SortContexts(sorted)
-			producer = NewContextOp(es, sorted)
-		}
-		scan := NewXScan(es, producer)
+		sorted := slices.Clone(contexts)
+		SortContexts(sorted)
+		scan := NewXScan(es, NewContextOp(es, sorted))
 		asm := NewXAssembly(es, chain(scan, false), nil)
 		if !opts.NoFirstStepAllOpt && len(path) > 0 &&
 			path[0].Axis == xpath.DescendantOrSelf && path[0].Test.Kind == xpath.KindAny &&

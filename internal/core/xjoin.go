@@ -461,7 +461,7 @@ func JoinNeeds(st *storage.Store, branch *xpath.Path, p xpath.Predicate) JoinNee
 // AutoPredEval is what PredAuto resolves to for a plan of path from
 // contexts on a view: XJoin when some predicate branch of the path is
 // joinable and the derived generation the view reaches has room for the
-// entries the plan lacks (PlanNeeds), so that they are built once and every
+// entries the plan lacks (planNeeds), so that they are built once and every
 // later read joins over them; PredFilter otherwise — no joinable branch, a
 // write transaction's overlay, a superseded snapshot or a full generation,
 // where a join would enumerate its levels on every read.
@@ -469,18 +469,11 @@ func AutoPredEval(st *storage.Store, path []xpath.Step, contexts []storage.NodeI
 	return predPlan(NewEvalState(st, path), contexts, PredAuto)
 }
 
-// PlanNeeds reports whether some predicate branch of path is joinable, and
-// the derived-cache keys a join plan of path from contexts lacks, each
-// once: the levels its branches join over and, when it reads a level prefix
-// (from the volume roots), the prefix's levels and candidate set.
-func PlanNeeds(st *storage.Store, path []xpath.Step, contexts []storage.NodeID) (joinable bool, missing []string) {
-	k, key := levelPrefix(st, path, contexts)
-	return planNeeds(st, path, k, key)
-}
-
-// planNeeds is PlanNeeds for a plan reading its first k steps from levels,
-// the first run's candidate set under key.
-func planNeeds(st *storage.Store, path []xpath.Step, k int, key string) (joinable bool, missing []string) {
+// planNeeds reports whether some predicate branch of path is joinable, and
+// the derived-cache keys a join plan of path lacks, each once: the levels
+// its branches join over and, when it reads the path from levels (its
+// candidate set under key, levelRead), the path's levels and candidate set.
+func planNeeds(st *storage.Store, path []xpath.Step, key string) (joinable bool, missing []string) {
 	add := func(key string) {
 		if key != "" && !slices.Contains(missing, key) {
 			missing = append(missing, key)
@@ -497,7 +490,7 @@ func planNeeds(st *storage.Store, path []xpath.Step, k int, key string) (joinabl
 			}
 		}
 	}
-	for _, lk := range prefixNeeds(st, path[:k], key) {
+	for _, lk := range levelNeeds(st, path, key) {
 		add(lk)
 	}
 	return joinable, missing

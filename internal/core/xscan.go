@@ -123,10 +123,10 @@ func (x *XScan) Next() (Instance, bool) {
 			x.pending = append(x.pending, in)
 		}
 		// Then the speculative left-incomplete instances (Sec. 5.4.3.2):
-		// one per border node and navigated step LevelSteps ≤ i < |π|.
+		// one per border node and step 0 ≤ i < |π|.
 		pathLen := x.es.Len()
 		for _, b := range x.es.Store.BordersOf(page) {
-			for i := x.es.LevelSteps; i < pathLen; i++ {
+			for i := 0; i < pathLen; i++ {
 				x.pending = append(x.pending, Instance{SL: i, NL: b, NLBorder: true, SR: i, NR: b, NRBorder: true})
 				stats.Inc(&x.es.ledger().SpecInstances)
 			}

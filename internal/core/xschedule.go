@@ -189,7 +189,7 @@ func (x *XSchedule) setCurrent(c vdisk.PageID) {
 	x.visited[c] = true
 	pathLen := x.es.Len()
 	for _, b := range x.es.Store.BordersOf(c) {
-		for i := x.es.LevelSteps; i < pathLen; i++ {
+		for i := 0; i < pathLen; i++ {
 			x.spec = append(x.spec, Instance{SL: i, NL: b, NLBorder: true, SR: i, NR: b, NRBorder: true})
 			stats.Inc(&x.es.ledger().SpecInstances)
 		}

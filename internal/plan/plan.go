@@ -61,12 +61,22 @@ type Choice struct {
 	// The engine overwrites it with the evaluator the built plan applied
 	// on the query's own view, so an executed query reports what ran.
 	PredEval core.PredEval
+
+	// LevelRead reports that, on the chooser's view, a plan of the path
+	// from the roots reads it from levels (core.ReadsLevels): no strategy
+	// navigates it, so Strategy is moot and the estimates price navigation
+	// that does not run.
+	LevelRead bool
 }
 
 // String renders the decision for logs and the xpathq tool.
 func (c Choice) String() string {
-	return fmt.Sprintf("choose %v (coverage %.0f%%, resident %.0f %%: schedule %v, scan %v, simple %v)",
+	s := fmt.Sprintf("choose %v (coverage %.0f%%, resident %.0f %%: schedule %v, scan %v, simple %v)",
 		c.Strategy, 100*c.Coverage, 100*c.Residency, c.Schedule.Cost, c.Scan.Cost, c.Simple.Cost)
+	if c.LevelRead {
+		s += "; the path is read from levels, no strategy navigates it"
+	}
+	return s
 }
 
 // Chooser estimates plan costs over one store. Construct with NewChooser
@@ -255,7 +265,9 @@ func (c *Chooser) Choose(path []xpath.Step) Choice {
 		}
 	}
 	choice.Strategy = best.Strategy
-	choice.PredEval = core.AutoPredEval(c.store, path, c.store.Roots())
+	roots := c.store.Roots()
+	choice.PredEval = core.AutoPredEval(c.store, path, roots)
+	choice.LevelRead = choice.PredEval == core.PredJoin && core.ReadsLevels(c.store, path, roots)
 	return choice
 }
 

@@ -55,7 +55,8 @@ func TestChooserColdEstimatesUnchanged(t *testing.T) {
 			t.Fatalf("%s: residency %v on a flushed pool", g.src, c.Residency)
 		}
 		if c.Strategy != g.strategy || c.PredEval != g.pred ||
-			c.Schedule.Cost != g.schedule || c.Scan.Cost != g.scan || c.Simple.Cost != g.simple {
+			c.Schedule.Cost != g.schedule || c.Scan.Cost != g.scan || c.Simple.Cost != g.simple ||
+			c.LevelRead != (g.pred == core.PredJoin) { // each joining path here reads from levels
 			t.Errorf("%s: cold choice moved: %v, preds %v", g.src, c, c.PredEval)
 		}
 	}
@@ -63,7 +64,9 @@ func TestChooserColdEstimatesUnchanged(t *testing.T) {
 
 // TestChooserWarmMatchesMeasurement: on a fully resident volume the chosen
 // strategy is the one that measures cheapest on the virtual clock (warm
-// regret 0), and the three estimates rank as the three measurements do.
+// regret 0), and the three estimates rank as the three measurements do. A
+// path the choice says is read from levels has no strategy to choose: its
+// plans read levels under all three and measure alike.
 func TestChooserWarmMatchesMeasurement(t *testing.T) {
 	dict, st := xmarkStore(t, 1)
 	ch := NewChooser(st) // the statistics walk leaves every cluster resident
@@ -74,21 +77,22 @@ func TestChooserWarmMatchesMeasurement(t *testing.T) {
 			t.Fatalf("%s: residency %v after the statistics walk", src, choice.Residency)
 		}
 		measured := map[core.Strategy]stats.Ticks{}
-		navigates := true
 		for _, e := range estimates(choice) {
 			run := func() {
 				p := core.BuildPlan(st, path, st.Roots(), e.Strategy, core.PlanOptions{PredEval: choice.PredEval})
 				p.Count()
-				navigates = p.LevelSteps() < len(path)
+				if p.LevelRead() != choice.LevelRead {
+					t.Fatalf("%s [%v]: plan reads levels %v, choice says %v", src, e.Strategy, p.LevelRead(), choice.LevelRead)
+				}
 			}
 			run() // a join's filter sets are built once, whoever runs first
 			v0 := st.Ledger().Total()
 			run()
 			measured[e.Strategy] = st.Ledger().Total() - v0
 		}
-		if !navigates {
-			// The plan reads every step from levels: no strategy is left
-			// to choose, and all three run the same level read.
+		if choice.LevelRead {
+			// The plan reads the path from levels: no strategy is left to
+			// choose, and all three run the same level read.
 			if m := measured[core.StrategySimple]; measured[core.StrategySchedule] != m || measured[core.StrategyScan] != m {
 				t.Errorf("%s: a level read measures %v across strategies", src, measured)
 			}

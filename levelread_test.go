@@ -12,10 +12,11 @@ import (
 	"pathdb/internal/xpath"
 )
 
-// randLevelPath draws an absolute path the level read applies to: the root
-// element, then one to three child or '//' steps over names, with a
-// predicate on the last step, on a middle one, or on both.
-func randLevelPath(r *rng.RNG, root string, tags []string, lit string) string {
+// randLevelPath draws an absolute downward path: the root element, then one
+// to three child or '//' steps over names, with a predicate on the last
+// step, on a middle one, or on both. It reports whether the level read
+// applies, that is whether the last step is the only predicated one.
+func randLevelPath(r *rng.RNG, root string, tags []string, lit string) (string, bool) {
 	tag := func() string { return tags[r.Intn(len(tags))] }
 	pred := func() string {
 		switch r.Intn(4) {
@@ -51,7 +52,7 @@ func randLevelPath(r *rng.RNG, root string, tags []string, lit string) string {
 			b.WriteString(pred())
 		}
 	}
-	return b.String()
+	return b.String(), middle == -1 || middle == n-1
 }
 
 // levelReadModes are the delivery modes every level read is compared in.
@@ -75,13 +76,14 @@ func nodeKeys(nodes []Node) []string {
 	return out
 }
 
-// TestLevelReadDifferential holds plans that read their prefix from levels
-// to the nested evaluator: on XMark (branch_sorted's forms, its union, and
-// random paths with a predicate on the last step, a middle step or both)
-// and on a three-document collection (random paths, several roots), under
-// every strategy, sorted, unsorted and limited, through the facade and the
+// TestLevelReadDifferential holds join plans to the nested evaluator: on
+// XMark (branch_sorted's forms, its union, and random paths with a
+// predicate on the last step, a middle step or both) and on a
+// three-document collection (random paths, several roots), under every
+// strategy, sorted, unsorted and limited, through the facade and the
 // engine — on the fresh volume and after commits that insert and delete
-// item subtrees, which move a level the reads take a step from.
+// subtrees, which move a level the reads take a step from. Paths whose only
+// predicate is on the last step read from levels; the others navigate.
 func TestLevelReadDifferential(t *testing.T) {
 	ctx := context.Background()
 	r := rng.New(35)
@@ -97,18 +99,25 @@ func TestLevelReadDifferential(t *testing.T) {
 		name  string
 		db    *DB
 		paths []string
+		reads map[string]bool // the paths whose plans read from levels
 		// commit inserts (odd rounds) or deletes (even rounds) a subtree
 		// that moves a level the paths read from.
 		commit func(t *testing.T, db *DB, round int)
 	}
 	xm := engineFixture(t)
 	xmPaths := append(slices.Clone(autoForms), "/site//item[mailbox/mail//keyword] | /site//open_auction[annotation//keyword]")
+	xmReads, collReads := map[string]bool{}, map[string]bool{}
+	for _, path := range xmPaths {
+		xmReads[path] = true
+	}
 	for i := 0; i < 12; i++ {
-		xmPaths = append(xmPaths, randLevelPath(r, "site", xmarkTags, "soul"))
+		path, reads := randLevelPath(r, "site", xmarkTags, "soul")
+		xmPaths, xmReads[path] = append(xmPaths, path), reads
 	}
 	var collPaths []string
 	for i := 0; i < 16; i++ {
-		collPaths = append(collPaths, randLevelPath(r, "r", propTags, "t0"))
+		path, reads := randLevelPath(r, "r", propTags, "t0")
+		collPaths, collReads[path] = append(collPaths, path), reads
 	}
 	commit := func(parent, frag, victim string) func(t *testing.T, db *DB, round int) {
 		return func(t *testing.T, db *DB, round int) {
@@ -123,10 +132,10 @@ func TestLevelReadDifferential(t *testing.T) {
 		}
 	}
 	vols := []volume{
-		{"xmark", xm, xmPaths, commit("/site/regions/europe",
+		{"xmark", xm, xmPaths, xmReads, commit("/site/regions/europe",
 			`<item><mailbox><mail><keyword>soul</keyword></mail></mailbox><description><parlist><listitem><parlist/></listitem></parlist></description></item>`,
 			"/site/regions/europe/item")},
-		{"collection", coll, collPaths, commit("/r", `<a><b><c>t0</c></b><d><e>t0</e></d></a>`, "/r/a")},
+		{"collection", coll, collPaths, collReads, commit("/r", `<a><b><c>t0</c></b><d><e>t0</e></d></a>`, "/r/a")},
 	}
 	for _, v := range vols {
 		eng := v.db.NewEngine(EngineConfig{})
@@ -143,7 +152,11 @@ func TestLevelReadDifferential(t *testing.T) {
 				}
 				for _, steps := range union {
 					branches++
-					if core.BuildPlan(v.db.store, steps, v.db.store.Roots(), core.StrategySimple, core.PlanOptions{PredEval: core.PredJoin}).LevelSteps() > 0 {
+					reads := core.BuildPlan(v.db.store, steps, v.db.store.Roots(), core.StrategySimple, core.PlanOptions{PredEval: core.PredJoin}).LevelRead()
+					if reads != v.reads[path] {
+						t.Fatalf("%s: the join plan reads levels %v, want %v", path, reads, v.reads[path])
+					}
+					if reads {
 						levelReads++
 					}
 				}
@@ -197,7 +210,7 @@ func TestLevelReadDifferential(t *testing.T) {
 		}
 		eng.Close()
 		t.Logf("%s: %d of %d branches read from levels, %d of %d references non-empty", v.name, levelReads, branches, nonEmpty, 15*len(v.paths))
-		if levelReads != branches || nonEmpty < 15*len(v.paths)/4 {
+		if levelReads == 0 || levelReads == branches || nonEmpty < 15*len(v.paths)/4 {
 			t.Fatalf("%s: %d of %d branches read from levels, %d of %d references non-empty: the draw tests little",
 				v.name, levelReads, branches, nonEmpty, 15*len(v.paths))
 		}
@@ -205,9 +218,9 @@ func TestLevelReadDifferential(t *testing.T) {
 }
 
 // TestLevelReadRootsOnly: the level read applies only where its rule does
-// — contexts at the volume roots, name tests, child and descendant axes
-// through the last predicate; elsewhere the predicate's XJoin is fed by
-// navigation.
+// — contexts at the volume roots, name tests and child and descendant axes
+// on every step, and a predicate on the last step only; elsewhere the
+// predicate's XJoin is fed by navigation.
 func TestLevelReadRootsOnly(t *testing.T) {
 	db := engineFixture(t)
 	st := db.store
@@ -215,15 +228,16 @@ func TestLevelReadRootsOnly(t *testing.T) {
 	for _, c := range []struct {
 		src      string
 		contexts []Node
-		want     int
+		want     bool
 	}{
-		{"/site//item[mailbox/mail//keyword]", nil, 2},
-		{"/site//item[mailbox]/name", nil, 2},
-		{"/site/regions[.//item]//item[mailbox]", nil, 3},
-		{"person[profile/interest]", []Node{people}, 0},
-		{"/site//*[mailbox]", nil, 0},
-		{"/site//mail/parent::mailbox[mail]", nil, 0},
-		{"/site/regions/europe/item[mailbox]/following-sibling::item[name]", nil, 0},
+		{"/site//item[mailbox/mail//keyword]", nil, true},
+		{"/site//item[mailbox][name]", nil, true},
+		{"/site//item[mailbox]/name", nil, false},
+		{"/site/regions[.//item]//item[mailbox]", nil, false},
+		{"person[profile/interest]", []Node{people}, false},
+		{"/site//*[mailbox]", nil, false},
+		{"/site//mail/parent::mailbox[mail]", nil, false},
+		{"/site/regions/europe/item[mailbox]/following-sibling::item[name]", nil, false},
 	} {
 		steps := xpath.MustParse(db.dict, c.src).Simplify().Steps
 		roots := st.Roots()
@@ -233,8 +247,8 @@ func TestLevelReadRootsOnly(t *testing.T) {
 				roots = append(roots, n.id)
 			}
 		}
-		if got := core.BuildPlan(st, steps, roots, core.StrategySimple, core.PlanOptions{PredEval: core.PredJoin}).LevelSteps(); got != c.want {
-			t.Errorf("%s: %d steps read from levels, want %d", c.src, got, c.want)
+		if got := core.BuildPlan(st, steps, roots, core.StrategySimple, core.PlanOptions{PredEval: core.PredJoin}).LevelRead(); got != c.want {
+			t.Errorf("%s: reads from levels %v, want %v", c.src, got, c.want)
 		}
 	}
 }
