@@ -67,13 +67,12 @@ func ReadsLevels(st *storage.Store, path []xpath.Step, contexts []storage.NodeID
 	return levelRead(st, path, contexts) != ""
 }
 
-// predPlan settles how the plan of es's path from contexts evaluates its
-// predicates and returns the evaluator — pe, or AutoPredEval's rule for
-// PredAuto. When the predicates join and the path is read from levels,
-// es.levelsKey becomes the candidate set's key (levelRead). BuildPlan and
+// predPlan settles how a plan of path from contexts evaluates its
+// predicates: it returns the evaluator — pe, or AutoPredEval's rule for
+// PredAuto — and, when that joins and the path is read from levels, the
+// candidate set's key (levelRead; "" otherwise). BuildPlan and
 // BuildMultiPlan both decide here.
-func predPlan(es *EvalState, contexts []storage.NodeID, pe PredEval) PredEval {
-	st, path := es.Store, es.Path
+func predPlan(st *storage.Store, path []xpath.Step, contexts []storage.NodeID, pe PredEval) (PredEval, string) {
 	key := levelRead(st, path, contexts)
 	if pe == PredAuto {
 		pe = PredNested
@@ -83,10 +82,10 @@ func predPlan(es *EvalState, contexts []storage.NodeID, pe PredEval) PredEval {
 			}
 		}
 	}
-	if pe == PredJoin {
-		es.levelsKey = key
+	if pe != PredJoin {
+		key = ""
 	}
-	return pe
+	return pe, key
 }
 
 // levelSource builds the level read of the plan's path: the Levels

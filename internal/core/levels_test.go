@@ -126,10 +126,9 @@ func TestLevelReadAcrossCommits(t *testing.T) {
 				}
 			}
 		}
-		es := NewEvalState(st, xpath.MustParse(dict, forms[0]).Simplify().Steps)
-		predPlan(es, st.Roots(), PredJoin)
+		_, key := predPlan(st, xpath.MustParse(dict, forms[0]).Simplify().Steps, st.Roots(), PredJoin)
 		dcache, epoch, _ := st.Derived()
-		v, ok := dcache.Get(epoch, es.levelsKey)
+		v, ok := dcache.Get(epoch, key)
 		if !ok {
 			t.Fatalf("round %d: no candidate set resident at epoch %d", round, epoch)
 		}

@@ -109,7 +109,7 @@ func BuildMultiPlan(store *storage.Store, queries []MultiQuery, opts PlanOptions
 		if q.PredEval != PredAuto {
 			pe = q.PredEval
 		}
-		pe = predPlan(es, q.Contexts, pe)
+		pe, es.levelsKey = predPlan(st, q.Path, q.Contexts, pe)
 		mp.PredEvals = append(mp.PredEvals, pe)
 		if es.levelsKey != "" {
 			mp.roots = append(mp.roots, levelSource(es))

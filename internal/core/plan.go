@@ -156,7 +156,7 @@ func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeI
 	es.Arena = opts.Arena
 
 	p := &Plan{es: es, Strategy: strat}
-	p.PredEval = predPlan(es, contexts, opts.PredEval)
+	p.PredEval, es.levelsKey = predPlan(store, path, contexts, opts.PredEval)
 
 	// chain appends XStepᵢ (plus a predicate evaluator when the step
 	// carries predicates) for every location step.

@@ -466,7 +466,8 @@ func JoinNeeds(st *storage.Store, branch *xpath.Path, p xpath.Predicate) JoinNee
 // write transaction's overlay, a superseded snapshot or a full generation,
 // where a join would enumerate its levels on every read.
 func AutoPredEval(st *storage.Store, path []xpath.Step, contexts []storage.NodeID) PredEval {
-	return predPlan(NewEvalState(st, path), contexts, PredAuto)
+	pe, _ := predPlan(st, path, contexts, PredAuto)
+	return pe
 }
 
 // planNeeds reports whether some predicate branch of path is joinable, and
