@@ -28,7 +28,9 @@ race:
 # structural join (ns, B, allocs): internal/core's BenchmarkJoinResident
 # (levels cached, the predicated path read from levels from the roots),
 # BenchmarkJoinNavigated (the same predicate from a relative context, its
-# candidates navigated), BenchmarkLevelBuild, BenchmarkLevelAdvance (a
+# candidates navigated), BenchmarkFlatResident and BenchmarkFlatNavigated
+# (Q6′ and /site//description read from resident levels, as Auto reads them
+# on a resident pool, and navigated by forced Simple), BenchmarkLevelBuild, BenchmarkLevelAdvance (a
 # level carried across one commit) and BenchmarkLiteralSelect, and
 # internal/storage's BenchmarkStringValue — the cold path: internal/storage's
 # BenchmarkDecodePage (validating one 8 KB cluster and counting its
@@ -86,12 +88,12 @@ api-check:
 # update path, and the structural join's levels across commits (advanced
 # levels equal fresh builds, Auto reads build once and then join over
 # advanced levels, pinned snapshots, faulted advances, reads that take
-# their steps from levels and the candidate sets those commits drop), all
-# under -race.
+# their steps from levels — predicated or not — and the candidate sets
+# those commits drop), all under -race.
 test-txn:
 	$(GO) test -race ./internal/txn/
 	$(GO) test -race -run 'TestUpdate|TestQueryChoice' ./internal/server/ .
-	$(GO) test -race -run 'TestLevelAdvance|TestAutoJoinsAcrossCommits|TestSupersededSnapshot|TestFailedAdvance|TestLevelReadDifferential' .
+	$(GO) test -race -run 'TestLevelAdvance|TestAutoJoinsAcrossCommits|TestSupersededSnapshot|TestFailedAdvance|TestLevelReadDifferential|TestFlatLevelReadDifferential' .
 	$(GO) test -race -run 'TestLevelReadAcrossCommits' ./internal/core/
 
 # Sharding subsystem: ring placement/skew/degradation, the split

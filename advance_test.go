@@ -46,7 +46,8 @@ type advanceVolume struct {
 }
 
 // update commits fn over nodes resolved afresh: relocations invalidate
-// handles, so every operation finds its targets by path.
+// handles, so every operation finds its targets by path. They are resolved
+// by navigation (forced Simple), so finding them builds no level.
 func update(t *testing.T, db *DB, fn func(tx *Tx, nodes func(path string) []Node) error) {
 	t.Helper()
 	nodes := func(path string) []Node {
@@ -54,7 +55,7 @@ func update(t *testing.T, db *DB, fn func(tx *Tx, nodes func(path string) []Node
 		if err != nil {
 			t.Fatal(err)
 		}
-		return q.Nodes()
+		return q.WithStrategy(Simple).Nodes()
 	}
 	if err := db.Update(func(tx *Tx) error { return fn(tx, nodes) }); err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ func TestAutoJoinsAcrossCommits(t *testing.T) {
 	// branches' and, as it reads the path from levels, its steps'.
 	missing := func(path string) uint64 {
 		steps := xpath.MustParse(db.dict, path).Simplify().Steps
-		if !core.ReadsLevels(db.store, steps, db.store.Roots()) {
+		if !core.ReadsLevels(db.store, steps, db.store.Roots(), core.PredJoin, false) {
 			t.Fatalf("%s: a join plan navigates", path)
 		}
 		dcache, epoch, _ := db.store.Derived()

@@ -10,9 +10,9 @@ import (
 // Arena pools the per-query evaluation scratch of one plan's operators:
 // XAssembly's R and S structures, Distinct's seen set, XSchedule's cluster
 // queue and visited set, XScan's pending buffer, XStep's navigation stacks,
-// and a freelist of instance slices used as map values. A steady-state
-// query evaluated with a warm arena allocates O(results) instead of
-// rebuilding every structure.
+// a level read's prefix sets and merge stack, and a freelist of instance
+// slices used as map values. A steady-state query evaluated with a warm
+// arena allocates O(results) instead of rebuilding every structure.
 //
 // An arena serves one running plan at a time — operators borrow structures
 // at Open and return them at Close, and nothing inside is synchronized.
@@ -30,6 +30,7 @@ type Arena struct {
 	pending []Instance
 	free    [][]Instance
 	iters   [][]*storage.StepIter
+	levels  *levelScratch
 }
 
 // NewArena returns an empty arena. Structures are created lazily by the
@@ -244,5 +245,21 @@ func (a *Arena) takeIters() []*storage.StepIter {
 func (a *Arena) putIters(s []*storage.StepIter) {
 	if a != nil && cap(s) > 0 {
 		a.iters = append(a.iters, s[:0])
+	}
+}
+
+// takeLevelScratch borrows a level read's working memory.
+func (a *Arena) takeLevelScratch() *levelScratch {
+	if a != nil && a.levels != nil {
+		sc := a.levels
+		a.levels = nil
+		return sc
+	}
+	return &levelScratch{}
+}
+
+func (a *Arena) putLevelScratch(sc *levelScratch) {
+	if a != nil && a.levels == nil {
+		a.levels = sc
 	}
 }

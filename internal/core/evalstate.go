@@ -15,10 +15,6 @@ type EvalState struct {
 	Store *storage.Store
 	Path  []xpath.Step // Path[i-1] is location step πᵢ
 
-	// levelsKey, when set, names the derived-cache entry of the candidate
-	// set the plan reads its whole path from levels with (Levels).
-	levelsKey string
-
 	// Ctx, when non-nil, carries the query's deadline and cancellation.
 	// The I/O-performing operators poll it between productions and end
 	// their streams early once it is done; the caller distinguishes a

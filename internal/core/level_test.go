@@ -2,14 +2,18 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"pathdb/internal/buffer"
 	"pathdb/internal/ordpath"
 	"pathdb/internal/stats"
 	"pathdb/internal/storage"
 	"pathdb/internal/txn"
+	"pathdb/internal/vdisk"
 	"pathdb/internal/xmltree"
 	"pathdb/internal/xpath"
 )
@@ -74,6 +78,19 @@ func TestLevelsSharedNeverMutated(t *testing.T) {
 	}
 }
 
+// completeLevels fails unless every level of the given tests that the
+// derived cache holds equals a full build, and returns how many it holds.
+func completeLevels(t *testing.T, st *storage.Store, label string, tests ...string) int {
+	t.Helper()
+	held := cachedLevels(t, st, tests...)
+	for name, lv := range held {
+		if full := buildLevel(NewEvalState(st, nil), xpath.MustParse(st.Dict(), "//"+name).Simplify().Steps[0]); !reflect.DeepEqual(lv.Ords, full.Ords) {
+			t.Fatalf("%s: level %s admitted with %d of %d entries", label, name, len(lv.Ords), len(full.Ords))
+		}
+	}
+	return len(held)
+}
+
 // countdownCtx reports cancellation from its n-th Err poll on — a
 // deterministic stand-in for a deadline that strikes mid-build.
 type countdownCtx struct {
@@ -100,12 +117,7 @@ func TestCancelledBuildAdmitsNothing(t *testing.T) {
 	for polls := 0; polls < 100; polls++ { // through the last admission, the fourth level
 		st.ResetForRun()
 		joinRun(t, st, src, PlanOptions{PredEval: PredJoin, Ctx: &countdownCtx{Context: context.Background(), polls: polls}})
-		for name, lv := range cachedLevels(t, st, "book", "meta", "year", "title") {
-			admitted++
-			if full := buildLevel(NewEvalState(st, nil), xpath.MustParse(st.Dict(), "//"+name).Simplify().Steps[0]); !reflect.DeepEqual(lv.Ords, full.Ords) {
-				t.Fatalf("polls=%d: level %s admitted with %d of %d entries", polls, name, len(lv.Ords), len(full.Ords))
-			}
-		}
+		admitted += completeLevels(t, st, fmt.Sprintf("polls=%d", polls), "book", "meta", "year", "title")
 		if got := joinRun(t, st, src, PlanOptions{PredEval: PredJoin}); !reflect.DeepEqual(got, want) {
 			t.Fatalf("polls=%d: join after a cancelled build:\nwant %v\ngot  %v", polls, want, got)
 		}
@@ -158,13 +170,114 @@ func TestConcurrentLevelBuilds(t *testing.T) {
 	}
 }
 
+// flatRun streams the predicate-free src from the roots, read from levels
+// where the rule allows (levels set, as the chooser's Choice.LevelRead asks)
+// or navigated, over whatever the derived cache holds, and returns the
+// nodes' keys in delivery order.
+func flatRun(t testing.TB, st *storage.Store, src string, levels bool, ctx context.Context) []string {
+	t.Helper()
+	steps := xpath.MustParse(st.Dict(), src).Simplify().Steps
+	p := BuildPlan(st, steps, st.Roots(), StrategySimple, PlanOptions{LevelRead: levels, Ctx: ctx})
+	if p.LevelRead() != levels {
+		t.Fatalf("%s: the plan reads levels %v, want %v", src, p.LevelRead(), levels)
+	}
+	var out []string
+	root := p.Root()
+	root.Open()
+	defer root.Close()
+	for {
+		inst, ok := root.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, inst.Ord.String())
+	}
+}
+
+// TestFlatLevelReadCancelled: whenever the query's context ends, a
+// predicate-free level read has delivered a prefix of its document-ordered
+// answer, the derived cache holds nothing but complete levels, and the next
+// read returns navigation's nodes. No read caches its answer.
+func TestFlatLevelReadCancelled(t *testing.T) {
+	_, _, st := xjoinFixture(t)
+	const src = "/lib//year"
+	want := flatRun(t, st, src, false, nil)
+	cut := 0
+	for polls := 0; polls < len(want)+20; polls++ {
+		st.ResetForRun()
+		got := flatRun(t, st, src, true, &countdownCtx{Context: context.Background(), polls: polls})
+		if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) {
+			t.Fatalf("polls=%d: a cancelled read delivered %v, not a prefix of %v", polls, got, want)
+		}
+		if len(got) < len(want) {
+			cut++
+		}
+		completeLevels(t, st, fmt.Sprintf("polls=%d", polls), "lib", "year")
+		if got := flatRun(t, st, src, true, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("polls=%d: read after a cancelled one:\nwant %v\ngot  %v", polls, want, got)
+		}
+	}
+	if cut == 0 || cut == len(want)+20 {
+		t.Fatalf("%d of %d reads were cut short: the sweep tests little", cut, len(want)+20)
+	}
+	dcache, epoch, _ := st.Derived()
+	if dcache.Contains(epoch, stepsKey("levels:", st.Dict(), xpath.MustParse(st.Dict(), src).Simplify().Steps)) {
+		t.Fatal("a predicate-free read cached its answer")
+	}
+}
+
+// TestFlatLevelReadFaultAdmitsNothing sweeps seeded read faults, one
+// attempt per read, over a predicate-free level read whose levels are not
+// resident: a build that unwinds on a page fault fails the read with a
+// storage page error and admits no partial level, so the next read returns
+// navigation's nodes.
+func TestFlatLevelReadFaultAdmitsNothing(t *testing.T) {
+	_, _, st := xjoinFixture(t)
+	const src = "/lib//year"
+	want := flatRun(t, st, src, false, nil)
+	st.Buffer().SetRetryPolicy(buffer.RetryPolicy{Attempts: 1})
+	defer st.Buffer().SetRetryPolicy(buffer.DefaultRetryPolicy())
+	failed := 0
+	for seed := uint64(1); seed <= 40; seed++ {
+		st.ResetForRun()
+		st.Disk().SetFaults(vdisk.Faults{Seed: seed, ReadError: 0.05})
+		pe := func() (pe *storage.PageError) {
+			defer func() {
+				if r := recover(); r != nil {
+					var ok bool
+					if pe, ok = storage.AsPageFault(r); !ok {
+						panic(r)
+					}
+				}
+			}()
+			flatRun(t, st, src, true, nil)
+			return nil
+		}()
+		st.Disk().SetFaults(vdisk.Faults{})
+		if pe != nil {
+			failed++
+			if pe.Kind != storage.PageIO {
+				t.Fatalf("seed %d: the read failed with %v, want an I/O page error", seed, pe)
+			}
+		}
+		completeLevels(t, st, fmt.Sprintf("seed %d", seed), "lib", "year")
+		if got := flatRun(t, st, src, true, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d (failed: %v): read after the faulted one:\nwant %v\ngot  %v", seed, pe != nil, want, got)
+		}
+	}
+	if failed < 5 || failed == 40 {
+		t.Fatalf("%d of 40 faulted reads failed: the sweep tests little", failed)
+	}
+}
+
 // TestConcurrentAdvance: workers that first read the levels after a commit
-// race to advance them; one advance publishes, the others find the
-// generation at their epoch, and every worker's result is nested's. Run
-// under -race.
+// race to advance them — half of them joining, half streaming a
+// predicate-free path from levels; one advance publishes, the others find
+// the generation at their epoch, and every join returns nested's nodes and
+// every stream navigation's. Run under -race.
 func TestConcurrentAdvance(t *testing.T) {
 	dict, _, st := xjoinFixture(t)
-	const src = `//book[meta/year="1992"]`
+	const src, flat = `//book[meta/year="1992"]`, "/lib//year"
 	mgr, err := txn.NewManager(st, txn.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -173,6 +286,7 @@ func TestConcurrentAdvance(t *testing.T) {
 	lib := BuildPlan(st, xpath.MustParse(dict, "/lib").Simplify().Steps, st.Roots(), StrategySimple, PlanOptions{}).Run()[0].Node
 	for round := 0; round < 10; round++ {
 		joinRun(t, st, src, PlanOptions{PredEval: PredJoin})
+		flatRun(t, st, flat, true, nil)
 		book, meta, year := xmltree.NewElement(dict.Intern("book")), xmltree.NewElement(dict.Intern("meta")), xmltree.NewElement(dict.Intern("year"))
 		book.AppendChild(meta.AppendChild(year.AppendChild(xmltree.NewText("1992"))))
 		if err := mgr.Update(func(tx *txn.Tx) error {
@@ -181,28 +295,33 @@ func TestConcurrentAdvance(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		want := joinRun(t, st, src, PlanOptions{PredEval: PredNested})
+		want := [2][]string{joinRun(t, st, src, PlanOptions{PredEval: PredNested}), flatRun(t, st, flat, false, nil)}
 		dcache, _, _ := st.Derived()
 		before := dcache.Metrics()
 		var wg sync.WaitGroup
-		got := make([][]string, 4)
+		got := make([][]string, 6)
 		for w := range got {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				got[w] = joinRun(t, st.Reader(stats.NewLedger()), src, PlanOptions{PredEval: PredJoin})
+				if view := st.Reader(stats.NewLedger()); w%2 == 0 {
+					got[w] = joinRun(t, view, src, PlanOptions{PredEval: PredJoin})
+				} else {
+					got[w] = flatRun(t, view, flat, true, nil)
+				}
 			}(w)
 		}
 		wg.Wait()
 		for w := range got {
-			if !reflect.DeepEqual(got[w], want) {
-				t.Fatalf("round %d worker %d:\nwant %v\ngot  %v", round, w, want, got[w])
+			if !reflect.DeepEqual(got[w], want[w%2]) {
+				t.Fatalf("round %d worker %d:\nwant %v\ngot  %v", round, w, want[w%2], got[w])
 			}
 		}
-		// Three levels: book, which the plan reads its step from, and meta
-		// and year, which the predicate joins over.
-		if m := dcache.Metrics(); m.LevelAdvances-before.LevelAdvances != 3 || m.LevelBuilds != before.LevelBuilds {
-			t.Fatalf("round %d: %d level advances, %d builds; want the three levels advanced once", round,
+		// Four levels: book, which the join reads its step from, meta and
+		// year, which its predicate joins over, and lib, which the stream
+		// reads its first step from.
+		if m := dcache.Metrics(); m.LevelAdvances-before.LevelAdvances != 4 || m.LevelBuilds != before.LevelBuilds {
+			t.Fatalf("round %d: %d level advances, %d builds; want the four levels advanced once", round,
 				m.LevelAdvances-before.LevelAdvances, m.LevelBuilds-before.LevelBuilds)
 		}
 	}
@@ -210,9 +329,9 @@ func TestConcurrentAdvance(t *testing.T) {
 
 // The benchmarks below time the join's phases on the XMark fixture: a
 // query whose sets are resident, read from levels from the roots and fed by
-// navigation from a relative context, the enumeration of one level, its
-// advance across a commit, and the per-query selection of a literal from a
-// resident level.
+// navigation from a relative context, a predicate-free path read from
+// levels and navigated, the enumeration of one level, its advance across a
+// commit, and the per-query selection of a literal from a resident level.
 
 // BenchmarkJoinResident times /site//item[mailbox/mail//keyword] over
 // resident sets: the plan reads both steps from levels.
@@ -241,6 +360,31 @@ func BenchmarkJoinNavigated(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		BuildPlan(st, steps, contexts, StrategySimple, PlanOptions{Arena: arena, PredEval: PredJoin}).Count()
+	}
+}
+
+// BenchmarkFlatResident times Q6′ and a Q7 path read from resident
+// levels, as an Auto read on a resident pool runs them: the prefix steps
+// semi-joined top-down from the roots, the last level streamed through the
+// merge.
+func BenchmarkFlatResident(b *testing.B) { benchFlat(b, true) }
+
+// BenchmarkFlatNavigated times the same paths navigated by forced Simple.
+func BenchmarkFlatNavigated(b *testing.B) { benchFlat(b, false) }
+
+func benchFlat(b *testing.B, levels bool) {
+	dict, st := xmarkFixture(b)
+	arena := NewArena()
+	for name, src := range map[string]string{"Q6": "/site/regions//item", "Q7description": "/site//description"} {
+		steps := xpath.MustParse(dict, src).Simplify().Steps
+		b.Run(name, func(b *testing.B) {
+			BuildPlan(st, steps, st.Roots(), StrategySimple, PlanOptions{Arena: arena, LevelRead: levels}).Count() // builds the levels
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				BuildPlan(st, steps, st.Roots(), StrategySimple, PlanOptions{Arena: arena, LevelRead: levels}).Count()
+			}
+		})
 	}
 }
 

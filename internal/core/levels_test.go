@@ -28,7 +28,8 @@ var levelForms = []string{
 
 // TestSemiJoinKeepMatchesPairwise holds the top-down merge to a pairwise
 // check of every context against every level entry, on the keys of random
-// trees, for each axis the level read joins on.
+// trees, for each axis the level read joins on; once the merge reports it
+// is done, no later entry has a partner.
 func TestSemiJoinKeepMatchesPairwise(t *testing.T) {
 	r := rng.New(11)
 	for trial := 0; trial < 40; trial++ {
@@ -50,9 +51,11 @@ func TestSemiJoinKeepMatchesPairwise(t *testing.T) {
 			anc = []ordpath.Key{ordpath.Root()}
 		}
 		for _, rel := range []relKind{relChild, relDesc, relDescOrSelf} {
-			keep := make([]bool, len(desc))
-			semiJoinKeep(anc, desc, rel, keep)
+			var m keepMerge
+			m.reset(anc, rel)
+			done := false
 			for k, d := range desc {
+				kept := m.keeps(d)
 				want := slices.ContainsFunc(anc, func(a ordpath.Key) bool {
 					switch rel {
 					case relChild:
@@ -63,9 +66,10 @@ func TestSemiJoinKeepMatchesPairwise(t *testing.T) {
 						return ancestorOrSelf(a, d)
 					}
 				})
-				if keep[k] != want {
-					t.Fatalf("trial %d, rel %d: entry %v kept=%v, pairwise %v", trial, rel, d, keep[k], want)
+				if kept != want || done && want {
+					t.Fatalf("trial %d, rel %d: entry %d %v kept=%v after done=%v, pairwise %v", trial, rel, k, d, kept, done, want)
 				}
+				done = done || m.done()
 			}
 		}
 	}
@@ -169,9 +173,10 @@ func TestLevelReadAcrossCommits(t *testing.T) {
 }
 
 // TestDescribeRenderings pins Describe's rendering of a navigated plan, of
-// a plan that reads its path from levels — one Levels operator under the
-// XJoin of its last step — and of a join plan the level read does not
-// apply to, whose XJoin filters what navigation finds.
+// a join plan that reads its path from levels — one Levels operator under
+// the XJoin of its last step — of a predicate-free path read from levels —
+// Levels alone — and of a join plan the level read does not apply to, whose
+// XJoin filters what navigation finds.
 func TestDescribeRenderings(t *testing.T) {
 	dict, st := xmarkFixture(t)
 	for _, c := range []struct {
@@ -179,6 +184,9 @@ func TestDescribeRenderings(t *testing.T) {
 		strat Strategy
 		want  string
 	}{
+		{"/site/regions//item", StrategySimple, `Levels(child::site/child::regions/descendant::item)
+order: document (no sort)
+`},
 		{"/site/regions//item", StrategySchedule, `XAssembly(|π|=3, feedback→XSchedule queue)
   XStep₃(descendant::item)
     XStep₂(child::regions)
@@ -206,8 +214,40 @@ order: none
 			want = fmt.Sprintf(want, st.NumDataPages())
 		}
 		steps := xpath.MustParse(dict, c.src).Simplify().Steps
-		if got := BuildPlan(st, steps, st.Roots(), c.strat, PlanOptions{PredEval: PredJoin}).Describe(dict); got != want {
+		if got := BuildPlan(st, steps, st.Roots(), c.strat, PlanOptions{PredEval: PredJoin, LevelRead: c.strat == StrategySimple}).Describe(dict); got != want {
 			t.Errorf("%s [%v]:\ngot\n%s\nwant\n%s", c.src, c.strat, got, want)
+		}
+	}
+}
+
+// TestFlatLevelReadAllocs: with a warm arena and resident levels, a
+// predicate-free path read from levels allocates no more than forced-Simple
+// navigation of the same path: its prefix sets and merge stack come from
+// the arena and nothing is materialised per entry.
+func TestFlatLevelReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	dict, st := xmarkFixture(t)
+	arena := NewArena()
+	for _, src := range []string{"/site/regions//item", "/site//description"} {
+		steps := xpath.MustParse(dict, src).Simplify().Steps
+		allocs := func(levels bool) float64 {
+			run := func() {
+				p := BuildPlan(st, steps, st.Roots(), StrategySimple, PlanOptions{Arena: arena, LevelRead: levels})
+				if p.LevelRead() != levels {
+					t.Fatalf("%s: reads levels %v, want %v", src, p.LevelRead(), levels)
+				}
+				p.Count()
+			}
+			run() // load the clusters, build the levels, size the arena
+			run()
+			return testing.AllocsPerRun(20, run)
+		}
+		nav, lv := allocs(false), allocs(true)
+		t.Logf("%s: navigated %v, from levels %v allocations per run", src, nav, lv)
+		if lv > nav {
+			t.Fatalf("%s: the level read allocates %v per run, navigation %v", src, lv, nav)
 		}
 	}
 }

@@ -109,10 +109,10 @@ func BuildMultiPlan(store *storage.Store, queries []MultiQuery, opts PlanOptions
 		if q.PredEval != PredAuto {
 			pe = q.PredEval
 		}
-		pe, es.levelsKey = predPlan(st, q.Path, q.Contexts, pe)
+		pe, key := predPlan(st, q.Path, q.Contexts, pe)
 		mp.PredEvals = append(mp.PredEvals, pe)
-		if es.levelsKey != "" {
-			mp.roots = append(mp.roots, levelSource(es))
+		if key != "" {
+			mp.roots = append(mp.roots, levelSource(es, key))
 			continue
 		}
 		for _, id := range q.Contexts {

@@ -89,6 +89,11 @@ type PlanOptions struct {
 	// PredEval picks the predicate evaluator (default PredAuto: the plan
 	// applies AutoPredEval to its store).
 	PredEval PredEval
+	// LevelRead carries the chooser's Choice.LevelRead: a predicate-free
+	// path it sent to Simple is read from levels where flatRead allows it on
+	// the plan's own contexts and view. Forced strategies leave it unset and
+	// navigate.
+	LevelRead bool
 }
 
 // Plan is an executable physical plan for one location path.
@@ -105,11 +110,13 @@ type Plan struct {
 	// PredEval is the evaluator the predicate steps run with, PredAuto
 	// resolved (PredNested for a path without joinable predicates).
 	PredEval PredEval
+
+	levels bool
 }
 
 // LevelRead reports whether the plan reads its path from levels (Levels)
 // instead of navigating it.
-func (p *Plan) LevelRead() bool { return p.es.levelsKey != "" }
+func (p *Plan) LevelRead() bool { return p.levels }
 
 // PathShape reports what a border-crossing Simple chain over path yields
 // from a single context node, or from an ordered antichain of contexts such
@@ -148,7 +155,9 @@ func PathShape(path []xpath.Step) (dupFree, ordered bool) {
 // When the predicates join, the contexts are the volume roots and the path
 // qualifies (levelRead), the plan reads the path from levels instead of
 // navigating it, whatever the strategy: the last step's XJoin over Levels,
-// ordered and duplicate-free.
+// ordered and duplicate-free. So does a predicate-free path with a
+// descendant step when opts.LevelRead asks for it (flatRead): Levels alone,
+// streamed.
 func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeID, strat Strategy, opts PlanOptions) *Plan {
 	es := NewEvalState(store, path)
 	es.MemLimit = opts.MemLimit
@@ -156,7 +165,9 @@ func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeI
 	es.Arena = opts.Arena
 
 	p := &Plan{es: es, Strategy: strat}
-	p.PredEval, es.levelsKey = predPlan(store, path, contexts, opts.PredEval)
+	var key string
+	p.PredEval, key = predPlan(store, path, contexts, opts.PredEval)
+	p.levels = key != "" || opts.LevelRead && flatRead(store, path, contexts)
 
 	// chain appends XStepᵢ (plus a predicate evaluator when the step
 	// carries predicates) for every location step.
@@ -178,8 +189,12 @@ func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeI
 
 	var top Operator
 	switch {
-	case p.LevelRead():
-		top = levelSource(es)
+	case key != "":
+		top = levelSource(es, key)
+		p.Ordered = true
+
+	case p.levels:
+		top = &Levels{es: es}
 		p.Ordered = true
 
 	case strat == StrategySimple:

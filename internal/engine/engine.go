@@ -653,13 +653,14 @@ func (e *Engine) runSolo(snap Snapshot, u execUnit, gangSize int) {
 			}
 		}()
 		p := core.BuildPlan(view, u.p.q.Path, e.contextsOf(u.p.q), u.strat, core.PlanOptions{
-			MemLimit: u.p.q.MemLimit,
-			Ctx:      u.p.ctx,
-			Arena:    arena,
-			PredEval: u.p.q.PredEval,
+			MemLimit:  u.p.q.MemLimit,
+			Ctx:       u.p.ctx,
+			Arena:     arena,
+			PredEval:  u.p.q.PredEval,
+			LevelRead: u.choice != nil && u.choice.LevelRead,
 		})
 		if u.choice != nil {
-			u.choice.PredEval = p.PredEval
+			u.choice.PredEval, u.choice.LevelRead = p.PredEval, p.LevelRead()
 		}
 		root = p.Root()
 		root.Open()

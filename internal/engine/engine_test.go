@@ -441,3 +441,51 @@ func TestDrain(t *testing.T) {
 		t.Fatalf("second Drain: %v", err)
 	}
 }
+
+// TestAutoLevelReadReported: on a resident pool an Auto query of a path with
+// a descendant step runs Simple and reads the path from levels, and its
+// Result's choice says so; a child-only path navigates, and so does a
+// relative one the chooser would read from levels from the roots — the
+// choice reports what the built plan did. Both return navigation's nodes.
+func TestAutoLevelReadReported(t *testing.T) {
+	// A pool that holds the whole volume: the chooser's statistics walk
+	// leaves it resident.
+	st, dict := bench.NewWorkload(bench.Config{EntityScale: 0.05, Seed: 7, BufferPages: 1 << 12}).Store(0.1)
+	e := New(st, Config{})
+	defer e.Close()
+	s := e.NewSession()
+	site := core.BuildPlan(st, parsePath(t, dict, "/site"), st.Roots(), core.StrategySimple, core.PlanOptions{}).Run()[0].Node
+	for _, c := range []struct {
+		src      string
+		contexts []storage.NodeID
+		levels   bool
+	}{
+		{srcQ6, nil, true},
+		{srcQ7a, nil, true},
+		{srcQ15, nil, false},
+		{"//description", []storage.NodeID{site}, false},
+	} {
+		path := parsePath(t, dict, c.src)
+		contexts := c.contexts
+		if contexts == nil {
+			contexts = st.Roots()
+		}
+		want := nodeSet(core.BuildPlan(st, path, contexts, core.StrategySimple, core.PlanOptions{}).Run())
+		res, err := s.Do(context.Background(), Query{Label: c.src, Path: path, Contexts: c.contexts, Auto: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Strategy != core.StrategySimple || res.Choice == nil || res.Choice.LevelRead != c.levels {
+			t.Fatalf("%s: ran %v with choice %+v, want simple, reading levels %v", c.src, res.Strategy, res.Choice, c.levels)
+		}
+		got := nodeSet(res.Results)
+		if len(got) != len(want) || len(got) != res.Count() {
+			t.Fatalf("%s: %d nodes (%d distinct), navigation %d", c.src, res.Count(), len(got), len(want))
+		}
+		for id := range want {
+			if !got[id] {
+				t.Fatalf("%s: node %v missing", c.src, id)
+			}
+		}
+	}
+}

@@ -63,9 +63,12 @@ type Choice struct {
 	PredEval core.PredEval
 
 	// LevelRead reports that, on the chooser's view, a plan of the path
-	// from the roots reads it from levels (core.ReadsLevels): no strategy
-	// navigates it, so Strategy is moot and the estimates price navigation
-	// that does not run.
+	// from the roots reads it from levels (core.ReadsLevels): a join plan
+	// whose last step is its only predicated one, or a predicate-free path
+	// with a descendant step sent to Simple on a resident pool. No strategy
+	// navigates it, so the estimates price navigation that does not run.
+	// The plan builders pass it on as core.PlanOptions.LevelRead; the
+	// engine overwrites it with what the built plan did.
 	LevelRead bool
 }
 
@@ -267,7 +270,7 @@ func (c *Chooser) Choose(path []xpath.Step) Choice {
 	choice.Strategy = best.Strategy
 	roots := c.store.Roots()
 	choice.PredEval = core.AutoPredEval(c.store, path, roots)
-	choice.LevelRead = choice.PredEval == core.PredJoin && core.ReadsLevels(c.store, path, roots)
+	choice.LevelRead = core.ReadsLevels(c.store, path, roots, choice.PredEval, choice.Strategy == core.StrategySimple)
 	return choice
 }
 

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -64,9 +65,11 @@ func TestChooserColdEstimatesUnchanged(t *testing.T) {
 
 // TestChooserWarmMatchesMeasurement: on a fully resident volume the chosen
 // strategy is the one that measures cheapest on the virtual clock (warm
-// regret 0), and the three estimates rank as the three measurements do. A
-// path the choice says is read from levels has no strategy to choose: its
-// plans read levels under all three and measure alike.
+// regret 0), and the three estimates rank as the three measurements do. The
+// plan the choice builds reads levels exactly when the choice says so. A
+// join plan that reads its path from levels does so under all three
+// strategies and measures alike; a predicate-free path the choice reads from
+// levels is ranked by the plans the forced strategies navigate.
 func TestChooserWarmMatchesMeasurement(t *testing.T) {
 	dict, st := xmarkStore(t, 1)
 	ch := NewChooser(st) // the statistics walk leaves every cluster resident
@@ -76,21 +79,29 @@ func TestChooserWarmMatchesMeasurement(t *testing.T) {
 		if choice.Residency != 1 {
 			t.Fatalf("%s: residency %v after the statistics walk", src, choice.Residency)
 		}
+		// Every path here with a descendant step reads from levels on a
+		// resident pool; the child-only paths navigate.
+		if choice.LevelRead != strings.Contains(src, "//") {
+			t.Fatalf("%s: choice reads levels %v (%v)", src, choice.LevelRead, choice)
+		}
+		opts := core.PlanOptions{PredEval: choice.PredEval, LevelRead: choice.LevelRead}
+		if p := core.BuildPlan(st, path, st.Roots(), choice.Strategy, opts); p.LevelRead() != choice.LevelRead {
+			t.Fatalf("%s [%v]: the chosen plan reads levels %v, choice says %v", src, choice.Strategy, p.LevelRead(), choice.LevelRead)
+		}
 		measured := map[core.Strategy]stats.Ticks{}
+		forcedReadsLevels := false
 		for _, e := range estimates(choice) {
 			run := func() {
 				p := core.BuildPlan(st, path, st.Roots(), e.Strategy, core.PlanOptions{PredEval: choice.PredEval})
 				p.Count()
-				if p.LevelRead() != choice.LevelRead {
-					t.Fatalf("%s [%v]: plan reads levels %v, choice says %v", src, e.Strategy, p.LevelRead(), choice.LevelRead)
-				}
+				forcedReadsLevels = p.LevelRead()
 			}
 			run() // a join's filter sets are built once, whoever runs first
 			v0 := st.Ledger().Total()
 			run()
 			measured[e.Strategy] = st.Ledger().Total() - v0
 		}
-		if choice.LevelRead {
+		if forcedReadsLevels {
 			// The plan reads the path from levels: no strategy is left to
 			// choose, and all three run the same level read.
 			if m := measured[core.StrategySimple]; measured[core.StrategySchedule] != m || measured[core.StrategyScan] != m {

@@ -29,6 +29,7 @@ type DerivedCache struct {
 	epoch uint64
 	m     map[string]any
 	met   DerivedMetrics
+	adv   levelAdvance
 }
 
 // DerivedMetrics are the derived cache's lifetime counters.
@@ -181,64 +182,78 @@ func (s *Store) AdvanceDerived(cancelled func() bool) (*DerivedCache, uint64, bo
 			c.drop(epoch)
 		}
 	}()
-	next := maps.Clone(c.m)
-	levels, pages, moved := AdvanceLevels(s, c.epoch, next)
+	// In place: what does not publish is dropped whole.
+	levels, pages, moved := c.adv.run(s, c.epoch, c.m)
 	if cancelled() {
 		return c, epoch, ok
 	}
-	maps.DeleteFunc(next, func(_ string, v any) bool {
+	maps.DeleteFunc(c.m, func(_ string, v any) bool {
 		_, isLevel := v.(*Level)
 		return moved && !isLevel
 	})
 	c.met.LevelAdvances += uint64(levels)
 	c.met.PagesAdvanced += uint64(pages)
-	c.epoch, c.m, published = epoch, next, true
+	c.epoch, published = epoch, true
 	return c, epoch, ok
 }
 
 // AdvanceLevels replaces every level in m, built at epoch since, by its
 // successor at the view's version, and reports how many levels and written
-// pages that took and whether a level had or has entries on those pages.
+// pages that took and whether a level changed.
 // Each page is read once for all levels, charged a node visit per live
 // record; a level that changes is charged a set operation per entry.
 func AdvanceLevels(view *Store, since uint64, m map[string]any) (levels, pages int, moved bool) {
-	var keys []string
+	var a levelAdvance
+	return a.run(view, since, m)
+}
+
+// levelAdvance is the working memory of AdvanceLevels. The derived cache
+// keeps one and reuses it under its lock, so that an advance in which no
+// level moves allocates nothing once it is warm.
+type levelAdvance struct {
+	keys    []string
+	written []vdisk.PageID
+	fresh   [][]levelEntry // per key: its matches on the written pages
+	roots   []ordpath.Key  // the keys of the written pages' fragment roots
+}
+
+func (a *levelAdvance) run(view *Store, since uint64, m map[string]any) (levels, pages int, moved bool) {
+	a.keys, a.written, a.roots = a.keys[:0], a.written[:0], a.roots[:0]
 	for k, v := range m {
 		if _, isLevel := v.(*Level); isLevel {
-			keys = append(keys, k)
+			a.keys = append(a.keys, k)
 		}
 	}
-	var written []vdisk.PageID
-	if len(keys) > 0 {
-		view.WrittenSince(since, func(p vdisk.PageID, _ uint64) { written = append(written, p) })
+	if len(a.keys) > 0 {
+		view.WrittenSince(since, func(p vdisk.PageID, _ uint64) { a.written = append(a.written, p) })
 	}
-	slices.Sort(keys) // with the pages: the reads, and their costs, repeat exactly
-	slices.Sort(written)
-	fresh := make([][]levelEntry, len(keys))
-	wrote := make(map[vdisk.PageID]bool, len(written))
-	var roots []ordpath.Key // the keys of the written pages' fragment roots
-	for _, p := range written {
-		wrote[p] = true
+	slices.Sort(a.keys) // with the pages: the reads, and their costs, repeat exactly
+	slices.Sort(a.written)
+	a.fresh = slices.Grow(a.fresh[:0], len(a.keys))[:len(a.keys)]
+	for i := range a.fresh {
+		a.fresh[i] = a.fresh[i][:0]
+	}
+	for _, p := range a.written {
 		img := view.image(p)
-		for i, k := range keys {
-			fresh[i] = img.levelMatches(m[k].(*Level), fresh[i])
+		for i, k := range a.keys {
+			a.fresh[i] = img.levelMatches(m[k].(*Level), a.fresh[i])
 		}
 		for q := 0; q < img.n; q++ {
 			if par := img.parent(q); par == noParent || img.kind(par) == RecProxyParent {
 				if k := img.key(q); k != nil {
-					roots = append(roots, k)
+					a.roots = append(a.roots, k)
 				}
 			}
 		}
 		stats.Add(&view.led.NodesVisited, int64(img.n))
 		view.led.AdvanceCPU(stats.Ticks(img.n) * view.model.CPUNodeVisit)
 	}
-	slices.SortFunc(roots, ordpath.Compare)
-	for i, k := range keys {
-		lv, touched := m[k].(*Level).advance(view, wrote, fresh[i], roots)
+	slices.SortFunc(a.roots, ordpath.Compare)
+	for i, k := range a.keys {
+		lv, touched := m[k].(*Level).advance(view, a.written, a.fresh[i], a.roots)
 		m[k], moved = lv, moved || touched
 	}
-	return len(keys), len(written), moved
+	return len(a.keys), len(a.written), moved
 }
 
 // Level is one node test's share of the document: every node matching the
@@ -288,13 +303,13 @@ func (img *pageImage) levelMatches(lv *Level, fresh []levelEntry) []levelEntry {
 		if k.IsProxy() || lv.Attr && k != RecElem {
 			continue
 		}
-		id, ord := MakeNodeID(img.page, img.slotOf(p)), img.key(p)
 		if !lv.Attr {
 			if lv.Test.Matches(k.LogicalKind(), img.tag(p)) {
-				fresh = append(fresh, levelEntry{ord: ord, id: id, reread: true})
+				fresh = append(fresh, levelEntry{ord: img.key(p), id: MakeNodeID(img.page, img.slotOf(p)), reread: true})
 			}
 			continue
 		}
+		id, ord := MakeNodeID(img.page, img.slotOf(p)), img.key(p)
 		b := img.body(p)
 		for a := 0; len(b) > 0; a++ {
 			var tag xmltree.TagID
@@ -308,38 +323,68 @@ func (img *pageImage) levelMatches(lv *Level, fresh []levelEntry) []levelEntry {
 }
 
 // advance returns the level at the view's version, given the written pages,
-// its matches on them (fresh) and their fragment-root keys (roots, sorted),
-// and whether it had or has entries on those pages. String values are
-// re-read for fresh entries and for kept ones that are an ancestor of a
-// root: an entry off a page contains a record of it exactly when it contains
-// one of its fragment roots, and a delete leaves such a witness too, since
-// the pages it writes run up its proxy chain to one that keeps a record
-// under the deleted node's parent. An untouched level is returned as it is.
-func (lv *Level) advance(view *Store, wrote map[vdisk.PageID]bool, fresh []levelEntry, roots []ordpath.Key) (*Level, bool) {
-	all, moved, stale := fresh, len(fresh) > 0, false
-	var start uint32
+// its matches on them (fresh) and their fragment-root keys (roots,
+// sorted), and whether it changed. String values are re-read for fresh
+// entries and for kept ones that are an ancestor of a root: an entry off a
+// page contains a record of it exactly when it contains one of its fragment
+// roots, and a delete leaves such a witness too, since the pages it writes
+// run up its proxy chain to one that keeps a record under the deleted
+// node's parent. A level is returned as it is, decided before anything is
+// allocated, when it had and has no entry on the written pages, or — without
+// string values — when its entries there are the fresh matches, key for key
+// and node for node (a commit that rewrote their page but moved none).
+func (lv *Level) advance(view *Store, written []vdisk.PageID, fresh []levelEntry, roots []ordpath.Key) (*Level, bool) {
+	onWritten := func(id NodeID) bool { // few pages: the commits' since the generation
+		for _, p := range written {
+			if p == id.Page() {
+				return true
+			}
+		}
+		return false
+	}
+	// rereads reports whether entry k, called in document order, is an
+	// ancestor of a root: the first root after it is in its subtree if any
+	// is.
 	r := 0
+	rereads := func(k int) bool {
+		if lv.Ends == nil {
+			return false
+		}
+		for r < len(roots) && ordpath.Compare(roots[r], lv.Ords[k]) <= 0 {
+			r++
+		}
+		return r < len(roots) && lv.Ords[k].IsAncestorOf(roots[r])
+	}
+	byKey := func(a, b levelEntry) int { return ordpath.Compare(a.ord, b.ord) }
+	slices.SortStableFunc(fresh, byKey)
+	same, stale, kept, j := lv.Ends == nil, false, 0, 0
+	for k, id := range lv.IDs {
+		if !onWritten(id) {
+			kept++
+			stale = rereads(k) || stale
+			continue
+		}
+		same = same && j < len(fresh) && fresh[j].id == id && ordpath.Compare(fresh[j].ord, lv.Ords[k]) == 0
+		j++
+	}
+	moved := j > 0 || len(fresh) > 0
+	if !stale && (!moved || same && j == len(fresh)) {
+		return lv, false
+	}
+	all := append(make([]levelEntry, 0, len(fresh)+kept), fresh...)
+	var start uint32
+	r = 0
 	for k, id := range lv.IDs {
 		e := levelEntry{ord: lv.Ords[k], id: id}
 		if lv.Ends != nil {
 			e.val, start = lv.Vals[start:lv.Ends[k]], lv.Ends[k]
-			// The first root after the entry is in its subtree if any is.
-			for r < len(roots) && ordpath.Compare(roots[r], e.ord) <= 0 {
-				r++
-			}
-			e.reread = r < len(roots) && e.ord.IsAncestorOf(roots[r])
 		}
-		if wrote[id.Page()] {
-			moved = true
-			continue
+		if !onWritten(id) {
+			e.reread = rereads(k)
+			all = append(all, e)
 		}
-		stale = stale || e.reread
-		all = append(all, e)
 	}
-	if !moved && !stale {
-		return lv, false
-	}
-	slices.SortStableFunc(all, func(a, b levelEntry) int { return ordpath.Compare(a.ord, b.ord) })
+	slices.SortStableFunc(all, byKey)
 	ords, ids := make([]ordpath.Key, len(all)), make([]NodeID, len(all))
 	for k, e := range all {
 		ords[k], ids[k] = e.ord, e.id

@@ -2,9 +2,13 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"pathdb/internal/ordpath"
 	"pathdb/internal/vdisk"
+	"pathdb/internal/xmltree"
+	"pathdb/internal/xpath"
 )
 
 // TestDerivedCacheGenerations pins the epoch-generation contract: entries
@@ -127,5 +131,98 @@ func TestStoreDerivedViews(t *testing.T) {
 	}
 	if _, _, ok := s.BeginWrite(nil, s.led).view.Derived(); ok {
 		t.Fatal("a write transaction's view must not use the derived cache: it can neither read nor admit")
+	}
+}
+
+// TestUntouchedLevelAdvanceAllocatesNothing: a commit that wrote no page
+// holding a level's entries, and put no fragment under an entry whose string
+// value the level carries, leaves the level as it is — advance returns the
+// same *Level, unmoved, without allocating, and so does AdvanceLevels.
+func TestUntouchedLevelAdvanceAllocatesNothing(t *testing.T) {
+	dict := xmltree.NewDictionary()
+	doc, top := xmltree.NewDocument(), xmltree.NewElement(dict.Intern("a"))
+	doc.AppendChild(top)
+	for i, name := range []string{"b", "c", "d"} {
+		for j := 0; j < 60; j++ {
+			top.AppendChild(xmltree.NewElement(dict.Intern(name))).AppendChild(xmltree.NewText(fmt.Sprintf("%d.%d", i, j)))
+		}
+	}
+	st := importDoc(t, doc, dict, 512, LayoutNatural)
+	root := st.Swizzle(st.Root())
+	level := func(name string, vals bool) *Level {
+		test := xpath.NameTest(dict.Intern(name))
+		var ords []ordpath.Key
+		var ids []NodeID
+		for _, c := range evalStepFull(st, root, xpath.Descendant, test) {
+			ords, ids = append(ords, c.OrdKey()), append(ids, c.ID())
+		}
+		lv := NewLevel(test, false, ords, ids)
+		if vals {
+			for _, id := range ids {
+				lv.Vals = st.AppendStringValue(lv.Vals, id)
+				lv.Ends = append(lv.Ends, uint32(len(lv.Vals)))
+			}
+		}
+		return lv
+	}
+	levels := []*Level{level("b", false), level("c", true)}
+	// The parent: a d element on a page without b or c entries, under no c.
+	clear := func(c Cursor) bool {
+		for _, lv := range levels {
+			for k, id := range lv.IDs {
+				if id.Page() == c.ID().Page() || lv.Ends != nil && lv.Ords[k].IsAncestorOf(c.OrdKey()) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	var parent NodeID
+	for _, c := range evalStepFull(st, root, xpath.Descendant, xpath.NameTest(dict.Intern("d"))) {
+		if clear(c) {
+			parent = c.ID()
+			break
+		}
+	}
+	if parent == 0 {
+		t.Fatal("no d element off the levels' pages: the fixture tests nothing")
+	}
+	since := st.VersionEpoch()
+	if _, err := insertSubtree(st, parent, InvalidNodeID, xmltree.NewElement(dict.Intern("zz"))); err != nil {
+		t.Fatal(err)
+	}
+	var written []vdisk.PageID
+	var roots []ordpath.Key
+	st.WrittenSince(since, func(p vdisk.PageID, _ uint64) {
+		written = append(written, p)
+		img := st.image(p)
+		for q := 0; q < img.n; q++ {
+			if par := img.parent(q); par == noParent || img.kind(par) == RecProxyParent {
+				roots = append(roots, img.key(q))
+			}
+		}
+		for _, lv := range levels {
+			if fresh := img.levelMatches(lv, nil); len(fresh) > 0 {
+				t.Fatalf("the commit wrote %d entries of level %s", len(fresh), lv.Test.Render(dict))
+			}
+		}
+	})
+	slices.Sort(written)
+	slices.SortFunc(roots, ordpath.Compare)
+	if len(written) == 0 {
+		t.Fatal("the commit wrote no page")
+	}
+	m := map[string]any{}
+	for _, lv := range levels {
+		if got, moved := lv.advance(st, written, nil, roots); got != lv || moved {
+			t.Fatalf("level %s: advanced to a new level (moved %v)", lv.Test.Render(dict), moved)
+		}
+		if n := testing.AllocsPerRun(50, func() { lv.advance(st, written, nil, roots) }); n != 0 {
+			t.Fatalf("level %s: an untouched advance allocates %v", lv.Test.Render(dict), n)
+		}
+		m[lv.Test.Render(dict)] = lv
+	}
+	if _, pages, moved := AdvanceLevels(st, since, m); moved || pages != len(written) || m["b"] != levels[0] || m["c"] != levels[1] {
+		t.Fatalf("AdvanceLevels over %d pages: moved %v, levels replaced %v", pages, moved, m["b"] != levels[0] || m["c"] != levels[1])
 	}
 }

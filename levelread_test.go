@@ -57,14 +57,57 @@ func randLevelPath(r *rng.RNG, root string, tags []string, lit string) (string, 
 
 // levelReadModes are the delivery modes every level read is compared in.
 var levelReadModes = []struct {
-	name  string
-	opts  QueryOptions
-	limit bool
+	name string
+	opts QueryOptions
 }{
-	{"sorted", QueryOptions{Sorted: true}, false},
-	{"unsorted", QueryOptions{}, false},
-	{"sorted limit 3", QueryOptions{Sorted: true, Limit: 3}, true},
-	{"unsorted limit 3", QueryOptions{Limit: 3}, true},
+	{"sorted", QueryOptions{Sorted: true}},
+	{"unsorted", QueryOptions{}},
+	{"sorted limit 3", QueryOptions{Sorted: true, Limit: 3}},
+	{"unsorted limit 3", QueryOptions{Limit: 3}},
+}
+
+// checkMode holds got, delivered under opts, to the reference want (in
+// document order): a sorted answer equals it, a limited one is its first
+// nodes when sorted or as many of its nodes otherwise, an unsorted one is
+// the same set.
+func checkMode(t *testing.T, label string, opts QueryOptions, got, want []string) {
+	t.Helper()
+	switch n := min(opts.Limit, len(want)); {
+	case opts.Limit > 0 && opts.Sorted:
+		if !slices.Equal(got, want[:n]) {
+			t.Fatalf("%s: %v, the reference's first %d %v", label, got, n, want[:n])
+		}
+	case opts.Limit > 0:
+		if len(got) != n || slices.ContainsFunc(got, func(k string) bool { return !slices.Contains(want, k) }) {
+			t.Fatalf("%s: %v is not %d of the reference's nodes", label, got, n)
+		}
+	case opts.Sorted:
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: %d nodes, the reference %d", label, len(got), len(want))
+		}
+	default:
+		got, want = slices.Clone(got), slices.Clone(want)
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: %d nodes, the reference %d", label, len(got), len(want))
+		}
+	}
+}
+
+// appendDelete returns a volume's commit for round: odd rounds append frag
+// under the first parent node, even rounds delete the last victim node.
+func appendDelete(parent, frag, victim string) func(t *testing.T, db *DB, round int) {
+	return func(t *testing.T, db *DB, round int) {
+		update(t, db, func(tx *Tx, nodes func(string) []Node) error {
+			if round%2 == 1 {
+				_, err := tx.InsertXML(nodes(parent)[0], frag)
+				return err
+			}
+			vs := nodes(victim)
+			return tx.Delete(vs[len(vs)-1])
+		})
+	}
 }
 
 // nodeKeys renders nodes as their ids and ord paths, in result order.
@@ -119,23 +162,11 @@ func TestLevelReadDifferential(t *testing.T) {
 		path, reads := randLevelPath(r, "r", propTags, "t0")
 		collPaths, collReads[path] = append(collPaths, path), reads
 	}
-	commit := func(parent, frag, victim string) func(t *testing.T, db *DB, round int) {
-		return func(t *testing.T, db *DB, round int) {
-			update(t, db, func(tx *Tx, nodes func(string) []Node) error {
-				if round%2 == 1 {
-					_, err := tx.InsertXML(nodes(parent)[0], frag)
-					return err
-				}
-				vs := nodes(victim)
-				return tx.Delete(vs[len(vs)-1])
-			})
-		}
-	}
 	vols := []volume{
-		{"xmark", xm, xmPaths, xmReads, commit("/site/regions/europe",
+		{"xmark", xm, xmPaths, xmReads, appendDelete("/site/regions/europe",
 			`<item><mailbox><mail><keyword>soul</keyword></mail></mailbox><description><parlist><listitem><parlist/></listitem></parlist></description></item>`,
 			"/site/regions/europe/item")},
-		{"collection", coll, collPaths, collReads, commit("/r", `<a><b><c>t0</c></b><d><e>t0</e></d></a>`, "/r/a")},
+		{"collection", coll, collPaths, collReads, appendDelete("/r", `<a><b><c>t0</c></b><d><e>t0</e></d></a>`, "/r/a")},
 	}
 	for _, v := range vols {
 		eng := v.db.NewEngine(EngineConfig{})
@@ -180,29 +211,7 @@ func TestLevelReadDifferential(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							got := nodeKeys(res.Nodes)
-							label := fmt.Sprintf("%s round %d: %s [%v, %s, %s]", v.name, round, path, strat, m.name, via)
-							switch {
-							case m.limit && m.opts.Sorted:
-								if n := min(3, len(want)); !slices.Equal(got, want[:n]) {
-									t.Fatalf("%s: %v, nested's first %d %v", label, got, n, want[:n])
-								}
-							case m.limit:
-								if len(got) != min(3, len(want)) || slices.ContainsFunc(got, func(k string) bool { return !slices.Contains(want, k) }) {
-									t.Fatalf("%s: %v is not %d of nested's nodes", label, got, min(3, len(want)))
-								}
-							case m.opts.Sorted:
-								if !slices.Equal(got, want) {
-									t.Fatalf("%s: %d nodes, nested %d", label, len(got), len(want))
-								}
-							default:
-								slices.Sort(got)
-								sorted := slices.Clone(want)
-								slices.Sort(sorted)
-								if !slices.Equal(got, sorted) {
-									t.Fatalf("%s: %d nodes, nested %d", label, len(got), len(want))
-								}
-							}
+							checkMode(t, fmt.Sprintf("%s round %d: %s [%v, %s, %s]", v.name, round, path, strat, m.name, via), m.opts, nodeKeys(res.Nodes), want)
 						}
 					}
 				}
@@ -249,6 +258,148 @@ func TestLevelReadRootsOnly(t *testing.T) {
 		}
 		if got := core.BuildPlan(st, steps, roots, core.StrategySimple, core.PlanOptions{PredEval: core.PredJoin}).LevelRead(); got != c.want {
 			t.Errorf("%s: reads from levels %v, want %v", c.src, got, c.want)
+		}
+	}
+}
+
+// flatPaths are the seven predicate-free paths of the benchmark's flat mix
+// (benchmark/workloads.go): Q6′, Q7's three, Q15 and two child paths.
+var flatPaths = []string{
+	"/site/regions//item", "/site//description", "/site//annotation", "/site//emailaddress",
+	"/site/closed_auctions/closed_auction/annotation/description/parlist/listitem/parlist/listitem/text/emph/keyword",
+	"/site/people/person/name", "/site/open_auctions/open_auction/bidder/increase",
+}
+
+// randFlatPath draws a predicate-free absolute path: the root element, then
+// one to three child or '//' steps over names.
+func randFlatPath(r *rng.RNG, root string, tags []string) string {
+	var b strings.Builder
+	b.WriteString("/" + root)
+	for n := r.IntRange(1, 3); n > 0; n-- {
+		if r.Bool(0.5) {
+			b.WriteString("//")
+		} else {
+			b.WriteString("/")
+		}
+		b.WriteString(tags[r.Intn(len(tags))])
+	}
+	return b.String()
+}
+
+// TestFlatLevelReadDifferential holds Auto reads of predicate-free paths to
+// forced-Simple navigation — the flat mix and random paths on XMark, random
+// paths on a three-document collection — sorted, unsorted and limited,
+// through the facade and the engine, on the fresh volume and after commits
+// that append and delete subtrees. On the resident pool Auto reads every
+// path with a '//' step from levels, which looks them up in the derived
+// cache, and navigates the child-only ones, which look nothing up; forced
+// strategies navigate them all. A stream cancelled after its first nodes
+// has delivered the first nodes in document order and fails as cancelled.
+func TestFlatLevelReadDifferential(t *testing.T) {
+	ctx := context.Background()
+	r := rng.New(36)
+	docs := make([][]byte, 3)
+	for i := range docs {
+		docs[i] = []byte(randDoc(r))
+	}
+	coll, err := LoadXMLCollection(docs, Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xmPaths := slices.Clone(flatPaths)
+	for i := 0; i < 8; i++ {
+		xmPaths = append(xmPaths, randFlatPath(r, "site", xmarkTags))
+	}
+	var collPaths []string
+	for i := 0; i < 12; i++ {
+		collPaths = append(collPaths, randFlatPath(r, "r", propTags))
+	}
+	vols := []struct {
+		name   string
+		db     *DB
+		paths  []string
+		commit func(t *testing.T, db *DB, round int)
+	}{
+		{"xmark", engineFixture(t), xmPaths, appendDelete("/site/regions/europe",
+			`<item><name>flat</name><description><text>flat</text></description><annotation><description/></annotation></item>`,
+			"/site/regions/europe/item")},
+		{"collection", coll, collPaths, appendDelete("/r", `<a><b><c>t0</c></b><d><e>t0</e></d></a>`, "/r/a")},
+	}
+	lookups := func(db *DB) uint64 { m := db.DerivedMetrics(); return m.Hits + m.Misses }
+	for _, v := range vols {
+		eng := v.db.NewEngine(EngineConfig{})
+		ses := eng.NewSession()
+		levelReads, navigated := 0, 0
+		for round := 0; round <= 4; round++ {
+			if round > 0 {
+				v.commit(t, v.db, round)
+			}
+			for _, path := range v.paths {
+				ref, err := v.db.QueryCtx(ctx, path, QueryOptions{Sorted: true, Strategy: Simple})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := nodeKeys(ref.Nodes)
+				levels := strings.Contains(path, "//")
+				for _, m := range levelReadModes {
+					for via, run := range map[string]func(QueryOptions) (ExecResult, error){
+						"facade": func(o QueryOptions) (ExecResult, error) { return v.db.QueryCtx(ctx, path, o) },
+						"engine": func(o QueryOptions) (ExecResult, error) { return ses.Do(ctx, path, o) },
+					} {
+						label := fmt.Sprintf("%s round %d: %s [%s, %s]", v.name, round, path, m.name, via)
+						before := lookups(v.db)
+						res, err := run(m.opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if read := lookups(v.db) != before; read != levels {
+							t.Fatalf("%s: reads from levels %v, want %v (choice %+v)", label, read, levels, res.Choice)
+						}
+						checkMode(t, label, m.opts, nodeKeys(res.Nodes), want)
+						if levels {
+							levelReads++
+						} else {
+							navigated++
+						}
+					}
+				}
+				for _, strat := range joinDiffStrategies {
+					before := lookups(v.db)
+					if _, err := v.db.QueryCtx(ctx, path, QueryOptions{Strategy: strat}); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := ses.Do(ctx, path, QueryOptions{Strategy: strat}); err != nil {
+						t.Fatal(err)
+					}
+					if lookups(v.db) != before {
+						t.Fatalf("%s round %d: %s forced %v reads from levels", v.name, round, path, strat)
+					}
+				}
+				if !levels || len(want) < 3 {
+					continue
+				}
+				cctx, cancel := context.WithCancel(ctx)
+				cur, err := v.db.QueryStream(cctx, path, QueryOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var first []Node
+				for len(first) < 2 && cur.Next() {
+					first = append(first, cur.Node())
+				}
+				cancel()
+				for cur.Next() {
+				}
+				if got := nodeKeys(first); !slices.Equal(got, want[:2]) || KindOf(cur.Err()) != KindCanceled {
+					t.Fatalf("%s round %d: %s cancelled after %v (err %v), want %v and a cancellation", v.name, round, path, got, cur.Err(), want[:2])
+				}
+				cur.Close()
+			}
+		}
+		eng.Close()
+		t.Logf("%s: %d reads from levels, %d navigated", v.name, levelReads, navigated)
+		if levelReads == 0 || navigated == 0 {
+			t.Fatalf("%s: %d reads from levels, %d navigated: the draw tests little", v.name, levelReads, navigated)
 		}
 	}
 }

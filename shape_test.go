@@ -191,7 +191,7 @@ func inDocOrder(rs []core.Result) bool {
 // says dup-free the Simple plan has no Distinct and yields no node twice,
 // where it says ordered the plan has no sort and its output is already in
 // document order (sorting it moves nothing), and every output equals the
-// Distinct + sort oracle once sorted. A join plan that reads its path from
+// Distinct + sort oracle once sorted. A plan that reads its path from
 // levels claims at least as much as PathShape, and is held to its own
 // claims. Two named witnesses keep the rule from being vacuous: what it
 // rejects really does go wrong on XMark.
@@ -207,7 +207,9 @@ func TestPathShapeProperty(t *testing.T) {
 			df, ord := core.PathShape(path)
 			for _, pe := range []core.PredEval{core.PredNested, core.PredJoin} {
 				label := fmt.Sprintf("%s %s [%v]", v.name, src, pe)
-				p := core.BuildPlan(st, path, st.Roots(), core.StrategySimple, core.PlanOptions{PredEval: pe})
+				// Under the join the plan reads from levels wherever either
+				// rule allows, as an Auto read on a resident pool does.
+				p := core.BuildPlan(st, path, st.Roots(), core.StrategySimple, core.PlanOptions{PredEval: pe, LevelRead: pe == core.PredJoin})
 				got := p.Run()
 				_, distinct := p.Root().(*core.Distinct)
 				// A plan that reads its path from levels may claim more than
@@ -243,7 +245,7 @@ func TestPathShapeProperty(t *testing.T) {
 				ordered++
 			}
 		}
-		t.Logf("%s: %d dup-free, %d ordered, %d non-empty of 150 paths, %d join plans read levels", v.name, dupFree, ordered, nonEmpty, levelRead)
+		t.Logf("%s: %d dup-free, %d ordered, %d non-empty of 150 paths, %d plans read levels", v.name, dupFree, ordered, nonEmpty, levelRead)
 		if dupFree == 150 || ordered == 0 || nonEmpty < 30 || levelRead < 10 {
 			t.Fatalf("%s: the draw exercises too little (%d dup-free, %d ordered, %d non-empty, %d level reads)", v.name, dupFree, ordered, nonEmpty, levelRead)
 		}

@@ -452,7 +452,7 @@ func (db *DB) openDirect(ctx context.Context, cancel context.CancelFunc, path st
 	}
 	for i, b := range branches {
 		strat, choice := db.resolve(b, opts.Strategy)
-		c.dir.branches[i] = directBranch{path: b, strat: strat}
+		c.dir.branches[i] = directBranch{path: b, strat: strat, levels: choice != nil && choice.LevelRead}
 		if i == 0 {
 			c.dir.choice = choice
 		}
@@ -479,16 +479,20 @@ type directProducer struct {
 	choice                    *plan.Choice
 }
 
-// directBranch is one union branch with its resolved strategy.
+// directBranch is one union branch with its resolved strategy, and whether
+// the chooser reads it from levels (plan.Choice.LevelRead).
 type directBranch struct {
-	path  []xpath.Step
-	strat core.Strategy
+	path   []xpath.Step
+	strat  core.Strategy
+	levels bool
 }
 
 // plan compiles branch bi.
 func (p *directProducer) plan(bi int) *core.Plan {
 	b := p.branches[bi]
-	return core.BuildPlan(p.db.store, b.path, p.contexts, b.strat, p.popts)
+	opts := p.popts
+	opts.LevelRead = b.levels
+	return core.BuildPlan(p.db.store, b.path, p.contexts, b.strat, opts)
 }
 
 // next advances the current branch's plan by one match, opening it first
