@@ -73,7 +73,6 @@ func degradedJSON(fs []shard.ShardFailure) []DegradedJSON {
 type ShardStatJSON struct {
 	Shard      int    `json:"shard"`
 	Count      int    `json:"count"`
-	Cached     bool   `json:"cached,omitempty"`
 	Strategy   string `json:"strategy,omitempty"`
 	Shared     bool   `json:"shared,omitempty"`
 	CostVNs    int64  `json:"cost_v_ns"`
@@ -145,21 +144,15 @@ func (rt *Router) admit(w http.ResponseWriter, r *http.Request) bool {
 
 func (rt *Router) release(r *http.Request) { rt.quotas.Release(tenantOf(r)) }
 
-// query answers a count-only request from the scatter-gather count (and
-// the shards' count caches). A request for nodes drains the cluster's
-// merge keeping only the min(limit, MaxNodes) nodes it echoes, so the
-// coordinator never holds every shard's result.
+// query drains the cluster's merge keeping only the min(limit, MaxNodes)
+// nodes it echoes, so the coordinator never holds every shard's result; a
+// count-only request (limit 0) keeps none.
 func (rt *Router) query(ctx context.Context, req QueryRequest, opts pathdb.QueryOptions) (any, bool, error) {
-	var m *shard.Merged
-	var err error
-	if req.Limit == 0 {
-		m, err = rt.cluster.Query(ctx, req.Path, opts, false)
-	} else {
-		var sc *shard.StreamCursor
-		if sc, err = rt.cluster.Stream(ctx, req.Path, opts); err == nil {
-			m, err = sc.Drain(min(req.Limit, rt.opts.MaxNodes))
-		}
+	sc, err := rt.cluster.Stream(ctx, req.Path, opts)
+	if err != nil {
+		return nil, false, err
 	}
+	m, err := sc.Drain(min(req.Limit, rt.opts.MaxNodes))
 	if err != nil {
 		return nil, false, err
 	}
@@ -175,17 +168,13 @@ func (rt *Router) query(ctx context.Context, req QueryRequest, opts pathdb.Query
 		sj := ShardStatJSON{
 			Shard:      ps.Shard,
 			Count:      ps.Count,
-			Cached:     ps.Cached,
 			CostVNs:    int64(ps.CostV),
 			WallExecNs: ps.WallExec,
 			Failed:     ps.Failed,
 		}
-		switch {
-		case ps.Failed:
+		if ps.Failed {
 			sj.Kind = ps.Kind.String()
-		case ps.Cached:
-			// No strategy ran: the count came from the epoch-keyed cache.
-		default:
+		} else {
 			sj.Strategy = ps.Strategy.String()
 			out.CostVNs += int64(ps.CostV)
 			out.WallExecNs = max(out.WallExecNs, ps.WallExec)
@@ -337,9 +326,6 @@ func (rt *Router) metrics(b *strings.Builder) {
 	labeledCounter(b, "pathdb_shard_degraded_hits_total",
 		"Queries a shard failed with a tolerable storage fault (absorbed by the quorum policy).",
 		samples(func(sm shard.ShardMetrics) float64 { return float64(sm.DegradedHits) }))
-	labeledCounter(b, "pathdb_shard_count_cache_hits_total",
-		"Per-shard counts served from the epoch-keyed cache without executing a plan.",
-		samples(func(sm shard.ShardMetrics) float64 { return float64(sm.CacheHits) }))
 	for _, d := range derivedSeries {
 		labeledCounter(b, d.name, d.help+" (per shard)", samples(func(sm shard.ShardMetrics) float64 { return float64(d.v(sm.Derived)) }))
 	}

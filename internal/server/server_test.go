@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -525,8 +526,8 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestShutdownDeadline: a drain that cannot finish within its context falls
-// back to a hard close and reports the context error.
+// TestShutdownDeadline: a drain whose context has already expired still
+// shuts the engine down, and reports at most the context's error.
 func TestShutdownDeadline(t *testing.T) {
 	db := newTestDB(t, 0.1)
 	eng := db.NewEngine(pathdb.EngineConfig{})
@@ -534,11 +535,11 @@ func TestShutdownDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already expired
-	// No in-flight requests, so the handler drain succeeds instantly and
-	// only the engine drain observes the dead context... which also has
-	// nothing queued, so it exits cleanly before checking. Hold a query in
-	// flight to force the fallback path deterministically instead.
-	if err := srv.Shutdown(ctx); err != nil && err != context.Canceled {
+	// Nothing is in flight or queued, so both the handler drain and the
+	// engine drain may see either their work done or the dead context:
+	// Shutdown returns nil, or context.Canceled — from the engine drain,
+	// wrapped by the engine's Shutdown.
+	if err := srv.Shutdown(ctx); err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 	if !srv.Draining() {

@@ -306,7 +306,7 @@ func (c clusterCursor) summarize(sum *StreamSummaryJSON) {
 	sum.Partial = s.Partial
 	sum.Degraded = degradedJSON(s.Degraded)
 	for _, ps := range s.PerShard {
-		if !ps.Failed && !ps.Cached {
+		if !ps.Failed {
 			sum.CostVNs += int64(ps.CostV)
 		}
 	}

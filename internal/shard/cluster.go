@@ -116,62 +116,11 @@ type ShardStat struct {
 	Count    int             // local matches (spine matches included)
 	Strategy pathdb.Strategy // strategy the shard's own chooser picked
 	Shared   bool
-	Cached   bool // count served from the epoch-keyed cache, no execution
 	CostV    stats.Ticks
 	VirtLat  stats.Ticks // submit-to-done on the shard's virtual clock
 	WallExec int64       // nanoseconds
 	Failed   bool
 	Kind     pathdb.ErrorKind // set when Failed
-}
-
-// countCache memoizes one volume's count per path, keyed by the volume's
-// publish epoch. One rule: an entry is served while the volume's epoch is
-// the one it was stored at, so any commit on the volume retires every entry
-// (and only that volume's: the other shards keep theirs), and a cached
-// count is always exactly what a fresh query would return.
-type countCache struct {
-	mu   sync.RWMutex
-	m    map[string]countEntry
-	hits atomic.Int64
-}
-
-type countEntry struct {
-	epoch uint64
-	count int
-}
-
-// countCacheLimit bounds distinct paths held per volume; the whole map is
-// dropped past it (the workload re-warms in one round).
-const countCacheLimit = 4096
-
-func (cc *countCache) get(path string, epoch uint64) (int, bool) {
-	cc.mu.RLock()
-	e, ok := cc.m[path]
-	cc.mu.RUnlock()
-	if !ok || e.epoch != epoch {
-		return 0, false
-	}
-	cc.hits.Add(1)
-	return e.count, true
-}
-
-// put stores a count computed while the volume sat at epoch. If a commit
-// raced the query, the volume's epoch has already moved on and the stale
-// entry simply never matches again.
-func (cc *countCache) put(path string, epoch uint64, count int) {
-	cc.mu.Lock()
-	if cc.m == nil || len(cc.m) >= countCacheLimit {
-		cc.m = make(map[string]countEntry)
-	}
-	cc.m[path] = countEntry{epoch: epoch, count: count}
-	cc.mu.Unlock()
-}
-
-// drop forgets every entry.
-func (cc *countCache) drop() {
-	cc.mu.Lock()
-	cc.m = nil
-	cc.mu.Unlock()
 }
 
 // ShardNode is one merged result node tagged with its source shard.
@@ -203,10 +152,6 @@ type Cluster struct {
 	spineEng *pathdb.Engine
 	spineSes *pathdb.Session
 
-	// Per-shard count caches plus one for the spine volume.
-	caches     []countCache
-	spineCache countCache
-
 	writeSeq     atomic.Uint64
 	partials     atomic.Int64
 	degradedHits []atomic.Int64
@@ -228,7 +173,6 @@ func New(set *pathdb.ShardSet, ring *Ring, cfg Config) (*Cluster, error) {
 		ring:         ring,
 		set:          set,
 		degradedHits: make([]atomic.Int64, cfg.Shards),
-		caches:       make([]countCache, cfg.Shards),
 	}
 	for _, db := range set.Shards {
 		// Best effort: a volume that has already committed keeps the
@@ -301,11 +245,9 @@ func (c *Cluster) CheckFragment(frag string) error {
 }
 
 // SetFaults installs a fault schedule on one shard's volume — the seeded
-// fault plane driving the degraded-shard story end to end. It drops the
-// shard's cached counts: a count served from memory would hide the fault.
+// fault plane driving the degraded-shard story end to end.
 func (c *Cluster) SetFaults(s int, f pathdb.FaultConfig) {
 	c.set.Shards[s].SetFaults(f)
-	c.caches[s].drop()
 }
 
 // MarkDegraded marks shard s degraded on the ring (writes route around
@@ -326,201 +268,19 @@ func tolerable(err error) bool {
 	return false
 }
 
-// Query fans path across every shard (and the spine volume), gathers with
-// the configured failure policy, and merges the counts. With wantNodes it
-// drains Stream instead, so the nodes come back in global document order.
-// The caller's ctx deadline and cancellation propagate to every shard
-// query; under PolicyAll the first shard failure cancels the rest of the
-// scatter.
+// Query runs path through the cluster's one merge, Stream, and drains it:
+// the merged nodes in global document order with wantNodes, the count
+// alone without. A count is the merge's yield, so it follows the stream's
+// failure policy, spine dedup and Limit cap exactly.
 func (c *Cluster) Query(ctx context.Context, path string, opts pathdb.QueryOptions, wantNodes bool) (*Merged, error) {
+	sc, err := c.Stream(ctx, path, opts)
+	if err != nil {
+		return nil, err
+	}
 	if wantNodes {
-		sc, err := c.Stream(ctx, path, opts)
-		if err != nil {
-			return nil, err
-		}
 		return sc.Drain(-1)
 	}
-	n := len(c.engines)
-
-	// Count-only scatters consult the epoch-keyed caches first: a shard
-	// whose count for this path is still valid at its current publish
-	// epoch is not queried at all. A limited count is not the path's
-	// count, so it neither reads nor fills the caches.
-	useCache := opts.Limit <= 0
-	hit := make([]bool, n)
-	cachedCount := make([]int, n)
-	epochs := make([]uint64, n)
-	spineHit := false
-	spineCachedCount := 0
-	var spineEpoch uint64
-	if useCache {
-		for i := 0; i < n; i++ {
-			epochs[i] = c.set.Shards[i].TxnMetrics().Epoch
-			cachedCount[i], hit[i] = c.caches[i].get(path, epochs[i])
-		}
-		if c.spineSes != nil {
-			spineEpoch = c.set.Spine.TxnMetrics().Epoch
-			spineCachedCount, spineHit = c.spineCache.get(path, spineEpoch)
-		}
-	}
-
-	scatterCtx := ctx
-	var cancel context.CancelFunc
-	if c.cfg.Policy == PolicyAll {
-		scatterCtx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
-
-	type shardOut struct {
-		res pathdb.ExecResult
-		err error
-	}
-	outs := make([]shardOut, n)
-	var spineRes pathdb.ExecResult
-	var spineErr error
-
-	var wg sync.WaitGroup
-	if c.spineSes != nil && !spineHit {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			spineRes, spineErr = c.spineSes.Do(scatterCtx, path, opts)
-		}()
-	}
-	for i := 0; i < n; i++ {
-		if hit[i] {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := c.sessions[i].TryDo(scatterCtx, path, opts)
-			outs[i] = shardOut{res, err}
-			if err != nil && cancel != nil {
-				cancel()
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	if useCache {
-		for i := 0; i < n; i++ {
-			if !hit[i] && outs[i].err == nil {
-				c.caches[i].put(path, epochs[i], outs[i].res.Count())
-			}
-		}
-		if c.spineSes != nil && !spineHit && spineErr == nil {
-			c.spineCache.put(path, spineEpoch, spineRes.Count())
-		}
-	}
-
-	// Classify the gather: tolerable storage faults become degradation
-	// candidates, anything else is fatal. Cancellation errors induced by
-	// our own PolicyAll cancel must not mask the failure that caused them.
-	var failures []ShardFailure
-	var answered []int
-	var fatal error
-	for i := 0; i < n; i++ {
-		if hit[i] {
-			answered = append(answered, i)
-			continue
-		}
-		err := outs[i].err
-		if err == nil {
-			answered = append(answered, i)
-			continue
-		}
-		if tolerable(err) {
-			failures = append(failures, ShardFailure{Shard: i, Kind: pathdb.KindOf(err), Err: err})
-			c.degradedHits[i].Add(1)
-			continue
-		}
-		if fatal == nil || (pathdb.KindOf(fatal) == pathdb.KindCanceled && pathdb.KindOf(err) != pathdb.KindCanceled) {
-			fatal = err
-		}
-	}
-	if fatal != nil && pathdb.KindOf(fatal) != pathdb.KindCanceled {
-		return nil, fatal
-	}
-	// Under PolicyAll the first shard failure cancelled the scatter; the
-	// cancellations it induced must not mask it.
-	if len(failures) > 0 && c.cfg.Policy == PolicyAll {
-		return nil, failures[0].Err
-	}
-	if fatal != nil {
-		return nil, fatal
-	}
-	if len(answered) < c.cfg.Quorum {
-		return nil, &QuorumError{Healthy: len(answered), Needed: c.cfg.Quorum, Failures: failures}
-	}
-
-	// Spine arithmetic. The spine query runs on a fault-free volume; an
-	// error here is a deadline or cancellation shared with the scatter.
-	spineCount := 0
-	if c.spineSes != nil {
-		if spineHit {
-			spineCount = spineCachedCount
-		} else {
-			if spineErr != nil {
-				return nil, spineErr
-			}
-			spineCount = spineRes.Count()
-		}
-	}
-
-	m := &Merged{StreamSummary: StreamSummary{
-		SpineMatches: spineCount,
-		Degraded:     failures,
-		Partial:      len(failures) > 0,
-		PerShard:     make([]ShardStat, 0, n),
-	}}
-	if m.Partial {
-		c.partials.Add(1)
-	}
-	localCount := func(i int) int {
-		if hit[i] {
-			return cachedCount[i]
-		}
-		return outs[i].res.Count()
-	}
-	for i := 0; i < n; i++ {
-		if hit[i] {
-			m.PerShard = append(m.PerShard, ShardStat{
-				Shard:  i,
-				Count:  cachedCount[i],
-				Cached: true,
-			})
-			continue
-		}
-		if outs[i].err != nil {
-			m.PerShard = append(m.PerShard, ShardStat{
-				Shard:  i,
-				Failed: true,
-				Kind:   pathdb.KindOf(outs[i].err),
-			})
-			continue
-		}
-		r := &outs[i].res
-		m.PerShard = append(m.PerShard, ShardStat{
-			Shard:    i,
-			Count:    r.Count(),
-			Strategy: r.Strategy,
-			Shared:   r.Shared,
-			CostV:    r.CostV,
-			VirtLat:  r.VirtualLatency,
-			WallExec: r.WallExec.Nanoseconds(),
-		})
-	}
-
-	// Merge counts: every answering shard reports the same spine matches
-	// (replicated, identical order keys), so count them exactly once.
-	for idx, i := range answered {
-		m.Count += localCount(i)
-		if idx > 0 {
-			m.Count -= spineCount
-		}
-	}
-	return m, nil
+	return sc.Drain(0)
 }
 
 // InsertResult reports a routed insert.
@@ -671,7 +431,10 @@ type ShardMetrics struct {
 	Ledger       stats.Ledger
 	Derived      storage.DerivedMetrics
 	DegradedHits int64 // queries this shard failed with a tolerable storage fault
-	CacheHits    int64 // counts served from the epoch-keyed cache without execution
+	// CacheHits always reads 0: a count runs through the merge, with no
+	// cache in front of it. The benchmark's shard.count_cache_hit_frac
+	// still reads it; both go with Benchmark v2.
+	CacheHits int64
 }
 
 // Metrics snapshots every shard.
@@ -686,7 +449,6 @@ func (c *Cluster) Metrics() []ShardMetrics {
 			Ledger:       eng.CostLedger(),
 			Derived:      c.set.Shards[i].DerivedMetrics(),
 			DegradedHits: c.degradedHits[i].Load(),
-			CacheHits:    c.caches[i].hits.Load(),
 		}
 	}
 	return out

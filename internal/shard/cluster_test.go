@@ -102,8 +102,7 @@ func bufferedMerge(t *testing.T, cl *Cluster, path string, opts pathdb.QueryOpti
 }
 
 // Scatter-gather counts must equal a single volume holding the same
-// corpus, for every path, both on the executing pass and on the cached
-// pass that follows it.
+// corpus, for every path.
 func TestClusterCountEquivalence(t *testing.T) {
 	cl := newTestCluster(t, Config{})
 	db := singleVolume(t)
@@ -112,20 +111,8 @@ func TestClusterCountEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("single volume %q: %v", path, err)
 		}
-		want := res.Count()
-		if got := mustQuery(t, cl, path, false).Count; got != want {
+		if got, want := mustQuery(t, cl, path, false).Count, res.Count(); got != want {
 			t.Errorf("%q: merged count %d, single volume %d", path, got, want)
-		}
-		// Second pass: all shards unchanged, so counts may come from the
-		// epoch-keyed cache — and must be identical.
-		m := mustQuery(t, cl, path, false)
-		if m.Count != want {
-			t.Errorf("%q: cached merged count %d, single volume %d", path, m.Count, want)
-		}
-		for _, ps := range m.PerShard {
-			if !ps.Cached {
-				t.Errorf("%q: shard %d executed on the second pass (cache miss with no commits)", path, ps.Shard)
-			}
 		}
 	}
 }
@@ -211,89 +198,75 @@ func TestClusterInsertRouting(t *testing.T) {
 	}
 }
 
-// The count cache keeps one rule: a shard's count is served while that
-// shard's publish epoch is unchanged. An insert re-executes its owner shard
-// only, with the new count, and SetFaults re-executes the shard it touches:
-// a count served from memory would hide the fault.
-func TestClusterCountCacheOneRule(t *testing.T) {
+// An insert adds one match to its owner shard's count and to the merged
+// count, and leaves every other shard's count as it was.
+func TestClusterCountAfterInsert(t *testing.T) {
 	cl := newTestCluster(t, Config{})
-	ctx := context.Background()
 	const path = "/site//item"
 
-	mustQuery(t, cl, path, false)
 	before := mustQuery(t, cl, path, false)
-	old := make([]int, cl.Shards())
-	for _, ps := range before.PerShard {
-		if !ps.Cached {
-			t.Fatalf("shard %d executed on the second pass (cache miss with no commits)", ps.Shard)
-		}
-		old[ps.Shard] = ps.Count
-	}
-
-	res, err := cl.Insert(ctx, "/site", "<item><name>cache-test</name></item>")
+	res, err := cl.Insert(context.Background(), "/site", "<item><name>count-test</name></item>")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mustQuery(t, cl, path, false)
-	if m.Count != before.Count+1 {
-		t.Fatalf("after insert: count %d, want %d", m.Count, before.Count+1)
+	after := mustQuery(t, cl, path, false)
+	if after.Count != before.Count+1 {
+		t.Fatalf("after insert: count %d, want %d", after.Count, before.Count+1)
 	}
-	for _, ps := range m.PerShard {
+	for i, ps := range after.PerShard {
+		want := before.PerShard[i].Count
 		if ps.Shard == res.Shard {
-			if ps.Cached || ps.Count != old[ps.Shard]+1 {
-				t.Errorf("owner shard %d: cached %v count %d, want a re-execution counting %d",
-					ps.Shard, ps.Cached, ps.Count, old[ps.Shard]+1)
-			}
-			continue
+			want++
 		}
-		if !ps.Cached || ps.Count != old[ps.Shard] {
-			t.Errorf("shard %d: cached %v count %d, want its cached count %d",
-				ps.Shard, ps.Cached, ps.Count, old[ps.Shard])
-		}
-	}
-
-	faulted := (res.Shard + 1) % cl.Shards()
-	cl.SetFaults(faulted, pathdb.FaultConfig{})
-	for _, ps := range mustQuery(t, cl, path, false).PerShard {
-		if cached := ps.Shard != faulted; ps.Cached != cached {
-			t.Errorf("after SetFaults(%d): shard %d cached %v, want %v", faulted, ps.Shard, ps.Cached, cached)
+		if ps.Count != want {
+			t.Errorf("shard %d (owner %d): count %d, want %d", ps.Shard, res.Shard, ps.Count, want)
 		}
 	}
 }
 
-// A count cut off by a limit is not the path's count: it must neither be
-// stored under the path nor be answered from the cache.
-func TestClusterLimitedCountBypassesCache(t *testing.T) {
+// A limited count is the merge's global cap, not a sum of per-shard caps.
+func TestClusterLimitedCountIsGlobalCap(t *testing.T) {
 	cl := newTestCluster(t, Config{})
-	ctx := context.Background()
-	const path = "/site//item"
-	res, err := singleVolume(t).QueryCtx(ctx, path, pathdb.QueryOptions{})
+	m, err := cl.Query(context.Background(), "/site//item", pathdb.QueryOptions{Limit: 2}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := res.Count()
+	if m.Count != 2 {
+		t.Fatalf("limited count %d, want the cap 2", m.Count)
+	}
+	if len(m.Nodes) != 0 {
+		t.Fatalf("count-only query returned %d nodes", len(m.Nodes))
+	}
+}
 
-	limited, err := cl.Query(ctx, path, pathdb.QueryOptions{Limit: 2}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if limited.Count >= want {
-		t.Fatalf("limited count %d, want fewer than %d", limited.Count, want)
-	}
-	if got := mustQuery(t, cl, path, false).Count; got != want {
-		t.Fatalf("count after a limited count: %d, want %d", got, want)
-	}
-	again, err := cl.Query(ctx, path, pathdb.QueryOptions{Limit: 2}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Count != limited.Count {
-		t.Fatalf("limited count %d after a full count, want %d", again.Count, limited.Count)
-	}
-	for _, ps := range again.PerShard {
-		if ps.Cached {
-			t.Errorf("shard %d answered a limited count from the cache", ps.Shard)
+// A count taken after SetFaults kills one shard's reads sees the fault:
+// under the quorum policy it is a partial result naming that shard, and its
+// count is exact for the healthy shards.
+func TestClusterCountSeesFaults(t *testing.T) {
+	const bad = 1
+	cl := faultedCluster(t, Config{}, bad, 0) // faults installed below
+	const path = "/site//description"
+
+	// The healthy shards' merge: their counts, each spine match once.
+	base := mustQuery(t, cl, path, false)
+	healthy := cl.Shards() - 1
+	want := -(healthy - 1) * base.SpineMatches
+	for _, ps := range base.PerShard {
+		if ps.Shard != bad {
+			want += ps.Count
 		}
+	}
+
+	cl.SetFaults(bad, pathdb.FaultConfig{Seed: 7, ReadError: 1})
+	m := mustQuery(t, cl, path, false)
+	if !m.Partial || len(m.Degraded) != 1 || m.Degraded[0].Shard != bad {
+		t.Fatalf("count after SetFaults(%d): partial %v, degraded %+v", bad, m.Partial, m.Degraded)
+	}
+	if !m.PerShard[bad].Failed {
+		t.Fatalf("shard %d reported as answering: %+v", bad, m.PerShard[bad])
+	}
+	if m.Count != want {
+		t.Fatalf("partial count %d, want %d (the healthy shards' merge)", m.Count, want)
 	}
 }
 
@@ -336,8 +309,7 @@ func TestClusterDeleteFanout(t *testing.T) {
 
 // faultedCluster builds a 4-shard cluster with a tiny buffer pool (so
 // queries keep reading the device) and a heavy read-fault schedule on one
-// shard. SetFaults drops that shard's cached counts, so the degraded shard
-// cannot answer from memory.
+// shard.
 func faultedCluster(t *testing.T, cfg Config, shard int, readError float64) *Cluster {
 	t.Helper()
 	cfg.Shards = 4
@@ -452,5 +424,36 @@ func TestClusterPolicyAllFailsFast(t *testing.T) {
 	}
 	if cl.Partials() != 0 {
 		t.Fatalf("PolicyAll recorded %d partial results", cl.Partials())
+	}
+}
+
+// BenchmarkClusterCount times a count-only Query — the merge drained with
+// no node kept — on two resident shards of served_sharded's volume (XMark
+// entity scale 0.1), for Q6′, a Q7 path and Q15: ns and allocs per count,
+// spine probe and per-shard streams included.
+func BenchmarkClusterCount(b *testing.B) {
+	cl, err := NewXMark(pathdb.XMarkConfig{ScaleFactor: 1, Seed: 42, EntityScale: 0.1}, pathdb.Options{}, Config{Shards: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	for _, q := range []struct{ name, path string }{
+		{"Q6", "/site/regions//item"},
+		{"Q7description", "/site//description"},
+		{"Q15", "/site/closed_auctions/closed_auction/annotation/description/parlist/listitem/parlist/listitem/text/emph/keyword"},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			if _, err := cl.Query(ctx, q.path, pathdb.QueryOptions{}, false); err != nil { // warms the pool and levels
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := cl.Query(ctx, q.path, pathdb.QueryOptions{}, false); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

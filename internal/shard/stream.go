@@ -12,9 +12,8 @@ import (
 // summary of a streamed merge, and the body of every Merged result.
 type StreamSummary struct {
 	// Count is the cluster-wide match count, spine replicas counted once:
-	// how many merged nodes a stream yielded (for a Limit-capped stream,
-	// the cap), or sum(local counts) - (answered-1) * SpineMatches for a
-	// count-only scatter.
+	// how many merged nodes the merge yielded (for a Limit-capped merge,
+	// the cap).
 	Count int
 	// SpineMatches is how many matches fall on the replicated spine —
 	// the spine probe's result (0 for single-shard clusters).
@@ -38,8 +37,8 @@ type StreamSummary struct {
 // coincide on a local order key across shards are NOT spine replicas and
 // all surface, in shard order — which is why the probe against the spine
 // volume is required rather than deduplicating on order-key equality
-// alone. It is the cluster's one node merge: Query's node mode and the
-// router's JSON node responses drain it.
+// alone. It is the cluster's one merge: Query and the router's JSON
+// responses drain it, for counts and nodes alike.
 //
 // Close is mandatory and idempotent; it closes every shard cursor, which
 // cancels their queries and withdraws in-flight prefetches.
@@ -153,12 +152,11 @@ func (h *mergeHeap) pop() mergeEntry {
 
 // Stream fans path across every shard as sorted per-shard streams and
 // returns a cursor merging them in global document order. Admission is
-// non-blocking per shard (an overloaded shard fails the open, like the
-// count-only scatter's TryDo); the failure policy applies both at open and
-// mid-merge — under PolicyQuorum a shard lost to a storage fault mid-way
-// is dropped from the heap (its already-merged prefix stands, and the
-// trailing summary reports it degraded), under PolicyAll any failure
-// aborts the stream.
+// non-blocking per shard (TryStream: an overloaded shard fails the open);
+// the failure policy applies both at open and mid-merge — under
+// PolicyQuorum a shard lost to a storage fault mid-way is dropped from the
+// heap (its already-merged prefix stands, and the trailing summary reports
+// it degraded), under PolicyAll any failure aborts the stream.
 //
 // opts.Sorted is implied (the merge requires per-shard document order);
 // opts.Limit caps the merged sequence, and is also pushed down to each
