@@ -386,27 +386,21 @@ func (sc *StreamCursor) buildSummary() {
 		Degraded:     sc.failures,
 		Partial:      len(sc.failures) > 0,
 	}
-	byShard := make(map[int]ShardStat, len(sc.c.sessions))
+	sum.PerShard = make([]ShardStat, len(sc.c.sessions))
+	for i := range sum.PerShard {
+		sum.PerShard[i].Shard = i
+	}
+	// A shard closed or capped before it drained reports what it
+	// contributed to the merge; a drained one its execution stats; a
+	// failed one its failure.
+	for _, s := range sc.streams {
+		sum.PerShard[s.shard].Count = s.count
+	}
 	for _, st := range sc.stats {
-		byShard[st.Shard] = st
+		sum.PerShard[st.Shard] = st
 	}
 	for _, f := range sc.failures {
-		byShard[f.Shard] = ShardStat{Shard: f.Shard, Failed: true, Kind: f.Kind}
-	}
-	for i := range sc.c.sessions {
-		st, ok := byShard[i]
-		if !ok {
-			// Closed or capped before this shard drained; report what it
-			// contributed to the merge.
-			for _, s := range sc.streams {
-				if s.shard == i {
-					st = ShardStat{Shard: i, Count: s.count}
-					break
-				}
-			}
-			st.Shard = i
-		}
-		sum.PerShard = append(sum.PerShard, st)
+		sum.PerShard[f.Shard] = ShardStat{Shard: f.Shard, Failed: true, Kind: f.Kind}
 	}
 	if sum.Partial {
 		sc.c.partials.Add(1)
