@@ -39,7 +39,9 @@ race:
 # root package's BenchmarkColdQuery (flat_cold's reads, see profile-cold) —
 # and the root package's BenchmarkStreamDrain (ns/result and allocs per
 # query of draining an engine cursor on a resident volume, sorted and
-# unsorted).
+# unsorted) — and internal/shard's BenchmarkClusterCount (ns and allocs of
+# a count-only Cluster.Query, the merge drained with no node kept, on two
+# resident shards).
 bench:
 	$(GO) test -bench . -benchmem -count=3 ./...
 
