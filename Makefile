@@ -1,7 +1,7 @@
 # CI entry points. `make` runs the full set.
 GO ?= go
 
-.PHONY: all build test race vet fmt api-check bench bench-e2e bench-json profile profile-cold test-faults test-txn test-shard fuzz-short loc clean
+.PHONY: all build test race vet fmt api-check bench bench-e2e profile profile-cold test-faults test-txn test-shard fuzz-short loc clean
 
 all: build fmt vet api-check test race
 
@@ -33,15 +33,16 @@ race:
 # on a resident pool, and navigated by forced Simple), BenchmarkLevelBuild, BenchmarkLevelAdvance (a
 # level carried across one commit) and BenchmarkLiteralSelect, and
 # internal/storage's BenchmarkStringValue — the cold path: internal/storage's
-# BenchmarkDecodePage (validating one 8 KB cluster and counting its
-# synopsis) and BenchmarkColdSweep (ns, B and allocs per page of touching
+# BenchmarkDecodePage (validating one 8 KB cluster) and BenchmarkColdSweep (ns, B and allocs per page of touching
 # every page of the flat_cold volume through its 90-page pool), and the
 # root package's BenchmarkColdQuery (flat_cold's reads, see profile-cold) —
 # and the root package's BenchmarkStreamDrain (ns/result and allocs per
 # query of draining an engine cursor on a resident volume, sorted and
 # unsorted) — and internal/shard's BenchmarkClusterCount (ns and allocs of
 # a count-only Cluster.Query, the merge drained with no node kept, on two
-# resident shards).
+# resident shards) — and internal/plan's BenchmarkNewChooser (ns and allocs
+# of building the cost model's chooser over flat_cold's volume shape, the
+# statistics part of engine start).
 bench:
 	$(GO) test -bench . -benchmem -count=3 ./...
 
@@ -128,15 +129,10 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeGroupRecord -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTxnState -fuzztime $(FUZZTIME) ./internal/storage/
 
-# Machine-readable benchmark snapshot (BENCH_*.json) for tracking the
-# performance trajectory across commits. Slow: full evaluation.
-bench-json:
-	$(GO) run ./cmd/xbench -json bench-out
-
 # Code size: non-test Go lines outside benchmark/, the figure CHANGES.md
 # entries quote.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' -not -path './.git/*' -exec cat {} + | wc -l
 
 clean:
-	rm -rf bench-out profiles
+	rm -rf profiles

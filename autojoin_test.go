@@ -122,7 +122,7 @@ func TestAutoJoinsAcrossCommits(t *testing.T) {
 
 // TestForcedStrategyBuildsNoChooser: a request that forces its strategy
 // leaves nothing to the cost model, predicates or not, so the volume never
-// pays the chooser's statistics walk.
+// builds a chooser.
 func TestForcedStrategyBuildsNoChooser(t *testing.T) {
 	db := engineFixture(t)
 	path := autoForms[0]

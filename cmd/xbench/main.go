@@ -10,12 +10,10 @@
 //	                           # fallback, multiquery, policy, firststep)
 //	xbench -scale 0.02 -quick  # smaller populations / fewer scale factors
 //	xbench -strategy xscan     # restrict figures/tables to one strategy
-//	xbench -json out/          # also write machine-readable BENCH_*.json
 //
 // Times are virtual seconds from the calibrated disk/CPU model, which is
 // deterministic and machine independent; compare shapes against the
-// paper's figures, not absolute values. The -json files track the
-// performance trajectory across commits.
+// paper's figures, not absolute values.
 package main
 
 import (
@@ -35,7 +33,6 @@ func main() {
 	seed := flag.Uint64("seed", 42, "workload seed")
 	quick := flag.Bool("quick", false, "use fewer scale factors (0.25, 0.5, 1)")
 	strategy := flag.String("strategy", "", "restrict figures/tables to one strategy (simple, xschedule, xscan)")
-	jsonDir := flag.String("json", "", "directory for machine-readable BENCH_*.json output")
 	flag.Parse()
 
 	var stratName string
@@ -49,12 +46,6 @@ func main() {
 		}
 		stratName = strat.String()
 	}
-	if *jsonDir != "" {
-		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-			fail("%v", err)
-		}
-	}
-
 	cfg := bench.Config{EntityScale: *scale, Seed: *seed}
 	w := bench.NewWorkload(cfg)
 	sfs := bench.PaperScaleFactors
@@ -66,12 +57,10 @@ func main() {
 	emitFigure := func(f int) {
 		ms := filterStrategy(w.Figure(figures[f], sfs), stratName)
 		bench.RenderFigure(os.Stdout, figName(f, figures[f]), ms)
-		writeJSON(*jsonDir, fmt.Sprintf("fig%d", f), figName(f, figures[f]), ms)
 	}
 	emitTable3 := func() {
 		ms := filterStrategy(w.Table3(1), stratName)
 		bench.RenderTable3(os.Stdout, ms)
-		writeJSON(*jsonDir, "table3", "Table 3 — CPU usage", ms)
 	}
 
 	ran := false
@@ -90,7 +79,7 @@ func main() {
 		ran = true
 	}
 	if *ablation != "" {
-		runAblation(w, cfg, *ablation, *jsonDir)
+		runAblation(w, cfg, *ablation)
 		ran = true
 	}
 	if ran {
@@ -105,7 +94,7 @@ func main() {
 	emitTable3()
 	fmt.Println()
 	for _, a := range []string{"k", "layout", "speculative", "fallback", "multiquery", "policy", "firststep", "updates", "buffer"} {
-		runAblation(w, cfg, a, *jsonDir)
+		runAblation(w, cfg, a)
 		fmt.Println()
 	}
 }
@@ -126,20 +115,11 @@ func filterStrategy(ms []bench.Measurement, name string) []bench.Measurement {
 	return out
 }
 
-func writeJSON(dir, name, title string, ms []bench.Measurement) {
-	if dir == "" {
-		return
-	}
-	if err := bench.WriteMeasurementsJSON(dir, name, title, ms); err != nil {
-		fail("writing %s json: %v", name, err)
-	}
-}
-
 func figName(f int, q bench.Query) string {
 	return fmt.Sprintf("Figure %d — %s: %v", f, q.Name, q.Paths)
 }
 
-func runAblation(w *bench.Workload, cfg bench.Config, name, jsonDir string) {
+func runAblation(w *bench.Workload, cfg bench.Config, name string) {
 	var title string
 	var rows []bench.AblationRow
 	switch name {
@@ -174,11 +154,6 @@ func runAblation(w *bench.Workload, cfg bench.Config, name, jsonDir string) {
 		fail("unknown ablation %q", name)
 	}
 	bench.RenderAblation(os.Stdout, title, rows)
-	if jsonDir != "" {
-		if err := bench.WriteAblationJSON(jsonDir, name, title, rows); err != nil {
-			fail("writing ablation json: %v", err)
-		}
-	}
 }
 
 func fail(format string, args ...any) {

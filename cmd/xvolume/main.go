@@ -14,6 +14,7 @@ import (
 	"os"
 	"sort"
 
+	"pathdb/internal/plan"
 	"pathdb/internal/stats"
 	"pathdb/internal/storage"
 	"pathdb/internal/vdisk"
@@ -76,10 +77,10 @@ func main() {
 	fmt.Printf("dictionary: %d distinct tags\n", dict.Len())
 
 	if *tags {
-		ds := st.CollectDocStats()
+		ds := plan.NewChooser(st).Stats()
 		type row struct {
 			name string
-			ts   storage.TagStats
+			ts   plan.TagStats
 		}
 		var rows []row
 		for tag, ts := range ds.Tags {

@@ -59,10 +59,10 @@ type Engine struct {
 	e  *engine.Engine
 }
 
-// NewEngine starts a concurrent engine over the document. The cost model's
-// offline statistics pass runs here; call ResetStats afterwards when
-// measuring cold runs. Close the engine before using blocking single-query
-// DB methods again.
+// NewEngine starts a concurrent engine over the document, sharing the DB's
+// cost-model chooser (built here if no query has built it yet, from the
+// cluster synopses: it reads no page of an imported volume). Close the
+// engine before using blocking single-query DB methods again.
 func (db *DB) NewEngine(cfg EngineConfig) *Engine {
 	e := &Engine{
 		db: db,

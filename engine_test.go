@@ -22,6 +22,30 @@ func engineFixture(t *testing.T) *DB {
 	return db
 }
 
+// loadAll brings every cluster of db's volume into its pool: building a
+// chooser reads none, so a test that wants a resident volume loads it.
+func loadAll(db *DB) {
+	for i := 0; i < db.store.NumDataPages(); i++ {
+		db.store.LoadCluster(db.store.DataPage(i))
+	}
+}
+
+// TestNewEngineReadsNoPage: the chooser an engine starts with sums the
+// cluster synopses the importer registered, so starting an engine over a
+// fresh import reads no page and leaves the pool empty.
+func TestNewEngineReadsNoPage(t *testing.T) {
+	db := engineFixture(t)
+	db.store.Disk().SetTrace(true)
+	eng := db.NewEngine(EngineConfig{})
+	defer eng.Close()
+	if tr := db.store.Disk().Trace(); len(tr) != 0 {
+		t.Fatalf("NewEngine made %d device operations, first %+v", len(tr), tr[0])
+	}
+	if n := db.store.Buffer().Len(); n != 0 {
+		t.Fatalf("NewEngine left %d pages in the pool", n)
+	}
+}
+
 func TestParseStrategyRoundTrip(t *testing.T) {
 	for _, s := range []Strategy{Auto, Simple, Schedule, Scan} {
 		got, err := ParseStrategy(s.String())
@@ -129,8 +153,9 @@ func TestEngineRelativePathRejected(t *testing.T) {
 // flushed the same session is back to the paper's cold-disk picks.
 func TestEngineAutoFollowsResidency(t *testing.T) {
 	db := engineFixture(t)
-	eng := db.NewEngine(EngineConfig{}) // the statistics pass leaves the volume resident
+	eng := db.NewEngine(EngineConfig{})
 	defer eng.Close()
+	loadAll(db)
 	s := eng.NewSession()
 	ctx := context.Background()
 	ids := func(res ExecResult) []string {

@@ -90,9 +90,8 @@ type Config struct {
 	// on volumes without a txn manager, where the version never moves).
 	Snapshots SnapshotSource
 	// Chooser, when set, is an existing cost chooser to share (it is
-	// concurrency-safe) instead of collecting a second set of document
-	// statistics at construction. The facade passes its own so a DB pays
-	// for exactly one statistics walk.
+	// concurrency-safe) instead of building a second one at construction.
+	// The facade passes its own so a DB keeps one set of statistics.
 	Chooser *plan.Chooser
 }
 
@@ -231,9 +230,8 @@ type Engine struct {
 	updates   atomic.Int64
 }
 
-// New builds an engine over store and starts its dispatcher. The cost model
-// collects document statistics in an offline pass; callers measuring cold
-// runs should store.ResetForRun() afterwards.
+// New builds an engine over store and starts its dispatcher. Unless cfg
+// brings a chooser, it builds one from the store's cluster synopses.
 func New(store *storage.Store, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	chooser := cfg.Chooser

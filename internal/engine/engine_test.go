@@ -448,11 +448,13 @@ func TestDrain(t *testing.T) {
 // relative one the chooser would read from levels from the roots — the
 // choice reports what the built plan did. Both return navigation's nodes.
 func TestAutoLevelReadReported(t *testing.T) {
-	// A pool that holds the whole volume: the chooser's statistics walk
-	// leaves it resident.
+	// A pool that holds the whole volume, loaded before the first choice.
 	st, dict := bench.NewWorkload(bench.Config{EntityScale: 0.05, Seed: 7, BufferPages: 1 << 12}).Store(0.1)
 	e := New(st, Config{})
 	defer e.Close()
+	for i := 0; i < st.NumDataPages(); i++ {
+		st.LoadCluster(st.DataPage(i))
+	}
 	s := e.NewSession()
 	site := core.BuildPlan(st, parsePath(t, dict, "/site"), st.Roots(), core.StrategySimple, core.PlanOptions{}).Run()[0].Node
 	for _, c := range []struct {

@@ -26,6 +26,7 @@ package plan
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"pathdb/internal/core"
@@ -82,55 +83,67 @@ func (c Choice) String() string {
 	return s
 }
 
+// TagStats summarises the physical footprint of one tag: how many element
+// records carry it, how many distinct clusters contain at least one, and
+// how many clusters hold any node *inside the subtrees* of such elements.
+// The chooser uses the subtree footprint to estimate how much of the
+// document a recursive step must traverse.
+type TagStats struct {
+	Count        int64 // element records with this tag
+	Pages        int   // clusters containing at least one such element
+	SubtreePages int   // clusters containing any node below one
+}
+
+// DocStats is the chooser's statistics bundle: the sum of the volume's
+// cluster synopses.
+type DocStats struct {
+	Pages   int
+	Borders int
+	Tags    map[xmltree.TagID]TagStats
+}
+
 // Chooser estimates plan costs over one store. Construct with NewChooser
-// (which collects document statistics in one offline pass) and reuse across
-// queries; after commits, call Refresh with a current view to fold in only
-// the rewritten clusters instead of re-walking the document. Safe for
+// and reuse across queries; after commits, call Refresh with a current view
+// to fold in the rewritten clusters. Its statistics are the sum of the
+// per-cluster synopses the storage layer registers for every page version
+// it writes, so building one reads no page of an imported volume. Safe for
 // concurrent use: one chooser may be shared between the facade's blocking
-// queries and the engine's dispatcher, so a volume pays for exactly one
-// statistics walk.
+// queries and the engine's dispatcher.
 type Chooser struct {
 	mu    sync.Mutex
 	store *storage.Store
-	ds    *storage.DocStats
+	ds    DocStats
 
-	// Incremental-refresh state: the synopsis each page last contributed
-	// to ds, the store epoch those contributions describe, and the running
-	// live-record total that calibrates the per-page CPU estimate.
+	// The synopsis each page contributes to ds, the store epoch those
+	// contributions describe, and the running live-record total that
+	// calibrates the per-page CPU estimate.
 	perPage map[vdisk.PageID]*storage.PageSynopsis
 	epoch   uint64
 	live    int64
 }
 
-// NewChooser gathers the statistics the cost model needs. Call before
-// resetting the ledger for measurements: the collection pass is offline
-// bookkeeping, not query work.
+// NewChooser sums the synopses of the store's data pages. A page whose
+// current version has none registered (a volume storage.Open recovered) is
+// loaded and counted, charged to store's ledger.
 func NewChooser(store *storage.Store) *Chooser {
+	n := store.NumDataPages()
 	c := &Chooser{
 		store:   store,
-		ds:      store.CollectDocStats(),
-		perPage: make(map[vdisk.PageID]*storage.PageSynopsis),
+		ds:      DocStats{Pages: n, Tags: make(map[xmltree.TagID]TagStats)},
+		perPage: make(map[vdisk.PageID]*storage.PageSynopsis, n),
 		epoch:   store.VersionEpoch(),
 	}
-	// The statistics walk decoded every cluster, publishing its synopsis as
-	// a side effect; record each page's contribution for later diffing.
-	n := store.NumDataPages()
 	for i := 0; i < n; i++ {
-		p := store.DataPage(i)
-		sy := store.EnsureSynopsis(p)
-		c.perPage[p] = sy
-		c.live += int64(sy.Live)
+		c.fold(store, store.DataPage(i))
 	}
 	return c
 }
 
 // Refresh folds the clusters rewritten since the chooser's epoch into its
-// statistics, using the per-cluster synopses the commit path registers: the
-// old contribution of each changed page is retracted and the new one added.
-// Tag record counts and own-page footprints stay exact; SubtreePages is
-// approximated by the presence delta (the exact value is a whole-document
-// structural property). view must be a current-version read view; decode
-// charges for never-seen pages land on its ledger.
+// statistics: the old contribution of each changed page is retracted and
+// its current synopsis added, so the result equals a NewChooser over the
+// same view. view must be a current-version read view; a page loaded for
+// want of a registered synopsis is charged to its ledger.
 func (c *Chooser) Refresh(view *storage.Store) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -138,19 +151,23 @@ func (c *Chooser) Refresh(view *storage.Store) {
 	if cur == c.epoch {
 		return
 	}
-	view.WrittenSince(c.epoch, func(p vdisk.PageID, _ uint64) {
-		sy := view.EnsureSynopsis(p)
-		c.contribute(c.perPage[p], -1)
-		c.contribute(sy, +1)
-		c.perPage[p] = sy
-	})
+	view.WrittenSince(c.epoch, func(p vdisk.PageID, _ uint64) { c.fold(view, p) })
 	c.ds.Pages = view.NumDataPages()
 	c.store = view
 	c.epoch = cur
 }
 
+// fold replaces page p's contribution with its synopsis in view.
+func (c *Chooser) fold(view *storage.Store, p vdisk.PageID) {
+	sy := view.EnsureSynopsis(p)
+	c.contribute(c.perPage[p], -1)
+	c.contribute(sy, +1)
+	c.perPage[p] = sy
+}
+
 // contribute adds (sign=+1) or retracts (sign=-1) one cluster synopsis'
-// contribution to the document statistics.
+// contribution to the document statistics: Count and Pages from its tags,
+// SubtreePages from Below.
 func (c *Chooser) contribute(sy *storage.PageSynopsis, sign int) {
 	if sy == nil {
 		return
@@ -164,19 +181,31 @@ func (c *Chooser) contribute(sy *storage.PageSynopsis, sign int) {
 		ts := c.ds.Tags[t]
 		ts.Count += int64(sign) * int64(sy.TagCounts[i])
 		ts.Pages += sign
-		ts.SubtreePages += sign
-		if ts.Count <= 0 && ts.Pages <= 0 {
-			delete(c.ds.Tags, t)
-			continue
-		}
-		// A leaf tag's subtree spans no clusters at all, so the only floor
-		// is zero — clamping to the own-page footprint would inflate the
-		// coverage estimate of every leaf test after a refresh.
-		if ts.SubtreePages < 0 {
-			ts.SubtreePages = 0
-		}
-		c.ds.Tags[t] = ts
+		c.put(t, ts)
 	}
+	for _, t := range sy.Below {
+		ts := c.ds.Tags[t]
+		ts.SubtreePages += sign
+		c.put(t, ts)
+	}
+}
+
+// put stores ts for t, dropping an entry that has come to zero.
+func (c *Chooser) put(t xmltree.TagID, ts TagStats) {
+	if ts == (TagStats{}) {
+		delete(c.ds.Tags, t)
+		return
+	}
+	c.ds.Tags[t] = ts
+}
+
+// Stats returns a copy of the statistics the chooser prices paths with.
+func (c *Chooser) Stats() DocStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ds := c.ds
+	ds.Tags = maps.Clone(c.ds.Tags)
+	return ds
 }
 
 // Epoch returns the store epoch the chooser's statistics describe.

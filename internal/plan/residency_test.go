@@ -37,7 +37,7 @@ func estimates(c Choice) [3]Estimate { return [3]Estimate{c.Schedule, c.Scan, c.
 // paper's cold findings and every cold decision stand.
 func TestChooserColdEstimatesUnchanged(t *testing.T) {
 	dict, st := xmarkStore(t, 1)
-	ch := coldChooser(st)
+	ch := NewChooser(st)
 	for _, g := range []struct {
 		src                    string
 		strategy               core.Strategy
@@ -72,12 +72,13 @@ func TestChooserColdEstimatesUnchanged(t *testing.T) {
 // levels is ranked by the plans the forced strategies navigate.
 func TestChooserWarmMatchesMeasurement(t *testing.T) {
 	dict, st := xmarkStore(t, 1)
-	ch := NewChooser(st) // the statistics walk leaves every cluster resident
+	ch := NewChooser(st)
+	loadAll(st)
 	for _, src := range benchPaths {
 		path := xpath.MustParse(dict, src).Simplify().Steps
 		choice := ch.Choose(path)
 		if choice.Residency != 1 {
-			t.Fatalf("%s: residency %v after the statistics walk", src, choice.Residency)
+			t.Fatalf("%s: residency %v after loading every cluster", src, choice.Residency)
 		}
 		// Every path here with a descendant step reads from levels on a
 		// resident pool; the child-only paths navigate.
@@ -130,7 +131,7 @@ func TestChooserWarmMatchesMeasurement(t *testing.T) {
 // no estimate may rise as more of it becomes resident.
 func TestChooserEstimatesFallWithResidency(t *testing.T) {
 	dict, st := xmarkStore(t, 1)
-	ch := coldChooser(st)
+	ch := NewChooser(st)
 	n := st.NumDataPages()
 	var paths [][]xpath.Step
 	for _, src := range benchPaths {
@@ -167,7 +168,7 @@ func TestChooserSmallPoolDecidesAsCold(t *testing.T) {
 	dict, st := xmarkStore(t, 1)
 	n := st.NumDataPages()
 	st.SetBufferCapacity(n/10 - 1)
-	ch := coldChooser(st)
+	ch := NewChooser(st)
 	for _, src := range benchPaths {
 		path := xpath.MustParse(dict, src).Simplify().Steps
 		st.ResetForRun()
@@ -189,7 +190,7 @@ func TestChooserSmallPoolDecidesAsCold(t *testing.T) {
 // runs this package under the race detector).
 func TestChooseWhileWorkersFixPages(t *testing.T) {
 	dict, st := xmarkStore(t, 0.5)
-	ch := coldChooser(st)
+	ch := NewChooser(st)
 	path := xpath.MustParse(dict, "/site//description").Simplify().Steps
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -218,6 +219,7 @@ func TestChooseWhileWorkersFixPages(t *testing.T) {
 func BenchmarkChoose(b *testing.B) {
 	dict, st := xmarkStore(b, 1)
 	ch := NewChooser(st)
+	loadAll(st)
 	path := xpath.MustParse(dict, "/site/regions//item").Simplify().Steps
 	var sink Choice
 	for _, pool := range []struct {

@@ -56,6 +56,7 @@ import (
 	"time"
 
 	"pathdb"
+	"pathdb/internal/xpath"
 )
 
 // Options tunes the HTTP front end.
@@ -93,9 +94,10 @@ func (o Options) withDefaults() Options {
 // backend is what differs between serving one volume and serving a
 // cluster; the front end calls nothing else.
 type backend interface {
-	// check compiles a location path without running it; check and
-	// checkFragment errors are the client's (400).
-	check(path string) error
+	// checkFragment validates an insert's XML without committing it; its
+	// errors are the client's (400). A malformed path needs no check of its
+	// own: the backend compiles it before it runs or scatters anything and
+	// fails with an *xpath.ParseError, which outcome answers 400.
 	checkFragment(xml string) error
 	// admit is the backend's own admission step for a query, after the
 	// drain gate. On false it has answered the request; on true the front
@@ -331,8 +333,7 @@ func (f *front) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// queryRequest decodes and validates a /v1/query body. The path is
-// compiled first, so a malformed one is a 400 rather than engine traffic.
+// queryRequest decodes and validates a /v1/query body.
 func (f *front) queryRequest(w http.ResponseWriter, r *http.Request) (QueryRequest, pathdb.QueryOptions, error) {
 	var req QueryRequest
 	var opts pathdb.QueryOptions
@@ -351,9 +352,6 @@ func (f *front) queryRequest(w http.ResponseWriter, r *http.Request) (QueryReque
 		if opts.Strategy, err = pathdb.ParseStrategy(req.Strategy); err != nil {
 			return req, opts, requestError(err.Error())
 		}
-	}
-	if err := f.b.check(req.Path); err != nil {
-		return req, opts, requestError(err.Error())
 	}
 	return req, opts, nil
 }
@@ -393,16 +391,10 @@ func (f *front) update(w http.ResponseWriter, r *http.Request) (any, error) {
 		if err := f.b.checkFragment(req.XML); err != nil {
 			return nil, requestError(err.Error())
 		}
-		if err := f.b.check(req.Parent); err != nil {
-			return nil, requestError(err.Error())
-		}
 		return f.b.insert(ctx, req.Parent, req.XML)
 	case "delete":
 		if req.Path == "" {
 			return nil, requestError(`delete needs "path"`)
-		}
-		if err := f.b.check(req.Path); err != nil {
-			return nil, requestError(err.Error())
 		}
 		return f.b.delete(ctx, req.Path)
 	}
@@ -434,13 +426,14 @@ func (f *front) deadline(r *http.Request, timeoutMS int64) (context.Context, con
 // outcome is the one table from a failure to its answer, for queries,
 // updates and mid-stream failures alike: the HTTP status (0 when the
 // client is gone and nothing can be answered), the body, and the counter
-// the failure moves (nil for none). Client errors are 400, overload and
+// the failure moves (nil for none). Client errors — malformed paths
+// included — are 400, overload and
 // drain 503, a vanished update target (a racing delete) 409, storage
 // faults 500 with the typed kind, deadline expiry 504. what names the
 // request in the timeout message.
 func (f *front) outcome(r *http.Request, what string, err error) (int, ErrorResponse, *atomic.Int64) {
 	switch {
-	case errors.As(err, new(requestError)):
+	case errors.As(err, new(requestError)) || errors.As(err, new(*xpath.ParseError)):
 		return http.StatusBadRequest, ErrorResponse{Error: err.Error()}, &f.badReqs
 	case errors.Is(err, pathdb.ErrOverloaded):
 		return http.StatusServiceUnavailable,

@@ -116,7 +116,6 @@ type RouterUpdateResponse struct {
 	CommitWallNs int64     `json:"commit_wall_ns"`
 }
 
-func (rt *Router) check(path string) error        { return rt.cluster.Check(path) }
 func (rt *Router) checkFragment(xml string) error { return rt.cluster.CheckFragment(xml) }
 
 // tenantOf names the request's tenant for quota accounting.

@@ -390,11 +390,14 @@ func TestRouterServerParity(t *testing.T) {
 		kind       string
 		retryAfter string
 	}
-	send := func(base, method, endpoint, body string) answer {
+	send := func(base, method, endpoint, body string, accept ...string) answer {
 		t.Helper()
 		req, err := http.NewRequest(method, base+"/v1/"+endpoint, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, a := range accept {
+			req.Header.Set("Accept", a)
 		}
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -428,6 +431,7 @@ func TestRouterServerParity(t *testing.T) {
 		{"bad strategy", http.MethodPost, "query", `{"path": "/site", "strategy": "quantum"}`, http.StatusBadRequest},
 		{"retired preds field", http.MethodPost, "query", `{"path": "/site", "preds": "join"}`, http.StatusBadRequest},
 		{"malformed path", http.MethodPost, "query", `{"path": "/site//"}`, http.StatusBadRequest},
+		{"relative path", http.MethodPost, "query", `{"path": "site/regions"}`, http.StatusBadRequest},
 		{"update bad body", http.MethodPost, "update", `{"op":`, http.StatusBadRequest},
 		{"update unknown field", http.MethodPost, "update", `{"op": "delete", "pth": "/site"}`, http.StatusBadRequest},
 		{"unknown op", http.MethodPost, "update", `{"op": "rename", "path": "/site"}`, http.StatusBadRequest},
@@ -436,11 +440,17 @@ func TestRouterServerParity(t *testing.T) {
 		{"delete missing path", http.MethodPost, "update", `{"op": "delete"}`, http.StatusBadRequest},
 		{"bad fragment", http.MethodPost, "update", `{"op": "insert", "parent": "/site", "xml": "<broken"}`, http.StatusBadRequest},
 		{"ambiguous parent", http.MethodPost, "update", `{"op": "insert", "parent": "/site/regions//item", "xml": "<x/>"}`, http.StatusBadRequest},
+		{"malformed insert parent", http.MethodPost, "update", `{"op": "insert", "parent": "/site//", "xml": "<x/>"}`, http.StatusBadRequest},
 		{"malformed update path", http.MethodPost, "update", `{"op": "delete", "path": "/site//"}`, http.StatusBadRequest},
 		{"update negative timeout", http.MethodPost, "update", `{"op": "delete", "path": "/site", "timeout_ms": -1}`, http.StatusBadRequest},
 	} {
 		check(rq, send(sts.URL, rq.method, rq.endpoint, rq.body), send(rts.URL, rq.method, rq.endpoint, rq.body))
 	}
+	// A malformed path fails before a stream writes its first line, so a
+	// streamed request is answered like a buffered one.
+	streamed := request{"malformed path, streamed", http.MethodPost, "query", `{"path": "/site//"}`, http.StatusBadRequest}
+	check(streamed, send(sts.URL, streamed.method, streamed.endpoint, streamed.body, "application/x-ndjson"),
+		send(rts.URL, streamed.method, streamed.endpoint, streamed.body, "application/x-ndjson"))
 
 	// A 1 ms budget on a heavy node query: 504 with the timeout kind. A
 	// machine that beats the budget answers 200; try again.

@@ -81,11 +81,6 @@ type UpdateResponse struct {
 	CommitWallNs int64 `json:"commit_wall_ns"`
 }
 
-func (s *Server) check(path string) error {
-	_, err := s.db.Query(path)
-	return err
-}
-
 func (s *Server) checkFragment(xml string) error { return s.db.CheckFragment(xml) }
 
 func (s *Server) admit(http.ResponseWriter, *http.Request) bool { return true }

@@ -250,9 +250,9 @@ func TestQueryChoiceExposed(t *testing.T) {
 		t.Fatalf("forced-strategy response carries a choice: %s", data)
 	}
 
-	// A volume that fits its pool stays resident after the engine's
-	// statistics pass, and the decision says so: nothing is left to
-	// reorder, so the plain plan runs.
+	// A volume that fits its pool stays resident once a scan has read it,
+	// and the decision says so: nothing is left to reorder, so the plain
+	// plan runs.
 	warm, err := pathdb.GenerateXMark(pathdb.XMarkConfig{ScaleFactor: 0.1, Seed: 42, EntityScale: 0.1}, pathdb.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -261,6 +261,9 @@ func TestQueryChoiceExposed(t *testing.T) {
 	defer eng.Close()
 	wts := httptest.NewServer(New(warm, eng, Options{}))
 	defer wts.Close()
+	if resp, data := postQuery(t, wts.URL, QueryRequest{Path: "//*", Strategy: "xscan"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warming scan: status %d: %s", resp.StatusCode, data)
+	}
 	_, data = postQuery(t, wts.URL, QueryRequest{Path: descQuery})
 	if qr = decodeResponse(t, data); qr.Choice == nil || qr.Choice.Residency != 1 || qr.Strategy != "simple" {
 		t.Fatalf("resident volume: %s", data)

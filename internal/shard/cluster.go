@@ -230,14 +230,6 @@ func (c *Cluster) Ring() *Ring { return c.ring }
 // Set returns the underlying ShardSet.
 func (c *Cluster) Set() *pathdb.ShardSet { return c.set }
 
-// Check compiles path against shard 0 (all volumes share one dictionary,
-// so compilation is shard-independent) without executing anything. The
-// router uses it to turn malformed paths into 400s before scattering.
-func (c *Cluster) Check(path string) error {
-	_, err := c.set.Shards[0].Query(path)
-	return err
-}
-
 // CheckFragment validates an XML fragment without committing anything (all
 // volumes share one dictionary, so shard 0 speaks for the cluster).
 func (c *Cluster) CheckFragment(frag string) error {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"pathdb/internal/vdisk"
 	"pathdb/internal/xmltree"
 )
 
@@ -63,90 +62,6 @@ func (s *Store) exportChildren(c Cursor, out *xmltree.Node) {
 		}
 		out.AppendChild(s.exportNode(c.at(k)))
 	}
-}
-
-// TagStats summarises the physical footprint of one tag: how many element
-// records carry it, how many distinct clusters contain at least one, and
-// how many clusters hold any node *inside the subtrees* of such elements.
-// The cost-based plan chooser uses the subtree footprint to estimate how
-// much of the document a recursive step must traverse.
-type TagStats struct {
-	Count        int64 // element records with this tag
-	Pages        int   // clusters containing at least one such element
-	SubtreePages int   // clusters containing any node below one
-}
-
-// DocStats is the offline statistics bundle for the plan chooser.
-type DocStats struct {
-	Pages   int
-	Borders int
-	Tags    map[xmltree.TagID]TagStats
-}
-
-// CollectDocStats walks the whole document once (synchronously, offline)
-// and gathers per-tag footprints plus the total border count. Reset the
-// ledger afterwards when measuring queries; a live system would maintain
-// these statistics incrementally.
-func (s *Store) CollectDocStats() *DocStats {
-	n := s.NumDataPages()
-	ds := &DocStats{Pages: n, Tags: make(map[xmltree.TagID]TagStats)}
-	for i := 0; i < n; i++ {
-		ds.Borders += len(s.image(s.DataPage(i)).borderIDs)
-	}
-
-	ownPages := map[xmltree.TagID]map[vdisk.PageID]bool{}
-	subPages := map[xmltree.TagID]map[vdisk.PageID]bool{}
-	mark := func(m map[xmltree.TagID]map[vdisk.PageID]bool, t xmltree.TagID, p vdisk.PageID) {
-		set := m[t]
-		if set == nil {
-			set = map[vdisk.PageID]bool{}
-			m[t] = set
-		}
-		set[p] = true
-	}
-
-	active := map[xmltree.TagID]int{}
-	var walk func(c Cursor)
-	walk = func(c Cursor) {
-		img, p := c.img, int(c.pos)
-		kind, tag := img.kind(p), img.tag(p)
-		if kind == RecProxyChild {
-			walk(s.Swizzle(img.target(p)))
-			return
-		}
-		if kind == RecElem {
-			ts := ds.Tags[tag]
-			ts.Count++
-			ds.Tags[tag] = ts
-			mark(ownPages, tag, c.page)
-		}
-		if kind != RecProxyParent {
-			for t, depth := range active {
-				if depth > 0 {
-					mark(subPages, t, c.page)
-				}
-			}
-		}
-		if kind == RecElem {
-			active[tag]++
-		}
-		for k, e := p+1, img.end(p); k < e; k = img.end(k) {
-			walk(c.at(k))
-		}
-		if kind == RecElem {
-			active[tag]--
-		}
-	}
-	for _, root := range s.roots {
-		walk(s.Swizzle(root))
-	}
-
-	for t, ts := range ds.Tags {
-		ts.Pages = len(ownPages[t])
-		ts.SubtreePages = len(subPages[t])
-		ds.Tags[t] = ts
-	}
-	return ds
 }
 
 // VolumeStats summarises physical storage for reporting and tests.

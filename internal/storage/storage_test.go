@@ -331,23 +331,29 @@ func TestPersistAndOpen(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesReservedMetaField: the meta page's reserved field once
-// pointed at a redo log of a protocol Open no longer replays, so a non-zero
-// value must fail the open rather than be ignored.
+// TestOpenRefusesReservedMetaField: the meta page's reserved fields once
+// pointed at a redo log of a protocol Open no longer replays and counted a
+// directory of extension pages that now live in the version map, so a
+// non-zero value in either must fail the open rather than be ignored.
 func TestOpenRefusesReservedMetaField(t *testing.T) {
-	dict, doc := buildTree(5, 40)
-	disk := newDisk(512)
-	if _, err := Import(disk, dict, doc, ImportOptions{PageSize: 512}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := readMeta(disk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.walPage = 7
-	writeMeta(disk, 0, m)
-	if _, err := Open(disk); err == nil {
-		t.Fatal("Open accepted a volume with a non-zero reserved field")
+	for name, set := range map[string]func(*metaInfo){
+		"walPage":  func(m *metaInfo) { m.walPage = 7 },
+		"dirCount": func(m *metaInfo) { m.dirCount = 1 },
+	} {
+		dict, doc := buildTree(5, 40)
+		disk := newDisk(512)
+		if _, err := Import(disk, dict, doc, ImportOptions{PageSize: 512}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := readMeta(disk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set(&m)
+		writeMeta(disk, 0, m)
+		if _, err := Open(disk); err == nil {
+			t.Fatalf("Open accepted a volume with a non-zero %s", name)
+		}
 	}
 }
 

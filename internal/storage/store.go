@@ -34,7 +34,6 @@ type Store struct {
 	roots     []NodeID // collection document roots (first == rootID)
 	firstData uint32
 	nData     uint32
-	extras    []vdisk.PageID // data pages appended by updates
 
 	cache   *swizCache     // loaded page images, shared across views
 	syn     *synTable      // per-cluster synopses, shared across views
@@ -60,7 +59,9 @@ type Store struct {
 // paper's setup used a 1000-page buffer.
 const DefaultBufferPages = 1000
 
-func newStore(disk *vdisk.Disk, dict *xmltree.Dictionary, roots []NodeID, firstData, nData uint32, extras []vdisk.PageID) *Store {
+// newStore opens a store over a volume whose page synopses registered so far
+// are syn: an importer's, or an empty table for a volume Open recovered.
+func newStore(disk *vdisk.Disk, dict *xmltree.Dictionary, roots []NodeID, firstData, nData uint32, syn *synTable) *Store {
 	s := &Store{
 		disk:      disk,
 		buf:       buffer.New(disk, DefaultBufferPages),
@@ -71,9 +72,8 @@ func newStore(disk *vdisk.Disk, dict *xmltree.Dictionary, roots []NodeID, firstD
 		roots:     roots,
 		firstData: firstData,
 		nData:     nData,
-		extras:    extras,
 		cache:     newSwizCache(),
-		syn:       newSynTable(),
+		syn:       syn,
 		derived:   newDerivedCache(),
 		vh:        &versionHandle{},
 	}
@@ -115,7 +115,6 @@ func (s *Store) Reader(led *stats.Ledger) *Store {
 		roots:     s.roots,
 		firstData: s.firstData,
 		nData:     s.nData,
-		extras:    s.extras,
 		cache:     s.cache,
 		syn:       s.syn,
 		derived:   s.derived,
@@ -175,12 +174,13 @@ func (s *Store) WrittenSince(since uint64, fn func(p vdisk.PageID, epoch uint64)
 	}
 }
 
-// extrasList returns the extension-page directory of this view's version.
+// extrasList returns the extension-page directory of this view's version:
+// pages appended by commits, so none before the first.
 func (s *Store) extrasList() []vdisk.PageID {
 	if vm := s.version(); vm != nil {
 		return vm.Extras()
 	}
-	return s.extras
+	return nil
 }
 
 // WithSnapshot returns a read view pinned to version vm: every logical
@@ -338,11 +338,6 @@ func (s *Store) image(p vdisk.PageID) *pageImage {
 	s.led.AdvanceCPU(stats.Ticks(e.img.nslots) * s.model.CPUNodeVisit)
 	e.ready.Store(true)
 	s.cache.track(phys, key)
-	// A page version's synopsis is built once: later loads of the same
-	// bytes find it registered.
-	if sy := s.syn.get(p); sy == nil || sy.Epoch != key.epoch {
-		s.syn.publish(p, synopsisOf(&e.img, key.epoch))
-	}
 	return &e.img
 }
 
@@ -580,25 +575,21 @@ type metaInfo struct {
 	nData     uint32
 	dictStart uint32
 	dictCount uint32
-	walPage   vdisk.PageID   // reserved, must be zero (Open refuses anything else)
-	extras    []vdisk.PageID // update-extension pages, in scan order
-	ckptPage  vdisk.PageID   // transaction checkpoint chain head (0 = none)
+	walPage   vdisk.PageID // reserved, must be zero (Open refuses anything else)
+	dirCount  uint32       // reserved, must be zero: the count word of a retired page directory
+	ckptPage  vdisk.PageID // transaction checkpoint chain head (0 = none)
 }
 
 func writeMeta(disk *vdisk.Disk, page vdisk.PageID, m metaInfo) {
-	buf := make([]byte, 8+4*5+4+4*len(m.extras)+4+8*len(m.roots)+4)
+	buf := make([]byte, 8+4*5+4+4+8*len(m.roots)+4)
 	copy(buf, metaMagic)
 	binary.LittleEndian.PutUint32(buf[8:], m.firstData)
 	binary.LittleEndian.PutUint32(buf[12:], m.nData)
 	binary.LittleEndian.PutUint32(buf[16:], m.dictStart)
 	binary.LittleEndian.PutUint32(buf[20:], m.dictCount)
 	binary.LittleEndian.PutUint32(buf[24:], uint32(m.walPage))
-	binary.LittleEndian.PutUint32(buf[28:], uint32(len(m.extras)))
+	binary.LittleEndian.PutUint32(buf[28:], m.dirCount)
 	off := 32
-	for _, p := range m.extras {
-		binary.LittleEndian.PutUint32(buf[off:], uint32(p))
-		off += 4
-	}
 	binary.LittleEndian.PutUint32(buf[off:], uint32(len(m.roots)))
 	off += 4
 	for _, r := range m.roots {
@@ -609,7 +600,7 @@ func writeMeta(disk *vdisk.Disk, page vdisk.PageID, m metaInfo) {
 	// absence read back as zero): the checkpoint chain head.
 	binary.LittleEndian.PutUint32(buf[off:], uint32(m.ckptPage))
 	if len(buf) > usable(disk.PageSize()) {
-		panic("storage: meta page overflow (too many extension pages or roots)")
+		panic("storage: meta page overflow (too many roots)")
 	}
 	writePage(disk, page, buf)
 }
@@ -628,13 +619,9 @@ func readMeta(disk *vdisk.Disk) (metaInfo, error) {
 		dictStart: binary.LittleEndian.Uint32(buf[16:]),
 		dictCount: binary.LittleEndian.Uint32(buf[20:]),
 		walPage:   vdisk.PageID(binary.LittleEndian.Uint32(buf[24:])),
+		dirCount:  binary.LittleEndian.Uint32(buf[28:]),
 	}
-	nExtra := binary.LittleEndian.Uint32(buf[28:])
 	off := 32
-	for i := uint32(0); i < nExtra; i++ {
-		m.extras = append(m.extras, vdisk.PageID(binary.LittleEndian.Uint32(buf[off:])))
-		off += 4
-	}
 	nRoots := binary.LittleEndian.Uint32(buf[off:])
 	off += 4
 	for i := uint32(0); i < nRoots; i++ {
@@ -706,8 +693,8 @@ func Open(disk *vdisk.Disk) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.walPage != 0 {
-		return nil, fmt.Errorf("storage: meta page's reserved field is %d, want 0: not a volume this version can recover", m.walPage)
+	if m.walPage != 0 || m.dirCount != 0 {
+		return nil, fmt.Errorf("storage: meta page's reserved fields are %d and %d, want 0: not a volume this version can recover", m.walPage, m.dirCount)
 	}
 	st, err := recoverTxn(disk, &m)
 	if err != nil {
@@ -717,7 +704,7 @@ func Open(disk *vdisk.Disk) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := newStore(disk, dict, m.roots, m.firstData, m.nData, m.extras)
+	s := newStore(disk, dict, m.roots, m.firstData, m.nData, newSynTable())
 	if st != nil {
 		// Fold the replayed groups into a fresh checkpoint so the next
 		// crash recovers from here, and publish the recovered version.

@@ -370,18 +370,15 @@ func (s *Store) WriteCheckpoint(st TxnState, alloc PageAlloc) (freed []vdisk.Pag
 }
 
 // InitTxn adopts a volume that has no transaction state yet: it persists
-// the initial checkpoint (epoch 0, identity map, the current extension
-// directory) and publishes the initial version, switching the volume into
+// the initial checkpoint (epoch 0, identity map, no extension pages) and
+// publishes the initial version, switching the volume into
 // transactional mode. Idempotent: an already-adopted volume returns its
 // state.
 func (s *Store) InitTxn() (*TxnState, error) {
 	if s.txnState != nil {
 		return s.txnState, nil
 	}
-	st := &TxnState{
-		Map:    map[vdisk.PageID]vdisk.PageID{},
-		Extras: append([]vdisk.PageID(nil), s.extras...),
-	}
+	st := &TxnState{Map: map[vdisk.PageID]vdisk.PageID{}}
 	_, next, err := s.WriteCheckpoint(*st, s.disk.Alloc)
 	if err != nil {
 		return nil, err

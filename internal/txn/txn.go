@@ -58,7 +58,7 @@ var ErrClosed = errors.New("txn: manager closed")
 // Options configures a Manager.
 type Options struct {
 	// GroupWindow is ignored: a commit leader never waits. The field stays
-	// so existing Options literals compile.
+	// because the benchmark's ladder (benchmark/ladder.go) sets it.
 	GroupWindow time.Duration
 	// CheckpointEvery folds the version map into a fresh checkpoint after
 	// this many groups, bounding recovery's redo scan and recycling log

@@ -328,6 +328,7 @@ func TestFlatLevelReadDifferential(t *testing.T) {
 	lookups := func(db *DB) uint64 { m := db.DerivedMetrics(); return m.Hits + m.Misses }
 	for _, v := range vols {
 		eng := v.db.NewEngine(EngineConfig{})
+		loadAll(v.db)
 		ses := eng.NewSession()
 		levelReads, navigated := 0, 0
 		for round := 0; round <= 4; round++ {

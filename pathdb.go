@@ -468,7 +468,7 @@ func parseAbsolute(db *DB, path string) ([]*xpath.Path, error) {
 	}
 	for _, b := range branches {
 		if !b.Absolute {
-			return nil, fmt.Errorf("pathdb: query %q must be absolute (use Node.Query for relative paths)", path)
+			return nil, &xpath.ParseError{Msg: fmt.Sprintf("query %q must be absolute (use Node.Query for relative paths)", path)}
 		}
 	}
 	return branches, nil

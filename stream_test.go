@@ -553,7 +553,6 @@ func TestStreamFaultTyped(t *testing.T) {
 // cursor's pooled resources.
 func TestQueryStreamMatchesQueryCtx(t *testing.T) {
 	db := mustLoad(t, `<a><b><c/><c/></b><b/><d><b><c/></b></d></a>`)
-	db.getChooser() // the statistics walk, so that Auto finds the same pool on both sides
 	// ResetStats also drops the derived generation, so a PredAuto predicate
 	// builds its levels on both sides alike.
 	ctx := context.Background()

@@ -2,7 +2,6 @@ package pathdb
 
 import (
 	"fmt"
-	"time"
 
 	"pathdb/internal/engine"
 	"pathdb/internal/stats"
@@ -28,10 +27,6 @@ func (db *DB) CheckFragment(fragment string) error {
 // TxnOptions tunes the MVCC transaction subsystem that backs DB.Update.
 // Zero values select the defaults documented on each field.
 type TxnOptions struct {
-	// GroupWindow is ignored: a commit is flushed as soon as it reaches the
-	// WAL, together with whatever else is enqueued then. The field stays so
-	// existing literals compile.
-	GroupWindow time.Duration
 	// CheckpointEvery folds the version map into a fresh checkpoint after
 	// this many flushed groups, truncating the log (default 64).
 	CheckpointEvery int
@@ -103,7 +98,7 @@ func (v volumeAPI) SetTxnOptions(o TxnOptions) error {
 	if db.mgr.Load() != nil {
 		return fmt.Errorf("pathdb: transaction manager already running; set options before the first write")
 	}
-	db.txnOpts = txn.Options{GroupWindow: o.GroupWindow, CheckpointEvery: o.CheckpointEvery}
+	db.txnOpts = txn.Options{CheckpointEvery: o.CheckpointEvery}
 	return nil
 }
 
