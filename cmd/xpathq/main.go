@@ -91,12 +91,9 @@ func main() {
 		if *sorted {
 			q.Sorted()
 		}
-		// The decision depends on what the pool holds. The run below starts
-		// cold, and the first consultation of the cost model walks the
-		// document for its statistics: flush after it, so the decision and
-		// the plan printed are the ones the run will get.
-		q.Choice()
-		db.ResetStats()
+		// The decision depends on what the pool holds. Building the cost
+		// model reads no page, so the decision and the plan printed are
+		// the ones the run below gets on the pool the load left empty.
 		if *explain {
 			c := q.Choice()
 			fmt.Println("cost model:", q.Explain())

@@ -1,5 +1,5 @@
 // Cost-based plan choice (the paper's outlook, Sec. 7): the chooser
-// estimates each query's physical coverage from offline tag statistics,
+// estimates each query's physical coverage from per-cluster tag statistics,
 // prices the three plans against what the buffer pool holds, and picks the
 // cheapest. On an empty pool that is XScan for low-selectivity paths and
 // XSchedule for selective ones — the paper's findings; once the volume is
@@ -61,8 +61,7 @@ func main() {
 		}
 
 		fmt.Println(src)
-		q.Explain() // the first call walks the document for statistics
-		db.ResetStats()
+		db.ResetStats() // the previous path's runs left pages in the pool
 		fmt.Printf("  empty pool:    %s\n", q.Explain())
 		measure(true)
 
