@@ -87,7 +87,8 @@ api-check:
 # group-commit tests (one group for N commits enqueued behind a flush,
 # groups of one for a lone writer) and the seeded crash
 # matrix (internal/txn), the facade's mixed read/write
-# gauntlet (snapshot isolation + goroutine-leak check), the HTTP
+# gauntlet (snapshot isolation + goroutine-leak check), reads begun before
+# a commit — the volume's first included — on every surface, the HTTP
 # update path, and the structural join's levels across commits (advanced
 # levels equal fresh builds, Auto reads build once and then join over
 # advanced levels, pinned snapshots, faulted advances, reads that take
@@ -95,7 +96,7 @@ api-check:
 # those commits drop), all under -race.
 test-txn:
 	$(GO) test -race ./internal/txn/
-	$(GO) test -race -run 'TestUpdate|TestQueryChoice' ./internal/server/ .
+	$(GO) test -race -run 'TestUpdate|TestQueryChoice|TestSnapshot' ./internal/server/ .
 	$(GO) test -race -run 'TestLevelAdvance|TestAutoJoinsAcrossCommits|TestSupersededSnapshot|TestFailedAdvance|TestLevelReadDifferential|TestFlatLevelReadDifferential' .
 	$(GO) test -race -run 'TestLevelReadAcrossCommits' ./internal/core/
 

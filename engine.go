@@ -8,6 +8,7 @@ import (
 	"pathdb/internal/core"
 	"pathdb/internal/engine"
 	"pathdb/internal/stats"
+	"pathdb/internal/xpath"
 )
 
 // Typed engine errors. Callers (and the HTTP server's status-code mapping)
@@ -61,8 +62,10 @@ type Engine struct {
 
 // NewEngine starts a concurrent engine over the document, sharing the DB's
 // cost-model chooser (built here if no query has built it yet, from the
-// cluster synopses: it reads no page of an imported volume). Close the
-// engine before using blocking single-query DB methods again.
+// cluster synopses: it reads no page of an imported volume). The DB's
+// blocking queries may run beside it: they pin their own snapshots and
+// charge their own ledgers. Their virtual costs then depend on what the
+// engine's gangs do on the shared device at the same time.
 func (db *DB) NewEngine(cfg EngineConfig) *Engine {
 	e := &Engine{
 		db: db,
@@ -265,33 +268,31 @@ func (s *Session) drain(ctx context.Context, path string, opts QueryOptions, try
 }
 
 // compile parses the path and maps it onto engine queries, one per union
-// branch. live requests incremental delivery through the engine sink. A
-// sorted union never streams and carries no per-branch Limit: its global
-// document order — and so its first N — only exists after every branch has
-// landed in the cursor's merge.
+// branch. live requests incremental delivery through the engine sink; a
+// sorted union never streams.
 func (s *Session) compile(path string, opts QueryOptions, live bool) ([]engine.Query, error) {
 	branches, err := parseUnion(s.eng.db, path)
 	if err != nil {
 		return nil, err
 	}
-	limit := opts.Limit
-	if opts.Sorted && len(branches) > 1 {
-		live, limit = false, 0
-	}
+	live = live && !(opts.Sorted && len(branches) > 1)
 	queries := make([]engine.Query, len(branches))
 	for i, b := range branches {
-		queries[i] = engine.Query{
-			Label:    path,
-			Path:     b,
-			Auto:     opts.Strategy == Auto,
-			Strategy: opts.Strategy.internal(),
-			// Plain paths are ordered inside the engine.
-			Sorted:   opts.Sorted && len(branches) == 1,
-			MemLimit: opts.MemLimit,
-			Limit:    limit,
-			Stream:   live,
-			PredEval: opts.PredEval.internal(),
-		}
+		queries[i] = opts.branchQuery(path, b, len(branches))
+		queries[i].Stream = live
 	}
 	return queries, nil
+}
+
+// branchQuery maps one of n union branches onto the engine query both
+// producers run. A plain path is ordered inside its plan. A sorted union
+// carries no per-branch Limit: its global document order — and so its
+// first N — only exists once the cursor has merged every branch.
+func (opts QueryOptions) branchQuery(label string, path []xpath.Step, n int) engine.Query {
+	q := engine.Query{Label: label, Path: path, Auto: opts.Strategy == Auto, Strategy: opts.Strategy.internal(),
+		Sorted: opts.Sorted && n == 1, MemLimit: opts.MemLimit, Limit: opts.Limit, PredEval: opts.PredEval.internal()}
+	if opts.Sorted && n > 1 {
+		q.Limit = 0
+	}
+	return q
 }

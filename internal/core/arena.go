@@ -10,8 +10,8 @@ import (
 // Arena pools the per-query evaluation scratch of one plan's operators:
 // XAssembly's R and S structures, Distinct's seen set, XSchedule's cluster
 // queue and visited set, XScan's pending buffer, XStep's navigation stacks,
-// a level read's prefix sets and merge stack, and a freelist of instance
-// slices used as map values. A steady-state query evaluated with a warm
+// a level read's prefix sets and merge stack, the final sort's buffer, and
+// a freelist of instance slices used as map values. A steady-state query evaluated with a warm
 // arena allocates O(results) instead of rebuilding every structure.
 //
 // An arena serves one running plan at a time — operators borrow structures
@@ -28,6 +28,7 @@ type Arena struct {
 	ready   []Instance
 	spec    []Instance
 	pending []Instance
+	sorted  []Instance
 	free    [][]Instance
 	iters   [][]*storage.StepIter
 	levels  *levelScratch
@@ -158,7 +159,7 @@ func (a *Arena) putClusterSet(m map[vdisk.PageID]bool) {
 	}
 }
 
-// takeReady / takeSpec / takePending borrow the named instance buffers
+// takeReady / takeSpec / takePending / takeSorted borrow the named instance buffers
 // (each used by exactly one operator per plan; a second borrower gets a
 // fresh slice).
 func (a *Arena) takeReady() []Instance {
@@ -203,6 +204,21 @@ func (a *Arena) takePending() []Instance {
 func (a *Arena) putPending(s []Instance) {
 	if a != nil && a.pending == nil && cap(s) > 0 {
 		a.pending = s[:0]
+	}
+}
+
+func (a *Arena) takeSorted() []Instance {
+	if a != nil {
+		s := a.sorted
+		a.sorted = nil
+		return s[:0]
+	}
+	return nil
+}
+
+func (a *Arena) putSorted(s []Instance) {
+	if a != nil && a.sorted == nil && cap(s) > 0 {
+		a.sorted = s[:0]
 	}
 }
 

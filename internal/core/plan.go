@@ -112,6 +112,7 @@ type Plan struct {
 	PredEval PredEval
 
 	levels bool
+	sort   SortByDocumentOrder // the final sort, when the plan has one
 }
 
 // LevelRead reports whether the plan reads its path from levels (Levels)
@@ -239,7 +240,8 @@ func BuildPlan(store *storage.Store, path []xpath.Step, contexts []storage.NodeI
 	}
 
 	if opts.SortResults && !p.Ordered {
-		top = NewSortByDocumentOrder(es, top)
+		p.sort = SortByDocumentOrder{es: es, input: top}
+		top = &p.sort
 		p.Ordered = true
 	}
 	p.root = top

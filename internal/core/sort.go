@@ -71,17 +71,20 @@ func NewSortByDocumentOrder(es *EvalState, input Operator) *SortByDocumentOrder 
 	return &SortByDocumentOrder{es: es, input: input}
 }
 
-// Open opens the producer; materialization is lazy on first Next.
+// Open opens the producer and borrows the buffer from the arena;
+// materialization is lazy on first Next.
 func (s *SortByDocumentOrder) Open() {
 	s.input.Open()
-	s.buf = s.buf[:0]
+	s.buf = s.es.Arena.takeSorted()
 	s.pos = 0
 	s.done = false
 }
 
-// Close drops the buffer.
+// Close returns the buffer to the arena.
 func (s *SortByDocumentOrder) Close() {
 	s.input.Close()
+	clear(s.buf) // the order keys alias decoded cluster images
+	s.es.Arena.putSorted(s.buf)
 	s.buf = nil
 }
 

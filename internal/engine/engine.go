@@ -12,9 +12,11 @@
 // bounded admission queue; a single dispatcher goroutine drains the queue in
 // gangs of at most MaxInFlight queries and runs each gang itself: the
 // batchable members first, together as one shared group (a MultiPlan), then
-// every other member solo, in submission order. No query runs on any other
-// goroutine. A streaming query holds the dispatcher only while its consumer
-// lags a full sink block behind.
+// every other member solo, in submission order, each through a Branch — the
+// runner the pathdb facade also pulls its blocking queries through, on the
+// caller's goroutine. No admitted query runs on any other goroutine. A
+// streaming query holds the dispatcher only while its consumer lags a full
+// sink block behind.
 //
 // Cost accounting. Each query runs against a read-only storage view
 // (storage.Store.Reader) with its own stats.Ledger: the query's CPU charges
@@ -64,8 +66,8 @@ type Snapshot interface {
 	View(led *stats.Ledger) *storage.Store
 	// Epoch identifies the pinned version.
 	Epoch() uint64
-	// Release unpins the version (idempotent), allowing superseded pages
-	// to be reclaimed.
+	// Release unpins the version, allowing superseded pages to be
+	// reclaimed. The engine calls it once per snapshot.
 	Release()
 }
 
@@ -120,21 +122,20 @@ type Query struct {
 	Strategy core.Strategy
 	// Sorted requests document-order results. A plan that yields document
 	// order by itself (core.Plan.Ordered) delivers them as it produces them;
-	// any other is order-enforced: evaluated fully, then sorted.
+	// any other is order-enforced inside the plan (core.PlanOptions.
+	// SortResults): its final sort sees every match before the first leaves.
 	Sorted bool
 	// MemLimit bounds the speculative structure S (0 = unlimited).
 	MemLimit int
-	// Limit caps delivered results at N (0 = unlimited). A query whose
-	// production order is its delivery order stops pulling the operator
-	// tree after N matches; an order-enforced one evaluates fully, sorts,
-	// then truncates.
+	// Limit caps delivered results at N (0 = unlimited): the query stops
+	// pulling its plan after N matches — the first N in document order when
+	// Sorted.
 	Limit int
 	// Stream delivers results incrementally through Pending.C instead of
-	// buffering them in Result.Results (order-enforced queries still buffer,
-	// and hand the sorted result over in Result.Results). Streaming queries
-	// always run solo (never on a gang-shared scheduler): their production
-	// is paced by the consumer, and parking a shared group's pooled I/O
-	// behind a slow consumer would stall the other members.
+	// buffering them in Result.Results. Streaming queries always run solo
+	// (never on a gang-shared scheduler): their production is paced by the
+	// consumer, and parking a shared group's pooled I/O behind a slow
+	// consumer would stall the other members.
 	Stream bool
 	// PredEval forces the predicate evaluator; PredAuto leaves it to the
 	// plan (core.AutoPredEval on the query's view).
@@ -419,14 +420,13 @@ type execUnit struct {
 	choice *plan.Choice
 }
 
-// view opens a read view for one gang member: through the gang's pinned
-// snapshot when one exists, else pinned to the version current at call
-// time (immovable on volumes without a txn manager).
-func (e *Engine) view(snap Snapshot, led *stats.Ledger) *storage.Store {
+// viewOf opens a read view of st charging led: through the pinned snapshot
+// when there is one, else pinned to the version current at call time.
+func viewOf(st *storage.Store, snap Snapshot, led *stats.Ledger) *storage.Store {
 	if snap != nil {
 		return snap.View(led)
 	}
-	return e.store.SnapshotView(led)
+	return st.SnapshotView(led)
 }
 
 // execute runs one gang on the dispatcher: the batchable members together as
@@ -443,14 +443,6 @@ func (e *Engine) execute(gang []*Pending) {
 	// Dispatch bookkeeping is charged to the engine's overhead ledger, one
 	// set-op per admitted member, keeping the volume clock pure.
 	e.overhead.AdvanceCPU(stats.Ticks(len(gang)) * e.store.Disk().Model().CPUSetOp)
-
-	// Commits since the last gang are folded into the chooser's statistics
-	// from the rewritten clusters' synopses (the dispatcher is the only
-	// Choose caller, so the refresh needs no lock). Offline bookkeeping: a
-	// throwaway ledger, not the volume clock.
-	if e.chooser.Epoch() != e.store.VersionEpoch() {
-		e.chooser.Refresh(e.store.SnapshotView(stats.NewLedger()))
-	}
 
 	var shared, solo []execUnit
 	for _, p := range gang {
@@ -482,11 +474,12 @@ func (e *Engine) execute(gang []*Pending) {
 	}
 }
 
-func (e *Engine) contextsOf(q Query) []storage.NodeID {
+// contextsOf returns q's context nodes, the roots when it names none.
+func contextsOf(st *storage.Store, q Query) []storage.NodeID {
 	if q.Contexts != nil {
 		return q.Contexts
 	}
-	return e.store.Roots()
+	return st.Roots()
 }
 
 // runShared executes a gang's batchable members on one gang-shared
@@ -504,7 +497,7 @@ func (e *Engine) runShared(snap Snapshot, units []execUnit, gangSize int) {
 	baseV := e.store.Disk().Clock()
 	gled := stats.NewLedger()
 	gled.SeedAt(baseV)
-	gview := e.view(snap, gled)
+	gview := viewOf(e.store, snap, gled)
 	startV := e.store.Ledger().Total()
 	startW := time.Now()
 
@@ -515,11 +508,11 @@ func (e *Engine) runShared(snap Snapshot, units []execUnit, gangSize int) {
 		qleds[i].SeedAt(baseV)
 		queries[i] = core.MultiQuery{
 			Path:     u.p.q.Path,
-			Contexts: e.contextsOf(u.p.q),
+			Contexts: contextsOf(e.store, u.p.q),
 			Ctx:      u.p.ctx,
 			MemLimit: u.p.q.MemLimit,
 			PredEval: u.p.q.PredEval,
-			Store:    e.view(snap, qleds[i]),
+			Store:    viewOf(e.store, snap, qleds[i]),
 		}
 	}
 	buckets := make([][]core.Result, len(units))
@@ -609,7 +602,7 @@ func (e *Engine) runShared(snap Snapshot, units []execUnit, gangSize int) {
 			WallQueue: startW.Sub(u.p.submitW),
 			WallExec:  wall,
 		}
-		e.deliver(u.p, res, qleds[i], baseV, u.p.q.Sorted)
+		e.deliver(u.p, res, qleds[i], baseV)
 	}
 	if anyCancelled {
 		// Abandon the cancelled members' in-flight prefetches so they
@@ -618,113 +611,46 @@ func (e *Engine) runShared(snap Snapshot, units []execUnit, gangSize int) {
 	}
 }
 
-// runSolo executes one member on its own plan over a private storage view.
+// runSolo executes one member on its own plan through a Branch: a buffered
+// query collects its matches, a streaming one hands them to its consumer as
+// they are produced.
 func (e *Engine) runSolo(snap Snapshot, u execUnit, gangSize int) {
-	baseV := e.store.Disk().Clock()
-	qled := stats.NewLedger()
-	qled.SeedAt(baseV)
-	view := e.view(snap, qled)
-	startV := e.store.Ledger().Total()
-	startW := time.Now()
-
+	var b Branch
+	b.Start(u.p.ctx, e.store, snap, u.p.q, u.strat, u.choice)
 	// results is the buffered result, or a live stream's open block.
 	var results []core.Result
-	var sorted, stopped bool
-	arena := core.GetArena()
-	defer core.PutArena(arena)
-	ferr := func() (ferr *storage.PageError) {
-		var root core.Operator
-		opened := false
-		defer func() {
-			if r := recover(); r != nil {
-				// Close on the unwind path too: pooled navigation
-				// iterators and arena structures must not leak with the
-				// aborted query.
-				if opened {
-					root.Close()
-				}
-				if pe, ok := storage.AsPageFault(r); ok {
-					ferr = pe
-					return
-				}
-				panic(r)
-			}
-		}()
-		p := core.BuildPlan(view, u.p.q.Path, e.contextsOf(u.p.q), u.strat, core.PlanOptions{
-			MemLimit:  u.p.q.MemLimit,
-			Ctx:       u.p.ctx,
-			Arena:     arena,
-			PredEval:  u.p.q.PredEval,
-			LevelRead: u.choice != nil && u.choice.LevelRead,
-		})
-		if u.choice != nil {
-			u.choice.PredEval, u.choice.LevelRead = p.PredEval, p.LevelRead()
+	stopped := false
+	for {
+		r, ok := b.Next()
+		if !ok {
+			break
 		}
-		root = p.Root()
-		root.Open()
-		opened = true
-		// Only a plan that does not yield document order by itself must
-		// see everything before it delivers anything.
-		sorted = u.p.q.Sorted && !p.Ordered
-		live := u.p.sink != nil && !sorted
-		for n, limit := 0, u.p.q.Limit; ; {
-			inst, ok := root.Next()
-			if !ok {
-				break
-			}
-			r := core.Result{Node: inst.NR, Ord: inst.Ord}
-			if !live {
-				results = append(results, r)
-			} else if results, ok = e.emit(u.p, results, r); !ok {
-				// The consumer is gone (context cancelled) or the engine
-				// is stopping: stop pulling.
-				stopped = true
-				break
-			}
-			if n++; limit > 0 && !sorted && n >= limit {
-				break
-			}
+		if u.p.sink == nil {
+			results = append(results, r)
+		} else if results, ok = e.emit(u.p, results, r); !ok {
+			// The consumer is gone (context cancelled) or the engine is
+			// stopping: stop pulling.
+			stopped = true
+			break
 		}
-		opened = false
-		root.Close()
-		return nil
-	}()
-	if ferr != nil {
-		// The fault already exhausted the storage retry budget; fail
-		// just this query, withdraw its outstanding prefetches so they
-		// cannot surface inside a later gang, and account its work.
-		e.faulted.Add(1)
-		Recycle(results)
-		view.CancelRequests()
-		e.store.Ledger().Merge(qled.Sub(clockBase(baseV)))
-		u.p.finish(Result{}, ferr)
-		return
 	}
-
-	err := u.p.ctx.Err()
-	if err != nil {
+	res, err := b.Stop()
+	if _, isFault := err.(*storage.PageError); isFault {
+		e.faulted.Add(1)
+	} else if err != nil {
 		e.cancelled.Add(1)
 	} else if stopped {
 		err = ErrClosed // the engine stopped under a producer parked on its consumer
 	}
 	if err != nil {
 		Recycle(results)
-		view.CancelRequests()
-		e.store.Ledger().Merge(qled.Sub(clockBase(baseV)))
 		u.p.finish(Result{}, err)
 		return
 	}
-	res := Result{
-		Results:   results,
-		Strategy:  u.strat,
-		Choice:    u.choice,
-		Gang:      gangSize,
-		SubmitV:   u.p.submitV,
-		StartV:    startV,
-		WallQueue: startW.Sub(u.p.submitW),
-		WallExec:  time.Since(startW),
-	}
-	e.deliver(u.p, res, qled, baseV, sorted)
+	res.Results, res.Gang = results, gangSize
+	res.SubmitV, res.WallQueue = u.p.submitV, b.startW.Sub(u.p.submitW)
+	e.completed.Add(1)
+	u.p.finish(res, nil)
 }
 
 // emit appends r to blk, a streaming query's open block, and hands blocks to
@@ -766,14 +692,14 @@ func (e *Engine) emit(p *Pending, blk []core.Result, r core.Result) ([]core.Resu
 // into the volume ledger.
 func clockBase(t stats.Ticks) stats.Ledger { return stats.Ledger{Now: t} }
 
-// deliver applies per-query post-processing (the document-order sort of an
-// order-enforced query stays off the shared path, charged to the query's
-// own ledger), folds the query ledger into the volume ledger, stamps the
-// per-query costs and completes the waiter. baseV is the device instant the
-// ledger was seeded at; only the time past it is the query's own.
-func (e *Engine) deliver(p *Pending, res Result, qled *stats.Ledger, baseV stats.Ticks, sorted bool) {
-	if sorted {
-		rs := res.Results
+// deliver completes a shared-group member: a sorted member's bucket is put
+// into document order, the sort charged to the member's own ledger (the
+// shared scheduler emits in arrival order), and capped at its Limit; the
+// member ledger is folded into the volume ledger and stamped on the result.
+// baseV is the device instant the ledger was seeded at; only the time past
+// it is the query's own.
+func (e *Engine) deliver(p *Pending, res Result, qled *stats.Ledger, baseV stats.Ticks) {
+	if rs := res.Results; p.q.Sorted {
 		if len(rs) > 1 {
 			cmp := core.SortResults(rs)
 			qled.AdvanceCPU(stats.Ticks(cmp) * e.store.Disk().Model().CPUSetOp)
@@ -784,10 +710,7 @@ func (e *Engine) deliver(p *Pending, res Result, qled *stats.Ledger, baseV stats
 			res.Results = rs[:p.q.Limit]
 		}
 	}
-	snap := qled.Sub(clockBase(baseV))
-	res.CostV, res.CPUV, res.IOWaitV = snap.Now, snap.CPU, snap.IOWait
-	e.store.Ledger().Merge(snap)
-	res.DoneV = e.store.Ledger().Total()
+	fold(e.store, qled, baseV, &res)
 	e.completed.Add(1)
 	p.finish(res, nil)
 }

@@ -71,10 +71,9 @@ func (p *Pending) finish(res Result, err error) {
 
 // C is the result stream of a streaming query: blocks of matches in
 // delivery order, closed when the query settles. The block still open then
-// — all of an order-enforced query's result — follows in the Result's
-// Results, which Wait returns after C closes together with the summary
-// (costs, strategy, gang). Hand every block back with Recycle. Nil for
-// buffered queries.
+// follows in the Result's Results, which Wait returns after C closes
+// together with the summary (costs, strategy, gang). Hand every block back
+// with Recycle. Nil for buffered queries.
 func (p *Pending) C() <-chan []core.Result { return p.sink }
 
 // Wait blocks until the query finishes or ctx is done. A Wait abandoned by

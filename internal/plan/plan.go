@@ -103,15 +103,17 @@ type DocStats struct {
 }
 
 // Chooser estimates plan costs over one store. Construct with NewChooser
-// and reuse across queries; after commits, call Refresh with a current view
-// to fold in the rewritten clusters. Its statistics are the sum of the
+// and reuse across queries: Choose first folds in the clusters the commits
+// published since its statistics' epoch rewrote, and Refresh does the same
+// for a view the caller holds. Its statistics are the sum of the
 // per-cluster synopses the storage layer registers for every page version
 // it writes, so building one reads no page of an imported volume. Safe for
 // concurrent use: one chooser may be shared between the facade's blocking
 // queries and the engine's dispatcher.
 type Chooser struct {
 	mu    sync.Mutex
-	store *storage.Store
+	src   *storage.Store // the store NewChooser summed: its epoch is watched
+	store *storage.Store // the view the statistics describe
 	ds    DocStats
 
 	// The synopsis each page contributes to ds, the store epoch those
@@ -128,6 +130,7 @@ type Chooser struct {
 func NewChooser(store *storage.Store) *Chooser {
 	n := store.NumDataPages()
 	c := &Chooser{
+		src:     store,
 		store:   store,
 		ds:      DocStats{Pages: n, Tags: make(map[xmltree.TagID]TagStats)},
 		perPage: make(map[vdisk.PageID]*storage.PageSynopsis, n),
@@ -147,6 +150,19 @@ func NewChooser(store *storage.Store) *Chooser {
 func (c *Chooser) Refresh(view *storage.Store) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.refresh(view)
+}
+
+// refresh is Refresh; caller holds c.mu. A nil view stands for the watched
+// store as it is now, viewed with a throwaway ledger (statistics are
+// offline bookkeeping, not query work) once its epoch has moved.
+func (c *Chooser) refresh(view *storage.Store) {
+	if view == nil {
+		if c.src.VersionEpoch() <= c.epoch {
+			return
+		}
+		view = c.src.SnapshotView(stats.NewLedger())
+	}
 	cur := view.VersionEpoch()
 	if cur == c.epoch {
 		return
@@ -203,16 +219,10 @@ func (c *Chooser) put(t xmltree.TagID, ts TagStats) {
 func (c *Chooser) Stats() DocStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.refresh(nil)
 	ds := c.ds
 	ds.Tags = maps.Clone(c.ds.Tags)
 	return ds
-}
-
-// Epoch returns the store epoch the chooser's statistics describe.
-func (c *Chooser) Epoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
 }
 
 // Choose prices the three physical plans for the path against the current
@@ -221,6 +231,7 @@ func (c *Chooser) Epoch() uint64 {
 func (c *Chooser) Choose(path []xpath.Step) Choice {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.refresh(nil)
 	m := c.store.Disk().Model()
 	n := c.ds.Pages
 	if n == 0 {

@@ -194,7 +194,7 @@ func TestChooserRefreshMatchesFreshWalk(t *testing.T) {
 	// Pages rewritten since the chooser's base epoch bound the drift from
 	// the walk below.
 	changed := 0
-	view.WrittenSince(ch.Epoch(), func(vdisk.PageID, uint64) { changed++ })
+	view.WrittenSince(ch.epoch, func(vdisk.PageID, uint64) { changed++ })
 
 	ch.Refresh(view)
 	// The commit path registered every rewritten cluster's synopsis, so the
@@ -207,8 +207,8 @@ func TestChooserRefreshMatchesFreshWalk(t *testing.T) {
 		t.Fatalf("a fresh chooser read %d pages, want 0", reads)
 	}
 
-	if ch.Epoch() != fresh.Epoch() {
-		t.Fatalf("epoch: refreshed %d, fresh %d", ch.Epoch(), fresh.Epoch())
+	if ch.epoch != fresh.epoch {
+		t.Fatalf("epoch: refreshed %d, fresh %d", ch.epoch, fresh.epoch)
 	}
 	if ch.live != fresh.live {
 		t.Errorf("live records: refreshed %d, fresh %d", ch.live, fresh.live)

@@ -160,24 +160,39 @@ func layoutVolume(layout storage.Layout) func(testing.TB) (*xmltree.Dictionary, 
 	}
 }
 
+// reopenedVolume stores one XMark document, shuffled, and recovers it with
+// storage.Open, which registers no synopsis.
+func reopenedVolume(t testing.TB) (*xmltree.Dictionary, *storage.Store) {
+	dict, st := layoutVolume(storage.LayoutShuffled)(t)
+	st, err := storage.Open(st.Disk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dict, st
+}
+
 // TestChooserStatsMatchWalk: on a fresh import the chooser's statistics,
 // summed from the synopses the importer registered, equal the whole-document
-// walk exactly, and building them reads no page.
+// walk exactly, and building them reads no page. On a volume Open recovered
+// the chooser counts every page it has to load, and the statistics are as
+// exact.
 func TestChooserStatsMatchWalk(t *testing.T) {
 	for _, v := range []struct {
 		name   string
 		volume func(testing.TB) (*xmltree.Dictionary, *storage.Store)
+		loads  bool // no synopsis is registered: NewChooser loads pages
 	}{
-		{"natural", layoutVolume(storage.LayoutNatural)},
-		{"shuffled", layoutVolume(storage.LayoutShuffled)},
-		{"contiguous", layoutVolume(storage.LayoutContiguous)},
-		{"collection", collectionVolume},
-		{"paper", paperVolume},
+		{"natural", layoutVolume(storage.LayoutNatural), false},
+		{"shuffled", layoutVolume(storage.LayoutShuffled), false},
+		{"contiguous", layoutVolume(storage.LayoutContiguous), false},
+		{"collection", collectionVolume, false},
+		{"paper", paperVolume, false},
+		{"Open-recovered", reopenedVolume, true},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			dict, st := v.volume(t)
 			ch := NewChooser(st)
-			if reads := st.Ledger().PageReads; reads != 0 {
+			if reads := st.Ledger().PageReads; (reads != 0) != v.loads {
 				t.Fatalf("NewChooser read %d pages", reads)
 			}
 			got, want := ch.Stats(), walkStats(st)

@@ -185,16 +185,21 @@ func (s *Store) extrasList() []vdisk.PageID {
 
 // WithSnapshot returns a read view pinned to version vm: every logical
 // page resolves through vm for the view's whole lifetime, regardless of
-// later commits. The txn manager hands these out to queries.
+// later commits. The txn manager hands these out to queries. A nil vm is
+// the identity version of a volume before its first commit, and the view
+// keeps reading it after that commit publishes.
 func (s *Store) WithSnapshot(vm *VersionMap, led *stats.Ledger) *Store {
 	v := s.Reader(led)
 	v.pinned = vm
+	if vm == nil {
+		v.vh = nil
+	}
 	return v
 }
 
 // SnapshotView is Reader pinned to the latest published version — a
-// consistent point-in-time view even while writers publish new versions.
-// On a volume without transaction state it degrades to a plain Reader.
+// consistent point-in-time view even while writers publish new versions,
+// the identity version included.
 func (s *Store) SnapshotView(led *stats.Ledger) *Store {
 	return s.WithSnapshot(s.version(), led)
 }

@@ -163,14 +163,62 @@ func rewrittenSynopsis(img *pageImage, epoch uint64, prev *PageSynopsis) *PageSy
 // epoch is the page's write epoch), else one counted off a load of the
 // cluster, charged to this view's ledger, by the rule a commit applies. The
 // load covers volumes Open recovered, whose pages nobody registered, and a
-// view that reads a version before the commit path has registered it. Used
-// by the plan chooser.
+// view that reads a version before the commit path has registered it. A
+// page with no synopsis at all has no previous Below to keep: the elements
+// above its fragments are found by following each anchor up to the root
+// (tagsAbove), and the result is registered, so a later commit of the page
+// keeps it. Used by the plan chooser.
 func (s *Store) EnsureSynopsis(p vdisk.PageID) *PageSynopsis {
 	sy := s.syn.get(p)
-	if epoch := s.pageEpoch(p); sy == nil || sy.Epoch != epoch {
+	if epoch := s.pageEpoch(p); sy == nil {
+		img := s.image(p)
+		sy = rewrittenSynopsis(img, epoch, &PageSynopsis{Below: s.tagsAbove(img)})
+		s.syn.publish(p, sy)
+	} else if sy.Epoch != epoch {
 		sy = rewrittenSynopsis(s.image(p), epoch, sy)
 	}
 	return sy
+}
+
+// tagsAbove returns, sorted and distinct, the tags of the elements above
+// img's fragment anchors whose fragment holds a non-proxy record: each
+// anchor's companion is followed up its cluster's parent chain, and on
+// through the anchor there, to the document root. Pages on the way are
+// loaded through this view.
+func (s *Store) tagsAbove(img *pageImage) []xmltree.TagID {
+	var tags []xmltree.TagID
+	for a := 0; a < img.n; a++ {
+		if img.kind(a) != RecProxyParent || !holdsCore(img, a) {
+			continue
+		}
+		for t := img.target(a); t != InvalidNodeID; {
+			up := s.image(t.Page())
+			q, ok := up.posOf(t.Slot())
+			t = InvalidNodeID
+			for ok && q != noParent {
+				switch up.kind(q) {
+				case RecElem:
+					tags = append(tags, up.tag(q))
+				case RecProxyParent:
+					t = up.target(q)
+				}
+				q = up.parent(q)
+			}
+		}
+	}
+	slices.Sort(tags)
+	return slices.Compact(tags)
+}
+
+// holdsCore reports whether the fragment below anchor a holds a non-proxy
+// record.
+func holdsCore(img *pageImage, a int) bool {
+	for p := a + 1; p < img.end(a); p++ {
+		if !img.kind(p).IsProxy() {
+			return true
+		}
+	}
+	return false
 }
 
 // RefreshSynopses validates the after-images of a commit and registers their

@@ -209,13 +209,18 @@ type DB struct {
 	dict  *xmltree.Dictionary
 	store *storage.Store
 
-	mu      sync.Mutex // guards chooser and manager creation
+	mu      sync.Mutex // guards chooser and manager creation, and the pins below
 	chooser *plan.Chooser
 
 	// The MVCC transaction manager, created lazily by the first write
 	// (see txn.go). Reads load it lock-free.
 	mgr     atomic.Pointer[txn.Manager]
 	txnOpts txn.Options
+
+	// Readers pinned to the version before the first write, and the
+	// manager's snapshot of it that holds their pages (see dbSnapshots).
+	plainPins int
+	adopted   *txn.Snap
 }
 
 // newDB wires a loaded store into a DB, closing the volumeAPI self-link.
@@ -226,18 +231,13 @@ func newDB(dict *xmltree.Dictionary, st *storage.Store) *DB {
 }
 
 // getChooser returns the document's cost-model chooser, building it on
-// first use and incrementally refreshing its statistics from the per-cluster
-// synopses when commits have advanced the volume since. Both paths run over
-// a snapshot view with a throwaway ledger: statistics collection is offline
-// bookkeeping, not query work, and must not inflate the volume's cost report
-// or any query's measured latency.
+// first use from the per-cluster synopses; it folds the clusters later
+// commits rewrite into its statistics by itself (plan.Chooser.Choose).
 func (db *DB) getChooser() *plan.Chooser {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.chooser == nil {
-		db.chooser = plan.NewChooser(db.store.SnapshotView(new(stats.Ledger)))
-	} else {
-		db.chooser.Refresh(db.store.SnapshotView(new(stats.Ledger)))
+		db.chooser = plan.NewChooser(db.store)
 	}
 	return db.chooser
 }
@@ -457,7 +457,7 @@ func (db *DB) Query(path string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Query{db: db, text: path, branches: branches, contexts: db.store.Roots()}, nil
+	return &Query{db: db, text: path, branches: branches}, nil
 }
 
 // parseAbsolute parses an absolute location path, or a '|' union of them.
@@ -500,8 +500,8 @@ func parseUnion(db *DB, path string) ([][]xpath.Step, error) {
 type Query struct {
 	db       *DB
 	text     string
-	branches []*xpath.Path // union branches; one for plain paths
-	contexts []storage.NodeID
+	branches []*xpath.Path    // union branches; one for plain paths
+	contexts []storage.NodeID // nil: the volume roots
 	opts     QueryOptions
 }
 
@@ -535,7 +535,13 @@ func (q *Query) WithPredEval(pe PredEval) *Query {
 func (q *Query) Plan() string {
 	c := q.open()
 	defer c.Close()
-	return c.dir.plan(0).Describe(q.db.dict)
+	c.dir.start(c.ctx)
+	p := c.dir.run.Plan()
+	if p == nil {
+		c.finish(c.dir.settle())
+		must(c)
+	}
+	return p.Describe(q.db.dict)
 }
 
 // Explain returns the cost-model decision for this query (forcing a

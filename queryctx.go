@@ -14,9 +14,12 @@ import (
 // operator poll point; page faults raised by the fault plane surface as the
 // typed *Error (KindIO or KindCorrupt) instead of a panic.
 //
-// QueryCtx is not safe for use concurrently with other queries on the
-// same DB (it runs on the volume's own clock); use an Engine for
-// concurrent execution.
+// Each branch runs as the engine runs a solo query, on one snapshot pinned
+// for the call and on a private ledger (see QueryStream), so QueryCtx may
+// run beside engine sessions and Updates on the same DB. Its virtual costs
+// are deterministic only while no other query runs on the DB: concurrent
+// queries share the simulated device. Use an Engine for concurrent
+// execution under admission control.
 func (db *DB) QueryCtx(ctx context.Context, path string, opts QueryOptions) (res ExecResult, err error) {
 	c, err := db.QueryStream(ctx, path, opts)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"pathdb/internal/core"
 	"pathdb/internal/engine"
 	"pathdb/internal/plan"
-	"pathdb/internal/stats"
 	"pathdb/internal/storage"
 	"pathdb/internal/xpath"
 )
@@ -30,13 +29,20 @@ import (
 // false. A stream that ends by itself (exhausted, capped by Limit, failed,
 // context done) has already released all of that.
 //
+// A cursor has one of two producers, and both run a branch plan the same
+// way (engine.Branch): the engine's dispatcher drives it into a sink of
+// blocks (Session.Stream, Session.Do), or the cursor pulls it on the
+// caller's goroutine (DB.QueryStream, DB.QueryCtx, Query). Either way the
+// plan reads one pinned snapshot and charges its own ledger.
+//
 // Delivery is incremental wherever production order is delivery order:
 // unsorted queries, and sorted single paths whose plan yields document order
 // by itself (core.Plan.Ordered). Each match is handed over as the operator
 // tree produces it, an engine-backed producer running at most one block of
-// matches ahead (back-pressure). Other sorted queries are order-enforced:
-// every match is seen before the first is delivered (the sort of a single
-// path is charged to the query like any other work).
+// matches ahead (back-pressure). Other sorted queries are order-enforced: a
+// single path by the final sort inside its plan, charged to the query like
+// any other work, a union by the cursor's merge; every match is seen before
+// the first is delivered.
 //
 // A Cursor is not safe for concurrent use by multiple goroutines.
 type Cursor struct {
@@ -83,9 +89,9 @@ type producer interface {
 // Stream opens a cursor over the path's results. Unsorted queries deliver
 // incrementally (the first node is available long before the last is
 // computed), and so does a sorted single path whose plan is ordered; any
-// other sorted single path is order-enforced at the producer (the engine
-// sees every match before the first is delivered) and then streams the
-// sorted sequence; a sorted union is delivered after the cursor's
+// other sorted single path is order-enforced inside its plan (the final
+// sort sees every match before the first is delivered) and then streams
+// the sorted sequence; a sorted union is delivered after the cursor's
 // cross-branch merge. Streaming queries execute solo — they never join a
 // gang-shared scheduler, since their production is paced by the consumer.
 // A full admission queue makes Stream wait; TryStream sheds instead.
@@ -405,161 +411,107 @@ func aggregateBranches(branch []engine.Result) ExecResult {
 }
 
 // ---------------------------------------------------------------------------
-// The direct (engine-free) producer: DB.QueryStream/QueryCtx and Query.
+// The direct producer: DB.QueryStream/QueryCtx and Query.
 
 // QueryStream opens a cursor directly over the operator tree, on the
-// caller's goroutine — the engine-free counterpart of Session.Stream.
-// Unsorted queries pull the plan incrementally: each Next advances the
-// operators just far enough to produce one match, union branches one after
-// another; so does a sorted single path whose plan is ordered. Other sorted
-// queries evaluate fully on the first Next (order enforcement), then stream
-// the sorted result.
+// caller's goroutine — the engine-free counterpart of Session.Stream. Each
+// branch runs as the engine runs a solo query (engine.Branch), on a
+// snapshot the cursor pins when it opens: a commit made while the cursor is
+// open is not seen. Unsorted queries pull the plan incrementally, union
+// branches one after another; so does a sorted single path whose plan is
+// ordered. Other sorted queries evaluate fully on the first Next (order
+// enforcement), then stream the sorted result.
 //
-// It is not safe for use concurrently with other queries on the same DB (it
-// runs on the volume's own clock); use Session.Stream for concurrent
-// streaming.
+// Its virtual costs are deterministic only while no other query runs on
+// the DB, since concurrent queries share the simulated device; run
+// concurrent queries through an Engine.
 func (db *DB) QueryStream(ctx context.Context, path string, opts QueryOptions) (*Cursor, error) {
 	branches, err := parseUnion(db, path)
 	if err != nil {
 		return nil, err
 	}
 	cctx, cancel := opts.context(ctx)
-	return db.openDirect(cctx, cancel, path, branches, db.store.Roots(), opts), nil
+	return db.openDirect(cctx, cancel, path, branches, nil, opts), nil
 }
 
-// openDirect opens a cursor over the direct producer: the branches' plans
-// evaluated from the given context nodes. Every branch is resolved here,
-// against the pool as the query finds it — as the engine's dispatcher
+// openDirect opens a cursor over the direct producer: the branches' engine
+// queries evaluated from contexts (nil: the roots). Every branch is resolved
+// here, against the pool as the query finds it — as the engine's dispatcher
 // resolves a gang — not against what an earlier branch leaves behind.
 func (db *DB) openDirect(ctx context.Context, cancel context.CancelFunc, path string, branches [][]xpath.Step, contexts []storage.NodeID, opts QueryOptions) *Cursor {
 	c := newCursor(db, path, opts, ctx, cancel, len(branches))
-	start := db.store.Ledger().Snapshot()
-	c.dir = directProducer{
-		db:       db,
-		branches: make([]directBranch, len(branches)),
-		contexts: contexts,
-		popts: core.PlanOptions{
-			MemLimit: opts.MemLimit,
-			Ctx:      ctx,
-			Arena:    core.GetArena(),
-			// A single path sorts inside its plan, charged to the query,
-			// unless the plan is ordered; union branches are merged by the
-			// cursor.
-			SortResults: opts.Sorted && len(branches) == 1,
-			PredEval:    opts.PredEval.internal(),
-		},
-		startV: start.Now, startCPU: start.CPU, startIO: start.IOWait,
-	}
+	c.dir = directProducer{db: db, snap: dbSnapshots{db}.Snapshot(), branches: make([]directBranch, len(branches))}
 	for i, b := range branches {
-		strat, choice := db.resolve(b, opts.Strategy)
-		c.dir.branches[i] = directBranch{path: b, strat: strat, levels: choice != nil && choice.LevelRead}
-		if i == 0 {
-			c.dir.choice = choice
-		}
+		d := &c.dir.branches[i]
+		d.q = opts.branchQuery(path, b, len(branches))
+		d.q.Contexts = contexts
+		d.strat, d.choice = db.resolve(b, opts.Strategy)
 	}
 	c.prod = &c.dir
 	return c
 }
 
-// directProducer builds each branch's plan with core.BuildPlan and pulls it
-// on the consumer's goroutine, one branch after another: delivery is paced
-// by the consumer, so union branches share no scheduler.
+// directProducer pulls the branches one after another, each through an
+// engine.Branch on the consumer's goroutine.
 type directProducer struct {
 	db       *DB
+	snap     engine.Snapshot
 	branches []directBranch
-	contexts []storage.NodeID
-	popts    core.PlanOptions
-
-	bi   int           // branch being delivered
-	root core.Operator // its open plan; nil between branches
-
-	// For the summary: the volume clocks when the cursor opened, and the
-	// model's decision on the first branch (nil when forced).
-	startV, startCPU, startIO stats.Ticks
-	choice                    *plan.Choice
+	bi       int           // branch being delivered
+	run      engine.Branch // its runner
+	running  bool          // run is between Start and Stop
+	done     []engine.Result
 }
 
-// directBranch is one union branch with its resolved strategy, and whether
-// the chooser reads it from levels (plan.Choice.LevelRead).
+// directBranch is one branch's query, strategy and choice (nil if forced).
 type directBranch struct {
-	path   []xpath.Step
+	q      engine.Query
 	strat  core.Strategy
-	levels bool
+	choice *plan.Choice
 }
 
-// plan compiles branch bi.
-func (p *directProducer) plan(bi int) *core.Plan {
-	b := p.branches[bi]
-	opts := p.popts
-	opts.LevelRead = b.levels
-	return core.BuildPlan(p.db.store, b.path, p.contexts, b.strat, opts)
+func (p *directProducer) start(ctx context.Context) {
+	b := &p.branches[p.bi]
+	p.run.Start(ctx, p.db.store, p.snap, b.q, b.strat, b.choice)
+	p.running = true
 }
 
-// next advances the current branch's plan by one match, opening it first
-// and moving on to the next branch when it is exhausted. A page fault
-// raised by the fault plane anywhere below is returned as the typed error.
-func (p *directProducer) next(ctx context.Context) (r core.Result, ok bool, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			pe, isFault := storage.AsPageFault(rec)
-			if !isFault {
-				panic(rec)
-			}
-			r, ok, err = core.Result{}, false, pe
-		}
-	}()
-	for p.bi < len(p.branches) {
-		if err := ctx.Err(); err != nil {
-			return core.Result{}, false, err
-		}
-		if p.root == nil {
-			root := p.plan(p.bi).Root()
-			root.Open()
-			p.root = root
-		}
-		if inst, ok := p.root.Next(); ok {
-			return core.Result{Node: inst.NR, Ord: inst.Ord}, true, nil
-		}
-		// A cancelled plan ends its stream early rather than erroring;
-		// surface the context failure as the typed taxonomy error.
-		if err := ctx.Err(); err != nil {
-			return core.Result{}, false, err
-		}
-		p.root.Close()
-		p.root = nil
+// settle stops the running branch; one that ran to its end counts in the
+// summary, and the next branch is up.
+func (p *directProducer) settle() error {
+	p.running = false
+	res, err := p.run.Stop()
+	if err == nil {
+		res.Gang, res.SubmitV = 1, res.StartV
+		p.done = append(p.done, res)
 		p.bi++
+	}
+	return err
+}
+
+func (p *directProducer) next(ctx context.Context) (core.Result, bool, error) {
+	for p.bi < len(p.branches) {
+		if !p.running {
+			p.start(ctx)
+		}
+		if r, ok := p.run.Next(); ok {
+			return r, true, nil
+		}
+		if err := p.settle(); err != nil {
+			return core.Result{}, false, err
+		}
 	}
 	return core.Result{}, false, nil
 }
 
 func (p *directProducer) known() int { return 0 }
 
-// stop closes the open plan, withdraws the cluster requests it left with
-// the volume's waiter — a plan abandoned mid-flight has prefetches queued on
-// the device, and they must not surface inside the next query — returns the
-// arena, and reports the volume-ledger delta since the cursor opened.
+// stop stops a running branch and unpins the snapshot; the summary covers
+// the branches that ran to their end.
 func (p *directProducer) stop() ExecResult {
-	if p.root != nil {
-		func() {
-			defer func() {
-				if rec := recover(); rec != nil {
-					if _, isFault := storage.AsPageFault(rec); !isFault {
-						panic(rec)
-					}
-				}
-			}()
-			p.root.Close()
-		}()
-		p.root = nil
+	if p.running {
+		p.settle()
 	}
-	p.db.store.CancelRequests()
-	core.PutArena(p.popts.Arena)
-
-	end := p.db.store.Ledger().Snapshot()
-	out := ExecResult{Strategy: fromCore(p.branches[0].strat), Gang: 1, Choice: choiceOf(p.choice)}
-	out.CostV = end.Now - p.startV
-	out.CPUV = end.CPU - p.startCPU
-	out.IOWaitV = end.IOWait - p.startIO
-	out.VirtualLatency = out.CostV
-	return out
+	p.snap.Release()
+	return aggregateBranches(p.done)
 }

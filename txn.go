@@ -121,6 +121,9 @@ func (db *DB) txnMgr() (*txn.Manager, error) {
 	if err != nil {
 		return nil, err
 	}
+	if db.plainPins > 0 {
+		db.adopted = m.Snapshot() // before any commit: see dbSnapshots
+	}
 	db.mgr.Store(m)
 	return m, nil
 }
@@ -190,8 +193,8 @@ func (db *DB) updateEpoch(fn func(*Tx) error) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	// No chooser invalidation: the next getChooser call folds the commit's
-	// rewritten clusters into the statistics incrementally (plan.Refresh).
+	// No chooser invalidation: the next Choose folds the commit's rewritten
+	// clusters into the statistics incrementally.
 	return epoch, nil
 }
 
@@ -232,22 +235,37 @@ func (db *DB) txnMetrics() TxnMetrics {
 }
 
 // dbSnapshots adapts the DB's transaction manager to the engine's snapshot
-// source: every gang pins one version for all its members. Before the first
-// write there is no manager and no version history, so it degrades to a
-// plain view pinned at gang start — the engine's nil-source behaviour.
+// source: every gang, and every direct cursor, pins one version. Before the
+// first write there is no manager; a reader then pins the identity version
+// (plainSnap), and the manager the first write creates holds one snapshot
+// of its initial version — the same bytes — for as long as such readers
+// last, so no page they can see is reclaimed.
 type dbSnapshots struct{ db *DB }
 
 func (s dbSnapshots) Snapshot() engine.Snapshot {
-	if m := s.db.manager(); m != nil {
+	db := s.db
+	if m := db.manager(); m != nil {
 		return m.Snapshot()
 	}
-	return plainSnap{st: s.db.store}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if m := db.manager(); m != nil {
+		return m.Snapshot()
+	}
+	db.plainPins++
+	return plainSnap{db: db}
 }
 
-// plainSnap is the no-manager fallback: an unpinned view of the only
-// version there is.
-type plainSnap struct{ st *storage.Store }
+// plainSnap pins the version before the first write.
+type plainSnap struct{ db *DB }
 
-func (p plainSnap) View(led *stats.Ledger) *storage.Store { return p.st.SnapshotView(led) }
+func (p plainSnap) View(led *stats.Ledger) *storage.Store { return p.db.store.WithSnapshot(nil, led) }
 func (p plainSnap) Epoch() uint64                         { return 0 }
-func (p plainSnap) Release()                              {}
+func (p plainSnap) Release() {
+	p.db.mu.Lock()
+	defer p.db.mu.Unlock()
+	if p.db.plainPins--; p.db.plainPins == 0 && p.db.adopted != nil {
+		p.db.adopted.Release()
+		p.db.adopted = nil
+	}
+}

@@ -121,8 +121,8 @@ func TestScheduleAfterPagesReturn(t *testing.T) {
 }
 
 // TestUpdateMixedWorkloadUnderFaults is the subsystem's integration gauntlet:
-// 8 readers and 2 writers race through the engine while the fault plane
-// injects read errors and latency spikes. Every transaction inserts TWO
+// 8 readers — 7 engine sessions and one querying the DB directly — and 2
+// writers race while the fault plane injects read errors and latency spikes. Every transaction inserts TWO
 // probe elements, so any reader observing an odd count has seen a torn
 // snapshot. Afterwards the engine must shut down without leaking goroutines.
 func TestUpdateMixedWorkloadUnderFaults(t *testing.T) {
@@ -167,14 +167,18 @@ func TestUpdateMixedWorkloadUnderFaults(t *testing.T) {
 		}(w)
 	}
 
+	// Reader 0 queries the DB directly, beside the engine's readers.
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ses := eng.NewSession()
+			do := eng.NewSession().Do
+			if r == 0 {
+				do = db.QueryCtx
+			}
 			last := -1
 			for i := 0; i < perReader; i++ {
-				res, err := ses.Do(context.Background(), "/site/probe", QueryOptions{})
+				res, err := do(context.Background(), "/site/probe", QueryOptions{})
 				if err != nil {
 					if k := KindOf(err); k == KindIO || k == KindCorrupt {
 						continue
@@ -229,10 +233,9 @@ func TestUpdateMixedWorkloadUnderFaults(t *testing.T) {
 	}
 }
 
-// TestUpdateSerializesChooser: commits invalidate the plan chooser; auto
-// queries racing rebuilds must stay consistent. Four writers race the
-// readers the API documents as safe beside Update: one direct query at a
-// time (QueryCtx forbids more) and any number of engine sessions.
+// TestUpdateSerializesChooser: commits move the plan chooser's statistics;
+// auto queries racing the refreshes must stay consistent. Four writers race
+// a direct reader beside three engine sessions.
 func TestUpdateSerializesChooser(t *testing.T) {
 	db := engineFixture(t)
 	root := mustOne(t, db, "/site")
@@ -308,4 +311,136 @@ func countPath(t *testing.T, db *DB, path string) int {
 		t.Fatal(err)
 	}
 	return q.Count()
+}
+
+// addPersons commits 200 persons under /site/people in one transaction.
+func addPersons(t *testing.T, db *DB) {
+	t.Helper()
+	people := mustOne(t, db, "/site/people")
+	if err := db.Update(func(tx *Tx) error {
+		for i := 0; i < 200; i++ {
+			if _, err := tx.InsertXML(people, "<person><name>late</name></person>"); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotAcrossCommit: a reader that has begun before a commit returns
+// the node set of the version it began on, whichever surface runs it — a
+// direct QueryStream, a Query.Each whose callback commits, an engine Stream
+// and an engine Do whose gang began before the commit — under every
+// strategy, on a fresh volume (the reader predates the first write, so no
+// transaction manager exists when it pins) and after a warm-up commit.
+func TestSnapshotAcrossCommit(t *testing.T) {
+	const path = "/site/people/person"
+	surfaces := []struct {
+		name string
+		// read counts path under opts, calling commit once the read has
+		// begun and before it ends.
+		read func(t *testing.T, db *DB, opts QueryOptions, commit func()) int
+	}{
+		{"QueryStream", func(t *testing.T, db *DB, opts QueryOptions, commit func()) int {
+			cur, err := db.QueryStream(context.Background(), path, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur.Next()
+			commit()
+			return 1 + len(streamIDs(t, cur))
+		}},
+		{"Each", func(t *testing.T, db *DB, opts QueryOptions, commit func()) int {
+			q, err := db.Query(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			q.WithStrategy(opts.Strategy).Each(func(Node) bool {
+				if n++; n == 1 {
+					commit()
+				}
+				return true
+			})
+			return n
+		}},
+		{"Session.Stream", func(t *testing.T, db *DB, opts QueryOptions, commit func()) int {
+			eng := db.NewEngine(EngineConfig{})
+			defer eng.Close()
+			// Unread, the stream's producer parks on its first full block:
+			// its gang has begun.
+			cur, err := eng.NewSession().Stream(context.Background(), path, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitParked(t)
+			commit()
+			return len(streamIDs(t, cur))
+		}},
+		{"Session.Do", func(t *testing.T, db *DB, opts QueryOptions, commit func()) int {
+			eng := db.NewEngine(EngineConfig{MaxInFlight: 2})
+			defer eng.Close()
+			ses := eng.NewSession()
+			// A parked stream holds the dispatcher while the next gang — a
+			// stream that parks in its turn, then the Do — queues behind it.
+			gate, err := ses.Stream(context.Background(), "/site//description", QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitParked(t)
+			first, err := ses.Stream(context.Background(), path, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan ExecResult, 1)
+			go func() {
+				res, err := ses.Do(context.Background(), path, opts)
+				if err != nil {
+					t.Error(err)
+				}
+				done <- res
+			}()
+			for eng.Metrics().Submitted < 3 {
+				time.Sleep(time.Millisecond)
+			}
+			gate.Close()
+			waitParked(t) // the gang of first and the Do has begun
+			commit()
+			if n := len(streamIDs(t, first)); n != 128 {
+				t.Errorf("the stream of the Do's gang: %d nodes, want 128", n)
+			}
+			res := <-done
+			return res.Count()
+		}},
+	}
+	for _, s := range surfaces {
+		for _, warm := range []bool{false, true} {
+			for _, strat := range []Strategy{Simple, Schedule, Scan} {
+				name := fmt.Sprintf("%s/warm=%v/%v", s.name, warm, strat)
+				t.Run(name, func(t *testing.T) {
+					db := engineFixture(t)
+					if warm {
+						root := mustOne(t, db, "/site")
+						if _, err := db.InsertXML(root, "<pad/>"); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if n := countPath(t, db, path); n != 128 {
+						t.Fatalf("fixture has %d persons, want 128", n)
+					}
+					if got := s.read(t, db, QueryOptions{Strategy: strat}, func() { addPersons(t, db) }); got != 128 {
+						t.Errorf("a read begun before the commit returned %d persons, want 128", got)
+					}
+					if n := countPath(t, db, path); n != 328 {
+						t.Errorf("after the commit: %d persons, want 328", n)
+					}
+					if tm := db.TxnMetrics(); tm.Pinned != 0 {
+						t.Errorf("%d snapshots still pinned after the reads", tm.Pinned)
+					}
+				})
+			}
+		}
+	}
 }
