@@ -120,26 +120,28 @@ func TestAutoJoinsAcrossCommits(t *testing.T) {
 	}
 }
 
-// TestForcedStrategyBuildsNoChooser: a request that forces its strategy
-// leaves nothing to the cost model, predicates or not, so the volume never
-// builds a chooser.
-func TestForcedStrategyBuildsNoChooser(t *testing.T) {
+// TestForcedStrategyAsksNoChooser: a request that forces its strategy
+// leaves nothing to the cost model, predicates or not, so no surface asks
+// the chooser: the result runs the forced strategy and carries no choice.
+func TestForcedStrategyAsksNoChooser(t *testing.T) {
 	db := engineFixture(t)
+	eng := db.NewEngine(EngineConfig{})
+	defer eng.Close()
 	path := autoForms[0]
 	for _, s := range []Strategy{Simple, Schedule, Scan} {
-		if _, err := db.QueryCtx(context.Background(), path, QueryOptions{Strategy: s}); err != nil {
-			t.Fatal(err)
-		}
-		q, err := db.Query(path)
+		direct, err := db.QueryCtx(context.Background(), path, QueryOptions{Strategy: s})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if q.WithStrategy(s).Count() == 0 {
-			t.Fatalf("%s under %v: no nodes", path, s)
+		do, err := eng.NewSession().Do(context.Background(), path, QueryOptions{Strategy: s})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if db.chooser != nil {
-		t.Fatal("a forced strategy built the chooser")
+		for _, r := range []ExecResult{direct, do} {
+			if r.Count() == 0 || r.Strategy != s || r.Choice != nil {
+				t.Fatalf("%s under %v: %d nodes by %v, choice %+v; want nodes by %v and no choice", path, s, r.Count(), r.Strategy, r.Choice, s)
+			}
+		}
 	}
 }
 
@@ -160,7 +162,7 @@ func TestSupersededSnapshotStaysOut(t *testing.T) {
 		}
 	}
 	insert()
-	snap := db.manager().Snapshot()
+	snap := db.mgr.Snapshot()
 	defer snap.Release()
 	insert()
 

@@ -61,11 +61,10 @@ type Engine struct {
 }
 
 // NewEngine starts a concurrent engine over the document, sharing the DB's
-// cost-model chooser (built here if no query has built it yet, from the
-// cluster synopses: it reads no page of an imported volume). The DB's
-// blocking queries may run beside it: they pin their own snapshots and
-// charge their own ledgers. Their virtual costs then depend on what the
-// engine's gangs do on the shared device at the same time.
+// cost-model chooser and transaction manager. The DB's blocking queries
+// may run beside it: they pin their own snapshots and charge their own
+// ledgers. Their virtual costs then depend on what the engine's gangs do
+// on the shared device at the same time.
 func (db *DB) NewEngine(cfg EngineConfig) *Engine {
 	e := &Engine{
 		db: db,
@@ -74,10 +73,10 @@ func (db *DB) NewEngine(cfg EngineConfig) *Engine {
 			QueueDepth:  cfg.QueueDepth,
 			// Each gang pins one MVCC snapshot for all its members, so
 			// concurrent Updates never tear a gang's reads (see txn.go).
-			Snapshots: dbSnapshots{db: db},
+			Snapshots: func() engine.Snapshot { return db.mgr.Snapshot() },
 			// Share the facade's chooser (concurrency-safe) so the volume
 			// collects document statistics exactly once.
-			Chooser: db.getChooser(),
+			Chooser: db.chooser,
 		}),
 	}
 	e.volumeAPI = volumeAPI{vol: db, admit: e.e.AdmitWrite}
@@ -278,7 +277,7 @@ func (s *Session) compile(path string, opts QueryOptions, live bool) ([]engine.Q
 	live = live && !(opts.Sorted && len(branches) > 1)
 	queries := make([]engine.Query, len(branches))
 	for i, b := range branches {
-		queries[i] = opts.branchQuery(path, b, len(branches))
+		queries[i] = opts.branchQuery(b, len(branches))
 		queries[i].Stream = live
 	}
 	return queries, nil
@@ -288,8 +287,8 @@ func (s *Session) compile(path string, opts QueryOptions, live bool) ([]engine.Q
 // producers run. A plain path is ordered inside its plan. A sorted union
 // carries no per-branch Limit: its global document order — and so its
 // first N — only exists once the cursor has merged every branch.
-func (opts QueryOptions) branchQuery(label string, path []xpath.Step, n int) engine.Query {
-	q := engine.Query{Label: label, Path: path, Auto: opts.Strategy == Auto, Strategy: opts.Strategy.internal(),
+func (opts QueryOptions) branchQuery(path []xpath.Step, n int) engine.Query {
+	q := engine.Query{Path: path, Auto: opts.Strategy == Auto, Strategy: opts.Strategy.internal(),
 		Sorted: opts.Sorted && n == 1, MemLimit: opts.MemLimit, Limit: opts.Limit, PredEval: opts.PredEval.internal()}
 	if opts.Sorted && n > 1 {
 		q.Limit = 0

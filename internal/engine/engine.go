@@ -71,13 +71,6 @@ type Snapshot interface {
 	Release()
 }
 
-// A SnapshotSource admits readers onto a pinned version; the txn manager
-// is the canonical implementation (wired through Config.Snapshots by the
-// pathdb facade).
-type SnapshotSource interface {
-	Snapshot() Snapshot
-}
-
 // Config tunes the engine's admission control.
 type Config struct {
 	// MaxInFlight caps the gang size: how many admitted queries execute
@@ -88,9 +81,10 @@ type Config struct {
 	QueueDepth int
 	// Snapshots, when set, pins one version per gang: every member view
 	// resolves pages through it, isolating queries from concurrent
-	// commits. Nil falls back to a view pinned at gang start (equivalent
-	// on volumes without a txn manager, where the version never moves).
-	Snapshots SnapshotSource
+	// commits. The pathdb facade sets it to its txn manager's Snapshot.
+	// Nil falls back to a view pinned at gang start, with no pin that
+	// holds its pages back from reclamation.
+	Snapshots func() Snapshot
 	// Chooser, when set, is an existing cost chooser to share (it is
 	// concurrency-safe) instead of building a second one at construction.
 	// The facade passes its own so a DB keeps one set of statistics.
@@ -109,9 +103,6 @@ func (c Config) withDefaults() Config {
 
 // Query is one unit of admitted work.
 type Query struct {
-	// Label identifies the query in results and load reports (typically
-	// the source path text).
-	Label string
 	// Path is the simplified physical step list.
 	Path []xpath.Step
 	// Contexts are the context nodes; nil means the volume roots.
@@ -175,9 +166,6 @@ type Result struct {
 
 // Count returns the result cardinality.
 func (r *Result) Count() int { return len(r.Results) }
-
-// VirtualLatency is the submit-to-done latency on the volume clock.
-func (r *Result) VirtualLatency() stats.Ticks { return r.DoneV - r.SubmitV }
 
 // Metrics is a snapshot of the engine's counters.
 type Metrics struct {
@@ -437,7 +425,7 @@ func (e *Engine) execute(gang []*Pending) {
 	e.gangs.Add(1)
 	var snap Snapshot
 	if e.cfg.Snapshots != nil {
-		snap = e.cfg.Snapshots.Snapshot()
+		snap = e.cfg.Snapshots()
 		defer snap.Release()
 	}
 	// Dispatch bookkeeping is charged to the engine's overhead ledger, one

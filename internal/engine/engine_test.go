@@ -136,7 +136,6 @@ func TestConcurrentMixMatchesSequential(t *testing.T) {
 			for i := range specs {
 				sp := specs[(i+w)%len(specs)] // vary gang composition
 				res, err := s.Do(context.Background(), Query{
-					Label:    sp.src,
 					Path:     parsePath(t, dict, sp.src),
 					Auto:     sp.auto,
 					Strategy: sp.strat,
@@ -236,7 +235,6 @@ func TestSharedBatchingBeatsSequential(t *testing.T) {
 	var pendings []*Pending
 	for i := 0; i < clients; i++ {
 		p, err := s.TrySubmit(context.Background(), Query{
-			Label:    srcQ6,
 			Path:     steps,
 			Strategy: core.StrategySchedule,
 		})
@@ -285,7 +283,7 @@ func TestAdmissionQueueFull(t *testing.T) {
 	st.ResetForRun()
 	e := newStoppedEngine(st, Config{MaxInFlight: 2, QueueDepth: 2})
 	s := e.NewSession()
-	q := Query{Label: srcQ15, Path: parsePath(t, dict, srcQ15), Strategy: core.StrategySchedule}
+	q := Query{Path: parsePath(t, dict, srcQ15), Strategy: core.StrategySchedule}
 
 	p1, err1 := s.TrySubmit(context.Background(), q)
 	p2, err2 := s.TrySubmit(context.Background(), q)
@@ -310,7 +308,7 @@ func TestAdmissionQueueFull(t *testing.T) {
 
 func TestCancellation(t *testing.T) {
 	st, dict := testStore(t)
-	q := Query{Label: srcQ6, Path: parsePath(t, dict, srcQ6), Strategy: core.StrategySchedule}
+	q := Query{Path: parsePath(t, dict, srcQ6), Strategy: core.StrategySchedule}
 
 	t.Run("pre-cancelled submit", func(t *testing.T) {
 		st.ResetForRun()
@@ -380,7 +378,7 @@ func TestClose(t *testing.T) {
 	st.ResetForRun()
 	e := New(st, Config{})
 	s := e.NewSession()
-	q := Query{Label: srcQ15, Path: parsePath(t, dict, srcQ15), Strategy: core.StrategySimple}
+	q := Query{Path: parsePath(t, dict, srcQ15), Strategy: core.StrategySimple}
 
 	e.Close()
 	e.Close() // idempotent
@@ -403,7 +401,7 @@ func TestDrain(t *testing.T) {
 	// the dispatcher ever runs, so the drain provably serves the backlog.
 	e := newStoppedEngine(st, Config{MaxInFlight: 2, QueueDepth: 16})
 	s := e.NewSession()
-	q := Query{Label: srcQ6, Path: parsePath(t, dict, srcQ6), Strategy: core.StrategySchedule}
+	q := Query{Path: parsePath(t, dict, srcQ6), Strategy: core.StrategySchedule}
 
 	const n = 6
 	pendings := make([]*Pending, n)
@@ -473,7 +471,7 @@ func TestAutoLevelReadReported(t *testing.T) {
 			contexts = st.Roots()
 		}
 		want := nodeSet(core.BuildPlan(st, path, contexts, core.StrategySimple, core.PlanOptions{}).Run())
-		res, err := s.Do(context.Background(), Query{Label: c.src, Path: path, Contexts: c.contexts, Auto: true})
+		res, err := s.Do(context.Background(), Query{Path: path, Contexts: c.contexts, Auto: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -67,7 +67,6 @@ func TestFaultSweep(t *testing.T) {
 					for i := 0; i < 2*len(paths); i++ {
 						src := paths[(i+w)%len(paths)]
 						res, err := s.Do(context.Background(), Query{
-							Label:    src,
 							Path:     parsePath(t, dict, src),
 							Strategy: core.StrategySchedule,
 						})
@@ -160,7 +159,6 @@ func TestStepIterLeakUnderFaults(t *testing.T) {
 					for i := 0; i < 3*len(paths); i++ {
 						src := paths[(i+w)%len(paths)]
 						_, err := s.Do(context.Background(), Query{
-							Label:    src,
 							Path:     parsePath(t, dict, src),
 							Strategy: strat,
 						})
@@ -243,8 +241,8 @@ func TestFaultIsolationInGang(t *testing.T) {
 	// One gang with both queries, run deterministically on the stopped
 	// engine so they share a scheduler.
 	s := e.NewSession()
-	p6, err6 := s.TrySubmit(context.Background(), Query{Label: srcQ6, Path: parsePath(t, dict, srcQ6), Strategy: core.StrategySchedule})
-	p15, err15 := s.TrySubmit(context.Background(), Query{Label: srcQ15, Path: parsePath(t, dict, srcQ15), Strategy: core.StrategySchedule})
+	p6, err6 := s.TrySubmit(context.Background(), Query{Path: parsePath(t, dict, srcQ6), Strategy: core.StrategySchedule})
+	p15, err15 := s.TrySubmit(context.Background(), Query{Path: parsePath(t, dict, srcQ15), Strategy: core.StrategySchedule})
 	if err6 != nil || err15 != nil {
 		t.Fatalf("submit: %v / %v", err6, err15)
 	}

@@ -77,7 +77,6 @@ func TestGangCostsMatchSolo(t *testing.T) {
 	pendings := make([]*Pending, len(specs))
 	for i, sp := range specs {
 		p, err := s.TrySubmit(context.Background(), Query{
-			Label:    sp.src,
 			Path:     parsePath(t, dict, sp.src),
 			Strategy: sp.strat,
 		})

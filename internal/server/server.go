@@ -212,8 +212,7 @@ func (s *Server) metrics(b *strings.Builder) {
 
 	// Transaction subsystem: commit/abort outcomes and the group-commit
 	// shape (flushes per commit < 1 means concurrent writers batched onto
-	// shared WAL flushes). All zeros until the first write creates the
-	// manager.
+	// shared WAL flushes).
 	tm := s.eng.TxnMetrics()
 	counter(b, "pathdb_txn_commits_total", "Transactions committed.", float64(tm.Commits))
 	counter(b, "pathdb_txn_aborts_total", "Transactions rolled back.", float64(tm.Aborts))

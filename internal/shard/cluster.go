@@ -58,9 +58,6 @@ type Config struct {
 	Quorum int
 	// Engine configures each shard's engine (and the spine volume's).
 	Engine pathdb.EngineConfig
-	// Txn tunes each shard volume's transaction manager; the zero value is
-	// the library default, as on a single volume.
-	Txn pathdb.TxnOptions
 }
 
 func (c Config) withDefaults() Config {
@@ -175,16 +172,12 @@ func New(set *pathdb.ShardSet, ring *Ring, cfg Config) (*Cluster, error) {
 		degradedHits: make([]atomic.Int64, cfg.Shards),
 	}
 	for _, db := range set.Shards {
-		// Best effort: a volume that has already committed keeps the
-		// options its first write froze.
-		_ = db.SetTxnOptions(cfg.Txn)
 		eng := db.NewEngine(cfg.Engine)
 		db.ResetStats()
 		c.engines = append(c.engines, eng)
 		c.sessions = append(c.sessions, eng.NewSession())
 	}
 	if set.Spine != nil {
-		_ = set.Spine.SetTxnOptions(cfg.Txn)
 		// The spine volume is tiny; its engine serves one spine probe per
 		// in-flight request.
 		c.spineEng = set.Spine.NewEngine(pathdb.EngineConfig{

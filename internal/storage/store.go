@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"pathdb/internal/buffer"
 	"pathdb/internal/ordpath"
@@ -46,13 +47,13 @@ type Store struct {
 	// its own reads. The swizzle cache and buffer pool are keyed by
 	// *physical* page, so frames of different versions of the same logical
 	// page coexist until the reclaimer discards the superseded ones.
-	vh      *versionHandle
+	vh      *atomic.Pointer[VersionMap]
 	pinned  *VersionMap
 	overlay map[vdisk.PageID]*pageImage
 	req     map[vdisk.PageID]vdisk.PageID // physical→logical for in-flight async requests
 
 	ckptPages []vdisk.PageID // chain of the current checkpoint (base store)
-	txnState  *TxnState      // recovered at Open; adopted by the txn manager
+	txnState  *TxnState      // recovered at Open or persisted by InitTxn
 }
 
 // DefaultBufferPages is the pool size used when none is configured; the
@@ -75,8 +76,9 @@ func newStore(disk *vdisk.Disk, dict *xmltree.Dictionary, roots []NodeID, firstD
 		cache:     newSwizCache(),
 		syn:       syn,
 		derived:   newDerivedCache(),
-		vh:        &versionHandle{},
+		vh:        new(atomic.Pointer[VersionMap]),
 	}
+	s.vh.Store(NewVersionMap(0, nil, nil))
 	s.buf.SetEvictHandler(s.cache.drop)
 	s.buf.SetVerifier(verifyPageTrailer)
 	s.w = s.buf.NewWaiter(s.led)
@@ -102,8 +104,9 @@ func (s *Store) SetBufferCapacity(pages int) {
 //
 // The view is built field by field rather than by copying *s: req,
 // ckptPages and txnState are assigned on the base store while views are
-// being taken (a direct query requesting clusters, the txn manager adopting
-// the volume or checkpointing), and a view needs none of them.
+// being taken (a direct query requesting clusters, the first commit
+// persisting the initial checkpoint, a later checkpoint), and a view needs
+// none of them.
 func (s *Store) Reader(led *stats.Ledger) *Store {
 	return &Store{
 		disk:      s.disk,
@@ -126,80 +129,44 @@ func (s *Store) Reader(led *stats.Ledger) *Store {
 }
 
 // version returns the VersionMap this view resolves through: its pinned
-// snapshot if it has one, else the latest published version, else nil
-// (identity — a volume no txn manager has adopted yet).
+// snapshot if it has one, else the latest published version.
 func (s *Store) version() *VersionMap {
 	if s.pinned != nil {
 		return s.pinned
 	}
-	if s.vh != nil {
-		return s.vh.Load()
-	}
-	return nil
+	return s.vh.Load()
 }
 
 // resolve maps a logical page id to the physical page holding its bytes in
 // this view's version.
-func (s *Store) resolve(p vdisk.PageID) vdisk.PageID {
-	if vm := s.version(); vm != nil {
-		return vm.Resolve(p)
-	}
-	return p
-}
+func (s *Store) resolve(p vdisk.PageID) vdisk.PageID { return s.version().Resolve(p) }
 
 // pageEpoch returns the write epoch of logical page p in this view's
-// version (0 for never-written pages and versionless volumes).
-func (s *Store) pageEpoch(p vdisk.PageID) uint64 {
-	if vm := s.version(); vm != nil {
-		return vm.PageEpoch(p)
-	}
-	return 0
-}
+// version (0 for never-written pages).
+func (s *Store) pageEpoch(p vdisk.PageID) uint64 { return s.version().PageEpoch(p) }
 
-// VersionEpoch returns the commit epoch of this view's version (0 for
-// versionless volumes and the initial version).
-func (s *Store) VersionEpoch() uint64 {
-	if vm := s.version(); vm != nil {
-		return vm.Epoch()
-	}
-	return 0
-}
+// VersionEpoch returns the commit epoch of this view's version (0 for the
+// initial version).
+func (s *Store) VersionEpoch() uint64 { return s.version().Epoch() }
 
 // WrittenSince calls fn for every logical page whose last-write epoch in
-// this view's version is strictly greater than since. No-op on versionless
-// volumes. Used by the plan chooser's incremental statistics refresh.
+// this view's version is strictly greater than since. Used by the plan
+// chooser's incremental statistics refresh.
 func (s *Store) WrittenSince(since uint64, fn func(p vdisk.PageID, epoch uint64)) {
-	if vm := s.version(); vm != nil {
-		vm.WrittenSince(since, fn)
-	}
-}
-
-// extrasList returns the extension-page directory of this view's version:
-// pages appended by commits, so none before the first.
-func (s *Store) extrasList() []vdisk.PageID {
-	if vm := s.version(); vm != nil {
-		return vm.Extras()
-	}
-	return nil
+	s.version().WrittenSince(since, fn)
 }
 
 // WithSnapshot returns a read view pinned to version vm: every logical
 // page resolves through vm for the view's whole lifetime, regardless of
-// later commits. The txn manager hands these out to queries. A nil vm is
-// the identity version of a volume before its first commit, and the view
-// keeps reading it after that commit publishes.
+// later commits. The txn manager hands these out to queries.
 func (s *Store) WithSnapshot(vm *VersionMap, led *stats.Ledger) *Store {
 	v := s.Reader(led)
 	v.pinned = vm
-	if vm == nil {
-		v.vh = nil
-	}
 	return v
 }
 
 // SnapshotView is Reader pinned to the latest published version — a
-// consistent point-in-time view even while writers publish new versions,
-// the identity version included.
+// consistent point-in-time view even while writers publish new versions.
 func (s *Store) SnapshotView(led *stats.Ledger) *Store {
 	return s.WithSnapshot(s.version(), led)
 }
@@ -208,14 +175,9 @@ func (s *Store) SnapshotView(led *stats.Ledger) *Store {
 // all non-pinned views resolve through it from now on.
 func (s *Store) PublishVersion(vm *VersionMap) { s.vh.Store(vm) }
 
-// CurrentVersion returns the latest published version (nil if the volume
-// has no transaction state).
+// CurrentVersion returns the latest published version: the identity
+// version at epoch 0 until a commit or a recovery replaces it.
 func (s *Store) CurrentVersion() *VersionMap { return s.vh.Load() }
-
-// TxnState returns the durable transaction state recovered at Open (nil
-// for volumes that were never written transactionally). The txn manager
-// adopts it; the slices are owned by the caller afterwards.
-func (s *Store) TxnState() *TxnState { return s.txnState }
 
 // WriteData finalizes payload (padding + checksum trailer) and writes it
 // at physical page p — the copy-on-write staging write of the txn commit
@@ -270,7 +232,7 @@ func (s *Store) DataPages() (first vdisk.PageID, n int) {
 
 // NumDataPages returns the number of document pages including pages
 // appended by updates, as of this view's version.
-func (s *Store) NumDataPages() int { return int(s.nData) + len(s.extrasList()) }
+func (s *Store) NumDataPages() int { return int(s.nData) + len(s.version().Extras()) }
 
 // DataPage returns the i-th document page in scan order: the bulk-loaded
 // range first, then update extensions in allocation order. The returned id
@@ -279,7 +241,7 @@ func (s *Store) DataPage(i int) vdisk.PageID {
 	if i < int(s.nData) {
 		return vdisk.PageID(s.firstData) + vdisk.PageID(i)
 	}
-	return s.extrasList()[i-int(s.nData)]
+	return s.version().Extras()[i-int(s.nData)]
 }
 
 // ClusterOf returns the cluster (page) a node belongs to, a pure NodeID

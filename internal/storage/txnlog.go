@@ -369,24 +369,21 @@ func (s *Store) WriteCheckpoint(st TxnState, alloc PageAlloc) (freed []vdisk.Pag
 	return freed, next, nil
 }
 
-// InitTxn adopts a volume that has no transaction state yet: it persists
-// the initial checkpoint (epoch 0, identity map, no extension pages) and
-// publishes the initial version, switching the volume into
-// transactional mode. Idempotent: an already-adopted volume returns its
-// state.
+// InitTxn returns the volume's durable transaction state, first persisting
+// the initial checkpoint (epoch 0, identity map, no extension pages) if the
+// volume has none — neither recovered by Open nor written by an earlier
+// call. The txn manager calls it at the start of its first commit.
 func (s *Store) InitTxn() (*TxnState, error) {
-	if s.txnState != nil {
-		return s.txnState, nil
+	if s.txnState == nil {
+		st := &TxnState{Map: map[vdisk.PageID]vdisk.PageID{}}
+		_, next, err := s.WriteCheckpoint(*st, s.disk.Alloc)
+		if err != nil {
+			return nil, err
+		}
+		st.LogHead = next
+		s.txnState = st
 	}
-	st := &TxnState{Map: map[vdisk.PageID]vdisk.PageID{}}
-	_, next, err := s.WriteCheckpoint(*st, s.disk.Alloc)
-	if err != nil {
-		return nil, err
-	}
-	st.LogHead = next
-	s.txnState = st
-	s.PublishVersion(st.Version())
-	return st, nil
+	return s.txnState, nil
 }
 
 // recoverTxn reconstructs the transaction state from the checkpoint and a

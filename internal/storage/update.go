@@ -619,7 +619,7 @@ func (u *updater) overflowPage(need int) *livePage {
 			return lp
 		}
 	}
-	if extras := u.st.extrasList(); len(extras) > 0 {
+	if extras := u.st.version().Extras(); len(extras) > 0 {
 		lp := u.live(extras[len(extras)-1])
 		if lp.fits(need, ps) {
 			return lp

@@ -27,9 +27,6 @@ func commitStaged(st *Store, stage func(*WriteTxn) error) error {
 	if err != nil {
 		return err
 	}
-	if base == nil {
-		base = NewVersionMap(0, nil, nil)
-	}
 	fresh := map[vdisk.PageID]bool{}
 	for _, p := range ws.Fresh {
 		fresh[p] = true

@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"sync/atomic"
-
-	"pathdb/internal/vdisk"
-)
+import "pathdb/internal/vdisk"
 
 // Multi-version storage. NodeIDs embed *logical* page ids, so a node's
 // identity survives relocation: a VersionMap is the sparse indirection from
@@ -29,15 +25,15 @@ type VersionMap struct {
 	m      map[vdisk.PageID]vdisk.PageID
 	extras []vdisk.PageID
 	// wrote records, per logical page, the epoch of the last commit that
-	// rewrote it. Pages never written since volume adoption carry no entry
-	// and report epoch 0. This is what makes decoded-cluster caching
+	// rewrote it. Pages no commit has rewritten carry no entry and report
+	// epoch 0. This is what makes decoded-cluster caching
 	// epoch-precise: (logical page, wrote[page]) names one immutable byte
 	// image across every version that shares it.
 	wrote map[vdisk.PageID]uint64
 }
 
 // NewVersionMap builds a version from recovered or initial state. The map
-// and extras slices are adopted, not copied; callers hand over ownership.
+// and extras slices are kept, not copied; callers hand over ownership.
 // Every relocated and extension page is conservatively stamped with the
 // recovered epoch: recovery starts with an empty decoded-cluster cache, so
 // over-stamping only forgoes cross-version sharing, never correctness.
@@ -84,7 +80,7 @@ func (vm *VersionMap) Entries() map[vdisk.PageID]vdisk.PageID {
 }
 
 // PageEpoch returns the epoch of the last commit that rewrote logical page
-// p, or 0 if p has never been written since adoption. (logical, PageEpoch)
+// p, or 0 if no commit has rewritten p. (logical, PageEpoch)
 // uniquely names a page's byte image across versions.
 func (vm *VersionMap) PageEpoch(p vdisk.PageID) uint64 { return vm.wrote[p] }
 
@@ -127,13 +123,3 @@ func (vm *VersionMap) Apply(epoch uint64, deltas map[vdisk.PageID]vdisk.PageID, 
 	}
 	return &VersionMap{epoch: epoch, m: nm, extras: extras, wrote: wrote}
 }
-
-// versionHandle shares the latest published version between a base store
-// and every view derived from it. Load returns nil until the volume is
-// adopted into transactional mode (until then pages resolve by identity).
-type versionHandle struct {
-	vm atomic.Pointer[VersionMap]
-}
-
-func (h *versionHandle) Load() *VersionMap    { return h.vm.Load() }
-func (h *versionHandle) Store(vm *VersionMap) { h.vm.Store(vm) }

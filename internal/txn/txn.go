@@ -114,8 +114,9 @@ type Manager struct {
 	opts Options
 
 	// staging serializes writers: held from Update entry through version
-	// publication. Also guards epoch, free, reclaim, logPages.
+	// publication. Also guards started, epoch, free, reclaim, logPages.
 	staging  sync.Mutex
+	started  bool // the durable state is taken over (startLocked)
 	epoch    uint64
 	free     []vdisk.PageID // reclaimed, safe-to-reuse physical pages
 	reclaim  []pendingFree  // superseded pages awaiting durability + snapshot drain
@@ -144,25 +145,30 @@ type Manager struct {
 	maxGroup atomic.Uint64
 }
 
-// NewManager adopts the store into transactional mode (persisting the
-// initial checkpoint if the volume has none) and returns its manager.
-// There must be at most one Manager per volume.
+// NewManager returns the manager of the store's volume, which serves
+// snapshots of its current version at once. It writes no page: the first
+// UpdateEpoch persists the volume's initial checkpoint, unless Open
+// recovered one. There must be at most one Manager per volume.
 func NewManager(st *storage.Store, opts Options) (*Manager, error) {
-	state, err := st.InitTxn()
-	if err != nil {
-		return nil, err
-	}
-	m := &Manager{
-		st:      st,
-		opts:    opts.withDefaults(),
-		epoch:   state.Epoch,
-		free:    append([]vdisk.PageID(nil), state.Free...),
-		logHead: state.LogHead,
-		pins:    map[uint64]int{},
-	}
-	m.durable.Store(state.Epoch)
-	m.cur.Store(st.CurrentVersion())
+	vm := st.CurrentVersion()
+	m := &Manager{st: st, opts: opts.withDefaults(), epoch: vm.Epoch(), pins: map[uint64]int{}}
+	m.durable.Store(vm.Epoch())
+	m.cur.Store(vm)
 	return m, nil
+}
+
+// startLocked takes over the volume's durable transaction state — its free
+// list and log head — persisting the initial checkpoint first if the
+// volume has none. Caller holds m.staging.
+func (m *Manager) startLocked() error {
+	state, err := m.st.InitTxn()
+	if err != nil {
+		return err
+	}
+	m.free = append([]vdisk.PageID(nil), state.Free...)
+	m.logHead = state.LogHead
+	m.started = true
+	return nil
 }
 
 // Close rejects future Updates and waits for in-flight ones to drain.
@@ -293,6 +299,12 @@ func (m *Manager) UpdateEpoch(fn func(*Tx) error) (uint64, error) {
 	if m.closed.Load() {
 		m.staging.Unlock()
 		return 0, ErrClosed
+	}
+	if !m.started {
+		if err := m.startLocked(); err != nil {
+			m.staging.Unlock()
+			return 0, err
+		}
 	}
 	base := m.cur.Load()
 	tx := &Tx{wt: m.st.BeginWrite(base, led), led: led}

@@ -361,6 +361,89 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	}
 }
 
+// TestCrashBeforeFirstCommit: a manager writes nothing until the first
+// commit, which persists the volume's initial checkpoint before it stages.
+// NewManager writes no page, and a crash between it and the first commit
+// reopens as the identity version at epoch 0. The first commit makes
+// exactly the writes of a checkpoint persisted beforehand followed by the
+// commit, on the same pages in the same order: the checkpoint chain, the
+// meta page, the staged pages — all allocated after the log head — and the
+// group chain at that head.
+func TestCrashBeforeFirstCommit(t *testing.T) {
+	writes := func(d *vdisk.Disk) []vdisk.PageID {
+		var out []vdisk.PageID
+		for _, ev := range d.Trace() {
+			if ev.Op == "write" {
+				out = append(out, ev.Page)
+			}
+		}
+		return out
+	}
+	// firstCommit traces a fresh volume from NewManager through its first
+	// commit; between runs before the commit.
+	firstCommit := func(between func(st *storage.Store)) []vdisk.PageID {
+		st, dict, root := fixture(t, 512)
+		ins := dict.Intern("ins")
+		st.Disk().SetTrace(true)
+		m, err := NewManager(st, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := writes(st.Disk()); len(w) != 0 {
+			t.Fatalf("NewManager wrote pages %v", w)
+		}
+		between(st)
+		if err := commitOne(m, root, ins, 0); err != nil {
+			t.Fatal(err)
+		}
+		if n := countIns(m, ins); n != 1 {
+			t.Fatalf("after the first commit: %d inserts, want 1", n)
+		}
+		return writes(st.Disk())
+	}
+
+	firstCommit(func(st *storage.Store) {
+		st2, err := storage.Open(st.Disk())
+		if err != nil {
+			t.Fatalf("reopen before the first commit: %v", err)
+		}
+		if vm := st2.CurrentVersion(); vm.Epoch() != 0 || vm.Relocated() != 0 || len(vm.Extras()) != 0 {
+			t.Fatalf("reopened at epoch %d with %d relocated and %d extension pages, want the identity version at 0",
+				vm.Epoch(), vm.Relocated(), len(vm.Extras()))
+		}
+	})
+
+	var head vdisk.PageID
+	want := firstCommit(func(st *storage.Store) {
+		state, err := st.InitTxn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		head = state.LogHead
+	})
+	got := firstCommit(func(*storage.Store) {})
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("first commit wrote %v, want the writes of a checkpoint persisted beforehand: %v", got, want)
+	}
+	meta, at := -1, -1
+	for i, p := range got {
+		switch {
+		case p == 0 && meta < 0:
+			meta = i
+		case p == head && at < 0:
+			at = i
+		}
+	}
+	if meta < 0 || at <= meta+1 {
+		t.Fatalf("writes %v: want the checkpoint, meta page 0, staged pages, then the log head %d", got, head)
+	}
+	for i, p := range got[:at] {
+		if i < meta && p >= head || i > meta && p <= head {
+			t.Fatalf("writes %v: page %d allocated on the wrong side of the log head %d", got, p, head)
+		}
+	}
+}
+
 // TestReclaimBoundsGrowth checks that superseded page versions are recycled:
 // a long insert+delete churn must not grow the volume linearly.
 func TestReclaimBoundsGrowth(t *testing.T) {

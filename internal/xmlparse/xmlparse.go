@@ -61,13 +61,6 @@ func (p *parser) peek() byte {
 	return p.src[p.pos]
 }
 
-func (p *parser) peekAt(off int) byte {
-	if p.pos+off >= len(p.src) {
-		return 0
-	}
-	return p.src[p.pos+off]
-}
-
 func (p *parser) advance() byte {
 	c := p.src[p.pos]
 	p.pos++

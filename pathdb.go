@@ -27,8 +27,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"pathdb/internal/core"
 	"pathdb/internal/ordpath"
@@ -200,46 +198,35 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// DB is one loaded document plus its evaluation machinery. The embedded
-// volumeAPI provides the write/transaction surface (Update, UpdateEpoch,
-// TxnMetrics, SetTxnOptions), shared with Engine.
+// DB is one loaded document plus its evaluation machinery: the cost
+// model's chooser and the MVCC transaction manager, both built when the
+// document is loaded. Every reader pins a snapshot of the manager's
+// current version, the initial one included. The embedded volumeAPI
+// provides the write/transaction surface (Update, UpdateEpoch,
+// TxnMetrics), shared with Engine.
 type DB struct {
 	volumeAPI
 
 	dict  *xmltree.Dictionary
 	store *storage.Store
 
-	mu      sync.Mutex // guards chooser and manager creation, and the pins below
+	// chooser folds the clusters later commits rewrite into its statistics
+	// by itself (plan.Chooser.Choose).
 	chooser *plan.Chooser
-
-	// The MVCC transaction manager, created lazily by the first write
-	// (see txn.go). Reads load it lock-free.
-	mgr     atomic.Pointer[txn.Manager]
-	txnOpts txn.Options
-
-	// Readers pinned to the version before the first write, and the
-	// manager's snapshot of it that holds their pages (see dbSnapshots).
-	plainPins int
-	adopted   *txn.Snap
+	mgr     *txn.Manager
 }
 
 // newDB wires a loaded store into a DB, closing the volumeAPI self-link.
-func newDB(dict *xmltree.Dictionary, st *storage.Store) *DB {
-	db := &DB{dict: dict, store: st}
-	db.volumeAPI = volumeAPI{vol: db}
-	return db
-}
-
-// getChooser returns the document's cost-model chooser, building it on
-// first use from the per-cluster synopses; it folds the clusters later
-// commits rewrite into its statistics by itself (plan.Chooser.Choose).
-func (db *DB) getChooser() *plan.Chooser {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.chooser == nil {
-		db.chooser = plan.NewChooser(db.store)
+// The chooser sums the synopses the importer registered and reads no page;
+// the manager writes none until the first commit.
+func newDB(dict *xmltree.Dictionary, st *storage.Store) (*DB, error) {
+	mgr, err := txn.NewManager(st, txn.Options{})
+	if err != nil {
+		return nil, err
 	}
-	return db.chooser
+	db := &DB{dict: dict, store: st, chooser: plan.NewChooser(st), mgr: mgr}
+	db.volumeAPI = volumeAPI{vol: db}
+	return db, nil
 }
 
 // LoadXML parses an XML document and stores it.
@@ -283,7 +270,7 @@ func LoadXMLCollection(docs [][]byte, opts Options) (*DB, error) {
 		return nil, err
 	}
 	st.SetBufferCapacity(opts.BufferPages)
-	return newDB(dict, st), nil
+	return newDB(dict, st)
 }
 
 // Documents returns the number of documents in the stored collection.
@@ -322,7 +309,7 @@ func loadTree(dict *xmltree.Dictionary, doc *xmltree.Node, opts Options) (*DB, e
 		return nil, err
 	}
 	st.SetBufferCapacity(opts.withDefaults().BufferPages)
-	return newDB(dict, st), nil
+	return newDB(dict, st)
 }
 
 // Pages returns the number of data pages the document occupies, including
@@ -547,7 +534,7 @@ func (q *Query) Plan() string {
 // Explain returns the cost-model decision for this query (forcing a
 // strategy bypasses the model; Explain still reports its opinion).
 func (q *Query) Explain() string {
-	return q.db.getChooser().Choose(q.branches[0].Simplify().Steps).String()
+	return q.db.chooser.Choose(q.branches[0].Simplify().Steps).String()
 }
 
 // PlanChoice is the cost model's full decision for a query: the chosen
@@ -585,18 +572,13 @@ func fromPlanChoice(c plan.Choice) PlanChoice {
 // Choice returns the cost model's structured decision for this query —
 // Explain's machine-readable counterpart.
 func (q *Query) Choice() PlanChoice {
-	return fromPlanChoice(q.db.getChooser().Choose(q.branches[0].Simplify().Steps))
+	return fromPlanChoice(q.db.chooser.Choose(q.branches[0].Simplify().Steps))
 }
 
 // resolve settles one branch's strategy through plan.Chooser.Resolve — the
-// one resolution every surface shares with the engine's dispatcher. A forced
-// strategy never constructs the chooser (and so never pays its statistics
-// walk).
+// one resolution every surface shares with the engine's dispatcher.
 func (db *DB) resolve(path []xpath.Step, s Strategy) (core.Strategy, *plan.Choice) {
-	if s != Auto {
-		return s.internal(), nil
-	}
-	return db.getChooser().Resolve(path, true, s.internal())
+	return db.chooser.Resolve(path, s == Auto, s.internal())
 }
 
 // open starts the query's cursor over the direct producer. Query's run

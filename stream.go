@@ -440,10 +440,10 @@ func (db *DB) QueryStream(ctx context.Context, path string, opts QueryOptions) (
 // resolves a gang — not against what an earlier branch leaves behind.
 func (db *DB) openDirect(ctx context.Context, cancel context.CancelFunc, path string, branches [][]xpath.Step, contexts []storage.NodeID, opts QueryOptions) *Cursor {
 	c := newCursor(db, path, opts, ctx, cancel, len(branches))
-	c.dir = directProducer{db: db, snap: dbSnapshots{db}.Snapshot(), branches: make([]directBranch, len(branches))}
+	c.dir = directProducer{db: db, snap: db.mgr.Snapshot(), branches: make([]directBranch, len(branches))}
 	for i, b := range branches {
 		d := &c.dir.branches[i]
-		d.q = opts.branchQuery(path, b, len(branches))
+		d.q = opts.branchQuery(b, len(branches))
 		d.q.Contexts = contexts
 		d.strat, d.choice = db.resolve(b, opts.Strategy)
 	}

@@ -3,8 +3,6 @@ package pathdb
 import (
 	"fmt"
 
-	"pathdb/internal/engine"
-	"pathdb/internal/stats"
 	"pathdb/internal/storage"
 	"pathdb/internal/txn"
 	"pathdb/internal/xmlparse"
@@ -24,17 +22,9 @@ func (db *DB) CheckFragment(fragment string) error {
 	return err
 }
 
-// TxnOptions tunes the MVCC transaction subsystem that backs DB.Update.
-// Zero values select the defaults documented on each field.
-type TxnOptions struct {
-	// CheckpointEvery folds the version map into a fresh checkpoint after
-	// this many flushed groups, truncating the log (default 64).
-	CheckpointEvery int
-}
-
 // volumeAPI is the write/transaction surface of one volume, embedded by
 // both DB and Engine so the two facades share a single implementation of
-// Update/UpdateEpoch/TxnMetrics/SetTxnOptions and cannot drift. The engine
+// Update/UpdateEpoch/TxnMetrics and cannot drift. The engine
 // parameterizes it with an admission hook (engine.AdmitWrite) so writes
 // respect the engine lifecycle — that gating is the only difference between
 // the two facades.
@@ -85,47 +75,19 @@ func (v volumeAPI) UpdateEpoch(fn func(*Tx) error) (uint64, error) {
 }
 
 // TxnMetrics returns a snapshot of the transaction subsystem's counters.
-// All zeros before the first write (the manager is created lazily).
-func (v volumeAPI) TxnMetrics() TxnMetrics { return v.vol.txnMetrics() }
-
-// SetTxnOptions configures the transaction manager that the first write
-// creates. It fails once the manager exists (the first Update, InsertXML
-// or Delete froze the options).
-func (v volumeAPI) SetTxnOptions(o TxnOptions) error {
-	db := v.vol
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.mgr.Load() != nil {
-		return fmt.Errorf("pathdb: transaction manager already running; set options before the first write")
+func (v volumeAPI) TxnMetrics() TxnMetrics {
+	tm := v.vol.mgr.Metrics()
+	return TxnMetrics{
+		Commits:          tm.Commits,
+		Aborts:           tm.Aborts,
+		Groups:           tm.Groups,
+		Flushes:          tm.Flushes,
+		MaxGroup:         tm.MaxGroup,
+		Epoch:            tm.Epoch,
+		Pinned:           tm.Pinned,
+		FreePage:         tm.FreePage,
+		FlushesPerCommit: tm.FlushesPerCommit(),
 	}
-	db.txnOpts = txn.Options{CheckpointEvery: o.CheckpointEvery}
-	return nil
-}
-
-// manager returns the transaction manager if one has been created, without
-// creating it.
-func (db *DB) manager() *txn.Manager { return db.mgr.Load() }
-
-// txnMgr returns the volume's transaction manager, adopting the store into
-// transactional mode on first use (which persists an initial checkpoint).
-func (db *DB) txnMgr() (*txn.Manager, error) {
-	if m := db.mgr.Load(); m != nil {
-		return m, nil
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if m := db.mgr.Load(); m != nil {
-		return m, nil
-	}
-	m, err := txn.NewManager(db.store, db.txnOpts)
-	if err != nil {
-		return nil, err
-	}
-	if db.plainPins > 0 {
-		db.adopted = m.Snapshot() // before any commit: see dbSnapshots
-	}
-	db.mgr.Store(m)
-	return m, nil
 }
 
 // Tx is one open write transaction, valid only inside the DB.Update
@@ -183,23 +145,16 @@ func parseFragment(dict *xmltree.Dictionary, fragment string) (*xmltree.Node, er
 // updateEpoch is the single write-transaction implementation behind both
 // facades (volumeAPI.Update / volumeAPI.UpdateEpoch).
 func (db *DB) updateEpoch(fn func(*Tx) error) (uint64, error) {
-	m, err := db.txnMgr()
-	if err != nil {
-		return 0, err
-	}
-	epoch, err := m.UpdateEpoch(func(t *txn.Tx) error {
-		return fn(&Tx{db: db, tx: t})
-	})
-	if err != nil {
-		return 0, err
-	}
 	// No chooser invalidation: the next Choose folds the commit's rewritten
 	// clusters into the statistics incrementally.
-	return epoch, nil
+	return db.mgr.UpdateEpoch(func(t *txn.Tx) error {
+		return fn(&Tx{db: db, tx: t})
+	})
 }
 
-// TxnMetrics is a snapshot of the transaction subsystem's counters. All
-// zeros before the first write (the manager is created lazily).
+// TxnMetrics is a snapshot of the transaction subsystem's counters. A
+// volume is transactional from the moment it is loaded: Pinned counts the
+// readers of its initial version too.
 type TxnMetrics struct {
 	Commits  uint64 // transactions committed
 	Aborts   uint64 // transactions rolled back
@@ -213,59 +168,4 @@ type TxnMetrics struct {
 	// FlushesPerCommit is Flushes/Commits — group commit drives it below
 	// 1.0 once concurrent writers batch.
 	FlushesPerCommit float64
-}
-
-func (db *DB) txnMetrics() TxnMetrics {
-	m := db.manager()
-	if m == nil {
-		return TxnMetrics{}
-	}
-	tm := m.Metrics()
-	return TxnMetrics{
-		Commits:          tm.Commits,
-		Aborts:           tm.Aborts,
-		Groups:           tm.Groups,
-		Flushes:          tm.Flushes,
-		MaxGroup:         tm.MaxGroup,
-		Epoch:            tm.Epoch,
-		Pinned:           tm.Pinned,
-		FreePage:         tm.FreePage,
-		FlushesPerCommit: tm.FlushesPerCommit(),
-	}
-}
-
-// dbSnapshots adapts the DB's transaction manager to the engine's snapshot
-// source: every gang, and every direct cursor, pins one version. Before the
-// first write there is no manager; a reader then pins the identity version
-// (plainSnap), and the manager the first write creates holds one snapshot
-// of its initial version — the same bytes — for as long as such readers
-// last, so no page they can see is reclaimed.
-type dbSnapshots struct{ db *DB }
-
-func (s dbSnapshots) Snapshot() engine.Snapshot {
-	db := s.db
-	if m := db.manager(); m != nil {
-		return m.Snapshot()
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if m := db.manager(); m != nil {
-		return m.Snapshot()
-	}
-	db.plainPins++
-	return plainSnap{db: db}
-}
-
-// plainSnap pins the version before the first write.
-type plainSnap struct{ db *DB }
-
-func (p plainSnap) View(led *stats.Ledger) *storage.Store { return p.db.store.WithSnapshot(nil, led) }
-func (p plainSnap) Epoch() uint64                         { return 0 }
-func (p plainSnap) Release() {
-	p.db.mu.Lock()
-	defer p.db.mu.Unlock()
-	if p.db.plainPins--; p.db.plainPins == 0 && p.db.adopted != nil {
-		p.db.adopted.Release()
-		p.db.adopted = nil
-	}
 }

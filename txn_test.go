@@ -333,8 +333,9 @@ func addPersons(t *testing.T, db *DB) {
 // the node set of the version it began on, whichever surface runs it — a
 // direct QueryStream, a Query.Each whose callback commits, an engine Stream
 // and an engine Do whose gang began before the commit — under every
-// strategy, on a fresh volume (the reader predates the first write, so no
-// transaction manager exists when it pins) and after a warm-up commit.
+// strategy, on a fresh volume (the reader pins the initial version) and
+// after a warm-up commit. The reader's snapshot shows in TxnMetrics.Pinned
+// while it runs.
 func TestSnapshotAcrossCommit(t *testing.T) {
 	const path = "/site/people/person"
 	surfaces := []struct {
@@ -430,7 +431,13 @@ func TestSnapshotAcrossCommit(t *testing.T) {
 					if n := countPath(t, db, path); n != 128 {
 						t.Fatalf("fixture has %d persons, want 128", n)
 					}
-					if got := s.read(t, db, QueryOptions{Strategy: strat}, func() { addPersons(t, db) }); got != 128 {
+					commit := func() {
+						if tm := db.TxnMetrics(); tm.Pinned < 1 {
+							t.Errorf("a read under way pins %d snapshots, want at least 1", tm.Pinned)
+						}
+						addPersons(t, db)
+					}
+					if got := s.read(t, db, QueryOptions{Strategy: strat}, commit); got != 128 {
 						t.Errorf("a read begun before the commit returned %d persons, want 128", got)
 					}
 					if n := countPath(t, db, path); n != 328 {
