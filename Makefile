@@ -15,10 +15,13 @@ test:
 # the chooser reads the pool's fill while commits fix pages — buffer, vdisk,
 # stats) plus the facade, which exercises the engine end to end. The engine
 # and server run a second time at GOMAXPROCS 1, the setting the benchmark
-# uses.
+# uses. The union-equality test runs at GOMAXPROCS 1 and 4: a union split
+# across gangs only shows when the submitter and the dispatcher run on
+# different cores.
 race:
 	$(GO) test -race ./internal/engine/... ./internal/server/... ./internal/storage/... ./internal/core/... ./internal/plan/... ./internal/buffer/... ./internal/vdisk/... ./internal/stats/... .
 	$(GO) test -race -cpu 1 ./internal/engine/ ./internal/server/
+	$(GO) test -race -cpu 1,4 -run 'TestQueryStreamMatchesQueryCtx' .
 
 # Go micro-benchmarks with allocation counts (wall-clock; machine
 # dependent, unlike the virtual-clock numbers from xbench). Includes

@@ -27,10 +27,11 @@ var (
 // EngineConfig tunes the concurrent engine's admission control.
 type EngineConfig struct {
 	// MaxInFlight caps how many admitted queries execute together as one
-	// gang, sharing the I/O scheduler where possible (default 8).
+	// gang, sharing the I/O scheduler where possible (default 8); a union's
+	// branches are never split across gangs.
 	MaxInFlight int
-	// QueueDepth bounds the admission queue: TrySubmit beyond it is
-	// rejected, Do/Submit block (default 64).
+	// QueueDepth bounds the admission queue, in queries or whole unions:
+	// TryDo beyond it is rejected, Do blocks (default 64).
 	QueueDepth int
 	// Parallel is ignored: the engine executes every gang on its one
 	// dispatcher goroutine. The field is kept so existing configurations
@@ -206,10 +207,10 @@ type ExecResult struct {
 	VirtualLatency stats.Ticks
 	// CostV is the query's own elapsed virtual time (CPUV + IOWaitV),
 	// measured on its private ledger — deterministic on a warm buffer
-	// regardless of the gang it ran in. SharedV is the
-	// gang-shared scheduler's clock (pooled prefetch I/O, reported to
-	// every member of the group; zero for solo runs). Union queries sum
-	// their branches.
+	// regardless of the gang it ran in; a union's sums its branches'.
+	// SharedV is the clock of the gang-shared scheduler the query's
+	// branches pooled in (its prefetch I/O, counted once; zero for solo
+	// runs).
 	CostV   stats.Ticks
 	CPUV    stats.Ticks
 	IOWaitV stats.Ticks
@@ -250,9 +251,7 @@ func (s *Session) Do(ctx context.Context, path string, opts QueryOptions) (ExecR
 // TryDo is Do with non-blocking admission: when the engine's queue is at
 // QueueDepth it fails immediately with ErrOverloaded instead of waiting —
 // the load-shedding half of admission control, which a front end maps to
-// "try again later". For union queries the shedding decision is made on
-// the first branch; once that is admitted the remaining branches submit
-// blocking (the union is committed).
+// "try again later". A union is admitted or shed whole.
 func (s *Session) TryDo(ctx context.Context, path string, opts QueryOptions) (ExecResult, error) {
 	return s.drain(ctx, path, opts, true)
 }
@@ -266,32 +265,21 @@ func (s *Session) drain(ctx context.Context, path string, opts QueryOptions, try
 	return c.Drain()
 }
 
-// compile parses the path and maps it onto engine queries, one per union
-// branch. live requests incremental delivery through the engine sink; a
-// sorted union never streams.
-func (s *Session) compile(path string, opts QueryOptions, live bool) ([]engine.Query, error) {
-	branches, err := parseUnion(s.eng.db, path)
-	if err != nil {
-		return nil, err
-	}
-	live = live && !(opts.Sorted && len(branches) > 1)
+// branchQueries maps a query's union branches onto the engine queries every
+// surface runs. live requests incremental delivery; a sorted union never
+// streams. A plain path is ordered inside its plan. A sorted union carries
+// no per-branch Limit: its global document order — and so its first N —
+// only exists once the cursor has merged every branch.
+func (opts QueryOptions) branchQueries(branches [][]xpath.Step, live bool) []engine.Query {
+	union := len(branches) > 1
 	queries := make([]engine.Query, len(branches))
-	for i, b := range branches {
-		queries[i] = opts.branchQuery(b, len(branches))
-		queries[i].Stream = live
+	for i, path := range branches {
+		queries[i] = engine.Query{Path: path, Auto: opts.Strategy == Auto, Strategy: opts.Strategy.internal(),
+			Sorted: opts.Sorted && !union, MemLimit: opts.MemLimit, Limit: opts.Limit, PredEval: opts.PredEval.internal(),
+			Stream: live && !(opts.Sorted && union)}
+		if opts.Sorted && union {
+			queries[i].Limit = 0
+		}
 	}
-	return queries, nil
-}
-
-// branchQuery maps one of n union branches onto the engine query both
-// producers run. A plain path is ordered inside its plan. A sorted union
-// carries no per-branch Limit: its global document order — and so its
-// first N — only exists once the cursor has merged every branch.
-func (opts QueryOptions) branchQuery(path []xpath.Step, n int) engine.Query {
-	q := engine.Query{Path: path, Auto: opts.Strategy == Auto, Strategy: opts.Strategy.internal(),
-		Sorted: opts.Sorted && n == 1, MemLimit: opts.MemLimit, Limit: opts.Limit, PredEval: opts.PredEval.internal()}
-	if opts.Sorted && n > 1 {
-		q.Limit = 0
-	}
-	return q
+	return queries
 }

@@ -218,7 +218,8 @@ func TestEngineAutoFollowsResidency(t *testing.T) {
 	// on every surface: the engine (Session.Do), the direct cursor (QueryCtx)
 	// and Query.Nodes pick the same strategy for each branch — observed as
 	// the first branch's, with the union written both ways round — on the
-	// resident pool and on a flushed one, and Nodes costs what QueryCtx costs.
+	// resident pool and on a flushed one, and Nodes costs what QueryCtx costs:
+	// its branches' own costs and the clock of the group that pooled them.
 	nodesCost := func(path string) (int, stats.Ticks) {
 		q, err := db.Query(path)
 		if err != nil {
@@ -258,7 +259,7 @@ func TestEngineAutoFollowsResidency(t *testing.T) {
 				t.Fatalf("%s flushed=%v: QueryCtx ran %v (%d nodes), Session.Do %v (%d nodes)",
 					union, flushed, direct.Strategy, len(direct.Nodes), do.Strategy, len(do.Nodes))
 			}
-			if n != len(direct.Nodes) || cost != direct.CostV {
+			if n != len(direct.Nodes) || cost != direct.CostV+direct.SharedV {
 				t.Fatalf("%s flushed=%v: Query.Nodes returned %d nodes for %v, QueryCtx %d for %v",
 					union, flushed, n, cost, len(direct.Nodes), direct.CostV)
 			}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"pathdb/internal/vdisk"
 )
 
 func TestErrorKindRoundTrip(t *testing.T) {
@@ -141,6 +143,53 @@ func TestQueryCtxFaultsReturnTypedErrors(t *testing.T) {
 	res, err = db.QueryCtx(context.Background(), itemPath, QueryOptions{Strategy: Schedule})
 	if err != nil || res.Count() != ref.Count() {
 		t.Fatalf("after disarm: err=%v count=%d want %d", err, res.Count(), ref.Count())
+	}
+
+	// A union's pooled group over a persistently damaged page: the group
+	// faults and re-runs its branches solo, so the union fails typed when a
+	// branch needs the page, and one whose branches do not returns the
+	// fault-free nodes.
+	faulty := itemPath + " | /site/people/person/name"
+	clean := "/site/people/person/name | /site/closed_auctions/closed_auction/price"
+	pages := func(path string) (map[vdisk.PageID]bool, ExecResult) {
+		db.ResetStats()
+		db.store.Disk().SetTrace(true)
+		defer db.store.Disk().SetTrace(false)
+		res, err := db.QueryCtx(context.Background(), path, QueryOptions{Strategy: Schedule})
+		if err != nil || !res.Shared {
+			t.Fatalf("%s: err=%v shared=%v, want a pooled run", path, err, res.Shared)
+		}
+		set := map[vdisk.PageID]bool{}
+		for _, ev := range db.store.Disk().Trace() {
+			set[ev.Page] = true
+		}
+		return set, res
+	}
+	faultyPages, _ := pages(faulty)
+	cleanPages, cleanRef := pages(clean)
+	bad := vdisk.InvalidPage
+	for p := range faultyPages {
+		if !cleanPages[p] {
+			bad = p
+			break
+		}
+	}
+	if bad == vdisk.InvalidPage {
+		t.Fatal("no page separates the two unions")
+	}
+	db.ResetStats()
+	db.store.Disk().CorruptPage(bad, 3)
+	defer db.store.Disk().CorruptPage(bad, 3) // XOR damage is an involution
+	if _, err := db.QueryCtx(context.Background(), faulty, QueryOptions{Strategy: Schedule}); KindOf(err) != KindCorrupt {
+		t.Fatalf("union over the damaged page: err=%v kind=%v, want corrupt", err, KindOf(err))
+	}
+	if n := db.store.Disk().PendingAsync(); n != 0 {
+		t.Fatalf("the faulted group left %d prefetches on the device", n)
+	}
+	db.ResetStats()
+	res, err = db.QueryCtx(context.Background(), clean, QueryOptions{Strategy: Schedule})
+	if err != nil || !sameSeq(resultIDs(res), resultIDs(cleanRef)) {
+		t.Fatalf("union beside the damaged page: err=%v, %d nodes, want the fault-free %d", err, res.Count(), cleanRef.Count())
 	}
 }
 

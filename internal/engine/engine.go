@@ -9,14 +9,13 @@
 // plans admitted together pool in the one device queue (core.MultiPlan).
 //
 // Execution model — one dispatcher. Any number of goroutines submit into a
-// bounded admission queue; a single dispatcher goroutine drains the queue in
-// gangs of at most MaxInFlight queries and runs each gang itself: the
-// batchable members first, together as one shared group (a MultiPlan), then
-// every other member solo, in submission order, each through a Branch — the
-// runner the pathdb facade also pulls its blocking queries through, on the
-// caller's goroutine. No admitted query runs on any other goroutine. A
-// streaming query holds the dispatcher only while its consumer lags a full
-// sink block behind.
+// bounded admission queue, a query or a union's branches as one unit; a
+// single dispatcher goroutine drains it in gangs of whole units and runs
+// each gang itself (runGang): the batchable members together as one shared
+// group (a MultiPlan), then every other member solo, in submission order,
+// each through a Branch. The pathdb facade runs a drained direct union the
+// same way on the caller's goroutine (Exec). A streaming query holds the
+// dispatcher only while its consumer lags a full sink block behind.
 //
 // Cost accounting. Each query runs against a read-only storage view
 // (storage.Store.Reader) with its own stats.Ledger: the query's CPU charges
@@ -74,10 +73,12 @@ type Snapshot interface {
 // Config tunes the engine's admission control.
 type Config struct {
 	// MaxInFlight caps the gang size: how many admitted queries execute
-	// together, sharing the I/O scheduler where possible. Default 8.
+	// together, sharing the I/O scheduler where possible. A union is never
+	// split: a gang takes its first unit whole and further units while it
+	// has fewer members than this. Default 8.
 	MaxInFlight int
-	// QueueDepth bounds the admission queue; TrySubmit beyond it returns
-	// ErrQueueFull, Submit blocks. Default 64.
+	// QueueDepth bounds the admission queue in units (a union is one);
+	// TrySubmit beyond it returns ErrQueueFull, Submit blocks. Default 64.
 	QueueDepth int
 	// Snapshots, when set, pins one version per gang: every member view
 	// resolves pages through it, isolating queries from concurrent
@@ -187,7 +188,7 @@ type Engine struct {
 	chooser *plan.Chooser
 	cfg     Config
 
-	queue chan *Pending
+	queue chan []*Pending // admitted units: a query, or a union's branches
 	stop  chan struct{}
 	drain chan struct{}
 	wg    sync.WaitGroup
@@ -231,7 +232,7 @@ func New(store *storage.Store, cfg Config) *Engine {
 		store:   store,
 		chooser: chooser,
 		cfg:     cfg,
-		queue:   make(chan *Pending, cfg.QueueDepth),
+		queue:   make(chan []*Pending, cfg.QueueDepth),
 		stop:    make(chan struct{}),
 		drain:   make(chan struct{}),
 	}
@@ -329,8 +330,10 @@ func (e *Engine) shutAdmission() {
 func (e *Engine) failQueued() {
 	for {
 		select {
-		case p := <-e.queue:
-			p.finish(Result{}, ErrClosed)
+		case unit := <-e.queue:
+			for _, p := range unit {
+				p.finish(Result{}, ErrClosed)
+			}
 		default:
 			return
 		}
@@ -347,8 +350,8 @@ func (e *Engine) run() {
 	defer e.wg.Done()
 	for {
 		select {
-		case p := <-e.queue:
-			e.execute(e.gather(p))
+		case unit := <-e.queue:
+			e.execute(e.gather(unit))
 		case <-e.stop:
 			e.failQueued()
 			return
@@ -361,8 +364,8 @@ func (e *Engine) run() {
 				case <-e.stop:
 					e.failQueued()
 					return
-				case p := <-e.queue:
-					e.execute(e.gather(p))
+				case unit := <-e.queue:
+					e.execute(e.gather(unit))
 				default:
 					return
 				}
@@ -371,41 +374,20 @@ func (e *Engine) run() {
 	}
 }
 
-// gather greedily extends a gang up to MaxInFlight without waiting: the
-// queries that arrived while the previous gang executed batch together.
-func (e *Engine) gather(first *Pending) []*Pending {
-	gang := []*Pending{first}
+// gather greedily extends a gang by whole units while it has fewer than
+// MaxInFlight members, without waiting: the queries that arrived while the
+// previous gang executed batch together. Admit sizes a unit exactly, so
+// appending to the first copies it.
+func (e *Engine) gather(gang []*Pending) []*Pending {
 	for len(gang) < e.cfg.MaxInFlight {
 		select {
-		case p := <-e.queue:
-			gang = append(gang, p)
+		case unit := <-e.queue:
+			gang = append(gang, unit...)
 		default:
 			return gang
 		}
 	}
 	return gang
-}
-
-// batchable reports whether a query can join a gang-shared scheduler: the
-// shared XStep chain has no predicate filters, and only Schedule plans pool
-// their cluster accesses.
-func batchable(strat core.Strategy, path []xpath.Step) bool {
-	if strat != core.StrategySchedule {
-		return false
-	}
-	for _, s := range path {
-		if len(s.Predicates) > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// execUnit is one gang member with its resolved strategy.
-type execUnit struct {
-	p      *Pending
-	strat  core.Strategy
-	choice *plan.Choice
 }
 
 // viewOf opens a read view of st charging led: through the pinned snapshot
@@ -417,10 +399,9 @@ func viewOf(st *storage.Store, snap Snapshot, led *stats.Ledger) *storage.Store 
 	return st.SnapshotView(led)
 }
 
-// execute runs one gang on the dispatcher: the batchable members together as
-// one shared group (a MultiPlan), then the rest solo, in submission order.
-// The whole gang reads one pinned snapshot, acquired here and released when
-// every member has finished.
+// execute runs one gang on the dispatcher (runGang). The whole gang reads
+// one pinned snapshot, acquired here and released when every member has
+// finished.
 func (e *Engine) execute(gang []*Pending) {
 	e.gangs.Add(1)
 	var snap Snapshot
@@ -432,34 +413,17 @@ func (e *Engine) execute(gang []*Pending) {
 	// set-op per admitted member, keeping the volume clock pure.
 	e.overhead.AdvanceCPU(stats.Ticks(len(gang)) * e.store.Disk().Model().CPUSetOp)
 
-	var shared, solo []execUnit
+	ms := make([]Member, 0, len(gang))
 	for _, p := range gang {
 		if err := p.ctx.Err(); err != nil {
 			e.cancelled.Add(1)
 			p.finish(Result{}, err)
 			continue
 		}
-		u := execUnit{p: p}
-		u.strat, u.choice = e.chooser.Resolve(p.q.Path, p.q.Auto, p.q.Strategy)
-		if !p.q.Stream && batchable(u.strat, p.q.Path) {
-			shared = append(shared, u)
-		} else {
-			solo = append(solo, u)
-		}
+		strat, choice := e.chooser.Resolve(p.q.Path, p.q.Auto, p.q.Strategy)
+		ms = append(ms, Member{Ctx: p.ctx, Query: p.q, Strat: strat, Choice: choice, p: p})
 	}
-	// A shared group needs at least two members to be worth the demux.
-	if len(shared) == 1 {
-		solo = append(solo, shared[0])
-		shared = nil
-	}
-	gangSize := len(shared) + len(solo)
-
-	if len(shared) > 0 {
-		e.runShared(snap, shared, gangSize)
-	}
-	for _, u := range solo {
-		e.runSolo(snap, u, gangSize)
-	}
+	runGang(e.store, snap, ms)
 }
 
 // contextsOf returns q's context nodes, the roots when it names none.
@@ -468,177 +432,6 @@ func contextsOf(st *storage.Store, q Query) []storage.NodeID {
 		return q.Contexts
 	}
 	return st.Roots()
-}
-
-// runShared executes a gang's batchable members on one gang-shared
-// XSchedule: every member's cluster accesses pool in the single device
-// queue, so overlapping working sets load once and the scheduler reorders
-// across query boundaries. The pooled prefetch I/O is paid by a group
-// ledger; every member charges its own CPU and synchronous I/O to a private
-// view.
-func (e *Engine) runShared(snap Snapshot, units []execUnit, gangSize int) {
-	// Every ledger of this run is seeded with the device's current instant:
-	// the gang arrives now, and is billed for time past its arrival — not
-	// for device history that earlier gangs and committed writers already
-	// paid for. The seed is subtracted back out before folding into the
-	// volume ledger, whose clock is a sum of work.
-	baseV := e.store.Disk().Clock()
-	gled := stats.NewLedger()
-	gled.SeedAt(baseV)
-	gview := viewOf(e.store, snap, gled)
-	startV := e.store.Ledger().Total()
-	startW := time.Now()
-
-	queries := make([]core.MultiQuery, len(units))
-	qleds := make([]*stats.Ledger, len(units))
-	for i, u := range units {
-		qleds[i] = stats.NewLedger()
-		qleds[i].SeedAt(baseV)
-		queries[i] = core.MultiQuery{
-			Path:     u.p.q.Path,
-			Contexts: contextsOf(e.store, u.p.q),
-			Ctx:      u.p.ctx,
-			MemLimit: u.p.q.MemLimit,
-			PredEval: u.p.q.PredEval,
-			Store:    viewOf(e.store, snap, qleds[i]),
-		}
-	}
-	buckets := make([][]core.Result, len(units))
-	arena := core.GetArena()
-	defer core.PutArena(arena)
-	ferr := func() (ferr *storage.PageError) {
-		var mp *core.MultiPlan
-		defer func() {
-			if r := recover(); r != nil {
-				// Close on the unwind path too: pooled navigation
-				// iterators and arena structures must not leak with the
-				// aborted run (RunEach defers its own Close; this covers
-				// a fault between build and run — Close is idempotent).
-				if mp != nil {
-					mp.Close()
-				}
-				if pe, ok := storage.AsPageFault(r); ok {
-					ferr = pe
-					return
-				}
-				panic(r)
-			}
-		}()
-		mp = core.BuildMultiPlan(gview, queries, core.PlanOptions{Arena: arena})
-		for i, u := range units {
-			if u.choice != nil {
-				u.choice.PredEval = mp.PredEvals[i]
-			}
-		}
-		mp.RunEach(
-			func(i int) bool {
-				u := units[i]
-				if u.p.ctx.Err() != nil {
-					return true
-				}
-				// An unsorted member with a result cap is done once its
-				// bucket is full (a sorted member must see everything
-				// before truncating).
-				lim := u.p.q.Limit
-				return lim > 0 && !u.p.q.Sorted && len(buckets[i]) >= lim
-			},
-			func(i int, r core.Result) { buckets[i] = append(buckets[i], r) },
-		)
-		return nil
-	}()
-	if ferr != nil {
-		// A page fault inside the shared scheduler poisons the whole
-		// group run: the partial buckets are unusable because RunEach
-		// interleaves members. Withdraw the group's in-flight
-		// prefetches, account the spent work, and re-run every member
-		// on its own solo plan — only queries that genuinely need the
-		// bad page fail with the typed error; the rest of the gang
-		// completes normally off the (still warm) buffer pool.
-		gview.CancelRequests()
-		e.store.Ledger().Merge(gled.Sub(clockBase(baseV)))
-		for i := range qleds {
-			e.store.Ledger().Merge(qleds[i].Sub(clockBase(baseV)))
-		}
-		for _, u := range units {
-			e.runSolo(snap, u, gangSize)
-		}
-		return
-	}
-
-	e.batched.Add(int64(len(units)))
-	sharedV := gled.Total() - baseV
-	e.store.Ledger().Merge(gled.Sub(clockBase(baseV)))
-	wall := time.Since(startW)
-	anyCancelled := false
-	for i, u := range units {
-		if err := u.p.ctx.Err(); err != nil {
-			anyCancelled = true
-			e.cancelled.Add(1)
-			e.store.Ledger().Merge(qleds[i].Sub(clockBase(baseV)))
-			u.p.finish(Result{}, err)
-			continue
-		}
-		res := Result{
-			Results:   buckets[i],
-			Strategy:  core.StrategySchedule,
-			Choice:    u.choice,
-			Gang:      gangSize,
-			Shared:    true,
-			SharedV:   sharedV,
-			SubmitV:   u.p.submitV,
-			StartV:    startV,
-			WallQueue: startW.Sub(u.p.submitW),
-			WallExec:  wall,
-		}
-		e.deliver(u.p, res, qleds[i], baseV)
-	}
-	if anyCancelled {
-		// Abandon the cancelled members' in-flight prefetches so they
-		// cannot surface inside a later gang.
-		gview.CancelRequests()
-	}
-}
-
-// runSolo executes one member on its own plan through a Branch: a buffered
-// query collects its matches, a streaming one hands them to its consumer as
-// they are produced.
-func (e *Engine) runSolo(snap Snapshot, u execUnit, gangSize int) {
-	var b Branch
-	b.Start(u.p.ctx, e.store, snap, u.p.q, u.strat, u.choice)
-	// results is the buffered result, or a live stream's open block.
-	var results []core.Result
-	stopped := false
-	for {
-		r, ok := b.Next()
-		if !ok {
-			break
-		}
-		if u.p.sink == nil {
-			results = append(results, r)
-		} else if results, ok = e.emit(u.p, results, r); !ok {
-			// The consumer is gone (context cancelled) or the engine is
-			// stopping: stop pulling.
-			stopped = true
-			break
-		}
-	}
-	res, err := b.Stop()
-	if _, isFault := err.(*storage.PageError); isFault {
-		e.faulted.Add(1)
-	} else if err != nil {
-		e.cancelled.Add(1)
-	} else if stopped {
-		err = ErrClosed // the engine stopped under a producer parked on its consumer
-	}
-	if err != nil {
-		Recycle(results)
-		u.p.finish(Result{}, err)
-		return
-	}
-	res.Results, res.Gang = results, gangSize
-	res.SubmitV, res.WallQueue = u.p.submitV, b.startW.Sub(u.p.submitW)
-	e.completed.Add(1)
-	u.p.finish(res, nil)
 }
 
 // emit appends r to blk, a streaming query's open block, and hands blocks to
@@ -673,32 +466,4 @@ func (e *Engine) emit(p *Pending, blk []core.Result, r core.Result) ([]core.Resu
 		}
 	}
 	return blk, true
-}
-
-// clockBase is a ledger snapshot representing a seeded arrival instant, for
-// subtracting the seed back out of a per-query ledger before merging it
-// into the volume ledger.
-func clockBase(t stats.Ticks) stats.Ledger { return stats.Ledger{Now: t} }
-
-// deliver completes a shared-group member: a sorted member's bucket is put
-// into document order, the sort charged to the member's own ledger (the
-// shared scheduler emits in arrival order), and capped at its Limit; the
-// member ledger is folded into the volume ledger and stamped on the result.
-// baseV is the device instant the ledger was seeded at; only the time past
-// it is the query's own.
-func (e *Engine) deliver(p *Pending, res Result, qled *stats.Ledger, baseV stats.Ticks) {
-	if rs := res.Results; p.q.Sorted {
-		if len(rs) > 1 {
-			cmp := core.SortResults(rs)
-			qled.AdvanceCPU(stats.Ticks(cmp) * e.store.Disk().Model().CPUSetOp)
-		}
-		if p.q.Limit > 0 && len(rs) > p.q.Limit {
-			// Order enforcement saw everything (and paid for it); the cap
-			// keeps the first N in document order.
-			res.Results = rs[:p.q.Limit]
-		}
-	}
-	fold(e.store, qled, baseV, &res)
-	e.completed.Add(1)
-	p.finish(res, nil)
 }

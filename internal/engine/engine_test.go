@@ -55,7 +55,7 @@ func newStoppedEngine(st *storage.Store, cfg Config) *Engine {
 		store:   st,
 		chooser: plan.NewChooser(st),
 		cfg:     cfg,
-		queue:   make(chan *Pending, cfg.QueueDepth),
+		queue:   make(chan []*Pending, cfg.QueueDepth),
 		stop:    make(chan struct{}),
 		drain:   make(chan struct{}),
 	}

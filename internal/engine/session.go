@@ -7,6 +7,7 @@ import (
 
 	"pathdb/internal/core"
 	"pathdb/internal/stats"
+	"pathdb/internal/storage"
 )
 
 // Session is a submission handle on an engine. Many sessions submit
@@ -44,6 +45,7 @@ func Recycle(blk []core.Result) {
 type Pending struct {
 	ctx context.Context
 	q   Query
+	e   *Engine // the engine that admitted it; nil for a gang Exec ran
 
 	submitW time.Time
 	submitV stats.Ticks // volume clock at submission
@@ -91,57 +93,71 @@ func (p *Pending) Wait(ctx context.Context) (Result, error) {
 	}
 }
 
-func (s *Session) newPending(ctx context.Context, q Query) *Pending {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	p := &Pending{
-		ctx:     ctx,
-		q:       q,
-		submitW: time.Now(),
-		submitV: s.e.store.Ledger().Total(),
-		done:    make(chan struct{}),
-	}
+func newPending(ctx context.Context, e *Engine, st *storage.Store, q Query) *Pending {
+	p := &Pending{ctx: ctx, q: q, e: e, submitW: time.Now(), submitV: st.Ledger().Total(), done: make(chan struct{})}
 	if q.Stream {
 		p.sink = make(chan []core.Result)
 	}
 	return p
 }
 
-// TrySubmit admits q without blocking. It returns ErrQueueFull when the
-// admission queue is at capacity — the load-shedding half of admission
-// control — and ErrClosed after Close.
-func (s *Session) TrySubmit(ctx context.Context, q Query) (*Pending, error) {
-	p := s.newPending(ctx, q)
-	if err := p.ctx.Err(); err != nil {
-		return nil, err
+// Exec runs ms, a drained union's branches, as one gang on the calling
+// goroutine — as the dispatcher runs a gang — and returns their Pendings
+// settled: a consumer reads them exactly as it reads admitted ones.
+func Exec(st *storage.Store, snap Snapshot, ms []Member) []*Pending {
+	unit := make([]*Pending, len(ms))
+	for i := range ms {
+		unit[i] = newPending(ms[i].Ctx, nil, st, ms[i].Query)
+		ms[i].p = unit[i]
 	}
-	s.e.admit.RLock()
-	defer s.e.admit.RUnlock()
-	if s.e.closed.Load() {
-		return nil, ErrClosed
-	}
-	select {
-	case s.e.queue <- p:
-		s.e.submitted.Add(1)
-		return p, nil
-	default:
-		s.e.rejected.Add(1)
-		return nil, ErrQueueFull
-	}
+	runGang(st, snap, ms)
+	return unit
 }
 
-// Submit admits q, blocking while the admission queue is full — the
-// backpressure half of admission control. It fails with the context's
-// error if ctx is done first, and with ErrClosed if the engine shuts down.
-func (s *Session) Submit(ctx context.Context, q Query) (*Pending, error) {
-	p := s.newPending(ctx, q)
-	if err := p.ctx.Err(); err != nil {
+// settle completes p with its member's outcome, counted on the engine that
+// admitted it; a clean result is stamped with the gang size and p's queueing.
+func (p *Pending) settle(res Result, err error, gang int) {
+	if e := p.e; e != nil {
+		if res.Shared {
+			e.batched.Add(1)
+		}
+		_, isFault := err.(*storage.PageError)
+		switch {
+		case err == nil:
+			e.completed.Add(1)
+		case isFault:
+			e.faulted.Add(1)
+		case err != ErrClosed:
+			e.cancelled.Add(1)
+		}
+	}
+	if err != nil {
+		Recycle(res.Results)
+		p.finish(Result{}, err)
+		return
+	}
+	res.Gang, res.SubmitV = gang, p.submitV
+	res.WallQueue = time.Since(p.submitW) - res.WallExec
+	p.finish(res, nil)
+}
+
+// Admit admits qs — one query, or the branches of one union — as one unit,
+// whole or not at all; the dispatcher never splits a unit across gangs.
+// With wait it blocks while the admission queue is full (backpressure);
+// without, a full queue refuses it with ErrQueueFull (load shedding). It
+// fails with ctx's error (ctx is never nil) if ctx is done first, and with
+// ErrClosed once the engine shuts down.
+func (s *Session) Admit(ctx context.Context, qs []Query, wait bool) ([]*Pending, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	unit := make([]*Pending, len(qs))
+	for i, q := range qs {
+		unit[i] = newPending(ctx, s.e, s.e.store, q)
 	}
 	// The read lock pairs with Engine.shutAdmission: a submission holds it
 	// across the closed check and the queue send, so shutdown cannot slip
-	// between them and strand the Pending. The dispatcher stays live until
+	// between them and strand the unit. The dispatcher stays live until
 	// shutAdmission returns, so a send blocked on a full queue still
 	// drains.
 	s.e.admit.RLock()
@@ -150,14 +166,39 @@ func (s *Session) Submit(ctx context.Context, q Query) (*Pending, error) {
 		return nil, ErrClosed
 	}
 	select {
-	case s.e.queue <- p:
-		s.e.submitted.Add(1)
-		return p, nil
-	case <-p.ctx.Done():
-		return nil, p.ctx.Err()
-	case <-s.e.stop:
-		return nil, ErrClosed
+	case s.e.queue <- unit:
+	default:
+		if !wait {
+			s.e.rejected.Add(int64(len(unit)))
+			return nil, ErrQueueFull
+		}
+		select {
+		case s.e.queue <- unit:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-s.e.stop:
+			return nil, ErrClosed
+		}
 	}
+	s.e.submitted.Add(int64(len(unit)))
+	return unit, nil
+}
+
+// TrySubmit admits q without blocking (Admit without wait).
+func (s *Session) TrySubmit(ctx context.Context, q Query) (*Pending, error) {
+	return one(s.Admit(ctx, []Query{q}, false))
+}
+
+// Submit admits q, blocking while the queue is full (Admit with wait).
+func (s *Session) Submit(ctx context.Context, q Query) (*Pending, error) {
+	return one(s.Admit(ctx, []Query{q}, true))
+}
+
+func one(unit []*Pending, err error) (*Pending, error) {
+	if err != nil {
+		return nil, err
+	}
+	return unit[0], nil
 }
 
 // Do submits q and waits for its result.

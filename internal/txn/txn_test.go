@@ -304,14 +304,41 @@ func TestConcurrentReadersWriters(t *testing.T) {
 // contract: the recovered document is an exact prefix of commit order that
 // covers at least every hard-acked commit (acked while no write had been
 // dropped yet). The recovered volume must also accept new transactions.
+// The cuts are the writes a traced dry run of the same sequence makes, so
+// every iteration crashes.
 func TestCrashRecoveryMatrix(t *testing.T) {
 	const commits = 8
-	for cut := 0; cut <= 96; cut++ {
+	// A tiny checkpoint interval: the sweep crosses several checkpoints, so
+	// cuts land inside checkpoint writes too.
+	opts := Options{CheckpointEvery: 3}
+	writes := 0
+	{
 		st, dict, root := fixture(t, 512)
 		ins := dict.Intern("ins")
-		// A tiny checkpoint interval: the sweep crosses several
-		// checkpoints, so cuts land inside checkpoint writes too.
-		m, err := NewManager(st, Options{CheckpointEvery: 3})
+		m, err := NewManager(st, opts)
+		if err != nil {
+			t.Fatalf("dry run: NewManager: %v", err)
+		}
+		st.Disk().SetTrace(true)
+		for i := 0; i < commits; i++ {
+			if err := commitOne(m, root, ins, i); err != nil {
+				t.Fatalf("dry run: commit %d: %v", i, err)
+			}
+		}
+		for _, ev := range st.Disk().Trace() {
+			if ev.Op == "write" {
+				writes++
+			}
+		}
+	}
+	if writes == 0 {
+		t.Fatal("dry run: the commit sequence wrote nothing")
+	}
+	t.Logf("%d commits make %d device writes, one cut each", commits, writes)
+	for cut := 0; cut < writes; cut++ {
+		st, dict, root := fixture(t, 512)
+		ins := dict.Intern("ins")
+		m, err := NewManager(st, opts)
 		if err != nil {
 			t.Fatalf("cut=%d: NewManager: %v", cut, err)
 		}
@@ -330,6 +357,9 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			if disk.DroppedWrites() == base {
 				hard = i + 1
 			}
+		}
+		if disk.DroppedWrites() == base {
+			t.Fatalf("cut=%d of %d writes: no write was dropped", cut, writes)
 		}
 		disk.SetWriteFault(-1)
 

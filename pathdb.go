@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"pathdb/internal/core"
+	"pathdb/internal/engine"
 	"pathdb/internal/ordpath"
 	"pathdb/internal/plan"
 	"pathdb/internal/stats"
@@ -480,7 +481,8 @@ func parseUnion(db *DB, path string) ([][]xpath.Step, error) {
 }
 
 // Query is a compiled, tunable location-path query. Count, Nodes and Each
-// run it on the caller's goroutine through the same cursor as
+// run it on the caller's goroutine through the same cursor as the DB's
+// direct surfaces — Count and Nodes drained like DB.QueryCtx, Each live like
 // DB.QueryStream; they have no error result, so a page fault raised by the
 // fault plane panics with the typed *Error (use QueryCtx or QueryStream
 // where faults are expected).
@@ -520,14 +522,16 @@ func (q *Query) WithPredEval(pe PredEval) *Query {
 // Plan returns the physical operator tree the query will execute (for a
 // union, its first branch), one operator per line (EXPLAIN output).
 func (q *Query) Plan() string {
-	c := q.open()
-	defer c.Close()
-	c.dir.start(c.ctx)
-	p := c.dir.run.Plan()
+	snap := q.db.mgr.Snapshot()
+	defer snap.Release()
+	var b engine.Branch // branchQueries shapes a branch by its union: build them all
+	b.Start(q.db.store, snap, q.db.members(context.Background(), simplified(q.branches), q.contexts, q.opts, true)[0])
+	p := b.Plan()
 	if p == nil {
-		c.finish(c.dir.settle())
-		must(c)
+		_, err := b.Stop()
+		panic(wrapErr("query", q.text, err))
 	}
+	defer b.Stop()
 	return p.Describe(q.db.dict)
 }
 
@@ -581,10 +585,10 @@ func (db *DB) resolve(path []xpath.Step, s Strategy) (core.Strategy, *plan.Choic
 	return db.chooser.Resolve(path, s == Auto, s.internal())
 }
 
-// open starts the query's cursor over the direct producer. Query's run
+// open starts the query's direct cursor, live or drained. Query's run
 // methods take no context: nothing cancels them but their own return.
-func (q *Query) open() *Cursor {
-	return q.db.openDirect(context.Background(), func() {}, q.text, simplified(q.branches), q.contexts, q.opts)
+func (q *Query) open(live bool) *Cursor {
+	return q.db.openDirect(context.Background(), func() {}, q.text, simplified(q.branches), q.contexts, q.opts, live)
 }
 
 // must re-raises the failure of a finished cursor: Query's run methods
@@ -597,7 +601,7 @@ func must(c *Cursor) {
 
 // Count executes the query and returns its cardinality.
 func (q *Query) Count() int {
-	c := q.open()
+	c := q.open(false)
 	defer c.Close()
 	for c.Next() {
 	}
@@ -607,7 +611,7 @@ func (q *Query) Count() int {
 
 // Nodes executes the query and returns handles on the result nodes.
 func (q *Query) Nodes() []Node {
-	c := q.open()
+	c := q.open(false)
 	defer c.Close()
 	res, _ := c.Drain()
 	must(c)
@@ -618,7 +622,7 @@ func (q *Query) Nodes() []Node {
 // (document order when Sorted) and stopping early when f returns false.
 // Union branches are delivered one after another, duplicates dropped.
 func (q *Query) Each(f func(Node) bool) {
-	c := q.open()
+	c := q.open(true)
 	defer c.Close()
 	for c.Next() && f(c.Node()) {
 	}

@@ -293,6 +293,12 @@ func TestQueryPlanExplainTree(t *testing.T) {
 	if !strings.Contains(plan, "XScan") || !strings.Contains(plan, "XAssembly") {
 		t.Fatalf("plan = %q", plan)
 	}
+	// A sorted union is drained, never pulled live; its plan is still its
+	// first branch's.
+	q, _ = db.Query("/a//b | /a/b")
+	if plan := q.Sorted().Plan(); !strings.Contains(plan, "XScan") {
+		t.Fatalf("sorted union plan = %q", plan)
+	}
 }
 
 func TestCollectionViaFacade(t *testing.T) {

@@ -9,19 +9,22 @@ import (
 
 // QueryCtx evaluates an absolute location path (or a '|' union of paths)
 // directly on the DB — the one-shot, engine-free counterpart of
-// Session.Do, sharing its QueryOptions: it is QueryStream followed by
-// Drain. The context cancels or deadlines the evaluation at the next
-// operator poll point; page faults raised by the fault plane surface as the
-// typed *Error (KindIO or KindCorrupt) instead of a panic.
+// Session.Do, sharing its QueryOptions. The context cancels or deadlines
+// the evaluation at the next operator poll point; page faults raised by the
+// fault plane surface as the typed *Error (KindIO or KindCorrupt) instead
+// of a panic.
 //
-// Each branch runs as the engine runs a solo query, on one snapshot pinned
-// for the call and on a private ledger (see QueryStream), so QueryCtx may
-// run beside engine sessions and Updates on the same DB. Its virtual costs
-// are deterministic only while no other query runs on the DB: concurrent
-// queries share the simulated device. Use an Engine for concurrent
-// execution under admission control.
+// The query runs on the caller's goroutine as Session.Do's runs on the
+// dispatcher (engine.Exec): a union's batchable branches as one shared
+// group, then the rest solo, in branch order, on one pinned snapshot and
+// private ledgers, at Session.Do's costs — an unsorted union under a Limit
+// runs every branch up to it (QueryStream starts no branch past it).
+// QueryCtx may run beside engine sessions and Updates on the same DB. Its
+// virtual costs are deterministic only while no other query runs on the DB:
+// concurrent queries share the simulated device. Use an Engine for
+// concurrent execution under admission control.
 func (db *DB) QueryCtx(ctx context.Context, path string, opts QueryOptions) (res ExecResult, err error) {
-	c, err := db.QueryStream(ctx, path, opts)
+	c, err := db.direct(ctx, path, opts, false)
 	if err != nil {
 		return ExecResult{}, err
 	}

@@ -11,8 +11,8 @@ import (
 )
 
 // Cursor is a pull-based result stream, and the one way a query runs:
-// Session.Do and DB.QueryCtx open a cursor and Drain it, Query.Count, Nodes
-// and Each iterate one.
+// Session.Do and DB.QueryCtx open a cursor and Drain it, Query.Count and
+// Nodes drain one, Query.Each iterates one.
 //
 //	c, err := sess.Stream(ctx, "//item", pathdb.QueryOptions{})
 //	if err != nil { ... }
@@ -29,11 +29,13 @@ import (
 // false. A stream that ends by itself (exhausted, capped by Limit, failed,
 // context done) has already released all of that.
 //
-// A cursor has one of two producers, and both run a branch plan the same
-// way (engine.Branch): the engine's dispatcher drives it into a sink of
-// blocks (Session.Stream, Session.Do), or the cursor pulls it on the
-// caller's goroutine (DB.QueryStream, DB.QueryCtx, Query). Either way the
-// plan reads one pinned snapshot and charges its own ledger.
+// A drained query (Session.Do, DB.QueryCtx, Query.Count and Nodes) runs as
+// a gang — a union's batchable branches pooled in one group, the rest solo
+// through engine.Branch — on the dispatcher or, direct, on the caller's
+// goroutine (engine.Exec). A live query (Session.Stream, DB.QueryStream,
+// Query.Each) and a direct single path run each branch solo through
+// engine.Branch, driven into a sink of blocks or pulled by the cursor. The
+// plans read one pinned snapshot and charge their own ledgers.
 //
 // Delivery is incremental wherever production order is delivery order:
 // unsorted queries, and sorted single paths whose plan yields document order
@@ -91,49 +93,32 @@ type producer interface {
 // computed), and so does a sorted single path whose plan is ordered; any
 // other sorted single path is order-enforced inside its plan (the final
 // sort sees every match before the first is delivered) and then streams
-// the sorted sequence; a sorted union is delivered after the cursor's
-// cross-branch merge. Streaming queries execute solo — they never join a
-// gang-shared scheduler, since their production is paced by the consumer.
-// A full admission queue makes Stream wait; TryStream sheds instead.
+// the sorted sequence; a sorted union is drained like Do, then delivered
+// after the cursor's cross-branch merge. Other streaming queries execute
+// solo, paced by the consumer. A union is admitted whole, as one unit no
+// gang splits. A full admission queue makes Stream wait; TryStream sheds.
 func (s *Session) Stream(ctx context.Context, path string, opts QueryOptions) (*Cursor, error) {
 	return s.stream(ctx, path, opts, false, true)
 }
 
 // TryStream is Stream with non-blocking admission: it fails immediately
-// with ErrOverloaded when the engine's queue is full. Union shedding
-// matches TryDo: the decision is made on the first branch.
+// with ErrOverloaded when the engine's queue is full, shedding a union whole.
 func (s *Session) TryStream(ctx context.Context, path string, opts QueryOptions) (*Cursor, error) {
 	return s.stream(ctx, path, opts, true, true)
 }
 
 func (s *Session) stream(ctx context.Context, path string, opts QueryOptions, try, live bool) (*Cursor, error) {
-	queries, err := s.compile(path, opts, live)
+	branches, err := parseUnion(s.eng.db, path)
 	if err != nil {
 		return nil, err
 	}
 	cctx, cancel := opts.context(ctx)
-
-	// Submit every branch before reading so union branches enter one gang;
-	// the dispatcher drains the queue independently of this goroutine, so
-	// sequential Submit calls cannot deadlock.
-	pendings := make([]*engine.Pending, 0, len(queries))
-	for i, q := range queries {
-		var p *engine.Pending
-		var perr error
-		if try && i == 0 {
-			p, perr = s.s.TrySubmit(cctx, q)
-		} else {
-			p, perr = s.s.Submit(cctx, q)
-		}
-		if perr != nil {
-			// Already-submitted branches settle through the cancelled
-			// context; their producers unblock on it.
-			cancel()
-			return nil, wrapErr("submit", path, perr)
-		}
-		pendings = append(pendings, p)
+	pendings, err := s.s.Admit(cctx, opts.branchQueries(branches, live), !try)
+	if err != nil {
+		cancel()
+		return nil, wrapErr("submit", path, err)
 	}
-	c := newCursor(s.eng.db, path, opts, cctx, cancel, len(queries))
+	c := newCursor(s.eng.db, path, opts, cctx, cancel, len(branches))
 	c.eng = engineProducer{pend: pendings}
 	c.prod = &c.eng
 	return c, nil
@@ -286,13 +271,15 @@ func (c *Cursor) Drain() (ExecResult, error) {
 }
 
 // ---------------------------------------------------------------------------
-// The engine producer: Session.Stream/TryStream/Do/TryDo.
+// The engine producer: Session.Stream/TryStream/Do/TryDo, and the drained
+// direct surfaces.
 
-// engineProducer pulls a query admitted to the engine: one Pending per
-// union branch, drained in submission order. A streaming branch hands its
-// matches over in blocks through its sink as the dispatcher produces them;
-// whatever the engine buffered instead — a stream's last block included —
-// is in the branch's Result once it has settled.
+// engineProducer pulls a query admitted to the engine, or one a drained
+// direct surface ran as a gang (engine.Exec): one Pending per union branch,
+// drained in submission order. A streaming branch hands its matches over in
+// blocks through its sink as the dispatcher produces them; whatever the
+// engine buffered instead — a stream's last block included — is in the
+// branch's Result once it has settled.
 type engineProducer struct {
 	pend []*engine.Pending
 	done []engine.Result // summaries of the branches harvested so far, in order
@@ -382,8 +369,9 @@ func choiceOf(c *plan.Choice) *PlanChoice {
 }
 
 // aggregateBranches folds branch summaries into one ExecResult (no nodes):
-// costs sum, shared flags or, and the virtual latency spans the earliest
-// submit to the latest done.
+// the branches' own costs sum, shared flags or, the shared group's clock
+// counts once — a union's pooled branches ran in one group — and the
+// virtual latency spans the earliest submit to the latest done.
 func aggregateBranches(branch []engine.Result) ExecResult {
 	if len(branch) == 0 {
 		return ExecResult{}
@@ -392,11 +380,12 @@ func aggregateBranches(branch []engine.Result) ExecResult {
 		Choice: choiceOf(branch[0].Choice)}
 	minSubmit, maxDone := branch[0].SubmitV, branch[0].DoneV
 	for _, r := range branch {
-		out.Shared = out.Shared || r.Shared
+		if r.Shared && !out.Shared {
+			out.Shared, out.SharedV = true, r.SharedV
+		}
 		out.CostV += r.CostV
 		out.CPUV += r.CPUV
 		out.IOWaitV += r.IOWaitV
-		out.SharedV += r.SharedV
 		out.WallQueue += r.WallQueue
 		out.WallExec += r.WallExec
 		if r.SubmitV < minSubmit {
@@ -419,60 +408,73 @@ func aggregateBranches(branch []engine.Result) ExecResult {
 // snapshot the cursor pins when it opens: a commit made while the cursor is
 // open is not seen. Unsorted queries pull the plan incrementally, union
 // branches one after another; so does a sorted single path whose plan is
-// ordered. Other sorted queries evaluate fully on the first Next (order
-// enforcement), then stream the sorted result.
+// ordered. Other sorted single paths evaluate fully on the first Next
+// (order enforcement), then stream the sorted result. A sorted union is
+// drained like QueryCtx.
 //
 // Its virtual costs are deterministic only while no other query runs on
 // the DB, since concurrent queries share the simulated device; run
 // concurrent queries through an Engine.
 func (db *DB) QueryStream(ctx context.Context, path string, opts QueryOptions) (*Cursor, error) {
+	return db.direct(ctx, path, opts, true)
+}
+
+// direct parses path and opens a direct cursor over it from the roots.
+func (db *DB) direct(ctx context.Context, path string, opts QueryOptions, live bool) (*Cursor, error) {
 	branches, err := parseUnion(db, path)
 	if err != nil {
 		return nil, err
 	}
 	cctx, cancel := opts.context(ctx)
-	return db.openDirect(cctx, cancel, path, branches, nil, opts), nil
+	return db.openDirect(cctx, cancel, path, branches, nil, opts, live), nil
 }
 
-// openDirect opens a cursor over the direct producer: the branches' engine
-// queries evaluated from contexts (nil: the roots). Every branch is resolved
-// here, against the pool as the query finds it — as the engine's dispatcher
-// resolves a gang — not against what an earlier branch leaves behind.
-func (db *DB) openDirect(ctx context.Context, cancel context.CancelFunc, path string, branches [][]xpath.Step, contexts []storage.NodeID, opts QueryOptions) *Cursor {
+// openDirect opens a cursor over the branches evaluated from contexts (nil:
+// the roots). Every branch is resolved here, against the pool as the query
+// finds it — as the dispatcher resolves a gang. A drained union runs here as
+// the dispatcher runs a gang (engine.Exec) and is read as Session.Do's; a
+// live query, and a single path — one member, which no group pools — is
+// pulled through the direct producer, buffering nothing.
+func (db *DB) openDirect(ctx context.Context, cancel context.CancelFunc, path string, branches [][]xpath.Step, contexts []storage.NodeID, opts QueryOptions, live bool) *Cursor {
 	c := newCursor(db, path, opts, ctx, cancel, len(branches))
-	c.dir = directProducer{db: db, snap: db.mgr.Snapshot(), branches: make([]directBranch, len(branches))}
-	for i, b := range branches {
-		d := &c.dir.branches[i]
-		d.q = opts.branchQuery(b, len(branches))
-		d.q.Contexts = contexts
-		d.strat, d.choice = db.resolve(b, opts.Strategy)
+	ms := db.members(ctx, branches, contexts, opts, live || len(branches) == 1)
+	snap := db.mgr.Snapshot()
+	if !ms[0].Query.Stream {
+		c.eng = engineProducer{pend: engine.Exec(db.store, snap, ms)}
+		c.prod = &c.eng
+		snap.Release()
+	} else {
+		c.dir = directProducer{db: db, snap: snap, branches: ms}
+		c.prod = &c.dir
 	}
-	c.prod = &c.dir
 	return c
 }
 
-// directProducer pulls the branches one after another, each through an
-// engine.Branch on the consumer's goroutine.
+// members resolves the branches' engine queries, evaluated from contexts.
+func (db *DB) members(ctx context.Context, branches [][]xpath.Step, contexts []storage.NodeID, opts QueryOptions, live bool) []engine.Member {
+	ms := make([]engine.Member, len(branches))
+	for i, q := range opts.branchQueries(branches, live) {
+		q.Contexts = contexts
+		ms[i] = engine.Member{Ctx: ctx, Query: q}
+		ms[i].Strat, ms[i].Choice = db.resolve(branches[i], opts.Strategy)
+	}
+	return ms
+}
+
+// directProducer pulls a live query's branches, or a single path, one after
+// another, each through an engine.Branch on the consumer's goroutine.
 type directProducer struct {
 	db       *DB
 	snap     engine.Snapshot
-	branches []directBranch
+	branches []engine.Member
 	bi       int           // branch being delivered
 	run      engine.Branch // its runner
 	running  bool          // run is between Start and Stop
 	done     []engine.Result
 }
 
-// directBranch is one branch's query, strategy and choice (nil if forced).
-type directBranch struct {
-	q      engine.Query
-	strat  core.Strategy
-	choice *plan.Choice
-}
-
-func (p *directProducer) start(ctx context.Context) {
-	b := &p.branches[p.bi]
-	p.run.Start(ctx, p.db.store, p.snap, b.q, b.strat, b.choice)
+func (p *directProducer) start() {
+	p.run.Start(p.db.store, p.snap, p.branches[p.bi])
 	p.running = true
 }
 
@@ -489,10 +491,10 @@ func (p *directProducer) settle() error {
 	return err
 }
 
-func (p *directProducer) next(ctx context.Context) (core.Result, bool, error) {
+func (p *directProducer) next(context.Context) (core.Result, bool, error) {
 	for p.bi < len(p.branches) {
 		if !p.running {
-			p.start(ctx)
+			p.start()
 		}
 		if r, ok := p.run.Next(); ok {
 			return r, true, nil

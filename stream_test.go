@@ -538,32 +538,68 @@ func TestStreamFaultTyped(t *testing.T) {
 // cursor's pooled resources.
 func TestQueryStreamMatchesQueryCtx(t *testing.T) {
 	db := mustLoad(t, `<a><b><c/><c/></b><b/><d><b><c/></b></d></a>`)
+	eng := db.NewEngine(EngineConfig{})
+	defer eng.Close()
 	// ResetStats also drops the derived generation, so a PredAuto predicate
 	// builds its levels on both sides alike.
 	ctx := context.Background()
+	drain := func(cur *Cursor, err error) ExecResult {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cur.Close()
+		res, err := cur.Drain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	for _, path := range []string{"/a/b", "/a//c", "/a//b[c]", "/a/b | /a/d/b", "/a//b | /a/b"} {
 		for _, strat := range []Strategy{Auto, Simple, Schedule, Scan} {
 			for _, sorted := range []bool{false, true} {
 				for _, limit := range []int{0, 2} {
 					opts := QueryOptions{Strategy: strat, Sorted: sorted, Limit: limit}
+					// A single path or a sorted union runs alike live and
+					// drained: QueryStream+Drain equals QueryCtx. A live
+					// unsorted union runs its branches solo, one after another,
+					// as Session.Stream runs it (QueryCtx pools it like
+					// Session.Do, below).
+					live := strings.Contains(path, "|") && !sorted
 					db.ResetStats()
-					want, err := db.QueryCtx(ctx, path, opts)
-					if err != nil {
-						t.Fatal(err)
+					var want ExecResult
+					if live {
+						want = drain(eng.NewSession().Stream(ctx, path, opts))
+					} else {
+						var err error
+						if want, err = db.QueryCtx(ctx, path, opts); err != nil {
+							t.Fatal(err)
+						}
 					}
 					db.ResetStats()
-					cur, err := db.QueryStream(ctx, path, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := cur.Drain()
-					if err != nil {
-						t.Fatal(err)
-					}
-					cur.Close()
-					if !sameSeq(resultIDs(got), resultIDs(want)) || got.CostV != want.CostV || got.Strategy != want.Strategy {
-						t.Errorf("%s %+v: QueryStream+Drain %d nodes, %v, %v; QueryCtx %d nodes, %v, %v", path, opts,
+					got := drain(db.QueryStream(ctx, path, opts))
+					if !sameSeq(resultIDs(got), resultIDs(want)) || got.Strategy != want.Strategy || got.CostV != want.CostV && !(live && limit > 0) {
+						t.Errorf("%s %+v: QueryStream+Drain %d nodes, %v, %v; QueryCtx or Session.Stream %d nodes, %v, %v", path, opts,
 							len(got.Nodes), got.CostV, got.Strategy, len(want.Nodes), want.CostV, want.Strategy)
+					}
+					if live && limit > 0 {
+						// Under a limit the dispatcher may finish a later branch
+						// before Session.Stream's cursor cancels it, so its cost
+						// is no reference. Here the first branch alone supplies
+						// the limit and the live cursor stops before the later
+						// branches start: the union costs what that branch
+						// costs alone, to the tick.
+						db.ResetStats()
+						first, err := db.QueryCtx(ctx, strings.Split(path, " | ")[0], opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(first.Nodes) < limit {
+							t.Fatalf("%s %+v: the first branch yields %d nodes, under the limit", path, opts, len(first.Nodes))
+						}
+						if got.CostV != first.CostV {
+							t.Errorf("%s %+v: QueryStream+Drain costs %v, its first branch alone %v", path, opts, got.CostV, first.CostV)
+						}
 					}
 					if limit > 0 && len(want.Nodes) > limit {
 						t.Errorf("%s %+v: %d nodes exceed the limit", path, opts, len(want.Nodes))
@@ -580,15 +616,63 @@ func TestQueryStreamMatchesQueryCtx(t *testing.T) {
 		}
 	}
 
-	// QueryCtx runs a path the way the engine runs a solo query: on two
-	// volumes built alike and committed to alike, it reports Session.Do's
-	// nodes at Session.Do's cost, to the tick, for every strategy, sorted or
-	// not, limited or not.
+	// QueryCtx runs a query the way the engine runs it: on two volumes built
+	// alike and committed to alike, it reports Session.Do's nodes at
+	// Session.Do's cost, to the tick, for every strategy, sorted or not,
+	// limited or not. A union is admitted whole — one gang of its branches,
+	// its batchable ones pooled in one group — so its costs, the group's
+	// clock included, are equal too, on a flushed and on a resident pool.
 	direct, engined := engineFixture(t), engineFixture(t)
-	eng := engined.NewEngine(EngineConfig{MaxInFlight: 1})
-	defer eng.Close()
-	ses := eng.NewSession()
+	twin := engined.NewEngine(EngineConfig{MaxInFlight: 3})
+	defer twin.Close()
+	ses := twin.NewSession()
+	unions := []string{
+		"/site/regions//item | /site/people/person/name",
+		"//description | //annotation | //emailaddress",
+		"/site/closed_auctions/closed_auction/price | /site//item[mailbox/mail//keyword] | /site/people/person/name",
+	}
 	for round := 0; round < 3; round++ {
+		for _, resident := range []bool{false, true} {
+			for _, db := range []*DB{direct, engined} {
+				db.ResetStats()
+				if resident {
+					loadAll(db)
+				}
+			}
+			for _, path := range unions {
+				for _, strat := range []Strategy{Auto, Schedule} {
+					for _, sorted := range []bool{false, true} {
+						opts := QueryOptions{Strategy: strat, Sorted: sorted}
+						got, err := direct.QueryCtx(ctx, path, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						before := engined.CostReport().Total
+						want, err := ses.Do(ctx, path, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						// The volume ledger gains the branches' own costs and
+						// the group's clock once: SharedV is that clock.
+						if d := engined.CostReport().Total - before; d != want.CostV+want.SharedV {
+							t.Errorf("round %d, resident %v, %s %+v: the volume ledger gained %v, Session.Do reports %v + group %v",
+								round, resident, path, opts, d, want.CostV, want.SharedV)
+						}
+						if !resident && strat == Schedule && (!want.Shared || want.SharedV == 0) {
+							t.Errorf("%s %+v on a flushed pool: Session.Do did not pool its branches", path, opts)
+						}
+						if !sameSeq(resultIDs(got), resultIDs(want)) || got.Strategy != want.Strategy || got.Gang != want.Gang ||
+							got.Shared != want.Shared || got.CostV != want.CostV || got.CPUV != want.CPUV ||
+							got.IOWaitV != want.IOWaitV || got.SharedV != want.SharedV {
+							t.Errorf("round %d, resident %v, %s %+v: QueryCtx %d nodes, %v, gang %d, shared %v, %v = %v + %v, group %v; "+
+								"Session.Do %d nodes, %v, gang %d, shared %v, %v = %v + %v, group %v", round, resident, path, opts,
+								len(got.Nodes), got.Strategy, got.Gang, got.Shared, got.CostV, got.CPUV, got.IOWaitV, got.SharedV,
+								len(want.Nodes), want.Strategy, want.Gang, want.Shared, want.CostV, want.CPUV, want.IOWaitV, want.SharedV)
+						}
+					}
+				}
+			}
+		}
 		for _, path := range []string{
 			"/site/regions//item", "/site/people/person/name", "/site/closed_auctions/closed_auction/price",
 			"/site//item[mailbox/mail//keyword]", "/site//description",
