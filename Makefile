@@ -123,7 +123,8 @@ test-faults:
 
 # Short fuzz pass over every parser that consumes untrusted bytes: the
 # XML scanner, the XPath parser, the page decoder on the buffer-miss path,
-# and the redo log's two payload decoders on the recovery path. `go test
+# and the redo log's two payload decoders on the recovery path — and over
+# the order-key encoding against its component-wise reference. `go test
 # -fuzz` takes one target per invocation.
 fuzz-short: FUZZTIME ?= 10s
 fuzz-short:
@@ -132,6 +133,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzDecodePage -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeGroupRecord -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTxnState -fuzztime $(FUZZTIME) ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzKeyOrder -fuzztime $(FUZZTIME) ./internal/ordpath/
 
 # Code size: non-test Go lines outside benchmark/, the figure CHANGES.md
 # entries quote.

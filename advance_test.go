@@ -62,31 +62,17 @@ func update(t *testing.T, db *DB, fn func(tx *Tx, nodes func(path string) []Node
 	}
 }
 
-// freeBefore returns a child of the nodes after which an ordinal is free to
-// its left, so one insert before it keeps key order.
-func freeBefore(kids []Node) int {
-	for j := 1; j < len(kids); j++ {
-		l, r := ordpath.Key(kids[j-1].OrdKey()).Components(), ordpath.Key(kids[j].OrdKey()).Components()
-		if len(l) == len(r) && r[len(r)-1]-l[len(l)-1] >= 2 {
-			return j
-		}
-	}
-	return -1
-}
-
 func advanceVolumes(t *testing.T) []advanceVolume {
 	r := rng.New(28)
 	pick := func(ns []Node) Node { return ns[r.Intn(len(ns))] }
-	// An insert before a child goes only where an ordinal is free: a second
-	// insert into one gap breaks key order (ROADMAP, "Keys that stay in
-	// document order under inserts": ordpath.Between), which is out of scope
-	// here.
+	// before inserts frag twice into the gap before a child picked at
+	// random, the first child included: before the child, then before the
+	// first insert.
 	before := func(tx *Tx, parent Node, kids []Node, frag string) error {
-		j := freeBefore(kids)
-		if j < 0 {
-			t.Fatal("no free ordinal for the insert-before")
+		n, err := tx.InsertXMLBefore(parent, pick(kids), frag)
+		if err == nil {
+			_, err = tx.InsertXMLBefore(parent, n, frag)
 		}
-		_, err := tx.InsertXMLBefore(parent, kids[j], frag)
 		return err
 	}
 
@@ -211,8 +197,8 @@ func advanceVolumes(t *testing.T) []advanceVolume {
 // TestLevelAdvanceMatchesBuild commits a seeded mix to two volumes — appends
 // of fragments carrying level tags, text under (the descendants of) an
 // element a literal level compares, subtree deletes across clusters, inserts
-// crowding one page until it relocates subtrees (makeRoom), one insert
-// before an existing child — and after every commit holds each level the joins read
+// crowding one page until it relocates subtrees (makeRoom), two inserts
+// into one gap before an existing child — and after every commit holds each level the joins read
 // to a fresh build at the same version, byte for byte: keys, NodeIDs and
 // string-value slab, advanced and never rebuilt. Every path's join result
 // equals nested.

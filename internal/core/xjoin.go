@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"slices"
 	"sort"
 
@@ -636,6 +637,6 @@ func semiJoinMark(anc, desc []ordpath.Key, rel relKind, mark []bool) {
 	}
 }
 
-func ancestorOrSelf(a, b ordpath.Key) bool {
-	return ordpath.Compare(a, b) == 0 || a.IsAncestorOf(b)
-}
+// ancestorOrSelf reports whether a is b or one of its ancestors: an
+// ancestor's key is a byte prefix of its descendants' keys.
+func ancestorOrSelf(a, b ordpath.Key) bool { return bytes.HasPrefix(b, a) }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pathdb/internal/buffer"
 	"pathdb/internal/core"
 	"pathdb/internal/storage"
 	"pathdb/internal/vdisk"
@@ -125,9 +126,10 @@ func TestFaultSweep(t *testing.T) {
 // TestStepIterLeakUnderFaults audits StepIter.Release on the typed-panic
 // unwind path: every navigation iterator checked out of the pool must be
 // returned even when a page fault aborts the operator chain mid-step.
-// Runs each strategy against a disk injecting a high fault rate and
-// asserts the live-iterator counter returns to its starting level once
-// all queries — successful and faulted — have finished.
+// Runs each strategy against a disk injecting a high fault rate, with one
+// read attempt per page so that a fault aborts its query instead of a retry
+// absorbing it, and asserts the live-iterator counter returns to its
+// starting level once all queries — successful and faulted — have finished.
 func TestStepIterLeakUnderFaults(t *testing.T) {
 	st, dict := testStore(t)
 	paths := []string{srcQ6, srcQ7a, srcQ7b, srcQ7c, srcQ15}
@@ -135,6 +137,7 @@ func TestStepIterLeakUnderFaults(t *testing.T) {
 	for _, strat := range []core.Strategy{core.StrategySimple, core.StrategySchedule, core.StrategyScan} {
 		t.Run(strat.String(), func(t *testing.T) {
 			st.ResetForRun()
+			st.Buffer().SetRetryPolicy(buffer.RetryPolicy{Attempts: 1})
 			st.Disk().SetFaults(vdisk.Faults{
 				Seed:      42,
 				ReadError: 0.15,
@@ -142,6 +145,7 @@ func TestStepIterLeakUnderFaults(t *testing.T) {
 			})
 			defer func() {
 				st.Disk().SetFaults(vdisk.Faults{})
+				st.Buffer().SetRetryPolicy(buffer.DefaultRetryPolicy())
 				st.ResetForRun()
 			}()
 
@@ -180,7 +184,7 @@ func TestStepIterLeakUnderFaults(t *testing.T) {
 					base, live, faulted.Load())
 			}
 			if faulted.Load() == 0 {
-				t.Logf("warning: no queries faulted at this rate; unwind path not exercised")
+				t.Errorf("no queries faulted at this rate; unwind path not exercised")
 			}
 		})
 	}

@@ -3,15 +3,35 @@
 // assumes for re-establishing document order after its operators have
 // processed nodes in physical order (Sec. 5.5).
 //
-// A Key is a sequence of unsigned components, one per tree level, encoded
-// as LEB128 varints. Initial bulk-load assigns even ordinals (2, 4, 6, …)
-// to siblings, leaving odd ordinals and component extension free for later
-// insertions without relabeling — the property that makes these keys
-// update-friendly where plain preorder numbers are not (the criticism of
-// Sec. 2 against scan-order formats).
+// A Key is a sequence of unsigned components, each encoded prefix-free and
+// order-preserving: the leading one bits of its first byte give its length,
+// as in UTF-8, and the bits after them hold the value less its length's
+// bias, big-endian.
+//
+//	0xxxxxxx                    0 … 127
+//	10xxxxxx + 1 byte           128 … 16 511
+//	110xxxxx + 2 bytes          16 512 … 2 113 663
+//	…
+//	11111111 + 8 bytes          the rest of uint64
+//
+// So plain byte comparison is document order (Compare is bytes.Compare), and
+// an ancestor's key is a byte prefix of its descendants' keys. No value takes
+// more bytes than its LEB128 form, and every value below 16 384 takes as many.
+// The biases are even, so a code's last bit is its value's parity.
+//
+// Initial bulk-load assigns even ordinals (2, 4, 6, …) to siblings. An odd
+// component is a caret, not a level: a node's key is, level by level, zero
+// or more carets and one even component, so it always ends on an even one.
+// Between inserts a sibling into any gap by a caret when no even ordinal is
+// free — between 2 and 4 it puts 3.64 — and never relabels a node, the
+// property that makes these keys update-friendly where plain preorder
+// numbers are not (the criticism of Sec. 2 against scan-order formats).
 package ordpath
 
 import (
+	"bytes"
+	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 )
@@ -26,18 +46,23 @@ func Root() Key { return Key{} }
 
 // FromComponents builds a key from explicit components.
 func FromComponents(comps ...uint64) Key {
-	var k Key
+	n := 0
 	for _, c := range comps {
-		k = appendUvarint(k, c)
+		n += codeSize(c)
+	}
+	k := make(Key, 0, n)
+	for _, c := range comps {
+		k = appendCode(k, c)
 	}
 	return k
 }
 
-// Child returns the key of a child of k with the given ordinal.
+// Child returns the key of a child of k with the given ordinal, which must
+// be even: an odd one is a caret, not a level.
 func (k Key) Child(ordinal uint64) Key {
-	out := make(Key, len(k), len(k)+2)
+	out := make(Key, len(k), len(k)+codeSize(ordinal))
 	copy(out, k)
-	return appendUvarint(out, ordinal)
+	return appendCode(out, ordinal)
 }
 
 // BulkChild returns the key for the i-th (0-based) child during initial
@@ -46,12 +71,17 @@ func (k Key) BulkChild(i int) Key {
 	return k.Child(uint64(i+1) * 2)
 }
 
-// Components decodes the key into its component list.
+// Components decodes the key into its component list, carets included.
 func (k Key) Components() []uint64 {
-	var out []uint64
+	out := make([]uint64, 0, len(k))
 	for i := 0; i < len(k); {
-		v, n := uvarint(k[i:])
-		if n <= 0 {
+		if c := k[i]; c < 0x80 { // a one-byte code: most ordinals
+			out = append(out, uint64(c))
+			i++
+			continue
+		}
+		v, n := decode(k[i:])
+		if n == 0 {
 			panic("ordpath: corrupt key")
 		}
 		out = append(out, v)
@@ -60,138 +90,109 @@ func (k Key) Components() []uint64 {
 	return out
 }
 
-// Level returns the number of components (the node's depth).
+// LEB128Len returns the bytes k's components take as LEB128 varints, the
+// key encoding of the record format that the bulk loader's cluster cuts
+// are calibrated against.
+func (k Key) LEB128Len() int {
+	n := 0
+	for i := 0; i < len(k); {
+		if k[i] < 0x80 { // below 128 both codes take one byte
+			n++
+			i++
+			continue
+		}
+		v, m := decode(k[i:])
+		if m == 0 {
+			panic("ordpath: corrupt key")
+		}
+		n += (bits.Len64(v|1) + 6) / 7
+		i += m
+	}
+	return n
+}
+
+// Level returns the node's depth: the number of its even components.
 func (k Key) Level() int {
 	lvl := 0
 	for i := 0; i < len(k); {
-		_, n := uvarint(k[i:])
-		if n <= 0 {
+		if i += codeLen(k[i]); i > len(k) {
 			panic("ordpath: corrupt key")
 		}
-		lvl++
-		i += n
+		lvl += int(^k[i-1] & 1)
 	}
 	return lvl
 }
 
-// Valid reports whether k is a well-formed sequence of LEB128 components.
-// Compare, Level and Components panic on keys that are not, so a key read
-// from untrusted bytes is checked once, where it is decoded.
+// Valid reports whether k is a well-formed sequence of component codes.
+// Compare needs no decoding, but Level, Components and the renderers panic
+// on keys that are not, so a key read from untrusted bytes is checked once,
+// where it is decoded.
 func (k Key) Valid() bool {
-	cont := 0 // continuation bytes of the component being read
-	for _, c := range k {
-		switch {
-		case c >= 0x80:
-			if cont++; cont > 9 {
+	for i := 0; i < len(k); {
+		n := 1
+		if k[i] >= 0x80 {
+			if _, n = decode(k[i:]); n == 0 {
 				return false
 			}
-		case cont == 9 && c > 1:
-			return false // tenth byte overflows 64 bits
-		default:
-			cont = 0
 		}
+		i += n
 	}
-	return cont == 0
+	return true
 }
 
-// Compare orders keys in document order: component-wise numeric comparison,
-// with a proper prefix (the ancestor) ordering before its extensions.
-func Compare(a, b Key) int {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		av, an := uvarint(a[i:])
-		bv, bn := uvarint(b[j:])
-		if an <= 0 || bn <= 0 {
-			panic("ordpath: corrupt key")
+// LevelLen returns the byte length of b's first level — its carets and the
+// even component that ends them — or 0 if b does not start with a whole,
+// well-formed level. A page stores a key as this suffix of its parent's.
+func LevelLen(b []byte) int {
+	for i := 0; i < len(b); {
+		n := 1
+		if b[i] >= 0x80 {
+			if _, n = decode(b[i:]); n == 0 {
+				return 0
+			}
 		}
-		if av < bv {
-			return -1
+		if i += n; b[i-1]&1 == 0 {
+			return i
 		}
-		if av > bv {
-			return 1
-		}
-		i += an
-		j += bn
 	}
-	switch {
-	case i < len(a):
-		return 1 // a extends b: descendant follows ancestor
-	case j < len(b):
-		return -1
-	default:
-		return 0
-	}
+	return 0
 }
 
-// IsAncestorOf reports whether k is a proper ancestor of other, i.e. k's
-// components are a proper prefix of other's.
+// Compare orders keys in document order: with order-preserving, prefix-free
+// component codes that is byte order, a proper prefix (the ancestor)
+// ordering before its extensions.
+func Compare(a, b Key) int { return bytes.Compare(a, b) }
+
+// IsAncestorOf reports whether k is a proper ancestor of other: k's levels
+// are a proper prefix of other's. The codes are prefix-free, so a key's
+// byte prefix that is itself a key ends on a component boundary.
 func (k Key) IsAncestorOf(other Key) bool {
-	if len(k) >= len(other) {
-		return false
-	}
-	// Component boundaries align iff the shorter key is a byte prefix that
-	// ends exactly on a boundary; with LEB128 a byte prefix ending on a
-	// component boundary is exactly a component prefix.
-	for i := range k {
-		if k[i] != other[i] {
-			return false
-		}
-	}
-	// len(k) must be a boundary in other: continuation bytes have the high
-	// bit set, so the previous byte (if any) must terminate a varint.
-	return len(k) == 0 || k[len(k)-1]&0x80 == 0
+	return len(k) < len(other) && bytes.HasPrefix(other, k)
 }
 
-// Between returns a key strictly between a and b in document order,
-// suitable for inserting a new sibling. It requires Compare(a, b) < 0 and
-// that b is not a descendant of a (nothing fits between a node and its
-// first descendant position only when a careting level is added, which
-// this function handles by extending a).
+// freshOrdinal is the even component that follows a new caret: the middle
+// of the one-byte codes, so inserts on either side stay short.
+const freshOrdinal = 64
+
+// Between returns a key strictly between a and b in document order for a
+// new node: a sibling of a and b when they are siblings, and a's new first
+// child before b when a is b's ancestor. It requires Compare(a, b) < 0. The
+// key is never in a's subtree unless a is b's ancestor, so repeated inserts
+// into one gap keep document order.
 func Between(a, b Key) Key {
 	if Compare(a, b) >= 0 {
 		panic("ordpath: Between requires a < b")
 	}
 	ac, bc := a.Components(), b.Components()
-	// Find first differing component index.
 	i := 0
-	for i < len(ac) && i < len(bc) && ac[i] == bc[i] {
+	for i < len(ac) && ac[i] == bc[i] {
 		i++
 	}
-	switch {
-	case i == len(ac):
-		// a is a proper ancestor (prefix) of b: go just before b's next
-		// component by descending below a with a component smaller than
-		// bc[i]. If bc[i] > 1 we can use bc[i]-1 careted; for bc[i] == 1 we
-		// caret below ordinal 0; for bc[i] == 0 we must recurse one level
-		// deeper into b (keys produced by this package never end in a 0
-		// component, so the recursion terminates before exhausting b).
-		prefix := FromComponents(ac...)
-		switch {
-		case bc[i] > 1:
-			return prefix.Child(bc[i] - 1).Child(2)
-		case bc[i] == 1:
-			return prefix.Child(0).Child(2)
-		default:
-			return Between(prefix.Child(0), b)
-		}
-	case i == len(bc):
-		panic("ordpath: Between with b ancestor of a (a < b violated)")
-	default:
-		if bc[i]-ac[i] >= 2 {
-			// Room for a whole ordinal between them.
-			mid := ac[i] + (bc[i]-ac[i])/2
-			return FromComponents(append(append([]uint64{}, ac[:i]...), mid)...)
-		}
-		// Adjacent ordinals: caret below a's position. Any key of the form
-		// ac[:i+1] ++ [x] with x larger than a's continuation sorts after a
-		// (if a ends here) and before b.
-		if i == len(ac)-1 {
-			// a ends at this component: extend it.
-			return FromComponents(ac...).Child(2)
-		}
-		// a continues below: pick a component after a's next one.
-		return FromComponents(append(append([]uint64{}, ac[:i+1]...), ac[i+1]+1)...).Child(2)
+	var lo []uint64 // nil: a is b's ancestor, the gap has no lower bound
+	if i < len(ac) {
+		lo = ac[i:]
 	}
+	return FromComponents(gap(ac[:i], lo, bc[i:])...)
 }
 
 // After returns a key that sorts after k and after every descendant of k,
@@ -203,8 +204,58 @@ func After(k Key) Key {
 	if len(comps) == 0 {
 		panic("ordpath: After of the root key")
 	}
-	comps[len(comps)-1] += 2
-	return FromComponents(comps...)
+	last := len(comps) - 1
+	return FromComponents(gap(comps[:last], comps[last:], nil)...)
+}
+
+// gap appends to out the components of a new level — carets, then one even
+// component — strictly between the suffixes x and y, whose first components
+// differ. A nil x has no lower bound and a nil y no upper one; the new
+// component steps 2 from the one bound a side has, and halves a gap with
+// two. The result never extends x. out may end where x starts in one
+// array: gap reads each component of x before it appends over it.
+func gap(out, x, y []uint64) []uint64 {
+	switch {
+	case y == nil:
+		switch lo := x[0]; {
+		case lo < math.MaxUint64-1:
+			return append(out, (lo+2)&^1)
+		case lo&1 == 0:
+			return append(out, math.MaxUint64, freshOrdinal)
+		case len(x) > 1: // after x's continuation below the caret lo
+			return gap(append(out, lo), x[1:], nil)
+		}
+	case x == nil:
+		switch hi := y[0]; {
+		case hi > 2:
+			return append(out, (hi-1)&^1)
+		case hi == 2:
+			return append(out, 1, freshOrdinal)
+		case hi == 1 && len(y) > 1: // before y's continuation
+			return gap(append(out, 1), nil, y[1:])
+		}
+	default:
+		lo, hi := x[0], y[0]
+		switch d := hi - lo; {
+		case d > 2 || d == 2 && lo&1 == 1:
+			m := lo + d/2
+			if m&1 == 1 {
+				if m-1 > lo {
+					m--
+				} else {
+					m++
+				}
+			}
+			return append(out, m)
+		case d == 2:
+			return append(out, lo+1, freshOrdinal)
+		case lo&1 == 1 && len(x) > 1: // after x's continuation below the caret lo
+			return gap(append(out, lo), x[1:], nil)
+		case hi&1 == 1 && len(y) > 1: // before y's continuation below the caret hi
+			return gap(append(out, hi), nil, y[1:])
+		}
+	}
+	panic("ordpath: Between: no node key fits the gap")
 }
 
 // AppendDotted appends the key's dotted rendering, e.g. "2.4.2", to dst and
@@ -212,9 +263,11 @@ func After(k Key) Key {
 // caller reusing its buffer renders keys allocation-free.
 func (k Key) AppendDotted(dst []byte) []byte {
 	for i := 0; i < len(k); {
-		v, n := uvarint(k[i:])
-		if n <= 0 {
-			panic("ordpath: corrupt key")
+		v, n := uint64(k[i]), 1
+		if v >= 0x80 {
+			if v, n = decode(k[i:]); n == 0 {
+				panic("ordpath: corrupt key")
+			}
 		}
 		if i > 0 {
 			dst = append(dst, '.')
@@ -256,30 +309,66 @@ func (s *byKey[T]) Less(i, j int) bool {
 }
 func (s *byKey[T]) Swap(i, j int) { s.xs[i], s.xs[j] = s.xs[j], s.xs[i] }
 
-// appendUvarint appends v as LEB128.
-func appendUvarint(k Key, v uint64) Key {
-	for v >= 0x80 {
-		k = append(k, byte(v)|0x80)
-		v >>= 7
+// bias[n] is the smallest value an n-byte code holds: an n-byte code for
+// n ≤ 8 carries 7n value bits, the 9-byte code all 64.
+var bias = func() (b [10]uint64) {
+	for n := 2; n <= 9; n++ {
+		b[n] = b[n-1] + 1<<(7*(n-1))
 	}
-	return append(k, byte(v))
+	return b
+}()
+
+// codeLen returns the length of the code whose first byte is c: one more
+// than its leading one bits.
+func codeLen(c byte) int { return bits.LeadingZeros8(^c) + 1 }
+
+// codeSize returns the length of v's code.
+func codeSize(v uint64) int {
+	n := 1
+	for n < 9 && v >= bias[n+1] {
+		n++
+	}
+	return n
 }
 
-// uvarint decodes a LEB128 value, returning the value and byte length
-// (0 if the input is empty or truncated).
-func uvarint(b []byte) (uint64, int) {
-	var v uint64
-	var shift uint
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if c < 0x80 {
-			if i > 9 || (i == 9 && c > 1) {
-				return 0, 0 // overflow
-			}
-			return v | uint64(c)<<shift, i + 1
-		}
-		v |= uint64(c&0x7f) << shift
-		shift += 7
+// appendCode appends v's code.
+func appendCode(k Key, v uint64) Key {
+	if v < 0x80 {
+		return append(k, byte(v))
 	}
-	return 0, 0
+	n := codeSize(v)
+	p := v - bias[n]
+	if n == 9 {
+		k = append(k, 0xFF)
+		n = 8
+	} else {
+		// n-1 leading ones, a zero, then the payload's top 8-n bits.
+		k = append(k, byte(uint(0xFF00)>>(n-1))|byte(p>>(8*(n-1))))
+		n--
+	}
+	for s := 8 * (n - 1); s >= 0; s -= 8 {
+		k = append(k, byte(p>>s))
+	}
+	return k
+}
+
+// decode reads the code at the start of b, returning its value and byte
+// length (0 if b is empty, truncated, or holds a 9-byte code past
+// math.MaxUint64).
+func decode(b []byte) (uint64, int) {
+	if len(b) == 0 {
+		return 0, 0
+	}
+	n := codeLen(b[0])
+	if n > len(b) {
+		return 0, 0
+	}
+	p := uint64(b[0] & (0xFF >> n))
+	for _, c := range b[1:n] {
+		p = p<<8 | uint64(c)
+	}
+	if p > math.MaxUint64-bias[n] {
+		return 0, 0
+	}
+	return p + bias[n], n
 }

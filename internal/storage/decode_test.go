@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"pathdb/internal/ordpath"
@@ -139,11 +140,17 @@ func naiveRead(raw []byte) (recs []naiveRec, slots []int) {
 			}
 		}
 		if w0&8 != 0 {
+			// One level: codes (their length is one more than the leading
+			// one bits of their first byte) up to one ending even.
 			k := 0
-			for h[k] >= 0x80 {
-				k++
+			for odd := true; odd; odd = h[k-1]&1 == 1 {
+				n := 1
+				for b := h[k]; b >= 0x80 && n < 9; b <<= 1 {
+					n++
+				}
+				k += n
 			}
-			r.key, h = recs[r.parent].key+string(h[:k+1]), h[k+1:]
+			r.key, h = recs[r.parent].key+string(h[:k]), h[k:]
 		} else {
 			l := uv()
 			r.key, h = string(h[:l]), h[l:]
@@ -304,6 +311,62 @@ func tinyPage(t *testing.T) []byte {
 	return finalizePage(payload, 64)
 }
 
+// caretPage is a 128-byte page whose keys include ones Between gave
+// inserted siblings: carets, stored relative to their parent's key like a
+// bulk key, and one stored whole below a proxy anchor.
+func caretPage(t testing.TB) ([]byte, []ordpath.Key) {
+	root := ordpath.Root().BulkChild(0)
+	first, second := root.BulkChild(0), root.BulkChild(1)
+	mid := ordpath.Between(first, second)
+	keys := []ordpath.Key{nil, root, first, mid, mid.BulkChild(0), ordpath.Between(first, mid), second, nil, ordpath.Between(mid, second)}
+	pg := &recPage{page: 1, recs: []rec{
+		{kind: RecDoc, parent: noParent},
+		{kind: RecElem, parent: 0, tag: 1, ord: keys[1]},
+		{kind: RecElem, parent: 1, tag: 2, ord: keys[2]},
+		{kind: RecElem, parent: 1, tag: 2, ord: keys[3]},
+		{kind: RecText, parent: 3, ord: keys[4], text: "x"},
+		{kind: RecElem, parent: 1, tag: 2, ord: keys[5]},
+		{kind: RecElem, parent: 1, tag: 2, ord: keys[6]},
+		{kind: RecProxyParent, parent: noParent, target: NodeID(1)},
+		{kind: RecElem, parent: 7, tag: 2, ord: keys[8]},
+	}}
+	for i := range pg.recs {
+		if p := pg.recs[i].parent; p != noParent {
+			pg.recs[p].children = append(pg.recs[p].children, uint16(i))
+		}
+	}
+	slices.SortFunc(pg.recs[1].children, func(a, b uint16) int { return ordpath.Compare(keys[a], keys[b]) })
+	payload, err := encodePage(pg, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return finalizePage(payload, 128), keys
+}
+
+// TestDecodeCaretKeys: a careted key is one level below its parent's, so it
+// is stored relative like a bulk key and decodes to the key it was.
+func TestDecodeCaretKeys(t *testing.T) {
+	raw, keys := caretPage(t)
+	var img pageImage
+	if err := decodePage(&img, 1, raw, 128); err != nil {
+		t.Fatal(err)
+	}
+	naive, _ := naiveRead(raw)
+	rel := 0
+	for p := 0; p < img.n; p++ {
+		s := img.slotOf(p)
+		if got := img.key(p); string(got) != string(keys[s]) || string(got) != naive[p].key {
+			t.Errorf("slot %d: key %v, want %v (naive reader: %v)", s, got, keys[s], ordpath.Key(naive[p].key))
+		}
+		if img.word(p, 0)&keyRel != 0 {
+			rel++
+		}
+	}
+	if rel != 6 {
+		t.Errorf("%d keys stored relative, want the 6 below a keyed parent", rel)
+	}
+}
+
 func TestDecodeCorruptLengths(t *testing.T) {
 	var img pageImage
 	if err := decodePage(&img, 1, tinyPage(t), 64); err != nil {
@@ -322,7 +385,8 @@ func TestDecodeCorruptLengths(t *testing.T) {
 		"heap end in the slot table": func(b []byte) {
 			binary.LittleEndian.PutUint16(b[4:], 25)
 		},
-		"key ends mid-component": func(b []byte) { copy(b[textHeap:], []byte{0x82, 0x82, 0x82}) },
+		"key ends mid-component":    func(b []byte) { copy(b[textHeap:], []byte{0xE0, 0x82, 0x82}) },
+		"key level ends in a caret": func(b []byte) { copy(b[textHeap:], []byte{0x03, 0x03, 0x03}) },
 		"escaped tag below the escape": func(b []byte) {
 			binary.LittleEndian.PutUint16(b[6+8:], uint16(RecElem)|tagEscape<<tagShift)
 		},
@@ -507,6 +571,9 @@ func FuzzDecodePage(f *testing.F) {
 	// A page whose records carry attributes and escaped tags.
 	wide, _ := wideVolume(f)
 	f.Add(rawPage(f, wide, wide.DataPage(wide.NumDataPages()-1)))
+	// A page whose keys carry carets.
+	caret, _ := caretPage(f)
+	f.Add(caret)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		ps := len(raw)
 		if ps < 16 || ps > MaxPageSize {

@@ -114,9 +114,11 @@ func (c *draftCluster) add(r rec) uint16 {
 }
 
 // clusterCharge is what r costs its cluster's budget when the bulk loader
-// decides where to cut: the size r had in the uvarint record format the
-// virtual cost model and the paper's orderings are calibrated against
-// (EXPERIMENTS.md: ≈1 270 clusters per factor-1 document). The page
+// decides where to cut: the size r had in the uvarint record format, with
+// LEB128 keys, that the virtual cost model and the paper's orderings are
+// calibrated against (EXPERIMENTS.md: ≈1 270 clusters per factor-1
+// document). Its key bytes are the components' LEB128 lengths, so no key
+// code can move a cut. The page
 // encoding is about an eighth denser; cutting by it instead would move
 // every crossover (Q6' at the calibrated scale: Simple 501 ms would beat
 // XScan 520 ms), so the loader cuts where that format filled a page, and
@@ -124,7 +126,8 @@ func (c *draftCluster) add(r rec) uint16 {
 // encoding too, which decides alone on documents the format handled worse.
 func clusterCharge(r *rec) int {
 	n := 1 + uvarintLen(uint64(r.parent+1))
-	key := uvarintLen(uint64(len(r.ord))) + len(r.ord)
+	key := r.ord.LEB128Len()
+	key += uvarintLen(uint64(key))
 	switch r.kind {
 	case RecElem:
 		n += uvarintLen(uint64(r.tag)) + key + uvarintLen(uint64(len(r.attrs)))

@@ -131,12 +131,12 @@ const MaxPageSize = 32768
 //	word 3  heap offset; the record's heap runs to the next record's offset
 //	        (heapEnd for the last one)
 //
-// A record's heap is [escaped tag uvarint][key][body]. The key is a single
-// ordpath component below the parent's key when keyRel is set, otherwise a
-// uvarint length and the whole key. The body is the element's attributes
-// (tag uvarint, value length uvarint, value) to the end, the text, comment or
-// PI content to the end, a proxy's 8-byte companion NodeID, or nothing for
-// the document record.
+// A record's heap is [escaped tag uvarint][key][body]. The key is the one
+// ordpath level it adds to its parent's key (ordpath.LevelLen) when keyRel
+// is set, otherwise a uvarint length and the whole key. The body is the
+// element's attributes (tag uvarint, value length uvarint, value) to the
+// end, the text, comment or PI content to the end, a proxy's 8-byte
+// companion NodeID, or nothing for the document record.
 const (
 	pageHeaderSize = 6
 	entrySize      = 8
@@ -146,23 +146,15 @@ const (
 	tagEscape      = 0xFFF
 )
 
-// relKey reports whether r's key is stored as one component below its
-// parent's: the parent has a key (it is no proxy anchor) and r's key extends
-// it by exactly one component.
+// relKey reports whether r's key is stored as one level below its parent's:
+// the parent has a key (it is no proxy anchor) and r's key extends it by
+// exactly one level.
 func relKey(r, parent *rec) bool {
-	if parent == nil || parent.kind == RecProxyParent {
+	if parent == nil || parent.kind == RecProxyParent || !parent.ord.IsAncestorOf(r.ord) {
 		return false
 	}
-	k, pk := r.ord, parent.ord
-	if len(k) <= len(pk) || string(k[:len(pk)]) != string(pk) {
-		return false
-	}
-	for _, c := range k[len(pk) : len(k)-1] {
-		if c < 0x80 {
-			return false // a component ends before the last byte: more than one
-		}
-	}
-	return true
+	rel := r.ord[len(parent.ord):]
+	return ordpath.LevelLen(rel) == len(rel)
 }
 
 // encodedSize returns the bytes r takes on a page below parent (nil for a
@@ -499,11 +491,7 @@ func (img *pageImage) body(p int) []byte {
 		h = h[k:]
 	}
 	if w0&keyRel != 0 {
-		i := 0
-		for h[i] >= 0x80 {
-			i++
-		}
-		return h[i+1:]
+		return h[ordpath.LevelLen(h):]
 	}
 	l, k := binary.Uvarint(h)
 	return h[k+int(l):]
@@ -696,8 +684,8 @@ const keyRoom = 8
 // they describe a pre-order forest (each record's parent is the nearest
 // record still open, the roots are the document and the proxy anchors, and
 // text, comment, PI and proxy-child records have no children), parses every
-// heap with the varint reader the accessors use and checks every stored key
-// component, copying the full keys into the arena as it goes. A pass over the
+// heap with the readers the accessors use and checks every stored key and
+// key level, copying the full keys into the arena as it goes. A pass over the
 // slot table then checks that it names every position exactly once. Any byte
 // sequence yields an image or a *corruptError, and an accepted image
 // navigates without a panic.
@@ -773,12 +761,9 @@ func decodePage(img *pageImage, page vdisk.PageID, raw []byte, pageSize int) err
 			if top.kind == RecProxyParent { // no parent, or one without a key
 				return bad(p, "relative key without a keyed parent")
 			}
-			k := 0
-			for k < len(h) && h[k] >= 0x80 {
-				k++
-			}
-			if k++; k > len(h) || !ordpath.Key(h[:k]).Valid() {
-				return bad(p, "malformed key component")
+			k := ordpath.LevelLen(h)
+			if k == 0 {
+				return bad(p, "malformed key level")
 			}
 			arena = append(arena, arena[top.keyStart:top.keyEnd]...)
 			if k == 1 {

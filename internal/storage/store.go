@@ -529,7 +529,7 @@ func (s *Store) appendText(buf []byte, c Cursor) []byte {
 // --- persistence -----------------------------------------------------------
 
 // metaMagic names the volume format; it changes with the page layout.
-const metaMagic = "PATHDB2\x00"
+const metaMagic = "PATHDB3\x00"
 
 // ErrVolumeFormat is returned by Open for a device that does not hold a
 // volume of this format: garbage, or a volume written with an older page

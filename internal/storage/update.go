@@ -130,9 +130,7 @@ func (s *Store) insertionOrd(parent Cursor, before NodeID) (ordpath.Key, error) 
 		return nil, err
 	}
 	if left == nil {
-		// First child: anything below parentOrd.Child(0) sorts before all
-		// existing children (generated keys never end in component 0).
-		return ordpath.Between(parent.OrdKey().Child(0), right), nil
+		left = parent.OrdKey() // first child: a new one below the parent, before right
 	}
 	return ordpath.Between(left, right), nil
 }
@@ -498,8 +496,13 @@ func (u *updater) moveBestSubtree(lp *livePage, avoid uint16, maxMove int) bool 
 		if !ok || bytes+2*len(members) > maxMove {
 			continue
 		}
-		pcSz := encodedSize(&rec{kind: RecProxyChild, parent: r.parent, ord: r.ord}, lp.img.parentOf(r))
-		if g := bytes - pcSz; g > bestGain {
+		// The page frees the subtree as stored here, its root's key relative
+		// to the parent's where it was, and gains the proxy child left
+		// behind: a lone proxy child frees nothing.
+		parent := lp.img.parentOf(r)
+		freed := bytes - encodedSize(r, nil) + encodedSize(r, parent)
+		pcSz := encodedSize(&rec{kind: RecProxyChild, parent: r.parent, ord: r.ord}, parent)
+		if g := freed - pcSz; g > bestGain {
 			best, bestGain = i, g
 		}
 	}

@@ -89,7 +89,8 @@ func TestInsertBeforeUnderSaturation(t *testing.T) {
 	rootElem, _ := st.Step(st.Swizzle(st.Root()), xpath.Child, xpath.Wildcard()).Next()
 	rootID := rootElem.ID()
 
-	// Keep inserting *before* the anchor; ord keys deepen via Between and
+	// Keep inserting *before* the anchor: Between puts each key after the
+	// last insert, below a caret in front of the anchor's ordinal, and
 	// pages split around the anchor. Page splits may relocate records and
 	// invalidate previously obtained NodeIDs, so the anchor is re-resolved
 	// each round (the documented usage contract).

@@ -693,11 +693,11 @@ func (n Node) XML() string {
 	return xmlwrite.String(n.db.dict, n.db.store.ExportSubtree(n.id), xmlwrite.Options{})
 }
 
-// OrdKey returns the node's document-order key in its encoded form: one
-// LEB128 varint per tree level. Keys of one DB, or of the volumes of one
-// ShardSet, compare in document order (CompareDocOrder), and equal keys are
-// equal byte strings. The slice aliases storage shared with other handles
-// and must not be modified.
+// OrdKey returns the node's document-order key in its encoded form. Keys
+// of one DB, or of the volumes of one ShardSet, compare in document order
+// with bytes.Compare (CompareDocOrder), an ancestor's key is a byte prefix
+// of its descendants', and equal keys are equal byte strings. The slice
+// aliases storage shared with other handles and must not be modified.
 func (n Node) OrdKey() []byte {
 	if len(n.ord) == 0 {
 		return n.db.store.Swizzle(n.id).OrdKey()

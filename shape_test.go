@@ -58,20 +58,17 @@ func shapeVolumes(t *testing.T) []shapeVolume {
 	for i := 0; i < 40; i++ {
 		update(func(tx *Tx, _ Node, kids []Node) error { return tx.Delete(kids[(i*7)%len(kids)]) })
 	}
-	// Inserts before existing children go where an ordinal is free to the
-	// left: a second insert into one gap gets a key inside the left
-	// sibling's subtree (ordpath.Between; ROADMAP), and keys then disagree
-	// with the document order every plan navigates.
-	free := func(left, right Node) bool {
-		l, r := ordpath.Key(left.OrdKey()).Components(), ordpath.Key(right.OrdKey()).Components()
-		return len(l) == len(r) && r[len(r)-1]-l[len(l)-1] >= 2
-	}
+	// Inserts before existing children go into any gap, the first child's
+	// included, and every third one into the gap the last one went into:
+	// before the last insert, or before the child it went before.
+	last := 0
 	for i := 0; i < 30; i++ {
 		update(func(tx *Tx, root Node, kids []Node) error {
-			j := 1 + (i*11)%(len(kids)-1)
-			for !free(kids[j-1], kids[j]) {
-				j = 1 + j%(len(kids)-1)
+			j := (i * 11) % len(kids)
+			if i%3 == 2 {
+				j = last + i%2
 			}
+			last = j
 			_, err := tx.InsertXMLBefore(root, kids[j], `<d k="v"><a>t1</a></d>`)
 			return err
 		})

@@ -124,13 +124,21 @@ func TestScheduleAfterPagesReturn(t *testing.T) {
 // 8 readers — 7 engine sessions and one querying the DB directly — and 2
 // writers race while the fault plane injects read errors and latency spikes. Every transaction inserts TWO
 // probe elements, so any reader observing an odd count has seen a torn
-// snapshot. Afterwards the engine must shut down without leaking goroutines.
+// snapshot. The readers also scan keywords through a pool smaller than the
+// volume, so faults reach reads: both fault counters must move. Afterwards
+// the engine must shut down without leaking goroutines.
 func TestUpdateMixedWorkloadUnderFaults(t *testing.T) {
 	g0 := runtime.NumGoroutine()
-	db := engineFixture(t)
+	// engineFixture's volume (32 pages) in a 24-page pool, flushed, with a
+	// zeroed ledger: the readers' scans reach the device while the faults
+	// are armed.
+	db, err := GenerateXMark(XMarkConfig{ScaleFactor: 0.1, Seed: 7, EntityScale: 0.05}, Options{BufferPages: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := db.NewEngine(EngineConfig{MaxInFlight: 8})
 	root := mustOne(t, db, "/site")
-
+	db.ResetStats()
 	db.SetFaults(FaultConfig{Seed: 11, ReadError: 0.02, Latency: 0.05})
 
 	const writers, perWriter, readers, perReader = 2, 8, 8, 12
@@ -178,6 +186,13 @@ func TestUpdateMixedWorkloadUnderFaults(t *testing.T) {
 			}
 			last := -1
 			for i := 0; i < perReader; i++ {
+				// A read across the volume, larger than the pool.
+				if _, err := do(context.Background(), "/site//keyword", QueryOptions{}); err != nil {
+					if k := KindOf(err); k != KindIO && k != KindCorrupt {
+						errs <- fmt.Errorf("reader %d: %w", r, err)
+						return
+					}
+				}
 				res, err := do(context.Background(), "/site/probe", QueryOptions{})
 				if err != nil {
 					if k := KindOf(err); k == KindIO || k == KindCorrupt {
@@ -206,6 +221,10 @@ func TestUpdateMixedWorkloadUnderFaults(t *testing.T) {
 		t.Error(err)
 	}
 	db.SetFaults(FaultConfig{})
+	if led := db.store.Ledger(); led.ReadFaults == 0 || led.LatencySpikes == 0 {
+		t.Errorf("no fault injected: %d read faults and %d latency spikes over %d page reads",
+			led.ReadFaults, led.LatencySpikes, led.PageReads)
+	}
 
 	if n := countPath(t, db, "/site/probe"); int64(n) != 2*commits {
 		t.Errorf("final probe count %d, want %d (2 per commit)", n, 2*commits)
