@@ -15,13 +15,13 @@ test:
 # the chooser reads the pool's fill while commits fix pages — buffer, vdisk,
 # stats) plus the facade, which exercises the engine end to end. The engine
 # and server run a second time at GOMAXPROCS 1, the setting the benchmark
-# uses. The union-equality test runs at GOMAXPROCS 1 and 4: a union split
-# across gangs only shows when the submitter and the dispatcher run on
-# different cores.
+# uses. The union-equality test and the sorted-union merge differential run
+# at GOMAXPROCS 1 and 4: a union split across gangs only shows when the
+# submitter and the dispatcher run on different cores.
 race:
 	$(GO) test -race ./internal/engine/... ./internal/server/... ./internal/storage/... ./internal/core/... ./internal/plan/... ./internal/buffer/... ./internal/vdisk/... ./internal/stats/... .
 	$(GO) test -race -cpu 1 ./internal/engine/ ./internal/server/
-	$(GO) test -race -cpu 1,4 -run 'TestQueryStreamMatchesQueryCtx' .
+	$(GO) test -race -cpu 1,4 -run 'TestQueryStreamMatchesQueryCtx|TestSortedUnionMergeDifferential' .
 
 # Go micro-benchmarks with allocation counts (wall-clock; machine
 # dependent, unlike the virtual-clock numbers from xbench). Includes
@@ -40,10 +40,11 @@ race:
 # every page of the flat_cold volume through its 90-page pool), and the
 # root package's BenchmarkColdQuery (flat_cold's reads, see profile-cold) —
 # and the root package's BenchmarkStreamDrain (ns/result and allocs per
-# query of draining an engine cursor on a resident volume, sorted and
-# unsorted) — and internal/shard's BenchmarkClusterCount (ns and allocs of
-# a count-only Cluster.Query, the merge drained with no node kept, on two
-# resident shards) — and internal/plan's BenchmarkNewChooser (ns and allocs
+# query of draining an engine cursor on a resident volume, sorted,
+# unsorted, and a sorted union merged from its ordered branches) — and
+# internal/shard's BenchmarkClusterCount (ns and allocs of a count-only
+# Cluster.Query, the merge drained with no node kept, on two resident
+# shards) — and internal/plan's BenchmarkNewChooser (ns and allocs
 # of building the cost model's chooser over flat_cold's volume shape, the
 # statistics part of engine start).
 bench:

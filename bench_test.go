@@ -134,9 +134,11 @@ func BenchmarkAblationMultiQuery(b *testing.B) {
 }
 
 // BenchmarkStreamDrain drains an engine cursor over /site//description on a
-// resident volume, sorted and unsorted: what a resident match costs beyond
-// its navigation — the plan's dedup and sort, the sink hand-over, the
-// cursor (wall time per result and allocations per query).
+// resident volume, sorted and unsorted, and over the sorted union
+// /site//description | /site//annotation | /site//emailaddress: what a
+// resident match costs beyond its navigation — the plan's dedup and sort,
+// the sink hand-over, the merge of a sorted union's branches, the cursor
+// (wall time per result and allocations per query).
 func BenchmarkStreamDrain(b *testing.B) {
 	db, err := GenerateXMark(XMarkConfig{ScaleFactor: 0.1, Seed: 7, EntityScale: 0.05}, Options{})
 	if err != nil {
@@ -149,12 +151,19 @@ func BenchmarkStreamDrain(b *testing.B) {
 	if _, err := ses.Do(ctx, "//*", QueryOptions{Strategy: Scan}); err != nil { // every cluster resident
 		b.Fatal(err)
 	}
-	for _, sorted := range []bool{false, true} {
-		b.Run(fmt.Sprintf("sorted=%v", sorted), func(b *testing.B) {
+	for _, bc := range []struct {
+		name, path string
+		sorted     bool
+	}{
+		{"sorted=false", "/site//description", false},
+		{"sorted=true", "/site//description", true},
+		{"sorted-union", "/site//description | /site//annotation | /site//emailaddress", true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			results := 0
 			for i := 0; i < b.N; i++ {
-				cur, err := ses.Stream(ctx, "/site//description", QueryOptions{Sorted: sorted})
+				cur, err := ses.Stream(ctx, bc.path, QueryOptions{Sorted: bc.sorted})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -170,7 +170,9 @@ type QueryOptions struct {
 	// Limit caps the result at N nodes (0 = unlimited). Streaming
 	// evaluation (unsorted, or sorted over an ordered plan) stops pulling
 	// the operator tree after N matches; order-enforced evaluation sees
-	// everything, sorts, and keeps the first N in document order.
+	// everything, sorts, and keeps the first N in document order. Every
+	// branch of a union carries the cap, a sorted union's included: its
+	// merge takes at most N from any branch.
 	Limit int
 	// PredEval forces the predicate evaluator (default PredAuto: the
 	// structural semi-join when its levels fit the derived cache,
@@ -267,19 +269,16 @@ func (s *Session) drain(ctx context.Context, path string, opts QueryOptions, try
 
 // branchQueries maps a query's union branches onto the engine queries every
 // surface runs. live requests incremental delivery; a sorted union never
-// streams. A plain path is ordered inside its plan. A sorted union carries
-// no per-branch Limit: its global document order — and so its first N —
-// only exists once the cursor has merged every branch.
+// streams. Every branch is ordered in its own plan and capped at the Limit:
+// the first N nodes of a merge of ordered, duplicate-free runs take at most
+// N from each.
 func (opts QueryOptions) branchQueries(branches [][]xpath.Step, live bool) []engine.Query {
-	union := len(branches) > 1
+	stream := live && !(opts.Sorted && len(branches) > 1)
 	queries := make([]engine.Query, len(branches))
 	for i, path := range branches {
 		queries[i] = engine.Query{Path: path, Auto: opts.Strategy == Auto, Strategy: opts.Strategy.internal(),
-			Sorted: opts.Sorted && !union, MemLimit: opts.MemLimit, Limit: opts.Limit, PredEval: opts.PredEval.internal(),
-			Stream: live && !(opts.Sorted && union)}
-		if opts.Sorted && union {
-			queries[i].Limit = 0
-		}
+			Sorted: opts.Sorted, MemLimit: opts.MemLimit, Limit: opts.Limit, PredEval: opts.PredEval.internal(),
+			Stream: stream}
 	}
 	return queries
 }

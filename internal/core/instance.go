@@ -89,9 +89,6 @@ func (p Instance) Full(pathLen int) bool {
 // EndL returns the left end (step, node) pair.
 func (p Instance) EndL() End { return End{Step: p.SL, Node: p.NL} }
 
-// EndR returns the right end (step, node) pair.
-func (p Instance) EndR() End { return End{Step: p.SR, Node: p.NR} }
-
 // dropCur strips the swizzled cache (used when parking the instance in a
 // memory structure).
 func (p Instance) dropCur() Instance {

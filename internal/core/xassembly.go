@@ -260,9 +260,6 @@ func (a *XAssembly) park(x Instance) {
 // SLen exposes the current size of S (tests, memory accounting).
 func (a *XAssembly) SLen() int { return a.sLen }
 
-// RLen exposes the current size of R.
-func (a *XAssembly) RLen() int { return len(a.r) }
-
 // fallbackAware is implemented by operators that must react when the plan
 // degrades (XScan restarts its producer).
 type fallbackAware interface {

@@ -86,9 +86,6 @@ func (x *XSchedule) Enqueue(p Instance) {
 	x.es.Store.RequestCluster(cluster)
 }
 
-// QLen reports the number of queued instances (tests, ablations).
-func (x *XSchedule) QLen() int { return x.qLen }
-
 // Next implements the XSchedule next method (Sec. 5.3.4.2): replenish the
 // queue, schedule cluster accesses, and return a path whose cluster is
 // loaded.

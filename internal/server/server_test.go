@@ -181,17 +181,25 @@ func TestQueryTimeout(t *testing.T) {
 	db := newTestDB(t, 0.5)
 	srv, ts := newTestServer(t, db, pathdb.EngineConfig{}, Options{})
 
-	sawTimeout := false
-	for i := 0; i < 10 && !sawTimeout; i++ {
+	// A budget that expires while the query still waits in the queue makes
+	// the dispatcher drop it unrun, with nothing prefetched to withdraw, so
+	// requests go on until a timed-out one has withdrawn prefetches. After
+	// each 504 an unbudgeted query, which the dispatcher runs only once the
+	// timed-out one has stopped, settles its withdrawals.
+	timeouts := 0
+	for i := 0; i < 50 && (timeouts == 0 || srv.eng.CostLedger().AsyncWithdrawn == 0); i++ {
 		// Force XSchedule so the query prefetches asynchronously — the
 		// withdrawal accounting below is about exactly those requests.
 		resp, data := postQuery(t, ts.URL, QueryRequest{Path: descQuery, TimeoutMS: 1, Strategy: "xschedule"})
 		switch resp.StatusCode {
 		case http.StatusGatewayTimeout:
-			sawTimeout = true
+			timeouts++
 			var er ErrorResponse
 			if err := json.Unmarshal(data, &er); err != nil || er.Error == "" {
 				t.Fatalf("504 body %q", data)
+			}
+			if resp, data := postQuery(t, ts.URL, QueryRequest{Path: "/site"}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("settling query: status %d: %s", resp.StatusCode, data)
 			}
 		case http.StatusOK:
 			// The machine raced the budget; try again.
@@ -199,7 +207,7 @@ func TestQueryTimeout(t *testing.T) {
 			t.Fatalf("status %d: %s", resp.StatusCode, data)
 		}
 	}
-	if !sawTimeout {
+	if timeouts == 0 {
 		t.Fatal("no request timed out despite a 1ms budget on a heavy query")
 	}
 
@@ -208,7 +216,7 @@ func TestQueryTimeout(t *testing.T) {
 		t.Fatalf("engine cancelled = 0 after timeouts (metrics %+v)", m)
 	}
 	if w := srv.eng.CostLedger().AsyncWithdrawn; w == 0 {
-		t.Fatal("async_withdrawn = 0: cancelled query's prefetches were not withdrawn")
+		t.Fatalf("async_withdrawn = 0 after %d timeouts: cancelled queries' prefetches were not withdrawn", timeouts)
 	}
 	if srv.timeouts.Load() == 0 {
 		t.Fatal("server timeout counter not incremented")

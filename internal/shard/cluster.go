@@ -235,10 +235,6 @@ func (c *Cluster) SetFaults(s int, f pathdb.FaultConfig) {
 	c.set.Shards[s].SetFaults(f)
 }
 
-// MarkDegraded marks shard s degraded on the ring (writes route around
-// it); reads keep scattering to it and rely on Policy to absorb faults.
-func (c *Cluster) MarkDegraded(s int, v bool) { c.ring.SetDegraded(s, v) }
-
 // Partials returns how many queries completed with a partial result.
 func (c *Cluster) Partials() int64 { return c.partials.Load() }
 

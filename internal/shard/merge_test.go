@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"pathdb"
-	"pathdb/internal/ordpath"
-	"pathdb/internal/rng"
 )
 
 // sliceStream is a pre-filled nodeStream: one shard's sorted result, held
@@ -76,40 +74,6 @@ func (pm *prefilledMerge) open(tb testing.TB) *StreamCursor {
 	return sc
 }
 
-// The typed heap pops stream heads by (order key, shard), and a push+pop
-// pair on a heap that has reached its size allocates nothing.
-func TestMergeHeapOrderAndAllocs(t *testing.T) {
-	r := rng.New(3)
-	var h mergeHeap
-	const n = 64
-	for i := 0; i < n; i++ {
-		key := ordpath.Root().BulkChild(r.Intn(4)).BulkChild(r.Intn(4))
-		h.push(mergeEntry{key: key, node: ShardNode{Shard: r.Intn(8)}})
-	}
-	var prev mergeEntry
-	for i := 0; i < n; i++ {
-		e := h.pop()
-		if i > 0 {
-			d := ordpath.Compare(prev.key, e.key)
-			if d > 0 || (d == 0 && prev.node.Shard > e.node.Shard) {
-				t.Fatalf("pop %d: (%s, shard %d) after (%s, shard %d)",
-					i, e.key, e.node.Shard, prev.key, prev.node.Shard)
-			}
-		}
-		prev = e
-	}
-	if len(h) != 0 {
-		t.Fatalf("%d entries left after popping all", len(h))
-	}
-
-	for s := 0; s < 4; s++ {
-		h.push(mergeEntry{key: ordpath.FromComponents(2, uint64(2*s+2)), node: ShardNode{Shard: s}})
-	}
-	if a := testing.AllocsPerRun(1000, func() { h.push(h.pop()) }); a != 0 {
-		t.Fatalf("heap push+pop: %v allocs, want 0", a)
-	}
-}
-
 // Merging pre-filled streams yields every node once, in (key, shard) order,
 // and a merged node in steady state costs no allocation.
 func TestPrefilledMergeOrderAndAllocs(t *testing.T) {
@@ -142,8 +106,8 @@ func TestPrefilledMergeOrderAndAllocs(t *testing.T) {
 }
 
 // BenchmarkStreamMerge is the coordinator's share of a streamed node: one
-// StreamCursor.Next over 2 and 4 pre-filled shard streams (heap pop, refill
-// from the popped stream, push, spine dedup). Re-opening the merge when a
+// StreamCursor.Next over 2 and 4 pre-filled shard streams (scan of the
+// heads, refill of the least one's stream, spine dedup). Re-opening the merge when a
 // pass is exhausted is not timed.
 func BenchmarkStreamMerge(b *testing.B) {
 	for _, shards := range []int{2, 4} {

@@ -30,7 +30,7 @@ type StreamSummary struct {
 
 // StreamCursor is a streaming k-way merge over per-shard cursors: nodes
 // surface in global document order as the shards produce them, and the
-// coordinator holds only the heap of stream heads plus the spine probe's
+// coordinator holds only each stream's head plus the spine probe's
 // order-key set — never the merged result. Spine replicas (identical
 // order keys on every answering shard) are deduplicated on the fly,
 // keeping the lowest answering shard's copy; distinct entities that
@@ -49,8 +49,7 @@ type StreamCursor struct {
 	cancel context.CancelFunc
 	limit  int
 
-	h       mergeHeap
-	streams []*shardStream
+	streams []*shardStream // in shard order
 
 	// spineOrds is the replicated spine's order-key set for this path,
 	// keyed by the raw key bytes; only these keys deduplicate (the spine
@@ -81,73 +80,18 @@ type nodeStream interface {
 	Close() error
 }
 
-// shardStream is one shard's contribution to the merge.
+// shardStream is one shard's contribution to the merge, and its head: the
+// node it last pulled and that node's raw order key, read once when the
+// head is pulled — the merge compares keys, it never goes back to the node.
 type shardStream struct {
 	shard  int
 	cur    nodeStream
 	count  int // nodes fed into the merge
 	closed bool
-}
 
-// mergeEntry is one stream head waiting in the heap. key is the node's raw
-// order key, read once when the head is pulled: the heap compares keys, it
-// never goes back to the node.
-type mergeEntry struct {
+	live bool // head holds a node not yet merged
 	key  ordpath.Key
-	node ShardNode
-	src  *shardStream
-}
-
-// mergeHeap is a binary min-heap of stream heads ordered by (order key,
-// shard), at most one entry per shard. It is typed — entries are stored and
-// returned by value — so push and pop allocate nothing once the backing
-// array has grown to the shard count.
-type mergeHeap []mergeEntry
-
-func (h mergeHeap) less(a, b int) bool {
-	if d := ordpath.Compare(h[a].key, h[b].key); d != 0 {
-		return d < 0
-	}
-	return h[a].node.Shard < h[b].node.Shard
-}
-
-func (h *mergeHeap) push(e mergeEntry) {
-	*h = append(*h, e)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the least entry; the heap must not be empty.
-func (h *mergeHeap) pop() mergeEntry {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = mergeEntry{} // drop the node and stream references
-	s = s[:n]
-	for i := 0; ; {
-		least := i
-		if l := 2*i + 1; l < n && s.less(l, least) {
-			least = l
-		}
-		if r := 2*i + 2; r < n && s.less(r, least) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		s[i], s[least] = s[least], s[i]
-		i = least
-	}
-	*h = s
-	return top
+	head ShardNode
 }
 
 // Stream fans path across every shard as sorted per-shard streams and
@@ -155,7 +99,7 @@ func (h *mergeHeap) pop() mergeEntry {
 // non-blocking per shard (TryStream: an overloaded shard fails the open);
 // the failure policy applies both at open and mid-merge — under
 // PolicyQuorum a shard lost to a storage fault mid-way is dropped from the
-// heap (its already-merged prefix stands, and the trailing summary reports
+// merge (its already-merged prefix stands, and the trailing summary reports
 // it degraded), under PolicyAll any failure aborts the stream.
 //
 // opts.Sorted is implied (the merge requires per-shard document order);
@@ -205,7 +149,7 @@ func (c *Cluster) Stream(ctx context.Context, path string, opts pathdb.QueryOpti
 	return sc, nil
 }
 
-// prime puts each stream's head on the heap. The first merged node needs
+// prime pulls each stream's head. The first merged node needs
 // every head anyway (it is their minimum), so this is the stream's genuine
 // time-to-first-result, not an implementation stall.
 func (sc *StreamCursor) prime() error {
@@ -217,14 +161,14 @@ func (sc *StreamCursor) prime() error {
 	return nil
 }
 
-// advance pulls the next node from s, pushing it on the heap; a drained
-// stream is settled (summary harvested, cursor closed) and a failed one is
+// advance pulls the next node from s into its head; a drained stream is
+// settled (summary harvested, cursor closed) and a failed one is
 // classified under the policy. The returned error is fatal to the merge.
 func (sc *StreamCursor) advance(s *shardStream) error {
-	if s.cur.Next() {
+	if s.live = s.cur.Next(); s.live {
 		s.count++
 		n := s.cur.Node()
-		sc.h.push(mergeEntry{key: n.OrdKey(), node: ShardNode{Shard: s.shard, Node: n}, src: s})
+		s.key, s.head = n.OrdKey(), ShardNode{Shard: s.shard, Node: n}
 		return nil
 	}
 	if err := s.cur.Err(); err != nil {
@@ -279,25 +223,33 @@ func (sc *StreamCursor) Next() bool {
 		return false
 	}
 	for {
-		if len(sc.h) == 0 {
+		// The least head; streams are in shard order, so on equal keys
+		// the first found is the lowest shard's.
+		var s *shardStream
+		for _, t := range sc.streams {
+			if t.live && (s == nil || bytes.Compare(t.key, s.key) < 0) {
+				s = t
+			}
+		}
+		if s == nil {
 			sc.finish()
 			return false
 		}
-		e := sc.h.pop()
-		if err := sc.advance(e.src); err != nil {
+		key, node := s.key, s.head
+		if err := sc.advance(s); err != nil {
 			sc.fail(err)
 			return false
 		}
 		// Spine replicas carry identical order keys on every answering
-		// shard; the heap (order key, then shard) pops the lowest shard's
-		// copy first, so an equal-key successor on a spine key is a
-		// replica to drop. Equal keys off the spine are distinct entities
-		// and all surface (the heap's shard tiebreak orders them).
-		if sc.yielded > 0 && bytes.Equal(e.key, sc.lastKey) && sc.spineOrds[string(e.key)] {
+		// shard; the merge takes the lowest shard's copy first, so an
+		// equal-key successor on a spine key is a replica to drop. Equal
+		// keys off the spine are distinct entities and all surface, in
+		// shard order.
+		if sc.yielded > 0 && bytes.Equal(key, sc.lastKey) && sc.spineOrds[string(key)] {
 			continue
 		}
-		sc.lastKey = e.key
-		sc.node = e.node
+		sc.lastKey = key
+		sc.node = node
 		sc.yielded++
 		if sc.limit > 0 && sc.yielded >= sc.limit {
 			sc.finish()
@@ -362,8 +314,8 @@ func (sc *StreamCursor) close() {
 	sc.cancel()
 	for _, s := range sc.streams {
 		sc.settle(s)
+		s.live, s.head = false, ShardNode{} // drop the node references
 	}
-	sc.h = nil
 }
 
 func (sc *StreamCursor) finish() {

@@ -355,8 +355,7 @@ func (lv *Level) advance(view *Store, written []vdisk.PageID, fresh []levelEntry
 		}
 		return r < len(roots) && lv.Ords[k].IsAncestorOf(roots[r])
 	}
-	byKey := func(a, b levelEntry) int { return ordpath.Compare(a.ord, b.ord) }
-	slices.SortStableFunc(fresh, byKey)
+	slices.SortStableFunc(fresh, func(a, b levelEntry) int { return ordpath.Compare(a.ord, b.ord) })
 	same, stale, kept, j := lv.Ends == nil, false, 0, 0
 	for k, id := range lv.IDs {
 		if !onWritten(id) {
@@ -371,9 +370,11 @@ func (lv *Level) advance(view *Store, written []vdisk.PageID, fresh []levelEntry
 	if !stale && (!moved || same && j == len(fresh)) {
 		return lv, false
 	}
-	all := append(make([]levelEntry, 0, len(fresh)+kept), fresh...)
+	// The kept entries are in level order: merge the fresh ones in, first
+	// on a tie.
+	all := make([]levelEntry, 0, len(fresh)+kept)
 	var start uint32
-	r = 0
+	r, f := 0, 0
 	for k, id := range lv.IDs {
 		e := levelEntry{ord: lv.Ords[k], id: id}
 		if lv.Ends != nil {
@@ -381,10 +382,13 @@ func (lv *Level) advance(view *Store, written []vdisk.PageID, fresh []levelEntry
 		}
 		if !onWritten(id) {
 			e.reread = rereads(k)
+			for ; f < len(fresh) && ordpath.Compare(fresh[f].ord, e.ord) <= 0; f++ {
+				all = append(all, fresh[f])
+			}
 			all = append(all, e)
 		}
 	}
-	slices.SortStableFunc(all, byKey)
+	all = append(all, fresh[f:]...)
 	ords, ids := make([]ordpath.Key, len(all)), make([]NodeID, len(all))
 	for k, e := range all {
 		ords[k], ids[k] = e.ord, e.id

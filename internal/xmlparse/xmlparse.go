@@ -98,18 +98,6 @@ func (p *parser) consume(s string) bool {
 	return true
 }
 
-// skipUntil advances past the first occurrence of s, returning false at EOF.
-func (p *parser) skipUntil(s string) bool {
-	for !p.eof() {
-		if p.hasPrefix(s) {
-			p.consume(s)
-			return true
-		}
-		p.advance()
-	}
-	return false
-}
-
 // readUntil returns the bytes before the first occurrence of s and consumes
 // the delimiter.
 func (p *parser) readUntil(s string) (string, bool) {

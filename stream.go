@@ -5,6 +5,7 @@ import (
 
 	"pathdb/internal/core"
 	"pathdb/internal/engine"
+	"pathdb/internal/ordpath"
 	"pathdb/internal/plan"
 	"pathdb/internal/storage"
 	"pathdb/internal/xpath"
@@ -41,10 +42,12 @@ import (
 // unsorted queries, and sorted single paths whose plan yields document order
 // by itself (core.Plan.Ordered). Each match is handed over as the operator
 // tree produces it, an engine-backed producer running at most one block of
-// matches ahead (back-pressure). Other sorted queries are order-enforced: a
-// single path by the final sort inside its plan, charged to the query like
-// any other work, a union by the cursor's merge; every match is seen before
-// the first is delivered.
+// matches ahead (back-pressure). Other sorted single paths are
+// order-enforced by the final sort inside their plan, charged to the query
+// like any other work; every match is seen before the first is delivered.
+// A sorted union is ordered branch by branch, each branch in its own plan
+// and capped at the Limit, and delivered once every branch has landed by
+// merging their heads: the least first, a tie to the earlier branch.
 //
 // A Cursor is not safe for concurrent use by multiple goroutines.
 type Cursor struct {
@@ -62,11 +65,9 @@ type Cursor struct {
 	dir  directProducer
 
 	// What the cursor applies above the producer, once for every surface:
-	// union dedup, the sorted-union buffer, Limit.
-	union  bool                    // the query has several branches
-	seen   map[storage.NodeID]bool // nodes a union has delivered
-	merged []core.Result           // a sorted union, in document order
-	sorted bool                    // merged is built
+	// union dedup and Limit.
+	union bool                    // the query has several branches
+	seen  map[storage.NodeID]bool // nodes a union has delivered
 
 	node    Node
 	yielded int
@@ -76,7 +77,8 @@ type Cursor struct {
 }
 
 // producer is the source a Cursor pulls from: the matches of a query's
-// branch plans, branch after branch in production order.
+// branch plans, branch after branch in production order — a sorted union's
+// merged in document order.
 type producer interface {
 	// next returns the next match; ok is false at exhaustion and on error.
 	next(ctx context.Context) (r core.Result, ok bool, err error)
@@ -94,7 +96,7 @@ type producer interface {
 // other sorted single path is order-enforced inside its plan (the final
 // sort sees every match before the first is delivered) and then streams
 // the sorted sequence; a sorted union is drained like Do, then delivered
-// after the cursor's cross-branch merge. Other streaming queries execute
+// by merging its ordered branches. Other streaming queries execute
 // solo, paced by the consumer. A union is admitted whole, as one unit no
 // gang splits. A full admission queue makes Stream wait; TryStream sheds.
 func (s *Session) Stream(ctx context.Context, path string, opts QueryOptions) (*Cursor, error) {
@@ -119,8 +121,7 @@ func (s *Session) stream(ctx context.Context, path string, opts QueryOptions, tr
 		return nil, wrapErr("submit", path, err)
 	}
 	c := newCursor(s.eng.db, path, opts, cctx, cancel, len(branches))
-	c.eng = engineProducer{pend: pendings}
-	c.prod = &c.eng
+	c.readEngine(pendings)
 	return c, nil
 }
 
@@ -128,6 +129,13 @@ func (s *Session) stream(ctx context.Context, path string, opts QueryOptions, tr
 // branches; the caller attaches the producer.
 func newCursor(db *DB, path string, opts QueryOptions, ctx context.Context, cancel context.CancelFunc, branches int) *Cursor {
 	return &Cursor{db: db, path: path, opts: opts, ctx: ctx, cancel: cancel, union: branches > 1}
+}
+
+// readEngine attaches the producer over an engine-run query's branches: a
+// sorted union is merged, anything else read branch after branch.
+func (c *Cursor) readEngine(pend []*engine.Pending) {
+	c.eng = engineProducer{pend: pend, merge: c.union && c.opts.Sorted}
+	c.prod = &c.eng
 }
 
 // Next advances the cursor to the next result node, reporting false when
@@ -141,7 +149,7 @@ func (c *Cursor) Next() bool {
 		c.finish(nil)
 		return false
 	}
-	r, ok, err := c.pull()
+	r, ok, err := c.distinct()
 	if !ok {
 		c.finish(err)
 		return false
@@ -149,37 +157,6 @@ func (c *Cursor) Next() bool {
 	c.node = Node{db: c.db, id: r.Node, ord: r.Ord}
 	c.yielded++
 	return true
-}
-
-// pull returns the next node of the result: the producer's next distinct
-// match, or — a sorted union's document order exists only once every branch
-// has landed — the next of the merged sequence, built on the first call.
-// The merge is not charged to any ledger.
-func (c *Cursor) pull() (core.Result, bool, error) {
-	if !c.opts.Sorted || !c.union {
-		return c.distinct()
-	}
-	if !c.sorted {
-		for {
-			r, ok, err := c.distinct()
-			if err != nil {
-				return r, false, err
-			}
-			if !ok {
-				break
-			}
-			if c.merged == nil {
-				c.merged = make([]core.Result, 0, 1+c.prod.known())
-			}
-			c.merged = append(c.merged, r)
-		}
-		core.SortResults(c.merged)
-		c.sorted = true
-	}
-	if c.yielded >= len(c.merged) {
-		return core.Result{}, false, nil
-	}
-	return c.merged[c.yielded], true, nil
 }
 
 // distinct pulls the producer's next match, skipping nodes an earlier union
@@ -252,9 +229,6 @@ func (c *Cursor) Drain() (ExecResult, error) {
 		if nodes == nil {
 			// Size the slice once from what is already materialized.
 			n := c.prod.known()
-			if c.sorted {
-				n = len(c.merged) - c.yielded
-			}
 			if lim := c.opts.Limit; lim > 0 && n >= lim {
 				n = lim - 1
 			}
@@ -276,19 +250,24 @@ func (c *Cursor) Drain() (ExecResult, error) {
 
 // engineProducer pulls a query admitted to the engine, or one a drained
 // direct surface ran as a gang (engine.Exec): one Pending per union branch,
-// drained in submission order. A streaming branch hands its matches over in
-// blocks through its sink as the dispatcher produces them; whatever the
-// engine buffered instead — a stream's last block included — is in the
-// branch's Result once it has settled.
+// drained in submission order, or merged when the union is sorted. A
+// streaming branch hands its matches over in blocks through its sink as the
+// dispatcher produces them; whatever the engine buffered instead — a
+// stream's last block included — is in the branch's Result once it has
+// settled.
 type engineProducer struct {
-	pend []*engine.Pending
-	done []engine.Result // summaries of the branches harvested so far, in order
-	cur  int             // next branch to read from; blk belongs to the one before once its Results are taken
-	blk  []core.Result   // block being delivered: from a sink, or a branch's Results
-	idx  int             // next of blk
+	pend  []*engine.Pending
+	merge bool            // a sorted union: every branch's Results are in document order
+	done  []engine.Result // summaries of the branches harvested so far, in order
+	cur   int             // next branch to read from; blk belongs to the one before once its Results are taken
+	blk   []core.Result   // block being delivered: from a sink, or a branch's Results
+	idx   int             // next of blk
 }
 
 func (p *engineProducer) next(ctx context.Context) (core.Result, bool, error) {
+	if p.merge {
+		return p.least(ctx)
+	}
 	for p.idx == len(p.blk) {
 		engine.Recycle(p.blk)
 		p.blk, p.idx = nil, 0
@@ -311,18 +290,48 @@ func (p *engineProducer) next(ctx context.Context) (core.Result, bool, error) {
 		if ch != nil {
 			upto = p.cur + 1
 		}
-		for len(p.done) < upto {
-			res, err := p.pend[len(p.done)].Wait(ctx)
-			if err != nil {
-				return core.Result{}, false, err
-			}
-			p.done = append(p.done, res)
+		if err := p.land(ctx, upto); err != nil {
+			return core.Result{}, false, err
 		}
 		p.blk = p.done[p.cur].Results
 		p.cur++
 	}
 	p.idx++
 	return p.blk[p.idx-1], true, nil
+}
+
+// least yields a sorted union's next match once every branch has landed:
+// the least of the branches' heads, a tie going to the earlier branch, so
+// the merge is the stable sort of the branches' concatenation. A head is
+// taken by reslicing its branch's Results.
+func (p *engineProducer) least(ctx context.Context) (core.Result, bool, error) {
+	if err := p.land(ctx, len(p.pend)); err != nil {
+		return core.Result{}, false, err
+	}
+	lo := -1
+	for i := range p.done {
+		if rs := p.done[i].Results; len(rs) > 0 && (lo < 0 || ordpath.Compare(rs[0].Ord, p.done[lo].Results[0].Ord) < 0) {
+			lo = i
+		}
+	}
+	if lo < 0 {
+		return core.Result{}, false, nil
+	}
+	rs := p.done[lo].Results
+	p.done[lo].Results = rs[1:]
+	return rs[0], true, nil
+}
+
+// land waits, in order, for the branches before upto to settle.
+func (p *engineProducer) land(ctx context.Context, upto int) error {
+	for len(p.done) < upto {
+		res, err := p.pend[len(p.done)].Wait(ctx)
+		if err != nil {
+			return err
+		}
+		p.done = append(p.done, res)
+	}
+	return nil
 }
 
 func (p *engineProducer) known() int {
@@ -410,7 +419,7 @@ func aggregateBranches(branch []engine.Result) ExecResult {
 // branches one after another; so does a sorted single path whose plan is
 // ordered. Other sorted single paths evaluate fully on the first Next
 // (order enforcement), then stream the sorted result. A sorted union is
-// drained like QueryCtx.
+// drained like QueryCtx, then merged.
 //
 // Its virtual costs are deterministic only while no other query runs on
 // the DB, since concurrent queries share the simulated device; run
@@ -440,8 +449,7 @@ func (db *DB) openDirect(ctx context.Context, cancel context.CancelFunc, path st
 	ms := db.members(ctx, branches, contexts, opts, live || len(branches) == 1)
 	snap := db.mgr.Snapshot()
 	if !ms[0].Query.Stream {
-		c.eng = engineProducer{pend: engine.Exec(db.store, snap, ms)}
-		c.prod = &c.eng
+		c.readEngine(engine.Exec(db.store, snap, ms))
 		snap.Release()
 	} else {
 		c.dir = directProducer{db: db, snap: snap, branches: ms}
